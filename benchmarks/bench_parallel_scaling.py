@@ -14,7 +14,7 @@ latency* — ``max(ParallelReport.task_seconds)``, the longest interval
 any single dispatch held a worker.  Aggregate speedup hides stragglers:
 a skewed shard split can post 2x while one worker carries half the
 tree.  ``test_tail_latency_stealing`` pins the complement on the skewed
-hardest sweep point: work stealing must cut the tail against the static
+point below the sweep: work stealing must cut the tail against the static
 scheduler (donations bound every part by the quantum), a per-dispatch
 property that holds even on single-core machines, so it is not
 core-count gated.  The committed reference numbers live in the
@@ -40,7 +40,7 @@ WORKER_COUNTS = (1, 2, 4)
 
 #: The skewed tail-latency point — keep in lockstep with the ``steal``
 #: section constants in ``perf_gate.py``.
-STEAL_MINSUP = 9
+STEAL_MINSUP = 5
 STEAL_QUANTUM = 512
 STEAL_MIN_TAIL_IMPROVEMENT = 1.3
 
@@ -135,10 +135,11 @@ def test_speedup_curve(shape_workloads, capsys):
 
 
 def test_tail_latency_stealing(workloads, capsys):
-    """Stealing cuts the per-dispatch tail on the skewed sweep point.
+    """Stealing cuts the per-dispatch tail on the skewed point.
 
     Best-of-2 per scheduler damps single-dispatch noise; the measured
-    headroom over the bar is ~1.7x (see ``BENCH_core.json``).
+    improvement is 1.5x-2.2x on a 2-core machine (see
+    ``BENCH_core.json``).
     """
     workload = workloads["LC"]
     constraints = Constraints(minsup=STEAL_MINSUP)

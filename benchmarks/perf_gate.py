@@ -23,7 +23,7 @@ refresh preserves the committed section, ``--check`` reports the skip
 and checks only the kernel pins.
 
 A third section, ``"steal"``, pins the work-stealing scheduler's
-tail-latency claim on the skewed hardest sweep point: the same LC
+tail-latency claim on a skewed point below the sweep: the same LC
 workload at ``STEAL_MINSUP`` mined at 4 workers under the static and
 the stealing scheduler.  Byte-identity with the serial run is fatal for
 both schedulers, and the tail latency — the longest single dispatch,
@@ -50,8 +50,8 @@ serial and the sharded resume.
 the aggregate speedup falls below ``min_speedup * tolerance`` — the
 tolerance is deliberately generous (CI machines are noisy; the gate
 exists to catch the kernel *losing its reason to exist*, not 5% noise).
-The steal tail floor is checked without the tolerance: the committed
-improvement carries ~1.7x headroom over the floor, and best-of-N
+The steal tail floor is checked without the tolerance: the improvement
+measured 1.5x-2.2x over repeated runs on a 2-core machine, and best-of-N
 damps the noise a single dispatch could add.
 
 ``--diff`` prints a per-section delta table (current measurements vs
@@ -109,12 +109,16 @@ NUMPY_SCALE = 0.2
 #: ``TOLERANCE`` applies to it in ``--check``.
 NUMPY_MIN_SPEEDUP = 3.0
 
-#: The work-stealing tail-latency point: the hardest (most skewed)
-#: sweep minsup at 4 workers.  The quantum is set well below the
-#: largest shard's node count so the dominant subtree is actually
-#: donated apart (~50 donations at this scale); with the default
+#: The work-stealing tail-latency point: LC below the sweep's hardest
+#: minsup, at 4 workers.  Its largest shard (17,413 of 160,999 nodes)
+#: must run well above a process-pool round trip (a few milliseconds
+#: with 4 workers on 2 cores), or both tails measure dispatch overhead
+#: instead of the schedule — at minsup 9 the largest shard is 6,095
+#: nodes, which a fast walk finishes inside that floor.  The quantum is
+#: set well below the largest shard's node count so the dominant
+#: subtree is actually donated apart (~300 donations); with the default
 #: quantum nothing donates and the comparison would measure noise.
-STEAL_MINSUP = 9
+STEAL_MINSUP = 5
 STEAL_WORKERS = 4
 STEAL_QUANTUM = 512
 #: Required static/steal tail-latency ratio when refreshing the
