@@ -1,8 +1,9 @@
 """FRM011: hot-path purity, inherited bottom-up over the call graph.
 
-The fused enumeration kernels (`extend_and_scan`, the candidate bound
-scans, `_enumerate_numpy`) are the multiplied-cost inner loops: they run
-once per enumeration node times once per row.  IO, logging, wall-clock
+The row-enumeration walk (`enumerate_frontier`) and the fused table
+kernels it drives (`extend_and_scan`, the candidate bound scans) are the
+multiplied-cost inner loops: they run once per enumeration node times
+once per row.  IO, logging, wall-clock
 reads, environment access, or mutation of module-level state inside
 them is both a performance cliff and — for anything order-dependent — a
 determinism hazard that FRM002's module scoping can miss when the
@@ -20,6 +21,13 @@ counters handed to them — and unknown callees are assumed pure, so
 injected callbacks (``emit``, ``tick``) do not false-positive.
 Findings anchor at the hot root and carry the full call chain down to
 the impure operation.
+
+A pinned root that no longer resolves — its module is still in the
+package but the function was renamed or deleted — is itself a finding,
+anchored at the module: otherwise deleting a hot function would quietly
+shrink the gate.  A package that resolves no root at all (a partial
+tree, a fixture for another rule) is not a kernel package and is
+skipped.
 """
 
 from __future__ import annotations
@@ -98,8 +106,8 @@ class HotPathPurityRule(Rule):
         ("core/kernel.py", "CondTable.extend"),
         ("core/kernel.py", "CondTable.max_overlap"),
         ("core/kernel.py", "CondTable.observed_max_overlap"),
-        ("core/farmer.py", "_enumerate_numpy"),
-        ("core/farmer.py", "_walk_numpy"),
+        ("core/farmer.py", "enumerate_frontier"),
+        ("core/farmer.py", "_child_state"),
         ("core/npbitset.py", "NumpyCondTable.extend"),
         ("core/npbitset.py", "NumpyCondTable.max_overlap"),
         ("core/npbitset.py", "NumpyCondTable.observed_max_overlap"),
@@ -107,13 +115,29 @@ class HotPathPurityRule(Rule):
 
     def finish_project(self, project: ProjectIndex) -> Iterator[Finding]:
         for package in project.sorted_packages():
-            roots = [
-                package.functions[f"{key}::{qualname}"]
-                for key, qualname in self.hot_roots
-                if f"{key}::{qualname}" in package.functions
-            ]
+            roots = []
+            stale = []
+            for key, qualname in self.hot_roots:
+                display = f"{key}::{qualname}"
+                if display in package.functions:
+                    roots.append(package.functions[display])
+                elif key in package.modules:
+                    stale.append((package.modules[key], display))
             if not roots:
                 continue
+            for module, display in stale:
+                yield Finding(
+                    rule_id=self.rule_id,
+                    rule_name=self.name,
+                    path=module.context.rel_path,
+                    line=1,
+                    col=0,
+                    message=(
+                        f"pinned hot-path root {display} no longer resolves; "
+                        "re-pin HotPathPurityRule.hot_roots to the function "
+                        "that replaced it"
+                    ),
+                )
             impurities: dict[str, list[tuple[int, str]]] = {}
             module_names: dict[str, frozenset[str]] = {}
             for root in roots:

@@ -16,11 +16,10 @@ operations every node performs are:
 This module also hosts the node-budget bookkeeping shared by the miners.
 
 :func:`extend_items` and :func:`scan_items` are the *reference shims* of
-the fused kernel (:mod:`repro.core.kernel`): the production engines walk
-each table once via ``extend_and_scan`` / ``CondTable.extend``, while
-these two-pass helpers remain the independently-tested ground truth the
-differential and property-based suites compare against, and the cost
-model the ``engine="reference"`` miners run.
+the fused kernel (:mod:`repro.core.kernel`): every engine walks each
+table once via ``extend_and_scan`` / ``CondTable.extend``, while these
+two-pass helpers remain the independently-tested ground truth the
+differential and property-based suites compare against.
 """
 
 from __future__ import annotations
@@ -134,12 +133,18 @@ class SearchBudget:
         """Nodes expanded so far in the current run."""
         return self._nodes
 
+    @property
+    def unlimited(self) -> bool:
+        """Whether :meth:`tick` can never raise: a miner may then count
+        nodes itself and :meth:`advance` once instead of ticking."""
+        return self.max_nodes is None and self.max_seconds is None
+
     def advance(self, count: int) -> None:
         """Account for ``count`` expanded nodes at once, without limit
         checks.
 
-        Engines that count nodes inline (the fused numpy walker) call
-        this once per run instead of ticking per node; only valid when
+        The serial miner, whose walk counts nodes itself, calls this
+        once per run instead of ticking per node; only valid when
         the budget has no limits to enforce, so nothing can be missed.
         """
         self._nodes += count

@@ -39,30 +39,35 @@ lists into an in-memory transposed table; we use the bitset equivalent):
   mined result, only the work done.  Pruning 2 requires Pruning 1's
   bookkeeping (Lemma 3.6 assumes it), so ``p2`` is ignored when ``p1``
   is off.
-* the per-node work (Steps 1-6 plus the Step 7 threshold test) is the
-  standalone :func:`expand_node` over a picklable :class:`NodeState`, so
-  subtrees can be enumerated re-entrantly (:func:`enumerate_subtree`) and
-  shipped to worker processes (:mod:`repro.core.parallel`) with output
-  bit-identical to the serial traversal.
-* the per-node work runs on the fused kernel (:mod:`repro.core.kernel`)
-  by default: a node's conditional table is materialized *lazily* — the
-  Step-2 loose bounds need only the parent's counts, and on the paper's
-  workloads the large majority of nodes are loose-pruned, so their tables
-  are never built at all.  Surviving nodes build table + scan in one
-  fused pass, bound scans early-exit on the support-sorted order, and
-  pure per-node evaluations are memoized per run
-  (:class:`~repro.core.kernel.KernelCache`).  ``engine="reference"``
-  selects the pre-kernel cost model (eager extension, separate scan, full
-  bound scans, no caches) for differential tests and the perf gate; both
-  engines produce byte-identical serialized output.
+* the traversal is one explicit-stack walk, :func:`enumerate_frontier`,
+  over an ordered frontier of picklable :class:`NodeState` units.  It
+  can stop after a node quantum and hand back the exact remaining
+  frontier, so the same walk runs serially, per shard in worker
+  processes (:mod:`repro.core.parallel`) and under frontier capture
+  (:mod:`repro.core.frontier`), with output bit-identical to the
+  serial traversal.  It needs no recursion, so no interpreter
+  recursion limit is touched.
+* a node's conditional table is materialized *lazily*: the Step-2 loose
+  bounds need only the parent's counts, so the walk evaluates them at
+  the parent, and on the paper's workloads the large majority of nodes
+  are loose-pruned and never get a table, a state object or a frame.
+  The ``kernel`` engine (:mod:`repro.core.kernel`, the default) builds a
+  surviving node's table and scan in one fused pass, early-exits bound
+  scans on the support-sorted order and memoizes pure per-node
+  evaluations per run (:class:`~repro.core.kernel.KernelCache`);
+  ``numpy`` does the table work on packed uint64 columns.
+  ``engine="reference"`` keeps the pre-kernel cost model for
+  differential tests and the perf gate: the dataset's item order, every
+  visited node's table built before its Step-2 bound, full bound scans
+  and no caches.  All engines produce byte-identical serialized output.
 """
 
 from __future__ import annotations
 
 import bisect
 import os
-import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, NamedTuple, Sequence
 
@@ -70,14 +75,9 @@ from ..data.dataset import ItemizedDataset
 from ..data.transpose import TransposedTable
 from ..errors import BudgetExceeded, ConstraintError, UsageError
 from . import bitset
-from .bounds import (
-    chi_bound,
-    confidence_bound,
-    loose_support_bound,
-    tight_support_bound,
-)
+from .bounds import chi_bound, confidence_bound
 from .constraints import Constraints
-from .enumeration import NodeCounters, SearchBudget, extend_items, scan_items
+from .enumeration import NodeCounters, SearchBudget, scan_items
 from .kernel import CondTable, CondTableProtocol, KernelCache
 from .minelb import attach_lower_bounds
 from .rulegroup import RuleGroup
@@ -98,8 +98,6 @@ __all__ = [
     "SearchContext",
     "available_engines",
     "default_engine",
-    "expand_node",
-    "enumerate_subtree",
     "enumerate_frontier",
     "FRONTIER_STATE",
     "FRONTIER_CAND",
@@ -183,8 +181,8 @@ def default_engine() -> str:
 class NodeState(NamedTuple):
     """The complete, picklable state of one row-enumeration node.
 
-    This is exactly the argument list of the recursive ``MineIRGs`` call
-    (Figure 5): a node is fully described by its conditional transposed
+    This is exactly the argument list of a ``MineIRGs`` call (Figure 5):
+    a node is fully described by its conditional transposed
     table ``TT|X``, its row combination and candidate bitsets, and the
     incremental support counts of Pruning 3.  Because the state carries no
     references to the miner, a node can be shipped to another process and
@@ -227,6 +225,11 @@ class NodeState(NamedTuple):
             return self.table.extend(self.row_bit)
         return self.table
 
+    def estimate(self) -> int:
+        """Subtree-size proxy for load balancing and progress: the
+        number of remaining candidate rows."""
+        return bitset.bit_count(self.cand_pos | self.cand_neg)
+
 
 class Candidate(NamedTuple):
     """A threshold-satisfying Step-7 candidate awaiting admission.
@@ -253,7 +256,7 @@ class Candidate(NamedTuple):
 class SearchContext:
     """Immutable per-run search parameters, shared by every node.
 
-    Everything :func:`expand_node` needs besides the node state itself:
+    Everything :func:`enumerate_frontier` needs besides the frontier itself:
     the dataset constants, the ORD class masks, the enabled prunings and
     the expansion engine.  Picklable, so worker processes receive one
     copy per task.
@@ -332,13 +335,18 @@ class SearchContext:
         the same table on the packed-uint64 layout
         (:class:`~repro.core.npbitset.NumpyCondTable`, identical item
         order); the reference engine keeps the dataset's item order and
-        re-scans per node, like the pre-kernel code did.
+        carries no popcounts, so its bound scans walk every tuple.
         """
         cond: CondTableProtocol
         if self.engine == "reference":
-            cond = CondTable.reference(
-                list(range(len(table.item_masks))),
-                list(table.item_masks),
+            masks = list(table.item_masks)
+            inter, union = scan_items(masks, table.all_rows_mask)
+            cond = CondTable(
+                list(range(len(masks))),
+                masks,
+                None,
+                inter,
+                union,
                 table.all_rows_mask,
             )
         elif self.engine == "numpy":
@@ -360,618 +368,6 @@ class SearchContext:
         )
 
 
-def expand_node(
-    ctx: SearchContext,
-    state: NodeState,
-    counters: NodeCounters,
-    cache: KernelCache | None = None,
-) -> tuple[str, Candidate | None, list[NodeState]]:
-    """One ``MineIRGs`` node (Figure 5), without recursion or admission.
-
-    Runs Steps 1-5 at ``state`` and materializes Step 6's children, in ORD
-    order, as fresh :class:`NodeState` values.  Step 7's threshold test is
-    applied (the returned :class:`Candidate` is ``None`` when it fails)
-    but the interestingness comparison is left to the caller — the serial
-    miner consults its store after recursing, the sharded miner defers it
-    to the reduce phase.
-
-    Args:
-        ctx: the immutable search parameters.
-        state: the node to expand.
-        counters: mutated in place with node/pruning statistics.
-        cache: memoizes pure per-node evaluations (kernel engine only);
-            passing ``None`` gives every call a throwaway cache, which
-            is correct but wasteful — traversals should share one per
-            run or per shard task.
-
-    Returns:
-        ``(outcome, candidate, children)`` where ``outcome`` is one of
-        ``"explored"``, ``"pruned:loose"``, ``"pruned:tight"`` or
-        ``"pruned:identified"``.
-    """
-    if ctx.engine == "reference":
-        return _expand_node_reference(ctx, state, counters)
-    if cache is None:
-        cache = KernelCache()
-    return _expand_node_kernel(ctx, state, counters, cache)
-
-
-def _expand_node_kernel(
-    ctx: SearchContext,
-    state: NodeState,
-    counters: NodeCounters,
-    cache: KernelCache,
-) -> tuple[str, Candidate | None, list[NodeState]]:
-    """The fused-kernel expansion (see :mod:`repro.core.kernel`).
-
-    Semantically identical to :func:`_expand_node_reference` (the
-    differential suite pins byte-equal output and equal semantic
-    counters); differs only in *work*: the table is materialized lazily
-    after the loose bounds, built and scanned in one fused pass, bound
-    scans early-exit, and pure evaluations hit the memo cache.  The
-    loose/tight support bounds of Lemmas 3.7 are inlined on this hot
-    path; :mod:`repro.core.bounds` keeps the unit-tested originals.
-    """
-    constraints = ctx.constraints
-    (
-        table,
-        row_bit,
-        x_mask,
-        cand_pos,
-        cand_neg,
-        p1_removed,
-        supp_in,
-        supn_in,
-        rm_is_positive,
-    ) = state
-
-    # Step 2 — Pruning 3, loose bounds, *before* materializing TT|X:
-    # they only need the parent-carried counts, and most nodes die here.
-    if ctx.use_p3:
-        us2 = supp_in + cand_pos.bit_count() if rm_is_positive else supp_in
-        if us2 < constraints.minsup or (
-            constraints.minconf > 0.0
-            and cache.confidence(us2, supn_in, counters) < constraints.minconf
-        ):
-            counters.pruned_loose += 1
-            return "pruned:loose", None, []
-
-    # Step 3 — materialize TT|X and scan it, fused into one pass.  The
-    # intersection of all tuples is R(I(X)).
-    if row_bit:
-        table = table.extend(row_bit)
-    intersection = table.inter
-    union = table.union
-    candidates = cand_pos | cand_neg
-
-    # Step 1 — Pruning 2.  A row outside X and outside the candidate
-    # list (and never compressed away by Pruning 1 on this path) that
-    # occurs in every tuple proves this subtree was enumerated before.
-    if ctx.use_p2:
-        witness = intersection & ~x_mask & ~candidates & ~p1_removed
-        if witness:
-            counters.pruned_identified += 1
-            return "pruned:identified", None, []
-
-    supp_total, supn_total = cache.class_split(
-        intersection, ctx.positive_mask, counters
-    )
-
-    # Step 4 — Pruning 3, tight bounds (after the scan).  The max-overlap
-    # scan early-exits on the support-sorted table order.
-    if ctx.use_p3:
-        if rm_is_positive and cand_pos:
-            if ctx.observe:
-                us1 = supp_in + cache.observed_max_overlap(table, cand_pos)
-            else:
-                us1 = supp_in + table.max_overlap(cand_pos)
-        else:
-            us1 = supp_in
-        if (
-            us1 < constraints.minsup
-            or (
-                constraints.minconf > 0.0
-                and cache.confidence(us1, supn_total, counters)
-                < constraints.minconf
-            )
-            or (
-                constraints.minchi > 0.0
-                and cache.chi(supp_total, supn_total, ctx.n, ctx.m, counters)
-                < constraints.minchi
-            )
-        ):
-            counters.pruned_tight += 1
-            return "pruned:tight", None, []
-
-    # Step 5 — Pruning 1: compress rows found in every tuple, and drop
-    # candidates found in no tuple (they would yield I(X) = ∅).
-    y_mask = intersection & candidates
-    if ctx.use_p1:
-        new_pos = union & cand_pos & ~y_mask
-        new_neg = union & cand_neg & ~y_mask
-        child_p1_removed = p1_removed | y_mask
-        counters.rows_compressed += y_mask.bit_count()
-    else:
-        new_pos = union & cand_pos
-        new_neg = union & cand_neg
-        child_p1_removed = p1_removed
-
-    # Step 6 — children over remaining candidates in ORD order.  Child
-    # tables are NOT built here: every child carries this node's table
-    # plus its row bit, and only materializes if it survives its own
-    # loose bounds.  (Every candidate row is in ``union``, so a child's
-    # table is never empty — the pre-kernel emptiness guard was dead.)
-    children: list[NodeState] = []
-    child_candidates = new_pos | new_neg
-    for row in bitset.iter_bits(child_candidates):
-        bit = 1 << row
-        already_counted = bool(intersection & bit)
-        if row < ctx.m:
-            child_pos = new_pos & ~bitset.below_mask(row + 1)
-            child_neg = new_neg
-            child_supp = supp_total + (0 if already_counted else 1)
-            child_supn = supn_total
-            child_positive = True
-        else:
-            child_pos = 0
-            child_neg = new_neg & ~bitset.below_mask(row + 1)
-            child_supp = supp_total
-            child_supn = supn_total + (0 if already_counted else 1)
-            child_positive = False
-        children.append(
-            NodeState(
-                table=table,
-                row_bit=bit,
-                x_mask=x_mask | bit,
-                cand_pos=child_pos,
-                cand_neg=child_neg,
-                p1_removed=child_p1_removed,
-                supp_in=child_supp,
-                supn_in=child_supn,
-                rm_is_positive=child_positive,
-            )
-        )
-
-    # Step 7, threshold half — the candidate upper bound I(X) -> C.
-    # Capture mode keeps failing evaluations too (zero-support ones can
-    # never satisfy any constraints, so they stay dropped).
-    candidate: Candidate | None = None
-    satisfied = cache.satisfies(
-        constraints, supp_total, supn_total, ctx.n, ctx.m, counters
-    )
-    if satisfied or (ctx.record and supp_total + supn_total > 0):
-        candidate = Candidate(
-            tuple(table.item_ids),
-            table.ids_mask,
-            supp_total,
-            supn_total,
-            intersection,
-        )
-    return "explored", candidate, children
-
-
-def _expand_node_reference(
-    ctx: SearchContext, state: NodeState, counters: NodeCounters
-) -> tuple[str, Candidate | None, list[NodeState]]:
-    """The pre-kernel expansion, kept as the differential/perf reference.
-
-    Reproduces the original cost model faithfully: the node's table is
-    built eagerly with :func:`~repro.core.enumeration.extend_items`
-    (every child pays for its table whether or not it survives Step 2),
-    scanned separately with :func:`~repro.core.enumeration.scan_items`,
-    bound scans walk the whole table, and nothing is cached.  The bound
-    formulas are called through :mod:`repro.core.bounds` unshortened.
-    """
-    constraints = ctx.constraints
-    (
-        carrier,
-        row_bit,
-        x_mask,
-        cand_pos,
-        cand_neg,
-        p1_removed,
-        supp_in,
-        supn_in,
-        rm_is_positive,
-    ) = state
-    if row_bit:
-        item_ids, masks = extend_items(carrier.item_ids, carrier.masks, row_bit)
-    else:
-        item_ids, masks = carrier.item_ids, carrier.masks
-
-    # Step 2 — Pruning 3, loose bounds (before scanning the table).
-    if ctx.use_p3:
-        us2 = loose_support_bound(
-            supp_in, bitset.bit_count(cand_pos), rm_is_positive
-        )
-        if us2 < constraints.minsup or (
-            confidence_bound(us2, supn_in) < constraints.minconf
-        ):
-            counters.pruned_loose += 1
-            return "pruned:loose", None, []
-
-    # Step 3 — scan TT|X.  The intersection of all tuples is R(I(X)).
-    intersection, union = scan_items(masks, ctx.all_rows_mask)
-    candidates = cand_pos | cand_neg
-
-    # Step 1 — Pruning 2.
-    if ctx.use_p2:
-        witness = intersection & ~x_mask & ~candidates & ~p1_removed
-        if witness:
-            counters.pruned_identified += 1
-            return "pruned:identified", None, []
-
-    supp_total = bitset.bit_count(intersection & ctx.positive_mask)
-    supn_total = bitset.bit_count(intersection) - supp_total
-
-    # Step 4 — Pruning 3, tight bounds (after the scan).
-    if ctx.use_p3:
-        if rm_is_positive and cand_pos:
-            max_ep = max(bitset.bit_count(mask & cand_pos) for mask in masks)
-        else:
-            max_ep = 0
-        us1 = tight_support_bound(supp_in, max_ep, rm_is_positive)
-        if (
-            us1 < constraints.minsup
-            or confidence_bound(us1, supn_total) < constraints.minconf
-            or (
-                constraints.minchi > 0.0
-                and chi_bound(supp_total, supn_total, ctx.n, ctx.m)
-                < constraints.minchi
-            )
-        ):
-            counters.pruned_tight += 1
-            return "pruned:tight", None, []
-
-    # Step 5 — Pruning 1.
-    y_mask = intersection & candidates
-    if ctx.use_p1:
-        new_pos = union & cand_pos & ~y_mask
-        new_neg = union & cand_neg & ~y_mask
-        child_p1_removed = p1_removed | y_mask
-        counters.rows_compressed += bitset.bit_count(y_mask)
-    else:
-        new_pos = union & cand_pos
-        new_neg = union & cand_neg
-        child_p1_removed = p1_removed
-
-    # Step 6 — children over remaining candidates in ORD order, sharing
-    # one reference carrier for this node's table.
-    children: list[NodeState] = []
-    child_candidates = new_pos | new_neg
-    child_carrier: CondTable | None = None
-    for row in bitset.iter_bits(child_candidates):
-        bit = 1 << row
-        if child_carrier is None:
-            child_carrier = CondTable.reference(
-                item_ids, masks, ctx.all_rows_mask
-            )
-        already_counted = bool(intersection & bit)
-        if row < ctx.m:
-            child_pos = new_pos & ~bitset.below_mask(row + 1)
-            child_neg = new_neg
-            child_supp = supp_total + (0 if already_counted else 1)
-            child_supn = supn_total
-            child_positive = True
-        else:
-            child_pos = 0
-            child_neg = new_neg & ~bitset.below_mask(row + 1)
-            child_supp = supp_total
-            child_supn = supn_total + (0 if already_counted else 1)
-            child_positive = False
-        children.append(
-            NodeState(
-                table=child_carrier,
-                row_bit=bit,
-                x_mask=x_mask | bit,
-                cand_pos=child_pos,
-                cand_neg=child_neg,
-                p1_removed=child_p1_removed,
-                supp_in=child_supp,
-                supn_in=child_supn,
-                rm_is_positive=child_positive,
-            )
-        )
-
-    # Step 7, threshold half — the candidate upper bound I(X) -> C.
-    candidate: Candidate | None = None
-    satisfied = constraints.satisfied_by(supp_total, supn_total, ctx.n, ctx.m)
-    if satisfied or (ctx.record and supp_total + supn_total > 0):
-        item_mask = 0
-        for item_id in item_ids:
-            item_mask |= 1 << item_id
-        candidate = Candidate(
-            tuple(item_ids), item_mask, supp_total, supn_total, intersection
-        )
-    return "explored", candidate, children
-
-
-def _enumerate_numpy(
-    ctx: SearchContext,
-    state: NodeState,
-    counters: NodeCounters,
-    emit: Callable[[Candidate], None],
-    tick: Callable[[], None] | None,
-    cache: KernelCache,
-) -> None:
-    """The numpy engine's fused subtree traversal.
-
-    Node-for-node the same search as :func:`enumerate_subtree` over
-    :func:`_expand_node_kernel` — identical visit order, tick placement,
-    counter increments, cache lookups and candidate emission order, so
-    the output and every counter stay byte-identical — but flattened:
-    the per-child loose bound (Step 2) is evaluated inline at the parent
-    instead of through a fresh :class:`NodeState` and a recursive call.
-    On paper-shaped workloads ~9 in 10 nodes die at that bound, so the
-    per-node Python overhead (NamedTuple construction, call frames,
-    tuple unpacking) that dominates once table work is vectorized is
-    simply never paid for them.  Only nodes surviving the loose bound
-    recurse, with plain positional arguments.
-    """
-    counters.nodes += 1
-    if tick is not None:
-        tick()
-    constraints = ctx.constraints
-    (
-        table,
-        row_bit,
-        x_mask,
-        cand_pos,
-        cand_neg,
-        p1_removed,
-        supp_in,
-        supn_in,
-        rm_is_positive,
-    ) = state
-    # Step 2 at the subtree root (its parent, if any, ran elsewhere).
-    if ctx.use_p3:
-        us2 = supp_in + cand_pos.bit_count() if rm_is_positive else supp_in
-        if us2 < constraints.minsup or (
-            constraints.minconf > 0.0
-            and cache.confidence(us2, supn_in, counters) < constraints.minconf
-        ):
-            counters.pruned_loose += 1
-            return
-    _walk_numpy(
-        ctx,
-        table,
-        row_bit,
-        x_mask,
-        cand_pos,
-        cand_neg,
-        p1_removed,
-        supp_in,
-        supn_in,
-        rm_is_positive,
-        counters,
-        emit,
-        tick,
-        cache,
-    )
-
-
-def _walk_numpy(
-    ctx: SearchContext,
-    table: CondTableProtocol,
-    row_bit: int,
-    x_mask: int,
-    cand_pos: int,
-    cand_neg: int,
-    p1_removed: int,
-    supp_in: int,
-    supn_in: int,
-    rm_is_positive: bool,
-    counters: NodeCounters,
-    emit: Callable[[Candidate], None],
-    tick: Callable[[], None] | None,
-    cache: KernelCache,
-) -> None:
-    """Steps 1 and 3-7 of one loose-bound-surviving node, then its subtree.
-
-    The caller has already run Step 2 (and the per-node accounting) for
-    this node; see :func:`_enumerate_numpy` for the equivalence argument.
-    """
-    constraints = ctx.constraints
-    # Step 3 — materialize and scan TT|X (one vectorized selection).
-    if row_bit:
-        table = table.extend(row_bit)
-    intersection = table.inter
-    union = table.union
-    candidates = cand_pos | cand_neg
-
-    # Step 1 — Pruning 2.
-    if ctx.use_p2:
-        witness = intersection & ~x_mask & ~candidates & ~p1_removed
-        if witness:
-            counters.pruned_identified += 1
-            return
-
-    supp_total, supn_total = cache.class_split(
-        intersection, ctx.positive_mask, counters
-    )
-
-    # Step 4 — Pruning 3, tight bounds (whole-table vectorized scan).
-    if ctx.use_p3:
-        if rm_is_positive and cand_pos:
-            if ctx.observe:
-                us1 = supp_in + cache.observed_max_overlap(table, cand_pos)
-            else:
-                us1 = supp_in + table.max_overlap(cand_pos)
-        else:
-            us1 = supp_in
-        if (
-            us1 < constraints.minsup
-            or (
-                constraints.minconf > 0.0
-                and cache.confidence(us1, supn_total, counters)
-                < constraints.minconf
-            )
-            or (
-                constraints.minchi > 0.0
-                and cache.chi(supp_total, supn_total, ctx.n, ctx.m, counters)
-                < constraints.minchi
-            )
-        ):
-            counters.pruned_tight += 1
-            return
-
-    # Step 5 — Pruning 1.
-    y_mask = intersection & candidates
-    if ctx.use_p1:
-        new_pos = union & cand_pos & ~y_mask
-        new_neg = union & cand_neg & ~y_mask
-        child_p1_removed = p1_removed | y_mask
-        counters.rows_compressed += y_mask.bit_count()
-    else:
-        new_pos = union & cand_pos
-        new_neg = union & cand_neg
-        child_p1_removed = p1_removed
-
-    # Steps 6+2 — children in ORD order, their Step-2 loose bounds
-    # evaluated inline: a pruned child is counted exactly as if it had
-    # been visited recursively, but no state object or frame exists for
-    # it.  ``(bit << 1) - 1`` is ``below_mask(row + 1)``, and a positive
-    # child's ``|EP|`` popcount is the running suffix count
-    # ``pos_left`` — ORD order visits ``new_pos`` bits ascending, so the
-    # bits strictly above the current row are exactly the ones not yet
-    # visited (O(1) per child instead of a popcount).
-    use_p3 = ctx.use_p3
-    minsup = constraints.minsup
-    minconf = constraints.minconf
-    m = ctx.m
-    pos_left = new_pos.bit_count()
-    remaining = new_pos | new_neg
-    while remaining:
-        bit = remaining & -remaining
-        remaining ^= bit
-        counters.nodes += 1
-        if tick is not None:
-            tick()
-        if bit.bit_length() <= m:  # row index < m, i.e. a positive row
-            pos_left -= 1
-            child_supp = supp_total if intersection & bit else supp_total + 1
-            child_supn = supn_total
-            child_positive = True
-            us2 = child_supp + pos_left
-        else:
-            child_supp = supp_total
-            child_supn = supn_total if intersection & bit else supn_total + 1
-            child_positive = False
-            us2 = child_supp
-        if use_p3:
-            if us2 < minsup or (
-                minconf > 0.0
-                and cache.confidence(us2, child_supn, counters) < minconf
-            ):
-                counters.pruned_loose += 1
-                continue
-        if child_positive:
-            child_pos = new_pos & ~((bit << 1) - 1)
-            child_neg = new_neg
-        else:
-            child_pos = 0
-            child_neg = new_neg & ~((bit << 1) - 1)
-        _walk_numpy(
-            ctx,
-            table,
-            bit,
-            x_mask | bit,
-            child_pos,
-            child_neg,
-            child_p1_removed,
-            child_supp,
-            child_supn,
-            child_positive,
-            counters,
-            emit,
-            tick,
-            cache,
-        )
-
-    # Step 7, threshold half; admission stays with the caller's ``emit``.
-    if cache.satisfies(constraints, supp_total, supn_total, ctx.n, ctx.m, counters):
-        emit(
-            Candidate(
-                tuple(table.item_ids),
-                table.ids_mask,
-                supp_total,
-                supn_total,
-                intersection,
-            )
-        )
-
-
-def enumerate_subtree(
-    ctx: SearchContext,
-    state: NodeState,
-    counters: NodeCounters,
-    sink: list[Candidate],
-    advisory=None,
-    tick: Callable[[], None] | None = None,
-    cache: KernelCache | None = None,
-) -> None:
-    """Re-entrant depth-first enumeration of the subtree rooted at ``state``.
-
-    The worker entry point of the sharded miner: performs exactly the
-    serial traversal of the subtree, appending every threshold-satisfying
-    candidate to ``sink`` in discovery order (Lemma 3.4 order restricted
-    to the subtree) instead of running Step-7 admission in place.
-
-    Args:
-        advisory: optional dominance bounds
-            (:class:`repro.core.parallel.AdvisoryBounds`).  A candidate
-            covered by the bounds is provably rejected by the final
-            admission replay, so it is counted as rejected and dropped
-            here instead of being buffered; recorded candidates extend
-            the bounds.
-        tick: optional per-node hook for budget/deadline enforcement; may
-            raise :class:`~repro.errors.BudgetExceeded`.
-        cache: kernel memo cache for this traversal.  ``None`` (the norm
-            for shard tasks) creates a fresh cache scoped to this call,
-            which keeps a task's cache telemetry independent of scheduling
-            and retries — deterministic under checkpoint/resume.
-    """
-    if cache is None:
-        cache = KernelCache()
-    if ctx.engine == "numpy":
-        if advisory is None:
-            emit = sink.append
-        else:
-
-            def emit(candidate: Candidate) -> None:
-                size = len(candidate.item_ids)
-                confidence = candidate.confidence
-                if advisory.covers(candidate.item_mask, size, confidence):
-                    counters.candidates_rejected += 1
-                    advisory.drops += 1
-                    return
-                advisory.extend(candidate.item_mask, size, confidence)
-                sink.append(candidate)
-
-        _enumerate_numpy(ctx, state, counters, emit, tick, cache)
-        return
-    counters.nodes += 1
-    if tick is not None:
-        tick()
-    if ctx.engine == "reference":
-        _outcome, candidate, children = _expand_node_reference(ctx, state, counters)
-    else:
-        _outcome, candidate, children = _expand_node_kernel(ctx, state, counters, cache)
-    for child in children:
-        enumerate_subtree(ctx, child, counters, sink, advisory, tick, cache)
-    if candidate is None:
-        return
-    if advisory is not None:
-        size = len(candidate.item_ids)
-        confidence = candidate.confidence
-        if advisory.covers(candidate.item_mask, size, confidence):
-            counters.candidates_rejected += 1
-            advisory.drops += 1
-            return
-        advisory.extend(candidate.item_mask, size, confidence)
-    sink.append(candidate)
-
-
 #: Tag of a frontier unit holding an unexplored :class:`NodeState`.
 FRONTIER_STATE = "state"
 
@@ -980,96 +376,476 @@ FRONTIER_STATE = "state"
 #: of it, preserving the children-first emission order).
 FRONTIER_CAND = "cand"
 
+#: The quantum of a walk that never yields (``quantum=None``).
+_UNBOUNDED = 1 << 62
+
+#: Nodes the telemetry-enabled serial walk visits between counter
+#: updates (see :meth:`Farmer._walk_observed`): a few tens of
+#: milliseconds of walking, so live progress moves inside one large
+#: subtree between 0.2 s samples, while rebuilding the preempted
+#: frontier stays out of the obs-overhead gate (4096 cost ~2.5 points
+#: of it on the LC sweep).
+_PROGRESS_QUANTUM = 16384
+
+
+class _Uncached:
+    """The reference engine's evaluator: :class:`KernelCache`'s surface
+    with no memo.
+
+    Every class split, bound and threshold test is recomputed through
+    :mod:`repro.core.bounds` and nothing is counted, so a reference run
+    reports zero cache telemetry.  Reference tables carry no popcounts,
+    so their bound scans walk every tuple; and the walk builds every
+    visited node's table before its Step-2 bound (see
+    :func:`enumerate_frontier`), the eager pre-kernel cost model.
+    """
+
+    def class_split(
+        self, row_mask: int, positive_mask: int, counters
+    ) -> tuple[int, int]:
+        supp = bitset.bit_count(row_mask & positive_mask)
+        return supp, bitset.bit_count(row_mask) - supp
+
+    def confidence(self, support_bound: int, negative_lower: int, counters) -> float:
+        return confidence_bound(support_bound, negative_lower)
+
+    def chi(self, supp: int, supn: int, n: int, m: int, counters) -> float:
+        return chi_bound(supp, supn, n, m)
+
+    def satisfies(
+        self, constraints, supp: int, supn: int, n: int, m: int, counters
+    ) -> bool:
+        return constraints.satisfied_by(supp, supn, n, m)
+
+    def observed_max_overlap(self, table: CondTableProtocol, cand_mask: int) -> int:
+        return table.max_overlap(cand_mask)
+
+
+_UNCACHED = _Uncached()
+
+
+def _child_state(
+    table: CondTableProtocol,
+    x_mask: int,
+    new_pos: int,
+    new_neg: int,
+    p1_removed: int,
+    supp: int,
+    supn: int,
+    inter: int,
+    bit: int,
+    m: int,
+) -> NodeState:
+    """The lazy child of an expanded node reached through row ``bit``.
+
+    The arguments are the first eight fields of a walker frame (the
+    parent's table, row set, post-Pruning-1 candidates and class split)
+    plus the child's row bit; rows below ``m`` are positive in ORD.
+    """
+    above = ~((bit << 1) - 1)
+    if bit.bit_length() <= m:
+        return NodeState(
+            table, bit, x_mask | bit, new_pos & above, new_neg, p1_removed,
+            supp if inter & bit else supp + 1, supn, True,
+        )
+    return NodeState(
+        table, bit, x_mask | bit, 0, new_neg & above, p1_removed,
+        supp, supn if inter & bit else supn + 1, False,
+    )
+
+
+def _frame_units(frame: tuple, m: int) -> list[tuple[str, NodeState | Candidate]]:
+    """A suspended frame as frontier units: its unvisited children in
+    ORD order, then its pending candidate."""
+    units: list[tuple[str, NodeState | Candidate]] = []
+    remaining = frame[9]
+    while remaining:
+        bit = remaining & -remaining
+        remaining ^= bit
+        units.append((FRONTIER_STATE, _child_state(*frame[:8], bit, m)))
+    if frame[10] is not None:
+        units.append((FRONTIER_CAND, frame[10]))
+    return units
+
+
+def _advisory_filter(
+    emit: Callable[[Candidate], None], advisory, counters: NodeCounters
+) -> Callable[[Candidate], None]:
+    """``emit`` behind the broadcast dominance prefilter.
+
+    A candidate covered by ``advisory``
+    (:class:`repro.core.parallel.AdvisoryBounds`) is provably rejected
+    by the final admission replay, so it is counted as rejected and
+    dropped instead of being emitted; emitted candidates extend the
+    bounds.
+    """
+
+    def filtered(candidate: Candidate) -> None:
+        size = len(candidate.item_ids)
+        confidence = candidate.confidence
+        if advisory.covers(candidate.item_mask, size, confidence):
+            counters.candidates_rejected += 1
+            advisory.drops += 1
+            return
+        advisory.extend(candidate.item_mask, size, confidence)
+        emit(candidate)
+
+    return filtered
+
 
 def enumerate_frontier(
     ctx: SearchContext,
     units: Sequence[tuple[str, NodeState | Candidate]],
     counters: NodeCounters,
-    sink: list[Candidate],
-    quantum: int,
+    sink: "list[Candidate] | Callable[[Candidate], None]",
+    quantum: int | None,
     advisory=None,
     tick: Callable[[], None] | None = None,
     cache: KernelCache | None = None,
+    *,
+    on_pruned: Callable[[NodeState], None] | None = None,
+    observer=None,
 ) -> list[tuple[str, NodeState | Candidate]] | None:
-    """Enumerate an ordered frontier for up to ``quantum`` nodes.
+    """``MineIRGs`` (Figure 5): the one depth-first row-enumeration walk.
 
-    The preemptible counterpart of :func:`enumerate_subtree`, and the
-    frontier *split hook* of the work-stealing scheduler
-    (:mod:`repro.core.parallel`): the traversal runs as an explicit-stack
-    depth-first walk over :func:`expand_node`, so after ``quantum`` node
-    expansions it can stop and hand back the exact remaining frontier —
-    an ordered list of ``(tag, payload)`` units where
+    Every mine runs through here — serial, sharded (each shard part),
+    decomposition, frontier capture and resume.  The walk enumerates an
+    ordered frontier: a list of ``(tag, payload)`` units where
     :data:`FRONTIER_STATE` carries an unexplored subtree root and
     :data:`FRONTIER_CAND` a pending candidate whose children were
-    already captured ahead of it.  Enumerating the emitted prefix plus
-    the returned frontier (in order, under any partition onto workers)
-    reproduces exactly the serial traversal's candidate discovery
-    sequence and per-node accounting, which is what keeps stolen
-    schedules byte-identical after the Step-7 replay.
+    already enumerated ahead of it.  ``[("state", root)]`` is a whole
+    mine.
 
-    Because :func:`expand_node` works through the
-    :class:`~repro.core.kernel.CondTableProtocol` seam, every registered
-    engine supports splitting: the ``kernel`` and ``numpy`` conditional
-    tables both travel inside the captured :class:`NodeState` units.
+    The walk keeps an explicit stack of *expanded* nodes (Steps 1, 3-5
+    done) and advances the innermost one a child row at a time.  A
+    child's Step-2 loose bound needs only the parent's counts, so it is
+    evaluated right there: on paper-shaped workloads most nodes die at
+    that bound, and they get no :class:`NodeState`, no table and no
+    frame (the reference engine alone still builds each visited node's
+    table first — its eager pre-kernel cost model).  A child that
+    survives builds its table (Step 3) and becomes the innermost frame;
+    a frame whose children are exhausted is popped and its candidate
+    emitted (Step 7 after Step 6, so every group with a smaller
+    antecedent is already known — Lemma 3.4).  Node counts, budget
+    ticks, cache lookups and emissions therefore happen in serial
+    depth-first order, whatever the engine.
+
+    After ``quantum`` nodes the walk stops and hands back the exact
+    remaining frontier (the open frames' unvisited children and pending
+    candidates, then the unread input units).  Enumerating the emitted
+    prefix plus that frontier, in order and under any partition onto
+    workers, reproduces the serial candidate sequence and per-node
+    accounting — which is what keeps work-stealing schedules
+    byte-identical after the Step-7 replay.
 
     Args:
         ctx: the immutable search parameters.
         units: the ordered frontier to enumerate — ``[("state", root)]``
             for a fresh subtree, or the return value of a previous
             preempted call.
-        counters: mutated in place, exactly as the serial traversal
-            would (each node is expanded by exactly one call, wherever
-            it is scheduled).
-        sink: receives the threshold-satisfying candidates discovered by
-            this slice, in discovery order.
-        quantum: node expansions allowed before preemption (values below
-            one still expand one node, so every call makes progress).
-            Pending candidates are always flushed — a returned frontier
-            never leads with work-free units.
-        advisory: optional dominance bounds, as in
-            :func:`enumerate_subtree`.
+        counters: mutated in place with node and pruning statistics.
+        sink: receives each candidate as its subtree completes, in
+            discovery order — a list to append to, or a callable (the
+            serial miner's Step-7 admission, the capture recorder).
+        quantum: nodes visited before preemption (values below one
+            still visit one node, so every call makes progress);
+            ``None`` never preempts.  Pending candidates are always
+            flushed — a returned frontier never leads with work-free
+            units.
+        advisory: optional dominance bounds
+            (:class:`repro.core.parallel.AdvisoryBounds`) filtering the
+            sink; see :func:`_advisory_filter`.
         tick: optional per-node budget hook; may raise
             :class:`~repro.errors.BudgetExceeded`.
-        cache: kernel memo cache for this slice; ``None`` creates one
-            scoped to the call.
+        cache: kernel memo cache for this walk; ``None`` creates one
+            scoped to the call.  The reference engine ignores it.
+        on_pruned: called with the :class:`NodeState` of every node cut
+            by a Pruning-3 bound (loose or tight), at its position in
+            the walk — the frontier capture's resume points.
+        observer: optional node observer with ``enter(state)`` (every
+            visited node, before its tick) and ``leave(outcome)`` (one
+            of ``"explored"``, ``"pruned:loose"``, ``"pruned:tight"``,
+            ``"pruned:identified"``; an explored node leaves after its
+            subtree and its candidate).  The tracer records the tree
+            through it.
 
     Returns:
         ``None`` when the frontier was fully enumerated, else the
         ordered remaining frontier to continue from.
     """
-    if cache is None:
+    if ctx.engine == "reference":
+        cache = _UNCACHED
+    elif cache is None:
         cache = KernelCache()
-    stack = list(units)
-    stack.reverse()
+    emit = sink if callable(sink) else sink.append
+    if advisory is not None:
+        emit = _advisory_filter(emit, advisory, counters)
+    confidence = cache.confidence
+    constraints = ctx.constraints
+    minsup = constraints.minsup
+    minconf = constraints.minconf
+    minchi = constraints.minchi
+    use_p1 = ctx.use_p1
+    use_p2 = ctx.use_p2
+    use_p3 = ctx.use_p3
+    n = ctx.n
+    m = ctx.m
+    positive_mask = ctx.positive_mask
+    record = ctx.record
+    observe = ctx.observe
+    eager = ctx.engine == "reference"
+    hooked = on_pruned is not None or observer is not None
+    # Per-node work only some walks do: hooks, a budget tick, or the
+    # reference engine's eager tables.
+    slow = hooked or tick is not None or eager
+    limit = _UNBOUNDED if quantum is None else max(1, quantum)
+    pending = list(units)
+    pending.reverse()
+    # The innermost expanded node lives in locals (the first eight are
+    # _child_state's arguments); enclosing ones wait on ``stack`` as
+    # tuples of the same eleven fields.
+    active = False
+    table = None
+    x_mask = new_pos = new_neg = p1 = supp = supn = inter = 0
+    pos_left = remaining = 0
+    candidate = None
+    stack: list[tuple] = []
+    state = None
+    # Node and pruning counts live in locals and reach ``counters``
+    # together when the walk returns or yields, so a concurrent reader
+    # (the telemetry sampler) never sees more pruned nodes than nodes.
     expanded = 0
-    while stack:
-        tag, payload = stack.pop()
-        if tag == FRONTIER_CAND:
-            candidate = payload
-            if advisory is not None:
-                size = len(candidate.item_ids)
-                confidence = candidate.confidence
-                if advisory.covers(candidate.item_mask, size, confidence):
-                    counters.candidates_rejected += 1
-                    advisory.drops += 1
+    loose = 0
+    tight_pruned = 0
+    identified = 0
+    try:
+        while True:
+            if active:
+                if not remaining:
+                    if candidate is not None:
+                        emit(candidate)
+                    if observer is not None:
+                        observer.leave("explored")
+                    if stack:
+                        (
+                            table, x_mask, new_pos, new_neg, p1, supp, supn,
+                            inter, pos_left, remaining, candidate,
+                        ) = stack.pop()
+                    else:
+                        active = False
                     continue
-                advisory.extend(candidate.item_mask, size, confidence)
-            sink.append(candidate)
-            continue
-        if expanded >= quantum:
-            stack.append((tag, payload))
-            stack.reverse()
-            return stack
-        expanded += 1
-        counters.nodes += 1
-        if tick is not None:
-            tick()
-        _outcome, candidate, children = expand_node(ctx, payload, counters, cache)
-        if candidate is not None:
-            stack.append((FRONTIER_CAND, candidate))
-        for child in reversed(children):
-            stack.append((FRONTIER_STATE, child))
-    return None
+                if expanded >= limit:
+                    break
+                # Step 6 — the next child in ORD order, its fields
+                # computed inline as _child_state would, but only as far
+                # as Step 2 needs them.  ``pos_left`` counts the positive
+                # candidate rows above it (ORD visits ``new_pos``
+                # ascending), which is its |EP| for Step 2.
+                row_bit = remaining & -remaining
+                remaining ^= row_bit
+                if row_bit.bit_length() <= m:
+                    pos_left -= 1
+                    node_supp = supp if inter & row_bit else supp + 1
+                    node_supn = supn
+                    positive = True
+                    bound = node_supp + pos_left
+                else:
+                    node_supp = supp
+                    node_supn = supn if inter & row_bit else supn + 1
+                    positive = False
+                    bound = node_supp
+                if hooked:
+                    state = _child_state(
+                        table, x_mask, new_pos, new_neg, p1, supp, supn,
+                        inter, row_bit, m,
+                    )
+            else:
+                if not pending:
+                    break
+                tag, payload = pending.pop()
+                if tag == FRONTIER_CAND:
+                    emit(payload)
+                    continue
+                if expanded >= limit:
+                    pending.append((tag, payload))
+                    break
+                # No frame is open, so the frame locals are free: the
+                # unit's parent table goes where a child's would be.
+                state = payload
+                (
+                    table, row_bit, node_x, node_pos, node_neg, node_p1,
+                    node_supp, node_supn, positive,
+                ) = payload
+                bound = node_supp + node_pos.bit_count() if positive else node_supp
+            expanded += 1
+            if slow:
+                if observer is not None:
+                    observer.enter(state)
+                if tick is not None:
+                    tick()
+                if eager:
+                    # The reference cost model: every visited node pays
+                    # for its own table, whether or not it survives.
+                    node_table = table.extend(row_bit) if row_bit else table
+
+            # Step 2 — Pruning 3, loose bounds, before TT|X exists.
+            if use_p3 and (
+                bound < minsup
+                or (
+                    minconf > 0.0
+                    and confidence(bound, node_supn, counters) < minconf
+                )
+            ):
+                loose += 1
+                if hooked:
+                    if on_pruned is not None:
+                        on_pruned(state)
+                    if observer is not None:
+                        observer.leave("pruned:loose")
+                continue
+            if active:
+                node_x = x_mask | row_bit
+                above = ~((row_bit << 1) - 1)
+                if positive:
+                    node_pos = new_pos & above
+                    node_neg = new_neg
+                else:
+                    node_pos = 0
+                    node_neg = new_neg & above
+                node_p1 = p1
+
+            # Step 3 — materialize TT|X and scan it in one pass; the
+            # intersection of all tuples is R(I(X)).
+            if not eager:
+                node_table = table.extend(row_bit) if row_bit else table
+            node_inter = node_table.inter
+            union = node_table.union
+            candidates = node_pos | node_neg
+
+            # Step 1 — Pruning 2.  A row outside X and outside the
+            # candidate list (and never compressed away by Pruning 1 on
+            # this path) that occurs in every tuple proves this subtree
+            # was enumerated before.
+            if use_p2 and node_inter & ~node_x & ~candidates & ~node_p1:
+                identified += 1
+                if observer is not None:
+                    observer.leave("pruned:identified")
+                continue
+
+            total_supp, total_supn = cache.class_split(
+                node_inter, positive_mask, counters
+            )
+
+            # Step 4 — Pruning 3, tight bounds (after the scan).
+            if use_p3:
+                if positive and node_pos:
+                    if observe:
+                        tight = node_supp + cache.observed_max_overlap(
+                            node_table, node_pos
+                        )
+                    else:
+                        tight = node_supp + node_table.max_overlap(node_pos)
+                else:
+                    tight = node_supp
+                if (
+                    tight < minsup
+                    or (
+                        minconf > 0.0
+                        and confidence(tight, total_supn, counters) < minconf
+                    )
+                    or (
+                        minchi > 0.0
+                        and cache.chi(total_supp, total_supn, n, m, counters)
+                        < minchi
+                    )
+                ):
+                    tight_pruned += 1
+                    if on_pruned is not None:
+                        on_pruned(state)
+                    if observer is not None:
+                        observer.leave("pruned:tight")
+                    continue
+
+            # Step 5 — Pruning 1: compress rows found in every tuple, and
+            # drop candidates found in no tuple (they would yield
+            # I(X) = ∅).
+            y_mask = node_inter & candidates
+            if use_p1:
+                child_pos = union & node_pos & ~y_mask
+                child_neg = union & node_neg & ~y_mask
+                child_p1 = node_p1 | y_mask
+                counters.rows_compressed += y_mask.bit_count()
+            else:
+                child_pos = union & node_pos
+                child_neg = union & node_neg
+                child_p1 = node_p1
+
+            # Step 7, threshold half — the candidate upper bound
+            # I(X) -> C, emitted once the subtree is done.  Capture mode
+            # keeps failing evaluations too (zero-support ones can never
+            # satisfy any constraints, so they stay dropped).
+            if cache.satisfies(
+                constraints, total_supp, total_supn, n, m, counters
+            ) or (record and total_supp + total_supn > 0):
+                node_candidate = Candidate(
+                    tuple(node_table.item_ids),
+                    node_table.ids_mask,
+                    total_supp,
+                    total_supn,
+                    node_inter,
+                )
+            else:
+                node_candidate = None
+
+            # The node becomes the innermost frame; its children are
+            # visited one row at a time at the top of the loop.
+            if active:
+                stack.append(
+                    (
+                        table, x_mask, new_pos, new_neg, p1, supp, supn,
+                        inter, pos_left, remaining, candidate,
+                    )
+                )
+            active = True
+            table = node_table
+            x_mask = node_x
+            new_pos = child_pos
+            new_neg = child_neg
+            p1 = child_p1
+            supp = total_supp
+            supn = total_supn
+            inter = node_inter
+            pos_left = child_pos.bit_count()
+            remaining = child_pos | child_neg
+            candidate = node_candidate
+    finally:
+        counters.nodes += expanded
+        counters.pruned_loose += loose
+        counters.pruned_tight += tight_pruned
+        counters.pruned_identified += identified
+    if not active and not pending:
+        return None
+    frontier: list[tuple[str, NodeState | Candidate]] = []
+    if active:
+        frontier.extend(
+            _frame_units(
+                (
+                    table, x_mask, new_pos, new_neg, p1, supp, supn, inter,
+                    pos_left, remaining, candidate,
+                ),
+                m,
+            )
+        )
+        for frame in reversed(stack):
+            frontier.extend(_frame_units(frame, m))
+    pending.reverse()
+    frontier.extend(pending)
+    return frontier
+
+
+def _no_phase(name: str) -> nullcontext:
+    """The phase timer of an unobserved run: does nothing."""
+    return nullcontext()
 
 
 @dataclass
@@ -1227,15 +1003,14 @@ class Farmer:
         retry: fault-tolerance policy for sharded runs
             (:class:`~repro.core.parallel.RetryPolicy`); ``None`` uses
             the defaults.
-        steal: in sharded runs with more than one worker, schedule
-            shards cooperatively with work stealing — long-running
-            subtrees yield their enumeration frontier every
-            ``steal_quantum`` nodes, and the coordinator re-enqueues
-            donated halves onto idle workers
-            (:mod:`repro.core.parallel`).  The mined result stays
+        steal: in sharded runs with more than one worker, shard parts
+            yield their enumeration frontier every ``steal_quantum``
+            nodes and the coordinator re-enqueues donated halves onto
+            idle workers (:mod:`repro.core.parallel`); off, every shard
+            runs to completion as one part.  The mined result stays
             byte-identical to the serial miner for any steal schedule.
-        steal_quantum: node expansions a stealing shard runs between
-            yield points; ``None`` uses
+        steal_quantum: nodes a shard part visits between yield points
+            under ``steal``; ``None`` uses
             :data:`~repro.core.parallel.DEFAULT_STEAL_QUANTUM`.
         checkpoint: file to snapshot sharded-run progress into (see
             :mod:`repro.core.checkpoint`); implies the sharded pipeline
@@ -1269,8 +1044,8 @@ class Farmer:
             results and artifacts with and without it.
     """
 
-    #: Subclasses that hook the recursive ``_visit`` (e.g. the tracer)
-    #: set this to ``False``; such miners always traverse serially.
+    #: Subclasses that observe every node (e.g. the tracer) set this to
+    #: ``False``; such miners always traverse serially.
     _supports_sharding = True
 
     def __init__(
@@ -1381,6 +1156,7 @@ class Farmer:
         telemetry = self.telemetry
         warm = self.warm_cache is not None
         sharded = not warm and self._wants_sharding()
+        phase = telemetry.phase if telemetry is not None else _no_phase
         if telemetry is not None:
             telemetry.run_start(
                 consequent=str(table.consequent),
@@ -1420,19 +1196,12 @@ class Farmer:
                     engine=self.engine,
                     telemetry=telemetry,
                 )
-            elif telemetry is not None:
-                with telemetry.phase("search"):
+            else:
+                with phase("search"):
                     store = self._mine_table(table)
                 counters = self._counters
                 truncated = self._truncated
-            else:
-                store = self._mine_table(table)
-                counters = self._counters
-                truncated = self._truncated
-            if telemetry is not None:
-                with telemetry.phase("build"):
-                    groups = self._finish_groups(table, store)
-            else:
+            with phase("build"):
                 groups = self._finish_groups(table, store)
         finally:
             if telemetry is not None:
@@ -1484,129 +1253,94 @@ class Farmer:
 
     def _mine_table(self, table: TransposedTable) -> _IRGStore:
         self._table = table
-        self._counters = NodeCounters()
-        self._store = _IRGStore()
-        self._context = SearchContext.for_table(
+        self._counters = counters = NodeCounters()
+        self._store = store = _IRGStore()
+        self._cache = KernelCache()
+        self._truncated = False
+        budget = self.budget
+        budget.start()
+
+        if table.n == 0 or not table.item_masks:
+            return store
+
+        ctx = SearchContext.for_table(
             table,
             self.constraints,
             self.prunings,
             engine=self.engine,
             observe=self.telemetry is not None,
         )
-        self._cache = KernelCache()
-        self._use_reference = self.engine == "reference"
-        self._truncated = False
-        self.budget.start()
 
-        if table.n == 0 or not table.item_masks:
-            return self._store
+        # Step 7's admission, in discovery order as subtrees complete.
+        # Every group with a smaller antecedent is in the store by then
+        # (Lemma 3.4) — including for the root, whose I(∅) is a real
+        # group exactly when some rows contain every item.
+        def offer(candidate: Candidate) -> None:
+            store.offer(candidate, counters)
 
-        # Recursion depth is bounded by the number of rows; give Python
-        # generous headroom (the interpreter default is easily exceeded by
-        # replicated datasets).
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, table.n * 4 + 1000))
+        # With no limits to enforce the per-node tick is pure counting:
+        # the walker counts nodes itself and the budget syncs once.
+        unlimited = budget.unlimited
+        tick = None if unlimited else budget.tick
+        units = [(FRONTIER_STATE, ctx.root_state(table))]
+        observer = self._node_observer()
         try:
-            root = self._context.root_state(table)
-            if (
-                self.engine == "numpy"
-                and self.telemetry is None
-                and type(self)._visit is Farmer._visit
-            ):
-                # The numpy engine's fused traversal (same search, no
-                # per-node state objects); subclasses hooking _visit
-                # (the tracer) fall back to the generic recursion.  With
-                # no budget limits the per-node tick is pure counting,
-                # so the walker counts nodes itself and syncs the budget
-                # once at the end.
-                def offer(candidate: Candidate) -> None:
-                    self._store.offer(candidate, self._counters)
-
-                unlimited = (
-                    self.budget.max_nodes is None
-                    and self.budget.max_seconds is None
+            if self.telemetry is None:
+                enumerate_frontier(
+                    ctx, units, counters, offer, None, tick=tick,
+                    cache=self._cache, observer=observer,
                 )
-                _enumerate_numpy(
-                    self._context,
-                    root,
-                    self._counters,
-                    offer,
-                    None if unlimited else self.budget.tick,
-                    self._cache,
-                )
-                if unlimited:
-                    self.budget.advance(self._counters.nodes)
-            elif self.telemetry is None:
-                self._visit(root)
             else:
-                self._visit_observed(root)
+                self._walk_observed(ctx, units, offer, tick, observer)
         except BudgetExceeded:
-            if self.budget.strict:
+            if budget.strict:
                 raise
             self._truncated = True
         finally:
-            sys.setrecursionlimit(old_limit)
             if self.telemetry is not None:
                 self.telemetry.stop_sampling()
-        self._counters.nodes = self.budget.nodes
-        return self._store
+        if unlimited:
+            budget.advance(counters.nodes)
+        return store
 
-    def _visit(self, state: NodeState) -> None:
-        """MineIRGs (Figure 5) at the node with row combination
-        ``state.x_mask``.
+    def _node_observer(self):
+        """The walker's node observer (see :func:`enumerate_frontier`);
+        ``None`` here, the tracer's recorder in :mod:`repro.core.trace`."""
+        return None
 
-        Steps 1-6 live in :func:`expand_node` (shared with the sharded
-        miner); this wrapper adds the recursion and Step 7's admission.
-        Descendants are visited before the candidate is offered, and
-        earlier branches ran before this one, so every group with a
-        smaller antecedent is already in the store (Lemma 3.4) and the
-        interestingness comparison is complete.  This includes the root:
-        its I(∅) is the whole vocabulary, which is a real rule group
-        exactly when some rows contain every item (its intersection is
-        non-empty; otherwise the zero support fails the threshold test).
-        Reporting the root matters when Pruning 1 compresses those rows
-        away before any child is spawned.
+    def _walk_observed(
+        self,
+        ctx: SearchContext,
+        units: list,
+        offer: Callable[[Candidate], None],
+        tick: Callable[[], None] | None,
+        observer,
+    ) -> None:
+        """The telemetry-enabled serial walk.
+
+        The same walk, split at the root: a one-node quantum expands the
+        root and hands back its children as frontier units, whose
+        candidate-row weights (the proxy the sharded decomposition also
+        balances on) give the coverage estimate; each child subtree is
+        then walked under :data:`_PROGRESS_QUANTUM` and its weight counted
+        done once its frontier is exhausted.  The telemetry sampler
+        reads the coverage and the shared counters from its own thread;
+        the walker adds to the counters whenever a quantum expires, so
+        they move every few thousand nodes even inside one large
+        subtree.  Quantum preemption replays the serial sequence
+        exactly, so the split changes no output.  Nothing below the
+        root is instrumented.  A node observer (the tracer) must see
+        every node leave after its subtree, so it gets one unsplit walk
+        and its counters and coverage stay unknown until it returns.
         """
-        self.budget.tick()
-        # Call the engine directly: the expand_node dispatch shim costs a
-        # measurable slice of the per-node budget at 30k+ nodes/run.
-        if self._use_reference:
-            _outcome, candidate, children = _expand_node_reference(
-                self._context, state, self._counters
-            )
-        else:
-            _outcome, candidate, children = _expand_node_kernel(
-                self._context, state, self._counters, self._cache
-            )
-        for child in children:
-            self._visit(child)
-        if candidate is not None:
-            self._store.offer(candidate, self._counters)
-
-    def _visit_observed(self, root: NodeState) -> None:
-        """The telemetry-enabled serial traversal.
-
-        Identical search to ``self._visit(root)`` — it is :meth:`_visit`
-        with the root level unrolled — but the traversal maintains an
-        enumeration-tree coverage estimate (candidate-row weights of the
-        root's children, the same proxy the sharded decomposition uses
-        for load balancing) and runs under the telemetry sampler, which
-        reads the shared counters from its own thread.  Per-node cost is
-        untouched: nothing below the root is instrumented.
-
-        Subclasses that hook :meth:`_visit` (the tracer) would lose their
-        root-node hook to the unrolling, so they fall back to the plain
-        recursion — coverage stays unknown but sampling still works.
-        """
-        coverage = {"done": 0.0, "total": 0.0}
         counters = self._counters
         store_entries = self._store.entries
-        budget = self.budget
+        coverage = {"done": 0.0, "total": 0.0}
 
         def sample() -> dict:
             return {
                 "phase": "search",
-                "nodes": budget.nodes,
+                "nodes": counters.nodes,
                 "pruned": (
                     counters.pruned_loose
                     + counters.pruned_tight
@@ -1618,28 +1352,23 @@ class Farmer:
             }
 
         self.telemetry.start_sampling(sample)
-        if type(self)._visit is not Farmer._visit:
-            self._visit(root)
-            return
-        budget.tick()
-        if self._use_reference:
-            _outcome, candidate, children = _expand_node_reference(
-                self._context, root, counters
-            )
-        else:
-            _outcome, candidate, children = _expand_node_kernel(
-                self._context, root, counters, self._cache
-            )
+        frontier = enumerate_frontier(
+            ctx, units, counters, offer, 1 if observer is None else None,
+            tick=tick, cache=self._cache, observer=observer,
+        )
         weights = [
-            float(bitset.bit_count(child.cand_pos | child.cand_neg))
-            for child in children
+            float(payload.estimate()) if tag == FRONTIER_STATE else 0.0
+            for tag, payload in frontier or ()
         ]
         coverage["total"] = sum(weights)
-        for child, weight in zip(children, weights):
-            self._visit(child)
+        for unit, weight in zip(frontier or (), weights):
+            rest: list | None = [unit]
+            while rest:
+                rest = enumerate_frontier(
+                    ctx, rest, counters, offer, _PROGRESS_QUANTUM,
+                    tick=tick, cache=self._cache,
+                )
             coverage["done"] += weight
-        if candidate is not None:
-            self._store.offer(candidate, counters)
 
     # ------------------------------------------------------------------
     # Result materialization

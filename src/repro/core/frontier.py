@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import sys
 import time
 from contextlib import nullcontext
 from dataclasses import replace
@@ -75,11 +74,13 @@ from . import bitset
 from .constraints import Constraints
 from .enumeration import NodeCounters, merge_counters, scan_items
 from .farmer import (
+    FRONTIER_CAND,
+    FRONTIER_STATE,
     Candidate,
     NodeState,
     SearchContext,
     _IRGStore,
-    expand_node,
+    enumerate_frontier,
 )
 from .kernel import CondTable, CondTableProtocol, KernelCache
 from .serialize import canonical_json, load_checkpoint, save_checkpoint
@@ -110,6 +111,9 @@ _EVAL = "e"
 
 #: Unit tag: one bound-pruned node, resumable from its stored state.
 _PRUNED = "p"
+
+#: The integer counts every entry's ``stats`` block carries.
+_STATS_FIELDS = ("evals", "pruned", "nodes", "frontier_weight")
 
 #: In-memory unit: ``(_EVAL, Candidate)`` or ``(_PRUNED, NodeState)``.
 _Unit = "tuple[str, Candidate | NodeState]"
@@ -179,35 +183,27 @@ def entry_path(
 # ----------------------------------------------------------------------
 
 
-def _capture(ctx, states, counters, cache, tick, units) -> None:
-    """Enumerate ``states`` in capture mode, appending units in place.
+def _record(ctx, units, counters, budget, out) -> None:
+    """Walk frontier ``units`` in capture mode, appending to ``out``.
 
-    The explicit-stack twin of
-    :func:`~repro.core.farmer.enumerate_frontier` (same children-first
-    unit order, same per-node accounting), run under a ``record=True``
-    context so *every* explored node with non-empty antecedent support
-    yields an EVAL unit, and bound-pruned nodes yield PRUNED units at
-    their tree position.  Appending into the caller's ``units`` keeps
-    the prefix salvageable when a non-strict budget interrupts the walk.
+    Runs :func:`~repro.core.farmer.enumerate_frontier` under a
+    ``record=True`` context, so *every* explored node with non-empty
+    antecedent support yields an EVAL unit (as its subtree completes)
+    and bound-pruned nodes yield PRUNED units at their tree position.
+    Appending into the caller's ``out`` keeps the prefix salvageable
+    when a non-strict ``budget`` interrupts the walk; a budget without
+    limits is not ticked at all.
     """
-    stack: list[tuple[str, object]] = [("s", state) for state in states]
-    stack.reverse()
-    while stack:
-        tag, payload = stack.pop()
-        if tag == _EVAL:
-            units.append((_EVAL, payload))
-            continue
-        counters.nodes += 1
-        if tick is not None:
-            tick()
-        outcome, candidate, children = expand_node(ctx, payload, counters, cache)
-        if outcome == "explored":
-            if candidate is not None:
-                stack.append((_EVAL, candidate))
-            for child in reversed(children):
-                stack.append(("s", child))
-        elif outcome != "pruned:identified":
-            units.append((_PRUNED, payload))
+    enumerate_frontier(
+        ctx,
+        units,
+        counters,
+        lambda candidate: out.append((_EVAL, candidate)),
+        None,
+        tick=None if budget.unlimited else budget.tick,
+        cache=KernelCache(),
+        on_pruned=lambda state: out.append((_PRUNED, state)),
+    )
 
 
 def _capture_context(miner: "Farmer", table: TransposedTable, constraints):
@@ -249,9 +245,9 @@ def _rebuild_table(
     """One persisted table as the requested engine's conditional table."""
     item_ids = [pair[0] for pair in pairs]
     masks = [pair[1] for pair in pairs]
-    if engine == "reference":
-        return CondTable.reference(item_ids, masks, full_mask)
     inter, union = scan_items(masks, full_mask)
+    if engine == "reference":
+        return CondTable(item_ids, masks, None, inter, union, full_mask)
     if engine == "numpy":
         from .farmer import _load_npbitset
 
@@ -265,11 +261,6 @@ def _rebuild_table(
         return npbitset.NumpyCondTable(data, width, inter, union, full_mask)
     counts = [mask.bit_count() for mask in masks]
     return CondTable(item_ids, masks, counts, inter, union, full_mask)
-
-
-def _estimate(state: NodeState) -> int:
-    """Subtree-size proxy of one frontier node (remaining candidate rows)."""
-    return bitset.bit_count(state.cand_pos | state.cand_neg)
 
 
 def _encode_units(units) -> tuple[list, list, dict]:
@@ -295,7 +286,7 @@ def _encode_units(units) -> tuple[list, list, dict]:
             )
             continue
         pruned += 1
-        weight += _estimate(payload)
+        weight += payload.estimate()
         index = table_index.get(payload.table)
         if index is None:
             index = len(tables)
@@ -353,6 +344,47 @@ def _expect_int(value, what: str, path) -> int:
     return value
 
 
+def _load_header(path: str | Path, fingerprint: "str | None") -> dict:
+    """Read one entry and validate its envelope, key halves and stats.
+
+    ``payload["constraints"]`` is replaced by a
+    :class:`~repro.core.constraints.Constraints`; ``fingerprint=None``
+    accepts any dataset.  Raises :class:`~repro.errors.DataError` (or
+    :class:`~repro.errors.UsageError` for a newer envelope) on damage.
+    """
+    payload = load_checkpoint(path)
+    if payload.get("kind") != FRONTIER_KIND:
+        raise DataError(
+            f"{path}: not a frontier entry "
+            f"(kind {payload.get('kind')!r}, expected {FRONTIER_KIND!r})"
+        )
+    entry_fingerprint = payload.get("fingerprint")
+    if not isinstance(entry_fingerprint, str) or (
+        fingerprint is not None and entry_fingerprint != fingerprint
+    ):
+        raise DataError(
+            f"{path}: frontier entry belongs to a different dataset or "
+            "pruning set"
+        )
+    raw = payload.get("constraints")
+    if not isinstance(raw, list) or len(raw) != 3:
+        raise DataError(f"{path}: frontier entry constraints are malformed")
+    try:
+        payload["constraints"] = Constraints(
+            minsup=_expect_int(raw[0], "minsup", path),
+            minconf=float(raw[1]),
+            minchi=float(raw[2]),
+        )
+    except (ConstraintError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad frontier constraints ({exc})") from exc
+    stats = payload.get("stats")
+    if not isinstance(stats, dict):
+        raise DataError(f"{path}: frontier entry body is malformed")
+    for field in _STATS_FIELDS:
+        _expect_int(stats.get(field), f"stats.{field}", path)
+    return payload
+
+
 def load_entry(path: str | Path, fingerprint: str) -> dict:
     """Read and validate one frontier entry.
 
@@ -370,39 +402,11 @@ def load_entry(path: str | Path, fingerprint: str) -> dict:
             fields (the planner treats all of these as a cache miss).
         UsageError: an envelope written by a newer format version.
     """
-    payload = load_checkpoint(path)
-    if payload.get("kind") != FRONTIER_KIND:
-        raise DataError(
-            f"{path}: not a frontier entry "
-            f"(kind {payload.get('kind')!r}, expected {FRONTIER_KIND!r})"
-        )
-    if payload.get("fingerprint") != fingerprint:
-        raise DataError(
-            f"{path}: frontier entry belongs to a different dataset or "
-            "pruning set"
-        )
-    raw = payload.get("constraints")
-    if not isinstance(raw, list) or len(raw) != 3:
-        raise DataError(f"{path}: frontier entry constraints are malformed")
-    try:
-        payload["constraints"] = Constraints(
-            minsup=_expect_int(raw[0], "minsup", path),
-            minconf=float(raw[1]),
-            minchi=float(raw[2]),
-        )
-    except (ConstraintError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: bad frontier constraints ({exc})") from exc
+    payload = _load_header(path, fingerprint)
     tables = payload.get("tables")
     units = payload.get("units")
-    stats = payload.get("stats")
-    if (
-        not isinstance(tables, list)
-        or not isinstance(units, list)
-        or not isinstance(stats, dict)
-    ):
+    if not isinstance(tables, list) or not isinstance(units, list):
         raise DataError(f"{path}: frontier entry body is malformed")
-    for field in ("evals", "pruned", "nodes", "frontier_weight"):
-        _expect_int(stats.get(field), f"stats.{field}", path)
     for unit in units:
         if not isinstance(unit, list) or not unit:
             raise DataError(f"{path}: frontier unit is malformed")
@@ -459,40 +463,17 @@ def cache_entries(
         ):
             continue
         try:
-            payload = load_checkpoint(path)
+            payload = _load_header(path, fingerprint)
         except ReproError:
-            continue
-        if payload.get("kind") != FRONTIER_KIND:
-            continue
-        entry_fingerprint = payload.get("fingerprint")
-        if not isinstance(entry_fingerprint, str):
-            continue
-        if fingerprint is not None and entry_fingerprint != fingerprint:
-            continue
-        raw = payload.get("constraints")
-        stats = payload.get("stats")
-        if not isinstance(raw, list) or len(raw) != 3:
-            continue
-        if not isinstance(stats, dict):
-            continue
-        try:
-            constraints = Constraints(
-                minsup=_expect_int(raw[0], "minsup", path),
-                minconf=float(raw[1]),
-                minchi=float(raw[2]),
-            )
-            summary_stats = {
-                field: _expect_int(stats.get(field), f"stats.{field}", path)
-                for field in ("evals", "pruned", "nodes", "frontier_weight")
-            }
-        except (ReproError, TypeError, ValueError):
             continue
         entries.append(
             {
                 "path": str(path),
-                "fingerprint": entry_fingerprint,
-                "constraints": constraints,
-                "stats": summary_stats,
+                "fingerprint": payload["fingerprint"],
+                "constraints": payload["constraints"],
+                "stats": {
+                    field: payload["stats"][field] for field in _STATS_FIELDS
+                },
             }
         )
     return entries
@@ -607,19 +588,7 @@ def _decode_units(payload: dict, full_mask: int, engine: str) -> list:
     units: list[tuple[str, object]] = []
     for unit in payload["units"]:
         if unit[0] == _EVAL:
-            _tag, item_mask, supp, supn, row_mask = unit
-            units.append(
-                (
-                    _EVAL,
-                    Candidate(
-                        tuple(bitset.iter_bits(item_mask)),
-                        item_mask,
-                        supp,
-                        supn,
-                        row_mask,
-                    ),
-                )
-            )
+            units.append((_EVAL, _eval_candidate(unit)))
             continue
         units.append(
             (
@@ -862,19 +831,16 @@ def _resume_serial(miner, table, directory, fingerprint, payload, units):
     budget = miner.budget
     meet = _meet(payload["constraints"], miner.constraints)
     ctx = _capture_context(miner, table, meet)
-    cache = KernelCache()
     counters = NodeCounters()
     merged: list = []
     truncated = False
+    frontier = [
+        (FRONTIER_CAND if tag == _EVAL else FRONTIER_STATE, payload)
+        for tag, payload in units
+    ]
     with _phase(telemetry, "resume"):
         try:
-            for tag, unit_payload in units:
-                if tag == _EVAL:
-                    merged.append((tag, unit_payload))
-                else:
-                    _capture(
-                        ctx, [unit_payload], counters, cache, budget.tick, merged
-                    )
+            _record(ctx, frontier, counters, budget, merged)
         except BudgetExceeded:
             if budget.strict:
                 raise
@@ -895,10 +861,11 @@ def _resume_sharded(miner, table, units, pruned):
 
     Each recorded frontier node is one
     :class:`~repro.core.parallel._Leaf`, executed under the requested
-    constraints by the static or stealing scheduler exactly like a
-    decomposition's subtree list; advisory bounds are seeded from the
-    cached satisfying evaluations (all of which appear in the final
-    sequence, so the usual dominance argument applies).  The stitched
+    constraints by the shard executor exactly like a decomposition's
+    subtree list (with work stealing when the miner asks for it);
+    advisory bounds are seeded from the cached satisfying evaluations
+    (all of which appear in the final sequence, so the usual dominance
+    argument applies).  The stitched
     answer interleaves filtered cached evaluations with each leaf's
     candidates at the recorded positions, then replays Step-7
     admission.  Sharded resumes do not grow the cache (workers return
@@ -910,8 +877,7 @@ def _resume_sharded(miner, table, units, pruned):
         AdvisoryBounds,
         ParallelReport,
         RetryPolicy,
-        _execute_tasks,
-        _execute_tasks_stealing,
+        _execute_parts,
         _Leaf,
     )
 
@@ -951,59 +917,35 @@ def _resume_sharded(miner, table, units, pruned):
         broadcast=miner.broadcast_bounds,
         coordinator=coordinator,
     )
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, table.n * 4 + 1000))
-    try:
-        with _phase(telemetry, "resume"):
-            if tasks:
-                if miner.steal and n_workers > 1:
-                    truncated = _execute_tasks_stealing(
-                        tasks,
-                        ctx,
-                        n_workers,
-                        miner.broadcast_bounds,
-                        DEFAULT_ADVISORY_CAP,
-                        deadline,
-                        budget.strict,
-                        quantum,
-                        retry=retry,
-                        report=report,
-                        advisory_snapshot=advisory_snapshot,
-                        telemetry=telemetry,
-                    )
-                else:
-                    truncated = _execute_tasks(
-                        tasks,
-                        ctx,
-                        n_workers,
-                        miner.broadcast_bounds,
-                        DEFAULT_ADVISORY_CAP,
-                        deadline,
-                        budget.strict,
-                        table.n,
-                        retry=retry,
-                        report=report,
-                        advisory_snapshot=advisory_snapshot,
-                        telemetry=telemetry,
-                    )
+    with _phase(telemetry, "resume"):
+        truncated = bool(tasks) and _execute_parts(
+            tasks,
+            ctx,
+            n_workers,
+            miner.broadcast_bounds,
+            DEFAULT_ADVISORY_CAP,
+            deadline,
+            budget.strict,
+            quantum if miner.steal and n_workers > 1 else None,
+            retry=retry,
+            report=report,
+            advisory_snapshot=advisory_snapshot,
+            telemetry=telemetry,
+        )
+    with _phase(telemetry, "reduce"):
+        replay = NodeCounters()
+        store = _IRGStore()
+        sequence: list[Candidate] = []
+        leaves = iter(tasks)
+        for tag, unit_payload in units:
+            if tag == _EVAL:
+                if constraints.satisfied_by(
+                    unit_payload.supp, unit_payload.supn, table.n, table.m
+                ):
+                    sequence.append(unit_payload)
             else:
-                truncated = False
-        with _phase(telemetry, "reduce"):
-            replay = NodeCounters()
-            store = _IRGStore()
-            sequence: list[Candidate] = []
-            leaves = iter(tasks)
-            for tag, unit_payload in units:
-                if tag == _EVAL:
-                    if constraints.satisfied_by(
-                        unit_payload.supp, unit_payload.supn, table.n, table.m
-                    ):
-                        sequence.append(unit_payload)
-                else:
-                    sequence.extend(next(leaves).candidates)
-            _replay(sequence, store, replay)
-    finally:
-        sys.setrecursionlimit(old_limit)
+                sequence.extend(next(leaves).candidates)
+        _replay(sequence, store, replay)
     report.n_tasks = len(tasks)
     report.workers = [leaf.counters for leaf in tasks]
     report.advisory_drops = sum(leaf.drops for leaf in tasks)
@@ -1016,9 +958,9 @@ def _answer_by_capture(
 ):
     """Cache miss: a cold serial mine in capture mode populates the cache.
 
-    Capture always runs the generic serial traversal — the fused numpy
-    fast path and the sharded pipeline cannot materialize pruned-node
-    states — so a miss under ``n_workers`` serializes that one mine;
+    Capture always runs the serial walk — the sharded pipeline returns
+    satisfying candidates only, not capture units — so a miss under
+    ``n_workers`` serializes that one mine;
     every later warm answer shards its resume normally.  Truncated
     captures are answered (the salvaged prefix filters and replays like
     a cold truncated mine) but never persisted.
@@ -1026,17 +968,15 @@ def _answer_by_capture(
     telemetry = miner.telemetry
     budget = miner.budget
     ctx = _capture_context(miner, table, miner.constraints)
-    cache = KernelCache()
     units: list = []
     truncated = False
     with _phase(telemetry, "capture"):
         try:
-            _capture(
+            _record(
                 ctx,
-                [ctx.root_state(table)],
+                [(FRONTIER_STATE, ctx.root_state(table))],
                 counters,
-                cache,
-                budget.tick,
+                budget,
                 units,
             )
         except BudgetExceeded:

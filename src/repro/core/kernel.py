@@ -41,9 +41,9 @@ results — the differential suite pins byte-identical ``.irgs`` output
 against the reference shims and the brute-force oracle.
 
 Miners accept ``engine="reference"`` to run the pre-kernel cost model
-(separate extend and scan passes, full bound scans, no memo caches) for
-differential testing and the committed perf gate
-(``benchmarks/perf_gate.py``).
+(every visited node's table built eagerly, no popcounts so full bound
+scans, no memo caches) for differential testing and the committed perf
+gate (``benchmarks/perf_gate.py``).
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ __all__ = [
 class CondTableProtocol(Protocol):
     """The conditional-table seam every expansion engine implements.
 
-    :func:`repro.core.farmer.expand_node`, the sharded miner and the
-    baselines never touch a table's representation — they consume
+    :func:`repro.core.farmer.enumerate_frontier` (the one walk every
+    FARMER mine runs) and the baselines never touch a table's representation — they consume
     exactly this surface, so an engine is free to store its tuples as
     int lists (:class:`CondTable`) or packed uint64 arrays
     (:class:`~repro.core.npbitset.NumpyCondTable`) as long as the scan
@@ -220,10 +220,10 @@ class CondTable:
     * ``full`` — the all-rows mask the empty-intersection convention and
       child extensions use.
 
-    Reference-engine tables (built by :meth:`reference`) keep the
-    caller's item order and carry ``counts=None`` and unset scan fields:
-    the reference expansion pays for its own separate scan passes, like
-    the pre-kernel code did.
+    Reference-engine tables keep the caller's item order and carry
+    ``counts=None``, so their bound scans walk every tuple; extending
+    one yields another count-less table.  :meth:`reference` builds such
+    a table without its scan fields.
 
     Instances are shared between sibling :class:`~repro.core.farmer.NodeState`
     values and shipped to worker processes; everything on them is plain
@@ -317,11 +317,11 @@ class CondTable:
     ) -> "CondTable":
         """A pre-kernel-style carrier: caller's order, no counts, no scan.
 
-        The reference engine re-derives intersection/union with
-        :func:`~repro.core.enumeration.scan_items` at every node, exactly
-        like the pre-kernel code, so this constructor deliberately leaves
-        ``inter``/``union`` unset (``None``) to fail loudly if the fused
-        path ever reads them.
+        ``inter``/``union`` stay unset (``None``) so a caller that has
+        not scanned the table with
+        :func:`~repro.core.enumeration.scan_items` fails loudly instead
+        of reading them; :meth:`extend` on the carrier yields a scanned,
+        still count-less child.
 
         Args:
             item_ids: item ids in the caller's order.

@@ -14,8 +14,8 @@ therefore splits the *search* and keeps the *admission* serial:
    ORD row covers half the unpruned tree), so large subtrees are split
    again; every frontier node becomes one task in a chunked work queue.
 
-2. **Execute** (workers).  Each worker runs the exact serial traversal of
-   its subtree (:func:`repro.core.farmer.enumerate_subtree`), collecting
+2. **Execute** (workers).  Each worker runs the exact serial walk of
+   its subtree (:func:`repro.core.farmer.enumerate_frontier`), collecting
    every threshold-satisfying Step 7 candidate in discovery order.  No
    admission decisions are taken in parallel.
 
@@ -70,29 +70,34 @@ resumed from its latest checkpoint produces byte-identical output to an
 uninterrupted run, which ``tests/test_checkpoint.py`` pins at every
 checkpoint boundary.
 
-**Work stealing** (``steal=True``).  The static queue leaves a long
-single-worker tail on skewed trees — FARMER's interleaved ORD order
-makes the first rows' subtrees cover most of the unpruned space, so the
-largest shard keeps one worker busy long after the others drain the
-queue.  The stealing scheduler bounds that tail *cooperatively*: a
-process-pool worker cannot be preempted mid-task, so stealing tasks run
-:func:`~repro.core.farmer.enumerate_frontier` with a node ``quantum``
-and, when it expires, *donate* — return the emitted candidate prefix
-plus the exact remaining enumeration frontier (ordered
-state/pending-candidate units).  The coordinator re-enqueues the
-frontier as continuation parts, splitting it in half whenever the queue
-is starving (the steal), so idle workers pick up the donated half of
-the largest in-flight subtree.  Each original shard's parts are
-stitched back in frontier order into one completed-shard record, which
-keeps every downstream contract unchanged:
+**Work stealing** (``steal=True``).  One executor schedules every
+sharded mine as *parts*: a shard starts as one part holding its root,
+and a part runs :func:`~repro.core.farmer.enumerate_frontier` for at
+most a node ``quantum``.  Without stealing (or with a single worker)
+the quantum is unbounded, so each shard runs to completion as one part
+— the static schedule.  That schedule leaves a long single-worker tail
+on skewed trees: FARMER's interleaved ORD order makes the first rows'
+subtrees cover most of the unpruned space, so the largest shard keeps
+one worker busy long after the others drain the queue.  Stealing
+bounds that tail *cooperatively*: a process-pool worker cannot be
+preempted mid-task, so when a part's quantum expires it *donates* —
+returns the emitted candidate prefix plus the exact remaining
+enumeration frontier (ordered state/pending-candidate units).  The
+coordinator re-enqueues the frontier as continuation parts, splitting
+it in half whenever the queue is starving (the steal), so idle workers
+pick up the donated half of the largest in-flight subtree.  Each
+original shard's parts are stitched back in frontier order into one
+completed-shard record, which keeps every downstream contract
+unchanged:
 
 * the reduce still replays the per-shard candidate sequences in serial
   discovery order, so ``.irgs`` output is byte-identical to the serial
   miner for any worker count, steal schedule, and quantum;
 * checkpoints still hold whole-shard :class:`TaskRecord` entries (plus
-  a ``steals`` diagnostic), so a mid-steal crash resumes exactly like a
-  static one — incomplete shards re-run from their roots — and
-  checkpoints are interchangeable between static and stealing runs;
+  a ``steals`` diagnostic), so a mid-steal crash resumes exactly like
+  any other — incomplete shards re-run from their roots — and
+  checkpoints are interchangeable between runs with and without
+  stealing;
 * the fault ladder applies per *part*: parts are deterministic replays
   of their unit lists, so a dead donor or thief is requeued like any
   failed shard (the chaos layer injects ``donor-*``/``steal-*`` faults
@@ -110,7 +115,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import multiprocessing
-import sys
+import pickle
 import time
 from collections import deque
 from concurrent.futures import (
@@ -132,20 +137,18 @@ from ..testing.chaos import (
     maybe_fault_thief,
     maybe_fault_worker,
 )
-from . import bitset
 from .checkpoint import Checkpointer, CheckpointState, TaskRecord, run_fingerprint
 from .constraints import Constraints
 from .enumeration import NodeCounters, SearchBudget, merge_counters
 from .farmer import (
     ALL_PRUNINGS,
+    FRONTIER_CAND,
     FRONTIER_STATE,
     Candidate,
     NodeState,
     SearchContext,
     _IRGStore,
     enumerate_frontier,
-    enumerate_subtree,
-    expand_node,
 )
 from .kernel import KernelCache
 
@@ -170,7 +173,7 @@ DEFAULT_CHUNK_FACTOR = 4
 #: first; capping is safe because the bounds are advisory.
 DEFAULT_ADVISORY_CAP = 256
 
-#: Node expansions a stealing part runs between yield points.  Small
+#: Nodes a part visits between yield points under ``steal``.  Small
 #: enough to bound the straggler tail well below a skewed shard's size,
 #: large enough that the donate round trip (pickling the frontier's
 #: conditional tables) stays a few percent of a quantum's work.
@@ -298,25 +301,25 @@ class ParallelReport:
         worker_exit_codes: non-zero exit codes collected from dead pool
             processes (e.g. ``-9`` for a SIGKILLed worker), in teardown
             order.
-        inline_tasks: shards executed inline in the coordinator (retry
-            exhaustion or degradation fallback).
+        inline_tasks: parts executed inline in the coordinator as a
+            fallback (retry exhaustion or degradation); a one-worker run
+            executes inline by design and does not count here.
         resumed_tasks: shards restored from a checkpoint instead of
             being executed.
         checkpoints_written: durable checkpoint files written.
-        stealing: whether the work-stealing scheduler ran (``steal=``
-            requested and more than one worker).
+        stealing: whether parts ran under a node quantum (``steal=``
+            requested and more than one worker); otherwise every part
+            was a whole shard.
         donations: frontiers yielded by quantum-expired parts.
         steals: donated frontier halves re-enqueued for idle workers
             beyond the donor's own continuation.
-        parts: stealing parts scheduled in total (equals ``n_tasks``
-            when nothing was preempted).
-        task_seconds: wall-clock seconds of every *successful* unit of
-            scheduled work in completion order — whole shards under the
-            static scheduler, individual parts under work stealing.
-            ``max(task_seconds)`` is the scheduler's tail latency: the
-            longest interval any single dispatch held a worker, which
-            stealing bounds by the quantum while the static scheduler
-            is stuck with its largest shard.
+        parts: parts scheduled in total (equals ``n_tasks`` when
+            nothing was preempted).
+        task_seconds: wall-clock seconds of every *successful* part in
+            completion order.  ``max(task_seconds)`` is the scheduler's
+            tail latency: the longest interval any single dispatch held
+            a worker, which stealing bounds by the quantum while an
+            unbounded quantum is stuck with the largest shard.
     """
 
     n_workers: int
@@ -361,63 +364,19 @@ class _Branch:
         self.children: list[object] = []
 
 
-def _estimate(state: NodeState) -> int:
-    """Subtree-size proxy for load balancing: remaining candidate rows."""
-    return bitset.bit_count(state.cand_pos | state.cand_neg)
-
-
-class _DeadlineTicker:
-    """Per-node budget hook: check the monotonic clock every 256 nodes."""
-
-    __slots__ = ("deadline", "ticks")
-
-    def __init__(self, deadline: float) -> None:
-        self.deadline = deadline
-        self.ticks = 0
-
-    def __call__(self) -> None:
-        self.ticks += 1
-        if self.ticks % 256 == 0 and time.monotonic() > self.deadline:
-            raise BudgetExceeded(
-                "time budget exceeded in sharded search",
-                nodes_expanded=self.ticks,
-            )
+def _deadline_tick(deadline: float | None):
+    """A per-node budget hook for the shared monotonic ``deadline``
+    (polled every 256 nodes by :meth:`SearchBudget.tick`), or ``None``."""
+    if deadline is None:
+        return None
+    budget = SearchBudget(max_seconds=deadline - time.monotonic())
+    budget.start()
+    return budget.tick
 
 
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-
-
-def _run_subtree_task(
-    ctx: SearchContext,
-    state: NodeState,
-    snapshot: list[tuple[float, int, int]] | None,
-    advisory_cap: int,
-    deadline: float | None,
-    strict: bool,
-    n_rows: int,
-    shard: int = 0,
-    attempt: int = 0,
-) -> tuple[list[Candidate], NodeCounters, int, bool]:
-    """Executed in a worker process: serial traversal of one subtree."""
-    maybe_fault_worker(shard, attempt)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), n_rows * 4 + 1000))
-    counters = NodeCounters()
-    sink: list[Candidate] = []
-    advisory = (
-        AdvisoryBounds(snapshot, cap=advisory_cap) if snapshot is not None else None
-    )
-    tick = _DeadlineTicker(deadline) if deadline is not None else None
-    truncated = False
-    try:
-        enumerate_subtree(ctx, state, counters, sink, advisory, tick)
-    except BudgetExceeded:
-        if strict:
-            raise
-        truncated = True
-    drops = advisory.drops if advisory is not None else 0
-    return sink, counters, drops, truncated
 
 
 def _run_frontier_task(
@@ -427,23 +386,25 @@ def _run_frontier_task(
     advisory_cap: int,
     deadline: float | None,
     strict: bool,
-    quantum: int,
+    quantum: int | None,
     shard: int = 0,
     stolen: bool = False,
     attempt: int = 0,
 ) -> tuple[list[Candidate], NodeCounters, int, bool, list | None]:
-    """Executed in a worker process: one quantum slice of a frontier.
+    """Executed in a worker process: one part of a shard.
 
     Args:
         ctx: the immutable search parameters.
-        units: the ordered frontier to enumerate (a shard root, or a
-            previously donated continuation).
-        snapshot: advisory-bounds snapshot, as in
-            :func:`_run_subtree_task`.
+        units: the ordered frontier to enumerate — a shard root's unit
+            list, or a tuple of pickled halves of a previously donated
+            continuation (see :func:`_pack_frontier`).
+        snapshot: advisory-bounds snapshot to filter candidates
+            against, or ``None`` without broadcast.
         advisory_cap: maximum advisory bounds kept.
         deadline: shared monotonic deadline, or ``None``.
         strict: whether a tripped budget raises instead of truncating.
-        quantum: node expansions before the part yields.
+        quantum: nodes visited before the part yields (``None``
+            runs the units to the end).
         shard: original shard index (fault scoping, diagnostics).
         stolen: whether this part continues a donated frontier (arms the
             thief-side chaos hook instead of the worker one).
@@ -451,19 +412,20 @@ def _run_frontier_task(
 
     Returns:
         ``(sink, counters, drops, truncated, frontier)`` where
-        ``frontier`` is the ordered remaining work (``None`` when the
-        part finished its units).
+        ``frontier`` is the ordered remaining work as pickled halves
+        (``None`` when the part finished its units).
     """
     if stolen:
         maybe_fault_thief(shard, attempt)
     else:
         maybe_fault_worker(shard, attempt)
+    units = _unpack_units(units)
     counters = NodeCounters()
     sink: list[Candidate] = []
     advisory = (
         AdvisoryBounds(snapshot, cap=advisory_cap) if snapshot is not None else None
     )
-    tick = _DeadlineTicker(deadline) if deadline is not None else None
+    tick = _deadline_tick(deadline)
     truncated = False
     frontier: list | None = None
     try:
@@ -474,13 +436,37 @@ def _run_frontier_task(
         if strict:
             raise
         truncated = True
+    chunks = None
     if frontier is not None:
         # The donation point: the frontier exists only in this process
         # until the return value lands, which is exactly where a dying
         # donor loses the donated half.
         maybe_fault_donor(shard, attempt)
+        chunks = _pack_frontier(frontier)
     drops = advisory.drops if advisory is not None else 0
-    return sink, counters, drops, truncated, frontier
+    return sink, counters, drops, truncated, chunks
+
+
+def _pack_frontier(frontier: list) -> list[tuple[int, bytes]]:
+    """A donated frontier as pickled ``(unit count, units)`` halves,
+    split where a steal splits, so the coordinator can enqueue them as
+    one part or two without decoding their conditional tables on its
+    one thread.  (In-memory pool traffic, not persistence: FRM007's
+    envelope does not apply.)"""
+    middle = (len(frontier) + 1) // 2
+    halves = [frontier[:middle], frontier[middle:]]
+    if not halves[1]:
+        halves.pop()
+    blobs = [pickle.dumps(half, -1) for half in halves]  # farmer-lint: disable=FRM007
+    return [(len(half), blob) for half, blob in zip(halves, blobs)]
+
+
+def _unpack_units(units: list | tuple) -> list:
+    """A part's units: a root's list as is, or a donor's packed halves."""
+    if not isinstance(units, tuple):
+        return units
+    halves = [pickle.loads(blob) for _, blob in units]  # farmer-lint: disable=FRM007
+    return [unit for half in halves for unit in half]
 
 
 # ----------------------------------------------------------------------
@@ -583,7 +569,7 @@ def _decompose(
         cache = KernelCache()
     root: object = _Leaf(root_state)
     heap: list[tuple[int, int, _Leaf, list[object] | None, int]] = [
-        (-_estimate(root_state), 0, root, None, 0)
+        (-root_state.estimate(), 0, root, None, 0)
     ]
     sequence = 1
     n_leaves = 1
@@ -599,24 +585,30 @@ def _decompose(
             truncated = True
             break
         _, _, leaf, parent_children, index = heapq.heappop(heap)
-        coordinator.nodes += 1
         expanded += 1
-        _outcome, candidate, children = expand_node(
-            ctx, leaf.state, coordinator, cache
-        )
-        branch = _Branch(candidate)
+        # A one-node quantum expands the leaf and hands back its
+        # children ahead of its pending candidate (a childless node has
+        # emitted its candidate already).
+        emitted: list[Candidate] = []
+        children = enumerate_frontier(
+            ctx, [(FRONTIER_STATE, leaf.state)], coordinator, emitted, 1,
+            cache=cache,
+        ) or []
+        if children and children[-1][0] == FRONTIER_CAND:
+            emitted.append(children.pop()[1])
+        branch = _Branch(emitted[0] if emitted else None)
         if parent_children is None:
             root = branch
         else:
             parent_children[index] = branch
         n_leaves -= 1
-        for child_state in children:
+        for _tag, child_state in children:
             child = _Leaf(child_state)
             branch.children.append(child)
             heapq.heappush(
                 heap,
                 (
-                    -_estimate(child_state),
+                    -child_state.estimate(),
                     sequence,
                     child,
                     branch.children,
@@ -646,301 +638,15 @@ def _poll_timeout(retry: RetryPolicy, deadline: float | None) -> float | None:
     return min(waits) if waits else None
 
 
-def _execute_tasks(
-    tasks: Sequence[_Leaf],
-    ctx: SearchContext,
-    n_workers: int,
-    broadcast: bool,
-    advisory_cap: int,
-    deadline: float | None,
-    strict: bool,
-    n_rows: int,
-    *,
-    retry: RetryPolicy,
-    report: ParallelReport,
-    checkpointer: Checkpointer | None = None,
-    completed: frozenset[int] = frozenset(),
-    advisory_snapshot: list[tuple[float, int, int]] | None = None,
-    telemetry: "Telemetry | None" = None,
-    coverage: dict[str, float] | None = None,
-) -> bool:
-    """Run every task, inline (1 worker) or on the process pool.
-
-    Results are attached to the leaves in place (per-leaf candidates,
-    counters and advisory drops); shards listed in ``completed`` carry
-    restored results and are skipped.  Worker faults are retried,
-    requeued or degraded per ``retry`` — see the module docstring for the
-    ladder.  Returns whether the run was truncated by a non-strict
-    budget.
-
-    ``telemetry``/``coverage`` observe execution at *task* granularity —
-    completion events, retry/worker-death events, a queue-depth gauge,
-    and the shared coverage dict the progress sampler reads — never
-    per node, so the traversal hot path is identical either way.
-    """
-    advisory = (
-        AdvisoryBounds(advisory_snapshot or (), cap=advisory_cap)
-        if broadcast
-        else None
-    )
-    truncated = False
-    remaining = len(tasks) - len(completed)
-
-    def record_leaf(
-        index: int,
-        sink: list[Candidate],
-        counters: NodeCounters,
-        task_drops: int,
-        task_truncated: bool,
-    ) -> None:
-        nonlocal truncated, remaining
-        leaf = tasks[index]
-        leaf.candidates = sink
-        leaf.counters = counters
-        leaf.drops = task_drops
-        truncated = truncated or task_truncated
-        if advisory is not None:
-            for candidate in sink:
-                advisory.extend(
-                    candidate.item_mask,
-                    len(candidate.item_ids),
-                    candidate.confidence,
-                )
-        if checkpointer is not None and not task_truncated:
-            checkpointer.record(
-                TaskRecord(
-                    index=index,
-                    candidates=sink,
-                    counters=counters,
-                    drops=task_drops,
-                ),
-                advisory.snapshot() if advisory is not None else None,
-            )
-        remaining -= 1
-        if coverage is not None:
-            coverage["done"] += float(_estimate(leaf.state))
-            coverage["nodes"] += float(counters.nodes)
-            coverage["candidates"] += float(len(sink))
-            coverage["pruned"] += float(
-                counters.pruned_loose
-                + counters.pruned_tight
-                + counters.pruned_identified
-            )
-        if telemetry is not None:
-            telemetry.registry.inc("parallel.tasks_completed")
-            telemetry.registry.set_gauge("parallel.queue_depth", remaining)
-            telemetry.event(
-                "task_done",
-                shard=index,
-                nodes=counters.nodes,
-                candidates=len(sink),
-                drops=task_drops,
-                truncated=task_truncated,
-            )
-
-    if n_workers == 1:
-        tick = _DeadlineTicker(deadline) if deadline is not None else None
-        for index, leaf in enumerate(tasks):
-            if index in completed or truncated:
-                continue
-            before = advisory.drops if advisory is not None else 0
-            sink: list[Candidate] = []
-            counters = NodeCounters()
-            started = time.monotonic()
-            try:
-                enumerate_subtree(ctx, leaf.state, counters, sink, advisory, tick)
-            except BudgetExceeded:
-                if strict:
-                    raise
-                truncated = True
-                continue
-            report.task_seconds.append(time.monotonic() - started)
-            delta = (advisory.drops - before) if advisory is not None else 0
-            record_leaf(index, sink, counters, delta, False)
-        return truncated
-
-    pending: deque[int] = deque(
-        index for index in range(len(tasks)) if index not in completed
-    )
-    attempts: dict[int, int] = {index: 0 for index in pending}
-    inflight: dict[Future, tuple[int, float]] = {}
-    error: BudgetExceeded | None = None
-    consecutive_failures = 0
-    workers = n_workers
-    inline_only = False
-
-    def run_inline(index: int) -> None:
-        """Coordinator-side fallback; cannot lose a worker."""
-        leaf = tasks[index]
-        tick = _DeadlineTicker(deadline) if deadline is not None else None
-        before = advisory.drops if advisory is not None else 0
-        sink: list[Candidate] = []
-        counters = NodeCounters()
-        started = time.monotonic()
-        enumerate_subtree(ctx, leaf.state, counters, sink, advisory, tick)
-        report.task_seconds.append(time.monotonic() - started)
-        delta = (advisory.drops - before) if advisory is not None else 0
-        report.inline_tasks += 1
-        record_leaf(index, sink, counters, delta, False)
-
-    def submit(index: int) -> bool:
-        """Dispatch one shard to the pool; ``False`` if the pool is dead."""
-        leaf = tasks[index]
-        snapshot = advisory.snapshot() if advisory is not None else None
-        try:
-            future = _get_executor(workers).submit(
-                _run_subtree_task,
-                ctx,
-                leaf.state,
-                snapshot,
-                advisory_cap,
-                deadline,
-                strict,
-                n_rows,
-                index,
-                attempts[index],
-            )
-        except (BrokenExecutor, RuntimeError):
-            return False
-        inflight[future] = (index, time.monotonic())
-        return True
-
-    def fail_pool(settle: float = 0.0) -> None:
-        """Broken/stalled pool: requeue its shards, degrade if repeated."""
-        nonlocal consecutive_failures, workers, inline_only
-        report.pool_failures += 1
-        consecutive_failures += 1
-        indices = sorted(index for index, _ in inflight.values())
-        inflight.clear()
-        for index in reversed(indices):
-            attempts[index] += 1
-            pending.appendleft(index)
-        report.retries += len(indices)
-        exit_codes_before = len(report.worker_exit_codes)
-        _discard_executor(workers, report, settle)
-        if telemetry is not None:
-            telemetry.registry.inc("parallel.pool_failures")
-            telemetry.registry.inc("parallel.requeued", len(indices))
-            telemetry.event(
-                "worker_death",
-                requeued=indices,
-                exit_codes=report.worker_exit_codes[exit_codes_before:],
-                workers=workers,
-            )
-        if consecutive_failures >= retry.degrade_after:
-            if workers > 1:
-                workers = max(1, workers // 2)
-            else:
-                inline_only = True
-            consecutive_failures = 0
-        _sleep_backoff(retry, report.pool_failures)
-
-    while pending or inflight:
-        if error is not None or truncated:
-            pending.clear()
-            if not inflight:
-                break
-        if inline_only:
-            while pending and error is None and not truncated:
-                index = pending.popleft()
-                try:
-                    run_inline(index)
-                except BudgetExceeded as exc:
-                    if strict:
-                        error = exc
-                    else:
-                        truncated = True
-            continue
-        while (
-            pending
-            and len(inflight) < workers
-            and error is None
-            and not truncated
-            and not inline_only
-        ):
-            index = pending.popleft()
-            if attempts[index] >= retry.max_attempts:
-                # Retries exhausted: run in the coordinator, where a
-                # deterministic task bug finally propagates.
-                try:
-                    run_inline(index)
-                except BudgetExceeded as exc:
-                    if strict:
-                        error = exc
-                    else:
-                        truncated = True
-                continue
-            if not submit(index):
-                pending.appendleft(index)
-                fail_pool(settle=2.0)
-                break
-        if not inflight:
-            continue
-        done, _ = wait(
-            list(inflight),
-            timeout=_poll_timeout(retry, deadline),
-            return_when=FIRST_COMPLETED,
-        )
-        if not done:
-            if retry.shard_timeout is not None:
-                now = time.monotonic()
-                if any(
-                    now - started > retry.shard_timeout
-                    for _, started in inflight.values()
-                ):
-                    fail_pool()
-            continue
-        pool_broken = False
-        for future in done:
-            index, started = inflight.pop(future)
-            try:
-                sink, counters, task_drops, task_truncated = future.result()
-            except BudgetExceeded as exc:
-                # Strict budget tripped in a worker: stop feeding the
-                # queue, drain what is already running, then re-raise.
-                if strict:
-                    error = exc
-                    pending.clear()
-                else:
-                    truncated = True
-                continue
-            except BrokenExecutor:
-                # A worker died; every sibling future is doomed too.
-                # Hand the shard back so fail_pool() requeues them all.
-                inflight[future] = (index, started)
-                pool_broken = True
-                continue
-            except Exception:
-                # Task-level failure (the worker survived): retry with
-                # backoff; retries exhausted -> inline at next dispatch.
-                attempts[index] += 1
-                report.retries += 1
-                pending.append(index)
-                if telemetry is not None:
-                    telemetry.registry.inc("parallel.retries")
-                    telemetry.event(
-                        "retry", shard=index, attempt=attempts[index]
-                    )
-                _sleep_backoff(retry, attempts[index])
-                continue
-            consecutive_failures = 0
-            report.task_seconds.append(time.monotonic() - started)
-            record_leaf(index, sink, counters, task_drops, task_truncated)
-        if pool_broken:
-            fail_pool(settle=2.0)
-    if error is not None:
-        raise error
-    return truncated
-
-
 class _Part:
     """One scheduled slice of a shard's subtree under work stealing.
 
     A shard starts as a single root part holding ``[("state", root)]``;
     every donation replaces the donor's remaining work with ordered
-    child parts.  The per-part results are stitched back — own prefix
-    first, children in frontier order — into the shard's serial
-    candidate sequence.
+    child parts, whose units stay the donor's pickled halves (see
+    :func:`_pack_frontier`) until a worker runs them.  The per-part
+    results are stitched back — own prefix first, children in frontier
+    order — into the shard's serial candidate sequence.
     """
 
     __slots__ = (
@@ -975,7 +681,7 @@ class _Part:
             child.flatten(out)
 
 
-def _execute_tasks_stealing(
+def _execute_parts(
     tasks: Sequence[_Leaf],
     ctx: SearchContext,
     n_workers: int,
@@ -983,7 +689,7 @@ def _execute_tasks_stealing(
     advisory_cap: int,
     deadline: float | None,
     strict: bool,
-    quantum: int,
+    quantum: int | None,
     *,
     retry: RetryPolicy,
     report: ParallelReport,
@@ -993,29 +699,30 @@ def _execute_tasks_stealing(
     telemetry: "Telemetry | None" = None,
     coverage: dict[str, float] | None = None,
 ) -> bool:
-    """Run every task on the pool with cooperative work stealing.
+    """Run every task as parts, with cooperative work stealing.
 
-    The stealing counterpart of :func:`_execute_tasks` (which keeps the
-    static schedule): work is scheduled as :class:`_Part` slices that
-    yield their enumeration frontier every ``quantum`` nodes, and the
-    coordinator splits a returned frontier in half whenever the queue
-    is starving, so idle workers steal the donated half.  Results are
-    stitched per original shard and attached to the leaves exactly as
-    the static executor does; the same retry/requeue/degradation ladder
-    applies per part (parts are deterministic replays of their unit
-    lists).  Returns whether the run was truncated by a non-strict
-    budget.
+    The one shard executor: work is scheduled as :class:`_Part` slices
+    that yield their enumeration frontier every ``quantum`` nodes, and
+    the coordinator splits a returned frontier in half whenever the
+    queue is starving, so idle workers steal the donated half.  With
+    ``quantum=None`` no part ever yields, so each shard is exactly one
+    part (the static schedule).  Results are stitched per original
+    shard and attached to the leaves; the retry/requeue/degradation
+    ladder applies per part (parts are deterministic replays of their
+    unit lists).  A single worker runs every part inline in the
+    coordinator.  Returns whether the run was truncated by a
+    non-strict budget.
 
     Args:
         tasks: the decomposition's frontier leaves.
         ctx: the immutable search parameters.
-        n_workers: worker-process count (the caller routes single-worker
-            runs to the static executor — stealing needs a thief).
+        n_workers: worker-process count (1 = inline execution).
         broadcast: share advisory confidence bounds across parts.
         advisory_cap: maximum advisory bounds kept per broadcast.
         deadline: shared monotonic deadline, or ``None``.
         strict: whether a tripped budget raises instead of truncating.
-        quantum: node expansions per part between yield points.
+        quantum: nodes per part between yield points; ``None`` never
+            yields.
         retry: the fault-tolerance ladder.
         report: mutated in place with scheduling diagnostics.
         checkpointer: records stitched whole-shard results.
@@ -1031,7 +738,7 @@ def _execute_tasks_stealing(
     )
     truncated = False
     remaining = len(tasks) - len(completed)
-    report.stealing = True
+    report.stealing = quantum is not None
 
     pending: deque[_Part] = deque()
     sequence = 0
@@ -1052,24 +759,30 @@ def _execute_tasks_stealing(
     error: BudgetExceeded | None = None
     consecutive_failures = 0
     workers = n_workers
-    inline_only = False
+    inline_only = n_workers == 1
+    # One ticker for every inline part, so the deadline is polled across
+    # parts rather than restarting its 256-node stride per part.
+    inline_tick = _deadline_tick(deadline)
+
+    def attach(shard: int) -> _Leaf:
+        """Stitch the shard's parts in frontier order onto its leaf."""
+        parts = shard_parts[shard]
+        leaf = tasks[shard]
+        leaf.candidates = []
+        parts[0].flatten(leaf.candidates)
+        leaf.counters = merge_counters([part.counters for part in parts])
+        leaf.drops = sum(part.drops for part in parts)
+        leaf.steals = shard_donations[shard]
+        return leaf
 
     def finish_shard(shard: int) -> None:
         """All parts done: stitch, attach to the leaf, checkpoint."""
         nonlocal remaining
-        parts = shard_parts[shard]
-        root = parts[0]
-        sink: list[Candidate] = []
-        root.flatten(sink)
-        counters = merge_counters([part.counters for part in parts])
-        drops = sum(part.drops for part in parts)
-        steals = shard_donations[shard]
-        shard_truncated = any(part.truncated for part in parts)
-        leaf = tasks[shard]
-        leaf.candidates = sink
-        leaf.counters = counters
-        leaf.drops = drops
-        leaf.steals = steals
+        leaf = attach(shard)
+        sink, counters, drops, steals = (
+            leaf.candidates, leaf.counters, leaf.drops, leaf.steals
+        )
+        shard_truncated = any(part.truncated for part in shard_parts[shard])
         if checkpointer is not None and not shard_truncated:
             checkpointer.record(
                 TaskRecord(
@@ -1083,7 +796,7 @@ def _execute_tasks_stealing(
             )
         remaining -= 1
         if coverage is not None:
-            coverage["done"] += float(_estimate(leaf.state))
+            coverage["done"] += float(leaf.state.estimate())
             coverage["nodes"] += float(counters.nodes)
             coverage["candidates"] += float(len(sink))
             coverage["pruned"] += float(
@@ -1110,7 +823,7 @@ def _execute_tasks_stealing(
         counters: NodeCounters,
         task_drops: int,
         task_truncated: bool,
-        frontier: list | None,
+        frontier: list[tuple[int, bytes]] | None,
     ) -> None:
         nonlocal truncated, sequence
         part.candidates = sink
@@ -1128,6 +841,7 @@ def _execute_tasks_stealing(
         if frontier is not None and not truncated and error is None:
             shard_donations[part.shard] += 1
             report.donations += 1
+            n_units = sum(count for count, _ in frontier)
             # Steal decision: split the donated frontier in half when
             # the queue is starving (fewer than two parts per worker
             # queued, so idle capacity exists or soon will) and there is
@@ -1137,13 +851,12 @@ def _execute_tasks_stealing(
             # subtree therefore keeps fissioning while the queue drains
             # until every worker holds a piece of it.
             donated = 0
-            if len(frontier) >= 2 and len(pending) < 2 * workers:
-                middle = (len(frontier) + 1) // 2
-                chunks = [frontier[:middle], frontier[middle:]]
-                donated = len(frontier) - middle
+            if len(frontier) == 2 and len(pending) < 2 * workers:
+                chunks = [(frontier[0],), (frontier[1],)]
+                donated = frontier[1][0]
                 report.steals += 1
             else:
-                chunks = [frontier]
+                chunks = [tuple(frontier)]
             children = []
             for chunk in chunks:
                 child = _Part(part.shard, sequence, chunk, True)
@@ -1161,7 +874,7 @@ def _execute_tasks_stealing(
                 telemetry.event(
                     "donate",
                     shard=part.shard,
-                    units=len(frontier),
+                    units=n_units,
                     parts=len(children),
                     queue=len(pending),
                 )
@@ -1183,18 +896,28 @@ def _execute_tasks_stealing(
             finish_shard(part.shard)
 
     def run_inline(part: _Part) -> None:
-        """Coordinator-side fallback: run the part's units to the end."""
-        tick = _DeadlineTicker(deadline) if deadline is not None else None
+        """Run the part's units to the end in the coordinator (the
+        one-worker schedule, or the fallback that cannot lose a worker)."""
+        nonlocal error, truncated
         before = advisory.drops if advisory is not None else 0
         sink: list[Candidate] = []
         counters = NodeCounters()
+        units = _unpack_units(part.units)
         started = time.monotonic()
-        enumerate_frontier(
-            ctx, part.units, counters, sink, 2**62, advisory, tick
-        )
+        try:
+            enumerate_frontier(
+                ctx, units, counters, sink, None, advisory, inline_tick
+            )
+        except BudgetExceeded as exc:
+            if strict:
+                error = exc
+            else:
+                truncated = True
+            return
         report.task_seconds.append(time.monotonic() - started)
         delta = (advisory.drops - before) if advisory is not None else 0
-        report.inline_tasks += 1
+        if n_workers > 1:
+            report.inline_tasks += 1
         finish_part(part, sink, counters, delta, False, None)
 
     def submit(part: _Part) -> bool:
@@ -1258,14 +981,7 @@ def _execute_tasks_stealing(
                 break
         if inline_only:
             while pending and error is None and not truncated:
-                part = pending.popleft()
-                try:
-                    run_inline(part)
-                except BudgetExceeded as exc:
-                    if strict:
-                        error = exc
-                    else:
-                        truncated = True
+                run_inline(pending.popleft())
             continue
         while (
             pending
@@ -1278,13 +994,7 @@ def _execute_tasks_stealing(
             if part.attempts >= retry.max_attempts:
                 # Retries exhausted: run in the coordinator, where a
                 # deterministic task bug finally propagates.
-                try:
-                    run_inline(part)
-                except BudgetExceeded as exc:
-                    if strict:
-                        error = exc
-                    else:
-                        truncated = True
+                run_inline(part)
                 continue
             if not submit(part):
                 pending.appendleft(part)
@@ -1342,18 +1052,10 @@ def _execute_tasks_stealing(
             fail_pool(settle=2.0)
     # A truncated or aborting run still attaches the best-effort prefix
     # of every shard that produced one (never checkpointed: only whole
-    # shards are durable), matching the static executor's semantics.
+    # shards are durable).
     for shard, count in shard_open.items():
         if count > 0:
-            leaf = tasks[shard]
-            sink = []
-            shard_parts[shard][0].flatten(sink)
-            leaf.candidates = sink
-            leaf.counters = merge_counters(
-                [part.counters for part in shard_parts[shard]]
-            )
-            leaf.drops = sum(part.drops for part in shard_parts[shard])
-            leaf.steals = shard_donations[shard]
+            attach(shard)
     if error is not None:
         raise error
     return truncated
@@ -1422,15 +1124,17 @@ def mine_table_parallel(
         expansion_cap: decomposition expansion cap (``None`` = derived).
         retry: the fault-tolerance ladder (defaults:
             :class:`RetryPolicy`).
-        steal: schedule the execute phase with cooperative work
-            stealing (see the module docstring).  Requires at least two
-            workers to mean anything — single-worker runs fall back to
-            the static schedule.  Never changes the mined output: the
-            reduce replays the stitched per-shard sequences in serial
-            discovery order regardless of the steal schedule.
-        steal_quantum: node expansions a stealing part runs between
-            yield points (``None`` uses
-            :data:`DEFAULT_STEAL_QUANTUM`; must be >= 1).
+        steal: give parts a node quantum so they donate their frontier
+            for idle workers to steal (see the module docstring); off,
+            the quantum is unbounded and every shard is one part.
+            Needs at least two workers to mean anything — a single
+            worker always runs whole shards inline.  Never changes the
+            mined output: the reduce replays the stitched per-shard
+            sequences in serial discovery order regardless of the
+            schedule.
+        steal_quantum: nodes a part visits between yield points under
+            ``steal`` (``None`` uses :data:`DEFAULT_STEAL_QUANTUM`; must
+            be >= 1).
         checkpoint: file to snapshot progress into after every
             ``checkpoint_every`` shard completions (and once more on the
             way out, even when aborting).
@@ -1519,154 +1223,137 @@ def mine_table_parallel(
         target = max(2, chunk_factor * n_workers)
         cap = expansion_cap if expansion_cap is not None else max(4 * target, 64)
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, table.n * 4 + 1000))
-    try:
-        coordinator_cache = KernelCache()
-        with phase("decompose"):
-            plan, tasks, truncated = _decompose(
-                coordinator_ctx,
-                coordinator_ctx.root_state(table),
-                coordinator,
-                target,
-                cap,
-                deadline,
-                strict,
-                cache=coordinator_cache,
-            )
+    coordinator_cache = KernelCache()
+    with phase("decompose"):
+        plan, tasks, truncated = _decompose(
+            coordinator_ctx,
+            coordinator_ctx.root_state(table),
+            coordinator,
+            target,
+            cap,
+            deadline,
+            strict,
+            cache=coordinator_cache,
+        )
 
-        checkpointer: Checkpointer | None = None
-        completed: frozenset[int] = frozenset()
-        advisory_snapshot: list[tuple[float, int, int]] | None = None
-        if checkpoint_path is not None:
-            fingerprint = run_fingerprint(
-                table.n,
-                table.m,
-                table.consequent,
-                table.item_masks,
-                table.positive_mask,
-                constraints,
-                prunings,
-                target,
-                cap,
-                [leaf.state.x_mask for leaf in tasks],
-            )
-            if resumed is not None:
-                if resumed.fingerprint != fingerprint:
-                    raise DataError(
-                        f"checkpoint {checkpoint_path} belongs to a "
-                        "different run (dataset, constraints, prunings or "
-                        "decomposition differ); delete it or drop resume="
-                    )
-                for index, record in resumed.completed.items():
-                    leaf = tasks[index]
-                    leaf.candidates = record.candidates
-                    leaf.counters = record.counters
-                    leaf.drops = record.drops
-                    leaf.steals = record.steals
-                completed = frozenset(resumed.completed)
-                advisory_snapshot = resumed.advisory
-                report.resumed_tasks = len(completed)
-                if telemetry is not None:
-                    telemetry.registry.inc(
-                        "parallel.resumed_tasks", len(completed)
-                    )
-                    telemetry.event(
-                        "resume",
-                        checkpoint=str(checkpoint_path),
-                        restored=sorted(completed),
-                        n_tasks=len(tasks),
-                    )
-            state = resumed if resumed is not None else CheckpointState(
-                fingerprint=fingerprint,
-                n_tasks=len(tasks),
-                target=target,
-                expansion_cap=cap,
-            )
-            checkpointer = Checkpointer(
-                checkpoint_path,
-                state,
-                every=checkpoint_every,
-                on_write=(
-                    telemetry.checkpoint_hook() if telemetry is not None else None
-                ),
-            )
+    checkpointer: Checkpointer | None = None
+    completed: frozenset[int] = frozenset()
+    advisory_snapshot: list[tuple[float, int, int]] | None = None
+    if checkpoint_path is not None:
+        fingerprint = run_fingerprint(
+            table.n,
+            table.m,
+            table.consequent,
+            table.item_masks,
+            table.positive_mask,
+            constraints,
+            prunings,
+            target,
+            cap,
+            [leaf.state.x_mask for leaf in tasks],
+        )
+        if resumed is not None:
+            if resumed.fingerprint != fingerprint:
+                raise DataError(
+                    f"checkpoint {checkpoint_path} belongs to a "
+                    "different run (dataset, constraints, prunings or "
+                    "decomposition differ); delete it or drop resume="
+                )
+            for index, record in resumed.completed.items():
+                leaf = tasks[index]
+                leaf.candidates = record.candidates
+                leaf.counters = record.counters
+                leaf.drops = record.drops
+                leaf.steals = record.steals
+            completed = frozenset(resumed.completed)
+            advisory_snapshot = resumed.advisory
+            report.resumed_tasks = len(completed)
+            if telemetry is not None:
+                telemetry.registry.inc(
+                    "parallel.resumed_tasks", len(completed)
+                )
+                telemetry.event(
+                    "resume",
+                    checkpoint=str(checkpoint_path),
+                    restored=sorted(completed),
+                    n_tasks=len(tasks),
+                )
+        state = resumed if resumed is not None else CheckpointState(
+            fingerprint=fingerprint,
+            n_tasks=len(tasks),
+            target=target,
+            expansion_cap=cap,
+        )
+        checkpointer = Checkpointer(
+            checkpoint_path,
+            state,
+            every=checkpoint_every,
+            on_write=(
+                telemetry.checkpoint_hook() if telemetry is not None else None
+            ),
+        )
 
-        coverage: dict[str, float] | None = None
-        if telemetry is not None:
-            coverage = {
-                "done": sum(
-                    float(_estimate(tasks[index].state)) for index in completed
-                ),
-                "total": sum(float(_estimate(leaf.state)) for leaf in tasks),
-                "nodes": float(coordinator.nodes)
-                + sum(float(tasks[index].counters.nodes) for index in completed),
-                "pruned": float(
-                    coordinator.pruned_loose
-                    + coordinator.pruned_tight
-                    + coordinator.pruned_identified
-                ),
-                "candidates": 0.0,
+    coverage: dict[str, float] | None = None
+    if telemetry is not None:
+        coverage = {
+            "done": sum(
+                float(tasks[index].state.estimate()) for index in completed
+            ),
+            "total": sum(float(leaf.state.estimate()) for leaf in tasks),
+            "nodes": float(coordinator.nodes)
+            + sum(float(tasks[index].counters.nodes) for index in completed),
+            "pruned": float(
+                coordinator.pruned_loose
+                + coordinator.pruned_tight
+                + coordinator.pruned_identified
+            ),
+            "candidates": 0.0,
+        }
+
+        def sample() -> dict:
+            return {
+                "phase": "execute",
+                "nodes": int(coverage["nodes"]),
+                "pruned": int(coverage["pruned"]),
+                "groups": int(coverage["candidates"]),
+                "done_weight": coverage["done"],
+                "total_weight": coverage["total"],
             }
 
-            def sample() -> dict:
-                return {
-                    "phase": "execute",
-                    "nodes": int(coverage["nodes"]),
-                    "pruned": int(coverage["pruned"]),
-                    "groups": int(coverage["candidates"]),
-                    "done_weight": coverage["done"],
-                    "total_weight": coverage["total"],
-                }
+        telemetry.registry.inc("parallel.tasks", len(tasks))
 
-            telemetry.registry.inc("parallel.tasks", len(tasks))
-
-        if tasks and not truncated:
+    if tasks and not truncated:
+        if telemetry is not None:
+            telemetry.start_sampling(sample)
+        try:
+            with phase("execute"):
+                task_truncated = _execute_parts(
+                    tasks, ctx, n_workers, broadcast, advisory_cap,
+                    deadline, strict,
+                    steal_quantum if steal and n_workers > 1 else None,
+                    retry=retry,
+                    report=report,
+                    checkpointer=checkpointer,
+                    completed=completed,
+                    advisory_snapshot=advisory_snapshot,
+                    telemetry=telemetry,
+                    coverage=coverage,
+                )
+        finally:
+            # Even an aborting run (strict budget, injected fault)
+            # leaves its latest progress on disk for a resume.
+            if checkpointer is not None:
+                checkpointer.close()
+                report.checkpoints_written = checkpointer.writes
             if telemetry is not None:
-                telemetry.start_sampling(sample)
-            try:
-                with phase("execute"):
-                    if steal and n_workers > 1:
-                        task_truncated = _execute_tasks_stealing(
-                            tasks, ctx, n_workers, broadcast, advisory_cap,
-                            deadline, strict, steal_quantum,
-                            retry=retry,
-                            report=report,
-                            checkpointer=checkpointer,
-                            completed=completed,
-                            advisory_snapshot=advisory_snapshot,
-                            telemetry=telemetry,
-                            coverage=coverage,
-                        )
-                    else:
-                        task_truncated = _execute_tasks(
-                            tasks, ctx, n_workers, broadcast, advisory_cap,
-                            deadline, strict, table.n,
-                            retry=retry,
-                            report=report,
-                            checkpointer=checkpointer,
-                            completed=completed,
-                            advisory_snapshot=advisory_snapshot,
-                            telemetry=telemetry,
-                            coverage=coverage,
-                        )
-            finally:
-                # Even an aborting run (strict budget, injected fault)
-                # leaves its latest progress on disk for a resume.
-                if checkpointer is not None:
-                    checkpointer.close()
-                    report.checkpoints_written = checkpointer.writes
-                if telemetry is not None:
-                    telemetry.stop_sampling()
-            truncated = truncated or task_truncated
-        with phase("reduce"):
-            replay = NodeCounters()
-            sequence: list[Candidate] = []
-            _assemble(plan, sequence)
-            for candidate in sequence:
-                store.offer(candidate, replay)
-    finally:
-        sys.setrecursionlimit(old_limit)
+                telemetry.stop_sampling()
+        truncated = truncated or task_truncated
+    with phase("reduce"):
+        replay = NodeCounters()
+        sequence: list[Candidate] = []
+        _assemble(plan, sequence)
+        for candidate in sequence:
+            store.offer(candidate, replay)
 
     report.n_tasks = len(tasks)
     report.workers = [leaf.counters for leaf in tasks]

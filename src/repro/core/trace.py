@@ -84,73 +84,53 @@ class TracingFarmer(Farmer):
     After :meth:`mine`, the tree is available as :attr:`trace_root`.
     All constructor arguments match :class:`Farmer`.  Tracing always runs
     the serial traversal — an ``n_workers`` argument is accepted but
-    ignored, since the trace hooks into the in-process recursion.
+    ignored, since the trace observes every node of the in-process walk.
     """
 
     trace_root: TraceNode | None = None
     _supports_sharding = False
 
     def mine(self, dataset: ItemizedDataset, consequent: Hashable):
-        self._trace_stack: list[TraceNode] = []
+        self._trace_stack: list[tuple[TraceNode, object]] = []
         self.trace_root = None
         return super().mine(dataset, consequent)
 
-    # The hook: wrap the recursive visit, snapshotting node state.
-    def _visit(self, state):
+    def _node_observer(self):
+        return self
+
+    # The walker's observer hooks (see repro.core.farmer.enumerate_frontier).
+    def enter(self, state) -> None:
+        """Open a trace node for ``state``, nested under the current one."""
         # Materialize the (possibly lazy) table up front: tracing exists
-        # to *show* I(X), so it gladly pays for tables the kernel engine
-        # would have skipped on loose-pruned nodes.
+        # to *show* I(X), so it gladly pays for tables the walker would
+        # have skipped on loose-pruned nodes.
         table = state.resolve()
         node = TraceNode(
             rows=tuple(bitset.iter_bits(state.x_mask)),
             items=tuple(sorted(table.item_ids)),
         )
         if self._trace_stack:
-            self._trace_stack[-1].children.append(node)
+            self._trace_stack[-1][0].children.append(node)
         else:
             self.trace_root = node
-        self._trace_stack.append(node)
+        self._trace_stack.append((node, table))
 
-        counters = self._counters
-        before = (
-            counters.pruned_loose,
-            counters.pruned_tight,
-            counters.pruned_identified,
-        )
-        try:
-            super()._visit(state)
-        finally:
-            self._trace_stack.pop()
-
-        after = (
-            counters.pruned_loose,
-            counters.pruned_tight,
-            counters.pruned_identified,
-        )
-        if after[0] > before[0] and not node.children:
-            node.outcome = "pruned:loose"
-        elif after[2] > before[2] and not node.children:
-            node.outcome = "pruned:identified"
-        elif after[1] > before[1] and not node.children:
-            node.outcome = "pruned:tight"
+    def leave(self, outcome: str) -> None:
+        """Close the current trace node with the walker's verdict."""
+        node, table = self._trace_stack.pop()
+        if outcome != "explored":
+            node.outcome = outcome
         elif any(
             frozenset(entry[0]) == frozenset(node.items)
             for entry in self._store.entries
         ):
             # Store entries keep the engine's table order; compare as
-            # sets so "reported" detection works under both engines.
+            # sets so "reported" detection works under every engine.
             node.outcome = "reported"
-        # Fill the support stats for non-pre-scan-pruned nodes.  Kernel
-        # tables carry their scan; reference carriers (inter is None)
-        # need one here.
-        if node.outcome not in ("pruned:loose",):
+        # Fill the support stats for nodes that got past the pre-scan
+        # bound (every engine's tables carry their scan).
+        if outcome != "pruned:loose":
             intersection = table.inter
-            if intersection is None:
-                from .enumeration import scan_items
-
-                intersection, _ = scan_items(
-                    table.masks, self._table.all_rows_mask
-                )
             node.supp = bitset.bit_count(
                 intersection & self._table.positive_mask
             )

@@ -16,8 +16,8 @@ The facade owns:
 * a background **sampler thread** that periodically reads a snapshot of
   shared miner state (node counts the miner maintains anyway) and feeds
   the progress reporter.  Sampling is how the live display stays at
-  zero marginal cost per enumeration node: the serial miner's recursion
-  and the workers' traversals are never instrumented per node — the
+  zero marginal cost per enumeration node: the row-enumeration walk,
+  serial or in workers, is never instrumented per node — the
   sampler reads counters that already exist, at its own cadence, from
   its own thread.
 

@@ -95,6 +95,12 @@ class CancellableBudget(SearchBudget):
 
     cancel: "threading.Event | None" = None
 
+    @property
+    def unlimited(self) -> bool:
+        """Never while a kill switch is armed: the tick must keep
+        polling it."""
+        return self.cancel is None and super().unlimited
+
     def tick(self) -> None:
         """Account one node; raise on budget or cancellation."""
         if (

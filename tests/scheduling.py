@@ -1,7 +1,7 @@
 """Virtual work-stealing scheduler: a deterministic replay harness.
 
-The production stealing executor
-(:func:`repro.core.parallel._execute_tasks_stealing`) schedules *parts*
+The production shard executor
+(:func:`repro.core.parallel._execute_parts`) schedules *parts*
 — slices of a shard's enumeration frontier — on a process pool, so the
 interleaving of donations, steals and worker deaths depends on OS
 scheduling.  Its correctness argument, however, is purely structural:

@@ -223,3 +223,47 @@ class TestPinnedHashes:
             minsup,
             minconf,
         )
+
+
+#: Node budgets of the truncation sweep: the first few nodes, the early
+#: subtrees, and budgets deep into the LC tree (a full mine is ~9k nodes).
+TRUNCATION_BUDGETS = (1, 2, 3, 5, 8, 13, 50, 200, 1000, 5000)
+
+
+@pytest.fixture(scope="module")
+def lc_small():
+    from repro.experiments.workloads import build_workload
+
+    return build_workload("LC", scale=0.01)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_truncation_matches_kernel(engine, lc_small, tmp_path):
+    """A non-strict node budget stops every engine at the same node.
+
+    The walker ticks the budget once per visited node in serial
+    depth-first order, so a mine cut after ``k`` nodes has admitted
+    exactly the groups whose subtrees completed by then — the same
+    groups, the same ``truncated`` flag and the same node count under
+    every engine.  No full mine pins the tick order; this does.
+    """
+    from repro.core.constraints import Constraints
+    from repro.core.enumeration import SearchBudget
+    from repro.core.farmer import Farmer
+
+    def mine(name, k):
+        return Farmer(
+            constraints=Constraints(minsup=11),
+            engine=name,
+            budget=SearchBudget(max_nodes=k, strict=False),
+        ).mine(lc_small.data, lc_small.consequent)
+
+    for k in TRUNCATION_BUDGETS:
+        kernel = mine("kernel", k)
+        other = mine(engine, k)
+        assert kernel.truncated and kernel.counters.nodes == k + 1, k
+        assert other.truncated == kernel.truncated, (engine, k)
+        assert other.counters.nodes == kernel.counters.nodes, (engine, k)
+        assert irgs_bytes(other, tmp_path, f"t-{engine}-{k}") == irgs_bytes(
+            kernel, tmp_path, f"t-kernel-{k}"
+        ), (engine, k)

@@ -130,6 +130,19 @@ class TestPurityRule:
         )
         assert result.findings == []
 
+    def test_stale_root_is_reported(self, tmp_path):
+        """A pinned root whose module survives but whose function is gone
+        is a finding, not a silently smaller gate."""
+        result = lint_fixture(
+            "purity_stale", tmp_path, rules=[HotPathPurityRule()]
+        )
+        assert len(result.findings) == 1
+        (finding,) = result.findings
+        assert finding.rule_id == "FRM011"
+        assert finding.path == "repro/core/farmer.py"
+        assert "core/farmer.py::enumerate_frontier" in finding.message
+        assert "no longer resolves" in finding.message
+
 
 class TestFixtureHygiene:
     @pytest.mark.parametrize(
@@ -142,6 +155,7 @@ class TestFixtureHygiene:
             ("proto_ok", 0),
             ("purity_impure", 2),
             ("purity_pure", 0),
+            ("purity_stale", 1),
         ],
     )
     def test_fixtures_clean_under_full_rule_set(self, tmp_path, name, n_expected):

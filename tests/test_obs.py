@@ -17,9 +17,12 @@ from conftest import random_dataset
 
 from repro import Constraints, Farmer, mine_irgs
 from repro.cli import main
+from repro.core.enumeration import SearchBudget
+from repro.core.farmer import _PROGRESS_QUANTUM
 from repro.core.parallel import shutdown_workers
 from repro.core.serialize import save_rule_groups
 from repro.errors import DataError, UsageError
+from repro.experiments.workloads import build_workload
 from repro.obs import (
     MetricsRegistry,
     MetricsSnapshot,
@@ -333,6 +336,35 @@ class TestProgress:
         reporter.update("search", nodes=1, rate=1.0, force=True)
         reporter.update("search", nodes=2, rate=1.0)  # within interval
         assert stream.getvalue().count("nodes") == 1
+
+    def test_serial_counters_move_mid_mine(self):
+        """A live snapshot taken inside the largest root subtree sees
+        the nodes walked so far (to within one progress quantum), and
+        never more pruned nodes than visited ones."""
+        workload = build_workload("LC", scale=0.02)
+        telemetry = Telemetry()
+        samples = []
+
+        class PollingBudget(SearchBudget):
+            # Every 500th node, read the snapshot a `farmer serve`
+            # job-status request would, next to the true tick count.
+            def tick(self):
+                super().tick()
+                if self.nodes % 500 == 0:
+                    samples.append((self.nodes, telemetry.sample()))
+
+        result = Farmer(
+            constraints=Constraints(minsup=5),
+            budget=PollingBudget(max_nodes=10**9),
+            telemetry=telemetry,
+        ).mine(workload.data, workload.consequent)
+        assert result.counters.nodes > 4 * _PROGRESS_QUANTUM
+        for ticked, snapshot in samples:
+            assert snapshot is not None
+            assert 0 < snapshot["nodes"] <= ticked
+            assert ticked - snapshot["nodes"] < _PROGRESS_QUANTUM
+            assert snapshot["pruned"] <= snapshot["nodes"]
+        assert samples[-1][1]["nodes"] <= result.counters.nodes
 
 
 # ----------------------------------------------------------------------

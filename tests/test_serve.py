@@ -726,3 +726,41 @@ class TestDocsIndex:
         assert "farmer serve" in readme
         assert "docs/serve.md" in readme
         assert "docs/index.md" in readme
+
+
+class TestNoRecursionLimit:
+    """Serve job threads share one interpreter, so a mining path that
+    saved and restored the process-wide recursion limit could restore
+    another job's value mid-mine.  The row-enumeration walk keeps an
+    explicit stack, so no mining path may touch the limit at all."""
+
+    def test_mines_never_set_the_recursion_limit(self, tmp_path, monkeypatch):
+        import sys
+
+        from conftest import random_dataset
+        from repro.core.parallel import shutdown_workers
+
+        def forbidden(limit):
+            raise AssertionError(f"mining set the recursion limit to {limit}")
+
+        data = random_dataset(3, max_rows=9)
+        reference_path = tmp_path / "reference.irgs"
+        save_rule_groups(reference_path, mine_irgs(data, "C", minsup=1).groups)
+        shutdown_workers()  # fork fresh workers under the patch
+        monkeypatch.setattr(sys, "setrecursionlimit", forbidden)
+        cache = str(tmp_path / "warm")
+        runs = {
+            "serial": mine_irgs(data, "C", minsup=1),
+            "sharded": mine_irgs(data, "C", minsup=1, n_workers=2),
+            "steal": mine_irgs(
+                data, "C", minsup=1, n_workers=2, steal=True, steal_quantum=2
+            ),
+            "capture": mine_irgs(data, "C", minsup=2, warm_cache=cache),
+            "loosen": mine_irgs(data, "C", minsup=1, warm_cache=cache),
+        }
+        shutdown_workers()
+        del runs["capture"]  # mined at minsup=2; it only seeds the cache
+        for tag, result in runs.items():
+            path = tmp_path / f"{tag}.irgs"
+            save_rule_groups(path, result.groups)
+            assert path.read_bytes() == reference_path.read_bytes(), tag
