@@ -41,10 +41,14 @@ exact ``.irgs`` bytes (fatal, serial and sharded), and its steady-state
 aggregate speedup over cold mining must be at least
 ``REMINE_MIN_SPEEDUP`` when refreshing, ``REMINE_SPEEDUP_FLOOR`` in
 ``--check`` (the floor is checked directly, no tolerance — the warm
-path carries ~3x headroom over it).  One *loosening* re-mine is also
-pinned: its resumed node count is recorded exactly and must never
-exceed the cold mine's node count, byte-identity again fatal for the
-serial and the sharded resume.
+path carries ~3x headroom over it).  A warm answer that is not a
+filter is a capture: the first mine at the base point and one
+*loosening* re-mine below it.  Both must cost no more than
+``REMINE_MAX_CAPTURE_RATIO`` times the best-of-N cold mine at the same
+minsup (best-of-N each, warm and cold rounds alternating, checked in
+``--check``); the loosening must expand exactly the cold mine's nodes
+and, serial and with ``n_workers=2`` (which a warm answer ignores),
+serialize the cold mine's bytes.
 
 ``--check`` recomputes the pins, re-measures the speedup and fails if
 the aggregate speedup falls below ``min_speedup * tolerance`` — the
@@ -131,13 +135,16 @@ STEAL_MIN_TAIL_IMPROVEMENT = 1.3
 #: speedup is steady-state (the one-time entry decode is primed out of
 #: the timing; an interactive session pays it once), committed at
 #: ``REMINE_MIN_SPEEDUP`` and gated at ``REMINE_SPEEDUP_FLOOR`` with no
-#: extra tolerance.  The loosening re-mine resumes below the base
-#: capture and has its resumed node count pinned exactly.
+#: extra tolerance.  The loosening re-mine below the base point is a
+#: fresh capture; it and the base capture must each stay within
+#: ``REMINE_MAX_CAPTURE_RATIO`` of a cold mine at the same minsup (the
+#: entry write is the only work a capture adds).
 REMINE_BASE_MINSUP = 9
 REMINE_TIGHTEN_SWEEP = (10, 11, 12, 14)
 REMINE_LOOSEN_MINSUP = 8
 REMINE_MIN_SPEEDUP = 10.0
 REMINE_SPEEDUP_FLOOR = 5.0
+REMINE_MAX_CAPTURE_RATIO = 1.5
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_core.json"
 
@@ -398,10 +405,11 @@ def run_steal_sweep(rounds: int, tmp_dir: Path) -> dict:
 def run_remine_sweep(rounds: int, tmp_dir: Path) -> dict:
     """The warm re-mining sweep (see module docstring).
 
-    Captures the frontier once at ``REMINE_BASE_MINSUP``, answers every
+    Captures the frontier at ``REMINE_BASE_MINSUP`` (best of ``rounds``
+    captures into fresh directories), answers every
     ``REMINE_TIGHTEN_SWEEP`` point warm (zero enumeration, byte-identity
-    fatal, serial and sharded), then runs one loosening resume below the
-    base with its node count recorded for the exact pin.
+    fatal, serial and with workers), then times the loosening capture
+    below the base the same way.
     """
     import shutil
 
@@ -409,7 +417,6 @@ def run_remine_sweep(rounds: int, tmp_dir: Path) -> dict:
 
     workload = build_workload(DATASET, scale=SCALE)
     table = TransposedTable.build(workload.data, workload.consequent)
-    pristine = tmp_dir / "remine-pristine"
 
     def warm_mine(minsup: int, cache: Path, n_workers=None):
         miner = Farmer(
@@ -419,12 +426,32 @@ def run_remine_sweep(rounds: int, tmp_dir: Path) -> dict:
         )
         return miner.mine_table(table)
 
-    start = time.perf_counter()
-    warm_mine(REMINE_BASE_MINSUP, pristine)
-    capture_seconds = time.perf_counter() - start
+    def best_capture(minsup: int, tag: str, seed: "Path | None" = None):
+        """Best-of-``rounds`` seconds of a warm capture, each into a
+        fresh copy of ``seed`` (or an empty cache), and of a cold mine
+        at the same minsup, the two alternating so that drift in the
+        host's speed hits both alike.  Returns ``(capture_seconds,
+        cold_seconds, capture_result, cold_result, last_cache)``."""
+        capture_s = cold_s = float("inf")
+        captured = cold = cache = None
+        for round_index in range(rounds):
+            begin = time.perf_counter()
+            cold = _mine_prebuilt(table, minsup, "kernel")
+            cold_s = min(cold_s, time.perf_counter() - begin)
+            cache = tmp_dir / f"remine-{tag}-{round_index}"
+            if seed is not None:
+                shutil.copytree(seed, cache)
+            begin = time.perf_counter()
+            captured = warm_mine(minsup, cache)
+            capture_s = min(capture_s, time.perf_counter() - begin)
+        return capture_s, cold_s, captured, cold, cache
+
+    capture_s, base_cold_s, _captured, _cold, pristine = best_capture(
+        REMINE_BASE_MINSUP, "capture"
+    )
 
     # Steady-state timing: the first warm query against an entry pays
-    # the one-time decode + index build; prime it out of the loop.
+    # the one-time decode; prime it out of the loop.
     warm_mine(REMINE_TIGHTEN_SWEEP[0], pristine)
 
     points = []
@@ -454,7 +481,7 @@ def run_remine_sweep(rounds: int, tmp_dir: Path) -> dict:
         sharded = warm_mine(minsup, pristine, n_workers=2)
         if _irgs_sha256(sharded, tmp_dir, f"remine-wsh-{minsup}") != cold_sha:
             raise SystemExit(
-                f"FATAL: sharded warm tighten diverges from cold at "
+                f"FATAL: warm tighten with workers diverges from cold at "
                 f"minsup={minsup}"
             )
         cold_total += cold_s
@@ -470,33 +497,21 @@ def run_remine_sweep(rounds: int, tmp_dir: Path) -> dict:
             }
         )
 
-    cold_s, cold = _best_of_prebuilt(
-        table, REMINE_LOOSEN_MINSUP, "kernel", rounds
+    loosen_s, cold_s, loosened, cold, _cache = best_capture(
+        REMINE_LOOSEN_MINSUP, "loosen", seed=pristine
     )
     cold_sha = _irgs_sha256(cold, tmp_dir, "remine-loosen-cold")
-    serial_cache = tmp_dir / "remine-loosen-serial"
-    shutil.copytree(pristine, serial_cache)
-    begin = time.perf_counter()
-    resumed = warm_mine(REMINE_LOOSEN_MINSUP, serial_cache)
-    resume_s = time.perf_counter() - begin
-    if _irgs_sha256(resumed, tmp_dir, "remine-loosen-warm") != cold_sha:
+    if _irgs_sha256(loosened, tmp_dir, "remine-loosen-warm") != cold_sha:
         raise SystemExit(
-            "FATAL: loosening resume diverges from cold at "
+            "FATAL: loosening capture diverges from cold at "
             f"minsup={REMINE_LOOSEN_MINSUP}"
-        )
-    if resumed.counters.nodes > cold.counters.nodes:
-        raise SystemExit(
-            f"FATAL: loosening resume expanded {resumed.counters.nodes} "
-            f"nodes, more than the {cold.counters.nodes} a cold mine "
-            "needs — the frontier is not saving work"
         )
     sharded_cache = tmp_dir / "remine-loosen-sharded"
     shutil.copytree(pristine, sharded_cache)
     sharded = warm_mine(REMINE_LOOSEN_MINSUP, sharded_cache, n_workers=2)
-    shutdown_workers()
     if _irgs_sha256(sharded, tmp_dir, "remine-loosen-wsh") != cold_sha:
         raise SystemExit(
-            "FATAL: sharded loosening resume diverges from cold at "
+            "FATAL: loosening capture with workers diverges from cold at "
             f"minsup={REMINE_LOOSEN_MINSUP}"
         )
 
@@ -505,22 +520,40 @@ def run_remine_sweep(rounds: int, tmp_dir: Path) -> dict:
         "scale": SCALE,
         "rounds": rounds,
         "base_minsup": REMINE_BASE_MINSUP,
-        "capture_seconds": round(capture_seconds, 4),
+        "capture_seconds": round(capture_s, 4),
+        "capture_cold_seconds": round(base_cold_s, 4),
+        "max_capture_ratio": REMINE_MAX_CAPTURE_RATIO,
         "min_speedup": REMINE_MIN_SPEEDUP,
         "speedup_floor": REMINE_SPEEDUP_FLOOR,
         "aggregate_speedup": round(cold_total / warm_total, 3),
         "points": points,
         "loosen": {
             "minsup": REMINE_LOOSEN_MINSUP,
-            "groups": len(resumed.groups),
+            "groups": len(loosened.groups),
             "irgs_sha256": cold_sha,
             "cold_nodes": cold.counters.nodes,
-            "resume_nodes": resumed.counters.nodes,
-            "sharded_resume_nodes": sharded.counters.nodes,
+            "loosen_nodes": loosened.counters.nodes,
             "cold_seconds": round(cold_s, 4),
-            "resume_seconds": round(resume_s, 4),
+            "loosen_seconds": round(loosen_s, 4),
         },
     }
+
+
+def _capture_failures(payload: dict, ratio: float) -> list[str]:
+    """The remine wall-time failures: a capture (the base one or the
+    loosening) slower than ``ratio`` times its cold mine."""
+    loosen = payload["loosen"]
+    failures = []
+    for what, warm_s, cold_s in (
+        ("capture", payload["capture_seconds"], payload["capture_cold_seconds"]),
+        ("loosen", loosen["loosen_seconds"], loosen["cold_seconds"]),
+    ):
+        if warm_s > ratio * cold_s:
+            failures.append(
+                f"remine: {what} took {warm_s}s, more than {ratio}x the "
+                f"{cold_s}s cold mine"
+            )
+    return failures
 
 
 def check_remine(payload: dict, baseline: dict) -> list[str]:
@@ -540,19 +573,21 @@ def check_remine(payload: dict, baseline: dict) -> list[str]:
                     f"remine: minsup={pinned['minsup']}: {pin} drifted "
                     f"({point[pin]!r} != pinned {pinned[pin]!r})"
                 )
-    for pin in (
-        "groups",
-        "irgs_sha256",
-        "cold_nodes",
-        "resume_nodes",
-        "sharded_resume_nodes",
-    ):
-        if payload["loosen"][pin] != baseline["loosen"][pin]:
+    loosen = payload["loosen"]
+    for pin in ("groups", "irgs_sha256", "cold_nodes"):
+        if loosen[pin] != baseline["loosen"][pin]:
             failures.append(
                 f"remine: loosen: {pin} drifted "
-                f"({payload['loosen'][pin]!r} != pinned "
-                f"{baseline['loosen'][pin]!r})"
+                f"({loosen[pin]!r} != pinned {baseline['loosen'][pin]!r})"
             )
+    if loosen["loosen_nodes"] != loosen["cold_nodes"]:
+        failures.append(
+            f"remine: loosen: expanded {loosen['loosen_nodes']} nodes, "
+            f"not the cold mine's {loosen['cold_nodes']}"
+        )
+    failures.extend(
+        _capture_failures(payload, baseline["max_capture_ratio"])
+    )
     floor = baseline["speedup_floor"]
     if payload["aggregate_speedup"] < floor:
         failures.append(
@@ -781,13 +816,18 @@ def main(argv: list[str] | None = None) -> int:
             f"warm={point['warm_seconds'] * 1000:.2f}ms  "
             f"speedup={point['speedup']:.0f}x"
         )
+    print(
+        f"remine capture minsup={remine_payload['base_minsup']:>3}  "
+        f"cold={remine_payload['capture_cold_seconds']:.4f}s  "
+        f"capture={remine_payload['capture_seconds']:.4f}s"
+    )
     loosen = remine_payload["loosen"]
     print(
         f"remine loosen minsup={loosen['minsup']:>3}  "
-        f"resume nodes={loosen['resume_nodes']} "
+        f"nodes={loosen['loosen_nodes']} "
         f"(cold {loosen['cold_nodes']})  "
         f"cold={loosen['cold_seconds']:.4f}s  "
-        f"resume={loosen['resume_seconds']:.4f}s"
+        f"loosen={loosen['loosen_seconds']:.4f}s"
     )
     print(
         f"remine aggregate warm speedup: "
@@ -844,6 +884,16 @@ def main(argv: list[str] | None = None) -> int:
                 f"REFUSING to commit a remine baseline below "
                 f"{REMINE_MIN_SPEEDUP}x warm speedup — run on a quieter "
                 "machine or fix the frontier cache first",
+                file=sys.stderr,
+            )
+            return 1
+        slow_captures = _capture_failures(
+            remine_payload, REMINE_MAX_CAPTURE_RATIO
+        )
+        if slow_captures:
+            print(
+                "REFUSING to commit a remine baseline: "
+                + "; ".join(slow_captures),
                 file=sys.stderr,
             )
             return 1

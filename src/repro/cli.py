@@ -154,8 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--warm-cache",
         metavar="DIR",
         help="answer through the frontier cache in this directory "
-        "(captures on a miss, filters or resumes on a hit; output stays "
-        "byte-identical to a cold mine — see docs/performance.md)",
+        "(filters an entry captured at looser or equal constraints with "
+        "no enumeration, otherwise mines serially and adds an entry; "
+        "--workers/--steal are ignored; output stays byte-identical to "
+        "a cold mine — see docs/performance.md)",
     )
 
     remine = sub.add_parser(
@@ -163,11 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-mine under changed constraints through a frontier cache",
         description="Warm re-mine: answer a mine from the frontier cache "
         "written by earlier 'farmer mine --warm-cache DIR' (or 'farmer "
-        "remine') runs on the same dataset.  Tightened constraints are "
-        "answered by filtering the cached candidate sequence with zero "
-        "enumeration; loosened constraints resume enumeration only from "
-        "the recorded pruned frontier.  Output is byte-identical to a "
-        "cold mine.",
+        "remine') runs on the same dataset.  Constraints no looser than "
+        "a cached entry's are answered by filtering its recorded "
+        "evaluation sequence with zero enumeration; any other query "
+        "mines serially once and adds an entry for later filters.  "
+        "Output is byte-identical to a cold mine.",
     )
     _add_dataset_arguments(remine)
     remine.add_argument("--consequent", help="class label on the rule RHS "
@@ -184,31 +186,29 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="shard a frontier resume across N worker processes "
-        "(identical output to serial; default: serial)",
+        help="ignored: warm answers never shard (accepted so 'farmer "
+        "mine' command lines work unchanged; must still be positive)",
     )
     remine.add_argument(
         "--steal",
         action=argparse.BooleanOptionalAction,
         default=False,
-        help="schedule resumed frontier shards with the work-stealing "
-        "scheduler (default: --no-steal)",
+        help="ignored: warm answers never shard (default: --no-steal)",
     )
     remine.add_argument(
         "--steal-quantum",
         type=int,
         default=None,
         metavar="NODES",
-        help="nodes a stealing worker expands before donating its "
-        "frontier (default: 4096)",
+        help="ignored: warm answers never shard",
     )
     remine.add_argument(
         "--engine",
         choices=sorted(ENGINES),
         default=None,
         metavar="NAME",
-        help="enumeration engine; cache entries are engine-invariant, so "
-        "any engine can resume any entry. "
+        help="enumeration engine for captures; cache entries are "
+        "engine-invariant, so any engine can answer from any entry. "
         f"Default honors ${ENGINE_ENV} when set.",
     )
     remine.add_argument("--save", help="persist the groups to this .irgs file")

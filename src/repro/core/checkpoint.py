@@ -59,8 +59,55 @@ __all__ = [
     "TaskRecord",
     "CheckpointState",
     "Checkpointer",
+    "candidate_from_row",
+    "candidate_row",
     "run_fingerprint",
 ]
+
+
+def candidate_row(candidate: Candidate) -> list:
+    """One candidate as the persisted ``[item_ids, supp, supn, row_mask]`` row.
+
+    Item ids travel as a list, never as the item bitmask: a mask over a
+    paper-sized item universe (tens of thousands of items) passes
+    Python's int-to-text digit limit, while an id list only grows with
+    the antecedent.  Checkpoints and frontier entries
+    (:mod:`repro.core.frontier`) share this codec.
+    """
+    return [
+        list(candidate.item_ids),
+        candidate.supp,
+        candidate.supn,
+        candidate.row_mask,
+    ]
+
+
+def candidate_from_row(row: object, where: str) -> Candidate:
+    """The :class:`Candidate` of one :func:`candidate_row` row.
+
+    Args:
+        row: the decoded JSON value.
+        where: what holds the row, for the error message.
+
+    Returns:
+        The candidate, its item bitmask rebuilt from the id list.
+
+    Raises:
+        DataError: the row is not four fields, a count is not an int
+            (bools included), or an item id is not a non-negative int.
+    """
+    if not isinstance(row, list) or len(row) != 4 or not isinstance(row[0], list):
+        raise DataError(f"{where}: malformed candidate")
+    item_ids, supp, supn, row_mask = row
+    item_mask = 0
+    for value in item_ids:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise DataError(f"{where}: malformed candidate item id")
+        item_mask |= 1 << value
+    for value in (supp, supn, row_mask):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DataError(f"{where}: malformed candidate count")
+    return Candidate(tuple(item_ids), item_mask, supp, supn, row_mask)
 
 
 def run_fingerprint(
@@ -148,10 +195,7 @@ class TaskRecord:
         """This record as a JSON-able dict (canonical field order)."""
         return {
             "task": self.index,
-            "candidates": [
-                [list(c.item_ids), c.supp, c.supn, c.row_mask]
-                for c in self.candidates
-            ],
+            "candidates": [candidate_row(c) for c in self.candidates],
             "counters": {
                 spec.name: getattr(self.counters, spec.name)
                 for spec in fields(NodeCounters)
@@ -183,29 +227,10 @@ class TaskRecord:
             or steals < 0
         ):
             raise DataError(f"checkpoint task {index}: malformed record")
-        candidates: list[Candidate] = []
-        for entry in raw_candidates:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 4
-                or not isinstance(entry[0], list)
-                or not all(isinstance(v, int) for v in entry[1:])
-                or not all(isinstance(v, int) for v in entry[0])
-            ):
-                raise DataError(
-                    f"checkpoint task {index}: malformed candidate {entry!r}"
-                )
-            item_ids, supp, supn, row_mask = entry
-            item_mask = 0
-            for item_id in item_ids:
-                if item_id < 0:
-                    raise DataError(
-                        f"checkpoint task {index}: negative item id"
-                    )
-                item_mask |= 1 << item_id
-            candidates.append(
-                Candidate(tuple(item_ids), item_mask, supp, supn, row_mask)
-            )
+        candidates = [
+            candidate_from_row(entry, f"checkpoint task {index}")
+            for entry in raw_candidates
+        ]
         if not isinstance(raw_counters, dict):
             raise DataError(f"checkpoint task {index}: malformed counters")
         counters = NodeCounters()

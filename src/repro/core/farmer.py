@@ -267,13 +267,6 @@ class SearchContext:
     observed run can report how far the early-exiting scans walk.  It
     never changes the mined output, and the disabled cost is one boolean
     check on the minority of nodes that survive the loose bounds.
-
-    ``record`` switches Step 7 into frontier-capture mode: every
-    explored node with a non-empty antecedent support returns its
-    :class:`Candidate` even when the run's constraints reject it, so
-    :mod:`repro.core.frontier` can persist the full evaluation sequence
-    and re-filter it under tightened constraints later.  The traversal
-    itself (prunings, children, counters) is unchanged.
     """
 
     constraints: Constraints
@@ -286,7 +279,6 @@ class SearchContext:
     use_p3: bool
     engine: str = "kernel"
     observe: bool = False
-    record: bool = False
 
     @classmethod
     def for_table(
@@ -503,13 +495,12 @@ def enumerate_frontier(
     tick: Callable[[], None] | None = None,
     cache: KernelCache | None = None,
     *,
-    on_pruned: Callable[[NodeState], None] | None = None,
     observer=None,
 ) -> list[tuple[str, NodeState | Candidate]] | None:
     """``MineIRGs`` (Figure 5): the one depth-first row-enumeration walk.
 
     Every mine runs through here — serial, sharded (each shard part),
-    decomposition, frontier capture and resume.  The walk enumerates an
+    decomposition and warm-cache capture.  The walk enumerates an
     ordered frontier: a list of ``(tag, payload)`` units where
     :data:`FRONTIER_STATE` carries an unexplored subtree root and
     :data:`FRONTIER_CAND` a pending candidate whose children were
@@ -545,8 +536,9 @@ def enumerate_frontier(
             preempted call.
         counters: mutated in place with node and pruning statistics.
         sink: receives each candidate as its subtree completes, in
-            discovery order — a list to append to, or a callable (the
-            serial miner's Step-7 admission, the capture recorder).
+            discovery order — a list to append to (shard parts, the
+            warm-cache capture), or a callable (the serial miner's
+            Step-7 admission).
         quantum: nodes visited before preemption (values below one
             still visit one node, so every call makes progress);
             ``None`` never preempts.  Pending candidates are always
@@ -559,9 +551,6 @@ def enumerate_frontier(
             :class:`~repro.errors.BudgetExceeded`.
         cache: kernel memo cache for this walk; ``None`` creates one
             scoped to the call.  The reference engine ignores it.
-        on_pruned: called with the :class:`NodeState` of every node cut
-            by a Pruning-3 bound (loose or tight), at its position in
-            the walk — the frontier capture's resume points.
         observer: optional node observer with ``enter(state)`` (every
             visited node, before its tick) and ``leave(outcome)`` (one
             of ``"explored"``, ``"pruned:loose"``, ``"pruned:tight"``,
@@ -591,13 +580,11 @@ def enumerate_frontier(
     n = ctx.n
     m = ctx.m
     positive_mask = ctx.positive_mask
-    record = ctx.record
     observe = ctx.observe
     eager = ctx.engine == "reference"
-    hooked = on_pruned is not None or observer is not None
-    # Per-node work only some walks do: hooks, a budget tick, or the
-    # reference engine's eager tables.
-    slow = hooked or tick is not None or eager
+    # Per-node work only some walks do: an observer, a budget tick, or
+    # the reference engine's eager tables.
+    slow = observer is not None or tick is not None or eager
     limit = _UNBOUNDED if quantum is None else max(1, quantum)
     pending = list(units)
     pending.reverse()
@@ -654,7 +641,7 @@ def enumerate_frontier(
                     node_supn = supn if inter & row_bit else supn + 1
                     positive = False
                     bound = node_supp
-                if hooked:
+                if observer is not None:
                     state = _child_state(
                         table, x_mask, new_pos, new_neg, p1, supp, supn,
                         inter, row_bit, m,
@@ -697,11 +684,8 @@ def enumerate_frontier(
                 )
             ):
                 loose += 1
-                if hooked:
-                    if on_pruned is not None:
-                        on_pruned(state)
-                    if observer is not None:
-                        observer.leave("pruned:loose")
+                if observer is not None:
+                    observer.leave("pruned:loose")
                 continue
             if active:
                 node_x = x_mask | row_bit
@@ -760,8 +744,6 @@ def enumerate_frontier(
                     )
                 ):
                     tight_pruned += 1
-                    if on_pruned is not None:
-                        on_pruned(state)
                     if observer is not None:
                         observer.leave("pruned:tight")
                     continue
@@ -781,12 +763,10 @@ def enumerate_frontier(
                 child_p1 = node_p1
 
             # Step 7, threshold half — the candidate upper bound
-            # I(X) -> C, emitted once the subtree is done.  Capture mode
-            # keeps failing evaluations too (zero-support ones can never
-            # satisfy any constraints, so they stay dropped).
+            # I(X) -> C, emitted once the subtree is done.
             if cache.satisfies(
                 constraints, total_supp, total_supn, n, m, counters
-            ) or (record and total_supp + total_supn > 0):
+            ):
                 node_candidate = Candidate(
                     tuple(node_table.item_ids),
                     node_table.ids_mask,
@@ -1031,12 +1011,12 @@ class Farmer:
             (:mod:`repro.core.frontier`).  When set, a mine first
             consults the cache: an entry whose constraints are no looser
             answers by filtering its recorded evaluation sequence with
-            zero enumeration; otherwise enumeration resumes from the
-            entry's pruned frontier nodes only.  A miss mines cold
-            (serially, in capture mode) and populates the cache.  The
-            mined output is byte-identical to a cold mine either way.
-            Incompatible with ``checkpoint``/``resume`` and with
-            ``max_nodes`` budgets.
+            zero enumeration; anything else mines cold (serially) and
+            adds an entry.  The mined output is
+            byte-identical to a cold mine either way.  Warm answers
+            never shard, so ``n_workers``, ``steal`` and
+            ``steal_quantum`` are ignored.  Incompatible with
+            ``checkpoint``/``resume`` and with ``max_nodes`` budgets.
         telemetry: optional :class:`~repro.obs.telemetry.Telemetry` to
             observe the run — phase timers, run-log events, live
             progress.  ``None`` (default) disables telemetry entirely.
@@ -1174,9 +1154,7 @@ class Farmer:
             if warm:
                 from .frontier import warm_mine_table
 
-                store, counters, truncated, report = warm_mine_table(
-                    self, table
-                )
+                store, counters, truncated = warm_mine_table(self, table)
             elif sharded:
                 from .parallel import mine_table_parallel
 
@@ -1441,7 +1419,7 @@ def mine_irgs(
             disables instrumentation entirely.
         warm_cache: frontier-cache directory for warm re-mining (see
             :class:`Farmer`); the warm answer is byte-identical to a
-            cold mine.
+            cold mine and never shards.
 
     Returns:
         The :class:`FarmerResult` of the configured :class:`Farmer`.

@@ -1,64 +1,62 @@
-"""Warm re-mining: a persistent frontier cache for constraint changes.
+"""Warm re-mining: a persistent evaluation cache for constraint changes.
 
 FARMER users explore interactively — nudge ``minsup``/``minconf``/
 ``minchi`` and look at the rule groups again — but a cold mine restarts
-row enumeration from the root every time.  This module makes the second
-mine reuse the first one while keeping the answer **byte-identical to a
-cold mine**:
+row enumeration from the root every time.  This module makes a tighter
+re-mine reuse an earlier one while keeping the answer **byte-identical
+to a cold mine**:
 
-* After a cache-miss mine the full *evaluation sequence* — the Step-7
-  candidate of every explored node, satisfying or not, in Lemma-3.4
-  discovery order — is captured together with the *pruned frontier*:
-  the :class:`~repro.core.farmer.NodeState` of every node cut by the
-  Pruning-3 bounds, at its exact position in the traversal.  (Pruning-2
-  cuts are constraint-independent, so their subtrees stay pruned under
-  any constraints and are never recorded.)
-* The captured entry is persisted through the checksummed
+* A cache-miss mine runs the ordinary serial walk and keeps its
+  *evaluation sequence*: the Step-7 candidate
+  ``[item_ids, supp, supn, row_mask]`` of every explored node that
+  meets the capture's thresholds, in Lemma-3.4 discovery order, before
+  the interestingness check.  Nothing else is kept — no conditional
+  table, no pruned node.
+* The entry is persisted through the checksummed, fsync'd
   :mod:`repro.core.serialize` envelope, keyed by a dataset fingerprint
-  plus a constraint key.  Conditional tables are serialized in one
-  canonical item order (support descending, item id ascending), so
-  entry bytes are engine-invariant and an entry captured under one
-  engine resumes under any other.
-* A later mine consults the **constraint-delta planner**:
+  plus a constraint key.  Item ids are stored as ascending lists (the
+  candidate codec :mod:`repro.core.checkpoint` uses), never as item
+  bitmasks, so entries stay encodable at any item count and their bytes
+  are identical whichever engine captured them.
+* A later mine consults the planner, which has two answers:
 
-  - *no constraint loosened* — the requested thresholds prune a subtree
-    of the captured tree, so the answer is the captured evaluations
-    re-filtered through
+  - *a covering entry* (no knob looser than the entry's) — the
+    requested thresholds explore a subtree of the captured tree, so the
+    answer is the captured evaluations re-filtered through
     :meth:`~repro.core.constraints.Constraints.satisfied_by` and
     replayed through Step-7 admission, with **zero enumeration**;
-  - *some constraint loosened* — enumeration resumes **only** from the
-    recorded pruned-frontier nodes (serially in capture mode, growing
-    the cache, or sharded across workers and the steal scheduler like
-    any other subtree list) and the results are spliced into the cached
-    sequence at the pruned nodes' recorded positions;
-  - *nothing cached* — a cold serial mine runs in capture mode and
-    populates the cache.
+  - *anything else* (no entry, or every entry has a looser-than-cached
+    knob) — a serial capture at the requested constraints, which
+    answers the query and adds one more entry.
 
 Correctness rests on two facts.  First, the enumeration tree's shape —
 children, Pruning-1 compression, Pruning-2 cuts — and the Pruning-3
 bound *values* are constraint-independent; constraints only decide
 where bounds fire.  Tightening therefore shrinks the explored tree, so
-every node explored under the tighter constraints was already captured.
-Second, the bounds are sound: a node pruned under the requested
-constraints has no satisfying descendant, so a resumed subtree below a
-would-be-pruned ancestor contributes nothing and a cached evaluation
-below one fails the filter — spliced output equals the cold traversal
-even for mixed (tighten one knob, loosen another) deltas.
+every node explored under the tighter constraints was already explored
+by the capture, in the same relative order.  Second, the thresholds
+are monotone: a candidate that meets the tighter thresholds met the
+capture's, so it is in the entry, and one that failed the capture's
+can never be needed.
+
+A loosened query is a capture, at about a cold mine's cost.  Resuming
+below the captured tree's bound-pruned nodes instead would mean storing
+every one of them — 85-95% of the tree, each with its conditional
+table — and measured slower than the cold mine it saves
+(``docs/performance.md``).
 
 Warm results differ from cold ones only in the reported search
-*counters* (a filter-only answer expands zero nodes; a resume expands
-just the frontier subtrees); the groups, their order, and the saved
-``.irgs`` bytes are identical, which the property suite and the perf
-gate pin.
+*counters* (a filter-only answer expands zero nodes); the groups, their
+order, and the saved ``.irgs`` bytes are identical, which the property
+suite and the perf gate pin.  A warm answer never shards: captures walk
+serially and filters do no enumeration, so ``n_workers`` and ``steal``
+are ignored.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
-import time
 from contextlib import nullcontext
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -70,24 +68,21 @@ from ..errors import (
     ReproError,
     UsageError,
 )
-from . import bitset
+from .checkpoint import candidate_from_row, candidate_row
 from .constraints import Constraints
-from .enumeration import NodeCounters, merge_counters, scan_items
+from .enumeration import NodeCounters
 from .farmer import (
-    FRONTIER_CAND,
     FRONTIER_STATE,
     Candidate,
-    NodeState,
     SearchContext,
     _IRGStore,
     enumerate_frontier,
 )
-from .kernel import CondTable, CondTableProtocol, KernelCache
+from .kernel import KernelCache
 from .serialize import canonical_json, load_checkpoint, save_checkpoint
 
 if TYPE_CHECKING:
     from .farmer import Farmer
-    from .parallel import ParallelReport
 
 __all__ = [
     "FRONTIER_KIND",
@@ -101,22 +96,15 @@ __all__ = [
 
 #: Payload tag of one persisted frontier entry (inside the checkpoint
 #: envelope of :mod:`repro.core.serialize`); bump on layout changes.
-FRONTIER_KIND = "repro-frontier/1"
+#: The tag is hashed into every entry's file name, so entries of another
+#: layout sit beside the current ones and are skipped, never misread.
+FRONTIER_KIND = "repro-frontier/2"
 
 #: Filename suffix of persisted frontier entries.
 FRONTIER_SUFFIX = ".frontier"
 
-#: Unit tag: one explored node's Step-7 evaluation (an EVAL unit).
-_EVAL = "e"
-
-#: Unit tag: one bound-pruned node, resumable from its stored state.
-_PRUNED = "p"
-
 #: The integer counts every entry's ``stats`` block carries.
-_STATS_FIELDS = ("evals", "pruned", "nodes", "frontier_weight")
-
-#: In-memory unit: ``(_EVAL, Candidate)`` or ``(_PRUNED, NodeState)``.
-_Unit = "tuple[str, Candidate | NodeState]"
+_STATS_FIELDS = ("evals", "nodes")
 
 
 # ----------------------------------------------------------------------
@@ -152,8 +140,14 @@ def frontier_fingerprint(table: TransposedTable, prunings: Sequence[str]) -> str
 
 
 def _constraints_key(constraints: Constraints) -> str:
-    """The cache key's constraint half (hex digest of the thresholds)."""
-    payload = [constraints.minsup, constraints.minconf, constraints.minchi]
+    """The cache key's constraint half (hex digest of the entry layout
+    tag and the thresholds)."""
+    payload = [
+        FRONTIER_KIND,
+        constraints.minsup,
+        constraints.minconf,
+        constraints.minchi,
+    ]
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
@@ -179,147 +173,24 @@ def entry_path(
 
 
 # ----------------------------------------------------------------------
-# Capture
+# Entry serialization
 # ----------------------------------------------------------------------
-
-
-def _record(ctx, units, counters, budget, out) -> None:
-    """Walk frontier ``units`` in capture mode, appending to ``out``.
-
-    Runs :func:`~repro.core.farmer.enumerate_frontier` under a
-    ``record=True`` context, so *every* explored node with non-empty
-    antecedent support yields an EVAL unit (as its subtree completes)
-    and bound-pruned nodes yield PRUNED units at their tree position.
-    Appending into the caller's ``out`` keeps the prefix salvageable
-    when a non-strict ``budget`` interrupts the walk; a budget without
-    limits is not ticked at all.
-    """
-    enumerate_frontier(
-        ctx,
-        units,
-        counters,
-        lambda candidate: out.append((_EVAL, candidate)),
-        None,
-        tick=None if budget.unlimited else budget.tick,
-        cache=KernelCache(),
-        on_pruned=lambda state: out.append((_PRUNED, state)),
-    )
-
-
-def _capture_context(miner: "Farmer", table: TransposedTable, constraints):
-    """The ``record=True`` search context of one capture traversal."""
-    ctx = SearchContext.for_table(
-        table, constraints, miner.prunings, engine=miner.engine
-    )
-    return replace(ctx, record=True)
-
-
-# ----------------------------------------------------------------------
-# Entry serialization (engine-invariant)
-# ----------------------------------------------------------------------
-
-
-def _table_pairs(table: CondTableProtocol) -> list[list[int]]:
-    """One conditional table as canonical ``[item_id, mask]`` pairs.
-
-    Sorted by (support descending, item id ascending) — the kernel
-    build order — so entry bytes are identical whichever engine
-    captured them, and a kernel table rebuilt from the pairs keeps the
-    descending-counts invariant its bound-scan early exit relies on.
-    """
-    masks = getattr(table, "masks", None)
-    if masks is None:
-        from . import npbitset
-
-        masks = npbitset.mask_words(table)
-    pairs = sorted(
-        zip([int(item) for item in table.item_ids], [int(mask) for mask in masks]),
-        key=lambda pair: (-pair[1].bit_count(), pair[0]),
-    )
-    return [[item, mask] for item, mask in pairs]
-
-
-def _rebuild_table(
-    pairs: Sequence[Sequence[int]], full_mask: int, engine: str
-) -> CondTableProtocol:
-    """One persisted table as the requested engine's conditional table."""
-    item_ids = [pair[0] for pair in pairs]
-    masks = [pair[1] for pair in pairs]
-    inter, union = scan_items(masks, full_mask)
-    if engine == "reference":
-        return CondTable(item_ids, masks, None, inter, union, full_mask)
-    if engine == "numpy":
-        from .farmer import _load_npbitset
-
-        npbitset = _load_npbitset()
-        np = npbitset.np
-        width = npbitset.word_count(full_mask.bit_count())
-        data = np.empty((width + 1, len(masks)), dtype=np.uint64)
-        if masks:
-            data[:width] = npbitset.pack_masks(masks, width).T
-            data[width] = np.asarray(item_ids, dtype=np.uint64)
-        return npbitset.NumpyCondTable(data, width, inter, union, full_mask)
-    counts = [mask.bit_count() for mask in masks]
-    return CondTable(item_ids, masks, counts, inter, union, full_mask)
-
-
-def _encode_units(units) -> tuple[list, list, dict]:
-    """``(encoded_units, encoded_tables, stats)`` of one capture.
-
-    Pruned states referencing the same parent table object (siblings
-    share it — child tables are lazy) share one entry in the deduped
-    table list, indexed in first-encounter order; identity is tracked
-    with an object-keyed dict, never via ``id()`` (FRM002), and the
-    dict is only probed, never iterated.
-    """
-    tables: list[CondTableProtocol] = []
-    table_index: dict[CondTableProtocol, int] = {}
-    encoded: list[list[int | str]] = []
-    evals = 0
-    pruned = 0
-    weight = 0
-    for tag, payload in units:
-        if tag == _EVAL:
-            evals += 1
-            encoded.append(
-                [_EVAL, payload.item_mask, payload.supp, payload.supn, payload.row_mask]
-            )
-            continue
-        pruned += 1
-        weight += payload.estimate()
-        index = table_index.get(payload.table)
-        if index is None:
-            index = len(tables)
-            table_index[payload.table] = index
-            tables.append(payload.table)
-        encoded.append(
-            [
-                _PRUNED,
-                index,
-                payload.row_bit,
-                payload.x_mask,
-                payload.cand_pos,
-                payload.cand_neg,
-                payload.p1_removed,
-                payload.supp_in,
-                payload.supn_in,
-                1 if payload.rm_is_positive else 0,
-            ]
-        )
-    stats = {"evals": evals, "pruned": pruned, "frontier_weight": weight}
-    return encoded, [_table_pairs(table) for table in tables], stats
 
 
 def _save_entry(
-    directory: Path,
+    path: Path,
     fingerprint: str,
     constraints: Constraints,
-    units,
+    evals: Sequence[Candidate],
     nodes: int,
-) -> Path:
-    """Persist one captured entry through the checkpoint envelope."""
-    encoded, tables, stats = _encode_units(units)
-    stats["nodes"] = nodes
+) -> None:
+    """Persist one captured evaluation sequence through the checkpoint
+    envelope, item ids ascending whatever the capturing engine."""
+    rows = []
+    for candidate in evals:
+        row = candidate_row(candidate)
+        row[0].sort()
+        rows.append(row)
     payload = {
         "kind": FRONTIER_KIND,
         "fingerprint": fingerprint,
@@ -328,13 +199,10 @@ def _save_entry(
             constraints.minconf,
             constraints.minchi,
         ],
-        "tables": tables,
-        "units": encoded,
-        "stats": stats,
+        "evals": rows,
+        "stats": {"evals": len(rows), "nodes": nodes},
     }
-    path = entry_path(directory, fingerprint, constraints)
     save_checkpoint(path, payload)
-    return path
 
 
 def _expect_int(value, what: str, path) -> int:
@@ -395,7 +263,8 @@ def load_entry(path: str | Path, fingerprint: str) -> dict:
 
     Returns:
         The validated payload dict; ``payload["constraints"]`` is
-        replaced by a :class:`~repro.core.constraints.Constraints`.
+        replaced by a :class:`~repro.core.constraints.Constraints` and
+        ``payload["evals"]`` by the decoded :class:`Candidate` list.
 
     Raises:
         DataError: corrupt envelope, foreign payload, or malformed
@@ -403,27 +272,11 @@ def load_entry(path: str | Path, fingerprint: str) -> dict:
         UsageError: an envelope written by a newer format version.
     """
     payload = _load_header(path, fingerprint)
-    tables = payload.get("tables")
-    units = payload.get("units")
-    if not isinstance(tables, list) or not isinstance(units, list):
+    rows = payload.get("evals")
+    if not isinstance(rows, list) or len(rows) != payload["stats"]["evals"]:
         raise DataError(f"{path}: frontier entry body is malformed")
-    for unit in units:
-        if not isinstance(unit, list) or not unit:
-            raise DataError(f"{path}: frontier unit is malformed")
-        if unit[0] == _EVAL:
-            if len(unit) != 5:
-                raise DataError(f"{path}: frontier EVAL unit is malformed")
-            for value in unit[1:]:
-                _expect_int(value, "eval", path)
-        elif unit[0] == _PRUNED:
-            if len(unit) != 10:
-                raise DataError(f"{path}: frontier PRUNED unit is malformed")
-            for value in unit[1:]:
-                _expect_int(value, "pruned", path)
-            if not 0 <= unit[1] < len(tables):
-                raise DataError(f"{path}: frontier table index out of range")
-        else:
-            raise DataError(f"{path}: unknown frontier unit tag {unit[0]!r}")
+    where = f"{path}: frontier evaluation"
+    payload["evals"] = [candidate_from_row(row, where) for row in rows]
     return payload
 
 
@@ -435,8 +288,8 @@ def cache_entries(
     This is the registry-keyed view of the cache that long-lived hosts
     (the ``farmer serve`` dataset registry, ``docs/serve.md``) use to
     report which constraint captures exist for a dataset without paying
-    for unit decoding: only each entry's envelope, key halves and stats
-    block are touched.
+    for decoding the evaluations: only each entry's envelope, key
+    halves and stats block are touched.
 
     Args:
         directory: the warm-cache directory (missing or empty yields
@@ -449,9 +302,9 @@ def cache_entries(
         Summaries sorted by filename, each with ``path`` (str),
         ``fingerprint``, ``constraints``
         (:class:`~repro.core.constraints.Constraints`) and ``stats``
-        (the capture's ``evals`` / ``pruned`` / ``nodes`` /
-        ``frontier_weight`` ints).  Corrupt or foreign files are
-        skipped, mirroring the planner's miss-on-damage policy.
+        (the capture's ``evals`` / ``nodes`` ints).  Corrupt, foreign or
+        other-layout files are skipped, mirroring the planner's
+        miss-on-damage policy.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -479,79 +332,36 @@ def cache_entries(
     return entries
 
 
-class _EvalIndex:
-    """Support-ordered view of an entry's EVAL units for fast filtering.
-
-    An interactive tighten is answered thousands of times against the
-    same entry, so the filter must not pay per-query for the units a
-    tighter ``minsup`` excludes.  The index keeps the raw EVAL rows in
-    discovery order plus a support-descending permutation:
-    ``minsup`` selects a bisected prefix of that permutation (Step 7
-    rejects ``supp < minsup`` before anything else), the remaining
-    thresholds run only over the prefix, and :class:`Candidate` objects
-    are built solely for the survivors.
-    """
-
-    __slots__ = ("rows", "order", "neg_supports")
-
-    def __init__(self, units: Sequence[Sequence[int | str]]) -> None:
-        self.rows = [unit for unit in units if unit[0] == _EVAL]
-        self.order = sorted(
-            range(len(self.rows)),
-            key=lambda ordinal: (-self.rows[ordinal][2], ordinal),
-        )
-        self.neg_supports = [-self.rows[ordinal][2] for ordinal in self.order]
-
-    def satisfying(
-        self, constraints: Constraints, n: int, m: int
-    ) -> "list[Candidate]":
-        """The entry's satisfying candidates, in discovery order.
-
-        Args:
-            constraints: the requested thresholds.
-            n: dataset row count.
-            m: rows labelled with the consequent.
-
-        Returns:
-            :class:`Candidate` objects for exactly the EVAL units that
-            :meth:`~repro.core.constraints.Constraints.satisfied_by`
-            admits, ordered as the capture traversal discovered them.
-        """
-        boundary = bisect.bisect_right(
-            self.neg_supports, -constraints.minsup
-        )
-        passing = sorted(
-            ordinal
-            for ordinal in self.order[:boundary]
-            if constraints.satisfied_by(
-                self.rows[ordinal][2], self.rows[ordinal][3], n, m
-            )
-        )
-        return [_eval_candidate(self.rows[ordinal]) for ordinal in passing]
-
-
-def _eval_candidate(row: Sequence[int | str]) -> Candidate:
-    """One raw EVAL unit as a :class:`Candidate` (item ids ascending)."""
-    _tag, item_mask, supp, supn, row_mask = row
-    return Candidate(
-        tuple(bitset.iter_bits(item_mask)), item_mask, supp, supn, row_mask
-    )
-
-
 #: Decoded entries kept in memory, keyed by ``(path, size, mtime_ns)``;
 #: a replaced file changes the key, so staleness self-invalidates.  The
 #: memo is what makes steady-state re-mines sub-millisecond: the first
-#: query against an entry pays the disk read + JSON parse + index
-#: build, every later one starts from here.
-_entry_memo: "dict[tuple[str, int, int], tuple[dict, _EvalIndex]]" = {}
+#: query against an entry pays the disk read, JSON parse and decode,
+#: every later one starts from here.  A capture seeds the memo with
+#: the entry it just wrote.
+_entry_memo: "dict[tuple[str, int, int], tuple[Constraints, list[Candidate]]]" = {}
 
 #: Entries retained in :data:`_entry_memo` (FIFO beyond this).
 _MEMO_CAP = 4
 
 
+def _memo_key(path: Path) -> tuple[str, int, int]:
+    """The memo key of the file at ``path`` as it is now."""
+    stat = path.stat()
+    return (str(path), stat.st_size, stat.st_mtime_ns)
+
+
+def _remember(
+    key: tuple[str, int, int], entry: tuple[Constraints, list[Candidate]]
+) -> None:
+    """Put one decoded entry in the memo, evicting the oldest."""
+    while len(_entry_memo) >= _MEMO_CAP:
+        del _entry_memo[next(iter(_entry_memo))]
+    _entry_memo[key] = entry
+
+
 def _load_entry_cached(
     path: Path, fingerprint: str
-) -> tuple[dict, _EvalIndex]:
+) -> tuple[Constraints, list[Candidate]]:
     """:func:`load_entry` with the in-process memo in front.
 
     Args:
@@ -559,81 +369,22 @@ def _load_entry_cached(
         fingerprint: the expected dataset fingerprint.
 
     Returns:
-        ``(payload, index)`` — the validated payload and its
-        :class:`_EvalIndex`, both shared across queries (treat as
-        read-only).
+        ``(constraints, evals)`` — the entry's capture thresholds and
+        its decoded evaluation sequence, shared across queries (treat
+        as read-only).
 
     Raises:
         DataError: as :func:`load_entry`.
         UsageError: as :func:`load_entry`.
     """
-    stat = path.stat()
-    key = (str(path), stat.st_size, stat.st_mtime_ns)
+    key = _memo_key(path)
     hit = _entry_memo.get(key)
     if hit is not None:
         return hit
     payload = load_entry(path, fingerprint)
-    entry = (payload, _EvalIndex(payload["units"]))
-    while len(_entry_memo) >= _MEMO_CAP:
-        del _entry_memo[next(iter(_entry_memo))]
-    _entry_memo[key] = entry
+    entry = (payload["constraints"], payload["evals"])
+    _remember(key, entry)
     return entry
-
-
-def _decode_units(payload: dict, full_mask: int, engine: str) -> list:
-    """The entry's in-memory unit list, tables rebuilt for ``engine``."""
-    tables = [
-        _rebuild_table(pairs, full_mask, engine) for pairs in payload["tables"]
-    ]
-    units: list[tuple[str, object]] = []
-    for unit in payload["units"]:
-        if unit[0] == _EVAL:
-            units.append((_EVAL, _eval_candidate(unit)))
-            continue
-        units.append(
-            (
-                _PRUNED,
-                NodeState(
-                    table=tables[unit[1]],
-                    row_bit=unit[2],
-                    x_mask=unit[3],
-                    cand_pos=unit[4],
-                    cand_neg=unit[5],
-                    p1_removed=unit[6],
-                    supp_in=unit[7],
-                    supn_in=unit[8],
-                    rm_is_positive=bool(unit[9]),
-                ),
-            )
-        )
-    return units
-
-
-# ----------------------------------------------------------------------
-# Filter + replay
-# ----------------------------------------------------------------------
-
-
-def _filter_evals(
-    units, constraints: Constraints, n: int, m: int
-) -> list[Candidate]:
-    """The EVAL units satisfying ``constraints``, in recorded order.
-
-    Satisfaction is re-evaluated with the pure
-    :meth:`~repro.core.constraints.Constraints.satisfied_by` so the
-    filter perturbs no caches or counters.
-    """
-    return [
-        payload
-        for tag, payload in units
-        if tag == _EVAL and constraints.satisfied_by(payload.supp, payload.supn, n, m)
-    ]
-
-
-def _replay(candidates, store: _IRGStore, counters: NodeCounters) -> None:
-    """Step-7 admission over a satisfying candidate sequence, in order."""
-    for candidate in candidates:
-        store.offer(candidate, counters)
 
 
 # ----------------------------------------------------------------------
@@ -651,349 +402,157 @@ def _covers(cached: Constraints, requested: Constraints) -> bool:
     )
 
 
-def _meet(cached: Constraints, requested: Constraints) -> Constraints:
-    """The elementwise-loosest of two constraint vectors (their meet)."""
-    return Constraints(
-        minsup=min(cached.minsup, requested.minsup),
-        minconf=min(cached.minconf, requested.minconf),
-        minchi=min(cached.minchi, requested.minchi),
-    )
-
-
 def _phase(telemetry, name: str):
     """``telemetry.phase(name)`` or a no-op context."""
     return nullcontext() if telemetry is None else telemetry.phase(name)
 
 
-def _event(telemetry, kind: str, **fields) -> None:
-    """Emit one run-log event when telemetry is attached."""
+def _set_reuse(telemetry, fraction: float) -> None:
+    """Publish the ``frontier.reuse_fraction`` gauge: the share of the
+    answer's evaluations read from the cache instead of enumerated."""
     if telemetry is not None:
-        telemetry.event(kind, **fields)
-
-
-def _set_reuse(telemetry, reused: int, fresh: int) -> None:
-    """Publish the ``frontier.reuse_fraction`` gauge (cached evaluations
-    over cached evaluations plus freshly expanded nodes)."""
-    if telemetry is not None:
-        total = reused + fresh
-        fraction = reused / total if total else 0.0
         telemetry.registry.set_gauge("frontier.reuse_fraction", fraction)
+
+
+def _replay(candidates, store: _IRGStore, counters: NodeCounters) -> None:
+    """Step-7 admission over a satisfying candidate sequence, in order."""
+    for candidate in candidates:
+        store.offer(candidate, counters)
 
 
 def warm_mine_table(
     miner: "Farmer", table: TransposedTable
-) -> "tuple[_IRGStore, NodeCounters, bool, ParallelReport | None]":
+) -> "tuple[_IRGStore, NodeCounters, bool]":
     """Answer one mine through the frontier cache.
 
     The entry point :meth:`~repro.core.farmer.Farmer.mine_table`
-    delegates to when the miner was built with ``warm_cache=``.  Plans
-    the cheapest correct strategy for the requested constraints:
-    filter-only on a covering entry, frontier resume (serial or
-    sharded, following the miner's ``n_workers``/``steal`` settings) on
-    any other entry, cold capture on a miss.  Corrupt or foreign cache
-    files are skipped, never fatal.
+    delegates to when the miner was built with ``warm_cache=``: a filter
+    of the smallest covering entry when one exists, a serial capture
+    otherwise.  The miner's ``n_workers``/``steal`` settings are
+    ignored.  Corrupt, foreign or other-layout cache files are skipped,
+    never fatal.
 
     Args:
         miner: the configured :class:`~repro.core.farmer.Farmer`.
         table: the transposed table to mine.
 
     Returns:
-        ``(store, counters, truncated, report)`` exactly as
-        :func:`~repro.core.parallel.mine_table_parallel` returns them;
-        ``report`` is ``None`` unless the resume was sharded.  The
-        store's entries are byte-identical to a cold mine's; the
-        counters reflect only the work a warm answer actually did.
+        ``(store, counters, truncated)``.  The store's entries are
+        byte-identical to a cold mine's; the counters reflect only the
+        work a warm answer actually did.
     """
     constraints = miner.constraints
     telemetry = miner.telemetry
-    budget = miner.budget
-    budget.start()
+    miner.budget.start()
     directory = Path(miner.warm_cache)
     directory.mkdir(parents=True, exist_ok=True)
 
     store = _IRGStore()
     counters = NodeCounters()
     if table.n == 0 or not table.item_masks:
-        return store, counters, False, None
+        return store, counters, False
 
     fingerprint = frontier_fingerprint(table, miner.prunings)
-    entries: list[tuple[Path, dict, _EvalIndex]] = []
+    entries: list[tuple[Path, Constraints, list[Candidate]]] = []
     corrupt = 0
     with _phase(telemetry, "plan"):
         for path in sorted(
             directory.glob(f"{fingerprint[:20]}-*{FRONTIER_SUFFIX}")
         ):
             try:
-                payload, index = _load_entry_cached(path, fingerprint)
+                cached, evals = _load_entry_cached(path, fingerprint)
             except (DataError, UsageError):
                 corrupt += 1
                 continue
-            entries.append((path, payload, index))
+            entries.append((path, cached, evals))
 
-    covering = [
-        entry for entry in entries if _covers(entry[1]["constraints"], constraints)
-    ]
-    if covering:
-        path, payload, index = min(
-            covering, key=lambda entry: (entry[1]["stats"]["evals"], entry[0].name)
+    covering = [entry for entry in entries if _covers(entry[1], constraints)]
+    if not covering:
+        reason = "loosened" if entries else "empty"
+        truncated = _answer_by_capture(
+            miner, table, directory, fingerprint, store, counters, reason, corrupt
         )
-        return _answer_by_filter(
-            miner, table, path, payload, index, store, counters, corrupt
-        )
-    if entries:
-        path, payload, _index = min(
-            entries,
-            key=lambda entry: (
-                entry[1]["stats"]["frontier_weight"],
-                entry[0].name,
-            ),
-        )
-        return _answer_by_resume(
-            miner, table, directory, fingerprint, path, payload, corrupt
-        )
-    return _answer_by_capture(
-        miner, table, directory, fingerprint, store, counters, corrupt
+        return store, counters, truncated
+
+    path, _cached, evals = min(
+        covering, key=lambda entry: (len(entry[2]), entry[0].name)
     )
-
-
-def _answer_by_filter(
-    miner, table, path, payload, index, store, counters, corrupt
-):
-    """Tightened (or unchanged) constraints: re-filter, zero enumeration.
-
-    Runs entirely off the :class:`_EvalIndex` — no conditional table is
-    rebuilt, no engine code runs, and on a warm memo the whole answer
-    is a bisected prefix scan plus the Step-7 replay.
-    """
-    telemetry = miner.telemetry
     with _phase(telemetry, "filter"):
-        satisfying = index.satisfying(miner.constraints, table.n, table.m)
-        _replay(satisfying, store, counters)
-    _event(
-        telemetry,
-        "cache_hit",
-        mode="filter",
-        entry=path.name,
-        evals=payload["stats"]["evals"],
-        satisfying=len(satisfying),
-        corrupt=corrupt,
-    )
-    _set_reuse(telemetry, payload["stats"]["evals"], 0)
-    return store, counters, False, None
-
-
-def _answer_by_resume(
-    miner, table, directory, fingerprint, path, payload, corrupt
-):
-    """Loosened constraints: enumerate only the recorded frontier nodes."""
-    telemetry = miner.telemetry
-    units = _decode_units(payload, table.all_rows_mask, miner.engine)
-    pruned = [state for tag, state in units if tag == _PRUNED]
-    _event(
-        telemetry,
-        "cache_hit",
-        mode="resume",
-        entry=path.name,
-        evals=payload["stats"]["evals"],
-        pruned=len(pruned),
-        corrupt=corrupt,
-    )
-    sharded = miner.n_workers is not None
-    _event(
-        telemetry,
-        "frontier_resume",
-        units=len(pruned),
-        weight=payload["stats"]["frontier_weight"],
-        sharded=sharded,
-    )
-    if sharded:
-        result = _resume_sharded(miner, table, units, pruned)
-    else:
-        result = _resume_serial(
-            miner, table, directory, fingerprint, payload, units
-        )
-    _set_reuse(telemetry, payload["stats"]["evals"], result[1].nodes)
-    return result
-
-
-def _resume_serial(miner, table, directory, fingerprint, payload, units):
-    """Serial frontier resume, in capture mode, growing the cache.
-
-    The frontier subtrees are re-enumerated under the *meet* of the
-    cached and requested constraints and their unit lists spliced into
-    the cached sequence at the pruned nodes' positions; the merged
-    capture is persisted as a new entry keyed by the meet (monotone
-    cache growth), and the answer is the merged sequence filtered by
-    the requested constraints.  A truncating (non-strict) time budget
-    salvages the merged prefix but never persists it.
-    """
-    telemetry = miner.telemetry
-    budget = miner.budget
-    meet = _meet(payload["constraints"], miner.constraints)
-    ctx = _capture_context(miner, table, meet)
-    counters = NodeCounters()
-    merged: list = []
-    truncated = False
-    frontier = [
-        (FRONTIER_CAND if tag == _EVAL else FRONTIER_STATE, payload)
-        for tag, payload in units
-    ]
-    with _phase(telemetry, "resume"):
-        try:
-            _record(ctx, frontier, counters, budget, merged)
-        except BudgetExceeded:
-            if budget.strict:
-                raise
-            truncated = True
-    if not truncated:
-        _save_entry(directory, fingerprint, meet, merged, counters.nodes)
-    store = _IRGStore()
-    _replay(
-        _filter_evals(merged, miner.constraints, table.n, table.m),
-        store,
-        counters,
-    )
-    return store, counters, truncated, None
-
-
-def _resume_sharded(miner, table, units, pruned):
-    """Sharded frontier resume: the pruned nodes become the task list.
-
-    Each recorded frontier node is one
-    :class:`~repro.core.parallel._Leaf`, executed under the requested
-    constraints by the shard executor exactly like a decomposition's
-    subtree list (with work stealing when the miner asks for it);
-    advisory bounds are seeded from the cached satisfying evaluations
-    (all of which appear in the final sequence, so the usual dominance
-    argument applies).  The stitched
-    answer interleaves filtered cached evaluations with each leaf's
-    candidates at the recorded positions, then replays Step-7
-    admission.  Sharded resumes do not grow the cache (workers return
-    satisfying candidates only, not capture units).
-    """
-    from .parallel import (
-        DEFAULT_ADVISORY_CAP,
-        DEFAULT_STEAL_QUANTUM,
-        AdvisoryBounds,
-        ParallelReport,
-        RetryPolicy,
-        _execute_parts,
-        _Leaf,
-    )
-
-    telemetry = miner.telemetry
-    budget = miner.budget
-    constraints = miner.constraints
-    n_workers = miner.n_workers if miner.n_workers is not None else 1
-    ctx = SearchContext.for_table(
-        table, constraints, miner.prunings, engine=miner.engine
-    )
-    cached = _filter_evals(units, constraints, table.n, table.m)
-    advisory_snapshot = None
-    if miner.broadcast_bounds:
-        bounds = AdvisoryBounds(cap=DEFAULT_ADVISORY_CAP)
-        for candidate in cached:
-            bounds.extend(
-                candidate.item_mask,
-                len(candidate.item_ids),
-                candidate.confidence,
+        satisfying = [
+            candidate
+            for candidate in evals
+            if constraints.satisfied_by(
+                candidate.supp, candidate.supn, table.n, table.m
             )
-        advisory_snapshot = bounds.snapshot()
-    deadline = (
-        time.monotonic() + budget.max_seconds
-        if budget.max_seconds is not None
-        else None
-    )
-    retry = miner.retry if miner.retry is not None else RetryPolicy()
-    quantum = (
-        miner.steal_quantum
-        if miner.steal_quantum is not None
-        else DEFAULT_STEAL_QUANTUM
-    )
-    tasks = [_Leaf(state) for state in pruned]
-    coordinator = NodeCounters()
-    report = ParallelReport(
-        n_workers=n_workers,
-        broadcast=miner.broadcast_bounds,
-        coordinator=coordinator,
-    )
-    with _phase(telemetry, "resume"):
-        truncated = bool(tasks) and _execute_parts(
-            tasks,
-            ctx,
-            n_workers,
-            miner.broadcast_bounds,
-            DEFAULT_ADVISORY_CAP,
-            deadline,
-            budget.strict,
-            quantum if miner.steal and n_workers > 1 else None,
-            retry=retry,
-            report=report,
-            advisory_snapshot=advisory_snapshot,
-            telemetry=telemetry,
+        ]
+        _replay(satisfying, store, counters)
+    if telemetry is not None:
+        telemetry.event(
+            "cache_hit",
+            mode="filter",
+            entry=path.name,
+            evals=len(evals),
+            satisfying=len(satisfying),
+            corrupt=corrupt,
         )
-    with _phase(telemetry, "reduce"):
-        replay = NodeCounters()
-        store = _IRGStore()
-        sequence: list[Candidate] = []
-        leaves = iter(tasks)
-        for tag, unit_payload in units:
-            if tag == _EVAL:
-                if constraints.satisfied_by(
-                    unit_payload.supp, unit_payload.supn, table.n, table.m
-                ):
-                    sequence.append(unit_payload)
-            else:
-                sequence.extend(next(leaves).candidates)
-        _replay(sequence, store, replay)
-    report.n_tasks = len(tasks)
-    report.workers = [leaf.counters for leaf in tasks]
-    report.advisory_drops = sum(leaf.drops for leaf in tasks)
-    merged = merge_counters([coordinator, replay, *report.workers])
-    return store, merged, truncated, report
+    _set_reuse(telemetry, 1.0 if evals else 0.0)
+    return store, counters, False
 
 
 def _answer_by_capture(
-    miner, table, directory, fingerprint, store, counters, corrupt
-):
-    """Cache miss: a cold serial mine in capture mode populates the cache.
+    miner, table, directory, fingerprint, store, counters, reason, corrupt
+) -> bool:
+    """No covering entry: a serial capture mine populates the cache.
 
-    Capture always runs the serial walk — the sharded pipeline returns
-    satisfying candidates only, not capture units — so a miss under
-    ``n_workers`` serializes that one mine;
-    every later warm answer shards its resume normally.  Truncated
-    captures are answered (the salvaged prefix filters and replays like
-    a cold truncated mine) but never persisted.
+    The walk is the ordinary serial one with a list for its candidate
+    sink; the capture is then persisted, seeded into the memo and
+    replayed into ``store``.
+    Truncated captures are answered (the salvaged prefix filters and
+    replays like a cold truncated mine) but never persisted.  ``reason``
+    (``"empty"``: no usable entry; ``"loosened"``: no entry covers the
+    request) and ``corrupt`` (skipped files) go to the ``cache_miss``
+    event.
+
+    Returns:
+        Whether a non-strict budget truncated the capture.
     """
     telemetry = miner.telemetry
     budget = miner.budget
-    ctx = _capture_context(miner, table, miner.constraints)
-    units: list = []
+    constraints = miner.constraints
+    ctx = SearchContext.for_table(
+        table, constraints, miner.prunings, engine=miner.engine
+    )
+    evals: list[Candidate] = []
     truncated = False
     with _phase(telemetry, "capture"):
         try:
-            _record(
+            enumerate_frontier(
                 ctx,
                 [(FRONTIER_STATE, ctx.root_state(table))],
                 counters,
-                budget,
-                units,
+                evals,
+                None,
+                tick=None if budget.unlimited else budget.tick,
+                cache=KernelCache(),
             )
         except BudgetExceeded:
             if budget.strict:
                 raise
             truncated = True
     if not truncated:
-        _save_entry(directory, fingerprint, miner.constraints, units, counters.nodes)
-    satisfying = _filter_evals(units, miner.constraints, table.n, table.m)
-    _replay(satisfying, store, counters)
-    _event(
-        telemetry,
-        "cache_miss",
-        fingerprint=fingerprint[:20],
-        corrupt=corrupt,
-        evals=sum(1 for tag, _payload in units if tag == _EVAL),
-        saved=not truncated,
-    )
-    _set_reuse(telemetry, 0, counters.nodes)
-    return store, counters, truncated, None
+        path = entry_path(directory, fingerprint, constraints)
+        with _phase(telemetry, "persist"):
+            _save_entry(path, fingerprint, constraints, evals, counters.nodes)
+        _remember(_memo_key(path), (constraints, evals))
+    _replay(evals, store, counters)
+    if telemetry is not None:
+        telemetry.event(
+            "cache_miss",
+            reason=reason,
+            fingerprint=fingerprint[:20],
+            corrupt=corrupt,
+            evals=len(evals),
+            saved=not truncated,
+        )
+    _set_reuse(telemetry, 0.0)
+    return truncated

@@ -350,6 +350,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     server_version = "farmer-serve/1"
     protocol_version = "HTTP/1.1"
+    # Buffer each response so its headers and a small body leave in one
+    # send (http.server flushes after every request); unbuffered, the
+    # two sends let a client read the headers alone, and Nagle held the
+    # second send of a kept-alive connection until the delayed ACK.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: object) -> None:
         """Silence per-request stderr chatter (the API is the log)."""

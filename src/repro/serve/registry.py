@@ -19,9 +19,9 @@ Three layers, coarsest reuse first:
    memoized in a bounded FIFO cache keyed by the full preprocessing
    key; a hit skips generation, discretization *and* transposition.
 3. **Frontier entries** — all jobs share one warm-frontier directory
-   (``<root>/frontier``), so a job re-mining any dataset under changed
-   constraints is answered by :mod:`repro.core.frontier` filter/resume
-   instead of a cold mine.  The entries are keyed by
+   (``<root>/frontier``), so a job re-mining any dataset under the same
+   or tighter constraints is answered by a :mod:`repro.core.frontier`
+   filter instead of a cold mine.  The entries are keyed by
    :func:`~repro.core.frontier.frontier_fingerprint`, which the
    registry exposes per cached table so ``GET /v1/cache`` can attribute
    entries to datasets.

@@ -96,7 +96,8 @@ class JobSpec:
         engine: enumeration engine (``None`` = the server default,
             which honors ``FARMER_ENGINE``).
         workers: shard the mine across this many worker processes
-            (``None`` = serial; output is byte-identical either way).
+            (``None`` = serial; output is byte-identical either way);
+            ignored when the job answers through the warm cache.
         steal: schedule shards with the work-stealing scheduler.
         steal_quantum: node expansions per stealing quantum.
         lower_bounds: run MineLB on the mined groups.
@@ -108,7 +109,8 @@ class JobSpec:
         checkpoint_every: shard completions per checkpoint write.
         warm: answer through the server's shared warm-frontier cache
             (``None`` = auto: on unless ``max_nodes`` or ``checkpoint``
-            demands a mode the cache cannot serve).
+            demands a mode the cache cannot serve); warm answers never
+            shard.
     """
 
     dataset: str

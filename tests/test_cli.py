@@ -465,3 +465,25 @@ class TestWarmCacheSummary:
             for name in event.get("gauges", {})
         }
         assert "frontier.reuse_fraction" in gauges
+
+    def test_loosened_remine_reports_zero_reuse(self, tmp_path, capsys):
+        """A loosened re-mine is a fresh capture: the note reads 0% and
+        the run log's ``cache_miss`` says the entry was too tight."""
+        from repro.obs import read_runlog
+
+        cache = str(tmp_path / "cache")
+        base = ["--dataset", "CT", "--scale", "0.01", "--top", "0"]
+        assert main(["mine", *base, "--minsup", "6", "--warm-cache", cache]) == 0
+        capsys.readouterr()
+        runlog = tmp_path / "loosen.jsonl"
+        assert main(
+            [
+                "remine", *base, "--minsup", "5", "--warm-cache", cache,
+                "--metrics-out", str(runlog),
+            ]
+        ) == 0
+        assert "warm cache: frontier reuse 0%" in capsys.readouterr().out
+        misses = [
+            event for event in read_runlog(runlog) if event["kind"] == "cache_miss"
+        ]
+        assert [event["reason"] for event in misses] == ["loosened"]

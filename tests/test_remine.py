@@ -3,11 +3,15 @@
 For random datasets and random constraint pairs — tighten, loosen, and
 mixed deltas — a warm re-mine through the frontier cache
 (``core/frontier.py``) must serialize exactly the bytes a cold mine
-produces, whichever engine captured the entry, whichever engine resumes
-it, and whether the resume runs serially, sharded, or under the
-work-stealing scheduler.  A tightened re-mine must additionally expand
-**zero** nodes (pure filter), and corrupt cache files must degrade to a
-miss, never an error.
+produces, whichever engine captured the entry and whichever engine
+answers.  A tightened re-mine must additionally expand **zero** nodes
+(pure filter), and corrupt or other-layout cache files must degrade to
+a miss, never an error.
+
+Warm answers never shard (``n_workers``/``steal`` are ignored), so the
+``sharded``/``steal`` modes check that those knobs change nothing.  The
+paper-scale tests pin the item-count ceiling the earlier entry format
+had: above ~14k items an item bitmask no longer encodes as JSON text.
 
 The nightly CI stress job runs this file at hypothesis's ``nightly``
 profile alongside the conformance and scheduling sweeps.
@@ -116,13 +120,14 @@ def test_cross_engine_cache_reuse(data, base):
     if len(ENGINES) < 2:
         pytest.skip("only one engine available")
     minsup, minconf, minchi = base
-    loosened = (max(1, minsup - 1), 0.0, 0.0)
+    tightened = (minsup + 1, minconf, minchi)
     cache = tempfile.mkdtemp(prefix="remine-")
     try:
         _mine(data, base, engine=ENGINES[0], warm_cache=cache)
         for engine in ENGINES[1:]:
-            warm = _mine(data, loosened, engine=engine, warm_cache=cache)
-            cold = _mine(data, loosened, engine=engine)
+            warm = _mine(data, tightened, engine=engine, warm_cache=cache)
+            assert warm.counters.nodes == 0
+            cold = _mine(data, tightened, engine=engine)
             assert warm.groups == cold.groups
     finally:
         shutil.rmtree(cache)
@@ -191,15 +196,15 @@ def test_warm_cache_rejects_checkpoint_knobs(tmp_path):
 
 
 #: sha256 of the ``.frontier`` entries of the perf gate's remine section
-#: (LC scale 0.02): the capture at minsup 9, and the entry a loosening
-#: to minsup 8 persists (keyed by the meet).  Entries survive across
-#: releases in long-lived cache directories (the serve registry keeps
-#: its own), so the walker's unit order is part of the on-disk format:
-#: a drift here strands every existing cache even if warm answers still
-#: match cold ones.
+#: (LC scale 0.02): the capture at minsup 9, and the fresh capture a
+#: loosening to minsup 8 persists beside it (``repro-frontier/2``).
+#: Entries survive across releases in long-lived cache directories (the
+#: serve registry keeps its own), so the walker's evaluation order is
+#: part of the on-disk format: a drift here strands every existing
+#: cache even if warm answers still match cold ones.
 FRONTIER_ENTRY_SHA256 = {
-    9: "ab17577b76bd6cb62202369eb1258f62c29d21904e1f10931fb169731a8a24ce",
-    8: "f5f7cae92d01a0e1a9f726d27bf8302c5f80ec585a6bcf2610841eb836519cb6",
+    9: "4eff5d94abfe4308e985f177d1019473e1feeeffa4fc66f6b1008dea2abee746",
+    8: "47ec8d362ec3e23749afb96a215d6b5e8e71963d11c2efa991b2fa4afb582b7b",
 }
 
 
@@ -229,8 +234,8 @@ def test_frontier_entry_bytes_are_pinned(engine, tmp_path):
 
 def test_cache_entries_skips_malformed(tmp_path):
     """The inventory lists every entry whose envelope, key halves and
-    stats block are sound — the unit body is not decoded — and skips
-    every other file in the directory."""
+    ``evals``/``nodes`` stats are sound — the evaluation body is not
+    decoded — and skips every other file in the directory."""
     import copy
     from pathlib import Path
 
@@ -264,7 +269,9 @@ def test_cache_entries_skips_malformed(tmp_path):
     variant("minconf", lambda p: p.update(constraints=[12, 2.0, 0.0]))
     variant("nostats", lambda p: p.pop("stats"))
     variant("boolstat", lambda p: p["stats"].update(nodes=True))
-    variant("units", lambda p: p.update(units="not decoded here"))
+    variant("nonodes", lambda p: p["stats"].pop("nodes"))
+    variant("v1", lambda p: p.update(kind="repro-frontier/1"))
+    variant("evals", lambda p: p.update(evals="not decoded here"))
     (cache / f"{fingerprint[:20]}-torn.frontier").write_bytes(
         valid.read_bytes()[:40]
     )
@@ -275,17 +282,133 @@ def test_cache_entries_skips_malformed(tmp_path):
 
     kept = cache_entries(cache, fingerprint)
     assert names(kept) == sorted(
-        [valid.name, f"{fingerprint[:20]}-units.frontier"]
+        [valid.name, f"{fingerprint[:20]}-evals.frontier"]
     )
     summary = next(entry for entry in kept if entry["path"] == str(valid))
     assert summary["fingerprint"] == fingerprint
     assert summary["constraints"] == Constraints(minsup=12)
     assert summary["stats"] == payload["stats"]
+    assert sorted(summary["stats"]) == ["evals", "nodes"]
+    assert summary["stats"]["evals"] == len(payload["evals"])
     assert names(cache_entries(cache)) == sorted(
         [
             valid.name,
-            f"{fingerprint[:20]}-units.frontier",
+            f"{fingerprint[:20]}-evals.frontier",
             f"{fingerprint[:20]}-foreign.frontier",
         ]
     )
     assert cache_entries(tmp_path / "missing") == []
+
+
+def _events(telemetry, kind):
+    return [event for event in telemetry.runlog.tail() if event["kind"] == kind]
+
+
+def test_v1_entry_is_a_miss_and_stays(tmp_path):
+    """A ``repro-frontier/1`` file (the pruned-frontier layout) under
+    the dataset's key is skipped as a miss, and the new capture is
+    written beside it without touching it."""
+    import hashlib
+    import json
+
+    from conftest import random_dataset
+    from repro.core.frontier import FRONTIER_KIND, frontier_fingerprint
+    from repro.core.serialize import canonical_json, save_checkpoint
+    from repro.data.transpose import TransposedTable
+    from repro.obs import EventTap, Telemetry
+
+    data = random_dataset(5, max_rows=12, max_items=10)
+    table = TransposedTable.build(data, "C")
+    fingerprint = frontier_fingerprint(table, ("p1", "p2", "p3"))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    # The layout-1 file name: the constraint key hashed the thresholds only.
+    key = hashlib.sha256(
+        canonical_json([1, 0.0, 0.0]).encode("utf-8")
+    ).hexdigest()
+    old = cache / f"{fingerprint[:20]}-{key[:20]}.frontier"
+    save_checkpoint(
+        old,
+        {
+            "kind": "repro-frontier/1",
+            "fingerprint": fingerprint,
+            "constraints": [1, 0.0, 0.0],
+            "tables": [],
+            "units": [["e", 1, 1, 0, 1]],
+            "stats": {"evals": 1, "pruned": 0, "nodes": 1, "frontier_weight": 0},
+        },
+    )
+    old_bytes = old.read_bytes()
+
+    telemetry = Telemetry(runlog=EventTap())
+    warm = _mine(data, (1, 0.0, 0.0), warm_cache=str(cache), telemetry=telemetry)
+    cold = _mine(data, (1, 0.0, 0.0))
+    assert _irgs_bytes(warm, tmp_path, "warm") == _irgs_bytes(cold, tmp_path, "cold")
+    (miss,) = _events(telemetry, "cache_miss")
+    assert (miss["reason"], miss["corrupt"]) == ("empty", 1)
+    assert old.read_bytes() == old_bytes
+    (new,) = [path for path in cache.glob("*.frontier") if path != old]
+    assert json.loads(new.read_text().splitlines()[1])["kind"] == FRONTIER_KIND
+
+
+def test_miss_reasons_and_reuse_gauge(tmp_path):
+    """``cache_miss`` says why the planner captured, and the reuse gauge
+    reads 0 for a capture and 1 for a filter."""
+    from conftest import random_dataset
+    from repro.obs import EventTap, Telemetry
+
+    data = random_dataset(5, max_rows=12, max_items=10)
+    cache = str(tmp_path / "cache")
+    outcomes = []
+    for constraints in ((3, 0.0, 0.0), (4, 0.5, 0.0), (2, 0.0, 0.0)):
+        telemetry = Telemetry(runlog=EventTap())
+        _mine(data, constraints, warm_cache=cache, telemetry=telemetry)
+        misses = _events(telemetry, "cache_miss")
+        gauge = telemetry.registry.snapshot().gauges["frontier.reuse_fraction"]
+        phases = {
+            event["phase"] for event in _events(telemetry, "phase_end")
+        }
+        outcomes.append(
+            (misses[0]["reason"] if misses else "hit", gauge, "persist" in phases)
+        )
+    assert outcomes == [
+        ("empty", 0.0, True),
+        ("hit", 1.0, False),
+        ("loosened", 0.0, True),
+    ]
+
+
+def _wide_dataset(n_items=15_000, n_rows=6, seed=7):
+    """A few rows over more items than an item bitmask can carry as JSON
+    text (the earlier entry format failed above ~14,280 items)."""
+    import random
+
+    from repro.data.dataset import ItemizedDataset
+
+    rng = random.Random(seed)
+    rows = [[] for _ in range(n_rows)]
+    for item in range(n_items):
+        for row in rng.sample(range(n_rows), rng.randint(1, n_rows - 1)):
+            rows[row].append(item)
+    labels = ["C" if row % 2 == 0 else "D" for row in range(n_rows)]
+    return ItemizedDataset.from_lists(rows, labels, n_items=n_items)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_paper_scale_item_count(engine, tmp_path):
+    """Capture, tighten and loosen on a >14,280-item table all serialize
+    the cold mine's bytes."""
+    data = _wide_dataset()
+    assert data.n_items > 14_280
+    cache = str(tmp_path / "cache")
+    for tag, constraints in (
+        ("capture", (2, 0.0, 0.0)),
+        ("tighten", (3, 0.6, 0.0)),
+        ("loosen", (1, 0.0, 0.0)),
+    ):
+        warm = _mine(data, constraints, engine=engine, warm_cache=cache)
+        cold = _mine(data, constraints, engine=engine)
+        assert _irgs_bytes(warm, tmp_path, f"warm-{tag}") == _irgs_bytes(
+            cold, tmp_path, f"cold-{tag}"
+        ), tag
+        assert (warm.counters.nodes == 0) == (tag == "tighten"), tag

@@ -592,6 +592,39 @@ class TestEndToEnd:
             app.close()
 
 
+class TestPaperScaleItems:
+    """A served warm mine on a table wider than an item bitmask can be
+    written as JSON text (~14,280 items) — the size where the earlier
+    frontier-entry format failed every served job."""
+
+    SCALE = 0.12  # LC: 1,504 genes x 10 buckets = 15,040 items
+    MINSUP = 10
+
+    def test_capture_and_repeat_match_direct_mine(self, tmp_path):
+        matrix = load(DATASET, scale=self.SCALE, seed=None)
+        data = EqualDepthDiscretizer(n_buckets=10).fit_transform(matrix)
+        assert data.n_items > 14_280
+        direct = tmp_path / "direct.irgs"
+        result = mine_irgs(data, data.class_labels[0], minsup=self.MINSUP)
+        save_rule_groups(
+            direct, result.groups, constraints=result.constraints,
+            dataset_name=data.name,
+        )
+        app = ServeApp(tmp_path / "serve", workers=1, queue_depth=4)
+        try:
+            spec = {"dataset": DATASET, "scale": self.SCALE, "minsup": self.MINSUP}
+            for expected in ("cache_miss", "cache_hit"):
+                _, job, _ = _call(app, "POST", "/v1/jobs", spec)
+                payload = _wait_terminal(app, job["id"])
+                assert payload["state"] == "done", payload.get("error")
+                _, body, _ = _call(app, "GET", f"/v1/jobs/{job['id']}/result")
+                assert body == direct.read_bytes(), expected
+                _, events, _ = _call(app, "GET", f"/v1/jobs/{job['id']}/events")
+                assert expected in {event["kind"] for event in events["events"]}
+        finally:
+            app.close()
+
+
 # ----------------------------------------------------------------------
 # The real daemon over a real socket
 # ----------------------------------------------------------------------
