@@ -2,8 +2,8 @@
 
 Times the kernel primitives against their pre-kernel reference shims on
 real conditional tables drawn from the LC workload, plus the end-to-end
-engine comparison (``engine="kernel"`` vs ``engine="reference"``) on one
-Figure-10 sweep point.  The committed regression gate lives in
+engine comparison (the production engine vs ``engine="reference"``) on
+one Figure-10 sweep point.  The committed regression gate lives in
 ``benchmarks/perf_gate.py``; these benchmarks are for profiling the
 individual primitives when the gate moves.
 """
@@ -93,8 +93,8 @@ def _mine(workload, engine):
 
 
 def test_mine_kernel_engine(benchmark, workloads):
-    """End-to-end FARMER mine on LC with the fused kernel."""
-    result = benchmark(lambda: _mine(workloads["LC"], "kernel"))
+    """End-to-end FARMER mine on LC with the production engine."""
+    result = benchmark(lambda: _mine(workloads["LC"], None))
     assert result.groups
 
 

@@ -21,8 +21,7 @@ Usage::
 
 Exit status 0 means the loop passed; any failure prints a reason and
 exits 1 (the daemon's captured output is replayed to stderr to make CI
-logs actionable).  Honours ``FARMER_ENGINE`` — CI runs this once per
-engine in its matrix.  Not a pytest module for the same reason as
+logs actionable).  Not a pytest module for the same reason as
 ``perf_gate.py``: it owns a subprocess lifecycle and an absolute
 pass/fail contract rather than a benchmark fixture.
 """
@@ -44,7 +43,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: One small-but-real mine: LC at 2% scale finishes in a couple of
-#: seconds on any engine yet exercises prunings, MineLB and the build.
+#: seconds yet exercises prunings, MineLB and the build.
 JOB = {"dataset": "LC", "scale": 0.02, "minsup": 8}
 
 

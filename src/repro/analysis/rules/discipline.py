@@ -8,14 +8,6 @@ and a second source of truth for the bitset representation), and
 comparing floating-point measure values with ``==``/``!=`` (chi-square
 and confidence arrive through different algebraic routes in the serial
 and sharded miners, so exact equality is a latent flake).
-
-One construction is sanctioned: a string popcount inside a
-comprehension that feeds a NumPy array constructor (``np.array(...)``,
-``np.fromiter(...)``), the idiom that builds a vectorized popcount
-lookup table *once* at import (see ``POPCOUNT8`` in
-:mod:`repro.core.npbitset`).  There the per-call cost argument does not
-apply — the table is the fast path's foundation, not a hot-loop
-popcount — so the rule recognizes the shape and stays quiet.
 """
 
 from __future__ import annotations
@@ -45,46 +37,6 @@ class BitsetDisciplineRule(Rule):
         "extensions/measures.py",
     )
 
-    #: NumPy constructors whose comprehension arguments may legitimately
-    #: build a popcount lookup table with the string idiom.
-    table_constructors: ClassVar[frozenset[str]] = frozenset(
-        {"array", "asarray", "fromiter"}
-    )
-
-    #: Positions of string popcounts inside sanctioned LUT constructions
-    #: for the module currently being walked (``visit`` has no parent
-    #: links, so :meth:`start_module` collects them in a pre-pass).
-    _lut_popcounts: frozenset[tuple[int, int]] = frozenset()
-
-    def start_module(self, module: ModuleContext) -> None:
-        """Pre-pass: locate popcounts feeding NumPy lookup tables.
-
-        A ``bin(x).count("1")``-style call inside a comprehension that is
-        an argument to ``np.array`` / ``np.asarray`` / ``np.fromiter``
-        builds a vectorized popcount table once at import — the
-        sanctioned idiom — so its position is exempted before the node
-        walk dispatches it to :meth:`visit`.
-        """
-        exempt: set[tuple[int, int]] = set()
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (
-                isinstance(func, ast.Attribute)
-                and func.attr in self.table_constructors
-                and isinstance(func.value, ast.Name)
-                and func.value.id in ("np", "numpy")
-            ):
-                continue
-            for arg in node.args:
-                if not isinstance(arg, (ast.ListComp, ast.GeneratorExp)):
-                    continue
-                for inner in ast.walk(arg):
-                    if isinstance(inner, ast.Call):
-                        exempt.add((inner.lineno, inner.col_offset))
-        self._lut_popcounts = frozenset(exempt)
-
     def visit(self, node: ast.AST, module: ModuleContext) -> Iterator[Finding]:
         if isinstance(node, ast.Call):
             yield from self._check_popcount(node, module)
@@ -97,8 +49,6 @@ class BitsetDisciplineRule(Rule):
     ) -> Iterator[Finding]:
         func = node.func
         if not (isinstance(func, ast.Attribute) and func.attr == "count"):
-            return
-        if (node.lineno, node.col_offset) in self._lut_popcounts:
             return
         receiver = func.value
         if (

@@ -15,13 +15,15 @@ with the row-enumeration analogues of FARMER's prunings:
 Support here is a plain row count; results match CHARM / CLOSET+ /
 the brute-force oracle exactly (tests pin this three-way agreement).
 
-The traversal runs on the fused kernel (:mod:`repro.core.kernel`): a
-node's conditional table is carried lazily as (parent table, row bit) and
-materialized with :meth:`~repro.core.kernel.CondTable.extend`, which
-builds the child table *and* its intersection/union in one pass — halving
-the per-node table walks of the original extend-then-scan loop.  Item
-order inside a table is support-sorted (a kernel invariant); emitted
-itemsets become frozensets, so results are order-identical to before.
+The traversal runs on FARMER's production tables
+(:func:`repro.core.npbitset.root_table`: packed words while the table is
+wide, the kernel's int masks once it is narrow): a node's conditional
+table is carried lazily as (parent table, row bit) and materialized with
+``extend``, which builds the child table *and* its intersection/union in
+one pass — halving the per-node table walks of the original
+extend-then-scan loop.  Item order inside a table is support-sorted (a
+kernel invariant); emitted itemsets become frozensets, so results are
+order-identical to before.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from typing import TYPE_CHECKING
 
 from ..core import bitset
 from ..core.enumeration import SearchBudget
-from ..core.kernel import CondTable, CondTableProtocol
+from ..core.kernel import CondTableProtocol
+from ..core.npbitset import root_table
 from ..data.dataset import ItemizedDataset
 from ..errors import ConstraintError
 from .charm import ClosedItemset
@@ -49,13 +52,6 @@ class Carpenter:
     Args:
         minsup: minimum number of supporting rows (>= 1).
         budget: optional node/time limits.
-        engine: conditional-table backend, an engine name from
-            :data:`repro.core.farmer.ENGINES`.  The traversal only
-            touches the :class:`~repro.core.kernel.CondTableProtocol`
-            surface, so ``"numpy"`` swaps in the packed-uint64 table
-            with byte-identical results; ``None`` (the default) honors
-            the ``FARMER_ENGINE`` environment default.  ``"reference"``
-            has no table of its own and runs on the kernel table.
         telemetry: optional observability sink; when set, the mine
             emits ``run_start``/``run_end`` events, a ``search`` phase,
             and ``carpenter.*`` counters.  ``None`` (the default) keeps
@@ -64,27 +60,11 @@ class Carpenter:
 
     minsup: int = 1
     budget: SearchBudget = field(default_factory=SearchBudget)
-    engine: str | None = None
     telemetry: "Telemetry | None" = None
 
     def __post_init__(self) -> None:
         if self.minsup < 1:
             raise ConstraintError(f"minsup must be >= 1, got {self.minsup}")
-        from ..core.farmer import _validate_engine, default_engine
-
-        self.engine = (
-            default_engine()
-            if self.engine is None
-            else _validate_engine(self.engine)
-        )
-
-    def _build_table(self, item_masks: list[int]) -> CondTableProtocol:
-        """The root conditional table on this miner's engine backend."""
-        if self.engine == "numpy":
-            from ..core.npbitset import NumpyCondTable
-
-            return NumpyCondTable.build(item_masks, self._all_rows)
-        return CondTable.build(item_masks, self._all_rows)
 
     def mine(self, dataset: ItemizedDataset) -> list[ClosedItemset]:
         """Mine all closed itemsets with support >= ``minsup``."""
@@ -116,7 +96,7 @@ class Carpenter:
                 if self.telemetry is not None:
                     with self.telemetry.phase("search"):
                         self._visit(
-                            table=self._build_table(item_masks),
+                            table=root_table(item_masks, self._all_rows),
                             row_bit=0,
                             x_mask=0,
                             cand=self._all_rows,
@@ -124,7 +104,7 @@ class Carpenter:
                         )
                 else:
                     self._visit(
-                        table=self._build_table(item_masks),
+                        table=root_table(item_masks, self._all_rows),
                         row_bit=0,
                         x_mask=0,
                         cand=self._all_rows,
@@ -214,10 +194,7 @@ def mine_closed_carpenter(
     dataset: ItemizedDataset,
     minsup: int = 1,
     budget: SearchBudget | None = None,
-    engine: str | None = None,
 ) -> list[ClosedItemset]:
     """Convenience wrapper: run :class:`Carpenter` on ``dataset``."""
-    miner = Carpenter(
-        minsup=minsup, budget=budget or SearchBudget(), engine=engine
-    )
+    miner = Carpenter(minsup=minsup, budget=budget or SearchBudget())
     return miner.mine(dataset)

@@ -46,7 +46,7 @@ from .classify.irg import IRGClassifier
 from .classify.svm import LinearSVM
 from .core.constraints import Constraints
 from .core.enumeration import SearchBudget
-from .core.farmer import ENGINE_ENV, ENGINES, Farmer
+from .core.farmer import ENGINES, Farmer
 from .data.discretize import EntropyMDLDiscretizer, EqualDepthDiscretizer
 from .data.io import load_expression, save_expression
 from .data.registry import PAPER_DATASETS, load, train_test_rows
@@ -127,10 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(ENGINES),
         default=None,
         metavar="NAME",
-        help="enumeration engine: 'kernel' (fused int-bitset, the "
-        "default), 'numpy' (vectorized packed-uint64), or 'reference' "
-        "(pre-kernel cost model); all produce byte-identical output. "
-        f"Default honors ${ENGINE_ENV} when set.",
+        help="'reference' runs the pre-kernel cost model (the "
+        "differential oracle); 'kernel' and 'numpy' are accepted "
+        "spellings of the default production engine.  Output is "
+        "byte-identical either way.",
     )
     mine.add_argument(
         "--profile",
@@ -207,9 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(ENGINES),
         default=None,
         metavar="NAME",
-        help="enumeration engine for captures; cache entries are "
-        "engine-invariant, so any engine can answer from any entry. "
-        f"Default honors ${ENGINE_ENV} when set.",
+        help="'reference' captures with the pre-kernel cost model; "
+        "'kernel' and 'numpy' are accepted spellings of the default "
+        "production engine.  Cache entries are the same bytes either "
+        "way.",
     )
     remine.add_argument("--save", help="persist the groups to this .irgs file")
     remine.add_argument(

@@ -15,7 +15,7 @@ negative, so the positive support can never grow again.
 
 The functions here are pure and independently unit-tested; ``farmer.py``
 wires them into the search.  They are also the *reference semantics* for
-the fused kernel (:mod:`repro.core.kernel`): the kernel engine inlines
+the fused kernel (:mod:`repro.core.kernel`): the production engine inlines
 the trivial support bounds on its hot path, evaluates the confidence and
 chi-square bounds through a per-run memo cache
 (:class:`~repro.core.kernel.KernelCache` — sound because each bound is a

@@ -51,21 +51,21 @@ lists into an in-memory transposed table; we use the bitset equivalent):
   bounds need only the parent's counts, so the walk evaluates them at
   the parent, and on the paper's workloads the large majority of nodes
   are loose-pruned and never get a table, a state object or a frame.
-  The ``kernel`` engine (:mod:`repro.core.kernel`, the default) builds a
-  surviving node's table and scan in one fused pass, early-exits bound
-  scans on the support-sorted order and memoizes pure per-node
-  evaluations per run (:class:`~repro.core.kernel.KernelCache`);
-  ``numpy`` does the table work on packed uint64 columns.
+  The production engine builds a surviving node's table and scan in one
+  fused pass and memoizes pure per-node evaluations per run
+  (:class:`~repro.core.kernel.KernelCache`).  Its tables are packed
+  uint64 columns while ``TT|X`` is wide and the kernel's int masks,
+  with early-exiting bound scans on the support-sorted order, once it
+  is narrow (:data:`~repro.core.npbitset.HANDOFF_ITEMS`).
   ``engine="reference"`` keeps the pre-kernel cost model for
   differential tests and the perf gate: the dataset's item order, every
   visited node's table built before its Step-2 bound, full bound scans
-  and no caches.  All engines produce byte-identical serialized output.
+  and no caches.  Both produce byte-identical serialized output.
 """
 
 from __future__ import annotations
 
 import bisect
-import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -80,6 +80,7 @@ from .constraints import Constraints
 from .enumeration import NodeCounters, SearchBudget, scan_items
 from .kernel import CondTable, CondTableProtocol, KernelCache
 from .minelb import attach_lower_bounds
+from .npbitset import root_table
 from .rulegroup import RuleGroup
 
 if TYPE_CHECKING:
@@ -92,12 +93,9 @@ __all__ = [
     "mine_irgs",
     "ALL_PRUNINGS",
     "ENGINES",
-    "ENGINE_ENV",
     "NodeState",
     "Candidate",
     "SearchContext",
-    "available_engines",
-    "default_engine",
     "enumerate_frontier",
     "FRONTIER_STATE",
     "FRONTIER_CAND",
@@ -106,76 +104,22 @@ __all__ = [
 #: The full set of pruning strategy names.
 ALL_PRUNINGS = frozenset({"p1", "p2", "p3"})
 
-#: Selectable per-node expansion engines (see module docstring).
-#: ``"numpy"`` additionally requires NumPy to be installed
-#: (:func:`available_engines` reports what this interpreter can run).
+#: Accepted ``engine=`` spellings.  ``"reference"`` selects the
+#: pre-kernel cost model (the differential oracle); ``"kernel"`` and
+#: ``"numpy"`` are kept as spellings of the one production engine, which
+#: is also what ``None`` selects, because saved scripts and job specs
+#: name them.  They select nothing.
 ENGINES = frozenset({"kernel", "reference", "numpy"})
 
-#: Environment variable naming the engine used when a miner is built
-#: without an explicit ``engine=`` argument (see :func:`default_engine`).
-ENGINE_ENV = "FARMER_ENGINE"
 
-
-def _load_npbitset():
-    """The packed-array backend module, or a loud :class:`UsageError`.
-
-    Import is deferred so the ``"kernel"``/``"reference"`` engines — and
-    everything else in this package — keep working on interpreters
-    without NumPy.
-    """
-    try:
-        from . import npbitset
-    except ImportError as exc:
-        raise UsageError(
-            "engine 'numpy' requires NumPy, which is not installed; "
-            "use engine='kernel' or install numpy"
-        ) from exc
-    return npbitset
-
-
-def _validate_engine(engine: str) -> str:
-    """Reject unknown engines and unavailable backends, loudly."""
-    if engine not in ENGINES:
+def _is_reference(engine: str | None) -> bool:
+    """Whether ``engine`` names the reference oracle; rejects unknown
+    names loudly."""
+    if engine is not None and engine not in ENGINES:
         raise UsageError(
             f"unknown engine {engine!r}; expected one of {sorted(ENGINES)}"
         )
-    if engine == "numpy":
-        _load_npbitset()
-    return engine
-
-
-def available_engines() -> tuple[str, ...]:
-    """The registered engines this interpreter can actually run, sorted.
-
-    Every name in :data:`ENGINES` except ``"numpy"`` when NumPy is not
-    importable.  The conformance suite parameterizes over this.
-    """
-    names = []
-    for name in sorted(ENGINES):
-        try:
-            _validate_engine(name)
-        except UsageError:
-            continue
-        names.append(name)
-    return tuple(names)
-
-
-def default_engine() -> str:
-    """The engine used when none is requested explicitly.
-
-    Reads :data:`ENGINE_ENV` (``FARMER_ENGINE``) so a whole test run or
-    batch job can be switched onto one engine without touching call
-    sites — CI runs the tier-1 suite under an engine matrix this way —
-    and falls back to ``"kernel"`` when unset.
-
-    Returns:
-        A validated engine name.
-
-    Raises:
-        UsageError: if the environment names an unknown engine or one
-            whose backend is not importable.
-    """
-    return _validate_engine(os.environ.get(ENGINE_ENV, "kernel"))
+    return engine == "reference"
 
 
 class NodeState(NamedTuple):
@@ -196,7 +140,7 @@ class NodeState(NamedTuple):
 
     Attributes:
         table: the node's conditional table (any
-            :class:`~repro.core.kernel.CondTableProtocol` engine
+            :class:`~repro.core.kernel.CondTableProtocol`
             representation) when ``row_bit == 0``, else the parent's.
         row_bit: the bit of the row that extended the parent into this
             node (``0`` at the root of a traversal).
@@ -258,8 +202,8 @@ class SearchContext:
 
     Everything :func:`enumerate_frontier` needs besides the frontier itself:
     the dataset constants, the ORD class masks, the enabled prunings and
-    the expansion engine.  Picklable, so worker processes receive one
-    copy per task.
+    whether the run is the ``reference`` oracle.  Picklable, so worker
+    processes receive one copy per task.
 
     ``observe`` switches the kernel's Pruning-3 bound scan to its
     telemetry-counting variant
@@ -277,7 +221,7 @@ class SearchContext:
     use_p1: bool
     use_p2: bool
     use_p3: bool
-    engine: str = "kernel"
+    reference: bool = False
     observe: bool = False
 
     @classmethod
@@ -286,7 +230,7 @@ class SearchContext:
         table: TransposedTable,
         constraints: Constraints,
         prunings: Iterable[str],
-        engine: str = "kernel",
+        reference: bool = False,
         observe: bool = False,
     ) -> "SearchContext":
         """Build the context for one mining run over ``table``.
@@ -297,13 +241,14 @@ class SearchContext:
             prunings: enabled pruning strategies (subset of
                 ``{"p1", "p2", "p3"}``; ``p2`` degrades to off without
                 ``p1``).
-            engine: per-node expansion engine (see :data:`ENGINES`).
-            observe: enable bound-scan telemetry (kernel engine only).
+            reference: run the pre-kernel cost model instead of the
+                production engine.
+            observe: enable bound-scan telemetry (production engine
+                only).
 
         Returns:
             The immutable :class:`SearchContext` shared by every node.
         """
-        _validate_engine(engine)
         prunings = frozenset(prunings)
         use_p1 = "p1" in prunings
         return cls(
@@ -315,22 +260,21 @@ class SearchContext:
             use_p1=use_p1,
             use_p2="p2" in prunings and use_p1,
             use_p3="p3" in prunings,
-            engine=engine,
+            reference=reference,
             observe=observe,
         )
 
     def root_state(self, table: TransposedTable) -> NodeState:
         """The enumeration root: ``X = {}`` over the full table.
 
-        The kernel engine builds the support-sorted, pre-scanned root
-        :class:`~repro.core.kernel.CondTable`; the numpy engine builds
-        the same table on the packed-uint64 layout
-        (:class:`~repro.core.npbitset.NumpyCondTable`, identical item
-        order); the reference engine keeps the dataset's item order and
-        carries no popcounts, so its bound scans walk every tuple.
+        The production engine builds the support-sorted, pre-scanned
+        root through :func:`~repro.core.npbitset.root_table` (packed
+        words or int masks by root width, identical item order); the
+        reference engine keeps the dataset's item order and carries no
+        popcounts, so its bound scans walk every tuple.
         """
         cond: CondTableProtocol
-        if self.engine == "reference":
+        if self.reference:
             masks = list(table.item_masks)
             inter, union = scan_items(masks, table.all_rows_mask)
             cond = CondTable(
@@ -341,12 +285,8 @@ class SearchContext:
                 union,
                 table.all_rows_mask,
             )
-        elif self.engine == "numpy":
-            cond = _load_npbitset().NumpyCondTable.build(
-                table.item_masks, table.all_rows_mask
-            )
         else:
-            cond = CondTable.build(table.item_masks, table.all_rows_mask)
+            cond = root_table(table.item_masks, table.all_rows_mask)
         return NodeState(
             table=cond,
             row_bit=0,
@@ -562,7 +502,7 @@ def enumerate_frontier(
         ``None`` when the frontier was fully enumerated, else the
         ordered remaining frontier to continue from.
     """
-    if ctx.engine == "reference":
+    if ctx.reference:
         cache = _UNCACHED
     elif cache is None:
         cache = KernelCache()
@@ -581,7 +521,7 @@ def enumerate_frontier(
     m = ctx.m
     positive_mask = ctx.positive_mask
     observe = ctx.observe
-    eager = ctx.engine == "reference"
+    eager = ctx.reference
     # Per-node work only some walks do: an observer, a budget tick, or
     # the reference engine's eager tables.
     slow = observer is not None or tick is not None or eager
@@ -999,14 +939,12 @@ class Farmer:
         resume: checkpoint file to restore progress from before mining;
             a missing file starts fresh.  The resumed run's output is
             byte-identical to an uninterrupted one.
-        engine: per-node expansion engine — ``"kernel"`` (the fused lazy
-            kernel of :mod:`repro.core.kernel`), ``"numpy"`` (the
-            packed-uint64 columnar backend of
-            :mod:`repro.core.npbitset`; requires NumPy) or
-            ``"reference"`` (the pre-kernel cost model, for differential
-            tests and the perf gate).  ``None`` (default) resolves via
-            :func:`default_engine` (``$FARMER_ENGINE`` or ``"kernel"``).
-            All engines produce byte-identical serialized output.
+        engine: ``None`` (default) for the production engine, or
+            ``"reference"`` for the pre-kernel cost model (the
+            differential oracle of the tests and the perf gate).
+            ``"kernel"`` and ``"numpy"`` are accepted as spellings of
+            the production engine (see :data:`ENGINES`).  Both engines
+            produce byte-identical serialized output.
         warm_cache: directory of persisted frontier entries
             (:mod:`repro.core.frontier`).  When set, a mine first
             consults the cache: an entry whose constraints are no looser
@@ -1053,9 +991,7 @@ class Farmer:
         if unknown:
             raise ConstraintError(f"unknown pruning strategies: {sorted(unknown)}")
         self.prunings = prunings
-        self.engine = (
-            default_engine() if engine is None else _validate_engine(engine)
-        )
+        self.reference = _is_reference(engine)
         self.compute_lower_bounds = compute_lower_bounds
         self.budget = budget if budget is not None else SearchBudget()
         if n_workers is not None and n_workers < 1:
@@ -1147,7 +1083,7 @@ class Farmer:
                 minconf=self.constraints.minconf,
                 minchi=self.constraints.minchi,
                 prunings=sorted(self.prunings),
-                engine=self.engine,
+                engine="reference" if self.reference else "production",
                 mode="warm" if warm else ("sharded" if sharded else "serial"),
             )
         try:
@@ -1171,7 +1107,7 @@ class Farmer:
                     checkpoint=self.checkpoint,
                     checkpoint_every=self.checkpoint_every,
                     resume=self.resume,
-                    engine=self.engine,
+                    engine="reference" if self.reference else None,
                     telemetry=telemetry,
                 )
             else:
@@ -1188,7 +1124,7 @@ class Farmer:
         elapsed = time.perf_counter() - started
         if telemetry is not None:
             telemetry.fold_node_counters(counters)
-            if not sharded and not warm and self.engine != "reference":
+            if not sharded and not warm and not self.reference:
                 telemetry.add_counters(self._cache.stats())
             telemetry.run_end(
                 groups=len(groups),
@@ -1245,7 +1181,7 @@ class Farmer:
             table,
             self.constraints,
             self.prunings,
-            engine=self.engine,
+            reference=self.reference,
             observe=self.telemetry is not None,
         )
 
@@ -1413,7 +1349,8 @@ def mine_irgs(
         checkpoint_every: shard completions per checkpoint write.
         resume: checkpoint path to restore before mining; a resumed
             run's output is byte-identical to an uninterrupted one.
-        engine: per-node expansion engine (see :data:`ENGINES`).
+        engine: ``None`` (production) or ``"reference"`` (see
+            :class:`Farmer`).
         telemetry: optional :class:`~repro.obs.telemetry.Telemetry`
             observer (metrics, run log, progress); ``None`` (default)
             disables instrumentation entirely.

@@ -520,7 +520,7 @@ def _answer_by_capture(
     budget = miner.budget
     constraints = miner.constraints
     ctx = SearchContext.for_table(
-        table, constraints, miner.prunings, engine=miner.engine
+        table, constraints, miner.prunings, reference=miner.reference
     )
     evals: list[Candidate] = []
     truncated = False

@@ -40,6 +40,10 @@ they become output, so the support-descending order changes *work*, never
 results — the differential suite pins byte-identical ``.irgs`` output
 against the reference shims and the brute-force oracle.
 
+:class:`CondTable` is the production engine's representation of a
+*narrow* table: wide ones are packed words
+(:class:`~repro.core.npbitset.NumpyCondTable`), which hand their narrow
+children over to this class (:data:`~repro.core.npbitset.HANDOFF_ITEMS`).
 Miners accept ``engine="reference"`` to run the pre-kernel cost model
 (every visited node's table built eagerly, no popcounts so full bound
 scans, no memo caches) for differential testing and the committed perf
@@ -65,16 +69,17 @@ __all__ = [
 
 @runtime_checkable
 class CondTableProtocol(Protocol):
-    """The conditional-table seam every expansion engine implements.
+    """The conditional-table seam both table representations implement.
 
     :func:`repro.core.farmer.enumerate_frontier` (the one walk every
-    FARMER mine runs) and the baselines never touch a table's representation — they consume
-    exactly this surface, so an engine is free to store its tuples as
-    int lists (:class:`CondTable`) or packed uint64 arrays
-    (:class:`~repro.core.npbitset.NumpyCondTable`) as long as the scan
+    FARMER mine runs) and the baselines never touch a table's
+    representation — they consume exactly this surface, so a table is
+    free to store its tuples as int lists (:class:`CondTable`) or packed
+    uint64 arrays (:class:`~repro.core.npbitset.NumpyCondTable`), and to
+    change from one to the other in :meth:`extend`, as long as the scan
     results are plain ints and the item order matches the kernel's
     support-descending build order (candidates must serialize
-    byte-identically across engines).
+    byte-identically whatever the representation).
 
     Attributes:
         inter: tuple intersection as an int row mask (``full`` when the
@@ -559,13 +564,14 @@ class KernelCache:
     ) -> int:
         """The table's bound scan, with telemetry folded into this cache.
 
-        Dispatches through the protocol so each engine accounts for its
-        own cost model — the kernel table records how far its early exit
-        walked, the packed table records full-length vectorized scans.
+        Dispatches through the protocol so each representation accounts
+        for its own cost model — the int-mask table records how far its
+        early exit walked, the packed table records full-length
+        vectorized scans.
 
         Args:
-            table: an engine-built table (the reference engine never
-                takes the observed path).
+            table: a production table (the reference engine never takes
+                the observed path).
             cand_mask: the candidate-row bitset of Lemma 3.7.
 
         Returns:

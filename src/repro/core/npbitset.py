@@ -1,4 +1,4 @@
-"""Packed-uint64 bitset arrays: the NumPy columnar engine backend.
+"""Packed-uint64 conditional tables and the hand-off to int masks.
 
 :mod:`repro.core.bitset` represents a row set over ``n`` rows as one
 arbitrary-precision Python int with bit ``k`` standing for row ``k``.
@@ -14,21 +14,22 @@ orientation).  The two representations are exact mirrors —
 ``tests/test_npbitset.py`` pins every array op here against the int-mask
 reference.
 
-:class:`NumpyCondTable` implements the
-:class:`~repro.core.kernel.CondTableProtocol` seam on this layout and is
-what ``engine="numpy"`` (see :data:`repro.core.farmer.ENGINES`) puts
-inside every :class:`~repro.core.farmer.NodeState`.  Scalar node state
-(row combinations, candidate lists, closures) stays Python ints: only
-the per-item table work — extend-and-scan, whole-table Pruning-3 bound
-scans — crosses into NumPy, and scan results are converted back to ints
-at the table boundary so every consumer of the protocol sees identical
-values regardless of engine.
+FARMER's per-node work is the conditional table ``TT|X`` (Lemma 3.3).
+It holds every item at the root and shrinks quickly with depth, so a
+search is wide near the root and narrow in its deep tail.  Packed words
+win while a table is wide (one vectorized pass per extend and per bound
+scan); the kernel's int masks (:class:`~repro.core.kernel.CondTable`)
+win once it is narrow (a short Python loop with an early-exiting bound
+scan and no array dispatch).  The production engine therefore follows
+the table: :func:`root_table` builds the root on whichever side of
+:data:`HANDOFF_ITEMS` it falls, and :meth:`NumpyCondTable.extend` hands
+a child narrower than that over to the int-mask table, which stays
+int masks from there down.  Both tables implement
+:class:`~repro.core.kernel.CondTableProtocol` with the same item order
+and the same int scan results, so the hand-off changes work, never
+output.
 
-Popcounts are batched through ``np.bitwise_count`` when the installed
-NumPy has it (2.0+); older NumPy falls back to a byte lookup table
-(:data:`POPCOUNT8`) over the ``uint8`` view of the same words.  Both
-paths are exported so the property suite can pin them against each other
-and against ``int.bit_count``.
+Popcounts are batched through ``np.bitwise_count`` (NumPy 2.0+).
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .kernel import CondTable
+
 __all__ = [
-    "HAS_BITWISE_COUNT",
-    "POPCOUNT8",
+    "HANDOFF_ITEMS",
     "NumpyCondTable",
     "complement_words",
     "mask_words",
@@ -47,8 +49,7 @@ __all__ = [
     "pack_masks",
     "popcount_cols",
     "popcount_words",
-    "popcount_words_lut",
-    "popcount_words_native",
+    "root_table",
     "tail_mask",
     "unpack_words",
     "word_count",
@@ -57,17 +58,14 @@ __all__ = [
 _WORD_BITS = 64
 _WORD_BYTES = 8
 
-#: Whether the installed NumPy provides the hardware-popcount ufunc
-#: (added in NumPy 2.0); without it the lookup-table fallback runs.
-HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-#: Per-byte popcounts, the lookup table of the pre-2.0 fallback.  The
-#: ``bin(i).count("1")`` spelling is the sanctioned construction idiom
-#: for vectorized popcount tables (recognized by FRM004): the table is
-#: built once at import, never per popcount.
-POPCOUNT8 = np.array(
-    [bin(value).count("1") for value in range(256)], dtype=np.uint8
-)
+#: Item count below which a conditional table is held as int masks
+#: rather than packed words: :func:`root_table` builds a narrower root
+#: as a :class:`~repro.core.kernel.CondTable`, and
+#: :meth:`NumpyCondTable.extend` converts a narrower child.  Measured on
+#: the perf gate's LC sweeps (``docs/performance.md``); not an option.
+#: ``0`` keeps every table packed and a huge value keeps every table as
+#: int masks, which is how tests and the gate force either side.
+HANDOFF_ITEMS = 128
 
 
 def word_count(n_rows: int) -> int:
@@ -151,8 +149,8 @@ def complement_words(words: np.ndarray, n_rows: int) -> np.ndarray:
     return ~words & tail_mask(n_rows, words.shape[-1])
 
 
-def popcount_words_native(words: np.ndarray) -> np.ndarray:
-    """Per-mask popcounts via ``np.bitwise_count`` (NumPy 2.0+).
+def popcount_words(words: np.ndarray) -> np.ndarray:
+    """Per-mask popcounts via ``np.bitwise_count``.
 
     Args:
         words: ``(..., width)`` packed row sets.
@@ -164,40 +162,12 @@ def popcount_words_native(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
-def popcount_words_lut(words: np.ndarray) -> np.ndarray:
-    """Per-mask popcounts via the :data:`POPCOUNT8` byte lookup table.
-
-    The fallback for NumPy builds without ``bitwise_count``: reinterpret
-    the words as bytes, index the table, sum.  Extensionally equal to
-    :func:`popcount_words_native` (pinned by the property suite).
-
-    Args:
-        words: ``(..., width)`` packed row sets.
-
-    Returns:
-        int64 array of shape ``words.shape[:-1]``.
-    """
-    flat = np.ascontiguousarray(words)
-    # Explicit byte width, not -1: reshape(-1) is ambiguous at size 0.
-    as_bytes = flat.view(np.uint8).reshape(
-        *flat.shape[:-1], flat.shape[-1] * _WORD_BYTES
-    )
-    return POPCOUNT8[as_bytes].sum(axis=-1, dtype=np.int64)
-
-
-popcount_words = (
-    popcount_words_native if HAS_BITWISE_COUNT else popcount_words_lut
-)
-"""Batched per-mask popcount: native ufunc when available, else LUT."""
-
-
 def popcount_cols(words: np.ndarray) -> np.ndarray:
     """Per-column popcounts of a ``(width, k)`` word-row array.
 
     The transposed-layout counterpart of :func:`popcount_words`: column
     ``i`` holds one packed row set spread down the rows, so the sum runs
-    over axis 0.  Same native/LUT split, pinned extensionally equal to
-    ``popcount_words(words.T)`` by the property suite.
+    over axis 0.
 
     Args:
         words: ``(width, k)`` array, one packed row set per column.
@@ -205,19 +175,13 @@ def popcount_cols(words: np.ndarray) -> np.ndarray:
     Returns:
         int64 array of shape ``(k,)``: total set bits per column.
     """
-    if HAS_BITWISE_COUNT:
-        return np.bitwise_count(words).sum(axis=0, dtype=np.int64)
-    flat = np.ascontiguousarray(words)
-    as_bytes = flat.view(np.uint8).reshape(
-        flat.shape[0], flat.shape[1], _WORD_BYTES
-    )
-    return POPCOUNT8[as_bytes].sum(axis=(0, 2), dtype=np.int64)
+    return np.bitwise_count(words).sum(axis=0, dtype=np.int64)
 
 
 class NumpyCondTable:
     """A conditional transposed table on the packed-uint64 layout.
 
-    The ``engine="numpy"`` implementation of
+    The wide-table implementation of
     :class:`~repro.core.kernel.CondTableProtocol`.  All per-item state
     lives in one C-contiguous uint64 array ``data`` of shape
     ``(width + 1, k)``: item ``i`` is column ``i``, with its packed row
@@ -229,13 +193,13 @@ class NumpyCondTable:
     ``inter``/``union``/``full`` are plain Python ints (converted at the
     table boundary), which keeps every consumer of the protocol —
     witness math, memo-cache keys, candidate row masks — byte-identical
-    to the kernel engine.
+    to the int-mask table.
 
     Item order is support-descending with item-id ties ascending, the
     exact :meth:`~repro.core.kernel.CondTable.build` order, inherited by
-    children through filtering; candidates therefore serialize
-    identically across engines.  Unlike the kernel table no per-item
-    popcounts are kept: the Pruning-3 bound scan
+    children through filtering (and across the hand-off); candidates
+    therefore serialize identically either way.  Unlike the int-mask
+    table no per-item popcounts are kept: the Pruning-3 bound scan
     (:meth:`max_overlap`) is one vectorized AND + popcount + max over
     the whole table, so the early-exit key is dead weight here.
 
@@ -328,7 +292,7 @@ class NumpyCondTable:
         union = unpack_words(np.bitwise_or.reduce(words, axis=0))
         return cls(data, width, inter, union, full_mask)
 
-    def extend(self, row_bit: int) -> "NumpyCondTable":
+    def extend(self, row_bit: int) -> "NumpyCondTable | CondTable":
         """The child table ``TT|X∪{r}`` — one selection, one fused scan.
 
         The packed mirror of :meth:`repro.core.kernel.CondTable.extend`:
@@ -336,18 +300,23 @@ class NumpyCondTable:
         :func:`np.compress` over columns; a nonzero AND result is the
         membership test), then AND/OR-reduce the survivors' contiguous
         word rows for the child's intersection and union.  Order is
-        preserved by the selection.
+        preserved by the selection.  A child with fewer than
+        :data:`HANDOFF_ITEMS` items is returned as the equivalent int-mask
+        :class:`~repro.core.kernel.CondTable`.
         """
         row = row_bit.bit_length() - 1
         word_index, bit_index = divmod(row, _WORD_BITS)
         data = self.data
         # ndarray.compress, not np.compress: same op, no dispatch shim —
-        # this is the hottest allocation in the engine.
+        # this is the hottest allocation on the packed side.
         selected = data.compress(
             data[word_index] & np.uint64(1 << bit_index), axis=1
         )
         width = self.width
-        if not selected.shape[1]:
+        size = selected.shape[1]
+        if not size:
+            if HANDOFF_ITEMS > 0:
+                return CondTable([], [], [], self.full, 0, self.full)
             return NumpyCondTable(selected, width, self.full, 0, self.full)
         words = selected[:width]
         # Reduce outputs are fresh contiguous arrays; convert straight
@@ -358,6 +327,24 @@ class NumpyCondTable:
         union = int.from_bytes(
             np.bitwise_or.reduce(words, axis=1).tobytes(), "little"
         )
+        if size < HANDOFF_ITEMS:
+            # One byte string with each item's words contiguous, sliced
+            # into one int per item; counts are the items' popcounts,
+            # the key CondTable's early-exiting bound scan needs.
+            payload = words.T.tobytes()
+            step = width * _WORD_BYTES
+            masks = [
+                int.from_bytes(payload[start:start + step], "little")
+                for start in range(0, size * step, step)
+            ]
+            return CondTable(
+                selected[width].tolist(),
+                masks,
+                [mask.bit_count() for mask in masks],
+                inter,
+                union,
+                self.full,
+            )
         return NumpyCondTable(selected, width, inter, union, self.full)
 
     @property
@@ -393,7 +380,7 @@ class NumpyCondTable:
 
         The vectorized scan always touches every tuple, so the scan
         length equals the table length and no early exit is recorded —
-        the honest shape of this engine's cost model in the
+        the honest shape of the packed table's cost model in the
         ``kernel.bound_*`` telemetry.
 
         Args:
@@ -409,6 +396,30 @@ class NumpyCondTable:
         cache.bound_rows_scanned += size
         cache.bound_rows_total += size
         return self.max_overlap(cand_mask)
+
+
+def root_table(
+    item_masks: Sequence[int], full_mask: int
+) -> "NumpyCondTable | CondTable":
+    """The production engine's root table over every item.
+
+    Packed words when the root has at least :data:`HANDOFF_ITEMS` items,
+    the int-mask :class:`~repro.core.kernel.CondTable` otherwise; the
+    two carry the same order and scan results.  FARMER's
+    :meth:`~repro.core.farmer.SearchContext.root_state` and CARPENTER
+    both build their roots here, so the representation decision lives in
+    this module alone.
+
+    Args:
+        item_masks: per-item row bitsets in item-id order.
+        full_mask: bitset of all rows (``(1 << n_rows) - 1``).
+
+    Returns:
+        The fully scanned root table.
+    """
+    if len(item_masks) < HANDOFF_ITEMS:
+        return CondTable.build(item_masks, full_mask)
+    return NumpyCondTable.build(item_masks, full_mask)
 
 
 def mask_words(table: NumpyCondTable) -> list[int]:

@@ -148,6 +148,7 @@ from .farmer import (
     NodeState,
     SearchContext,
     _IRGStore,
+    _is_reference,
     enumerate_frontier,
 )
 from .kernel import KernelCache
@@ -1093,7 +1094,7 @@ def mine_table_parallel(
     checkpoint: str | Path | None = None,
     checkpoint_every: int = 1,
     resume: str | Path | None = None,
-    engine: str = "kernel",
+    engine: str | None = None,
     telemetry: "Telemetry | None" = None,
 ) -> tuple[_IRGStore, NodeCounters, bool, ParallelReport]:
     """Mine ``table`` with the sharded decompose/execute/reduce pipeline.
@@ -1102,7 +1103,7 @@ def mine_table_parallel(
     coordinator's decomposition), so a task's cache telemetry is
     independent of scheduling and retries — resumed runs report counters
     identical to uninterrupted ones — while the *semantic* counters
-    match the serial miner's for any engine (see
+    match the serial miner's (see
     :data:`repro.core.enumeration.CACHE_TELEMETRY_FIELDS`).
 
     Args:
@@ -1145,7 +1146,7 @@ def mine_table_parallel(
             is rejected with :class:`~repro.errors.DataError` via the
             run fingerprint.  When only ``resume`` is given, the same
             file keeps receiving checkpoints.
-        engine: per-node expansion engine (see
+        engine: ``None`` (production) or ``"reference"`` (see
             :class:`~repro.core.farmer.Farmer`).
         telemetry: observes the run (phase events and timers, task/fault
             events, checkpoint write latency, the progress sampler)
@@ -1188,13 +1189,15 @@ def mine_table_parallel(
         if budget.max_seconds is not None:
             deadline = time.monotonic() + budget.max_seconds
 
-    ctx = SearchContext.for_table(table, constraints, prunings, engine=engine)
+    ctx = SearchContext.for_table(
+        table, constraints, prunings, reference=_is_reference(engine)
+    )
     # The coordinator's own expansions run observed (its kernel cache is
     # in hand to read the bound-scan stats from); the context shipped to
     # workers stays unobserved — worker-side stats would be discarded.
     coordinator_ctx = (
         replace(ctx, observe=True)
-        if telemetry is not None and engine != "reference"
+        if telemetry is not None and not ctx.reference
         else ctx
     )
     coordinator = NodeCounters()

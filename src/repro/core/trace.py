@@ -39,7 +39,7 @@ class TraceNode:
         rows: the ORD row positions of the combination ``X``.
         items: ``I(X)`` as item ids, sorted ascending (the node label in
             Figure 3).  Sorting makes the label independent of the
-            engine's internal table order — the kernel engine keeps
+            engine's internal table order — the production engine keeps
             conditional tables support-sorted, the reference engine
             keeps insertion order.
         supp: ``|R(I(X)) ∩ C|`` (-1 when pruned before the scan).

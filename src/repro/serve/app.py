@@ -33,7 +33,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
-from ..core.farmer import available_engines, default_engine
 from ..errors import ReproError
 from .jobs import DEFAULT_JOB_TIMEOUT, JobQueue
 from .registry import DatasetRegistry
@@ -99,7 +98,7 @@ class Route:
 #: (gated by ``tests/test_serve.py::TestDocsCatalogue``).
 ROUTES = (
     Route("GET", "/v1/health", "health",
-          "server liveness, engines, job counts"),
+          "server liveness, job counts"),
     Route("GET", "/v1/datasets", "list_datasets",
           "list registry datasets (paper + uploads)"),
     Route("POST", "/v1/datasets", "upload_dataset",
@@ -242,8 +241,6 @@ class ServeApp:
         """``GET /v1/health``."""
         return 200, {
             "status": "ok",
-            "engines": list(available_engines()),
-            "default_engine": default_engine(),
             "jobs": self.queue.counts(),
             "routes": [
                 f"{route.method} {route.pattern}" for route in ROUTES

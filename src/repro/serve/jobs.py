@@ -11,8 +11,8 @@ mine at a time through the exact :class:`~repro.core.farmer.Farmer`
 path the CLI uses.  Threads (not processes) are the right pool here:
 a serial mine holds the GIL, but jobs that ask for ``workers`` shard
 across *processes* via :mod:`repro.core.parallel` exactly as the CLI
-does, and the numpy engine releases the GIL in its vectorized kernels —
-the pool bounds concurrent *mines*, not concurrent CPUs.
+does, and the packed-word tables release the GIL in their vectorized
+kernels — the pool bounds concurrent *mines*, not concurrent CPUs.
 
 Resource-limit semantics (``docs/serve.md`` documents each):
 
@@ -35,7 +35,7 @@ Byte identity is load-bearing: a job's ``.irgs`` artifact is written by
 the same :func:`~repro.core.serialize.save_rule_groups` call the CLI
 uses, from the same miner, so fetching a job result is byte-identical
 to mining locally — warm-cache answers included
-(``tests/test_serve.py`` pins this across engines).
+(``tests/test_serve.py`` pins this across hand-off cutoffs).
 """
 
 from __future__ import annotations
@@ -249,9 +249,8 @@ class JobQueue:
     def submit(self, spec: JobSpec) -> Job:
         """Queue one job (the ``POST /v1/jobs`` entry point).
 
-        The dataset id and engine are validated against the live
-        registry *before* queueing, so a job that cannot run is never
-        accepted.
+        The dataset id is validated against the live registry *before*
+        queueing, so a job that cannot run is never accepted.
 
         Args:
             spec: the validated job spec.
@@ -261,23 +260,12 @@ class JobQueue:
 
         Raises:
             ApiError: ``404 not_found`` for an unknown dataset,
-                ``400 bad_request`` for an unavailable engine,
                 ``429 queue_full`` when the backlog is at capacity.
         """
         if spec.dataset not in self.registry.dataset_ids():
             raise ApiError(
                 404, "not_found", f"unknown dataset {spec.dataset!r}"
             )
-        if spec.engine is not None:
-            from ..core.farmer import available_engines
-
-            if spec.engine not in available_engines():
-                raise ApiError(
-                    400,
-                    "bad_request",
-                    f"engine {spec.engine!r} is not available on this "
-                    f"server (available: {list(available_engines())})",
-                )
         with self._lock:
             backlog = sum(
                 1

@@ -93,8 +93,9 @@ class JobSpec:
             uploads, whose gene count is fixed by the uploaded table).
         buckets: equal-depth discretization buckets.
         seed: generation seed override for paper datasets.
-        engine: enumeration engine (``None`` = the server default,
-            which honors ``FARMER_ENGINE``).
+        engine: ``None`` (the production engine) or ``"reference"``
+            (the differential oracle); ``"kernel"`` and ``"numpy"`` are
+            accepted as spellings of the production engine.
         workers: shard the mine across this many worker processes
             (``None`` = serial; output is byte-identical either way);
             ignored when the job answers through the warm cache.

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import settings as _hypothesis_settings
 
+from repro.core import npbitset
 from repro.data.dataset import ItemizedDataset
 
 # Hypothesis sweep depth is profile-driven: "ci" (loaded by default)
@@ -64,6 +66,43 @@ def chaos(monkeypatch):
     control = ChaosControl(monkeypatch)
     yield control
     control.disarm()
+
+
+#: Hand-off cutoffs (:data:`repro.core.npbitset.HANDOFF_ITEMS`) the
+#: representation-sensitive suites force, by test id: every table packed
+#: (``numpy``), a hand-off on the first extend (``handoff-1``,
+#: ``handoff-2``), the shipped cutoff (``default``) and every table as
+#: int masks (``kernel``).
+HANDOFF_CUTOFFS = {
+    "numpy": 0,
+    "handoff-1": 1,
+    "handoff-2": 2,
+    "default": npbitset.HANDOFF_ITEMS,
+    "kernel": 1 << 62,
+}
+
+
+@contextmanager
+def handoff(cutoff):
+    """Force the production engine's hand-off cutoff inside the block.
+
+    ``cutoff`` is an item count or a :data:`HANDOFF_CUTOFFS` id.  Worker
+    pools fork with the module state of their moment, so the cached
+    pools are torn down on entry and exit, like :class:`ChaosControl`
+    does for the fault spec.
+    """
+    from repro.core.parallel import shutdown_workers
+
+    if isinstance(cutoff, str):
+        cutoff = HANDOFF_CUTOFFS[cutoff]
+    saved = npbitset.HANDOFF_ITEMS
+    shutdown_workers()
+    npbitset.HANDOFF_ITEMS = cutoff
+    try:
+        yield
+    finally:
+        npbitset.HANDOFF_ITEMS = saved
+        shutdown_workers()
 
 
 def letter_items(letters: str) -> list[int]:

@@ -1,53 +1,50 @@
-"""Reusable cross-engine conformance machinery.
+"""Reusable conformance machinery for the production engine's hand-off.
 
-The repo's guarantee structure is byte-identity: every engine registered
-in :data:`repro.core.farmer.ENGINES` must serialize the exact same
-``.irgs`` bytes as the ``kernel`` engine on the exact same search tree.
-This module holds the machinery — engine discovery, serialization
-helpers, the shared constraint/pruning grids — and
-``test_engine_conformance.py`` drives it over every registered engine.
-
-A new engine gets the whole suite for free: register it in ``ENGINES``
-(and make :func:`repro.core.farmer.available_engines` report it) and the
-parameterized tests pick it up — no new test code.  CI legs that only
-care about one engine can restrict the sweep with the
-:data:`ENGINES_ENV` environment variable (comma-separated engine
-names).
+The repo's guarantee structure is byte-identity: the production engine
+must serialize the exact ``.irgs`` bytes of the ``reference`` oracle,
+on the exact same search tree, whichever representation each
+conditional table takes.  The production engine holds ``TT|X`` as
+packed words while it is wide and as int masks once it is narrower
+than :data:`repro.core.npbitset.HANDOFF_ITEMS`; this module forces that
+cutoff per test variant, and ``test_engine_conformance.py`` drives the
+variants over the shared constraint/pruning grids and the degenerate
+shapes.
 """
 
 from __future__ import annotations
 
-import os
-
 import test_farmer_oracle
+from conftest import handoff
 
-from repro.core.farmer import available_engines, mine_irgs
+from repro.core.farmer import mine_irgs
 from repro.core.serialize import save_rule_groups
 
-#: Comma-separated engine-name filter for the conformance sweep; unset
-#: runs every available non-kernel engine.
-ENGINES_ENV = "FARMER_CONFORMANCE_ENGINES"
-
-#: The constraint grid every engine is differentially mined over
-#: (shared with the oracle suite, the ground truth these engines chase).
+#: The constraint grid every variant is differentially mined over
+#: (shared with the oracle suite, the ground truth the engine chases).
 CONSTRAINT_GRID = test_farmer_oracle.CONSTRAINT_GRID
 
 #: Every pruning on/off combination (shared with the ablation suite).
 PRUNING_COMBOS = test_farmer_oracle.TestPruningAblation.PRUNING_COMBOS
 
+#: The variants under test, by id.  Every id but ``reference`` is a
+#: :data:`conftest.HANDOFF_CUTOFFS` cutoff the production engine runs
+#: at: all packed (``numpy``), a hand-off on the first extend
+#: (``handoff-1``, ``handoff-2``) and the shipped cutoff (``default``).
+#: ``reference`` runs the oracle engine itself, beside the production
+#: engine with every table as int masks (the ``kernel`` cutoff), so the
+#: all-int side is covered too.
+VARIANTS = ("numpy", "handoff-1", "handoff-2", "default", "reference")
 
-def engines_under_test() -> list[str]:
-    """The engines the conformance suite compares against ``kernel``.
 
-    Every available engine except the kernel baseline itself, optionally
-    filtered down by :data:`ENGINES_ENV`.
+def variant_setup(variant: str) -> tuple[str, str | None]:
+    """``(cutoff id, engine=)`` a variant mines its production side with.
+
+    The ``reference`` variant's engine is the oracle; its partner runs
+    at the all-int-masks cutoff.
     """
-    names = [name for name in available_engines() if name != "kernel"]
-    selected = os.environ.get(ENGINES_ENV)
-    if selected is not None:
-        wanted = {part.strip() for part in selected.split(",") if part.strip()}
-        names = [name for name in names if name in wanted]
-    return names
+    if variant == "reference":
+        return "kernel", "reference"
+    return variant, None
 
 
 def irgs_bytes(result, tmp_path, tag) -> bytes:
@@ -58,20 +55,24 @@ def irgs_bytes(result, tmp_path, tag) -> bytes:
 
 
 def assert_serial_conformant(
-    data, engine: str, tmp_path, tag: str, **constraints
+    data, variant: str, tmp_path, tag: str, **constraints
 ):
-    """Mine ``data`` serially with ``engine`` and ``kernel``; both runs
-    must serialize identical bytes over an identical search tree.
+    """Mine ``data`` serially with the reference oracle and with the
+    production engine at ``variant``'s cutoff; both runs must serialize
+    identical bytes over an identical search tree.
 
     Returns:
-        ``(kernel_result, engine_result)`` for additional assertions.
+        ``(oracle_result, production_result)`` for additional
+        assertions.
     """
-    kernel = mine_irgs(data, "C", engine="kernel", **constraints)
-    candidate = mine_irgs(data, "C", engine=engine, **constraints)
-    assert irgs_bytes(candidate, tmp_path, f"{tag}-{engine}") == irgs_bytes(
-        kernel, tmp_path, f"{tag}-kernel"
-    ), (engine, tag)
+    cutoff, _ = variant_setup(variant)
+    with handoff(cutoff):
+        oracle = mine_irgs(data, "C", engine="reference", **constraints)
+        production = mine_irgs(data, "C", **constraints)
+    assert irgs_bytes(production, tmp_path, f"{tag}-{variant}") == irgs_bytes(
+        oracle, tmp_path, f"{tag}-reference"
+    ), (variant, tag)
     # Same traversal, same prunings — only cache telemetry and
-    # bound-evaluation counts may differ between engines.
-    assert candidate.counters.nodes == kernel.counters.nodes, (engine, tag)
-    return kernel, candidate
+    # bound-evaluation counts may differ between the two.
+    assert production.counters.nodes == oracle.counters.nodes, (variant, tag)
+    return oracle, production

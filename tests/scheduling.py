@@ -190,7 +190,6 @@ def run_schedule(
     constraints: Constraints,
     schedule: Schedule,
     *,
-    engine: str = "kernel",
     target: int = 6,
     advisory_cap: int = DEFAULT_ADVISORY_CAP,
 ) -> VirtualRun:
@@ -206,8 +205,6 @@ def run_schedule(
         consequent: the class label on the rule RHS.
         constraints: admission thresholds.
         schedule: the decision streams driving the virtual scheduler.
-        engine: per-node expansion engine (the frontier walker is
-            engine-generic, so ``kernel`` and ``numpy`` both steal).
         target: decomposition target (small keeps shard counts small so
             ``picks`` values cover the queue densely).
         advisory_cap: maximum advisory bounds kept per snapshot.
@@ -217,7 +214,7 @@ def run_schedule(
         (coordinator + replay + every shard), and scheduling tallies.
     """
     table = TransposedTable.build(data, consequent)
-    ctx = SearchContext.for_table(table, constraints, ALL_PRUNINGS, engine=engine)
+    ctx = SearchContext.for_table(table, constraints, ALL_PRUNINGS)
     coordinator = NodeCounters()
     run = VirtualRun(store=_IRGStore(), counters=NodeCounters())
     store = run.store

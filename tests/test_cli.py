@@ -4,17 +4,16 @@ from pathlib import Path
 
 import pytest
 
+from conftest import handoff
+
 from repro.cli import build_parser, main
-from repro.core.farmer import available_engines
 from repro.core.parallel import shutdown_workers
 
-#: Engines the three-way interaction matrix runs under ("numpy" rides
-#: along only when installed; the suite must not require it).
-CLI_ENGINES = [
-    engine
-    for engine in ("kernel", "reference", "numpy")
-    if engine in available_engines()
-]
+#: The ``--engine`` spellings the three-way interaction matrix passes.
+#: ``kernel`` and ``numpy`` name the production engine; the matrix also
+#: forces its hand-off cutoff to the same-named ``conftest`` value (all
+#: int masks, all packed) so both representations cross the checkpoint.
+CLI_ENGINES = ("kernel", "reference", "numpy")
 
 
 class TestParser:
@@ -147,8 +146,9 @@ class TestWorkersResumeEngine:
     worker count — optionally under ``--steal`` — and asserts the saved
     ``.irgs`` bytes equal a serial kernel run's.  That pins three
     orthogonal claims through the CLI at once: checkpoints are valid
-    across worker counts and schedulers, every engine honours them, and
-    the resumed output is byte-identical regardless of all three flags.
+    across worker counts and schedulers, both table representations and
+    the reference engine honour them, and the resumed output is
+    byte-identical regardless of all three flags.
     """
 
     MINE = [
@@ -189,6 +189,16 @@ class TestWorkersResumeEngine:
         serial_irgs,
         tmp_path,
         capsys,
+        chaos,
+    ):
+        with handoff("default" if engine == "reference" else engine):
+            self._crash_then_resume(
+                engine, resume_workers, steal, serial_irgs, tmp_path,
+                capsys, chaos,
+            )
+
+    def _crash_then_resume(
+        self, engine, resume_workers, steal, serial_irgs, tmp_path, capsys,
         chaos,
     ):
         ckpt = tmp_path / "mine.ckpt"

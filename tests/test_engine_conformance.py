@@ -1,18 +1,16 @@
-"""Cross-engine conformance suite (machinery in ``engine_conformance``).
+"""Hand-off conformance suite (machinery in ``engine_conformance``).
 
-Every engine in :data:`repro.core.farmer.ENGINES` other than ``kernel``
-is differentially mined against the kernel baseline over the shared
+The production engine is differentially mined against the ``reference``
+oracle with its hand-off cutoff forced to every variant of
+:data:`engine_conformance.VARIANTS` — all packed words, a hand-off on
+the first extend, the shipped cutoff, all int masks — over the shared
 constraint grid, every pruning combination, every degenerate dataset
-shape, a sharded run, and a killed-then-resumed run — in all cases the
+shape, a sharded run, a stealing run over a mix of both
+representations, and a killed-then-resumed run.  In all cases the
 serialized ``.irgs`` bytes must match exactly.  A set of literal sha256
 pins on the paper's Figure 1(a) dataset anchors the whole family to
-fixed bytes, so a drift that somehow hit *all* engines at once still
+fixed bytes, so a drift that somehow hit every variant at once still
 fails loudly.
-
-Registering a new engine extends this suite automatically — the
-parametrization reads :func:`engine_conformance.engines_under_test`, so
-no test code changes are needed (see ``engine_conformance`` for the
-``FARMER_CONFORMANCE_ENGINES`` filter CI legs can apply).
 """
 
 import hashlib
@@ -21,14 +19,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from conftest import DEGENERATE_SHAPES, random_dataset
+from conftest import DEGENERATE_SHAPES, HANDOFF_CUTOFFS, handoff, random_dataset
 from strategies import degenerate_datasets, skewed_datasets
 from engine_conformance import (
     CONSTRAINT_GRID,
     PRUNING_COMBOS,
+    VARIANTS,
     assert_serial_conformant,
-    engines_under_test,
     irgs_bytes,
+    variant_setup,
 )
 
 from repro import mine_irgs
@@ -36,8 +35,6 @@ from repro.core.enumeration import semantic_counters
 from repro.core.parallel import shutdown_workers
 from repro.errors import DataError, UsageError
 from repro.testing.chaos import InjectedFault
-
-ENGINES = engines_under_test()
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -52,20 +49,23 @@ def test_unknown_engine_rejected():
 
 
 def test_engines_available():
-    """The conformance sweep is not vacuously green: unless CI filtered
-    the engine set down on purpose, at least ``reference`` must run."""
-    import os
-
-    from engine_conformance import ENGINES_ENV
-
-    if os.environ.get(ENGINES_ENV):
-        pytest.skip(f"engine set restricted via {ENGINES_ENV}")
-    assert "reference" in ENGINES
+    """The sweep is not vacuously green: it forces every cutoff that
+    matters — all packed, a hand-off on the first extend, the shipped
+    value, all int masks — and runs the reference oracle."""
+    forced = {HANDOFF_CUTOFFS[variant_setup(v)[0]] for v in VARIANTS}
+    assert {0, 1, 2, HANDOFF_CUTOFFS["default"], HANDOFF_CUTOFFS["kernel"]} <= forced
+    assert any(variant_setup(v)[1] == "reference" for v in VARIANTS)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+def _mine_variant(variant, data, **kwargs):
+    """Mine ``data`` as ``variant`` (cutoff forced by the caller)."""
+    _, engine = variant_setup(variant)
+    return mine_irgs(data, "C", engine=engine, **kwargs)
+
+
+@pytest.mark.parametrize("engine", VARIANTS)
 class TestEngineConformance:
-    """Byte-identity of each engine against the kernel baseline."""
+    """Byte-identity of each variant against the reference oracle."""
 
     @pytest.mark.parametrize("params", CONSTRAINT_GRID, ids=str)
     def test_constraint_grid(self, engine, params, tmp_path):
@@ -92,21 +92,24 @@ class TestEngineConformance:
             data = random_dataset(seed, shape=shape)
             if not any(label == "C" for label in data.labels):
                 # No-consequent shapes pin the error path instead: every
-                # engine must reject them the same way.
-                with pytest.raises(DataError):
-                    mine_irgs(data, "C", engine=engine)
+                # variant must reject them the same way.
+                with handoff(variant_setup(engine)[0]):
+                    with pytest.raises(DataError):
+                        _mine_variant(engine, data)
                 continue
             assert_serial_conformant(
                 data, engine, tmp_path, f"{shape}-{seed}"
             )
 
     def test_sharded_matches_serial_kernel(self, engine, tmp_path):
+        """A sharded run of the variant against the serial run with every
+        table as int masks."""
         for seed in range(4):
             data = random_dataset(seed, max_rows=8)
-            serial = mine_irgs(data, "C", minsup=1, engine="kernel")
-            sharded = mine_irgs(
-                data, "C", minsup=1, n_workers=2, engine=engine
-            )
+            with handoff("kernel"):
+                serial = mine_irgs(data, "C", minsup=1)
+            with handoff(variant_setup(engine)[0]):
+                sharded = _mine_variant(engine, data, minsup=1, n_workers=2)
             assert irgs_bytes(sharded, tmp_path, f"s-{seed}") == irgs_bytes(
                 serial, tmp_path, f"k-{seed}"
             ), (engine, seed)
@@ -117,28 +120,21 @@ class TestEngineConformance:
     def test_killed_and_resumed_matches_serial_kernel(
         self, engine, paper_dataset, tmp_path, chaos
     ):
-        serial = mine_irgs(paper_dataset, "C", minsup=1, engine="kernel")
+        with handoff("kernel"):
+            serial = mine_irgs(paper_dataset, "C", minsup=1)
         reference = irgs_bytes(serial, tmp_path, "serial-kernel")
         ckpt = str(tmp_path / f"crash-{engine}.ckpt")
-        chaos.arm("ckpt-raise:after=1")
-        with pytest.raises(InjectedFault):
-            mine_irgs(
-                paper_dataset,
-                "C",
-                minsup=1,
-                n_workers=2,
-                engine=engine,
-                checkpoint=ckpt,
+        with handoff(variant_setup(engine)[0]):
+            chaos.arm("ckpt-raise:after=1")
+            with pytest.raises(InjectedFault):
+                _mine_variant(
+                    engine, paper_dataset, minsup=1, n_workers=2,
+                    checkpoint=ckpt,
+                )
+            chaos.disarm()
+            resumed = _mine_variant(
+                engine, paper_dataset, minsup=1, n_workers=2, resume=ckpt
             )
-        chaos.disarm()
-        resumed = mine_irgs(
-            paper_dataset,
-            "C",
-            minsup=1,
-            n_workers=2,
-            engine=engine,
-            resume=ckpt,
-        )
         assert irgs_bytes(resumed, tmp_path, "resumed") == reference, engine
         assert semantic_counters(resumed.counters) == semantic_counters(
             serial.counters
@@ -146,7 +142,7 @@ class TestEngineConformance:
         assert resumed.parallel.resumed_tasks >= 1
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", VARIANTS)
 class TestEngineConformanceProperties:
     """Hypothesis sweep over the shared dataset strategies.
 
@@ -205,16 +201,20 @@ def test_every_engine_documented():
 
 
 class TestPinnedHashes:
-    @pytest.mark.parametrize("engine", ["kernel", *ENGINES])
+    @pytest.mark.parametrize("engine", [*HANDOFF_CUTOFFS, "reference"])
     @pytest.mark.parametrize(
         "minsup,minconf", sorted(PINNED_HASHES), ids=str
     )
     def test_paper_dataset_bytes_are_pinned(
         self, engine, minsup, minconf, paper_dataset, tmp_path
     ):
-        result = mine_irgs(
-            paper_dataset, "C", minsup=minsup, minconf=minconf, engine=engine
-        )
+        """Every forced cutoff and the oracle serialize the pinned bytes."""
+        reference = engine == "reference"
+        with handoff("default" if reference else engine):
+            result = mine_irgs(
+                paper_dataset, "C", minsup=minsup, minconf=minconf,
+                engine="reference" if reference else None,
+            )
         digest = hashlib.sha256(
             irgs_bytes(result, tmp_path, "pin")
         ).hexdigest()
@@ -237,15 +237,16 @@ def lc_small():
     return build_workload("LC", scale=0.01)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", VARIANTS)
 def test_truncation_matches_kernel(engine, lc_small, tmp_path):
-    """A non-strict node budget stops every engine at the same node.
+    """A non-strict node budget stops every variant at the same node as
+    the all-int-masks run.
 
     The walker ticks the budget once per visited node in serial
     depth-first order, so a mine cut after ``k`` nodes has admitted
     exactly the groups whose subtrees completed by then — the same
-    groups, the same ``truncated`` flag and the same node count under
-    every engine.  No full mine pins the tick order; this does.
+    groups, the same ``truncated`` flag and the same node count whatever
+    the representation.  No full mine pins the tick order; this does.
     """
     from repro.core.constraints import Constraints
     from repro.core.enumeration import SearchBudget
@@ -258,12 +259,59 @@ def test_truncation_matches_kernel(engine, lc_small, tmp_path):
             budget=SearchBudget(max_nodes=k, strict=False),
         ).mine(lc_small.data, lc_small.consequent)
 
+    cutoff, name = variant_setup(engine)
     for k in TRUNCATION_BUDGETS:
-        kernel = mine("kernel", k)
-        other = mine(engine, k)
+        with handoff("kernel"):
+            kernel = mine(None, k)
+        with handoff(cutoff):
+            other = mine(name, k)
         assert kernel.truncated and kernel.counters.nodes == k + 1, k
         assert other.truncated == kernel.truncated, (engine, k)
         assert other.counters.nodes == kernel.counters.nodes, (engine, k)
         assert irgs_bytes(other, tmp_path, f"t-{engine}-{k}") == irgs_bytes(
             kernel, tmp_path, f"t-kernel-{k}"
         ), (engine, k)
+
+
+#: Every LC row holds one item per gene, 125 at scale 0.01, so with
+#: this cutoff the 1,250-item root is packed and every deeper table is
+#: int masks: a frontier below the root's children mixes the two.
+MIXED_CUTOFF = 128
+
+
+def test_mixed_representations_shard_and_steal(lc_small, tmp_path):
+    """Shards and donated frontiers that mix both representations mine
+    the oracle's bytes, statically and under work stealing."""
+    from repro.core.constraints import Constraints
+    from repro.core.enumeration import NodeCounters
+    from repro.core.farmer import ALL_PRUNINGS, SearchContext
+    from repro.core.kernel import CondTable
+    from repro.core.npbitset import NumpyCondTable
+    from repro.core.parallel import _decompose
+    from repro.data.transpose import TransposedTable
+
+    data, consequent = lc_small.data, lc_small.consequent
+    constraints = Constraints(minsup=9)
+    table = TransposedTable.build(data, consequent)
+    oracle = mine_irgs(data, consequent, minsup=9, engine="reference")
+    expected = irgs_bytes(oracle, tmp_path, "oracle")
+    with handoff(MIXED_CUTOFF):
+        ctx = SearchContext.for_table(table, constraints, ALL_PRUNINGS)
+        # A target above the root's 181 children makes the frontier
+        # reach below them, as a stolen frontier does.
+        _, tasks, _ = _decompose(
+            ctx, ctx.root_state(table), NodeCounters(), 256, 1024, None, True
+        )
+        kinds = {type(task.state.table) for task in tasks}
+        assert kinds == {NumpyCondTable, CondTable}, kinds
+        for steal in (False, True):
+            sharded = mine_irgs(
+                data, consequent, minsup=9, n_workers=2, steal=steal,
+                steal_quantum=64,
+            )
+            assert irgs_bytes(sharded, tmp_path, f"mixed-{steal}") == (
+                expected
+            ), steal
+            assert sharded.counters.nodes == oracle.counters.nodes, steal
+            if steal:
+                assert sharded.parallel.donations, "nothing was donated"

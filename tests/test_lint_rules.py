@@ -275,40 +275,28 @@ class TestFRM004BitsetDiscipline:
         )
         assert "FRM004" not in rule_ids(findings)
 
-    def test_numpy_lut_construction_is_clean(self, tmp_path):
-        # The sanctioned vectorized-popcount-table idiom (npbitset's
-        # POPCOUNT8): a string popcount inside a comprehension feeding a
-        # NumPy array constructor, built once at import.
-        findings, _ = lint_snippet(
-            tmp_path,
-            "repro/core/mod.py",
-            "import numpy as np\n"
-            "POPCOUNT8 = np.array(\n"
-            '    [bin(value).count("1") for value in range(256)],'
-            " dtype=np.uint8\n"
-            ")\n",
-        )
-        assert "FRM004" not in rule_ids(findings)
-
-    def test_numpy_fromiter_lut_is_clean(self, tmp_path):
-        findings, _ = lint_snippet(
-            tmp_path,
-            "repro/core/mod.py",
-            "import numpy\n"
-            "TABLE = numpy.fromiter(\n"
-            '    (format(v, "b").count("1") for v in range(256)), "uint8"\n'
-            ")\n",
-        )
-        assert "FRM004" not in rule_ids(findings)
-
     def test_popcount_outside_lut_construction_still_flagged(self, tmp_path):
-        # The same popcount spelling outside a NumPy table constructor
-        # keeps triggering — only the LUT construction is exempt.
         findings, _ = lint_snippet(
             tmp_path,
             "repro/core/mod.py",
             "import numpy as np\n"
             'COUNTS = [bin(value).count("1") for value in range(256)]\n',
+        )
+        assert "FRM004" in rule_ids(findings)
+
+    @pytest.mark.parametrize("constructor", ["np.array", "np.fromiter"])
+    def test_popcount_inside_numpy_constructor_is_flagged(
+        self, tmp_path, constructor
+    ):
+        # No construction idiom is exempt: np.bitwise_count is the one
+        # vectorized popcount, so a string-popcount table is flagged too.
+        findings, _ = lint_snippet(
+            tmp_path,
+            "repro/core/mod.py",
+            "import numpy as np\n"
+            f"TABLE = {constructor}(\n"
+            '    [bin(value).count("1") for value in range(256)]\n'
+            ")\n",
         )
         assert "FRM004" in rule_ids(findings)
 

@@ -2,11 +2,13 @@
 
 Every array op is pinned against the int-mask reference
 (:mod:`repro.core.bitset` and plain Python int arithmetic): pack/unpack
-round-trips, both popcount paths (native ufunc and byte-LUT) against
-``int.bit_count``, AND/OR/subset algebra, complement with tail-bit
-masking, and :class:`~repro.core.npbitset.NumpyCondTable` against
+round-trips, popcounts against ``int.bit_count``, AND/OR/subset
+algebra, complement with tail-bit masking, and
+:class:`~repro.core.npbitset.NumpyCondTable` against
 :class:`~repro.core.kernel.CondTable` over the full protocol surface
-(build order, extend, scan results, ``max_overlap``, ``ids_mask``).
+(build order, extend, scan results, ``max_overlap``, ``ids_mask``) —
+including the hand-off, where a packed table's narrow child comes back
+as the int-mask table the kernel would have built.
 
 Row counts are drawn across the 64-bit word boundary (including exactly
 63/64/65) so one-word, exactly-full-word, and straddling layouts are all
@@ -29,8 +31,7 @@ from repro.core.npbitset import (
     pack_masks,
     popcount_cols,
     popcount_words,
-    popcount_words_lut,
-    popcount_words_native,
+    root_table,
     tail_mask,
     unpack_words,
     word_count,
@@ -39,6 +40,7 @@ from repro.core.npbitset import (
 # Word-boundary universes and bitset generators live in the shared
 # strategies module so the conformance and scheduling suites draw the
 # same shapes.
+from conftest import handoff
 from strategies import (  # noqa: E402  (import after module docstring)
     mask_and_rows as _mask_and_rows,
     masks_and_rows as _masks_and_rows,
@@ -84,15 +86,11 @@ class TestPackRoundTrip:
 class TestPopcounts:
     @given(_masks_and_rows())
     @settings(max_examples=200, deadline=None)
-    def test_both_paths_match_bit_count(self, masks_rows):
+    def test_popcount_words_matches_bit_count(self, masks_rows):
         masks, n_rows = masks_rows
         packed = pack_masks(masks, word_count(n_rows))
         expected = [mask.bit_count() for mask in masks]
         assert popcount_words(packed).tolist() == expected
-        assert popcount_words_lut(packed).tolist() == expected
-        if popcount_words is not popcount_words_native:
-            pytest.skip("np.bitwise_count unavailable; native path absent")
-        assert popcount_words_native(packed).tolist() == expected
 
     @given(_masks_and_rows())
     @settings(max_examples=200, deadline=None)
@@ -139,6 +137,14 @@ class TestWordAlgebra:
         )
 
 
+@pytest.fixture(scope="class")
+def all_packed():
+    """Keep every table packed, so extend never hands off."""
+    with handoff(0):
+        yield
+
+
+@pytest.mark.usefixtures("all_packed")
 class TestNumpyCondTableEquivalence:
     """NumpyCondTable mirrors CondTable over the whole protocol surface."""
 
@@ -219,3 +225,75 @@ class TestNumpyCondTableEquivalence:
             table.full,
         )
         assert clone.ids_mask == table.ids_mask
+
+
+def _assert_same_table(table, kernel):
+    """``table`` is an int-mask CondTable equal to ``kernel`` field by
+    field, the early-exit counts included."""
+    assert type(table) is CondTable
+    assert table.item_ids == kernel.item_ids
+    assert table.masks == kernel.masks
+    assert table.counts == kernel.counts
+    assert (table.inter, table.union, table.full) == (
+        kernel.inter,
+        kernel.union,
+        kernel.full,
+    )
+
+
+class TestHandOff:
+    """A packed table hands a narrow child over to the int-mask table."""
+
+    @given(_masks_and_rows(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_extend_hands_off_below_cutoff(self, masks_rows, data):
+        masks, n_rows = masks_rows
+        full = bitset.universe(n_rows)
+        row_bit = 1 << data.draw(
+            st.integers(min_value=0, max_value=n_rows - 1), label="row"
+        )
+        cutoff = data.draw(
+            st.integers(min_value=1, max_value=len(masks) + 2), label="cutoff"
+        )
+        kernel = CondTable.build(masks, full).extend(row_bit)
+        with handoff(0):
+            packed = NumpyCondTable.build(masks, full)
+        with handoff(cutoff):
+            child = packed.extend(row_bit)
+        if len(kernel) < cutoff:
+            _assert_same_table(child, kernel)
+        else:
+            assert type(child) is NumpyCondTable
+            assert child.item_ids == kernel.item_ids
+            assert mask_words(child) == kernel.masks
+
+    @pytest.mark.parametrize("n_rows", [63, 64, 65])
+    def test_word_boundary_hand_off(self, n_rows):
+        full = bitset.universe(n_rows)
+        top = 1 << (n_rows - 1)
+        masks = [full, top, full ^ top, top | 1]
+        with handoff(0):
+            packed = NumpyCondTable.build(masks, full)
+        with handoff(4):
+            child = packed.extend(top)
+        _assert_same_table(child, CondTable.build(masks, full).extend(top))
+
+    def test_empty_child_hands_off(self):
+        full = 0b111
+        with handoff(0):
+            packed = NumpyCondTable.build([0b001, 0b011], full)
+        with handoff(1):
+            child = packed.extend(0b100)
+        _assert_same_table(child, CondTable.build([], full))
+
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 3, 4])
+    def test_root_table_selects_by_width(self, cutoff):
+        masks = [0b0101, 0b1111, 0b0001]
+        with handoff(cutoff):
+            root = root_table(masks, 0b1111)
+        kernel = CondTable.build(masks, 0b1111)
+        if len(masks) < cutoff:
+            _assert_same_table(root, kernel)
+        else:
+            assert type(root) is NumpyCondTable
+            assert mask_words(root) == kernel.masks

@@ -3,8 +3,8 @@
 For random datasets and random constraint pairs — tighten, loosen, and
 mixed deltas — a warm re-mine through the frontier cache
 (``core/frontier.py``) must serialize exactly the bytes a cold mine
-produces, whichever engine captured the entry and whichever engine
-answers.  A tightened re-mine must additionally expand **zero** nodes
+produces, whichever hand-off cutoff (or the reference engine) captured
+the entry and whichever answers.  A tightened re-mine must additionally expand **zero** nodes
 (pure filter), and corrupt or other-layout cache files must degrade to
 a miss, never an error.
 
@@ -24,16 +24,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import handoff
 from strategies import datasets
 
 from repro import mine_irgs
-from repro.core.farmer import available_engines
 from repro.core.parallel import shutdown_workers
 from repro.errors import UsageError
 
-ENGINES = [
-    engine for engine in available_engines() if engine in ("kernel", "numpy")
-]
+#: Hand-off cutoffs (``conftest.HANDOFF_CUTOFFS`` ids) the suite mines
+#: under: all int masks, all packed, and a hand-off on the first extend.
+CUTOFFS = ("kernel", "numpy", "handoff-1")
 
 #: Constraint triples dense enough that both sides of a pair regularly
 #: produce groups on the small strategy datasets.
@@ -75,7 +75,7 @@ def _warm_kwargs(mode, cache):
     return kwargs
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", CUTOFFS)
 @given(data=datasets(), pair=st.tuples(CONSTRAINTS, CONSTRAINTS), mode=MODES)
 @settings(deadline=None)
 def test_warm_equals_cold(engine, data, pair, mode):
@@ -83,19 +83,18 @@ def test_warm_equals_cold(engine, data, pair, mode):
     first, second = pair
     cache = tempfile.mkdtemp(prefix="remine-")
     try:
-        seeded = _mine(data, first, engine=engine, warm_cache=cache)
-        cold_first = _mine(data, first, engine=engine)
-        assert seeded.groups == cold_first.groups
-        warm = _mine(
-            data, second, engine=engine, **_warm_kwargs(mode, cache)
-        )
-        cold = _mine(data, second, engine=engine)
+        with handoff(engine):
+            seeded = _mine(data, first, warm_cache=cache)
+            cold_first = _mine(data, first)
+            assert seeded.groups == cold_first.groups
+            warm = _mine(data, second, **_warm_kwargs(mode, cache))
+            cold = _mine(data, second)
         assert warm.groups == cold.groups
     finally:
         shutil.rmtree(cache)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", CUTOFFS)
 @given(data=datasets(), base=CONSTRAINTS)
 @settings(deadline=None)
 def test_tighten_is_pure_filter(engine, data, base):
@@ -104,10 +103,11 @@ def test_tighten_is_pure_filter(engine, data, base):
     tightened = (minsup + 2, min(1.0, minconf + 0.1), minchi + 0.5)
     cache = tempfile.mkdtemp(prefix="remine-")
     try:
-        _mine(data, base, engine=engine, warm_cache=cache)
-        warm = _mine(data, tightened, engine=engine, warm_cache=cache)
+        with handoff(engine):
+            _mine(data, base, warm_cache=cache)
+            warm = _mine(data, tightened, warm_cache=cache)
+            cold = _mine(data, tightened)
         assert warm.counters.nodes == 0
-        cold = _mine(data, tightened, engine=engine)
         assert warm.groups == cold.groups
     finally:
         shutil.rmtree(cache)
@@ -116,18 +116,19 @@ def test_tighten_is_pure_filter(engine, data, base):
 @given(data=datasets(), base=CONSTRAINTS)
 @settings(deadline=None)
 def test_cross_engine_cache_reuse(data, base):
-    """An entry captured by one engine answers for every other engine."""
-    if len(ENGINES) < 2:
-        pytest.skip("only one engine available")
+    """An entry captured under one cutoff (or by the reference engine)
+    answers under every other."""
     minsup, minconf, minchi = base
     tightened = (minsup + 1, minconf, minchi)
     cache = tempfile.mkdtemp(prefix="remine-")
     try:
-        _mine(data, base, engine=ENGINES[0], warm_cache=cache)
-        for engine in ENGINES[1:]:
-            warm = _mine(data, tightened, engine=engine, warm_cache=cache)
+        with handoff(CUTOFFS[0]):
+            _mine(data, base, engine="reference", warm_cache=cache)
+        for cutoff in CUTOFFS:
+            with handoff(cutoff):
+                warm = _mine(data, tightened, warm_cache=cache)
+                cold = _mine(data, tightened)
             assert warm.counters.nodes == 0
-            cold = _mine(data, tightened, engine=engine)
             assert warm.groups == cold.groups
     finally:
         shutil.rmtree(cache)
@@ -208,7 +209,7 @@ FRONTIER_ENTRY_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", CUTOFFS)
 def test_frontier_entry_bytes_are_pinned(engine, tmp_path):
     import hashlib
 
@@ -224,9 +225,10 @@ def test_frontier_entry_bytes_are_pinned(engine, tmp_path):
     cache = tmp_path / "cache"
     for minsup in (9, 8):
         constraints = Constraints(minsup=minsup)
-        Farmer(
-            constraints=constraints, engine=engine, warm_cache=str(cache)
-        ).mine_table(table)
+        with handoff(engine):
+            Farmer(constraints=constraints, warm_cache=str(cache)).mine_table(
+                table
+            )
         entry = entry_path(cache, fingerprint, constraints)
         digest = hashlib.sha256(entry.read_bytes()).hexdigest()
         assert digest == FRONTIER_ENTRY_SHA256[minsup], (engine, minsup)
@@ -394,7 +396,7 @@ def _wide_dataset(n_items=15_000, n_rows=6, seed=7):
     return ItemizedDataset.from_lists(rows, labels, n_items=n_items)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", CUTOFFS)
 def test_paper_scale_item_count(engine, tmp_path):
     """Capture, tighten and loosen on a >14,280-item table all serialize
     the cold mine's bytes."""
@@ -406,8 +408,9 @@ def test_paper_scale_item_count(engine, tmp_path):
         ("tighten", (3, 0.6, 0.0)),
         ("loosen", (1, 0.0, 0.0)),
     ):
-        warm = _mine(data, constraints, engine=engine, warm_cache=cache)
-        cold = _mine(data, constraints, engine=engine)
+        with handoff(engine):
+            warm = _mine(data, constraints, warm_cache=cache)
+            cold = _mine(data, constraints)
         assert _irgs_bytes(warm, tmp_path, f"warm-{tag}") == _irgs_bytes(
             cold, tmp_path, f"cold-{tag}"
         ), tag

@@ -21,7 +21,7 @@ Run the nightly profile for the deep sweep:
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import MINEABLE_SHAPES, random_dataset
+from conftest import MINEABLE_SHAPES, handoff, random_dataset
 from scheduling import (
     MAX_ATTEMPTS,
     Schedule,
@@ -117,17 +117,20 @@ class TestVirtualScheduler:
     def test_numpy_engine_steals_identically(
         self, schedule, tmp_path_factory
     ):
-        """The frontier walker is engine-generic: the numpy engine must
-        survive the same adversarial schedules byte-for-byte."""
-        pytest.importorskip("numpy")
+        """The frontier walker is representation-generic: all packed
+        tables, and frontiers that mix packed and int-mask tables (a
+        hand-off cutoff inside the tree's widths), survive the same
+        adversarial schedules byte-for-byte."""
         data = random_dataset(5, max_rows=8)
         workdir = tmp_path_factory.mktemp("vnumpy")
         reference, _ = _serial_bytes(data, workdir / "serial.irgs")
-        run = run_schedule(data, "C", CONSTRAINTS, schedule, engine="numpy")
-        virtual = serialized_store(
-            data, "C", CONSTRAINTS, run.store, workdir / "virtual.irgs"
-        )
-        assert virtual == reference
+        for cutoff in (0, data.n_items // 2):
+            with handoff(cutoff):
+                run = run_schedule(data, "C", CONSTRAINTS, schedule)
+            virtual = serialized_store(
+                data, "C", CONSTRAINTS, run.store, workdir / "virtual.irgs"
+            )
+            assert virtual == reference, cutoff
 
     def test_trace_round_trip_replays_identically(self, tmp_path):
         """A persisted schedule replays to the same bytes and the same

@@ -3,7 +3,7 @@
 The load-bearing suite is :class:`TestEndToEnd`: a job submitted through
 the HTTP API must return ``.irgs`` bytes **byte-identical** to the same
 mine run directly through :func:`repro.core.farmer.mine_irgs`, across
-engines, and a second identical submission must be answered by the
+hand-off cutoffs, and a second identical submission must be answered by the
 dataset registry and the shared warm-frontier cache (asserted via the
 job's own ``cache_hit`` / ``dataset_cache`` telemetry events) with
 identical bytes.
@@ -26,7 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.farmer import available_engines, mine_irgs
+from conftest import handoff
+
+from repro.core.farmer import mine_irgs
 from repro.core.serialize import save_rule_groups
 from repro.data.discretize import EqualDepthDiscretizer
 from repro.data.io import save_expression
@@ -54,10 +56,9 @@ DATASET = "LC"
 SCALE = 0.02
 MINSUP = 8
 
-#: The acceptance matrix: kernel always, numpy when importable.
-E2E_ENGINES = [
-    engine for engine in ("kernel", "numpy") if engine in available_engines()
-]
+#: The acceptance matrix: hand-off cutoffs (``conftest.HANDOFF_CUTOFFS``
+#: ids) — all int masks, all packed, a hand-off on the first extend.
+E2E_CUTOFFS = ("kernel", "numpy", "handoff-1")
 
 
 def _call(app, method, target, body=None):
@@ -93,13 +94,12 @@ def _wait_state(app, job_id, state, timeout=30.0):
     raise AssertionError(f"job {job_id} never reached {state!r}")
 
 
-def _direct_irgs_bytes(tmp_path, engine, minsup=MINSUP):
+def _direct_irgs_bytes(tmp_path, dataset=DATASET, minsup=MINSUP):
     """The ``.irgs`` bytes of the same mine run without the daemon."""
-    matrix = load(DATASET, scale=SCALE, seed=None)
+    matrix = load(dataset, scale=SCALE, seed=None)
     data = EqualDepthDiscretizer(n_buckets=10).fit_transform(matrix)
-    result = mine_irgs(data, data.class_labels[0], minsup=minsup,
-                       engine=engine)
-    path = tmp_path / f"direct-{engine}.irgs"
+    result = mine_irgs(data, data.class_labels[0], minsup=minsup)
+    path = tmp_path / f"direct-{dataset}-{minsup}.irgs"
     save_rule_groups(
         path,
         result.groups,
@@ -306,19 +306,11 @@ class TestErrors:
         assert status == 404
         assert "NOPE" in payload["error"]["message"]
 
-    def test_unavailable_engine_is_400(self, app):
-        if "numpy" in available_engines():
-            pytest.skip("every registered engine is available here")
-        status, payload, _ = _call(
-            app, "POST", "/v1/jobs", {"dataset": "LC", "engine": "numpy"}
-        )
-        assert status == 400
-
-    def test_health_reports_engines_jobs_and_routes(self, app):
+    def test_health_reports_jobs_and_routes(self, app):
         status, payload, _ = _call(app, "GET", "/v1/health")
         assert status == 200
         assert payload["status"] == "ok"
-        assert payload["default_engine"] in payload["engines"]
+        assert set(payload) == {"status", "jobs", "routes"}
         assert set(payload["jobs"]) == set(JOB_STATES)
         assert payload["routes"] == [
             f"{route.method} {route.pattern}" for route in ROUTES
@@ -514,22 +506,20 @@ class TestUploads:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", E2E_ENGINES)
+@pytest.mark.parametrize("engine", E2E_CUTOFFS)
 class TestEndToEnd:
     def test_job_bytes_match_direct_mine_and_warm_repeat(
         self, tmp_path, engine
     ):
+        with handoff(engine):
+            self._job_bytes_match_direct_mine_and_warm_repeat(tmp_path)
+
+    def _job_bytes_match_direct_mine_and_warm_repeat(self, tmp_path):
         app = ServeApp(tmp_path / "serve", workers=1, queue_depth=4)
         try:
-            spec = {
-                "dataset": DATASET,
-                "scale": SCALE,
-                "minsup": MINSUP,
-                "engine": engine,
-            }
+            spec = {"dataset": DATASET, "scale": SCALE, "minsup": MINSUP}
             status, job, _ = _call(app, "POST", "/v1/jobs", spec)
             assert status == 202
-            assert job["spec"]["engine"] == engine
             payload = _wait_terminal(app, job["id"])
             assert payload["state"] == "done", payload.get("error")
             assert payload["summary"]["groups"] > 0
@@ -540,7 +530,7 @@ class TestEndToEnd:
             )
             assert status == 200
             assert isinstance(first, bytes)
-            assert first == _direct_irgs_bytes(tmp_path, engine)
+            assert first == _direct_irgs_bytes(tmp_path)
 
             _, events, _ = _call(app, "GET", f"/v1/jobs/{job['id']}/events")
             kinds = [event["kind"] for event in events["events"]]
@@ -587,6 +577,46 @@ class TestEndToEnd:
                 entry["dataset"] == DATASET
                 and entry["constraints"]["minsup"] == MINSUP
                 for entry in cache["entries"]
+            )
+        finally:
+            app.close()
+
+
+class TestConcurrentJobs:
+    """The daemon's default two mining threads, with four jobs in flight
+    at once: a cold serial mine, a warm capture and a warm tighten
+    sharing the server's frontier cache, and a job sharded over two
+    worker processes.  Every result must be the bytes of the same mine
+    run alone, in process."""
+
+    def test_mixed_jobs_match_direct_mines(self, tmp_path):
+        jobs = [
+            ({"dataset": "BC", "minsup": 8}, ("BC", 8)),
+            ({"dataset": DATASET, "minsup": MINSUP, "warm": False},
+             (DATASET, MINSUP)),
+            ({"dataset": "BC", "minsup": 9}, ("BC", 9)),
+            ({"dataset": DATASET, "minsup": MINSUP - 1, "warm": False,
+              "workers": 2}, (DATASET, MINSUP - 1)),
+        ]
+        app = ServeApp(tmp_path / "serve", workers=2, queue_depth=8)
+        try:
+            submitted = []
+            for spec, direct in jobs:
+                status, job, _ = _call(
+                    app, "POST", "/v1/jobs", {"scale": SCALE, **spec}
+                )
+                assert status == 202, job
+                submitted.append((job["id"], direct))
+            for job_id, (dataset, minsup) in submitted:
+                payload = _wait_terminal(app, job_id)
+                assert payload["state"] == "done", payload.get("error")
+                _, served, _ = _call(app, "GET", f"/v1/jobs/{job_id}/result")
+                assert served == _direct_irgs_bytes(
+                    tmp_path, dataset, minsup
+                ), (job_id, dataset, minsup)
+            _, cache, _ = _call(app, "GET", "/v1/cache")
+            assert any(
+                entry["dataset"] == "BC" for entry in cache["entries"]
             )
         finally:
             app.close()
@@ -677,7 +707,7 @@ class TestRealDaemon:
                 f"{base}/v1/jobs/{job['id']}/result", timeout=10
             ) as response:
                 fetched = response.read()
-            assert fetched == _direct_irgs_bytes(tmp_path, None)
+            assert fetched == _direct_irgs_bytes(tmp_path)
 
             # An oversized Content-Length is refused before the body is
             # read (the handler answers 413 without buffering anything).

@@ -5,16 +5,29 @@ import dataclasses
 
 import pytest
 
-from conftest import itemset_to_letters, random_dataset
+from conftest import HANDOFF_CUTOFFS, handoff, itemset_to_letters, random_dataset
 
 from repro import Constraints, Farmer, mine_irgs
 from repro.core.enumeration import NodeCounters, merge_counters, semantic_counters
-from repro.core.farmer import available_engines
 from repro.core.trace import TracingFarmer, render_tree
 
-#: Every engine the tracer must normalize identically (numpy rides along
-#: whenever NumPy is importable).
-TRACE_ENGINES = tuple(sorted(available_engines()))
+#: Every run the tracer must normalize identically: the production
+#: engine at each forced hand-off cutoff, and the reference oracle.
+TRACE_RUNS = (*HANDOFF_CUTOFFS, "reference")
+
+
+def _traced(run, paper_dataset, **kwargs):
+    """The trace root of one :data:`TRACE_RUNS` run over the paper's
+    dataset at minsup 1."""
+    reference = run == "reference"
+    with handoff("default" if reference else run):
+        miner = TracingFarmer(
+            constraints=Constraints(minsup=1),
+            engine="reference" if reference else None,
+            **kwargs,
+        )
+        miner.mine(paper_dataset, "C")
+    return miner.trace_root
 
 
 @pytest.fixture
@@ -170,11 +183,11 @@ class TestCounterMerge:
 class TestEngineAgreement:
     """The trace is an engine-independent view of the search.
 
-    The kernel and numpy engines keep conditional tables support-sorted
-    while the reference engine keeps insertion order; the tracer must
-    normalize that away so Figure 3 labels (and the ``reported``
-    detection, which compares against store entries in engine order)
-    agree byte for byte across every registered engine.
+    The production engine keeps conditional tables support-sorted, on
+    either side of the hand-off, while the reference engine keeps
+    insertion order; the tracer must normalize that away so Figure 3
+    labels (and the ``reported`` detection, which compares against store
+    entries in table order) agree byte for byte across every run.
     """
 
     @staticmethod
@@ -186,17 +199,14 @@ class TestEngineAgreement:
 
     @pytest.mark.parametrize("prunings", [(), ("p1", "p2", "p3")])
     def test_engine_traces_identical(self, paper_dataset, prunings):
-        traces = {}
-        for engine in TRACE_ENGINES:
-            miner = TracingFarmer(
-                constraints=Constraints(minsup=1),
-                prunings=prunings,
-                engine=engine,
+        traces = {
+            run: self._flatten(
+                _traced(run, paper_dataset, prunings=prunings), []
             )
-            miner.mine(paper_dataset, "C")
-            traces[engine] = self._flatten(miner.trace_root, [])
-        for engine in TRACE_ENGINES:
-            assert traces[engine] == traces["kernel"], engine
+            for run in TRACE_RUNS
+        }
+        for run in TRACE_RUNS:
+            assert traces[run] == traces["kernel"], run
 
     def test_items_sorted_under_kernel_engine(self, paper_dataset):
         miner = TracingFarmer(constraints=Constraints(minsup=1))
@@ -205,13 +215,11 @@ class TestEngineAgreement:
             assert items == tuple(sorted(items)), label
 
     def test_raw_render_engine_independent(self, paper_dataset):
-        rendered = {}
-        for engine in TRACE_ENGINES:
-            miner = TracingFarmer(constraints=Constraints(minsup=1), engine=engine)
-            miner.mine(paper_dataset, "C")
-            rendered[engine] = render_tree(miner.trace_root)
-        for engine in TRACE_ENGINES:
-            assert rendered[engine] == rendered["kernel"], engine
+        rendered = {
+            run: render_tree(_traced(run, paper_dataset)) for run in TRACE_RUNS
+        }
+        for run in TRACE_RUNS:
+            assert rendered[run] == rendered["kernel"], run
 
 
 class TestRenderTree:
