@@ -27,7 +27,6 @@ import pytest
 
 from repro.core.constraints import Constraints
 from repro.core.farmer import Farmer
-from repro.core.parallel import shutdown_workers
 from repro.experiments.harness import TimedRun, format_scaling, scaling_curve, timed
 
 # The low-minsup (hard) Figure 10 points on the two widest fast datasets.
@@ -52,13 +51,6 @@ def _ids(grid):
 def _tail(result) -> float:
     """The run's tail latency: the longest single dispatch's wall time."""
     return max(result.parallel.task_seconds)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _drain_pools():
-    """Shut the cached worker pools down after the module's benchmarks."""
-    yield
-    shutdown_workers()
 
 
 @pytest.mark.parametrize(("name", "minsup"), GRID, ids=_ids(GRID))

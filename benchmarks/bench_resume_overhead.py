@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.constraints import Constraints
 from repro.core.farmer import Farmer
-from repro.core.parallel import shutdown_workers
 from repro.experiments.harness import timed
 
 # The Figure 10 points used by the scaling benchmark, so overhead and
@@ -40,13 +39,6 @@ def _ids(grid):
 
 def _cadence_id(every):
     return "no-ckpt" if every is None else f"every{every}"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _drain_pools():
-    """Shut the cached worker pools down after the module's benchmarks."""
-    yield
-    shutdown_workers()
 
 
 def _mine(workload, minsup, checkpoint=None, checkpoint_every=1, resume=None):

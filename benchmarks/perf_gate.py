@@ -56,9 +56,11 @@ serialize the cold mine's bytes.
 
 A fifth section, ``"sharding"``, is measure-only: serial against
 ``n_workers=2``, static and stealing, best-of-N at the wide sweep's
-``SHARDING_MINSUP``, with the CPU count this process may run on.  Its
-output must hash to the wide sweep's pin at that minsup; its times
-have no floor (they record whether sharding beats serial at all).
+``SHARDING_MINSUP``, with the CPU count this process may run on.  Each
+sharded run starts its own worker pool, so every timed sharded mine
+includes its pool start.  Its output must hash to the wide sweep's pin
+at that minsup; its times have no floor (they record whether sharding
+beats serial at all).
 
 ``--check`` recomputes the pins, re-measures the speeds and fails if
 the reference speedup falls below ``min_speedup * tolerance`` — the
@@ -99,7 +101,6 @@ from pathlib import Path
 from repro.core import npbitset
 from repro.core.constraints import Constraints
 from repro.core.farmer import Farmer
-from repro.core.parallel import shutdown_workers
 from repro.core.serialize import save_rule_groups
 from repro.data.transpose import TransposedTable
 from repro.experiments.workloads import build_workload
@@ -326,7 +327,6 @@ def run_engine_sweep(
         points.append(point)
 
     sharded = _mine_prebuilt(table, SHARDED_MINSUP, n_workers=2)
-    shutdown_workers()
     serial_sha = next(
         p["irgs_sha256"] for p in points if p["minsup"] == SHARDED_MINSUP
     )
@@ -359,8 +359,10 @@ def run_engine_sweep(
 def run_sharding_row(rounds: int, tmp_dir: Path) -> dict:
     """Serial against two workers, static and stealing (measure-only).
 
-    Each round mines serial, static and stealing in turn, on a warm
-    pool; every output must hash identically to the serial one.
+    Each round mines serial, static and stealing in turn; every output
+    must hash identically to the serial one.  A sharded run starts and
+    stops its own worker pool, so each timed sharded mine includes its
+    pool start.
     """
     table = _sweep_table(NUMPY_SCALE)
     variants = {
@@ -370,8 +372,6 @@ def run_sharding_row(rounds: int, tmp_dir: Path) -> dict:
     }
     serial = _mine_prebuilt(table, SHARDING_MINSUP)
     serial_sha = _irgs_sha256(serial, tmp_dir, "sharding-serial")
-    # Start the pool outside the timed rounds.
-    _mine_prebuilt(table, SHARDING_MINSUP, n_workers=SHARDING_WORKERS)
     best = dict.fromkeys(variants, float("inf"))
     for attempt in range(rounds):
         for name, knobs in variants.items():
@@ -385,7 +385,6 @@ def run_sharding_row(rounds: int, tmp_dir: Path) -> dict:
                     f"FATAL: {name} (n_workers={SHARDING_WORKERS}) output "
                     f"diverges from serial at minsup={SHARDING_MINSUP}"
                 )
-    shutdown_workers()
     return {
         "dataset": DATASET,
         "scale": NUMPY_SCALE,
@@ -438,7 +437,6 @@ def run_steal_sweep(rounds: int, tmp_dir: Path) -> dict:
                 f"diverges from serial at minsup={STEAL_MINSUP}"
             )
         steal_tail = min(steal_tail, max(stealing.parallel.task_seconds))
-    shutdown_workers()
     if not stealing.parallel.donations:
         raise SystemExit(
             f"FATAL: no donations at quantum={STEAL_QUANTUM} — the "

@@ -1,10 +1,11 @@
 """FRM003: worker state shipped across processes must stay picklable.
 
-:mod:`repro.core.parallel` submits :class:`~repro.core.farmer.NodeState`,
-:class:`~repro.core.farmer.SearchContext` and candidate buffers to a
-``ProcessPoolExecutor``; a lambda, closure, generator or open file handle
-smuggled onto one of those objects only explodes at dispatch time, deep
-inside a pool worker.  This rule rejects such attributes statically for
+:mod:`repro.core.parallel` submits :class:`~repro.core.farmer.SearchContext`
+and detached :class:`~repro.core.farmer.NodeState` units (``table=None``)
+to a ``ProcessPoolExecutor`` and gets candidates and detached frontiers
+back; a lambda, closure, generator or open file handle smuggled onto
+one of those objects only explodes at dispatch time, deep inside a pool
+worker.  This rule rejects such attributes statically for
 every class defined in a module that imports ``multiprocessing`` or
 ``concurrent.futures``, plus the explicitly named worker-state classes
 wherever they are defined.

@@ -128,9 +128,10 @@ class NodeState(NamedTuple):
     This is exactly the argument list of a ``MineIRGs`` call (Figure 5):
     a node is fully described by its conditional transposed
     table ``TT|X``, its row combination and candidate bitsets, and the
-    incremental support counts of Pruning 3.  Because the state carries no
-    references to the miner, a node can be shipped to another process and
-    its subtree enumerated there (:mod:`repro.core.parallel`).
+    incremental support counts of Pruning 3.  Since ``TT|X`` depends
+    only on ``X`` (Lemma 3.3), a state crosses the process boundary
+    *detached*, with ``table=None``, and the worker rebuilds the table
+    from the run's root (:mod:`repro.core.parallel`).
 
     The conditional table is carried *lazily*: when ``row_bit`` is zero,
     ``table`` is this node's own ``TT|X``; otherwise ``table`` is the
@@ -141,7 +142,8 @@ class NodeState(NamedTuple):
     Attributes:
         table: the node's conditional table (any
             :class:`~repro.core.kernel.CondTableProtocol`
-            representation) when ``row_bit == 0``, else the parent's.
+            representation) when ``row_bit == 0``, else the parent's;
+            ``None`` in the detached wire form.
         row_bit: the bit of the row that extended the parent into this
             node (``0`` at the root of a traversal).
         x_mask: the row combination ``X`` as an ORD-position bitset.

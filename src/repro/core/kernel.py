@@ -231,8 +231,9 @@ class CondTable:
     a table without its scan fields.
 
     Instances are shared between sibling :class:`~repro.core.farmer.NodeState`
-    values and shipped to worker processes; everything on them is plain
-    ints and lists, so they pickle with the default protocol.
+    values, and a run's root table is handed to every worker process
+    once; everything on them is plain ints and lists, so they pickle
+    with the default protocol.
     """
 
     __slots__ = ("item_ids", "masks", "counts", "inter", "union", "full", "_ids_mask")
@@ -253,32 +254,6 @@ class CondTable:
         self.union = union
         self.full = full
         self._ids_mask: int | None = None
-
-    # Default pickling of __slots__ classes round-trips every slot; spell
-    # it out so the contract is explicit (FRM003: worker-state classes).
-    def __getstate__(self) -> tuple:
-        """Picklable state (crosses the worker-process boundary)."""
-        return (
-            self.item_ids,
-            self.masks,
-            self.counts,
-            self.inter,
-            self.union,
-            self.full,
-            self._ids_mask,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        """Restore from :meth:`__getstate__`."""
-        (
-            self.item_ids,
-            self.masks,
-            self.counts,
-            self.inter,
-            self.union,
-            self.full,
-            self._ids_mask,
-        ) = state
 
     def __len__(self) -> int:
         return len(self.item_ids)

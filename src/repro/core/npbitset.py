@@ -203,10 +203,9 @@ class NumpyCondTable:
     (:meth:`max_overlap`) is one vectorized AND + popcount + max over
     the whole table, so the early-exit key is dead weight here.
 
-    Instances ride inside :class:`~repro.core.farmer.NodeState` values
-    across the worker-process boundary; ``data`` is a plain ndarray and
-    the scan fields are ints, so default pickling round-trips (spelled
-    out per FRM003).
+    A run's root table is handed to every worker process once, through
+    the pool initializer; ``data`` is a plain ndarray and the scan
+    fields are ints, so default pickling round-trips.
     """
 
     __slots__ = ("data", "width", "inter", "union", "full", "_ids_mask")
@@ -225,28 +224,6 @@ class NumpyCondTable:
         self.union = union
         self.full = full
         self._ids_mask: int | None = None
-
-    def __getstate__(self) -> tuple:
-        """Picklable state (crosses the worker-process boundary)."""
-        return (
-            self.data,
-            self.width,
-            self.inter,
-            self.union,
-            self.full,
-            self._ids_mask,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        """Restore from :meth:`__getstate__`."""
-        (
-            self.data,
-            self.width,
-            self.inter,
-            self.union,
-            self.full,
-            self._ids_mask,
-        ) = state
 
     def __len__(self) -> int:
         return self.data.shape[1]

@@ -42,9 +42,12 @@ doomed candidate is buffered and shipped before the replay rejects it.
 Work done (nodes, prunings) is identical either way; the test suite pins
 merged counters to the serial miner's with the broadcast on and off.
 
-Worker pools are forked lazily and cached per worker count so repeated
-mining calls (parameter sweeps, test grids) do not pay process start-up
-each time; :func:`shutdown_workers` tears them down.
+**A shard is a row set.**  By Lemma 3.3 ``TT|X`` depends only on ``X``,
+so no table crosses the process boundary: each run starts its own pool,
+hands every worker the root table once through the pool initializer,
+and ships units *detached* (each :class:`~repro.core.farmer.NodeState`
+with ``table=None``) both ways; a worker rebuilds the tables from the
+root (:func:`_attach`).  The run shuts its pool down when it ends.
 
 **Fault tolerance.**  Because the reduce is a pure replay of recorded
 candidate sequences, a shard is free to fail and run again — nothing
@@ -113,9 +116,9 @@ out of the pinned comparisons.
 from __future__ import annotations
 
 import bisect
+import gc
 import heapq
 import multiprocessing
-import pickle
 import time
 from collections import deque
 from concurrent.futures import (
@@ -151,7 +154,7 @@ from .farmer import (
     _is_reference,
     enumerate_frontier,
 )
-from .kernel import KernelCache
+from .kernel import CondTableProtocol, KernelCache
 
 if TYPE_CHECKING:
     from ..obs.telemetry import Telemetry
@@ -176,9 +179,14 @@ DEFAULT_ADVISORY_CAP = 256
 
 #: Nodes a part visits between yield points under ``steal``.  Small
 #: enough to bound the straggler tail well below a skewed shard's size,
-#: large enough that the donate round trip (pickling the frontier's
-#: conditional tables) stays a few percent of a quantum's work.
+#: large enough that the donate round trip (a coordinator visit, a new
+#: dispatch and the thief's table rebuild) stays a few percent of a
+#: quantum's work.
 DEFAULT_STEAL_QUANTUM = 4096
+
+#: Start method of each run's pool: ``fork`` (the cheapest) where the
+#: platform has it.  Nothing relies on what a fork inherits.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 
 
 class AdvisoryBounds:
@@ -317,10 +325,12 @@ class ParallelReport:
         parts: parts scheduled in total (equals ``n_tasks`` when
             nothing was preempted).
         task_seconds: wall-clock seconds of every *successful* part in
-            completion order.  ``max(task_seconds)`` is the scheduler's
-            tail latency: the longest interval any single dispatch held
-            a worker, which stealing bounds by the quantum while an
-            unbounded quantum is stuck with the largest shard.
+            completion order, timed where it ran (so a pool's start is
+            not charged to its first parts).  ``max(task_seconds)`` is
+            the scheduler's tail latency: the longest interval any
+            single dispatch held a worker, which stealing bounds by the
+            quantum while an unbounded quantum is stuck with the
+            largest shard.
     """
 
     n_workers: int
@@ -375,9 +385,62 @@ def _deadline_tick(deadline: float | None):
     return budget.tick
 
 
+def _detach(units: Sequence[tuple]) -> list:
+    """``units`` as they cross the process boundary: every state unit
+    with ``table=None`` (:func:`_attach` rebuilds it), pending
+    candidates as they are."""
+    detached = []
+    for tag, payload in units:
+        if tag == FRONTIER_STATE:
+            payload = NodeState(None, *payload[1:])
+        detached.append((tag, payload))
+    return detached
+
+
+def _attach(root: CondTableProtocol, units: Sequence[tuple]) -> list:
+    """Detached ``units`` with their lazy tables, each the parent's
+    ``TT|(x_mask ^ row_bit)``, rebuilt by chaining ``extend`` from
+    ``root`` over those rows in ascending order, as the walker added
+    them (Lemma 3.3: same items, order, scan and representation).
+    Every prefix of a chain is kept, so each distinct table is built
+    once and the root's own children rebuild nothing."""
+    tables = {0: root}
+    attached = []
+    for tag, payload in units:
+        if tag == FRONTIER_STATE:
+            rows = payload.x_mask ^ payload.row_bit
+            if rows not in tables:
+                table, prefix, rest = root, 0, rows
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    prefix |= bit
+                    if prefix not in tables:
+                        tables[prefix] = table.extend(bit)
+                    table = tables[prefix]
+            payload = NodeState(tables[rows], *payload[1:])
+        attached.append((tag, payload))
+    return attached
+
+
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
+
+#: The run's root table inside a pool worker (set by :func:`_init_worker`).
+_ROOT: CondTableProtocol | None = None
+
+
+def _init_worker(root: CondTableProtocol) -> None:
+    """Pool initializer: receive the run's root table, once per worker.
+
+    Also moves everything the worker inherited into the collector's
+    permanent generation: a forked worker's first full collection would
+    otherwise walk (and copy) the coordinator's whole heap.
+    """
+    global _ROOT
+    _ROOT = root
+    gc.freeze()
 
 
 def _run_frontier_task(
@@ -391,14 +454,13 @@ def _run_frontier_task(
     shard: int = 0,
     stolen: bool = False,
     attempt: int = 0,
-) -> tuple[list[Candidate], NodeCounters, int, bool, list | None]:
+) -> tuple[list[Candidate], NodeCounters, int, bool, list | None, float]:
     """Executed in a worker process: one part of a shard.
 
     Args:
         ctx: the immutable search parameters.
-        units: the ordered frontier to enumerate — a shard root's unit
-            list, or a tuple of pickled halves of a previously donated
-            continuation (see :func:`_pack_frontier`).
+        units: the ordered, detached frontier to enumerate — a shard
+            root, or (part of) a previously donated continuation.
         snapshot: advisory-bounds snapshot to filter candidates
             against, or ``None`` without broadcast.
         advisory_cap: maximum advisory bounds kept.
@@ -412,15 +474,16 @@ def _run_frontier_task(
         attempt: retry ordinal of this part.
 
     Returns:
-        ``(sink, counters, drops, truncated, frontier)`` where
-        ``frontier`` is the ordered remaining work as pickled halves
-        (``None`` when the part finished its units).
+        ``(sink, counters, drops, truncated, frontier, seconds)`` where
+        ``frontier`` is the ordered, detached remaining work (``None``
+        when the part finished its units) and ``seconds`` the part's
+        wall time in this worker.
     """
+    started = time.monotonic()
     if stolen:
         maybe_fault_thief(shard, attempt)
     else:
         maybe_fault_worker(shard, attempt)
-    units = _unpack_units(units)
     counters = NodeCounters()
     sink: list[Candidate] = []
     advisory = (
@@ -431,76 +494,31 @@ def _run_frontier_task(
     frontier: list | None = None
     try:
         frontier = enumerate_frontier(
-            ctx, units, counters, sink, quantum, advisory, tick
+            ctx, _attach(_ROOT, units), counters, sink, quantum, advisory, tick
         )
     except BudgetExceeded:
         if strict:
             raise
         truncated = True
-    chunks = None
     if frontier is not None:
         # The donation point: the frontier exists only in this process
         # until the return value lands, which is exactly where a dying
         # donor loses the donated half.
         maybe_fault_donor(shard, attempt)
-        chunks = _pack_frontier(frontier)
+        frontier = _detach(frontier)
     drops = advisory.drops if advisory is not None else 0
-    return sink, counters, drops, truncated, chunks
-
-
-def _pack_frontier(frontier: list) -> list[tuple[int, bytes]]:
-    """A donated frontier as pickled ``(unit count, units)`` halves,
-    split where a steal splits, so the coordinator can enqueue them as
-    one part or two without decoding their conditional tables on its
-    one thread.  (In-memory pool traffic, not persistence: FRM007's
-    envelope does not apply.)"""
-    middle = (len(frontier) + 1) // 2
-    halves = [frontier[:middle], frontier[middle:]]
-    if not halves[1]:
-        halves.pop()
-    blobs = [pickle.dumps(half, -1) for half in halves]  # farmer-lint: disable=FRM007
-    return [(len(half), blob) for half, blob in zip(halves, blobs)]
-
-
-def _unpack_units(units: list | tuple) -> list:
-    """A part's units: a root's list as is, or a donor's packed halves."""
-    if not isinstance(units, tuple):
-        return units
-    halves = [pickle.loads(blob) for _, blob in units]  # farmer-lint: disable=FRM007
-    return [unit for half in halves for unit in half]
-
-
-# ----------------------------------------------------------------------
-# Worker pool management
-# ----------------------------------------------------------------------
-
-_EXECUTORS: dict[int, ProcessPoolExecutor] = {}
-
-
-def _get_executor(n_workers: int) -> ProcessPoolExecutor:
-    executor = _EXECUTORS.get(n_workers)
-    if executor is None:
-        method = (
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        )
-        executor = ProcessPoolExecutor(
-            max_workers=n_workers, mp_context=multiprocessing.get_context(method)
-        )
-        _EXECUTORS[n_workers] = executor
-    return executor
+    return sink, counters, drops, truncated, frontier, time.monotonic() - started
 
 
 def shutdown_workers() -> None:
-    """Tear down the cached worker pools (for tests and embedders)."""
-    while _EXECUTORS:
-        _, executor = _EXECUTORS.popitem()
-        executor.shutdown(wait=True, cancel_futures=True)
+    """Do nothing: every sharded run shuts its own pool down as it ends
+    (kept for callers that still call it)."""
 
 
 def _discard_executor(
-    n_workers: int, report: ParallelReport, settle: float = 0.0
+    executor: ProcessPoolExecutor, report: ParallelReport, settle: float = 0.0
 ) -> None:
-    """Tear down one (presumed broken or stalled) cached pool.
+    """Tear down a (presumed broken or stalled) pool.
 
     Collects the exit codes of processes that died on their own — before
     any cleanup of ours can obscure them — so a SIGKILLed worker
@@ -513,9 +531,6 @@ def _discard_executor(
     grants a short settle window.  Stall teardowns pass ``0`` — a
     stalled worker has no exit code to wait for.
     """
-    executor = _EXECUTORS.pop(n_workers, None)
-    if executor is None:
-        return
     processes = list(getattr(executor, "_processes", {}).values())
     if settle > 0:
         deadline = time.monotonic() + settle
@@ -644,10 +659,10 @@ class _Part:
 
     A shard starts as a single root part holding ``[("state", root)]``;
     every donation replaces the donor's remaining work with ordered
-    child parts, whose units stay the donor's pickled halves (see
-    :func:`_pack_frontier`) until a worker runs them.  The per-part
-    results are stitched back — own prefix first, children in frontier
-    order — into the shard's serial candidate sequence.
+    child parts.  Units are held detached (:func:`_detach`) and attached
+    just before a part walks.  The per-part results are stitched back —
+    own prefix first, children in frontier order — into the shard's
+    serial candidate sequence.
     """
 
     __slots__ = (
@@ -685,6 +700,7 @@ class _Part:
 def _execute_parts(
     tasks: Sequence[_Leaf],
     ctx: SearchContext,
+    root: CondTableProtocol,
     n_workers: int,
     broadcast: bool,
     advisory_cap: int,
@@ -711,12 +727,14 @@ def _execute_parts(
     shard and attached to the leaves; the retry/requeue/degradation
     ladder applies per part (parts are deterministic replays of their
     unit lists).  A single worker runs every part inline in the
-    coordinator.  Returns whether the run was truncated by a
-    non-strict budget.
+    coordinator.  The run's pool starts on the first dispatch and is
+    replaced after a failure.  Returns whether the run was truncated by
+    a non-strict budget.
 
     Args:
         tasks: the decomposition's frontier leaves.
         ctx: the immutable search parameters.
+        root: the run's root table, which every part attaches to.
         n_workers: worker-process count (1 = inline execution).
         broadcast: share advisory confidence bounds across parts.
         advisory_cap: maximum advisory bounds kept per broadcast.
@@ -749,7 +767,9 @@ def _execute_parts(
     for index in range(len(tasks)):
         if index in completed:
             continue
-        part = _Part(index, sequence, [(FRONTIER_STATE, tasks[index].state)], False)
+        part = _Part(
+            index, sequence, _detach([(FRONTIER_STATE, tasks[index].state)]), False
+        )
         sequence += 1
         pending.append(part)
         shard_parts[index] = [part]
@@ -757,6 +777,7 @@ def _execute_parts(
         shard_donations[index] = 0
     report.parts = len(pending)
     inflight: dict[Future, tuple[_Part, float]] = {}
+    executor: ProcessPoolExecutor | None = None
     error: BudgetExceeded | None = None
     consecutive_failures = 0
     workers = n_workers
@@ -765,7 +786,7 @@ def _execute_parts(
     # parts rather than restarting its 256-node stride per part.
     inline_tick = _deadline_tick(deadline)
 
-    def attach(shard: int) -> _Leaf:
+    def stitch(shard: int) -> _Leaf:
         """Stitch the shard's parts in frontier order onto its leaf."""
         parts = shard_parts[shard]
         leaf = tasks[shard]
@@ -779,7 +800,7 @@ def _execute_parts(
     def finish_shard(shard: int) -> None:
         """All parts done: stitch, attach to the leaf, checkpoint."""
         nonlocal remaining
-        leaf = attach(shard)
+        leaf = stitch(shard)
         sink, counters, drops, steals = (
             leaf.candidates, leaf.counters, leaf.drops, leaf.steals
         )
@@ -824,7 +845,7 @@ def _execute_parts(
         counters: NodeCounters,
         task_drops: int,
         task_truncated: bool,
-        frontier: list[tuple[int, bytes]] | None,
+        frontier: list | None,
     ) -> None:
         nonlocal truncated, sequence
         part.candidates = sink
@@ -842,7 +863,6 @@ def _execute_parts(
         if frontier is not None and not truncated and error is None:
             shard_donations[part.shard] += 1
             report.donations += 1
-            n_units = sum(count for count, _ in frontier)
             # Steal decision: split the donated frontier in half when
             # the queue is starving (fewer than two parts per worker
             # queued, so idle capacity exists or soon will) and there is
@@ -851,13 +871,12 @@ def _execute_parts(
             # to the back, where an idle worker takes it.  A dominant
             # subtree therefore keeps fissioning while the queue drains
             # until every worker holds a piece of it.
-            donated = 0
-            if len(frontier) == 2 and len(pending) < 2 * workers:
-                chunks = [(frontier[0],), (frontier[1],)]
-                donated = frontier[1][0]
+            middle = (len(frontier) + 1) // 2
+            if middle < len(frontier) and len(pending) < 2 * workers:
+                chunks = [frontier[:middle], frontier[middle:]]
                 report.steals += 1
             else:
-                chunks = [tuple(frontier)]
+                chunks = [frontier]
             children = []
             for chunk in chunks:
                 child = _Part(part.shard, sequence, chunk, True)
@@ -875,7 +894,7 @@ def _execute_parts(
                 telemetry.event(
                     "donate",
                     shard=part.shard,
-                    units=n_units,
+                    units=len(frontier),
                     parts=len(children),
                     queue=len(pending),
                 )
@@ -884,7 +903,7 @@ def _execute_parts(
                     telemetry.event(
                         "steal",
                         shard=part.shard,
-                        donated=donated,
+                        donated=len(chunks[-1]),
                         queue=len(pending),
                     )
         if telemetry is not None:
@@ -903,11 +922,11 @@ def _execute_parts(
         before = advisory.drops if advisory is not None else 0
         sink: list[Candidate] = []
         counters = NodeCounters()
-        units = _unpack_units(part.units)
         started = time.monotonic()
         try:
             enumerate_frontier(
-                ctx, units, counters, sink, None, advisory, inline_tick
+                ctx, _attach(root, part.units), counters, sink, None, advisory,
+                inline_tick,
             )
         except BudgetExceeded as exc:
             if strict:
@@ -922,10 +941,19 @@ def _execute_parts(
         finish_part(part, sink, counters, delta, False, None)
 
     def submit(part: _Part) -> bool:
-        """Dispatch one part to the pool; ``False`` if the pool is dead."""
+        """Dispatch one part (starting the pool if there is none);
+        ``False`` if the pool is dead."""
+        nonlocal executor
         snapshot = advisory.snapshot() if advisory is not None else None
         try:
-            future = _get_executor(workers).submit(
+            if executor is None:
+                executor = ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context(_START_METHOD),
+                    initializer=_init_worker,
+                    initargs=(root,),
+                )
+            future = executor.submit(
                 _run_frontier_task,
                 ctx,
                 part.units,
@@ -945,7 +973,7 @@ def _execute_parts(
 
     def fail_pool(settle: float = 0.0) -> None:
         """Broken/stalled pool: requeue its parts, degrade if repeated."""
-        nonlocal consecutive_failures, workers, inline_only
+        nonlocal consecutive_failures, workers, inline_only, executor
         report.pool_failures += 1
         consecutive_failures += 1
         parts = sorted(
@@ -957,7 +985,8 @@ def _execute_parts(
             pending.appendleft(part)
         report.retries += len(parts)
         exit_codes_before = len(report.worker_exit_codes)
-        _discard_executor(workers, report, settle)
+        _discard_executor(executor, report, settle)
+        executor = None
         if telemetry is not None:
             telemetry.registry.inc("parallel.pool_failures")
             telemetry.registry.inc("parallel.requeued", len(parts))
@@ -975,88 +1004,96 @@ def _execute_parts(
             consecutive_failures = 0
         _sleep_backoff(retry, report.pool_failures)
 
-    while pending or inflight:
-        if error is not None or truncated:
-            pending.clear()
+    try:
+        while pending or inflight:
+            if error is not None or truncated:
+                pending.clear()
+                if not inflight:
+                    break
+            if inline_only:
+                while pending and error is None and not truncated:
+                    run_inline(pending.popleft())
+                continue
+            while (
+                pending
+                and len(inflight) < workers
+                and error is None
+                and not truncated
+                and not inline_only
+            ):
+                part = pending.popleft()
+                if part.attempts >= retry.max_attempts:
+                    # Retries exhausted: run in the coordinator, where a
+                    # deterministic task bug finally propagates.
+                    run_inline(part)
+                    continue
+                if not submit(part):
+                    pending.appendleft(part)
+                    fail_pool(settle=2.0)
+                    break
             if not inflight:
-                break
-        if inline_only:
-            while pending and error is None and not truncated:
-                run_inline(pending.popleft())
-            continue
-        while (
-            pending
-            and len(inflight) < workers
-            and error is None
-            and not truncated
-            and not inline_only
-        ):
-            part = pending.popleft()
-            if part.attempts >= retry.max_attempts:
-                # Retries exhausted: run in the coordinator, where a
-                # deterministic task bug finally propagates.
-                run_inline(part)
                 continue
-            if not submit(part):
-                pending.appendleft(part)
-                fail_pool(settle=2.0)
-                break
-        if not inflight:
-            continue
-        done, _ = wait(
-            list(inflight),
-            timeout=_poll_timeout(retry, deadline),
-            return_when=FIRST_COMPLETED,
-        )
-        if not done:
-            if retry.shard_timeout is not None:
-                now = time.monotonic()
-                if any(
-                    now - started > retry.shard_timeout
-                    for _, started in inflight.values()
-                ):
-                    fail_pool()
-            continue
-        pool_broken = False
-        for future in done:
-            part, started = inflight.pop(future)
-            try:
-                sink, counters, task_drops, task_truncated, frontier = (
-                    future.result()
-                )
-            except BudgetExceeded as exc:
-                if strict:
-                    error = exc
-                    pending.clear()
-                else:
-                    truncated = True
+            done, _ = wait(
+                list(inflight),
+                timeout=_poll_timeout(retry, deadline),
+                return_when=FIRST_COMPLETED,
+            )
+            if not done:
+                if retry.shard_timeout is not None:
+                    now = time.monotonic()
+                    if any(
+                        now - started > retry.shard_timeout
+                        for _, started in inflight.values()
+                    ):
+                        fail_pool()
                 continue
-            except BrokenExecutor:
-                inflight[future] = (part, started)
-                pool_broken = True
-                continue
-            except Exception:
-                part.attempts += 1
-                report.retries += 1
-                pending.append(part)
-                if telemetry is not None:
-                    telemetry.registry.inc("parallel.retries")
-                    telemetry.event(
-                        "retry", shard=part.shard, attempt=part.attempts
+            pool_broken = False
+            for future in done:
+                part, started = inflight.pop(future)
+                try:
+                    sink, counters, task_drops, task_truncated, frontier, seconds = (
+                        future.result()
                     )
-                _sleep_backoff(retry, part.attempts)
-                continue
-            consecutive_failures = 0
-            report.task_seconds.append(time.monotonic() - started)
-            finish_part(part, sink, counters, task_drops, task_truncated, frontier)
-        if pool_broken:
-            fail_pool(settle=2.0)
+                except BudgetExceeded as exc:
+                    if strict:
+                        error = exc
+                        pending.clear()
+                    else:
+                        truncated = True
+                    continue
+                except BrokenExecutor:
+                    inflight[future] = (part, started)
+                    pool_broken = True
+                    continue
+                except Exception:
+                    part.attempts += 1
+                    report.retries += 1
+                    pending.append(part)
+                    if telemetry is not None:
+                        telemetry.registry.inc("parallel.retries")
+                        telemetry.event(
+                            "retry", shard=part.shard, attempt=part.attempts
+                        )
+                    _sleep_backoff(retry, part.attempts)
+                    continue
+                consecutive_failures = 0
+                report.task_seconds.append(seconds)
+                finish_part(part, sink, counters, task_drops, task_truncated, frontier)
+            if pool_broken:
+                fail_pool(settle=2.0)
+    finally:
+        # An aborting run kills what is still in flight.
+        if executor is not None:
+            if inflight:
+                _discard_executor(executor, report)
+            else:
+                executor.shutdown(wait=True)
     # A truncated or aborting run still attaches the best-effort prefix
     # of every shard that produced one (never checkpointed: only whole
     # shards are durable).
     for shard, count in shard_open.items():
         if count > 0:
-            attach(shard)
+            stitch(shard)
     if error is not None:
         raise error
     return truncated
@@ -1227,10 +1264,11 @@ def mine_table_parallel(
         cap = expansion_cap if expansion_cap is not None else max(4 * target, 64)
 
     coordinator_cache = KernelCache()
+    root_state = coordinator_ctx.root_state(table)
     with phase("decompose"):
         plan, tasks, truncated = _decompose(
             coordinator_ctx,
-            coordinator_ctx.root_state(table),
+            root_state,
             coordinator,
             target,
             cap,
@@ -1331,8 +1369,8 @@ def mine_table_parallel(
         try:
             with phase("execute"):
                 task_truncated = _execute_parts(
-                    tasks, ctx, n_workers, broadcast, advisory_cap,
-                    deadline, strict,
+                    tasks, ctx, root_state.table, n_workers, broadcast,
+                    advisory_cap, deadline, strict,
                     steal_quantum if steal and n_workers > 1 else None,
                     retry=retry,
                     report=report,

@@ -7,9 +7,9 @@ logical coordinates (shard index, attempt number, checkpoint write
 count), never on wall-clock time or randomness, so a given spec produces
 the same fault on every run regardless of OS scheduling.
 
-A spec lives in the ``FARMER_CHAOS`` environment variable (inherited by
-pool workers at fork time) and reads ``mode`` plus ``key=value`` fields
-separated by colons:
+A spec lives in the ``FARMER_CHAOS`` environment variable (each run's
+pool workers copy it as they start) and reads ``mode`` plus
+``key=value`` fields separated by colons:
 
 ==============  =====================================================
 ``kill``        worker SIGKILLs itself at the top of the shard attempt

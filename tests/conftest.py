@@ -30,27 +30,22 @@ _hypothesis_settings.load_profile("ci")
 class ChaosControl:
     """Arms/disarms the ``FARMER_CHAOS`` fault spec for one test.
 
-    Worker pools inherit the environment at fork time, so both
-    :meth:`arm` and :meth:`disarm` tear the cached pools down first — a
-    pool forked before arming would never see the spec, and a pool
-    forked while armed must not leak faults into later work.
+    Every sharded run starts its own worker pool, which copies the
+    environment as it starts, so a spec reaches exactly the runs made
+    while it is armed.
     """
 
     def __init__(self, monkeypatch) -> None:
         self._monkeypatch = monkeypatch
 
     def arm(self, spec: str) -> None:
-        from repro.core.parallel import shutdown_workers
         from repro.testing.chaos import CHAOS_ENV
 
-        shutdown_workers()
         self._monkeypatch.setenv(CHAOS_ENV, spec)
 
     def disarm(self) -> None:
-        from repro.core.parallel import shutdown_workers
         from repro.testing.chaos import CHAOS_ENV
 
-        shutdown_workers()
         self._monkeypatch.delenv(CHAOS_ENV, raising=False)
 
 
@@ -86,23 +81,28 @@ HANDOFF_CUTOFFS = {
 def handoff(cutoff):
     """Force the production engine's hand-off cutoff inside the block.
 
-    ``cutoff`` is an item count or a :data:`HANDOFF_CUTOFFS` id.  Worker
-    pools fork with the module state of their moment, so the cached
-    pools are torn down on entry and exit, like :class:`ChaosControl`
-    does for the fault spec.
+    ``cutoff`` is an item count or a :data:`HANDOFF_CUTOFFS` id.  A
+    sharded run inside the block forks its own worker pool, so its
+    workers extend tables under the same cutoff.
     """
-    from repro.core.parallel import shutdown_workers
-
     if isinstance(cutoff, str):
         cutoff = HANDOFF_CUTOFFS[cutoff]
     saved = npbitset.HANDOFF_ITEMS
-    shutdown_workers()
     npbitset.HANDOFF_ITEMS = cutoff
     try:
         yield
     finally:
         npbitset.HANDOFF_ITEMS = saved
-        shutdown_workers()
+
+
+def assert_fault_free(result) -> None:
+    """A sharded run with no injected fault must not have needed the
+    fault ladder: no retried part, no replaced pool, no inline
+    fallback.  (Byte-identity alone cannot see this: a part that fails
+    in every worker still mines the right bytes inline, only slower.)"""
+    report = result.parallel
+    faults = (report.retries, report.pool_failures, report.inline_tasks)
+    assert faults == (0, 0, 0), report
 
 
 def letter_items(letters: str) -> list[int]:

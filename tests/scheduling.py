@@ -17,10 +17,13 @@ split (and where), whether the attempt is killed before its results
 land — drawn from an explicit :class:`Schedule`.  Hypothesis generates
 adversarial schedules; shrinking then reports a *minimal* interleaving
 for any violation, which no amount of re-running the real pool can do.
+Parts hold their units in the executor's detached wire form and attach
+them to the run's root before walking, so every split point a schedule
+draws also exercises the table rebuild.
 
 Schedules are plain decision streams, so a failing example can be
-persisted with :func:`save_trace` (the same checksummed envelope the
-checkpoint/steal wire format uses) and replayed bit-for-bit later.
+persisted with :func:`save_trace` (the same checksummed envelope
+checkpoints use) and replayed bit-for-bit later.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ from repro.core.parallel import (
     DEFAULT_ADVISORY_CAP,
     AdvisoryBounds,
     _assemble,
+    _attach,
     _decompose,
+    _detach,
 )
 from repro.core.serialize import load_checkpoint, save_checkpoint
 from repro.data.transpose import TransposedTable
@@ -221,8 +226,9 @@ def run_schedule(
     if table.n == 0 or not table.item_masks:
         run.counters = merge_counters([coordinator])
         return run
+    root_state = ctx.root_state(table)
     plan, tasks, _ = _decompose(
-        ctx, ctx.root_state(table), coordinator, target, 4 * target, None, True
+        ctx, root_state, coordinator, target, 4 * target, None, True
     )
 
     picks = _Stream(schedule.picks, 0)
@@ -237,7 +243,9 @@ def run_schedule(
     shard_open: dict[int, int] = {}
     sequence = 0
     for index, leaf in enumerate(tasks):
-        part = _VirtualPart(index, sequence, [(FRONTIER_STATE, leaf.state)])
+        part = _VirtualPart(
+            index, sequence, _detach([(FRONTIER_STATE, leaf.state)])
+        )
         sequence += 1
         pending.append(part)
         shard_parts[index] = [part]
@@ -256,8 +264,11 @@ def run_schedule(
         sink: list = []
         counters = NodeCounters()
         frontier = enumerate_frontier(
-            ctx, part.units, counters, sink, quantum, advisory, None
+            ctx, _attach(root_state.table, part.units), counters, sink,
+            quantum, advisory, None,
         )
+        if frontier is not None:
+            frontier = _detach(frontier)
         run.dispatches += 1
         kill = bool(kills.next()) and part.attempts < MAX_ATTEMPTS - 1
         event = {

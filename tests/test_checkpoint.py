@@ -44,7 +44,7 @@ from repro.core.checkpoint import (
 from repro.core.constraints import Constraints
 from repro.core.enumeration import NodeCounters, SearchBudget, semantic_counters
 from repro.core.farmer import Candidate, Farmer, mine_irgs
-from repro.core.parallel import RetryPolicy, shutdown_workers
+from repro.core.parallel import RetryPolicy
 from repro.core.serialize import (
     CHECKPOINT_FORMAT,
     canonical_json,
@@ -57,13 +57,6 @@ from repro.testing.chaos import ChaosSpec, InjectedFault, active_spec, _parse
 
 MINSUP = 1
 NO_BACKOFF = RetryPolicy(backoff_base=0.0)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _drain_pools():
-    """Tear the cached worker pools down once the module is done."""
-    yield
-    shutdown_workers()
 
 
 def _serialized(result, tmp_path, tag):
@@ -452,7 +445,6 @@ class TestCheckpointRobustness:
     def test_resume_rejects_other_dataset(self, paper_dataset, tmp_path):
         ckpt = self._written(paper_dataset, tmp_path)
         other = random_dataset(7)
-        shutdown_workers()
         with pytest.raises(DataError, match="different run"):
             mine_irgs(other, "C", minsup=MINSUP, n_workers=2, resume=str(ckpt))
 

@@ -7,7 +7,6 @@ import pytest
 from conftest import handoff
 
 from repro.cli import build_parser, main
-from repro.core.parallel import shutdown_workers
 
 #: The ``--engine`` spellings the three-way interaction matrix passes.
 #: ``kernel`` and ``numpy`` name the production engine; the matrix also
@@ -162,11 +161,6 @@ class TestWorkersResumeEngine:
         "--top",
         "0",
     ]
-
-    @pytest.fixture(scope="class", autouse=True)
-    def _drain_pools(self):
-        yield
-        shutdown_workers()
 
     @pytest.fixture(scope="class")
     def serial_irgs(self, tmp_path_factory) -> bytes:

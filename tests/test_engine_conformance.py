@@ -19,7 +19,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from conftest import DEGENERATE_SHAPES, HANDOFF_CUTOFFS, handoff, random_dataset
+from conftest import (
+    DEGENERATE_SHAPES,
+    HANDOFF_CUTOFFS,
+    assert_fault_free,
+    handoff,
+    random_dataset,
+)
 from strategies import degenerate_datasets, skewed_datasets
 from engine_conformance import (
     CONSTRAINT_GRID,
@@ -32,15 +38,8 @@ from engine_conformance import (
 
 from repro import mine_irgs
 from repro.core.enumeration import semantic_counters
-from repro.core.parallel import shutdown_workers
 from repro.errors import DataError, UsageError
 from repro.testing.chaos import InjectedFault
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _drain_pools():
-    yield
-    shutdown_workers()
 
 
 def test_unknown_engine_rejected():
@@ -116,6 +115,7 @@ class TestEngineConformance:
             assert semantic_counters(sharded.counters) == semantic_counters(
                 serial.counters
             ), (engine, seed)
+            assert_fault_free(sharded)
 
     def test_killed_and_resumed_matches_serial_kernel(
         self, engine, paper_dataset, tmp_path, chaos
@@ -140,6 +140,7 @@ class TestEngineConformance:
             serial.counters
         ), engine
         assert resumed.parallel.resumed_tasks >= 1
+        assert_fault_free(resumed)
 
 
 @pytest.mark.parametrize("engine", VARIANTS)
@@ -313,5 +314,6 @@ def test_mixed_representations_shard_and_steal(lc_small, tmp_path):
                 expected
             ), steal
             assert sharded.counters.nodes == oracle.counters.nodes, steal
+            assert_fault_free(sharded)
             if steal:
                 assert sharded.parallel.donations, "nothing was donated"

@@ -38,14 +38,7 @@ from repro.core.kernel import (
     extend_and_scan,
     max_candidate_overlap,
 )
-from repro.core.parallel import shutdown_workers
 from repro.errors import DataError
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _drain_pools():
-    yield
-    shutdown_workers()
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +234,9 @@ class TestCondTable:
         table = CondTable.build(self.MASKS, 0b1111)
         _ = table.ids_mask  # populate the lazy slot too
         clone = pickle.loads(pickle.dumps(table))
-        assert clone.__getstate__() == table.__getstate__()
+        assert [getattr(clone, slot) for slot in CondTable.__slots__] == [
+            getattr(table, slot) for slot in CondTable.__slots__
+        ]
 
     def test_max_overlap_delegates(self):
         table = CondTable.build(self.MASKS, 0b1111)

@@ -19,7 +19,6 @@ from repro import Constraints, Farmer, mine_irgs
 from repro.cli import main
 from repro.core.enumeration import SearchBudget
 from repro.core.farmer import _PROGRESS_QUANTUM
-from repro.core.parallel import shutdown_workers
 from repro.core.serialize import save_rule_groups
 from repro.errors import DataError, UsageError
 from repro.experiments.workloads import build_workload
@@ -36,13 +35,6 @@ from repro.obs.progress import format_count, format_eta
 from repro.testing.chaos import InjectedFault
 
 MINSUP = 1
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _drain_pools():
-    """Tear the cached worker pools down once the module is done."""
-    yield
-    shutdown_workers()
 
 
 def _serialized(result, tmp_path, tag):

@@ -12,7 +12,7 @@ oracle.  Scheduling may vary; the output may not.
 import pytest
 
 import test_farmer_oracle
-from conftest import MINEABLE_SHAPES, random_dataset
+from conftest import MINEABLE_SHAPES, assert_fault_free, random_dataset
 
 from repro import Constraints, Farmer, SearchBudget, mine_irgs
 from repro.baselines import interesting_rule_groups
@@ -21,11 +21,7 @@ from repro.core.enumeration import (
     merge_counters,
     semantic_counters,
 )
-from repro.core.parallel import (
-    AdvisoryBounds,
-    mine_table_parallel,
-    shutdown_workers,
-)
+from repro.core.parallel import AdvisoryBounds, mine_table_parallel
 from repro.core.serialize import save_rule_groups
 from repro.data.transpose import TransposedTable
 
@@ -35,13 +31,6 @@ CONSTRAINT_GRID = test_farmer_oracle.CONSTRAINT_GRID
 PRUNING_COMBOS = test_farmer_oracle.TestPruningAblation.PRUNING_COMBOS
 
 WORKER_COUNTS = (1, 2, 4)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _drain_pools():
-    """Tear the cached worker pools down once the module is done."""
-    yield
-    shutdown_workers()
 
 
 def _serialized(result, tmp_path, tag):
@@ -69,6 +58,7 @@ class TestDifferential:
                 assert _serialized(
                     parallel, tmp_path, f"w{n_workers}-{seed}"
                 ) == reference, (seed, params, n_workers)
+                assert_fault_free(parallel)
                 # Order-sensitive group comparison, not just set equality.
                 assert [_group_key(g) for g in parallel.groups] == [
                     _group_key(g) for g in serial.groups
@@ -102,6 +92,7 @@ class TestDifferential:
             assert _serialized(parallel, tmp_path, f"p-{seed}") == _serialized(
                 serial, tmp_path, f"s-{seed}"
             ), (seed, prunings)
+            assert_fault_free(parallel)
             # The sharded run does the same work, not just the same output.
             assert semantic_counters(parallel.counters) == semantic_counters(
                 serial.counters
@@ -167,6 +158,7 @@ class TestDegenerateShapesParallel:
                     seed,
                     n_workers,
                 )
+                assert_fault_free(parallel)
 
 
 class TestApi:

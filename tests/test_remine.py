@@ -28,7 +28,6 @@ from conftest import handoff
 from strategies import datasets
 
 from repro import mine_irgs
-from repro.core.parallel import shutdown_workers
 from repro.errors import UsageError
 
 #: Hand-off cutoffs (``conftest.HANDOFF_CUTOFFS`` ids) the suite mines
@@ -45,12 +44,6 @@ CONSTRAINTS = st.tuples(
 
 #: How the warm answer executes: serial, static shards, or stealing.
 MODES = st.sampled_from(["serial", "sharded", "steal"])
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _drain_pools():
-    yield
-    shutdown_workers()
 
 
 def _irgs_bytes(result, directory, tag):

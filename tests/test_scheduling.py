@@ -21,7 +21,7 @@ Run the nightly profile for the deep sweep:
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import MINEABLE_SHAPES, handoff, random_dataset
+from conftest import MINEABLE_SHAPES, assert_fault_free, handoff, random_dataset
 from scheduling import (
     MAX_ATTEMPTS,
     Schedule,
@@ -34,7 +34,6 @@ from strategies import skewed_datasets
 
 from repro import Constraints, Farmer, mine_irgs
 from repro.core.enumeration import semantic_counters
-from repro.core.parallel import shutdown_workers
 from repro.core.serialize import save_rule_groups
 from repro.errors import DataError
 from repro.testing.chaos import InjectedFault
@@ -42,12 +41,6 @@ from repro.testing.chaos import InjectedFault
 CONSTRAINTS = Constraints(minsup=1, minconf=0.0)
 
 WORKER_COUNTS = (1, 2, 4)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _drain_pools():
-    yield
-    shutdown_workers()
 
 
 def _serial_bytes(data, path, constraints=CONSTRAINTS):
@@ -134,7 +127,7 @@ class TestVirtualScheduler:
 
     def test_trace_round_trip_replays_identically(self, tmp_path):
         """A persisted schedule replays to the same bytes and the same
-        decision trace — the trace envelope is the steal wire format."""
+        decision trace — the trace envelope is the checkpoint one."""
         data = random_dataset(3, max_rows=9)
         schedule = Schedule(
             picks=(3, 0, 5), quanta=(2, 7), splits=(1, 0, 4), kills=(0, 1)
@@ -223,10 +216,12 @@ class TestEndToEndStealing:
         assert semantic_counters(stealing.counters) == semantic_counters(
             serial.counters
         )
+        assert_fault_free(stealing)
         static = mine_irgs(
             data, "C", minsup=3, minconf=0.5, n_workers=n_workers
         )
         assert _result_bytes(static, tmp_path / "static.irgs") == reference
+        assert_fault_free(static)
 
     def test_stealing_actually_steals_on_skew(self, tmp_path):
         """The dominant subtree keeps fissioning while the queue drains
@@ -241,6 +236,7 @@ class TestEndToEndStealing:
         assert result.parallel.stealing
         assert result.parallel.donations > 0
         assert result.parallel.parts > result.parallel.n_tasks
+        assert_fault_free(result)
 
     def test_kill_anywhere_steal_anywhere_sweep(self, tmp_path, chaos):
         """Seeded sweep: every fault family × every early shard, under
@@ -310,3 +306,4 @@ class TestEndToEndStealing:
             serial.counters
         )
         assert resumed.parallel.resumed_tasks >= 1
+        assert_fault_free(resumed)

@@ -801,7 +801,6 @@ class TestNoRecursionLimit:
         import sys
 
         from conftest import random_dataset
-        from repro.core.parallel import shutdown_workers
 
         def forbidden(limit):
             raise AssertionError(f"mining set the recursion limit to {limit}")
@@ -809,7 +808,6 @@ class TestNoRecursionLimit:
         data = random_dataset(3, max_rows=9)
         reference_path = tmp_path / "reference.irgs"
         save_rule_groups(reference_path, mine_irgs(data, "C", minsup=1).groups)
-        shutdown_workers()  # fork fresh workers under the patch
         monkeypatch.setattr(sys, "setrecursionlimit", forbidden)
         cache = str(tmp_path / "warm")
         runs = {
@@ -821,7 +819,6 @@ class TestNoRecursionLimit:
             "capture": mine_irgs(data, "C", minsup=2, warm_cache=cache),
             "loosen": mine_irgs(data, "C", minsup=1, warm_cache=cache),
         }
-        shutdown_workers()
         del runs["capture"]  # mined at minsup=2; it only seeds the cache
         for tag, result in runs.items():
             path = tmp_path / f"{tag}.irgs"
