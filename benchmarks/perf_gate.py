@@ -62,6 +62,14 @@ includes its pool start.  Its output must hash to the wide sweep's pin
 at that minsup; its times have no floor (they record whether sharding
 beats serial at all).
 
+A sixth section, ``"prep"``, is measure-only too: best-of-N registry
+load, equal-depth discretize (``fit`` + ``transform``), transpose and
+the production engine's root-table build for LC at ``PREP_SCALES`` —
+the two sweep scales and the paper's full width (12,533 genes, 125,330
+items).  Each point pins :func:`repro.testing.prep.prep_sha256` of its
+discretized, transposed table, which ``--check`` compares exactly; its
+times have no floor.
+
 ``--check`` recomputes the pins, re-measures the speeds and fails if
 the reference speedup falls below ``min_speedup * tolerance`` — the
 tolerance is deliberately generous (CI machines are noisy; the gate
@@ -102,8 +110,11 @@ from repro.core import npbitset
 from repro.core.constraints import Constraints
 from repro.core.farmer import Farmer
 from repro.core.serialize import save_rule_groups
+from repro.data.discretize import EqualDepthDiscretizer
+from repro.data.registry import PAPER_DATASETS, load
 from repro.data.transpose import TransposedTable
 from repro.experiments.workloads import build_workload
+from repro.testing.prep import prep_sha256
 
 #: The pinned sweep: LC at benchmark scale, Figure-10 minsup grid.
 DATASET = "LC"
@@ -174,6 +185,11 @@ REMINE_LOOSEN_MINSUP = 8
 REMINE_MIN_SPEEDUP = 10.0
 REMINE_SPEEDUP_FLOOR = 5.0
 REMINE_MAX_CAPTURE_RATIO = 1.5
+
+#: The prep row's scales: both sweeps' tables and the paper's width.
+PREP_SCALES = (SCALE, NUMPY_SCALE, 1.0)
+#: Timed prep layers, in pipeline order.
+PREP_LAYERS = ("load", "discretize", "transpose", "root_table")
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_core.json"
 
@@ -398,6 +414,56 @@ def run_sharding_row(rounds: int, tmp_dir: Path) -> dict:
         "static_seconds": round(best["static"], 4),
         "steal_seconds": round(best["steal"], 4),
     }
+
+
+def run_prep_row(rounds: int) -> dict:
+    """Best-of-N prep layers per scale, with the table's content pin.
+
+    Every round runs the whole chain — load, discretize, transpose,
+    root table — so each layer is timed on a fresh input, as a cold
+    ``farmer mine`` runs it.  Measure-only: the times have no floor.
+    """
+    consequent = PAPER_DATASETS[DATASET].class1
+    points = []
+    for scale in PREP_SCALES:
+        best = dict.fromkeys(PREP_LAYERS, float("inf"))
+        for _ in range(rounds):
+            gc.collect()
+            stamps = [time.perf_counter()]
+            matrix = load(DATASET, scale=scale)
+            stamps.append(time.perf_counter())
+            discretizer = EqualDepthDiscretizer().fit(matrix)
+            data = discretizer.transform(matrix)
+            stamps.append(time.perf_counter())
+            table = TransposedTable.build(data, consequent)
+            stamps.append(time.perf_counter())
+            npbitset.root_table(table.item_masks, table.all_rows_mask)
+            stamps.append(time.perf_counter())
+            for layer, start, end in zip(PREP_LAYERS, stamps, stamps[1:]):
+                best[layer] = min(best[layer], end - start)
+        point = {"scale": scale, "items": data.n_items}
+        for layer in PREP_LAYERS:
+            point[f"{layer}_seconds"] = round(best[layer], 4)
+        point["table_sha256"] = prep_sha256(discretizer, table)
+        points.append(point)
+    return {"dataset": DATASET, "rounds": rounds, "points": points}
+
+
+def check_prep(payload: dict, baseline: dict) -> list[str]:
+    """Pin failures of the prep row: each scale's table hash is exact."""
+    fresh = {p["scale"]: p for p in payload["points"]}
+    failures = []
+    for pinned in baseline["points"]:
+        point = fresh.get(pinned["scale"])
+        if point is None:
+            failures.append(f"prep: scale={pinned['scale']}: missing")
+        elif point["table_sha256"] != pinned["table_sha256"]:
+            failures.append(
+                f"prep: scale={pinned['scale']}: table_sha256 drifted "
+                f"({point['table_sha256']!r} != pinned "
+                f"{pinned['table_sha256']!r})"
+            )
+    return failures
 
 
 def run_steal_sweep(rounds: int, tmp_dir: Path) -> dict:
@@ -666,34 +732,35 @@ def _diff_line(section: str, label: str, metric: str, old, new) -> str:
     return f"  {where:<28} {metric:<24} {flag}"
 
 
-def _diff_points(section: str, fresh: dict, committed: dict) -> list[str]:
-    """Delta rows for one section's per-minsup point list + scalars."""
+def _diff_points(
+    section: str, fresh: dict, committed: dict, key: str = "minsup"
+) -> list[str]:
+    """Delta rows for one section's point list (keyed by ``key``) + scalars."""
     lines = []
-    scalar_keys = sorted(
-        key
-        for key, value in committed.items()
+    scalars = sorted(
+        name
+        for name, value in committed.items()
         if isinstance(value, (int, float)) and not isinstance(value, bool)
     )
-    for key in scalar_keys:
-        if key in fresh:
+    for name in scalars:
+        if name in fresh:
             lines.append(
-                _diff_line(section, "", key, committed[key], fresh[key])
+                _diff_line(section, "", name, committed[name], fresh[name])
             )
-    fresh_points = {p["minsup"]: p for p in fresh.get("points", [])}
+    fresh_points = {p[key]: p for p in fresh.get("points", [])}
     for pinned in committed.get("points", []):
-        point = fresh_points.get(pinned["minsup"])
+        point = fresh_points.get(pinned[key])
         if point is None:
             lines.append(
-                f"  {section}.minsup={pinned['minsup']}: missing from "
-                "fresh sweep"
+                f"  {section}.{key}={pinned[key]}: missing from fresh sweep"
             )
             continue
-        label = f"minsup={pinned['minsup']}"
-        for key in sorted(pinned):
-            if key == "minsup" or key not in point:
+        label = f"{key}={pinned[key]}"
+        for metric in sorted(pinned):
+            if metric == key or metric not in point:
                 continue
             lines.append(
-                _diff_line(section, label, key, pinned[key], point[key])
+                _diff_line(section, label, metric, pinned[metric], point[metric])
             )
     return lines
 
@@ -703,7 +770,7 @@ def diff_report(sections: dict, baseline: dict) -> str:
 
     Args:
         sections: fresh payloads keyed by section name (``core``,
-            ``numpy``, ``steal``, ``remine``, ``sharding``).
+            ``numpy``, ``steal``, ``remine``, ``sharding``, ``prep``).
         baseline: the committed ``BENCH_core.json`` payload.
 
     Returns:
@@ -723,7 +790,8 @@ def diff_report(sections: dict, baseline: dict) -> str:
                         _diff_line(name, "", key, committed[key], fresh[key])
                     )
             continue
-        lines.extend(_diff_points(name, fresh, committed))
+        key = "scale" if name == "prep" else "minsup"
+        lines.extend(_diff_points(name, fresh, committed, key))
         extra = fresh.get("loosen")
         pinned_extra = committed.get("loosen")
         if extra and pinned_extra:
@@ -858,6 +926,8 @@ def main(argv: list[str] | None = None) -> int:
 
     import tempfile
 
+    # Prep runs first, on a small heap, as a cold ``farmer mine`` does.
+    prep_payload = run_prep_row(args.rounds)
     with tempfile.TemporaryDirectory() as tmp:
         payload = run_engine_sweep(SCALE, args.rounds, Path(tmp), True)
         numpy_payload = run_engine_sweep(
@@ -930,6 +1000,15 @@ def main(argv: list[str] | None = None) -> int:
         f"steal={sharding_payload['steal_seconds']:.3f}s  "
         f"(workers={sharding_payload['workers']}, no floor)"
     )
+    for point in prep_payload["points"]:
+        layers = "  ".join(
+            f"{layer}={point[f'{layer}_seconds'] * 1000:.1f}ms"
+            for layer in PREP_LAYERS
+        )
+        print(
+            f"prep scale={point['scale']:<5} items={point['items']:>7}  "
+            f"{layers}  (no floor)"
+        )
 
     if args.diff and args.baseline.exists():
         committed = json.loads(args.baseline.read_text(encoding="utf-8"))
@@ -942,6 +1021,7 @@ def main(argv: list[str] | None = None) -> int:
                     "steal": steal_payload,
                     "remine": remine_payload,
                     "sharding": sharding_payload,
+                    "prep": prep_payload,
                 },
                 committed,
             )
@@ -1004,6 +1084,7 @@ def main(argv: list[str] | None = None) -> int:
         payload["steal"] = steal_payload
         payload["remine"] = remine_payload
         payload["sharding"] = sharding_payload
+        payload["prep"] = prep_payload
         args.baseline.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
@@ -1021,6 +1102,8 @@ def main(argv: list[str] | None = None) -> int:
         failures.extend(check_steal(steal_payload, baseline["steal"]))
     if "remine" in baseline:
         failures.extend(check_remine(remine_payload, baseline["remine"]))
+    if "prep" in baseline:
+        failures.extend(check_prep(prep_payload, baseline["prep"]))
     if failures:
         print(f"PERF GATE FAILED ({len(failures)} problems):", file=sys.stderr)
         for failure in failures:

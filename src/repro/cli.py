@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .classify.cba import CBAClassifier
@@ -50,6 +51,7 @@ from .core.farmer import ENGINES, Farmer
 from .data.discretize import EntropyMDLDiscretizer, EqualDepthDiscretizer
 from .data.io import load_expression, save_expression
 from .data.registry import PAPER_DATASETS, load, train_test_rows
+from .data.transpose import TransposedTable
 from .errors import ReproError, UsageError
 
 __all__ = ["main", "build_parser"]
@@ -468,29 +470,41 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 def _command_mine(args: argparse.Namespace) -> int:
     _validate_mine_knobs(args)
-    matrix = _load_matrix(args)
-    data = EqualDepthDiscretizer(n_buckets=args.buckets).fit_transform(matrix)
-    consequent = args.consequent
-    if consequent is None:
-        consequent = matrix.class_labels[0]
+    # Telemetry exists before any work, so a bad --metrics-out path fails
+    # up front and the run log covers prep and serialization as phases.
     telemetry = _build_telemetry(args)
-    miner = Farmer(
-        constraints=Constraints(
-            minsup=args.minsup, minconf=args.minconf, minchi=args.minchi
-        ),
-        compute_lower_bounds=args.lower_bounds,
-        budget=SearchBudget(max_seconds=args.timeout),
-        n_workers=args.workers,
-        checkpoint=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        engine=args.engine,
-        steal=args.steal,
-        steal_quantum=args.steal_quantum,
-        telemetry=telemetry,
-        warm_cache=args.warm_cache,
-    )
+
+    def phase(name: str):
+        return nullcontext() if telemetry is None else telemetry.phase(name)
+
     try:
+        miner = Farmer(
+            constraints=Constraints(
+                minsup=args.minsup, minconf=args.minconf, minchi=args.minchi
+            ),
+            compute_lower_bounds=args.lower_bounds,
+            budget=SearchBudget(max_seconds=args.timeout),
+            n_workers=args.workers,
+            checkpoint=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+            engine=args.engine,
+            steal=args.steal,
+            steal_quantum=args.steal_quantum,
+            telemetry=telemetry,
+            warm_cache=args.warm_cache,
+        )
+        with phase("load"):
+            matrix = _load_matrix(args)
+        with phase("discretize"):
+            data = EqualDepthDiscretizer(n_buckets=args.buckets).fit_transform(
+                matrix
+            )
+        consequent = args.consequent
+        if consequent is None:
+            consequent = matrix.class_labels[0]
+        with phase("transpose"):
+            table = TransposedTable.build(data, consequent)
         if args.profile:
             import cProfile
             import pstats
@@ -498,7 +512,7 @@ def _command_mine(args: argparse.Namespace) -> int:
             profiler = cProfile.Profile()
             profiler.enable()
             try:
-                result = miner.mine(data, consequent)
+                result = miner.mine_table(table)
             finally:
                 profiler.disable()
             pstats.Stats(profiler, stream=sys.stdout).sort_stats(
@@ -513,7 +527,17 @@ def _command_mine(args: argparse.Namespace) -> int:
                 f"({rate:.1%} hit rate over {lookups} lookups)"
             )
         else:
-            result = miner.mine(data, consequent)
+            result = miner.mine_table(table)
+        if args.save:
+            from .core.serialize import save_rule_groups
+
+            with phase("serialize"):
+                save_rule_groups(
+                    args.save,
+                    result.groups,
+                    constraints=result.constraints,
+                    dataset_name=data.name,
+                )
     except BaseException:
         if telemetry is not None:
             telemetry.close()
@@ -574,14 +598,6 @@ def _command_mine(args: argparse.Namespace) -> int:
         print()
         print(group.format(data))
     if args.save:
-        from .core.serialize import save_rule_groups
-
-        save_rule_groups(
-            args.save,
-            result.groups,
-            constraints=result.constraints,
-            dataset_name=data.name,
-        )
         print(f"\nsaved {len(result.groups)} groups to {args.save}")
     return 0
 

@@ -50,7 +50,13 @@ class ItemizedDataset:
             raise DataError(
                 f"{len(self.rows)} rows but {len(self.labels)} labels"
             )
+        # One C-level superset test per row; only a row that fails it is
+        # scanned item by item, which names the first offender (a row of
+        # in-range non-int ids, e.g. 1.5, fails the test but passes here).
+        vocabulary = frozenset(range(self.n_items))
         for index, row in enumerate(self.rows):
+            if vocabulary.issuperset(row):
+                continue
             for item in row:
                 if not 0 <= item < self.n_items:
                     raise DataError(

@@ -9,13 +9,18 @@ support/confidence upper bounds of Pruning Strategy 3 rely on it
 
 :class:`TransposedTable` materializes both: rows are re-indexed into ORD
 positions ``0 .. n-1`` (positives occupy ``0 .. m-1``) and each item's row
-support set becomes a bitset over those positions.
+support set becomes a bitset over those positions.  The bitsets are built
+as one items x rows boolean matrix, packed little-endian with
+``np.packbits`` and read back with one ``int.from_bytes`` per item.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable
+
+import numpy as np
 
 from ..core import bitset
 from ..errors import DataError
@@ -67,11 +72,25 @@ class TransposedTable:
                 f"{dataset.name!r} (labels: {dataset.class_labels})"
             )
         order = ord_permutation(dataset.labels, consequent)
-        masks = [0] * dataset.n_items
-        for position, original in enumerate(order):
-            bit = 1 << position
-            for item in dataset.rows[original]:
-                masks[item] |= bit
+        rows = [dataset.rows[original] for original in order]
+        lengths = [len(row) for row in rows]
+        # Scatter (item, ORD position) pairs into an items x rows bit
+        # matrix, pack each item's row little-endian (bit p = position p)
+        # and read every item's bytes as one int.
+        bits = np.zeros((dataset.n_items, len(rows)), dtype=bool)
+        bits[
+            np.fromiter(
+                chain.from_iterable(rows), dtype=np.intp, count=sum(lengths)
+            ),
+            np.repeat(np.arange(len(rows)), lengths),
+        ] = True
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        buffer, width = packed.tobytes(), packed.shape[1]
+        from_bytes = int.from_bytes
+        masks = [
+            from_bytes(buffer[start : start + width], "little")
+            for start in range(0, len(buffer), width)
+        ]
         return cls(
             item_masks=tuple(masks),
             n=dataset.n_rows,

@@ -7,6 +7,11 @@ or exception-crash a specific shard attempt (or the coordinator after a
 specific checkpoint write).  Everything here is a no-op unless the
 ``FARMER_CHAOS`` environment variable is set, so production runs pay one
 ``os.environ`` read per shard and nothing else.
+
+:mod:`repro.testing.prep` hashes the output of equal-depth prep (cuts,
+item names, rows and transposed item masks) so tests and the perf gate
+can pin it byte for byte.  It is imported on its own, not re-exported
+here.
 """
 
 from __future__ import annotations

@@ -521,8 +521,58 @@ class TestCliEndToEnd:
         assert f"wrote run log to {runlog}" in captured.out
         assert "mined" in captured.err  # progress summary on stderr
         events = read_runlog(runlog)
-        assert events[0]["kind"] == "run_start"
-        assert events[-1]["kind"] == "run_end"
+        assert events[0] == {**events[0], "kind": "phase_start", "phase": "load"}
+        assert events[-1] == {
+            **events[-1], "kind": "phase_end", "phase": "serialize"
+        }
+        kinds = [event["kind"] for event in events]
+        assert kinds.count("run_start") == kinds.count("run_end") == 1
+
+    @pytest.mark.parametrize(
+        "command, answer",
+        [
+            ("mine", ["search"]),
+            ("remine", ["plan", "capture", "persist"]),
+        ],
+    )
+    @pytest.mark.parametrize("save", [True, False])
+    def test_run_log_phase_order(self, command, answer, save, tmp_path):
+        """Prep phases open the log and serialization closes it: load,
+        discretize and transpose run before the miner's ``run_start``,
+        and ``serialize`` (only with ``--save``) after its ``run_end``."""
+        runlog = tmp_path / "run.jsonl"
+        argv = [
+            command, "--dataset", "CT", "--scale", "0.02", "--minsup", "5",
+            "--top", "0", "--metrics-out", str(runlog),
+        ]
+        if command == "remine":
+            argv += ["--warm-cache", str(tmp_path / "cache")]
+        if save:
+            argv += ["--save", str(tmp_path / "out.irgs")]
+        assert main(argv) == 0
+        order = []
+        for event in read_runlog(runlog):
+            if event["kind"] == "phase_start":
+                order.append(event["phase"])
+            elif event["kind"] in ("run_start", "run_end"):
+                order.append(event["kind"])
+        assert order == [
+            "load", "discretize", "transpose", "run_start", *answer,
+            "build", "run_end", *(["serialize"] if save else []),
+        ]
+
+    def test_bad_run_log_path_fails_before_load(self, tmp_path, monkeypatch):
+        import repro.cli
+
+        def must_not_load(args):
+            raise AssertionError("loaded before the run log opened")
+
+        monkeypatch.setattr(repro.cli, "_load_matrix", must_not_load)
+        with pytest.raises(OSError):
+            main([
+                "mine", "--dataset", "CT", "--scale", "0.02", "--minsup", "5",
+                "--metrics-out", str(tmp_path / "missing" / "run.jsonl"),
+            ])
 
 
 # ----------------------------------------------------------------------
