@@ -119,7 +119,10 @@ def frontier_fingerprint(table: TransposedTable, prunings: Sequence[str]) -> str
     bitset, the class split and the enabled prunings (prunings change
     the tree shape, so entries are only reusable under the same set).
     The engine is deliberately *not* covered: entries are serialized in
-    an engine-invariant canonical form.
+    an engine-invariant canonical form.  The digest is computed once per
+    table and pruning set (kept in ``table.memo``), so repeated queries
+    on one table, such as served jobs on the registry's cached table,
+    hash the item masks only once.
 
     Args:
         table: the transposed table being mined.
@@ -128,15 +131,22 @@ def frontier_fingerprint(table: TransposedTable, prunings: Sequence[str]) -> str
     Returns:
         A sha256 hex digest.
     """
-    payload = [
-        table.n,
-        table.m,
-        str(table.consequent),
-        list(table.item_masks),
-        table.positive_mask,
-        sorted(prunings),
-    ]
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    enabled = sorted(prunings)
+    key = ("frontier_fingerprint", *enabled)
+    digest = table.memo.get(key)
+    if digest is None:
+        # Threads racing here compute the same digest; either store wins.
+        payload = [
+            table.n,
+            table.m,
+            str(table.consequent),
+            list(table.item_masks),
+            table.positive_mask,
+            enabled,
+        ]
+        digest = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+        table.memo[key] = digest
+    return digest
 
 
 def _constraints_key(constraints: Constraints) -> str:

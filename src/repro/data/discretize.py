@@ -19,17 +19,21 @@ expression falls in the interval.
 
 Equal-depth, the paper's efficiency setting, works on the whole matrix:
 one ``np.quantile(..., axis=0)`` call fits every gene, and ``transform``
-buckets every value with one comparison per cut rank.  At LC scale 1.0
-(12,533 genes, 125,330 items) fit + transform take ~0.5 s, most of it
-formatting the item names and building the per-row frozensets that
-``ItemizedDataset`` consumers read.  The entropy-MDL discretizer, used
-only for classification, fits gene by gene.
+buckets every value with one comparison per cut rank and returns a
+dataset backed by that item matrix
+(:meth:`ItemizedDataset.from_item_matrix`): its frozenset rows and item
+names are built on first read, which the mining path never does.  At
+LC scale 1.0 (12,533 genes, 125,330 items) fit + transform take
+~0.15 s, most of it the quantiles.  The entropy-MDL discretizer, used
+only for classification, fits gene by gene and returns row-backed
+datasets.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from functools import partial
 
 import numpy as np
 
@@ -81,6 +85,8 @@ class EqualDepthDiscretizer(Discretizer):
     quantiles in one call and keeps a cut only where it differs from the
     one below it, and ``transform`` counts the kept cuts at or below each
     value, one comparison per cut rank rather than a search per gene.
+    The item names are formatted from the fitted cuts only when a
+    transformed dataset's ``item_names`` is first read.
     """
 
     def __init__(self, n_buckets: int = 10) -> None:
@@ -92,7 +98,7 @@ class EqualDepthDiscretizer(Discretizer):
         self._cuts: np.ndarray | None = None
         self._keep: np.ndarray | None = None
         self._item_base: np.ndarray | None = None
-        self._item_names: tuple[str, ...] = ()
+        self._format_names: partial[tuple[str, ...]] | None = None
         self._n_items = 0
 
     @property
@@ -114,31 +120,14 @@ class EqualDepthDiscretizer(Discretizer):
         cuts = np.sort(np.quantile(matrix.values, quantiles, axis=0), axis=0)
         keep = np.ones(cuts.shape, dtype=bool)
         keep[1:] = cuts[1:] != cuts[:-1]
-        counts = keep.sum(axis=0)
-        sizes = counts + 1
-        item_base = np.cumsum(sizes) - sizes
-        n_items = int(sizes.sum())
-        # Each distinct cut is formatted once: it is the high bound of its
-        # bucket and the low bound of the next.  Kept cuts, in gene order,
-        # fill exactly the buckets that are not a gene's first (as low
-        # bounds) and not its last (as high bounds).
-        bounds = [f"{cut:.4g}" for cut in cuts.T[keep.T].tolist()]
-        first = np.zeros(n_items, dtype=bool)
-        first[item_base] = True
-        last = np.zeros(n_items, dtype=bool)
-        last[item_base + counts] = True
-        lows = np.full(n_items, "-inf", dtype=object)
-        lows[~first] = bounds
-        highs = np.full(n_items, "+inf", dtype=object)
-        highs[~last] = bounds
-        genes = np.repeat(np.asarray(matrix.gene_names, dtype=object), sizes)
+        sizes = keep.sum(axis=0) + 1
         self._cuts = cuts
         self._keep = keep
-        self._item_base = item_base
-        self._item_names = tuple(
-            map("{}@[{},{})".format, genes.tolist(), lows.tolist(), highs.tolist())
+        self._item_base = np.cumsum(sizes) - sizes
+        self._n_items = int(sizes.sum())
+        self._format_names = partial(
+            _equal_depth_names, tuple(matrix.gene_names), cuts, keep
         )
-        self._n_items = n_items
         return self
 
     def transform(self, matrix: GeneExpressionMatrix) -> ItemizedDataset:
@@ -157,13 +146,42 @@ class EqualDepthDiscretizer(Discretizer):
         ).copy()
         for cuts, keep in zip(self._cuts, self._keep):
             item_matrix += (cuts <= matrix.values) & keep
-        return ItemizedDataset(
-            rows=tuple(map(frozenset, item_matrix.tolist())),
-            labels=tuple(matrix.labels),
+        return ItemizedDataset.from_item_matrix(
+            item_matrix,
+            labels=matrix.labels,
             n_items=self._n_items,
-            item_names=self._item_names,
+            format_names=self._format_names,
             name=f"{matrix.name}/eqdepth{self.n_buckets}",
         )
+
+
+def _equal_depth_names(
+    gene_names: tuple[str, ...], cuts: np.ndarray, keep: np.ndarray
+) -> tuple[str, ...]:
+    """Item names of fitted equal-depth cuts, in item-id order.
+
+    Each distinct cut is formatted once: it is the high bound of its
+    bucket and the low bound of the next.  Kept cuts, in gene order,
+    fill exactly the buckets that are not a gene's first (as low
+    bounds) and not its last (as high bounds).
+    """
+    counts = keep.sum(axis=0)
+    sizes = counts + 1
+    item_base = np.cumsum(sizes) - sizes
+    n_items = int(sizes.sum())
+    bounds = [f"{cut:.4g}" for cut in cuts.T[keep.T].tolist()]
+    first = np.zeros(n_items, dtype=bool)
+    first[item_base] = True
+    last = np.zeros(n_items, dtype=bool)
+    last[item_base + counts] = True
+    lows = np.full(n_items, "-inf", dtype=object)
+    lows[~first] = bounds
+    highs = np.full(n_items, "+inf", dtype=object)
+    highs[~last] = bounds
+    genes = np.repeat(np.asarray(gene_names, dtype=object), sizes)
+    return tuple(
+        map("{}@[{},{})".format, genes.tolist(), lows.tolist(), highs.tolist())
+    )
 
 
 def _class_entropy(counts: np.ndarray) -> float:

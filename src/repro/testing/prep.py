@@ -4,8 +4,10 @@
 produce for a dataset — the fitted cuts, the item names, the rows and
 the transposed item masks — so a change to either step that moves any
 byte of its output shows up as a different hash.  The tier-1 tests pin
-it at LC scales 0.02 and 0.2, and ``benchmarks/perf_gate.py`` records
-and checks it in its ``prep`` section.
+it at LC scales 0.02, 0.2 and 1.0, and ``benchmarks/perf_gate.py``
+records and checks it in its ``prep`` section.  Hashing reads the
+dataset's rows and names, so it builds both on a matrix-backed
+dataset.
 """
 
 from __future__ import annotations

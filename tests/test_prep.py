@@ -4,8 +4,12 @@
 NumPy matrices.  The oracles below are the straightforward loops they
 replaced: ``np.quantile`` + ``np.unique`` and a ``searchsorted`` per
 gene, and one bit set at a time per (row, item).  Every cut, item name,
-row and item mask must match them exactly.  The vocabulary check of
-``ItemizedDataset`` is held to the message its per-item scan gave.
+row and item mask must match them exactly.  The discretizer's
+matrix-backed dataset must equal, hash and pickle like the row-backed
+one built from the oracle's rows, and the mining path must never build
+its rows or names.  The vocabulary check of ``ItemizedDataset``, on
+rows and on the item matrix, is held to the message its per-item scan
+gave.
 
 The last tests pin a content hash of the discretized, transposed table
 (:func:`repro.testing.prep.prep_sha256`) at LC scales 0.02, 0.2 and 1.0;
@@ -14,11 +18,18 @@ the pins were taken from the per-gene, per-bit implementation.
 
 from __future__ import annotations
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.constraints import Constraints
+from repro.core.farmer import Farmer
+from repro.core.serialize import save_rule_groups
 from repro.data.dataset import ItemizedDataset
 from repro.data.discretize import EqualDepthDiscretizer
 from repro.data.matrix import GeneExpressionMatrix
@@ -139,6 +150,38 @@ def assert_matches_oracle(matrix, held_out, n_buckets):
         assert data.n_items == n_items
         assert data.item_names == tuple(names)
         assert data.rows == oracle_transform(cuts, base, source)
+        assert_backing_matches_rows(
+            discretizer.transform(source), oracle_transform(cuts, base, source),
+            names,
+        )
+
+
+def assert_backing_matches_rows(data, rows, names):
+    """A fresh matrix-backed ``data`` against the row-backed dataset of
+    the same ``rows``: equality, hash, pickle, every row query, row
+    selection and replication."""
+    expected = ItemizedDataset.from_lists(
+        rows, data.labels, n_items=len(names), item_names=names, name=data.name
+    )
+    # Pickled before anything is built: the lazy recipe must travel.
+    restored = pickle.loads(pickle.dumps(data))
+    for dataset in (data, restored):
+        assert dataset.n_rows == expected.n_rows
+        assert dataset.max_row_length() == expected.max_row_length()
+        assert dataset.density() == expected.density()
+        assert dataset.rows == expected.rows
+        assert dataset.item_names == expected.item_names
+        assert dataset == expected and expected == dataset
+        assert hash(dataset) == hash(expected)
+    assert pickle.loads(pickle.dumps(data)) == expected
+    picks = list(range(data.n_rows))[::-2]
+    assert data.select_rows(picks) == expected.select_rows(picks)
+    assert data.replicate(2) == expected.replicate(2)
+    consequent = data.labels[0]
+    assert (
+        TransposedTable.build(data, consequent).item_masks
+        == oracle_masks(expected, consequent)
+    )
 
 
 @given(
@@ -258,6 +301,52 @@ def test_vocabulary_error_text_unchanged(rows, n_items):
     assert str(raised.value) == expected
 
 
+@pytest.mark.parametrize(
+    "matrix, n_items",
+    [
+        ([[0, 1], [2, -1]], 3),
+        ([[0, 1], [2, 3]], 3),
+        ([[0, 1], [5, 1], [7, 9]], 3),
+        ([[-4, 9, 1]], 3),
+        ([[1, 2, 0], [0, 7, -2]], 3),
+    ],
+)
+def test_matrix_vocabulary_error_text_unchanged(matrix, n_items):
+    """The matrix's one range check names the row and item the
+    item-by-item scan of its rows would."""
+    matrix = np.asarray(matrix)
+    expected = oracle_vocabulary_error(
+        [frozenset(row) for row in matrix.tolist()], n_items
+    )
+    with pytest.raises(DataError) as raised:
+        ItemizedDataset.from_item_matrix(matrix, ["x"] * len(matrix), n_items)
+    assert str(raised.value) == expected
+
+
+@given(
+    st.integers(0, 6),
+    st.integers(0, 5),
+    st.integers(0, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_matrix_vocabulary_check_matches_scan(n_rows, width, n_items, seed):
+    """Random matrices around the vocabulary's edges: accepted exactly
+    when the scan accepts, else rejected with the scan's message."""
+    matrix = np.random.default_rng(seed).integers(
+        -2, n_items + 2, size=(n_rows, width)
+    )
+    expected = oracle_vocabulary_error(
+        [frozenset(row) for row in matrix.tolist()], n_items
+    )
+    if expected is None:
+        data = ItemizedDataset.from_item_matrix(matrix, ["x"] * n_rows, n_items)
+        assert data.rows == tuple(map(frozenset, matrix.tolist()))
+        return
+    with pytest.raises(DataError) as raised:
+        ItemizedDataset.from_item_matrix(matrix, ["x"] * n_rows, n_items)
+    assert str(raised.value) == expected
+
+
 def test_vocabulary_check_accepts_what_the_scan_accepted():
     """A row of plain lists or sets, or of in-range non-int ids, fails
     no item-by-item check and so is still accepted."""
@@ -266,6 +355,83 @@ def test_vocabulary_check_accepts_what_the_scan_accepted():
     )
     assert data.n_rows == 3
     assert oracle_vocabulary_error(data.rows, 3) is None
+
+
+# ----------------------------------------------------------------------
+# Lazy rows and names
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_mining_path_builds_neither_rows_nor_names(warm, tmp_path):
+    """Discretize, transpose, mine (cold, or through the warm cache) and
+    serialize: the dataset's frozenset rows and item names are never
+    built, so none of those steps reads them."""
+    matrix = load("LC", scale=0.02)
+    data = EqualDepthDiscretizer(n_buckets=10).fit_transform(matrix)
+    table = TransposedTable.build(data, PAPER_DATASETS["LC"].class1)
+    miner = Farmer(
+        constraints=Constraints(minsup=14),
+        warm_cache=str(tmp_path / "cache") if warm else None,
+    )
+    result = miner.mine_table(table)
+    save_rule_groups(
+        tmp_path / "lc.irgs",
+        result.groups,
+        constraints=result.constraints,
+        dataset_name=data.name,
+    )
+    assert result.groups
+    assert "rows" not in vars(data)
+    assert "item_names" not in vars(data)
+
+
+def test_lazy_rows_and_names_are_thread_safe():
+    """Threads released together first-read the rows and names of one
+    fresh dataset: each gets the eager values, all the same objects (a
+    second build racing the first would hand out a different one)."""
+    matrix = load("LC", scale=0.02)
+    discretizer = EqualDepthDiscretizer(n_buckets=10).fit(matrix)
+    cuts, base, names, n_items = oracle_fit(matrix, 10)
+    eager = ItemizedDataset.from_lists(
+        oracle_transform(cuts, base, matrix), matrix.labels, n_items, names
+    )
+    data = discretizer.transform(matrix)
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    seen: list = [None] * n_threads
+    errors: list = []
+
+    def first_read(index: int) -> None:
+        try:
+            barrier.wait()
+            if index % 2:
+                seen[index] = (data.rows, data.item_names)
+            else:
+                names_first = data.item_names
+                seen[index] = (data.rows, names_first)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=first_read, args=(index,))
+        for index in range(n_threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for rows, item_names in seen:
+        assert rows == eager.rows
+        assert item_names == eager.item_names
+        assert rows is seen[0][0] and item_names is seen[0][1]
 
 
 # ----------------------------------------------------------------------

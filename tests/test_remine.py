@@ -227,6 +227,29 @@ def test_frontier_entry_bytes_are_pinned(engine, tmp_path):
         assert digest == FRONTIER_ENTRY_SHA256[minsup], (engine, minsup)
 
 
+def test_fingerprint_is_memoized_per_table_and_pruning_set():
+    """The memoized digest equals a fresh computation on an identical
+    table, is keyed by the pruning set (in any order), and is what
+    later calls on the same table return."""
+    from repro.core.frontier import frontier_fingerprint
+    from repro.data.transpose import TransposedTable
+    from repro.experiments.workloads import build_workload
+
+    workload = build_workload("LC", scale=0.02)
+    table = TransposedTable.build(workload.data, workload.consequent)
+    full = frontier_fingerprint(table, ("p1", "p2", "p3"))
+    fresh = TransposedTable.build(workload.data, workload.consequent)
+    assert fresh.memo == {}
+    assert frontier_fingerprint(fresh, ("p3", "p1", "p2")) == full
+    partial = frontier_fingerprint(table, ("p1",))
+    assert partial != full
+    assert sorted(table.memo.values()) == sorted([full, partial])
+    # Later calls read the memo rather than re-hashing the masks.
+    for key in table.memo:
+        table.memo[key] = "memoized"
+    assert frontier_fingerprint(table, ("p2", "p3", "p1")) == "memoized"
+
+
 def test_cache_entries_skips_malformed(tmp_path):
     """The inventory lists every entry whose envelope, key halves and
     ``evals``/``nodes`` stats are sound — the evaluation body is not
