@@ -437,7 +437,9 @@ def run_prep_row(rounds: int) -> dict:
             stamps.append(time.perf_counter())
             table = TransposedTable.build(data, consequent)
             stamps.append(time.perf_counter())
-            npbitset.root_table(table.item_masks, table.all_rows_mask)
+            npbitset.root_table(
+                table.item_masks, table.all_rows_mask, table.packed_words
+            )
             stamps.append(time.perf_counter())
             for layer, start, end in zip(PREP_LAYERS, stamps, stamps[1:]):
                 best[layer] = min(best[layer], end - start)

@@ -207,12 +207,13 @@ class SearchContext:
     whether the run is the ``reference`` oracle.  Picklable, so worker
     processes receive one copy per task.
 
-    ``observe`` switches the kernel's Pruning-3 bound scan to its
-    telemetry-counting variant
-    (:meth:`~repro.core.kernel.KernelCache.observed_max_overlap`) so an
-    observed run can report how far the early-exiting scans walk.  It
-    never changes the mined output, and the disabled cost is one boolean
-    check on the minority of nodes that survive the loose bounds.
+    ``observe`` switches the production engine's Pruning-3 bound scan
+    to its telemetry-counting variant (each table's
+    ``observed_max_overlap``, which counts into the run's
+    :class:`~repro.core.kernel.KernelCache`) so an observed run can
+    report how far the early-exiting scans walk.  It never changes the
+    mined output, and the disabled cost is one boolean check on the
+    minority of nodes that survive the loose bounds.
     """
 
     constraints: Constraints
@@ -288,7 +289,9 @@ class SearchContext:
                 table.all_rows_mask,
             )
         else:
-            cond = root_table(table.item_masks, table.all_rows_mask)
+            cond = root_table(
+                table.item_masks, table.all_rows_mask, table.packed_words
+            )
         return NodeState(
             table=cond,
             row_bit=0,
@@ -316,9 +319,7 @@ _UNBOUNDED = 1 << 62
 #: Nodes the telemetry-enabled serial walk visits between counter
 #: updates (see :meth:`Farmer._walk_observed`): a few tens of
 #: milliseconds of walking, so live progress moves inside one large
-#: subtree between 0.2 s samples, while rebuilding the preempted
-#: frontier stays out of the obs-overhead gate (4096 cost ~2.5 points
-#: of it on the LC sweep).
+#: subtree between 0.2 s samples.
 _PROGRESS_QUANTUM = 16384
 
 
@@ -350,9 +351,6 @@ class _Uncached:
         self, constraints, supp: int, supn: int, n: int, m: int, counters
     ) -> bool:
         return constraints.satisfied_by(supp, supn, n, m)
-
-    def observed_max_overlap(self, table: CondTableProtocol, cand_mask: int) -> int:
-        return table.max_overlap(cand_mask)
 
 
 _UNCACHED = _Uncached()
@@ -402,6 +400,18 @@ def _frame_units(frame: tuple, m: int) -> list[tuple[str, NodeState | Candidate]
     return units
 
 
+def _add_counts(
+    counters: NodeCounters, nodes: int, loose: int, tight: int, identified: int
+) -> None:
+    """Add a walk's node and pruning counts to ``counters``, nodes
+    first, so a concurrent reader (the telemetry sampler) never sees
+    more pruned nodes than nodes."""
+    counters.nodes += nodes
+    counters.pruned_loose += loose
+    counters.pruned_tight += tight
+    counters.pruned_identified += identified
+
+
 def _advisory_filter(
     emit: Callable[[Candidate], None], advisory, counters: NodeCounters
 ) -> Callable[[Candidate], None]:
@@ -438,6 +448,7 @@ def enumerate_frontier(
     cache: KernelCache | None = None,
     *,
     observer=None,
+    progress: Callable[[int], None] | None = None,
 ) -> list[tuple[str, NodeState | Candidate]] | None:
     """``MineIRGs`` (Figure 5): the one depth-first row-enumeration walk.
 
@@ -499,6 +510,13 @@ def enumerate_frontier(
             ``"pruned:identified"``; an explored node leaves after its
             subtree and its candidate).  The tracer records the tree
             through it.
+        progress: with a ``quantum``, called as ``progress(unread)``
+            each time the quantum expires, instead of preempting: the
+            walk's counts reach ``counters`` first, ``unread`` is the
+            number of input units after the one being walked (or about
+            to be), and the walk then goes on to the end.  Live
+            progress for the telemetry sampler without rebuilding the
+            frontier.
 
     Returns:
         ``None`` when the frontier was fully enumerated, else the
@@ -522,11 +540,13 @@ def enumerate_frontier(
     n = ctx.n
     m = ctx.m
     positive_mask = ctx.positive_mask
-    observe = ctx.observe
     eager = ctx.reference
+    # Reference tables have no popcounts to account a scan by.
+    observe = ctx.observe and not eager
     # Per-node work only some walks do: an observer, a budget tick, or
     # the reference engine's eager tables.
     slow = observer is not None or tick is not None or eager
+    count_tails = use_p3 and not slow
     limit = _UNBOUNDED if quantum is None else max(1, quantum)
     pending = list(units)
     pending.reverse()
@@ -541,8 +561,8 @@ def enumerate_frontier(
     stack: list[tuple] = []
     state = None
     # Node and pruning counts live in locals and reach ``counters``
-    # together when the walk returns or yields, so a concurrent reader
-    # (the telemetry sampler) never sees more pruned nodes than nodes.
+    # together (_add_counts) when the walk returns, yields or reports
+    # progress.
     expanded = 0
     loose = 0
     tight_pruned = 0
@@ -564,7 +584,26 @@ def enumerate_frontier(
                         active = False
                     continue
                 if expanded >= limit:
-                    break
+                    if progress is None:
+                        break
+                    _add_counts(counters, expanded, loose, tight_pruned, identified)
+                    expanded = loose = tight_pruned = identified = 0
+                    progress(len(pending))
+                # Step 2 for the whole sibling tail at once: no remaining
+                # positive child's loose support bound exceeds
+                # ``supp + pos_left``, and a negative child's is ``supp``,
+                # so below minsup every remaining child is loose-pruned.
+                # Counting them here visits none of them and makes no
+                # confidence lookup, as the per-node test short-circuits
+                # on minsup too; it stays inside the quantum, so
+                # preemption points and frontiers do not move.
+                if count_tails and supp + pos_left < minsup:
+                    tail = remaining.bit_count()
+                    if expanded + tail <= limit:
+                        expanded += tail
+                        loose += tail
+                        remaining = 0
+                        continue
                 # Step 6 — the next child in ORD order, its fields
                 # computed inline as _child_state would, but only as far
                 # as Step 2 needs them.  ``pos_left`` counts the positive
@@ -596,8 +635,12 @@ def enumerate_frontier(
                     emit(payload)
                     continue
                 if expanded >= limit:
-                    pending.append((tag, payload))
-                    break
+                    if progress is None:
+                        pending.append((tag, payload))
+                        break
+                    _add_counts(counters, expanded, loose, tight_pruned, identified)
+                    expanded = loose = tight_pruned = identified = 0
+                    progress(len(pending))
                 # No frame is open, so the frame locals are free: the
                 # unit's parent table goes where a child's would be.
                 state = payload
@@ -666,8 +709,8 @@ def enumerate_frontier(
             if use_p3:
                 if positive and node_pos:
                     if observe:
-                        tight = node_supp + cache.observed_max_overlap(
-                            node_table, node_pos
+                        tight = node_supp + node_table.observed_max_overlap(
+                            cache, node_pos
                         )
                     else:
                         tight = node_supp + node_table.max_overlap(node_pos)
@@ -741,10 +784,7 @@ def enumerate_frontier(
             remaining = child_pos | child_neg
             candidate = node_candidate
     finally:
-        counters.nodes += expanded
-        counters.pruned_loose += loose
-        counters.pruned_tight += tight_pruned
-        counters.pruned_identified += identified
+        _add_counts(counters, expanded, loose, tight_pruned, identified)
     if not active and not pending:
         return None
     frontier: list[tuple[str, NodeState | Candidate]] = []
@@ -822,34 +862,53 @@ class _IRGStore:
     """Discovered IRGs with the index used by Step 7's check.
 
     Step 7 asks: does some stored group with antecedent ``⊂`` the
-    candidate's have confidence ``>=`` the candidate's?  The store keeps
-    its entries sorted by confidence descending so only the prefix with
-    qualifying confidence is scanned, and prefilters by antecedent size
-    (a strict subset must be strictly smaller) before paying for the
-    bitmask subset test.  The paper observes this comparison dominates at
-    low supports ("more time will be spent when the number of IRGs ...
-    increase"); the index keeps it tolerable without changing semantics.
+    candidate's have confidence ``>=`` the candidate's?  A stored
+    antecedent inside the candidate's contains its own lowest item, so
+    the store chains its groups by lowest item id (``-1`` for the empty
+    antecedent, which is inside every candidate) and walks only the
+    chains of the candidate's items plus ``-1``.  Each chain runs by
+    confidence descending, so a walk stops at the first group below the
+    candidate's confidence and only the qualifying prefix pays for the
+    bitmask subset test.  The paper observes this comparison dominates
+    at low supports ("more time will be spent when the number of IRGs
+    ... increase"); a linear scan of the whole qualifying prefix cost
+    about 20 µs per candidate at BC minsup 6.  The chains are links in
+    flat per-group lists, not a container per chain: most groups start
+    a chain of their own, and a container each would add a tracked
+    object per group for the garbage collector to count and walk.
+    ``neg_confidences`` and ``entries`` keep every group in output
+    order (confidence descending, ties in admission order).
     """
 
     # Parallel arrays ordered by confidence descending.
     neg_confidences: list[float] = field(default_factory=list)
-    item_masks: list[int] = field(default_factory=list)
-    sizes: list[int] = field(default_factory=list)
     entries: list[tuple[tuple[int, ...], int, int, int]] = field(default_factory=list)
     seen: set[int] = field(default_factory=set)
+    # The chains: lowest item id -> first group; per group, in admission
+    # order, its item mask, its negated confidence and the next group of
+    # its chain (-1 at the end).
+    heads: dict[int, int] = field(default_factory=dict)
+    chain_masks: list[int] = field(default_factory=list)
+    chain_negs: list[float] = field(default_factory=list)
+    chain_next: list[int] = field(default_factory=list)
 
-    def is_interesting(self, item_mask: int, size: int, confidence: float) -> bool:
-        """Whether no stored group with a strictly smaller antecedent has
-        confidence >= ``confidence``."""
-        boundary = bisect.bisect_right(self.neg_confidences, -confidence)
-        masks = self.item_masks
-        stored_sizes = self.sizes
-        for index in range(boundary):
-            if (
-                stored_sizes[index] < size
-                and masks[index] & item_mask == masks[index]
-            ):
-                return False
+    def is_interesting(
+        self, item_ids: Sequence[int], item_mask: int, confidence: float
+    ) -> bool:
+        """Whether no stored group with an antecedent strictly inside
+        ``item_ids`` (``item_mask``) has confidence >= ``confidence``."""
+        heads = self.heads
+        masks = self.chain_masks
+        negs = self.chain_negs
+        next_group = self.chain_next
+        neg_confidence = -confidence
+        for key in (-1, *item_ids):
+            group = heads.get(key, -1)
+            while group >= 0 and negs[group] <= neg_confidence:
+                mask = masks[group]
+                if mask & item_mask == mask and mask != item_mask:
+                    return False
+                group = next_group[group]
         return True
 
     def add(
@@ -861,12 +920,27 @@ class _IRGStore:
         supn: int,
         row_mask: int,
     ) -> None:
-        position = bisect.bisect_right(self.neg_confidences, -confidence)
-        self.neg_confidences.insert(position, -confidence)
-        self.item_masks.insert(position, item_mask)
-        self.sizes.insert(position, len(item_ids))
+        neg_confidence = -confidence
+        position = bisect.bisect_right(self.neg_confidences, neg_confidence)
+        self.neg_confidences.insert(position, neg_confidence)
         self.entries.insert(position, (tuple(item_ids), supp, supn, row_mask))
         self.seen.add(item_mask)
+        # Link the group in after every group of its chain with
+        # confidence >= its own.
+        negs = self.chain_negs
+        next_group = self.chain_next
+        group = len(negs)
+        self.chain_masks.append(item_mask)
+        negs.append(neg_confidence)
+        key = min(item_ids, default=-1)
+        previous, following = -1, self.heads.get(key, -1)
+        while following >= 0 and negs[following] <= neg_confidence:
+            previous, following = following, next_group[following]
+        next_group.append(following)
+        if previous < 0:
+            self.heads[key] = group
+        else:
+            next_group[previous] = group
 
     def offer(self, candidate: Candidate, counters: NodeCounters) -> bool:
         """Step 7's admission for one candidate.
@@ -881,7 +955,7 @@ class _IRGStore:
             return False
         confidence = candidate.confidence
         if self.is_interesting(
-            candidate.item_mask, len(candidate.item_ids), confidence
+            candidate.item_ids, candidate.item_mask, confidence
         ):
             self.add(
                 candidate.item_ids,
@@ -1237,17 +1311,17 @@ class Farmer:
         The same walk, split at the root: a one-node quantum expands the
         root and hands back its children as frontier units, whose
         candidate-row weights (the proxy the sharded decomposition also
-        balances on) give the coverage estimate; each child subtree is
-        then walked under :data:`_PROGRESS_QUANTUM` and its weight counted
-        done once its frontier is exhausted.  The telemetry sampler
-        reads the coverage and the shared counters from its own thread;
-        the walker adds to the counters whenever a quantum expires, so
-        they move every few thousand nodes even inside one large
-        subtree.  Quantum preemption replays the serial sequence
-        exactly, so the split changes no output.  Nothing below the
-        root is instrumented.  A node observer (the tracer) must see
-        every node leave after its subtree, so it gets one unsplit walk
-        and its counters and coverage stay unknown until it returns.
+        balances on) give the coverage estimate.  The children are then
+        walked in one call that reports progress every
+        :data:`_PROGRESS_QUANTUM` nodes instead of preempting: the
+        shared counters move, and every child before the one being
+        walked counts as done.  The telemetry sampler reads both from
+        its own thread, so they move every few thousand nodes even
+        inside one large subtree.  Nothing below the root is
+        instrumented, and the walk is the serial one, so the split
+        changes no output.  A node observer (the tracer) must see every
+        node leave after its subtree, so it gets one unsplit walk and
+        its counters and coverage stay unknown until it returns.
         """
         counters = self._counters
         store_entries = self._store.entries
@@ -1268,23 +1342,27 @@ class Farmer:
             }
 
         self.telemetry.start_sampling(sample)
-        frontier = enumerate_frontier(
+        children = enumerate_frontier(
             ctx, units, counters, offer, 1 if observer is None else None,
             tick=tick, cache=self._cache, observer=observer,
         )
+        if not children:
+            return
         weights = [
             float(payload.estimate()) if tag == FRONTIER_STATE else 0.0
-            for tag, payload in frontier or ()
+            for tag, payload in children
         ]
         coverage["total"] = sum(weights)
-        for unit, weight in zip(frontier or (), weights):
-            rest: list | None = [unit]
-            while rest:
-                rest = enumerate_frontier(
-                    ctx, rest, counters, offer, _PROGRESS_QUANTUM,
-                    tick=tick, cache=self._cache,
-                )
-            coverage["done"] += weight
+
+        def progress(unread: int) -> None:
+            # Every child before the one being walked is done.
+            coverage["done"] = sum(weights[: len(children) - unread - 1])
+
+        enumerate_frontier(
+            ctx, children, counters, offer, _PROGRESS_QUANTUM,
+            tick=tick, cache=self._cache, progress=progress,
+        )
+        coverage["done"] = coverage["total"]
 
     # ------------------------------------------------------------------
     # Result materialization

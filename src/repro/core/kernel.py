@@ -425,9 +425,13 @@ class KernelCache:
 
     The cache additionally hosts the kernel's *bound-scan* statistics
     (how far the early-exiting :func:`max_candidate_overlap` scans
-    actually walk), filled only by :meth:`observed_max_overlap` — the
-    telemetry variant the miner switches to when observability is on
-    (:class:`~repro.core.farmer.SearchContext` ``observe``).  They live
+    actually walk), filled only by the tables' ``observed_max_overlap``
+    (:meth:`CondTable.observed_max_overlap` and its packed counterpart)
+    — the telemetry variant the miner switches to when observability
+    is on (:class:`~repro.core.farmer.SearchContext` ``observe``).  Each
+    representation accounts for its own cost model: the int-mask table
+    records how far its early exit walked, the packed table records
+    full-length vectorized scans.  They live
     here rather than on :class:`~repro.core.enumeration.NodeCounters`
     deliberately: checkpoint records serialize every counter field, so a
     telemetry-only counter there would break the byte-identity of
@@ -533,28 +537,6 @@ class KernelCache:
         verdict = constraints.satisfied_by(supp, supn, n, m)
         self.thresholds[key] = verdict
         return verdict
-
-    def observed_max_overlap(
-        self, table: "CondTableProtocol", cand_mask: int
-    ) -> int:
-        """The table's bound scan, with telemetry folded into this cache.
-
-        Dispatches through the protocol so each representation accounts
-        for its own cost model — the int-mask table records how far its
-        early exit walked, the packed table records full-length
-        vectorized scans.
-
-        Args:
-            table: a production table (the reference engine never takes
-                the observed path).
-            cand_mask: the candidate-row bitset of Lemma 3.7.
-
-        Returns:
-            Exactly what :meth:`CondTableProtocol.max_overlap` returns;
-            as a side effect the scan statistics land in the ``bound_*``
-            telemetry fields here.
-        """
-        return table.observed_max_overlap(self, cand_mask)
 
     def stats(self) -> dict[str, int]:
         """The bound-scan telemetry as catalogue-named counters.

@@ -24,7 +24,10 @@ scan and no array dispatch).  The production engine therefore follows
 the table: :func:`root_table` builds the root on whichever side of
 :data:`HANDOFF_ITEMS` it falls, and :meth:`NumpyCondTable.extend` hands
 a child narrower than that over to the int-mask table, which stays
-int masks from there down.  Both tables implement
+int masks from there down.  The hand-off decodes nothing: every packed
+table carries the root's int masks and popcounts indexed by item id
+(shared by reference from the root down), so a narrow child gathers
+its items' masks by id.  Both tables implement
 :class:`~repro.core.kernel.CondTableProtocol` with the same item order
 and the same int scan results, so the hand-off changes work, never
 output.
@@ -198,17 +201,25 @@ class NumpyCondTable:
     Item order is support-descending with item-id ties ascending, the
     exact :meth:`~repro.core.kernel.CondTable.build` order, inherited by
     children through filtering (and across the hand-off); candidates
-    therefore serialize identically either way.  Unlike the int-mask
-    table no per-item popcounts are kept: the Pruning-3 bound scan
-    (:meth:`max_overlap`) is one vectorized AND + popcount + max over
-    the whole table, so the early-exit key is dead weight here.
+    therefore serialize identically either way.  The Pruning-3 bound
+    scan (:meth:`max_overlap`) is one vectorized AND + popcount + max
+    over the whole table, so no per-column popcounts are kept.
+
+    ``item_masks`` and ``item_counts`` are the root's int masks and
+    popcounts indexed by item id, shared by reference with every packed
+    descendant: the hand-off to :class:`~repro.core.kernel.CondTable`
+    gathers a narrow child's masks and early-exit keys from them by id
+    instead of decoding its words.
 
     A run's root table is handed to every worker process once, through
-    the pool initializer; ``data`` is a plain ndarray and the scan
-    fields are ints, so default pickling round-trips.
+    the pool initializer; ``data`` is a plain ndarray and the rest are
+    ints and sequences of ints, so default pickling round-trips.
     """
 
-    __slots__ = ("data", "width", "inter", "union", "full", "_ids_mask")
+    __slots__ = (
+        "data", "width", "inter", "union", "full", "item_masks",
+        "item_counts", "_ids_mask",
+    )
 
     def __init__(
         self,
@@ -217,12 +228,16 @@ class NumpyCondTable:
         inter: int,
         union: int,
         full: int,
+        item_masks: Sequence[int],
+        item_counts: Sequence[int],
     ) -> None:
         self.data = data
         self.width = width
         self.inter = inter
         self.union = union
         self.full = full
+        self.item_masks = item_masks
+        self.item_counts = item_counts
         self._ids_mask: int | None = None
 
     def __len__(self) -> int:
@@ -239,7 +254,12 @@ class NumpyCondTable:
         return self.data[self.width].tolist()
 
     @classmethod
-    def build(cls, item_masks: Sequence[int], full_mask: int) -> "NumpyCondTable":
+    def build(
+        cls,
+        item_masks: Sequence[int],
+        full_mask: int,
+        words: np.ndarray | None = None,
+    ) -> "NumpyCondTable":
         """The packed root table over every item, support-sorted + scanned.
 
         Mirrors :meth:`repro.core.kernel.CondTable.build` exactly —
@@ -247,17 +267,23 @@ class NumpyCondTable:
         intersection/union values — on the packed layout.
 
         Args:
-            item_masks: per-item row bitsets in item-id order.
+            item_masks: per-item row bitsets in item-id order; kept by
+                reference as :attr:`item_masks`.
             full_mask: bitset of all rows (``(1 << n_rows) - 1``).
+            words: ``item_masks`` already packed, as
+                :func:`pack_masks` would (the transposer's
+                :attr:`~repro.data.transpose.TransposedTable.packed_words`);
+                ``None`` packs them here.
 
         Returns:
             The fully scanned root table.
         """
         width = word_count(full_mask.bit_count())
-        words = pack_masks(item_masks, width)
+        if words is None:
+            words = pack_masks(item_masks, width)
         if not len(item_masks):
             data = np.zeros((width + 1, 0), dtype=np.uint64)
-            return cls(data, width, full_mask, 0, full_mask)
+            return cls(data, width, full_mask, 0, full_mask, item_masks, [])
         counts = popcount_words(words)
         ids = np.arange(len(item_masks), dtype=np.uint64)
         # Stable sort on descending count == (-count, id) lexicographic.
@@ -267,7 +293,9 @@ class NumpyCondTable:
         data[width] = ids[order]
         inter = unpack_words(np.bitwise_and.reduce(words, axis=0)) & full_mask
         union = unpack_words(np.bitwise_or.reduce(words, axis=0))
-        return cls(data, width, inter, union, full_mask)
+        return cls(
+            data, width, inter, union, full_mask, item_masks, counts.tolist()
+        )
 
     def extend(self, row_bit: int) -> "NumpyCondTable | CondTable":
         """The child table ``TT|X∪{r}`` — one selection, one fused scan.
@@ -279,7 +307,8 @@ class NumpyCondTable:
         word rows for the child's intersection and union.  Order is
         preserved by the selection.  A child with fewer than
         :data:`HANDOFF_ITEMS` items is returned as the equivalent int-mask
-        :class:`~repro.core.kernel.CondTable`.
+        :class:`~repro.core.kernel.CondTable`, its masks and popcounts
+        gathered by item id from :attr:`item_masks`/:attr:`item_counts`.
         """
         row = row_bit.bit_length() - 1
         word_index, bit_index = divmod(row, _WORD_BITS)
@@ -294,7 +323,10 @@ class NumpyCondTable:
         if not size:
             if HANDOFF_ITEMS > 0:
                 return CondTable([], [], [], self.full, 0, self.full)
-            return NumpyCondTable(selected, width, self.full, 0, self.full)
+            return NumpyCondTable(
+                selected, width, self.full, 0, self.full, self.item_masks,
+                self.item_counts,
+            )
         words = selected[:width]
         # Reduce outputs are fresh contiguous arrays; convert straight
         # from their bytes (the unpack_words fast path, inlined).
@@ -305,24 +337,23 @@ class NumpyCondTable:
             np.bitwise_or.reduce(words, axis=1).tobytes(), "little"
         )
         if size < HANDOFF_ITEMS:
-            # One byte string with each item's words contiguous, sliced
-            # into one int per item; counts are the items' popcounts,
-            # the key CondTable's early-exiting bound scan needs.
-            payload = words.T.tobytes()
-            step = width * _WORD_BYTES
-            masks = [
-                int.from_bytes(payload[start:start + step], "little")
-                for start in range(0, size * step, step)
-            ]
+            # The items' own int masks and popcounts (the key of
+            # CondTable's early-exiting bound scan), gathered by id.
+            ids = selected[width].tolist()
+            item_masks = self.item_masks
+            item_counts = self.item_counts
             return CondTable(
-                selected[width].tolist(),
-                masks,
-                [mask.bit_count() for mask in masks],
+                ids,
+                [item_masks[item] for item in ids],
+                [item_counts[item] for item in ids],
                 inter,
                 union,
                 self.full,
             )
-        return NumpyCondTable(selected, width, inter, union, self.full)
+        return NumpyCondTable(
+            selected, width, inter, union, self.full, self.item_masks,
+            self.item_counts,
+        )
 
     @property
     def ids_mask(self) -> int:
@@ -376,7 +407,7 @@ class NumpyCondTable:
 
 
 def root_table(
-    item_masks: Sequence[int], full_mask: int
+    item_masks: Sequence[int], full_mask: int, words: np.ndarray | None = None
 ) -> "NumpyCondTable | CondTable":
     """The production engine's root table over every item.
 
@@ -390,13 +421,15 @@ def root_table(
     Args:
         item_masks: per-item row bitsets in item-id order.
         full_mask: bitset of all rows (``(1 << n_rows) - 1``).
+        words: ``item_masks`` already packed, for a packed root (see
+            :meth:`NumpyCondTable.build`); ``None`` packs them if needed.
 
     Returns:
         The fully scanned root table.
     """
     if len(item_masks) < HANDOFF_ITEMS:
         return CondTable.build(item_masks, full_mask)
-    return NumpyCondTable.build(item_masks, full_mask)
+    return NumpyCondTable.build(item_masks, full_mask, words)
 
 
 def mask_words(table: NumpyCondTable) -> list[int]:

@@ -12,9 +12,11 @@ positions ``0 .. n-1`` (positives occupy ``0 .. m-1``) and each item's row
 support set becomes a bitset over those positions.  The bitsets are built
 as one items x rows boolean matrix, scattered from the dataset's
 ``(item, ORD position)`` pairs (:meth:`ItemizedDataset.item_positions`,
-read straight off an equal-depth dataset's item matrix), packed
-little-endian with ``np.packbits`` and read back with one
-``int.from_bytes`` per item.
+read straight off an equal-depth dataset's item matrix), each row padded
+to whole 64-bit words, packed little-endian with ``np.packbits`` and read
+back with one ``int.from_bytes`` per item.  The packed words are kept
+too (:attr:`TransposedTable.packed_words`): they are exactly the layout
+the production engine's packed root table starts from.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from ..errors import DataError
 from .dataset import ItemizedDataset
 
 __all__ = ["TransposedTable", "ord_permutation"]
+
+_WORD_BITS = 64
 
 
 def ord_permutation(labels: tuple[Hashable, ...], consequent: Hashable) -> list[int]:
@@ -60,6 +64,10 @@ class TransposedTable:
             because it never changes (e.g. the warm cache's
             :func:`~repro.core.frontier.frontier_fingerprint`); not part
             of equality.
+
+    A table made by :meth:`build` also carries its items' packed words
+    (:attr:`packed_words`); they are not a field, so equality, ``repr``
+    and pickling see only the fields above.
     """
 
     item_masks: tuple[int, ...]
@@ -80,14 +88,16 @@ class TransposedTable:
             )
         order = ord_permutation(dataset.labels, consequent)
         # Scatter (item, ORD position) pairs into an items x rows bit
-        # matrix (through flat indices, about twice as fast as a 2-D
-        # fancy index), pack each item's row little-endian (bit p =
-        # position p) and read every item's bytes as one int.
+        # matrix whose rows are padded to whole 64-bit words (through
+        # flat indices, about twice as fast as a 2-D fancy index), pack
+        # each item's row little-endian (bit p = position p) and read
+        # every item's bytes as one int; the padding bytes are zero.
         items, positions = dataset.item_positions(order)
-        bits = np.zeros(dataset.n_items * len(order), dtype=bool)
-        bits[items * len(order) + positions] = True
+        stride = -(-len(order) // _WORD_BITS) * _WORD_BITS
+        bits = np.zeros(dataset.n_items * stride, dtype=bool)
+        bits[items * stride + positions] = True
         packed = np.packbits(
-            bits.reshape(dataset.n_items, len(order)), axis=1, bitorder="little"
+            bits.reshape(dataset.n_items, stride), axis=1, bitorder="little"
         )
         buffer, width = packed.tobytes(), packed.shape[1]
         from_bytes = int.from_bytes
@@ -95,7 +105,7 @@ class TransposedTable:
             from_bytes(buffer[start : start + width], "little")
             for start in range(0, len(buffer), width)
         ]
-        return cls(
+        table = cls(
             item_masks=tuple(masks),
             n=dataset.n_rows,
             m=dataset.class_count(consequent),
@@ -103,6 +113,29 @@ class TransposedTable:
             consequent=consequent,
             source=dataset,
         )
+        words = packed.view(np.uint64)
+        words.flags.writeable = False
+        object.__setattr__(table, "_words", words)
+        return table
+
+    @property
+    def packed_words(self) -> "np.ndarray | None":
+        """The item masks as one read-only ``(items, words)`` uint64 array.
+
+        Row ``i`` is ``item_masks[i]`` packed little-endian into
+        ``ceil(n / 64)`` words, the layout of
+        :func:`repro.core.npbitset.pack_masks`.  ``None`` on a table
+        that was not made by :meth:`build` (constructed directly, or
+        unpickled), whose consumers pack the int masks themselves.
+        """
+        return self.__dict__.get("_words")
+
+    def __getstate__(self) -> dict:
+        # The packed words are a build-time by-product, not table state:
+        # a pickle holds exactly the fields.
+        state = dict(self.__dict__)
+        state.pop("_words", None)
+        return state
 
     # ------------------------------------------------------------------
     # Masks and conversions

@@ -49,6 +49,8 @@ RUNLOG_FORMAT = "repro-runlog/1"
 
 _RUNLOG_PREFIX = "repro-runlog/"
 
+_FORMAT_TEXT = canonical_json(RUNLOG_FORMAT)
+
 
 def _event_digest(event_text: str) -> str:
     """The sha256 hex digest the envelope carries for one event."""
@@ -93,16 +95,14 @@ class RunLog:
                 "t": round(time.perf_counter() - self._opened_at, 6),
                 **fields,
             }
+            # The envelope is canonical_json of {"event", "format", "seq",
+            # "sha256"}: keys in that (sorted) order, with the event's own
+            # canonical text inside, so the event is encoded once.
             event_text = canonical_json(event)
-            envelope = canonical_json(
-                {
-                    "event": event,
-                    "format": RUNLOG_FORMAT,
-                    "seq": self.events,
-                    "sha256": _event_digest(event_text),
-                }
+            self._handle.write(
+                f'{{"event":{event_text},"format":{_FORMAT_TEXT},'
+                f'"seq":{self.events},"sha256":"{_event_digest(event_text)}"}}\n'
             )
-            self._handle.write(envelope + "\n")
             self._handle.flush()
             self.events += 1
 

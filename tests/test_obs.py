@@ -6,6 +6,7 @@ observer.  Serial `.irgs` output, sharded output, checkpoint bytes and
 killed/resumed runs are all compared against un-instrumented references.
 """
 
+import hashlib
 import io
 import json
 import random
@@ -19,7 +20,7 @@ from repro import Constraints, Farmer, mine_irgs
 from repro.cli import main
 from repro.core.enumeration import SearchBudget
 from repro.core.farmer import _PROGRESS_QUANTUM
-from repro.core.serialize import save_rule_groups
+from repro.core.serialize import canonical_json, save_rule_groups
 from repro.errors import DataError, UsageError
 from repro.experiments.workloads import build_workload
 from repro.obs import (
@@ -215,6 +216,24 @@ class TestRunLog:
         assert events[0]["minsup"] == 3
         times = [event["t"] for event in events]
         assert times == sorted(times)
+
+    def test_envelope_is_canonical_json(self, tmp_path):
+        """Each line is byte for byte the canonical JSON of its envelope."""
+        path = self._write(
+            tmp_path,
+            [
+                ("run_start", {"minsup": 3, "prunings": ["p1", "p3"]}),
+                ("metrics", {"counters": {"b": 2, "a": 1}, "note": 'q"\\u00e9'}),
+                ("phase_end", {"phase": "search", "seconds": 0.25}),
+            ],
+        )
+        for seq, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+            envelope = json.loads(line)
+            assert envelope["seq"] == seq
+            assert line == canonical_json(envelope)
+            assert envelope["sha256"] == hashlib.sha256(
+                canonical_json(envelope["event"]).encode("utf-8")
+            ).hexdigest()
 
     def test_reserved_envelope_field_rejected(self, tmp_path):
         # 'kind' is the positional parameter itself, so passing it as a

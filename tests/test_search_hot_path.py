@@ -1,0 +1,426 @@
+"""Property suite for the search hot path.
+
+Three shortcuts keep the search's cost on the nodes it keeps, and each
+is checked here against the slower code it replaced:
+
+* **Counted loose tails.**  :func:`~repro.core.farmer.enumerate_frontier`
+  counts a sibling tail whose loose support bound is below minsup
+  instead of visiting it.  A no-op ``tick`` forces the per-node walk,
+  and both walks must yield the same candidates, every counter (cache
+  telemetry included) and, under every quantum, the same returned
+  frontiers.
+* **Step-7 admission index.**  :class:`~repro.core.farmer._IRGStore`
+  walks only the chains of a candidate's items; the linear scan of
+  the whole confidence prefix it replaced is kept here as the oracle.
+* **Hand-off by reference.**  A narrow child of a packed table holds
+  the transposer's own int masks (the same objects), equal to what
+  decoding its packed words gives, at every hand-off cutoff.
+"""
+
+from __future__ import annotations
+
+import bisect
+import dataclasses
+import pickle
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import handoff, random_dataset
+from strategies import datasets, skewed_datasets
+
+from repro.core.constraints import Constraints
+from repro.core.enumeration import NodeCounters
+from repro.core.farmer import (
+    FRONTIER_STATE,
+    Candidate,
+    SearchContext,
+    _IRGStore,
+    enumerate_frontier,
+)
+from repro.core.kernel import CondTable, KernelCache
+from repro.core.npbitset import (
+    NumpyCondTable,
+    mask_words,
+    pack_masks,
+    root_table,
+    word_count,
+)
+from repro.data.dataset import ItemizedDataset
+from repro.data.transpose import TransposedTable
+
+QUANTA = (None, 1, 2, 3, 5, 17, 64, 257)
+
+PRUNING_SUBSETS = (
+    frozenset({"p1", "p2", "p3"}),
+    frozenset({"p1", "p3"}),
+    frozenset({"p3"}),
+    frozenset({"p1", "p2"}),
+    frozenset(),
+)
+
+
+# ----------------------------------------------------------------------
+# Counted loose tails
+# ----------------------------------------------------------------------
+
+
+def _detached(units):
+    """A returned frontier without its tables, for comparison."""
+    return [
+        (tag, payload._replace(table=None) if tag == FRONTIER_STATE else payload)
+        for tag, payload in units
+    ]
+
+
+def _walk(ctx, table, quantum, per_node):
+    """Enumerate ``table`` to completion under ``quantum``.
+
+    Returns the candidates, the counters and every frontier the walk
+    handed back.  ``per_node`` passes a no-op tick, which forces the
+    per-node path.
+    """
+    counters = NodeCounters()
+    cache = KernelCache()
+    candidates: list[Candidate] = []
+    frontiers = []
+    tick = (lambda: None) if per_node else None
+    units = [(FRONTIER_STATE, ctx.root_state(table))]
+    while True:
+        units = enumerate_frontier(
+            ctx, units, counters, candidates, quantum, tick=tick, cache=cache
+        )
+        if units is None:
+            return candidates, counters, frontiers
+        frontiers.append(_detached(units))
+
+
+@pytest.mark.parametrize("cutoff", ["numpy", "default"])
+@given(
+    data=st.one_of(datasets(max_rows=10, max_items=8), skewed_datasets()),
+    minsup=st.integers(min_value=1, max_value=5),
+    minconf=st.sampled_from([0.0, 0.5, 0.8]),
+    prunings=st.sampled_from(PRUNING_SUBSETS),
+)
+def test_fast_walk_matches_per_node_walk(cutoff, data, minsup, minconf, prunings):
+    table = TransposedTable.build(data, "C")
+    ctx = SearchContext.for_table(
+        table, Constraints(minsup=minsup, minconf=minconf), prunings
+    )
+    with handoff(cutoff):
+        for quantum in QUANTA:
+            fast = _walk(ctx, table, quantum, per_node=False)
+            slow = _walk(ctx, table, quantum, per_node=True)
+            assert fast[0] == slow[0]
+            assert dataclasses.astuple(fast[1]) == dataclasses.astuple(slow[1])
+            assert fast[2] == slow[2]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fast_walk_matches_on_larger_tables(seed):
+    """Deeper trees than the hypothesis datasets, with long tails."""
+    data = random_dataset(seed, max_rows=16, max_items=14)
+    table = TransposedTable.build(data, "C")
+    for minsup in (2, 3, 4):
+        ctx = SearchContext.for_table(
+            table, Constraints(minsup=minsup), PRUNING_SUBSETS[0]
+        )
+        for quantum in QUANTA:
+            fast = _walk(ctx, table, quantum, per_node=False)
+            slow = _walk(ctx, table, quantum, per_node=True)
+            assert fast[0] == slow[0]
+            assert dataclasses.astuple(fast[1]) == dataclasses.astuple(slow[1])
+            assert fast[2] == slow[2]
+
+
+def _progress_matches_preemption(table, quantum):
+    ctx = SearchContext.for_table(
+        table, Constraints(minsup=2), PRUNING_SUBSETS[0]
+    )
+    children = enumerate_frontier(
+        ctx, [(FRONTIER_STATE, ctx.root_state(table))], NodeCounters(), [], 1
+    )
+    if not children:
+        return False
+
+    expected = []
+    counters, candidates, cache = NodeCounters(), [], KernelCache()
+    rest = children
+    while True:
+        rest = enumerate_frontier(ctx, rest, counters, candidates, quantum, cache=cache)
+        if rest is None:
+            break
+        # Input units come back as the very payloads; when one leads
+        # ``rest``, the walk stopped just before starting it.
+        payloads = {id(payload) for _, payload in rest}
+        unread = sum(id(payload) in payloads for _, payload in children)
+        if any(rest[0][1] is payload for _, payload in children):
+            unread -= 1
+        expected.append((dataclasses.astuple(counters), unread))
+
+    reported = []
+    walked, walked_candidates = NodeCounters(), []
+
+    def progress(unread):
+        reported.append((dataclasses.astuple(walked), unread))
+
+    assert (
+        enumerate_frontier(
+            ctx, children, walked, walked_candidates, quantum,
+            cache=KernelCache(), progress=progress,
+        )
+        is None
+    )
+    assert walked_candidates == candidates
+    assert reported == expected
+    return bool(expected)
+
+
+@pytest.mark.parametrize("quantum", [1, 5, 64])
+def test_progress_reports_where_preemption_would_yield(quantum):
+    """A walk that reports progress instead of preempting publishes the
+    counters a preempted walk holds at each yield, with the count of
+    input units after the one being walked (or about to be), and mines
+    the same candidates."""
+    checked = [
+        _progress_matches_preemption(
+            TransposedTable.build(
+                random_dataset(seed, max_rows=16, max_items=14), "C"
+            ),
+            quantum,
+        )
+        for seed in range(8)
+    ]
+    assert any(checked)
+
+
+# ----------------------------------------------------------------------
+# Step-7 admission index
+# ----------------------------------------------------------------------
+
+
+class LinearStore:
+    """The admission store before its index: one scan of the whole
+    prefix of groups with qualifying confidence, prefiltered by size."""
+
+    def __init__(self) -> None:
+        self.neg_confidences: list[float] = []
+        self.item_masks: list[int] = []
+        self.sizes: list[int] = []
+        self.entries: list[tuple] = []
+        self.seen: set[int] = set()
+
+    def is_interesting(self, item_mask: int, size: int, confidence: float) -> bool:
+        boundary = bisect.bisect_right(self.neg_confidences, -confidence)
+        for index in range(boundary):
+            mask = self.item_masks[index]
+            if self.sizes[index] < size and mask & item_mask == mask:
+                return False
+        return True
+
+    def offer(self, candidate: Candidate, counters: NodeCounters) -> bool:
+        if candidate.item_mask in self.seen:
+            return False
+        confidence = candidate.confidence
+        if not self.is_interesting(
+            candidate.item_mask, len(candidate.item_ids), confidence
+        ):
+            counters.candidates_rejected += 1
+            return False
+        position = bisect.bisect_right(self.neg_confidences, -confidence)
+        self.neg_confidences.insert(position, -confidence)
+        self.item_masks.insert(position, candidate.item_mask)
+        self.sizes.insert(position, len(candidate.item_ids))
+        self.entries.insert(
+            position,
+            (
+                tuple(candidate.item_ids),
+                candidate.supp,
+                candidate.supn,
+                candidate.row_mask,
+            ),
+        )
+        self.seen.add(candidate.item_mask)
+        return True
+
+
+@st.composite
+def candidates(draw):
+    """A candidate over items 0..5 in any table order; small supports
+    so confidences and antecedent sizes tie often."""
+    items = draw(st.frozensets(st.integers(min_value=0, max_value=5), max_size=4))
+    item_ids = draw(st.permutations(sorted(items)))
+    supp = draw(st.integers(min_value=1, max_value=4))
+    supn = draw(st.integers(min_value=0, max_value=4))
+    mask = 0
+    for item in item_ids:
+        mask |= 1 << item
+    return Candidate(tuple(item_ids), mask, supp, supn, draw(st.integers(0, 255)))
+
+
+def _assert_same_admission(sequence):
+    store, oracle = _IRGStore(), LinearStore()
+    counters, oracle_counters = NodeCounters(), NodeCounters()
+    for candidate in sequence:
+        assert store.offer(candidate, counters) == oracle.offer(
+            candidate, oracle_counters
+        )
+    assert store.entries == oracle.entries
+    assert store.neg_confidences == oracle.neg_confidences
+    assert counters == oracle_counters
+
+
+@given(st.lists(candidates(), max_size=40))
+def test_admission_index_matches_linear_scan(sequence):
+    _assert_same_admission(sequence)
+
+
+@given(st.lists(candidates(), max_size=25))
+def test_admission_index_with_empty_antecedent_first(sequence):
+    """Mask 0, the empty antecedent ``I(∅)``, is inside every candidate."""
+    empty = Candidate((), 0, 2, 1, 0)
+    _assert_same_admission([empty, *sequence])
+
+
+def test_admission_ties():
+    """Tied confidences and tied sizes: an equal-confidence subset
+    blocks, an equal-size non-subset does not, and ties keep admission
+    order in the output."""
+    sequence = [
+        Candidate((3,), 0b1000, 2, 2, 1),  # 0.5
+        Candidate((1,), 0b0010, 2, 2, 2),  # 0.5, same size
+        Candidate((3, 1), 0b1010, 1, 1, 3),  # 0.5, blocked by both
+        Candidate((4, 3), 0b11000, 3, 1, 4),  # 0.75 beats {3}
+        Candidate((0,), 0b0001, 3, 1, 5),  # 0.75
+        Candidate((), 0, 1, 1, 6),  # 0.5, smallest of all
+        Candidate((2, 0), 0b0101, 3, 1, 7),  # 0.75, blocked by {0}
+        Candidate((5,), 0b100000, 1, 1, 8),  # 0.5, blocked by I(∅)
+    ]
+    _assert_same_admission(sequence)
+    store = _IRGStore()
+    verdicts = [store.offer(candidate, NodeCounters()) for candidate in sequence]
+    assert verdicts == [True, True, False, True, True, True, False, False]
+
+
+# ----------------------------------------------------------------------
+# Hand-off by reference
+# ----------------------------------------------------------------------
+
+
+def _table(seed=3, n_rows=70, n_items=10):
+    """A table whose masks span two words and are never small cached
+    ints, so ``is`` really tells the transposer's objects apart."""
+    rng = random.Random(seed)
+    rows = [
+        [item for item in range(n_items) if rng.random() < 0.6]
+        for _ in range(n_rows)
+    ]
+    labels = ["C" if rng.random() < 0.5 else "D" for _ in range(n_rows)]
+    labels[-1] = "C"
+    data = ItemizedDataset.from_lists(rows, labels, n_items=n_items)
+    return TransposedTable.build(data, "C")
+
+
+def _rows(table):
+    return [1 << row for row in range(table.n)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_narrow_children_hold_the_transposer_masks(seed):
+    table = _table(seed)
+    items = table.item_masks
+    full = table.all_rows_mask
+    with handoff(0):
+        packed_root = root_table(items, full, table.packed_words)
+    assert isinstance(packed_root, NumpyCondTable)
+    assert packed_root.item_masks is items
+    checked = 0
+    for cutoff in range(len(items) + 2):
+        with handoff(cutoff):
+            for first in _rows(table):
+                for second in [0, *_rows(table)[::11]]:
+                    with handoff(0):
+                        expected = packed_root.extend(first)
+                        if second:
+                            expected = expected.extend(second)
+                    parent = packed_root.extend(first)
+                    child = parent.extend(second) if second else parent
+                    if isinstance(child, NumpyCondTable):
+                        assert child.item_masks is items
+                        continue
+                    assert isinstance(child, CondTable)
+                    old_decode = mask_words(expected)
+                    assert child.item_ids == expected.item_ids
+                    assert child.masks == old_decode
+                    assert child.counts == [mask.bit_count() for mask in old_decode]
+                    for item, mask in zip(child.item_ids, child.masks):
+                        assert mask is items[item]
+                    assert (child.inter, child.union) == (
+                        expected.inter,
+                        expected.union,
+                    )
+                    checked += 1
+    assert checked
+
+
+def test_packed_words_match_the_int_masks():
+    for seed in range(4):
+        table = _table(seed)
+        width = word_count(table.n)
+        expected = pack_masks(table.item_masks, width)
+        assert table.packed_words.dtype == np.uint64
+        assert np.array_equal(table.packed_words, expected)
+        assert not table.packed_words.flags.writeable
+        with handoff(0):
+            from_words = root_table(
+                table.item_masks, table.all_rows_mask, table.packed_words
+            )
+            from_ints = root_table(table.item_masks, table.all_rows_mask)
+        assert np.array_equal(from_words.data, from_ints.data)
+        assert (from_words.inter, from_words.union) == (
+            from_ints.inter,
+            from_ints.union,
+        )
+        assert from_words.item_counts == from_ints.item_counts
+
+
+@pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 130])
+def test_packed_words_at_word_edges(n_rows):
+    rows = [[item for item in range(3) if (row + item) % 2] for row in range(n_rows)]
+    data = ItemizedDataset.from_lists(rows, ["C"] * n_rows, n_items=3)
+    table = TransposedTable.build(data, "C")
+    assert table.packed_words.shape == (3, word_count(n_rows))
+    assert np.array_equal(
+        table.packed_words, pack_masks(table.item_masks, word_count(n_rows))
+    )
+
+
+def test_packed_words_stay_out_of_equality_and_pickle():
+    table = _table()
+    fields = {
+        field.name: getattr(table, field.name)
+        for field in dataclasses.fields(table)
+        if field.init
+    }
+    plain = TransposedTable(**fields)
+    assert plain.packed_words is None
+    assert plain == table and hash(plain) == hash(table)
+    assert repr(plain) == repr(table)
+    assert pickle.dumps(table) == pickle.dumps(plain)
+    clone = pickle.loads(pickle.dumps(table))
+    assert clone == table and clone.packed_words is None
+
+
+def test_stored_antecedent_does_not_block_itself():
+    """Only a strictly smaller antecedent blocks, as the size prefilter
+    of the linear scan had it."""
+    store, oracle = _IRGStore(), LinearStore()
+    store.add((3, 1), 0b1010, 0.9, 9, 1, 1)
+    oracle.offer(Candidate((3, 1), 0b1010, 9, 1, 1), NodeCounters())
+    assert store.is_interesting((1, 3), 0b1010, 0.5)
+    assert oracle.is_interesting(0b1010, 2, 0.5)
+    assert not store.is_interesting((1, 3, 0), 0b1011, 0.5)
+    assert not oracle.is_interesting(0b1011, 3, 0.5)
