@@ -65,7 +65,6 @@ lists into an in-memory transposed table; we use the bitset equivalent):
 
 from __future__ import annotations
 
-import bisect
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -185,6 +184,13 @@ class Candidate(NamedTuple):
     (interesting) is decided separately — serially by
     :meth:`_IRGStore.offer`, because admission depends on every group with
     a smaller antecedent (Lemma 3.4).
+
+    Precondition: ``supp`` and ``supn`` are a function of ``item_mask``
+    (the bitset of ``item_ids``).  ``I(X)`` fixes ``R(I(X))`` and with it
+    both supports, so two candidates with equal masks have equal
+    confidence.  The walker produces candidates this way; the decoded
+    ones (warm entries, checkpoints) come from checksummed envelopes.
+    The store relies on it to find a re-offered group on its chain walk.
     """
 
     item_ids: tuple[int, ...]
@@ -752,9 +758,10 @@ def enumerate_frontier(
             if cache.satisfies(
                 constraints, total_supp, total_supn, n, m, counters
             ):
+                ids = tuple(node_table.item_ids)
                 node_candidate = Candidate(
-                    tuple(node_table.item_ids),
-                    node_table.ids_mask,
+                    ids,
+                    bitset.from_indices(ids),
                     total_supp,
                     total_supn,
                     node_inter,
@@ -876,98 +883,80 @@ class _IRGStore:
     flat per-group lists, not a container per chain: most groups start
     a chain of their own, and a container each would add a tracked
     object per group for the garbage collector to count and walk.
-    ``neg_confidences`` and ``entries`` keep every group in output
-    order (confidence descending, ties in admission order).
+
+    Groups are kept in admission order, each with its negated
+    confidence beside its chain link.  Output order (confidence
+    descending, ties in admission order) is one stable sort, taken by
+    :meth:`_ranked` when the groups are built.
+
+    An upper bound offered again (reachable when Pruning 2 is off: the
+    same ``I(X)`` rediscovered at a later node) is skipped without
+    counting a rejection.  By the :class:`Candidate` precondition it
+    has the stored copy's confidence and, with the same items, its
+    chain, so the walk meets that copy inside the prefix it visits
+    anyway.  No strictly smaller blocking group can come first: by
+    Lemma 3.4 it would have been stored before the first copy, and
+    blocked that one too.
     """
 
-    # Parallel arrays ordered by confidence descending.
-    neg_confidences: list[float] = field(default_factory=list)
+    # Per group, in admission order: (item ids, supp, supn, row mask).
     entries: list[tuple[tuple[int, ...], int, int, int]] = field(default_factory=list)
-    seen: set[int] = field(default_factory=set)
-    # The chains: lowest item id -> first group; per group, in admission
-    # order, its item mask, its negated confidence and the next group of
-    # its chain (-1 at the end).
+    # The chains: lowest item id -> first group; per group, its item
+    # mask, its negated confidence and the next group of its chain (-1
+    # at the end).
     heads: dict[int, int] = field(default_factory=dict)
     chain_masks: list[int] = field(default_factory=list)
     chain_negs: list[float] = field(default_factory=list)
     chain_next: list[int] = field(default_factory=list)
 
-    def is_interesting(
-        self, item_ids: Sequence[int], item_mask: int, confidence: float
-    ) -> bool:
-        """Whether no stored group with an antecedent strictly inside
-        ``item_ids`` (``item_mask``) has confidence >= ``confidence``."""
+    def offer(self, candidate: Candidate, counters: NodeCounters) -> bool:
+        """Step 7's admission for one candidate; whether it was stored.
+
+        Shared by the serial miner (called in discovery order as nodes
+        unwind), the warm filter and the sharded miner's reduce (both
+        replaying a candidate sequence in that order).  One walk
+        decides the verdict and finds where the candidate links into
+        its own chain.
+        """
+        item_ids = candidate.item_ids
+        item_mask = candidate.item_mask
+        neg_confidence = -candidate.confidence
         heads = self.heads
         masks = self.chain_masks
         negs = self.chain_negs
         next_group = self.chain_next
-        neg_confidence = -confidence
-        for key in (-1, *item_ids):
-            group = heads.get(key, -1)
+        key = min(item_ids, default=-1)
+        for chain in (-1, *item_ids):
+            previous, group = -1, heads.get(chain, -1)
             while group >= 0 and negs[group] <= neg_confidence:
                 mask = masks[group]
-                if mask & item_mask == mask and mask != item_mask:
+                if mask & item_mask == mask:
+                    if mask != item_mask:
+                        counters.candidates_rejected += 1
                     return False
-                group = next_group[group]
+                previous, group = group, next_group[group]
+            if chain == key:
+                # After every group of its chain with confidence >= its own.
+                link, following = previous, group
+        added = len(negs)
+        self.entries.append(
+            (tuple(item_ids), candidate.supp, candidate.supn, candidate.row_mask)
+        )
+        masks.append(item_mask)
+        negs.append(neg_confidence)
+        next_group.append(following)
+        if link < 0:
+            heads[key] = added
+        else:
+            next_group[link] = added
         return True
 
-    def add(
-        self,
-        item_ids: Sequence[int],
-        item_mask: int,
-        confidence: float,
-        supp: int,
-        supn: int,
-        row_mask: int,
-    ) -> None:
-        neg_confidence = -confidence
-        position = bisect.bisect_right(self.neg_confidences, neg_confidence)
-        self.neg_confidences.insert(position, neg_confidence)
-        self.entries.insert(position, (tuple(item_ids), supp, supn, row_mask))
-        self.seen.add(item_mask)
-        # Link the group in after every group of its chain with
-        # confidence >= its own.
-        negs = self.chain_negs
-        next_group = self.chain_next
-        group = len(negs)
-        self.chain_masks.append(item_mask)
-        negs.append(neg_confidence)
-        key = min(item_ids, default=-1)
-        previous, following = -1, self.heads.get(key, -1)
-        while following >= 0 and negs[following] <= neg_confidence:
-            previous, following = following, next_group[following]
-        next_group.append(following)
-        if previous < 0:
-            self.heads[key] = group
-        else:
-            next_group[previous] = group
-
-    def offer(self, candidate: Candidate, counters: NodeCounters) -> bool:
-        """Step 7's admission for one candidate.
-
-        Shared by the serial miner (called in discovery order as nodes
-        unwind) and the sharded miner's reduce (replaying the merged
-        candidate sequence in the same order).  The ``seen`` skip is only
-        reachable when Pruning 2 is disabled: the same upper bound
-        rediscovered at a later node.
-        """
-        if candidate.item_mask in self.seen:
-            return False
-        confidence = candidate.confidence
-        if self.is_interesting(
-            candidate.item_ids, candidate.item_mask, confidence
-        ):
-            self.add(
-                candidate.item_ids,
-                candidate.item_mask,
-                confidence,
-                candidate.supp,
-                candidate.supn,
-                candidate.row_mask,
-            )
-            return True
-        counters.candidates_rejected += 1
-        return False
+    def _ranked(self) -> list[tuple[tuple[int, ...], int, int, int]]:
+        """The stored groups in output order: confidence descending,
+        ties in admission order."""
+        entries = self.entries
+        order = sorted(range(len(entries)), key=self.chain_negs.__getitem__)
+        return [entries[group] for group in order]
 
 
 class Farmer:
@@ -1372,7 +1361,7 @@ class Farmer:
         self, table: TransposedTable, store: _IRGStore
     ) -> list[RuleGroup]:
         groups: list[RuleGroup] = []
-        for item_ids, supp, supn, row_mask in store.entries:
+        for item_ids, supp, supn, row_mask in store._ranked():
             groups.append(
                 RuleGroup(
                     upper=frozenset(item_ids),

@@ -99,11 +99,6 @@ class CondTableProtocol(Protocol):
         """Item ids in table order (plain Python ints)."""
         ...
 
-    @property
-    def ids_mask(self) -> int:
-        """The item ids as a bitset (lazily computed)."""
-        ...
-
     def __len__(self) -> int:
         ...
 
@@ -236,7 +231,7 @@ class CondTable:
     with the default protocol.
     """
 
-    __slots__ = ("item_ids", "masks", "counts", "inter", "union", "full", "_ids_mask")
+    __slots__ = ("item_ids", "masks", "counts", "inter", "union", "full")
 
     def __init__(
         self,
@@ -253,7 +248,6 @@ class CondTable:
         self.inter = inter
         self.union = union
         self.full = full
-        self._ids_mask: int | None = None
 
     def __len__(self) -> int:
         return len(self.item_ids)
@@ -343,22 +337,6 @@ class CondTable:
                 intersection &= mask
                 union |= mask
         return CondTable(new_ids, new_masks, new_counts, intersection, union, full)
-
-    @property
-    def ids_mask(self) -> int:
-        """The item ids of this table as a bitset (computed lazily).
-
-        Candidates are emitted at a small fraction of visited nodes, so
-        the pre-kernel per-candidate ``1 << id`` loop is deferred until a
-        candidate actually needs it, then cached on the table.
-        """
-        mask = self._ids_mask
-        if mask is None:
-            mask = 0
-            for item_id in self.item_ids:
-                mask |= 1 << item_id
-            self._ids_mask = mask
-        return mask
 
     def max_overlap(self, cand_mask: int) -> int:
         """Early-exiting ``MAX(|cand ∩ t|)`` over this table's tuples."""

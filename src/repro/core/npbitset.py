@@ -218,7 +218,7 @@ class NumpyCondTable:
 
     __slots__ = (
         "data", "width", "inter", "union", "full", "item_masks",
-        "item_counts", "_ids_mask",
+        "item_counts",
     )
 
     def __init__(
@@ -238,7 +238,6 @@ class NumpyCondTable:
         self.full = full
         self.item_masks = item_masks
         self.item_counts = item_counts
-        self._ids_mask: int | None = None
 
     def __len__(self) -> int:
         return self.data.shape[1]
@@ -354,17 +353,6 @@ class NumpyCondTable:
             selected, width, inter, union, self.full, self.item_masks,
             self.item_counts,
         )
-
-    @property
-    def ids_mask(self) -> int:
-        """The item ids of this table as a bitset (computed lazily)."""
-        mask = self._ids_mask
-        if mask is None:
-            mask = 0
-            for item_id in self.item_ids:
-                mask |= 1 << item_id
-            self._ids_mask = mask
-        return mask
 
     def max_overlap(self, cand_mask: int) -> int:
         """``MAX(|cand ∩ t|)`` over the tuples, as one vectorized pass.

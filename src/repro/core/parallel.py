@@ -30,7 +30,7 @@ therefore splits the *search* and keeps the *admission* serial:
 **Advisory bound broadcast.**  With every task dispatch the coordinator
 ships a snapshot of the dominance bounds accumulated so far — the
 ``(confidence, antecedent mask, antecedent size)`` table of candidates
-already recorded by finished tasks, ordered like the Step 7 store.  A
+already recorded by finished tasks, confidence descending.  A
 worker drops (and counts as rejected) any candidate covered by a strictly
 smaller recorded antecedent with confidence at least as high: such a
 candidate is provably rejected by the final replay, because its dominator
@@ -192,11 +192,11 @@ _START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else
 class AdvisoryBounds:
     """Cross-subtree dominance bounds (the broadcast Step 7 prefilter).
 
-    The same confidence-descending parallel-array layout (and prefix
-    scan) as :class:`~repro.core.farmer._IRGStore`, but holding *recorded
-    candidates* rather than admitted groups — that is sufficient: see the
-    module docstring for why a covered candidate is provably rejected by
-    the admission replay.
+    Parallel arrays kept confidence descending by sorted inserts and
+    scanned by prefix, holding *recorded candidates* rather than the
+    admitted groups of :class:`~repro.core.farmer._IRGStore` — that is
+    sufficient: see the module docstring for why a covered candidate is
+    provably rejected by the admission replay.
     """
 
     __slots__ = ("neg_confidences", "item_masks", "sizes", "cap", "drops", "_members")

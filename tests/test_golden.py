@@ -153,6 +153,17 @@ COLD_MINE_PINS = {
 }
 
 
+def _assert_pinned(pin, data, table, constraints, tmp_path, **options):
+    result = Farmer(constraints=constraints, **options).mine_table(table)
+    out = tmp_path / "mine.irgs"
+    save_rule_groups(
+        out, result.groups, constraints=constraints, dataset_name=data.name
+    )
+    *counters, sha = pin
+    assert dataclasses.astuple(result.counters) == tuple(counters)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
 @pytest.fixture(scope="module")
 def cold_mine_tables():
     from repro.data.transpose import TransposedTable
@@ -180,12 +191,84 @@ class TestColdMineCounters:
         self, cold_mine_tables, tmp_path, name, minsup, minconf
     ):
         data, table = cold_mine_tables[name]
-        constraints = Constraints(minsup=minsup, minconf=minconf)
-        result = Farmer(constraints=constraints).mine_table(table)
-        out = tmp_path / "mine.irgs"
-        save_rule_groups(
-            out, result.groups, constraints=constraints, dataset_name=data.name
+        _assert_pinned(
+            COLD_MINE_PINS[(name, minsup, minconf)],
+            data,
+            table,
+            Constraints(minsup=minsup, minconf=minconf),
+            tmp_path,
         )
-        *counters, sha = COLD_MINE_PINS[(name, minsup, minconf)]
-        assert dataclasses.astuple(result.counters) == tuple(counters)
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
+#: The same pins at the paper's column counts (``scale=1.0``, Table 1)
+#: on the Figure 10 points that mine in well under a second each: the
+#: LC grid, PC 12/11, CT 6 and BC 9, minconf 0.  Here the Step-7 store
+#: holds thousands of groups over 20k-245k items, a regime the 0.02
+#: sweep never reaches.
+PAPER_SIZE_PINS = {
+    ("LC", 16): (1, 0, 1, 0, 0, 0, 0, 0, 1, "89ad22d44a56c9468fc807ccc4bc8e0eec078bee791b4c07fc7b6f788c39e057"),
+    ("LC", 14): (855, 763, 70, 14, 12, 1, 0, 0, 86, "cdfa44e66bad450e132262709b19a7decb992167aa1663391b89ce6a519f850a"),
+    ("LC", 12): (15060, 13471, 963, 438, 233, 15, 0, 159, 1180, "ae93f24a456314d83832c3241c7c8572f185796d83da87a4011a9d4b4c7d9150"),
+    ("LC", 11): (36908, 33117, 2085, 1246, 428, 24, 0, 423, 2582, "c079c5e9c482d1dfc2792b4a97d98b509f63b8a97a4fa3a4044ca541255ad1bf"),
+    ("PC", 12): (22461, 16961, 4399, 794, 348, 39, 0, 291, 4722, "ec88bdd0de8bea6618da43a5fb1fa3cfe70831cf5918124b97fc1ebf7f9b0aaa"),
+    ("PC", 11): (88909, 67972, 15344, 4192, 1660, 189, 0, 1382, 16764, "8eb64efd0fb4f34997ba167d1d7212507b748f836e21fb2cebfab2a42a372575"),
+    ("CT", 6): (52654, 30555, 10198, 7060, 3618, 1877, 6, 4830, 15050, "059b3e8219e008f6b3ab9de3d542b0738d9d931545d172a5f0b90efeb2ddfb4c"),
+    ("BC", 9): (129195, 91213, 27206, 7222, 3789, 876, 0, 3538, 30776, "65a24c5b588c982c73d41e3f5b92dda1faf8c276db5364322ab1619f7c72c942"),
+}
+
+#: Each dataset's lowest scale-0.02 grid point with Pruning 2 off
+#: (``{"p1", "p3"}``, minconf 0).  Without Step 1's identified-subtree
+#: cut the same upper bound reaches the store again from later nodes;
+#: ``candidates_rejected`` pins that such a re-offer is skipped, not
+#: counted as a rejection.
+PRUNING_2_OFF_PINS = {
+    ("LC", 11): (9431, 8438, 708, 0, 1457, 14, 0, 601, 677, "6749e17c0f5ea30e16e08910294becbb6a449cd84cb694a842d333c4e7da26b6"),
+    ("BC", 6): (112536, 82283, 17553, 0, 29205, 1383, 72, 28260, 14693, "c5b67fbd8534e4c7b1391ea881e7c17c9fd87a014f7626cd5730c3d540c163fb"),
+    ("PC", 9): (60212, 44068, 11010, 0, 15383, 184, 128, 13928, 7350, "09f970c3d441e9ae446c208e59c19b8414dd042ba044f45b5cc261d129e7e79a"),
+    ("ALL", 4): (39176, 21115, 3354, 0, 17464, 1281, 682, 26967, 5801, "19180954b168823445b930bbc6a7970a1c17152e49ace86598101b090ef10b16"),
+    ("CT", 3): (11220, 4661, 96, 0, 5009, 785, 765, 10959, 2063, "033d3595d944f486ff5976c9ca4994ae0a210bde1edf6b31f81a4a66ff84f2a6"),
+}
+
+
+@pytest.fixture(scope="module")
+def paper_size_tables():
+    from repro.data.transpose import TransposedTable
+
+    tables = {}
+    for name in sorted({name for name, _ in PAPER_SIZE_PINS}):
+        data = EqualDepthDiscretizer(n_buckets=10).fit_transform(
+            load(name, scale=1.0)
+        )
+        tables[name] = (data, TransposedTable.build(data, data.class_labels[0]))
+    return tables
+
+
+class TestPaperSizeCounters:
+    @pytest.mark.parametrize(("name", "minsup"), sorted(PAPER_SIZE_PINS))
+    def test_counters_and_output_pinned(
+        self, paper_size_tables, tmp_path, name, minsup
+    ):
+        data, table = paper_size_tables[name]
+        _assert_pinned(
+            PAPER_SIZE_PINS[(name, minsup)],
+            data,
+            table,
+            Constraints(minsup=minsup),
+            tmp_path,
+        )
+
+
+class TestPruning2OffCounters:
+    @pytest.mark.parametrize(("name", "minsup"), sorted(PRUNING_2_OFF_PINS))
+    def test_counters_and_output_pinned(
+        self, cold_mine_tables, tmp_path, name, minsup
+    ):
+        data, table = cold_mine_tables[name]
+        _assert_pinned(
+            PRUNING_2_OFF_PINS[(name, minsup)],
+            data,
+            table,
+            Constraints(minsup=minsup),
+            tmp_path,
+            prunings=frozenset({"p1", "p3"}),
+        )

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Constraints
+from repro.core import bitset
 from repro.core.bounds import chi_bound, confidence_bound
 from repro.core.checkpoint import TaskRecord
 from repro.core.enumeration import (
@@ -211,11 +212,13 @@ class TestCondTable:
         assert len(child) == 0
         assert child.inter == 0b11  # empty-intersection convention
 
-    def test_ids_mask_lazy_and_cached(self):
+    def test_item_ids_are_plain_ints(self):
+        """The walker builds a candidate's item mask from ``item_ids``."""
         table = CondTable.build(self.MASKS, 0b1111)
-        assert table._ids_mask is None
-        assert table.ids_mask == 0b1111
-        assert table._ids_mask == 0b1111
+        child = table.extend(0b0100)
+        for ids, mask in ((table.item_ids, 0b1111), (child.item_ids, 0b0011)):
+            assert all(type(item) is int for item in ids)
+            assert bitset.from_indices(tuple(ids)) == mask
 
     def test_reference_table_keeps_caller_order(self):
         table = CondTable.reference([5, 1, 9], [0b1, 0b11, 0b1], 0b11)
@@ -232,7 +235,6 @@ class TestCondTable:
 
     def test_pickle_round_trip(self):
         table = CondTable.build(self.MASKS, 0b1111)
-        _ = table.ids_mask  # populate the lazy slot too
         clone = pickle.loads(pickle.dumps(table))
         assert [getattr(clone, slot) for slot in CondTable.__slots__] == [
             getattr(table, slot) for slot in CondTable.__slots__

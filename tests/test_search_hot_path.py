@@ -10,8 +10,10 @@ is checked here against the slower code it replaced:
   telemetry included) and, under every quantum, the same returned
   frontiers.
 * **Step-7 admission index.**  :class:`~repro.core.farmer._IRGStore`
-  walks only the chains of a candidate's items; the linear scan of
-  the whole confidence prefix it replaced is kept here as the oracle.
+  walks only the chains of a candidate's items, finds a re-offered
+  group on that walk and sorts its groups once when they are built.
+  The store it replaced is kept here as the oracle: a seen-set, a
+  linear scan of the whole confidence prefix and sorted inserts.
 * **Hand-off by reference.**  A narrow child of a packed table holds
   the transposer's own int masks (the same objects), equal to what
   decoding its packed words gives, at every hand-off cutoff.
@@ -32,6 +34,7 @@ from hypothesis import strategies as st
 from conftest import handoff, random_dataset
 from strategies import datasets, skewed_datasets
 
+from repro.core import bitset
 from repro.core.constraints import Constraints
 from repro.core.enumeration import NodeCounters
 from repro.core.farmer import (
@@ -248,17 +251,32 @@ class LinearStore:
 
 
 @st.composite
-def candidates(draw):
-    """A candidate over items 0..5 in any table order; small supports
-    so confidences and antecedent sizes tie often."""
-    items = draw(st.frozensets(st.integers(min_value=0, max_value=5), max_size=4))
-    item_ids = draw(st.permutations(sorted(items)))
-    supp = draw(st.integers(min_value=1, max_value=4))
-    supn = draw(st.integers(min_value=0, max_value=4))
-    mask = 0
-    for item in item_ids:
-        mask |= 1 << item
-    return Candidate(tuple(item_ids), mask, supp, supn, draw(st.integers(0, 255)))
+def offer_sequences(draw, max_size=40, repeats=False):
+    """Candidates over items 0..5 in any table order; small supports
+    so confidences and antecedent sizes tie often.  Each mask's
+    ``(supp, supn, row_mask)`` is drawn once and reused, the
+    :class:`Candidate` precondition every producer meets."""
+    masks = draw(
+        st.lists(
+            st.frozensets(st.integers(min_value=0, max_value=5), max_size=4),
+            max_size=max_size,
+            unique=not repeats,
+        )
+    )
+    stats: dict[frozenset, tuple[int, int, int]] = {}
+    sequence = []
+    for items in masks:
+        if items not in stats:
+            stats[items] = (
+                draw(st.integers(min_value=1, max_value=4)),
+                draw(st.integers(min_value=0, max_value=4)),
+                draw(st.integers(0, 255)),
+            )
+        item_ids = tuple(draw(st.permutations(sorted(items))))
+        sequence.append(
+            Candidate(item_ids, bitset.from_indices(items), *stats[items])
+        )
+    return sequence
 
 
 def _assert_same_admission(sequence):
@@ -268,21 +286,31 @@ def _assert_same_admission(sequence):
         assert store.offer(candidate, counters) == oracle.offer(
             candidate, oracle_counters
         )
-    assert store.entries == oracle.entries
-    assert store.neg_confidences == oracle.neg_confidences
+    assert store._ranked() == oracle.entries
     assert counters == oracle_counters
 
 
-@given(st.lists(candidates(), max_size=40))
+@given(offer_sequences())
 def test_admission_index_matches_linear_scan(sequence):
+    """Distinct masks in any order, supersets before subsets too."""
     _assert_same_admission(sequence)
 
 
-@given(st.lists(candidates(), max_size=25))
+@given(offer_sequences(repeats=True))
+def test_reoffers_match_the_seen_set(sequence):
+    """Repeated masks, in an order Lemma 3.4 allows a miner to emit:
+    every strict subset of a mask is offered before it (here: by
+    size).  The walk's duplicate skip counts what the seen-set did."""
+    _assert_same_admission(sorted(sequence, key=lambda c: len(c.item_ids)))
+
+
+@given(offer_sequences(max_size=25))
 def test_admission_index_with_empty_antecedent_first(sequence):
     """Mask 0, the empty antecedent ``I(∅)``, is inside every candidate."""
     empty = Candidate((), 0, 2, 1, 0)
-    _assert_same_admission([empty, *sequence])
+    _assert_same_admission(
+        [empty, *(candidate for candidate in sequence if candidate.item_mask)]
+    )
 
 
 def test_admission_ties():
@@ -303,6 +331,33 @@ def test_admission_ties():
     store = _IRGStore()
     verdicts = [store.offer(candidate, NodeCounters()) for candidate in sequence]
     assert verdicts == [True, True, False, True, True, True, False, False]
+    assert [entry[3] for entry in store._ranked()] == [4, 5, 1, 2, 6]
+
+
+def test_reoffered_group_is_skipped_not_rejected():
+    """With Pruning 2 off the same upper bound reaches the store again
+    from a later node, in another table order: it is not stored twice
+    and not counted as a rejection.  A rejected one is rejected again."""
+    sequence = [
+        Candidate((1,), 0b10, 1, 1, 1),  # 0.5
+        Candidate((3, 1), 0b1010, 3, 1, 2),  # 0.75, {1} is below it
+        Candidate((4, 1), 0b10010, 3, 1, 3),  # 0.75, tied, same chain
+        Candidate((3, 1, 4), 0b11010, 1, 1, 4),  # 0.5, blocked by {1}
+    ]
+    again = [
+        candidate._replace(item_ids=candidate.item_ids[::-1])
+        for candidate in sequence
+    ]
+    store, counters = _IRGStore(), NodeCounters()
+    assert [store.offer(c, counters) for c in sequence] == [True, True, True, False]
+    assert counters.candidates_rejected == 1
+    stored = store._ranked()
+    assert [store.offer(c, counters) for c in again[:3]] == [False] * 3
+    assert counters.candidates_rejected == 1
+    assert store._ranked() == stored
+    assert not store.offer(again[3], counters)
+    assert counters.candidates_rejected == 2
+    _assert_same_admission(sequence + again)
 
 
 # ----------------------------------------------------------------------
@@ -417,10 +472,12 @@ def test_packed_words_stay_out_of_equality_and_pickle():
 def test_stored_antecedent_does_not_block_itself():
     """Only a strictly smaller antecedent blocks, as the size prefilter
     of the linear scan had it."""
-    store, oracle = _IRGStore(), LinearStore()
-    store.add((3, 1), 0b1010, 0.9, 9, 1, 1)
-    oracle.offer(Candidate((3, 1), 0b1010, 9, 1, 1), NodeCounters())
-    assert store.is_interesting((1, 3), 0b1010, 0.5)
-    assert oracle.is_interesting(0b1010, 2, 0.5)
-    assert not store.is_interesting((1, 3, 0), 0b1011, 0.5)
-    assert not oracle.is_interesting(0b1011, 3, 0.5)
+    group = Candidate((3, 1), 0b1010, 9, 1, 1)
+    superset = Candidate((1, 3, 0), 0b1011, 1, 1, 2)
+    for store in (_IRGStore(), LinearStore()):
+        counters = NodeCounters()
+        assert store.offer(group, counters)
+        assert not store.offer(group._replace(item_ids=(1, 3)), counters)
+        assert counters.candidates_rejected == 0
+        assert not store.offer(superset, counters)
+        assert counters.candidates_rejected == 1

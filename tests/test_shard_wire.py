@@ -84,15 +84,14 @@ def _frontiers(ctx, root_state, quantum):
 
 
 def _fields(table) -> dict:
-    """Every slot of a conditional table but its lazily cached id mask,
-    arrays compared by dtype, shape and bytes."""
+    """Every slot of a conditional table, arrays compared by dtype,
+    shape and bytes."""
     fields: dict = {"type": type(table)}
     for slot in type(table).__slots__:
-        if slot != "_ids_mask":
-            value = getattr(table, slot)
-            if isinstance(value, np.ndarray):
-                value = (value.dtype.str, value.shape, value.tobytes())
-            fields[slot] = value
+        value = getattr(table, slot)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.shape, value.tobytes())
+        fields[slot] = value
     return fields
 
 
