@@ -70,6 +70,14 @@ items).  Each point pins :func:`repro.testing.prep.prep_sha256` of its
 discretized, transposed table, which ``--check`` compares exactly; its
 times have no floor.
 
+A seventh section, ``"output"``, is measure-only as well: the
+per-group path after Step 7 at ``OUTPUT_POINTS`` (scale
+``OUTPUT_SCALE``).  Each point mines once, then times best-of-N
+``Farmer._build_groups`` on the mined store and ``save_rule_groups``
+on the groups it built, in seconds and microseconds per group.  Each
+point pins the sha256 of the ``.irgs`` file it wrote, which ``--check``
+compares exactly; its times have no floor.
+
 ``--check`` recomputes the pins, re-measures the speeds and fails if
 the reference speedup falls below ``min_speedup * tolerance`` — the
 tolerance is deliberately generous (CI machines are noisy; the gate
@@ -190,6 +198,12 @@ REMINE_MAX_CAPTURE_RATIO = 1.5
 PREP_SCALES = (SCALE, NUMPY_SCALE, 1.0)
 #: Timed prep layers, in pipeline order.
 PREP_LAYERS = ("load", "discretize", "transpose", "root_table")
+
+#: The output row's points: dataset and minsup, all at one scale.
+OUTPUT_POINTS = (("BC", 6), ("ALL", 4), ("CT", 3))
+OUTPUT_SCALE = 0.02
+#: Best-of-N rounds of the output row; each takes milliseconds.
+OUTPUT_ROUNDS = 15
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_core.json"
 
@@ -451,19 +465,67 @@ def run_prep_row(rounds: int) -> dict:
     return {"dataset": DATASET, "rounds": rounds, "points": points}
 
 
-def check_prep(payload: dict, baseline: dict) -> list[str]:
-    """Pin failures of the prep row: each scale's table hash is exact."""
-    fresh = {p["scale"]: p for p in payload["points"]}
+def run_output_row(tmp_dir: Path) -> dict:
+    """Best-of-N group build and ``.irgs`` write per point, with its pin.
+
+    Each point is mined once; every round builds the groups from the
+    mined Step-7 store and writes them, as the end of a mine does.
+    Measure-only: the times have no floor.
+    """
+    points = []
+    for dataset, minsup in OUTPUT_POINTS:
+        matrix = load(dataset, scale=OUTPUT_SCALE)
+        data = EqualDepthDiscretizer().fit_transform(matrix)
+        table = TransposedTable.build(data, PAPER_DATASETS[dataset].class1)
+        miner = Farmer(constraints=Constraints(minsup=minsup))
+        store = miner._mine_table(table)
+        path = tmp_dir / f"output-{dataset}.irgs"
+        build = save = float("inf")
+        for _ in range(OUTPUT_ROUNDS):
+            gc.collect()
+            start = time.perf_counter()
+            groups = miner._build_groups(table, store)
+            built = time.perf_counter()
+            save_rule_groups(path, groups, constraints=miner.constraints)
+            build = min(build, built - start)
+            save = min(save, time.perf_counter() - built)
+        per_group = 1e6 / max(len(groups), 1)
+        points.append(
+            {
+                "dataset": dataset,
+                "minsup": minsup,
+                "groups": len(groups),
+                "build_seconds": round(build, 5),
+                "save_seconds": round(save, 5),
+                "build_us_per_group": round(build * per_group, 2),
+                "save_us_per_group": round(save * per_group, 2),
+                "irgs_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            }
+        )
+    return {"scale": OUTPUT_SCALE, "rounds": OUTPUT_ROUNDS, "points": points}
+
+
+#: Each measure-only row's point key and exact pin.
+_ROW_PINS = {
+    "prep": ("scale", "table_sha256"),
+    "output": ("dataset", "irgs_sha256"),
+}
+
+
+def check_pins(section: str, payload: dict, baseline: dict) -> list[str]:
+    """Pin failures of a measure-only row: each point's hash is exact."""
+    key, pin = _ROW_PINS[section]
+    fresh = {p[key]: p for p in payload["points"]}
     failures = []
     for pinned in baseline["points"]:
-        point = fresh.get(pinned["scale"])
+        point = fresh.get(pinned[key])
+        where = f"{section}: {key}={pinned[key]}"
         if point is None:
-            failures.append(f"prep: scale={pinned['scale']}: missing")
-        elif point["table_sha256"] != pinned["table_sha256"]:
+            failures.append(f"{where}: missing")
+        elif point[pin] != pinned[pin]:
             failures.append(
-                f"prep: scale={pinned['scale']}: table_sha256 drifted "
-                f"({point['table_sha256']!r} != pinned "
-                f"{pinned['table_sha256']!r})"
+                f"{where}: {pin} drifted ({point[pin]!r} != pinned "
+                f"{pinned[pin]!r})"
             )
     return failures
 
@@ -772,7 +834,8 @@ def diff_report(sections: dict, baseline: dict) -> str:
 
     Args:
         sections: fresh payloads keyed by section name (``core``,
-            ``numpy``, ``steal``, ``remine``, ``sharding``, ``prep``).
+            ``numpy``, ``steal``, ``remine``, ``sharding``, ``prep``,
+            ``output``).
         baseline: the committed ``BENCH_core.json`` payload.
 
     Returns:
@@ -792,7 +855,7 @@ def diff_report(sections: dict, baseline: dict) -> str:
                         _diff_line(name, "", key, committed[key], fresh[key])
                     )
             continue
-        key = "scale" if name == "prep" else "minsup"
+        key = _ROW_PINS[name][0] if name in _ROW_PINS else "minsup"
         lines.extend(_diff_points(name, fresh, committed, key))
         extra = fresh.get("loosen")
         pinned_extra = committed.get("loosen")
@@ -938,6 +1001,7 @@ def main(argv: list[str] | None = None) -> int:
         steal_payload = run_steal_sweep(args.rounds, Path(tmp))
         remine_payload = run_remine_sweep(args.rounds, Path(tmp))
         sharding_payload = run_sharding_row(args.rounds, Path(tmp))
+        output_payload = run_output_row(Path(tmp))
 
     for label, sweep in (("", payload), ("numpy ", numpy_payload)):
         for point in sweep["points"]:
@@ -1011,6 +1075,13 @@ def main(argv: list[str] | None = None) -> int:
             f"prep scale={point['scale']:<5} items={point['items']:>7}  "
             f"{layers}  (no floor)"
         )
+    for point in output_payload["points"]:
+        print(
+            f"output {point['dataset']:<3} minsup={point['minsup']:>2}  "
+            f"groups={point['groups']:>5}  "
+            f"build={point['build_us_per_group']:.2f}us/group  "
+            f"save={point['save_us_per_group']:.2f}us/group  (no floor)"
+        )
 
     if args.diff and args.baseline.exists():
         committed = json.loads(args.baseline.read_text(encoding="utf-8"))
@@ -1024,6 +1095,7 @@ def main(argv: list[str] | None = None) -> int:
                     "remine": remine_payload,
                     "sharding": sharding_payload,
                     "prep": prep_payload,
+                    "output": output_payload,
                 },
                 committed,
             )
@@ -1087,6 +1159,7 @@ def main(argv: list[str] | None = None) -> int:
         payload["remine"] = remine_payload
         payload["sharding"] = sharding_payload
         payload["prep"] = prep_payload
+        payload["output"] = output_payload
         args.baseline.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
@@ -1105,7 +1178,11 @@ def main(argv: list[str] | None = None) -> int:
     if "remine" in baseline:
         failures.extend(check_remine(remine_payload, baseline["remine"]))
     if "prep" in baseline:
-        failures.extend(check_prep(prep_payload, baseline["prep"]))
+        failures.extend(check_pins("prep", prep_payload, baseline["prep"]))
+    if "output" in baseline:
+        failures.extend(
+            check_pins("output", output_payload, baseline["output"])
+        )
     if failures:
         print(f"PERF GATE FAILED ({len(failures)} problems):", file=sys.stderr)
         for failure in failures:

@@ -37,14 +37,6 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .classify.cba import CBAClassifier
-from .classify.evaluate import (
-    evaluate_matrix_based,
-    evaluate_rule_based,
-    split_matrix,
-)
-from .classify.irg import IRGClassifier
-from .classify.svm import LinearSVM
 from .core.constraints import Constraints
 from .core.enumeration import SearchBudget
 from .core.farmer import ENGINES, Farmer
@@ -625,6 +617,14 @@ def _command_validate(args: argparse.Namespace) -> int:
 
 
 def _command_classify(args: argparse.Namespace) -> int:
+    # The classifiers (and the baselines CBA mines with) are imported
+    # here, not at the top: ``mine`` and ``remine`` never use them.
+    from .classify.evaluate import (
+        evaluate_matrix_based,
+        evaluate_rule_based,
+        split_matrix,
+    )
+
     matrix = _load_matrix(args)
     if args.dataset:
         spec = PAPER_DATASETS[args.dataset]
@@ -635,6 +635,8 @@ def _command_classify(args: argparse.Namespace) -> int:
         test_rows = list(range(split_at, matrix.n_samples))
     train, test = split_matrix(matrix, train_rows, test_rows)
     if args.classifier == "svm":
+        from .classify.svm import LinearSVM
+
         accuracy = evaluate_matrix_based(LinearSVM(seed=args.seed), train, test)
     elif args.classifier == "tree":
         from .classify.tree import DecisionTree
@@ -642,8 +644,12 @@ def _command_classify(args: argparse.Namespace) -> int:
         accuracy = evaluate_matrix_based(DecisionTree(), train, test)
     else:
         if args.classifier == "irg":
+            from .classify.irg import IRGClassifier
+
             classifier = IRGClassifier()
         elif args.classifier == "cba":
+            from .classify.cba import CBAClassifier
+
             classifier = CBAClassifier()
         else:  # caep
             from .extensions.emerging import CAEPClassifier

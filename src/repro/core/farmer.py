@@ -1360,20 +1360,20 @@ class Farmer:
     def _build_groups(
         self, table: TransposedTable, store: _IRGStore
     ) -> list[RuleGroup]:
-        groups: list[RuleGroup] = []
-        for item_ids, supp, supn, row_mask in store._ranked():
-            groups.append(
-                RuleGroup(
-                    upper=frozenset(item_ids),
-                    consequent=table.consequent,
-                    rows=table.original_rows(row_mask),
-                    support=supp,
-                    antecedent_support=supp + supn,
-                    n=table.n,
-                    m=table.m,
-                )
+        consequent, n, m = table.consequent, table.n, table.m
+        original_rows = table.original_rows
+        return [
+            RuleGroup(
+                frozenset(item_ids),
+                consequent,
+                original_rows(row_mask),
+                supp,
+                supp + supn,
+                n,
+                m,
             )
-        return groups
+            for item_ids, supp, supn, row_mask in store._ranked()
+        ]
 
 
 def mine_irgs(

@@ -110,20 +110,55 @@ def save_rule_groups(
         "count": len(groups),
     }
     lines = [json.dumps(header, sort_keys=True)]
-    for group in groups:
-        record = {
-            "upper": sorted(group.upper),
-            "rows": sorted(group.rows),
-            "support": group.support,
-            "antecedent_support": group.antecedent_support,
-            "lower_bounds": (
-                [sorted(bound) for bound in group.lower_bounds]
-                if group.lower_bounds is not None
-                else None
-            ),
-        }
-        lines.append(json.dumps(record, sort_keys=True))
+    lines.extend(map(_record_line, groups))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+#: One group's line: ``json.dumps(record, sort_keys=True)``'s layout.
+_RECORD = (
+    '{"antecedent_support": %d, "lower_bounds": %s, "rows": [%s], '
+    '"support": %d, "upper": [%s]}'
+)
+
+
+def _ids(ids) -> str:
+    """Sorted ids as the inside of a JSON list (``json``'s separators)."""
+    return ", ".join(map(int.__repr__, sorted(ids)))
+
+
+def _record_line(group: RuleGroup) -> str:
+    """One group's ``.irgs`` line.
+
+    Exactly ``json.dumps(record, sort_keys=True)`` of the record
+    ``{"upper", "rows", "support", "antecedent_support",
+    "lower_bounds"}`` (ids sorted, ``null`` when MineLB did not run),
+    written without building the dict or an encoder per group.
+    """
+    bounds = group.lower_bounds
+    lower = (
+        "null"
+        if bounds is None
+        else "[" + ", ".join(["[%s]" % _ids(bound) for bound in bounds]) + "]"
+    )
+    return _RECORD % (
+        group.antecedent_support,
+        lower,
+        _ids(group.rows),
+        group.support,
+        _ids(group.upper),
+    )
+
+
+def _list(value: object, what: str) -> list:
+    """``value`` if it is a JSON list, else a :class:`DataError` naming it."""
+    if not isinstance(value, list):
+        raise DataError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _id_set(value: object, what: str) -> frozenset[int]:
+    """A record's id list as a set (``TypeError`` on unhashable ids)."""
+    return frozenset(_list(value, what))
 
 
 def load_rule_groups(
@@ -148,12 +183,20 @@ def load_rule_groups(
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:1: bad header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise DataError(
+            f"{path}:1: header must be a JSON object, got "
+            f"{type(header).__name__}"
+        )
     if header.get("format") != _FORMAT:
         raise DataError(
             f"{path}: expected format {_FORMAT!r}, got {header.get('format')!r}"
         )
-    consequent: Hashable = header["consequent"]
-    n, m = header["n"], header["m"]
+    try:
+        consequent: Hashable = header["consequent"]
+        n, m = header["n"], header["m"]
+    except KeyError as exc:
+        raise DataError(f"{path}:1: header misses {exc}") from exc
     groups: list[RuleGroup] = []
     for line_number, line in enumerate(lines[1:], start=2):
         try:
@@ -161,26 +204,31 @@ def load_rule_groups(
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{line_number}: bad record ({exc})") from exc
         try:
+            if not isinstance(record, dict):
+                raise DataError(
+                    f"record must be a JSON object, got {type(record).__name__}"
+                )
+            bounds = record.get("lower_bounds")
             groups.append(
                 RuleGroup(
-                    upper=frozenset(record["upper"]),
+                    upper=_id_set(record["upper"], "upper"),
                     consequent=consequent,
-                    rows=frozenset(record["rows"]),
+                    rows=_id_set(record["rows"], "rows"),
                     support=record["support"],
                     antecedent_support=record["antecedent_support"],
                     n=n,
                     m=m,
                     lower_bounds=(
-                        tuple(
-                            frozenset(bound)
-                            for bound in record["lower_bounds"]
+                        None
+                        if bounds is None
+                        else tuple(
+                            _id_set(bound, "lower bound")
+                            for bound in _list(bounds, "lower_bounds")
                         )
-                        if record.get("lower_bounds") is not None
-                        else None
                     ),
                 )
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{line_number}: {exc}") from exc
     if header.get("count") != len(groups):
         raise DataError(

@@ -183,9 +183,16 @@ class TransposedTable:
 
     def original_rows(self, row_mask: int) -> frozenset[int]:
         """Map a bitset of ORD positions back to original row indices."""
-        return frozenset(
-            self.ord_to_original[pos] for pos in bitset.iter_bits(row_mask)
-        )
+        # One inline lowest-set-bit walk (bitset.iter_bits, without the
+        # generator): this runs once per output group.
+        ord_to_original = self.ord_to_original
+        rows = []
+        append = rows.append
+        while row_mask:
+            low = row_mask & -row_mask
+            append(ord_to_original[low.bit_length() - 1])
+            row_mask ^= low
+        return frozenset(rows)
 
     def support_counts(self, row_mask: int) -> tuple[int, int]:
         """Split a row bitset into (positive, negative) cardinalities."""

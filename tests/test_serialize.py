@@ -1,5 +1,7 @@
 """Unit tests for rule-group persistence."""
 
+import json
+
 import pytest
 
 from repro import Constraints, mine_irgs
@@ -93,6 +95,47 @@ class TestValidation:
         lines[1] = '{"upper": [0]}'  # missing fields
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=":2"):
+            load_rule_groups(path)
+
+    def test_record_that_is_a_list(self, tmp_path, mined):
+        path = tmp_path / "list.irgs"
+        save_rule_groups(path, mined.groups)
+        lines = path.read_text().splitlines()
+        lines[2] = "[1, 2]"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r":3: record must be a JSON object"):
+            load_rule_groups(path)
+
+    @pytest.mark.parametrize("field", ["upper", "rows", "lower_bounds"])
+    def test_field_that_is_not_a_list(self, tmp_path, mined, field):
+        path = tmp_path / "field.irgs"
+        save_rule_groups(path, mined.groups)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record[field] = 5
+        lines[1] = json.dumps(record, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf":2: {field} must be a list"):
+            load_rule_groups(path)
+
+    def test_header_that_is_not_an_object(self, tmp_path, mined):
+        path = tmp_path / "header.irgs"
+        save_rule_groups(path, mined.groups)
+        lines = path.read_text().splitlines()
+        lines[0] = "[1]"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r":1: header must be a JSON object"):
+            load_rule_groups(path)
+
+    def test_header_without_constants(self, tmp_path, mined):
+        path = tmp_path / "header.irgs"
+        save_rule_groups(path, mined.groups)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["m"]
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r":1: header misses 'm'"):
             load_rule_groups(path)
 
     def test_empty_file(self, tmp_path):
