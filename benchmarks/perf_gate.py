@@ -78,6 +78,17 @@ on the groups it built, in seconds and microseconds per group.  Each
 point pins the sha256 of the ``.irgs`` file it wrote, which ``--check``
 compares exactly; its times have no floor.
 
+An eighth section, ``"budget"``, gates what a budget costs a mine: the
+pinned sweep at ``SCALE`` mined with ``SearchBudget(max_seconds=300)``
+(the ``farmer mine --timeout`` default), with a served job's
+``CancellableBudget`` and with no budget, interleaved best-of-N per
+point (a point where a budget reads above the ratio is timed again, as
+a slow hand-off point is).  The three must agree on every point's node count and
+``.irgs`` sha (fatal), and ``--check`` fails if either budgeted sweep
+total exceeds ``BUDGET_MAX_RATIO`` times the unbudgeted one: the walk
+charges a budget once per chunk of nodes, so limits must cost next to
+nothing.
+
 ``--check`` recomputes the pins, re-measures the speeds and fails if
 the reference speedup falls below ``min_speedup * tolerance`` — the
 tolerance is deliberately generous (CI machines are noisy; the gate
@@ -110,18 +121,21 @@ import hashlib
 import json
 import os
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 from repro.core import npbitset
 from repro.core.constraints import Constraints
+from repro.core.enumeration import SearchBudget
 from repro.core.farmer import Farmer
 from repro.core.serialize import save_rule_groups
 from repro.data.discretize import EqualDepthDiscretizer
 from repro.data.registry import PAPER_DATASETS, load
 from repro.data.transpose import TransposedTable
 from repro.experiments.workloads import build_workload
+from repro.serve.jobs import CancellableBudget
 from repro.testing.prep import prep_sha256
 
 #: The pinned sweep: LC at benchmark scale, Figure-10 minsup grid.
@@ -204,6 +218,25 @@ OUTPUT_POINTS = (("BC", 6), ("ALL", 4), ("CT", 3))
 OUTPUT_SCALE = 0.02
 #: Best-of-N rounds of the output row; each takes milliseconds.
 OUTPUT_ROUNDS = 15
+
+#: The budget row's wall-clock limit: ``farmer mine``'s and a served
+#: job's default.
+BUDGET_SECONDS = 300.0
+#: The budget row's variants, each a fresh budget per mine (``None``:
+#: unbudgeted).
+BUDGETS = {
+    "unbudgeted": lambda: None,
+    "time": lambda: SearchBudget(max_seconds=BUDGET_SECONDS),
+    "cancellable": lambda: CancellableBudget(
+        max_seconds=BUDGET_SECONDS, cancel=threading.Event()
+    ),
+}
+#: Most a budgeted sweep may cost over the unbudgeted one (``--check``).
+BUDGET_MAX_RATIO = 1.10
+#: Extra timings of a budget point that reads above the ratio: one
+#: burst of a shared host's load can move a few-millisecond point by
+#: more than the checks cost.
+BUDGET_RETRIES = 2
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_core.json"
 
@@ -503,6 +536,113 @@ def run_output_row(tmp_dir: Path) -> dict:
             }
         )
     return {"scale": OUTPUT_SCALE, "rounds": OUTPUT_ROUNDS, "points": points}
+
+
+def _time_budgets(table, minsup: int, rounds: int, best: dict) -> dict:
+    """Time every :data:`BUDGETS` variant at one point, lowering
+    ``best`` in place; returns the last result of each.
+
+    Every round mines each variant once, the order rotating by one each
+    round so that no variant always runs first, and rounds repeat past
+    ``rounds`` until the unbudgeted mine has spent ``MIN_POINT_SECONDS``.
+    """
+    names = list(BUDGETS)
+    results = {}
+    spent = 0.0
+    done = 0
+    while done < rounds or spent < MIN_POINT_SECONDS:
+        shift = done % len(names)
+        for name in names[shift:] + names[:shift]:
+            gc.collect()
+            start = time.perf_counter()
+            results[name] = _mine_prebuilt(table, minsup, budget=BUDGETS[name]())
+            seconds = time.perf_counter() - start
+            best[name] = min(best[name], seconds)
+            if name == "unbudgeted":
+                spent += seconds
+        done += 1
+    return results
+
+
+def run_budget_row(rounds: int, tmp_dir: Path) -> dict:
+    """Budgeted against unbudgeted mines of the pinned sweep.
+
+    Each point is timed by :func:`_time_budgets`; a point where a
+    budget reads above ``BUDGET_MAX_RATIO`` is timed again, up to
+    ``BUDGET_RETRIES`` times, every variant keeping its best round over
+    all of them.  The variants must agree on each point's nodes and
+    ``.irgs`` sha.
+    """
+    table = _sweep_table(SCALE)
+    totals = dict.fromkeys(BUDGETS, 0.0)
+    points = []
+    for minsup in MINSUP_SWEEP:
+        best = dict.fromkeys(BUDGETS, float("inf"))
+        results = _time_budgets(table, minsup, rounds, best)
+        for _ in range(BUDGET_RETRIES):
+            if max(best.values()) <= BUDGET_MAX_RATIO * best["unbudgeted"]:
+                break
+            _time_budgets(table, minsup, rounds, best)
+        pins = {
+            (result.counters.nodes, _irgs_sha256(result, tmp_dir, f"budget-{name}"))
+            for name, result in results.items()
+        }
+        if len(pins) != 1:
+            raise SystemExit(
+                f"FATAL: budgeted mines diverge at minsup={minsup}: {pins}"
+            )
+        ((nodes, sha),) = pins
+        point = {"minsup": minsup, "nodes": nodes, "irgs_sha256": sha}
+        for name in BUDGETS:
+            point[f"{name}_seconds"] = round(best[name], 5)
+            totals[name] += best[name]
+        points.append(point)
+    payload = {
+        "dataset": DATASET,
+        "scale": SCALE,
+        "rounds": rounds,
+        "budget_seconds": BUDGET_SECONDS,
+        "max_ratio": BUDGET_MAX_RATIO,
+        "points": points,
+    }
+    for name in BUDGETS:
+        payload[f"{name}_seconds"] = round(totals[name], 5)
+        if name != "unbudgeted":
+            payload[f"{name}_ratio"] = round(
+                totals[name] / totals["unbudgeted"], 3
+            )
+    return payload
+
+
+def check_budget(payload: dict, baseline: dict) -> list[str]:
+    """Failures of a fresh budget row: a pin that drifted from the
+    committed one, or a budgeted sweep above ``max_ratio`` times the
+    unbudgeted sweep."""
+    failures = []
+    fresh = {p["minsup"]: p for p in payload["points"]}
+    for pinned in baseline["points"]:
+        point = fresh.get(pinned["minsup"])
+        if point is None:
+            failures.append(f"budget: minsup={pinned['minsup']}: missing")
+            continue
+        for pin in ("nodes", "irgs_sha256"):
+            if point[pin] != pinned[pin]:
+                failures.append(
+                    f"budget: minsup={pinned['minsup']}: {pin} drifted "
+                    f"({point[pin]!r} != pinned {pinned[pin]!r})"
+                )
+    for name in BUDGETS:
+        if name == "unbudgeted":
+            continue
+        ratio = payload[f"{name}_ratio"]
+        if ratio > baseline["max_ratio"]:
+            failures.append(
+                f"budget: the {name} budget's sweep took "
+                f"{payload[f'{name}_seconds']}s, {ratio}x the unbudgeted "
+                f"{payload['unbudgeted_seconds']}s (above "
+                f"{baseline['max_ratio']}x)"
+            )
+    return failures
 
 
 #: Each measure-only row's point key and exact pin.
@@ -835,7 +975,7 @@ def diff_report(sections: dict, baseline: dict) -> str:
     Args:
         sections: fresh payloads keyed by section name (``core``,
             ``numpy``, ``steal``, ``remine``, ``sharding``, ``prep``,
-            ``output``).
+            ``output``, ``budget``).
         baseline: the committed ``BENCH_core.json`` payload.
 
     Returns:
@@ -1002,6 +1142,7 @@ def main(argv: list[str] | None = None) -> int:
         remine_payload = run_remine_sweep(args.rounds, Path(tmp))
         sharding_payload = run_sharding_row(args.rounds, Path(tmp))
         output_payload = run_output_row(Path(tmp))
+        budget_payload = run_budget_row(args.rounds, Path(tmp))
 
     for label, sweep in (("", payload), ("numpy ", numpy_payload)):
         for point in sweep["points"]:
@@ -1082,6 +1223,15 @@ def main(argv: list[str] | None = None) -> int:
             f"build={point['build_us_per_group']:.2f}us/group  "
             f"save={point['save_us_per_group']:.2f}us/group  (no floor)"
         )
+    print(
+        "budget totals: "
+        + "  ".join(
+            f"{name}={budget_payload[f'{name}_seconds']:.4f}s"
+            for name in BUDGETS
+        )
+        + f"  time/unbudgeted={budget_payload['time_ratio']:.3f}"
+        + f"  cancellable/unbudgeted={budget_payload['cancellable_ratio']:.3f}"
+    )
 
     if args.diff and args.baseline.exists():
         committed = json.loads(args.baseline.read_text(encoding="utf-8"))
@@ -1096,6 +1246,7 @@ def main(argv: list[str] | None = None) -> int:
                     "sharding": sharding_payload,
                     "prep": prep_payload,
                     "output": output_payload,
+                    "budget": budget_payload,
                 },
                 committed,
             )
@@ -1147,6 +1298,14 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 1
+        slow_budgets = check_budget(budget_payload, budget_payload)
+        if slow_budgets:
+            print(
+                "REFUSING to commit a budget baseline: "
+                + "; ".join(slow_budgets),
+                file=sys.stderr,
+            )
+            return 1
         # The baseline file is shared with bench_obs_overhead.py, which
         # records the telemetry overhead under "obs_overhead"; refreshing
         # the engine pins must not drop it.
@@ -1160,6 +1319,7 @@ def main(argv: list[str] | None = None) -> int:
         payload["sharding"] = sharding_payload
         payload["prep"] = prep_payload
         payload["output"] = output_payload
+        payload["budget"] = budget_payload
         args.baseline.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
@@ -1183,6 +1343,8 @@ def main(argv: list[str] | None = None) -> int:
         failures.extend(
             check_pins("output", output_payload, baseline["output"])
         )
+    if "budget" in baseline:
+        failures.extend(check_budget(budget_payload, baseline["budget"]))
     if failures:
         print(f"PERF GATE FAILED ({len(failures)} problems):", file=sys.stderr)
         for failure in failures:

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import Iterable
 
-from ..errors import BudgetExceeded, DataError
+from ..errors import BudgetExceeded, DataError, ReproError
 
 __all__ = [
     "extend_items",
@@ -96,6 +96,13 @@ def scan_items(masks: list[int], full_mask: int) -> tuple[int, int]:
     return intersection, union
 
 
+#: Ticks between clock reads of a time-limited :class:`SearchBudget`.
+_CLOCK_STRIDE = 256
+
+#: What :meth:`SearchBudget.until_check` reports when no tick can raise.
+_NO_CHECK = 1 << 62
+
+
 @dataclass
 class SearchBudget:
     """Optional node / wall-clock limits for a mining run.
@@ -103,6 +110,11 @@ class SearchBudget:
     The experiment harness uses budgets to reproduce the paper's
     "competitor did not finish" outcomes without hanging: when a limit is
     hit the miner raises :class:`~repro.errors.BudgetExceeded`.
+
+    A budget is charged per expanded node.  The baselines call
+    :meth:`tick` on every node; FARMER's walk counts its own nodes and
+    calls :meth:`check` only where :meth:`until_check` says a tick could
+    raise, so a limit trips on the same node either way.
 
     Attributes:
         max_nodes: maximum enumeration-tree nodes to expand (``None`` =
@@ -133,20 +145,9 @@ class SearchBudget:
         """Nodes expanded so far in the current run."""
         return self._nodes
 
-    @property
-    def unlimited(self) -> bool:
-        """Whether :meth:`tick` can never raise: a miner may then count
-        nodes itself and :meth:`advance` once instead of ticking."""
-        return self.max_nodes is None and self.max_seconds is None
-
     def advance(self, count: int) -> None:
         """Account for ``count`` expanded nodes at once, without limit
-        checks.
-
-        The serial miner, whose walk counts nodes itself, calls this
-        once per run instead of ticking per node; only valid when
-        the budget has no limits to enforce, so nothing can be missed.
-        """
+        checks (a walk that counted them itself, between checks)."""
         self._nodes += count
 
     def tick(self) -> None:
@@ -157,7 +158,7 @@ class SearchBudget:
                 f"node budget of {self.max_nodes} exceeded",
                 nodes_expanded=self._nodes,
             )
-        if self.max_seconds is not None and self._nodes % 256 == 0:
+        if self.max_seconds is not None and self._nodes % _CLOCK_STRIDE == 0:
             elapsed = time.perf_counter() - self._started_at
             if elapsed > self.max_seconds:
                 raise BudgetExceeded(
@@ -165,6 +166,37 @@ class SearchBudget:
                     f"after {elapsed:.1f}s",
                     nodes_expanded=self._nodes,
                 )
+
+    def until_check(self) -> int:
+        """How many of the next ticks only count: the tick after them is
+        the first that can raise."""
+        nodes = self._nodes
+        span = _NO_CHECK
+        if self.max_nodes is not None:
+            span = max(self.max_nodes - nodes, 0)
+        if self.max_seconds is not None:
+            clock = _CLOCK_STRIDE - 1 - nodes % _CLOCK_STRIDE
+            if clock < span:
+                span = clock
+        return span
+
+    def check(self, counters: NodeCounters) -> int:
+        """Charge a walk that counts its own nodes, as it enters one.
+
+        ``counters`` count this run's nodes since :meth:`start`, up to
+        but not including the node being entered.  The budget takes that
+        count, ticks the entered node and returns how many nodes the
+        walk may visit, that one included, before it must call again.
+        A node the tick refuses counts as expanded in ``counters`` too,
+        as it would under a tick per node.
+        """
+        self._nodes = counters.nodes
+        try:
+            self.tick()
+        except ReproError:
+            counters.nodes += 1
+            raise
+        return self.until_check() + 1
 
 
 @dataclass

@@ -450,11 +450,10 @@ def enumerate_frontier(
     sink: "list[Candidate] | Callable[[Candidate], None]",
     quantum: int | None,
     advisory=None,
-    tick: Callable[[], None] | None = None,
     cache: KernelCache | None = None,
     *,
     observer=None,
-    progress: Callable[[int], None] | None = None,
+    progress: Callable[[int], int | None] | None = None,
 ) -> list[tuple[str, NodeState | Candidate]] | None:
     """``MineIRGs`` (Figure 5): the one depth-first row-enumeration walk.
 
@@ -476,9 +475,11 @@ def enumerate_frontier(
     survives builds its table (Step 3) and becomes the innermost frame;
     a frame whose children are exhausted is popped and its candidate
     emitted (Step 7 after Step 6, so every group with a smaller
-    antecedent is already known — Lemma 3.4).  Node counts, budget
-    ticks, cache lookups and emissions therefore happen in serial
-    depth-first order, whatever the engine.
+    antecedent is already known — Lemma 3.4).  Node counts, cache
+    lookups and emissions therefore happen in serial depth-first order,
+    whatever the engine.  The walk makes no per-node call unless it has
+    an ``observer`` or is the reference engine: limits are enforced
+    between chunks of nodes, through ``progress``.
 
     After ``quantum`` nodes the walk stops and hands back the exact
     remaining frontier (the open frames' unvisited children and pending
@@ -498,31 +499,33 @@ def enumerate_frontier(
             discovery order — a list to append to (shard parts, the
             warm-cache capture), or a callable (the serial miner's
             Step-7 admission).
-        quantum: nodes visited before preemption (values below one
-            still visit one node, so every call makes progress);
-            ``None`` never preempts.  Pending candidates are always
-            flushed — a returned frontier never leads with work-free
-            units.
+        quantum: nodes visited before preemption or, with
+            ``progress``, before its first call (values below one still
+            visit one node, so every call makes progress); ``None``
+            never preempts.  Pending candidates are always flushed — a
+            returned frontier never leads with work-free units.
         advisory: optional dominance bounds
             (:class:`repro.core.parallel.AdvisoryBounds`) filtering the
             sink; see :func:`_advisory_filter`.
-        tick: optional per-node budget hook; may raise
-            :class:`~repro.errors.BudgetExceeded`.
         cache: kernel memo cache for this walk; ``None`` creates one
             scoped to the call.  The reference engine ignores it.
         observer: optional node observer with ``enter(state)`` (every
-            visited node, before its tick) and ``leave(outcome)`` (one
+            visited node) and ``leave(outcome)`` (one
             of ``"explored"``, ``"pruned:loose"``, ``"pruned:tight"``,
             ``"pruned:identified"``; an explored node leaves after its
             subtree and its candidate).  The tracer records the tree
             through it.
-        progress: with a ``quantum``, called as ``progress(unread)``
-            each time the quantum expires, instead of preempting: the
-            walk's counts reach ``counters`` first, ``unread`` is the
-            number of input units after the one being walked (or about
-            to be), and the walk then goes on to the end.  Live
-            progress for the telemetry sampler without rebuilding the
-            frontier.
+        progress: called as ``progress(unread)`` each time the quantum
+            expires, instead of preempting, just before the walk visits
+            its next node: the walk's counts reach ``counters`` first,
+            and ``unread`` is the number of input units after the one
+            being walked (or about to be).  It returns the next
+            quantum, ``None`` to keep the last one, or ``0`` to stop
+            there and hand back the frontier.  It may raise (a budget
+            refusing the next node,
+            :meth:`~repro.core.enumeration.SearchBudget.check`).  Live
+            progress for the telemetry sampler and the budget's limit
+            checks, without rebuilding the frontier.
 
     Returns:
         ``None`` when the frontier was fully enumerated, else the
@@ -549,9 +552,9 @@ def enumerate_frontier(
     eager = ctx.reference
     # Reference tables have no popcounts to account a scan by.
     observe = ctx.observe and not eager
-    # Per-node work only some walks do: an observer, a budget tick, or
-    # the reference engine's eager tables.
-    slow = observer is not None or tick is not None or eager
+    # Per-node work only some walks do: an observer, or the reference
+    # engine's eager tables.
+    slow = observer is not None or eager
     count_tails = use_p3 and not slow
     limit = _UNBOUNDED if quantum is None else max(1, quantum)
     pending = list(units)
@@ -562,13 +565,13 @@ def enumerate_frontier(
     active = False
     table = None
     x_mask = new_pos = new_neg = p1 = supp = supn = inter = 0
-    pos_left = remaining = 0
+    pos_left = remaining = skipped = 0
     candidate = None
     stack: list[tuple] = []
     state = None
     # Node and pruning counts live in locals and reach ``counters``
     # together (_add_counts) when the walk returns, yields or reports
-    # progress.
+    # progress.  ``expanded`` never passes ``limit``.
     expanded = 0
     loose = 0
     tight_pruned = 0
@@ -590,26 +593,42 @@ def enumerate_frontier(
                         active = False
                     continue
                 if expanded >= limit:
-                    if progress is None:
+                    if progress is not None:
+                        _add_counts(
+                            counters, expanded, loose, tight_pruned, identified
+                        )
+                        expanded = loose = tight_pruned = identified = 0
+                        step = progress(len(pending))
+                        if step is not None:
+                            limit = step
+                    if expanded >= limit:
+                        # Children counted ahead of the quantum's end
+                        # leave the frame before it is handed back.
+                        for _ in range(skipped):
+                            remaining &= remaining - 1
                         break
-                    _add_counts(counters, expanded, loose, tight_pruned, identified)
-                    expanded = loose = tight_pruned = identified = 0
-                    progress(len(pending))
                 # Step 2 for the whole sibling tail at once: no remaining
                 # positive child's loose support bound exceeds
                 # ``supp + pos_left``, and a negative child's is ``supp``,
                 # so below minsup every remaining child is loose-pruned.
                 # Counting them here visits none of them and makes no
                 # confidence lookup, as the per-node test short-circuits
-                # on minsup too; it stays inside the quantum, so
-                # preemption points and frontiers do not move.
+                # on minsup too.  A tail longer than the quantum's room
+                # is counted up to the quantum's end: ``skipped`` of its
+                # lowest children are counted but still in ``remaining``,
+                # so preemption points, frontiers and progress calls do
+                # not move.
                 if count_tails and supp + pos_left < minsup:
-                    tail = remaining.bit_count()
+                    tail = remaining.bit_count() - skipped
                     if expanded + tail <= limit:
                         expanded += tail
                         loose += tail
-                        remaining = 0
+                        remaining = skipped = 0
                         continue
+                    loose += limit - expanded
+                    skipped += limit - expanded
+                    expanded = limit
+                    continue
                 # Step 6 — the next child in ORD order, its fields
                 # computed inline as _child_state would, but only as far
                 # as Step 2 needs them.  ``pos_left`` counts the positive
@@ -641,12 +660,17 @@ def enumerate_frontier(
                     emit(payload)
                     continue
                 if expanded >= limit:
-                    if progress is None:
+                    if progress is not None:
+                        _add_counts(
+                            counters, expanded, loose, tight_pruned, identified
+                        )
+                        expanded = loose = tight_pruned = identified = 0
+                        step = progress(len(pending))
+                        if step is not None:
+                            limit = step
+                    if expanded >= limit:
                         pending.append((tag, payload))
                         break
-                    _add_counts(counters, expanded, loose, tight_pruned, identified)
-                    expanded = loose = tight_pruned = identified = 0
-                    progress(len(pending))
                 # No frame is open, so the frame locals are free: the
                 # unit's parent table goes where a child's would be.
                 state = payload
@@ -659,8 +683,6 @@ def enumerate_frontier(
             if slow:
                 if observer is not None:
                     observer.enter(state)
-                if tick is not None:
-                    tick()
                 if eager:
                     # The reference cost model: every visited node pays
                     # for its own table, whether or not it survives.
@@ -1257,20 +1279,21 @@ class Farmer:
         def offer(candidate: Candidate) -> None:
             store.offer(candidate, counters)
 
-        # With no limits to enforce the per-node tick is pure counting:
-        # the walker counts nodes itself and the budget syncs once.
-        unlimited = budget.unlimited
-        tick = None if unlimited else budget.tick
+        # The walk counts its own nodes and charges the budget only where
+        # a limit could trip (SearchBudget.check).
+        def check(unread: int = 0) -> int:
+            return budget.check(counters)
+
         units = [(FRONTIER_STATE, ctx.root_state(table))]
         observer = self._node_observer()
         try:
             if self.telemetry is None:
                 enumerate_frontier(
-                    ctx, units, counters, offer, None, tick=tick,
-                    cache=self._cache, observer=observer,
+                    ctx, units, counters, offer, check(), cache=self._cache,
+                    observer=observer, progress=check,
                 )
             else:
-                self._walk_observed(ctx, units, offer, tick, observer)
+                self._walk_observed(ctx, units, offer, check, observer)
         except BudgetExceeded:
             if budget.strict:
                 raise
@@ -1278,8 +1301,8 @@ class Farmer:
         finally:
             if self.telemetry is not None:
                 self.telemetry.stop_sampling()
-        if unlimited:
-            budget.advance(counters.nodes)
+        # The nodes walked since the last check.
+        budget.advance(counters.nodes - budget.nodes)
         return store
 
     def _node_observer(self):
@@ -1292,7 +1315,7 @@ class Farmer:
         ctx: SearchContext,
         units: list,
         offer: Callable[[Candidate], None],
-        tick: Callable[[], None] | None,
+        check: Callable[[int], int],
         observer,
     ) -> None:
         """The telemetry-enabled serial walk.
@@ -1306,8 +1329,10 @@ class Farmer:
         shared counters move, and every child before the one being
         walked counts as done.  The telemetry sampler reads both from
         its own thread, so they move every few thousand nodes even
-        inside one large subtree.  Nothing below the root is
-        instrumented, and the walk is the serial one, so the split
+        inside one large subtree.  The same hook charges the budget
+        (``check``, see :meth:`SearchBudget.check`), so the quantum is
+        also cut short where a limit could trip.  Nothing below the root
+        is instrumented, and the walk is the serial one, so the split
         changes no output.  A node observer (the tracer) must see every
         node leave after its subtree, so it gets one unsplit walk and
         its counters and coverage stay unknown until it returns.
@@ -1331,9 +1356,16 @@ class Farmer:
             }
 
         self.telemetry.start_sampling(sample)
+        span = check()
+        if observer is not None:
+            enumerate_frontier(
+                ctx, units, counters, offer, span, cache=self._cache,
+                observer=observer, progress=check,
+            )
+            return
+        # The root alone: ``check`` has just charged its node.
         children = enumerate_frontier(
-            ctx, units, counters, offer, 1 if observer is None else None,
-            tick=tick, cache=self._cache, observer=observer,
+            ctx, units, counters, offer, 1, cache=self._cache
         )
         if not children:
             return
@@ -1343,13 +1375,14 @@ class Farmer:
         ]
         coverage["total"] = sum(weights)
 
-        def progress(unread: int) -> None:
+        def progress(unread: int) -> int:
             # Every child before the one being walked is done.
             coverage["done"] = sum(weights[: len(children) - unread - 1])
+            return min(check(), _PROGRESS_QUANTUM)
 
         enumerate_frontier(
-            ctx, children, counters, offer, _PROGRESS_QUANTUM,
-            tick=tick, cache=self._cache, progress=progress,
+            ctx, children, counters, offer, progress(len(children) - 1),
+            cache=self._cache, progress=progress,
         )
         coverage["done"] = coverage["total"]
 

@@ -534,6 +534,10 @@ def _answer_by_capture(
     )
     evals: list[Candidate] = []
     truncated = False
+
+    def check(unread: int = 0) -> int:
+        return budget.check(counters)
+
     with _phase(telemetry, "capture"):
         try:
             enumerate_frontier(
@@ -541,9 +545,9 @@ def _answer_by_capture(
                 [(FRONTIER_STATE, ctx.root_state(table))],
                 counters,
                 evals,
-                None,
-                tick=None if budget.unlimited else budget.tick,
+                check(),
                 cache=KernelCache(),
+                progress=check,
             )
         except BudgetExceeded:
             if budget.strict:

@@ -375,14 +375,45 @@ class _Branch:
         self.children: list[object] = []
 
 
-def _deadline_tick(deadline: float | None):
-    """A per-node budget hook for the shared monotonic ``deadline``
-    (polled every 256 nodes by :meth:`SearchBudget.tick`), or ``None``."""
+#: Nodes a part walks between reads of the shared deadline.
+_DEADLINE_STRIDE = 256
+
+
+def _walk_part(
+    ctx: SearchContext,
+    units: list,
+    counters: NodeCounters,
+    sink: list[Candidate],
+    quantum: int | None,
+    advisory: AdvisoryBounds | None,
+    deadline: float | None,
+) -> list | None:
+    """:func:`enumerate_frontier` under the shared monotonic
+    ``deadline`` (``None``: no deadline), read before the first node and
+    every :data:`_DEADLINE_STRIDE` nodes after it.  The walk still hands
+    back its frontier after ``quantum`` nodes (``None``: never)."""
     if deadline is None:
-        return None
-    budget = SearchBudget(max_seconds=deadline - time.monotonic())
-    budget.start()
-    return budget.tick
+        return enumerate_frontier(ctx, units, counters, sink, quantum, advisory)
+    left = None if quantum is None else max(1, quantum)
+    step = 0
+
+    def progress(unread: int = 0) -> int:
+        nonlocal left, step
+        if left is not None:
+            left -= step
+            if left <= 0:
+                return 0
+        if time.monotonic() > deadline:
+            raise BudgetExceeded(
+                "time budget exceeded while mining a shard",
+                nodes_expanded=counters.nodes,
+            )
+        step = _DEADLINE_STRIDE if left is None else min(_DEADLINE_STRIDE, left)
+        return step
+
+    return enumerate_frontier(
+        ctx, units, counters, sink, progress(), advisory, progress=progress
+    )
 
 
 def _detach(units: Sequence[tuple]) -> list:
@@ -489,12 +520,12 @@ def _run_frontier_task(
     advisory = (
         AdvisoryBounds(snapshot, cap=advisory_cap) if snapshot is not None else None
     )
-    tick = _deadline_tick(deadline)
     truncated = False
     frontier: list | None = None
     try:
-        frontier = enumerate_frontier(
-            ctx, _attach(_ROOT, units), counters, sink, quantum, advisory, tick
+        frontier = _walk_part(
+            ctx, _attach(_ROOT, units), counters, sink, quantum, advisory,
+            deadline,
         )
     except BudgetExceeded:
         if strict:
@@ -782,9 +813,6 @@ def _execute_parts(
     consecutive_failures = 0
     workers = n_workers
     inline_only = n_workers == 1
-    # One ticker for every inline part, so the deadline is polled across
-    # parts rather than restarting its 256-node stride per part.
-    inline_tick = _deadline_tick(deadline)
 
     def stitch(shard: int) -> _Leaf:
         """Stitch the shard's parts in frontier order onto its leaf."""
@@ -924,9 +952,9 @@ def _execute_parts(
         counters = NodeCounters()
         started = time.monotonic()
         try:
-            enumerate_frontier(
+            _walk_part(
                 ctx, _attach(root, part.units), counters, sink, None, advisory,
-                inline_tick,
+                deadline,
             )
         except BudgetExceeded as exc:
             if strict:

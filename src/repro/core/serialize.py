@@ -156,9 +156,17 @@ def _list(value: object, what: str) -> list:
     return value
 
 
+def _int(value: object, what: str) -> int:
+    """``value`` if it is a JSON integer, else a :class:`DataError`
+    naming it (``true``/``false`` are not integers here)."""
+    if type(value) is not int:
+        raise DataError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
 def _id_set(value: object, what: str) -> frozenset[int]:
-    """A record's id list as a set (``TypeError`` on unhashable ids)."""
-    return frozenset(_list(value, what))
+    """A record's id list as a set of integers."""
+    return frozenset(_int(item, f"{what} id") for item in _list(value, what))
 
 
 def load_rule_groups(
@@ -214,8 +222,10 @@ def load_rule_groups(
                     upper=_id_set(record["upper"], "upper"),
                     consequent=consequent,
                     rows=_id_set(record["rows"], "rows"),
-                    support=record["support"],
-                    antecedent_support=record["antecedent_support"],
+                    support=_int(record["support"], "support"),
+                    antecedent_support=_int(
+                        record["antecedent_support"], "antecedent_support"
+                    ),
                     n=n,
                     m=m,
                     lower_bounds=(

@@ -27,8 +27,8 @@ Resource-limit semantics (``docs/serve.md`` documents each):
   a strict node budget; exceeding it is also a ``timeout`` (the
   resource-limit family shares one terminal state).
 * **cancellation** — ``DELETE /v1/jobs/{id}`` dequeues a queued job
-  immediately; a running job is cancelled cooperatively at the next
-  budget tick via :class:`CancellableBudget` and ends in state
+  immediately; a running job is cancelled cooperatively within 128
+  nodes via :class:`CancellableBudget` and ends in state
   ``cancelled``.
 
 Byte identity is load-bearing: a job's ``.irgs`` artifact is written by
@@ -67,8 +67,8 @@ __all__ = [
 #: the same default as ``farmer mine --timeout``.
 DEFAULT_JOB_TIMEOUT = 300.0
 
-#: Budget ticks between cancellation-event polls; an ``Event.is_set``
-#: per node would tax the enumeration hot path for nothing.
+#: Nodes between cancellation-event polls; an ``Event.is_set`` per
+#: node would tax the enumeration hot path for nothing.
 _CANCEL_POLL_NODES = 128
 
 
@@ -80,10 +80,12 @@ class JobCancelled(ReproError):
 class CancellableBudget(SearchBudget):
     """A :class:`~repro.core.enumeration.SearchBudget` with a kill switch.
 
-    The miner's budget tick is the one hook guaranteed to run
-    throughout a serial enumeration, so cooperative cancellation rides
-    on it: every :data:`_CANCEL_POLL_NODES` nodes the tick polls the
-    job's cancel event and raises :class:`JobCancelled` when set.
+    The budget is the one hook guaranteed to run throughout a serial
+    enumeration, so cooperative cancellation rides on it: the ticks of
+    the first node and of every :data:`_CANCEL_POLL_NODES`-th node after
+    it (the 129th, the 257th, ...) poll the job's cancel event and raise
+    :class:`JobCancelled` when it is set, and :meth:`until_check` ends
+    the walk's chunks of nodes there.
     Sharded mines poll on the coordinator between shard completions
     (worker processes run their shard to the end — cancellation latency
     is one shard, not one node).
@@ -95,11 +97,14 @@ class CancellableBudget(SearchBudget):
 
     cancel: "threading.Event | None" = None
 
-    @property
-    def unlimited(self) -> bool:
-        """Never while a kill switch is armed: the tick must keep
-        polling it."""
-        return self.cancel is None and super().unlimited
+    def until_check(self) -> int:
+        """As the base class, but no later than the next cancel poll."""
+        span = super().until_check()
+        if self.cancel is not None:
+            poll = -self._nodes % _CANCEL_POLL_NODES
+            if poll < span:
+                span = poll
+        return span
 
     def tick(self) -> None:
         """Account one node; raise on budget or cancellation."""

@@ -358,11 +358,16 @@ class TestProgress:
 
         class PollingBudget(SearchBudget):
             # Every 500th node, read the snapshot a `farmer serve`
-            # job-status request would, next to the true tick count.
-            def tick(self):
-                super().tick()
+            # job-status request would, next to the true node count:
+            # the walk's chunks end there, where it charges the budget.
+            def until_check(self):
+                return min(super().until_check(), 499 - self.nodes % 500)
+
+            def check(self, counters):
+                span = super().check(counters)
                 if self.nodes % 500 == 0:
                     samples.append((self.nodes, telemetry.sample()))
+                return span
 
         result = Farmer(
             constraints=Constraints(minsup=5),

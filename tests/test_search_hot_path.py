@@ -5,7 +5,7 @@ is checked here against the slower code it replaced:
 
 * **Counted loose tails.**  :func:`~repro.core.farmer.enumerate_frontier`
   counts a sibling tail whose loose support bound is below minsup
-  instead of visiting it.  A no-op ``tick`` forces the per-node walk,
+  instead of visiting it.  A no-op observer forces the per-node walk,
   and both walks must yield the same candidates, every counter (cache
   telemetry included) and, under every quantum, the same returned
   frontiers.
@@ -79,22 +79,33 @@ def _detached(units):
     ]
 
 
+class _NoOpObserver:
+    """A node observer that records nothing."""
+
+    def enter(self, state):
+        pass
+
+    def leave(self, outcome):
+        pass
+
+
 def _walk(ctx, table, quantum, per_node):
     """Enumerate ``table`` to completion under ``quantum``.
 
     Returns the candidates, the counters and every frontier the walk
-    handed back.  ``per_node`` passes a no-op tick, which forces the
-    per-node path.
+    handed back.  ``per_node`` passes a no-op observer, which forces
+    the per-node path.
     """
     counters = NodeCounters()
     cache = KernelCache()
     candidates: list[Candidate] = []
     frontiers = []
-    tick = (lambda: None) if per_node else None
+    observer = _NoOpObserver() if per_node else None
     units = [(FRONTIER_STATE, ctx.root_state(table))]
     while True:
         units = enumerate_frontier(
-            ctx, units, counters, candidates, quantum, tick=tick, cache=cache
+            ctx, units, counters, candidates, quantum, cache=cache,
+            observer=observer,
         )
         if units is None:
             return candidates, counters, frontiers

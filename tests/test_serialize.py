@@ -118,6 +118,47 @@ class TestValidation:
         with pytest.raises(DataError, match=rf":2: {field} must be a list"):
             load_rule_groups(path)
 
+    @pytest.mark.parametrize(
+        "changes,named",
+        [
+            ({"rows": ["a", 1.5], "upper": [True], "support": 1.0}, "upper id"),
+            ({"rows": [True, 5]}, "rows id"),
+            ({"rows": [0, 1.0]}, "rows id"),
+            ({"upper": [True]}, "upper id"),
+            ({"upper": ["x", 2]}, "upper id"),
+            ({"upper": [1], "lower_bounds": [[True]]}, "lower bound id"),
+            ({"support": 1.0}, "support"),
+            ({"support": True}, "support"),
+            ({"antecedent_support": 2.0}, "antecedent_support"),
+            (
+                {"rows": [0], "support": 1, "antecedent_support": True},
+                "antecedent_support",
+            ),
+        ],
+        ids=lambda value: value if isinstance(value, str) else None,
+    )
+    def test_ids_and_supports_must_be_integers(
+        self, tmp_path, mined, changes, named
+    ):
+        """A record whose ids or supports are not JSON integers (a
+        boolean included) is refused with its line, not loaded."""
+        path = tmp_path / "types.irgs"
+        save_rule_groups(path, mined.groups[:1])
+        header = path.read_text().splitlines()[0]
+        record = {
+            "antecedent_support": 2,
+            "lower_bounds": None,
+            "rows": [0, 1],
+            "support": 1,
+            "upper": [3],
+            **changes,
+        }
+        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(
+            DataError, match=rf"types.irgs:2: {named} must be an integer"
+        ):
+            load_rule_groups(path)
+
     def test_header_that_is_not_an_object(self, tmp_path, mined):
         path = tmp_path / "header.irgs"
         save_rule_groups(path, mined.groups)

@@ -413,6 +413,46 @@ class TestResourceLimits:
         assert payload["state"] == "timeout"
         assert payload["error"]
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "capture"])
+    def test_tiny_timeout_is_timeout_state(self, app, warm):
+        spec = {
+            "dataset": DATASET,
+            "scale": SCALE,
+            "minsup": 2,
+            "timeout_seconds": 1e-9,
+            "warm": warm,
+        }
+        _, job, _ = _call(app, "POST", "/v1/jobs", spec)
+        payload = _wait_terminal(app, job["id"])
+        assert payload["state"] == "timeout"
+        assert "time budget" in payload["error"]
+
+    def test_cancel_before_capture_stops_within_128_nodes(
+        self, app, monkeypatch
+    ):
+        """A cancel that lands after the queue's last check but before
+        the capture walk starts ends the job ``cancelled`` within the
+        walk's first 128 nodes."""
+        from repro.serve import jobs
+
+        expanded = []
+
+        class CancelAtCapture(jobs.Farmer):
+            def mine_table(self, table):
+                self.budget.cancel.set()
+                try:
+                    return super().mine_table(table)
+                finally:
+                    expanded.append(self.budget.nodes)
+
+        monkeypatch.setattr(jobs, "Farmer", CancelAtCapture)
+        spec = {"dataset": DATASET, "scale": SCALE, "minsup": 2}
+        _, job, _ = _call(app, "POST", "/v1/jobs", spec)
+        payload = _wait_terminal(app, job["id"])
+        assert payload["state"] == "cancelled"
+        assert payload["spec"]["warm"] is True
+        assert len(expanded) == 1 and expanded[0] <= 128
+
     def test_node_budget_is_timeout_state(self, app):
         spec = {
             "dataset": DATASET,
