@@ -13,7 +13,7 @@ import pytest
 from repro.core.enumeration import extend_items, scan_items
 from repro.core.farmer import Farmer
 from repro.core.constraints import Constraints
-from repro.core.kernel import CondTable, max_candidate_overlap
+from repro.core.kernel import CondTable
 from repro.data.transpose import TransposedTable
 
 BENCH_MINSUP = 10
@@ -21,19 +21,21 @@ BENCH_MINSUP = 10
 
 @pytest.fixture(scope="module")
 def lc_tables(workloads):
-    """The LC root conditional table plus one row bit per row."""
+    """The LC root conditional table, ranked and in item order, plus one
+    row bit per row."""
     workload = workloads["LC"]
     transposed = TransposedTable.build(workload.data, workload.consequent)
     item_masks = list(transposed.item_masks)
     full = transposed.all_rows_mask
     table = CondTable.build(item_masks, full)
+    unranked = CondTable.reference(range(len(item_masks)), item_masks, full)
     row_bits = [1 << row for row in range(workload.data.n_rows)]
-    return table, row_bits, full
+    return table, unranked, row_bits, full
 
 
 def test_kernel_fused_extend(benchmark, lc_tables):
     """Fused extend+scan: one pass builds child table and scan results."""
-    table, row_bits, _ = lc_tables
+    table, _, row_bits, _ = lc_tables
 
     def run():
         return [table.extend(bit).inter for bit in row_bits]
@@ -44,12 +46,13 @@ def test_kernel_fused_extend(benchmark, lc_tables):
 
 def test_reference_extend_then_scan(benchmark, lc_tables):
     """Pre-kernel cost model: separate extend and scan passes."""
-    table, row_bits, full = lc_tables
+    table, _, row_bits, full = lc_tables
+    item_ids, item_masks = table.item_ids, table.masks
 
     def run():
         results = []
         for bit in row_bits:
-            _, masks = extend_items(table.item_ids, table.masks, bit)
+            _, masks = extend_items(item_ids, item_masks, bit)
             intersection, _ = scan_items(masks, full)
             results.append(intersection)
         return results
@@ -60,28 +63,22 @@ def test_reference_extend_then_scan(benchmark, lc_tables):
 
 def test_kernel_bound_scan_early_exit(benchmark, lc_tables):
     """Pruning-3 bound scan with the support-descending early exit."""
-    table, row_bits, _ = lc_tables
+    table, _, row_bits, _ = lc_tables
     cand = row_bits[0] | row_bits[-1]
 
     def run():
-        return [
-            max_candidate_overlap(table.masks, table.counts, cand | bit)
-            for bit in row_bits
-        ]
+        return [table.max_overlap(cand | bit) for bit in row_bits]
 
     benchmark(run)
 
 
 def test_reference_bound_scan_full(benchmark, lc_tables):
     """Pre-kernel bound scan: every tuple, no early exit."""
-    table, row_bits, _ = lc_tables
+    _, unranked, row_bits, _ = lc_tables
     cand = row_bits[0] | row_bits[-1]
 
     def run():
-        return [
-            max_candidate_overlap(table.masks, None, cand | bit)
-            for bit in row_bits
-        ]
+        return [unranked.max_overlap(cand | bit) for bit in row_bits]
 
     benchmark(run)
 

@@ -1,7 +1,7 @@
 """FRM011: hot-path purity, inherited bottom-up over the call graph.
 
 The row-enumeration walk (`enumerate_frontier`) and the fused table
-kernels it drives (`extend_and_scan`, the candidate bound scans) are the
+kernels it drives (the table extends and candidate bound scans) are the
 multiplied-cost inner loops: they run once per enumeration node times
 once per row.  IO, logging, wall-clock
 reads, environment access, or mutation of module-level state inside
@@ -101,8 +101,6 @@ class HotPathPurityRule(Rule):
 
     #: ``(module package path, qualname)`` of the hot-path roots.
     hot_roots: ClassVar[tuple[tuple[str, str], ...]] = (
-        ("core/kernel.py", "extend_and_scan"),
-        ("core/kernel.py", "max_candidate_overlap"),
         ("core/kernel.py", "CondTable.extend"),
         ("core/kernel.py", "CondTable.max_overlap"),
         ("core/kernel.py", "CondTable.observed_max_overlap"),

@@ -21,7 +21,7 @@ chi-square bounds through a per-run memo cache
 (:class:`~repro.core.kernel.KernelCache` — sound because each bound is a
 pure function of its count arguments), and computes the tight bound's
 ``MAX(|TT|X.EP ∩ t|)`` term with an early-exiting scan over the
-support-sorted table (:func:`~repro.core.kernel.max_candidate_overlap`).
+support-sorted table (:meth:`~repro.core.kernel.CondTable.max_overlap`).
 The ``engine="reference"`` miners call these functions directly, and the
 differential suite pins that both paths prune identically.
 """

@@ -29,8 +29,8 @@ before Step 7) plus Lemma 3.4 guarantees those groups are known by then.
 Implementation notes (Section 3.3 of the paper uses conditional pointer
 lists into an in-memory transposed table; we use the bitset equivalent):
 
-* a conditional table is a pair of parallel lists ``(item_ids, masks)``;
-  extending to a child filters by one bit (Lemma 3.3);
+* a conditional table is a list of the items common to ``X``, each
+  with its row mask; extending to a child filters by one bit (Lemma 3.3);
 * the intersection of all tuple masks *is* ``R(I(X))``, which yields the
   exact ``supp``/``supn`` of the node's rule and doubles as the Pruning 2
   witness set and the rule group's row set;
@@ -54,7 +54,7 @@ lists into an in-memory transposed table; we use the bitset equivalent):
   The production engine builds a surviving node's table and scan in one
   fused pass and memoizes pure per-node evaluations per run
   (:class:`~repro.core.kernel.KernelCache`).  Its tables are packed
-  uint64 columns while ``TT|X`` is wide and the kernel's int masks,
+  uint64 columns while ``TT|X`` is wide and the kernel's keyed int masks,
   with early-exiting bound scans on the support-sorted order, once it
   is narrow (:data:`~repro.core.npbitset.HANDOFF_ITEMS`).
   ``engine="reference"`` keeps the pre-kernel cost model for
@@ -76,7 +76,7 @@ from ..errors import BudgetExceeded, ConstraintError, UsageError
 from . import bitset
 from .bounds import chi_bound, confidence_bound
 from .constraints import Constraints
-from .enumeration import NodeCounters, SearchBudget, scan_items
+from .enumeration import NodeCounters, SearchBudget
 from .kernel import CondTable, CondTableProtocol, KernelCache
 from .minelb import attach_lower_bounds
 from .npbitset import root_table
@@ -279,20 +279,14 @@ class SearchContext:
         The production engine builds the support-sorted, pre-scanned
         root through :func:`~repro.core.npbitset.root_table` (packed
         words or int masks by root width, identical item order); the
-        reference engine keeps the dataset's item order and carries no
-        popcounts, so its bound scans walk every tuple.
+        reference engine keeps the dataset's item order, unranked, so
+        its bound scans walk every tuple.
         """
         cond: CondTableProtocol
         if self.reference:
-            masks = list(table.item_masks)
-            inter, union = scan_items(masks, table.all_rows_mask)
-            cond = CondTable(
-                list(range(len(masks))),
-                masks,
-                None,
-                inter,
-                union,
-                table.all_rows_mask,
+            masks = table.item_masks
+            cond = CondTable.reference(
+                range(len(masks)), masks, table.all_rows_mask
             )
         else:
             cond = root_table(
@@ -515,11 +509,14 @@ def enumerate_frontier(
             ``"pruned:identified"``; an explored node leaves after its
             subtree and its candidate).  The tracer records the tree
             through it.
-        progress: called as ``progress(unread)`` each time the quantum
-            expires, instead of preempting, just before the walk visits
-            its next node: the walk's counts reach ``counters`` first,
-            and ``unread`` is the number of input units after the one
-            being walked (or about to be).  It returns the next
+        progress: called as ``progress(children_left)`` each time the
+            quantum expires, instead of preempting, just before the walk
+            visits its next node: the walk's counts reach ``counters``
+            first, and ``children_left`` is the number of children of
+            the outermost open frame not finished yet — the one whose
+            subtree is being walked included — or 0 when no frame is
+            open.  For a walk of one root that is how many of the root's
+            children are left.  It returns the next
             quantum, ``None`` to keep the last one, or ``0`` to stop
             there and hand back the frontier.  It may raise (a budget
             refusing the next node,
@@ -598,7 +595,14 @@ def enumerate_frontier(
                             counters, expanded, loose, tight_pruned, identified
                         )
                         expanded = loose = tight_pruned = identified = 0
-                        step = progress(len(pending))
+                        # ``skipped`` children are counted, so finished;
+                        # a frame below the outermost one is its open
+                        # child.
+                        step = progress(
+                            stack[0][9].bit_count() + 1
+                            if stack
+                            else remaining.bit_count() - skipped
+                        )
                         if step is not None:
                             limit = step
                     if expanded >= limit:
@@ -665,7 +669,7 @@ def enumerate_frontier(
                             counters, expanded, loose, tight_pruned, identified
                         )
                         expanded = loose = tight_pruned = identified = 0
-                        step = progress(len(pending))
+                        step = progress(0)
                         if step is not None:
                             limit = step
                     if expanded >= limit:
@@ -1281,7 +1285,7 @@ class Farmer:
 
         # The walk counts its own nodes and charges the budget only where
         # a limit could trip (SearchBudget.check).
-        def check(unread: int = 0) -> int:
+        def check(children_left: int = 0) -> int:
             return budget.check(counters)
 
         units = [(FRONTIER_STATE, ctx.root_state(table))]
@@ -1320,22 +1324,23 @@ class Farmer:
     ) -> None:
         """The telemetry-enabled serial walk.
 
-        The same walk, split at the root: a one-node quantum expands the
-        root and hands back its children as frontier units, whose
-        candidate-row weights (the proxy the sharded decomposition also
-        balances on) give the coverage estimate.  The children are then
-        walked in one call that reports progress every
-        :data:`_PROGRESS_QUANTUM` nodes instead of preempting: the
-        shared counters move, and every child before the one being
-        walked counts as done.  The telemetry sampler reads both from
-        its own thread, so they move every few thousand nodes even
-        inside one large subtree.  The same hook charges the budget
-        (``check``, see :meth:`SearchBudget.check`), so the quantum is
-        also cut short where a limit could trip.  Nothing below the root
-        is instrumented, and the walk is the serial one, so the split
-        changes no output.  A node observer (the tracer) must see every
-        node leave after its subtree, so it gets one unsplit walk and
-        its counters and coverage stay unknown until it returns.
+        The same walk as a bare mine's, reporting progress every
+        :data:`_PROGRESS_QUANTUM` nodes instead of only where a limit
+        could trip: the shared counters move, and the root's children
+        finished so far give the coverage estimate, weighted by their
+        candidate rows (the proxy the sharded decomposition also
+        balances on: in ORD the ``k``-th of ``C`` children has the
+        ``C - 1 - k`` rows after it).  The first report comes right
+        after the root, while all ``C`` of its children are left.  The
+        telemetry sampler reads both from its own thread, so they move
+        every few thousand nodes even inside one large subtree.  The
+        same hook charges the budget (``check``, see
+        :meth:`SearchBudget.check`), so the quantum is also cut short
+        where a limit could trip.  Nothing below the root is
+        instrumented and nothing is split off or rebuilt, so the output
+        is unchanged.  A node observer (the tracer) gets the walk with
+        the budget hook alone; its counters and coverage stay unknown
+        until it returns.
         """
         counters = self._counters
         store_entries = self._store.entries
@@ -1356,6 +1361,7 @@ class Farmer:
             }
 
         self.telemetry.start_sampling(sample)
+        # ``check`` charges the root's node.
         span = check()
         if observer is not None:
             enumerate_frontier(
@@ -1363,26 +1369,22 @@ class Farmer:
                 observer=observer, progress=check,
             )
             return
-        # The root alone: ``check`` has just charged its node.
-        children = enumerate_frontier(
-            ctx, units, counters, offer, 1, cache=self._cache
-        )
-        if not children:
-            return
-        weights = [
-            float(payload.estimate()) if tag == FRONTIER_STATE else 0.0
-            for tag, payload in children
-        ]
-        coverage["total"] = sum(weights)
+        children = 0
 
-        def progress(unread: int) -> int:
-            # Every child before the one being walked is done.
-            coverage["done"] = sum(weights[: len(children) - unread - 1])
+        def progress(children_left: int) -> int:
+            nonlocal children
+            if not children:
+                children = children_left
+                coverage["total"] = float(children * (children - 1) // 2)
+            done = children - children_left
+            coverage["done"] = float(
+                done * (children - 1) - done * (done - 1) // 2
+            )
             return min(check(), _PROGRESS_QUANTUM)
 
         enumerate_frontier(
-            ctx, children, counters, offer, progress(len(children) - 1),
-            cache=self._cache, progress=progress,
+            ctx, units, counters, offer, 1, cache=self._cache,
+            progress=progress,
         )
         coverage["done"] = coverage["total"]
 

@@ -535,7 +535,7 @@ def _answer_by_capture(
     evals: list[Candidate] = []
     truncated = False
 
-    def check(unread: int = 0) -> int:
+    def check(children_left: int = 0) -> int:
         return budget.check(counters)
 
     with _phase(telemetry, "capture"):

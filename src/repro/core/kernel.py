@@ -16,14 +16,13 @@ followed by :func:`~repro.core.enumeration.scan_items`) walks each table
 two to three times per node in separate Python loops.  This module fuses
 and, where possible, *skips* that work:
 
-* :class:`CondTable` is a conditional table that carries its own scan
-  results (``inter``/``union`` are computed while the table is built, in
-  the same pass), per-item popcounts, and a support-descending item
-  order, so Pruning-3 bound scans can stop early instead of walking
-  every tuple (:func:`max_candidate_overlap`);
-* :func:`extend_and_scan` is the fused one-pass primitive — extensionally
-  equal to the ``extend_items`` + ``scan_items`` composition, which the
-  property-based test suite pins;
+* :class:`CondTable` is a conditional table held as one list of keys,
+  each an item's row mask with its item id in the bits above the rows.
+  Extending it is one filter comprehension plus one AND/OR pass over
+  the survivors, which computes the child's scan results
+  (``inter``/``union``) as it is built.  Its support-descending item
+  order lets Pruning-3 bound scans (:meth:`CondTable.max_overlap`) stop
+  early instead of walking every tuple;
 * :class:`KernelCache` memoizes, per mining run, the pure per-node
   evaluations keyed by row-set ints and count pairs: the class split of a
   closure ``R(I(X))``, the confidence and chi-square upper bounds of
@@ -45,9 +44,9 @@ against the reference shims and the brute-force oracle.
 (:class:`~repro.core.npbitset.NumpyCondTable`), which hand their narrow
 children over to this class (:data:`~repro.core.npbitset.HANDOFF_ITEMS`).
 Miners accept ``engine="reference"`` to run the pre-kernel cost model
-(every visited node's table built eagerly, no popcounts so full bound
-scans, no memo caches) for differential testing and the committed perf
-gate (``benchmarks/perf_gate.py``).
+(every visited node's table built eagerly in the dataset's item order,
+unranked so bound scans are full, no memo caches) for differential
+testing and the committed perf gate (``benchmarks/perf_gate.py``).
 """
 
 from __future__ import annotations
@@ -56,14 +55,13 @@ from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 from ..errors import DataError
 from .bounds import chi_bound, confidence_bound
+from .enumeration import scan_items
 
 __all__ = [
     "CondTable",
     "CondTableProtocol",
     "KernelCache",
     "ClosureCache",
-    "extend_and_scan",
-    "max_candidate_overlap",
 ]
 
 
@@ -74,7 +72,7 @@ class CondTableProtocol(Protocol):
     :func:`repro.core.farmer.enumerate_frontier` (the one walk every
     FARMER mine runs) and the baselines never touch a table's
     representation — they consume exactly this surface, so a table is
-    free to store its tuples as int lists (:class:`CondTable`) or packed
+    free to store its tuples as keyed int masks (:class:`CondTable`) or packed
     uint64 arrays (:class:`~repro.core.npbitset.NumpyCondTable`), and to
     change from one to the other in :meth:`extend`, as long as the scan
     results are plain ints and the item order matches the kernel's
@@ -83,15 +81,13 @@ class CondTableProtocol(Protocol):
 
     Attributes:
         inter: tuple intersection as an int row mask (``full`` when the
-            table is empty); ``None`` only on reference-engine carriers,
-            which re-scan per node.
-        union: tuple union as an int row mask (``None`` on reference
-            carriers).
+            table is empty).
+        union: tuple union as an int row mask.
         full: the all-rows mask, the empty-intersection convention.
     """
 
-    inter: int | None
-    union: int | None
+    inter: int
+    union: int
     full: int
 
     @property
@@ -115,115 +111,48 @@ class CondTableProtocol(Protocol):
         ...
 
 
-def extend_and_scan(
-    item_ids: Sequence[int],
-    masks: Sequence[int],
-    row_bit: int,
-    full_mask: int,
-) -> tuple[list[int], list[int], int, int]:
-    """Fused table extension and scan in one traversal.
+def _check_rows(union: int, full_mask: int) -> None:
+    """Refuse row masks with rows outside ``full_mask``.
 
-    Extensionally equal to ``extend_items(item_ids, masks, row_bit)``
-    followed by ``scan_items(new_masks, full_mask)`` (the reference shims
-    in :mod:`repro.core.enumeration`), but walks the table once instead
-    of twice.
-
-    Args:
-        item_ids: item ids of the parent conditional table.
-        masks: per-item row bitsets, parallel to ``item_ids``.
-        row_bit: one-bit mask of the row extending the combination.
-        full_mask: bitset of all rows, the empty-table intersection.
-
-    Returns:
-        ``(new_ids, new_masks, intersection, union)`` — the conditional
-        table for ``X ∪ {r}`` plus its tuple intersection and union.
-        The intersection over an empty result is ``full_mask`` by the
-        same convention as ``scan_items``.
+    A key keeps its item id just above ``full_mask``'s highest row, so
+    a mask bit there would land in the id bits and come back as a wrong
+    id and mask, with no error.  Checked once per root table, on the
+    union of its masks.
 
     Raises:
-        DataError: if ``item_ids`` and ``masks`` diverge in length (a
-            corrupted conditional table must fail loudly, not silently
-            truncate — mirrors ``extend_items``).
+        DataError: if ``union`` has a bit outside ``full_mask``.
     """
-    new_ids: list[int] = []
-    new_masks: list[int] = []
-    intersection = full_mask
-    union = 0
-    try:
-        for item_id, mask in zip(item_ids, masks, strict=True):
-            if mask & row_bit:
-                new_ids.append(item_id)
-                new_masks.append(mask)
-                intersection &= mask
-                union |= mask
-    except ValueError as exc:
+    if union & ~full_mask:
         raise DataError(
-            "conditional table corrupt: item_ids and masks differ in length"
-        ) from exc
-    return new_ids, new_masks, intersection, union
-
-
-def max_candidate_overlap(
-    masks: Sequence[int], counts: Sequence[int] | None, cand_mask: int
-) -> int:
-    """``MAX(|cand ∩ t|)`` over the tuples ``t`` of a conditional table.
-
-    The tight support bound of Lemma 3.7 needs the largest number of
-    candidate rows any single tuple can still absorb.
-
-    Args:
-        masks: per-item row bitsets of the conditional table.
-        counts: per-tuple popcounts, sorted descending (the
-            :class:`CondTable` invariant), or ``None`` for reference
-            tables.
-        cand_mask: bitset of the candidate rows.
-
-    Returns:
-        The maximum overlap.  When ``counts`` is provided the scan stops
-        as soon as no later tuple can beat the current maximum:
-        ``|cand ∩ t| <= |t|``, and ``|t|`` only shrinks from here on.
-        It also stops once the maximum saturates at ``|cand|``.  With
-        ``counts=None`` the full scan of the pre-kernel path runs
-        instead.
-    """
-    best = 0
-    if counts is None:
-        for mask in masks:
-            overlap = (mask & cand_mask).bit_count()
-            if overlap > best:
-                best = overlap
-        return best
-    cand_count = cand_mask.bit_count()
-    for mask, count in zip(masks, counts):
-        if count <= best:
-            break
-        overlap = (mask & cand_mask).bit_count()
-        if overlap > best:
-            best = overlap
-            if best >= cand_count:
-                break
-    return best
+            "conditional table corrupt: a row mask has rows outside the "
+            "table's row set"
+        )
 
 
 class CondTable:
-    """A conditional transposed table with its scan results attached.
+    """A conditional transposed table as one list of keyed row masks.
 
-    The kernel's working representation of ``TT|X``: parallel lists of
-    item ids and row-support bitsets, ordered by support descending (ties
-    by item id), plus
+    The kernel's working representation of ``TT|X``: one int *key* per
+    item, ``mask | item_id << shift`` with ``shift = full.bit_length()``
+    (the row count), so a key's low bits are the item's row-support
+    bitset and its high bits its id.  Because ``TT|X`` is exactly the
+    items whose mask contains ``X``, a key carries everything the table
+    needs of its item, and a child table is one filter over the
+    parent's keys.  Besides ``keys`` a table holds
 
-    * ``counts`` — per-item popcounts (constant per item, inherited by
-      children, the early-exit key of :func:`max_candidate_overlap`);
     * ``inter`` / ``union`` — the tuple intersection and union, computed
-      in the same pass that built the table (the intersection over an
-      empty table is ``full`` by convention);
-    * ``full`` — the all-rows mask the empty-intersection convention and
-      child extensions use.
+      when the table is built (the intersection over an empty table is
+      ``full`` by convention);
+    * ``full`` — the all-rows mask, which also splits a key into its
+      mask (``key & full``) and its id (``key >> full.bit_length()``);
+    * ``ranked`` — whether ``keys`` are in support-descending order (ties
+      by item id), whose bound scans stop early (:meth:`max_overlap`).
 
-    Reference-engine tables keep the caller's item order and carry
-    ``counts=None``, so their bound scans walk every tuple; extending
-    one yields another count-less table.  :meth:`reference` builds such
-    a table without its scan fields.
+    ``item_ids`` and ``masks`` are derived from the keys on read (at
+    candidate emission, by the tracer and by COBBLER's column mode).
+    Reference-engine tables (:meth:`reference`) keep the caller's item
+    order with ``ranked=False``, so their bound scans walk every tuple;
+    extending a table keeps its ``ranked`` flag.
 
     Instances are shared between sibling :class:`~repro.core.farmer.NodeState`
     values, and a run's root table is handed to every worker process
@@ -231,156 +160,208 @@ class CondTable:
     with the default protocol.
     """
 
-    __slots__ = ("item_ids", "masks", "counts", "inter", "union", "full")
+    __slots__ = ("keys", "inter", "union", "full", "ranked")
 
     def __init__(
         self,
-        item_ids: list[int],
-        masks: list[int],
-        counts: list[int] | None,
-        inter: int | None,
-        union: int | None,
+        keys: list[int],
+        inter: int,
+        union: int,
         full: int,
+        ranked: bool = True,
     ) -> None:
-        self.item_ids = item_ids
-        self.masks = masks
-        self.counts = counts
+        self.keys = keys
         self.inter = inter
         self.union = union
         self.full = full
+        self.ranked = ranked
 
     def __len__(self) -> int:
-        return len(self.item_ids)
+        return len(self.keys)
+
+    @property
+    def item_ids(self) -> list[int]:
+        """Item ids in table order (plain Python ints)."""
+        shift = self.full.bit_length()
+        return [key >> shift for key in self.keys]
+
+    @property
+    def masks(self) -> list[int]:
+        """Per-item row bitsets in table order."""
+        full = self.full
+        return [key & full for key in self.keys]
 
     @classmethod
     def build(cls, item_masks: Sequence[int], full_mask: int) -> "CondTable":
         """The root table over every item, support-sorted and scanned.
 
-        One pass computes popcounts, intersection and union; the sort
-        (support descending, item id ascending) establishes the order
-        every descendant table inherits by filtering.
+        The sort (support descending, item id ascending) establishes the
+        order every descendant table inherits by filtering.
 
         Args:
-            item_masks: per-item row bitsets in item-id order.
+            item_masks: per-item row bitsets in item-id order, each a
+                subset of ``full_mask``.
             full_mask: bitset of all rows.
 
         Returns:
-            The fully scanned root :class:`CondTable`.
+            The fully scanned, ranked root :class:`CondTable`.
+
+        Raises:
+            DataError: if a mask has a row outside ``full_mask`` (see
+                :func:`_check_rows`).
         """
         order = sorted(
             range(len(item_masks)),
             key=lambda item: (-item_masks[item].bit_count(), item),
         )
-        item_ids: list[int] = []
-        masks: list[int] = []
-        counts: list[int] = []
-        intersection = full_mask
-        union = 0
-        for item in order:
-            mask = item_masks[item]
-            item_ids.append(item)
-            masks.append(mask)
-            counts.append(mask.bit_count())
-            intersection &= mask
-            union |= mask
-        return cls(item_ids, masks, counts, intersection, union, full_mask)
+        inter, union = scan_items(item_masks, full_mask)
+        _check_rows(union, full_mask)
+        return cls.gather(item_masks, order, inter, union, full_mask)
 
     @classmethod
-    def reference(
-        cls, item_ids: list[int], masks: list[int], full_mask: int
+    def gather(
+        cls,
+        item_masks: Sequence[int],
+        item_ids: Sequence[int],
+        inter: int,
+        union: int,
+        full_mask: int,
     ) -> "CondTable":
-        """A pre-kernel-style carrier: caller's order, no counts, no scan.
+        """The ranked table of ``item_ids``, already scanned.
 
-        ``inter``/``union`` stay unset (``None``) so a caller that has
-        not scanned the table with
-        :func:`~repro.core.enumeration.scan_items` fails loudly instead
-        of reading them; :meth:`extend` on the carrier yields a scanned,
-        still count-less child.
+        The root build's last step, and how a wide table hands a narrow
+        child over: the ids come in table order and the masks from the
+        root's, by id.
 
         Args:
-            item_ids: item ids in the caller's order.
-            masks: per-item row bitsets, parallel to ``item_ids``.
+            item_masks: per-item row bitsets in item-id order.
+            item_ids: the table's item ids, in support-descending order.
+            inter: the table's tuple intersection.
+            union: the table's tuple union.
             full_mask: bitset of all rows.
 
         Returns:
-            The unscanned reference :class:`CondTable`.
+            The ranked :class:`CondTable` over ``item_ids``.
         """
-        return cls(item_ids, masks, None, None, None, full_mask)
+        shift = full_mask.bit_length()
+        keys = [item_masks[item] | item << shift for item in item_ids]
+        return cls(keys, inter, union, full_mask)
+
+    @classmethod
+    def reference(
+        cls, item_ids: Sequence[int], masks: Sequence[int], full_mask: int
+    ) -> "CondTable":
+        """A pre-kernel-style table: caller's order, full bound scans.
+
+        The reference engine's root.  Its scan comes from the
+        :func:`~repro.core.enumeration.scan_items` shim, and its
+        ``ranked=False`` flag passes to every table extended from it.
+
+        Args:
+            item_ids: item ids in the caller's order.
+            masks: per-item row bitsets, parallel to ``item_ids``, each
+                a subset of ``full_mask``.
+            full_mask: bitset of all rows.
+
+        Returns:
+            The scanned, unranked :class:`CondTable`.
+
+        Raises:
+            DataError: if ``item_ids`` and ``masks`` differ in length (a
+                corrupted conditional table must fail loudly, not
+                silently truncate — mirrors ``extend_items``), or if a
+                mask has a row outside ``full_mask`` (see
+                :func:`_check_rows`).
+        """
+        shift = full_mask.bit_length()
+        try:
+            keys = [
+                mask | item << shift
+                for item, mask in zip(item_ids, masks, strict=True)
+            ]
+        except ValueError as exc:
+            raise DataError(
+                "conditional table corrupt: item_ids and masks differ in length"
+            ) from exc
+        inter, union = scan_items(masks, full_mask)
+        _check_rows(union, full_mask)
+        return cls(keys, inter, union, full_mask, False)
 
     def extend(self, row_bit: int) -> "CondTable":
-        """The fused child table ``TT|X∪{r}`` (Lemma 3.3 + scan, one pass).
+        """The child table ``TT|X∪{r}`` (Lemma 3.3), scanned.
 
-        Filters ids, masks and counts by ``row_bit`` while accumulating
-        the child's intersection and union.  Order (and therefore the
-        support-descending invariant) is preserved by filtering.
+        One filter keeps the keys whose mask contains ``row_bit``, and
+        one AND/OR pass over the survivors gives the child's
+        intersection and union.  Order (and with it the ranking) is
+        preserved by filtering.  ``row_bit`` is one of the table's rows,
+        below ``full.bit_length()``, so it never meets an item id's bits.
         """
         full = self.full
-        new_ids: list[int] = []
-        new_masks: list[int] = []
-        intersection = full
+        keys = [key for key in self.keys if key & row_bit]
+        inter = full
         union = 0
-        counts = self.counts
-        if counts is None:
-            for item_id, mask in zip(self.item_ids, self.masks):
-                if mask & row_bit:
-                    new_ids.append(item_id)
-                    new_masks.append(mask)
-                    intersection &= mask
-                    union |= mask
-            return CondTable(new_ids, new_masks, None, intersection, union, full)
-        new_counts: list[int] = []
-        for item_id, mask, count in zip(self.item_ids, self.masks, counts):
-            if mask & row_bit:
-                new_ids.append(item_id)
-                new_masks.append(mask)
-                new_counts.append(count)
-                intersection &= mask
-                union |= mask
-        return CondTable(new_ids, new_masks, new_counts, intersection, union, full)
+        for key in keys:
+            inter &= key
+            union |= key
+        return CondTable(keys, inter, union & full, full, self.ranked)
 
     def max_overlap(self, cand_mask: int) -> int:
-        """Early-exiting ``MAX(|cand ∩ t|)`` over this table's tuples."""
-        return max_candidate_overlap(self.masks, self.counts, cand_mask)
+        """``MAX(|cand ∩ t|)`` over this table's tuples (Lemma 3.7).
+
+        ``cand_mask`` holds rows only, so ``key & cand_mask`` drops the
+        item id.  A ranked table stops once the maximum saturates at
+        ``|cand|``, which its support-descending order makes likely
+        early; an unranked one scans every tuple.  (Stopping as well
+        once no later tuple is larger than the maximum, which the order
+        also allows, cut no scan shorter on the measured sweeps and cost
+        a popcount per tuple; see ``docs/performance.md``.)
+        """
+        best = 0
+        if not self.ranked:
+            for key in self.keys:
+                overlap = (key & cand_mask).bit_count()
+                if overlap > best:
+                    best = overlap
+            return best
+        cand_count = cand_mask.bit_count()
+        for key in self.keys:
+            overlap = (key & cand_mask).bit_count()
+            if overlap > best:
+                best = overlap
+                if best >= cand_count:
+                    break
+        return best
 
     def observed_max_overlap(self, cache: "KernelCache", cand_mask: int) -> int:
         """:meth:`max_overlap` plus bound-scan accounting on ``cache``.
 
         Args:
-            cache: receives the ``bound_*`` telemetry (scan length, the
-                full-scan length avoided, whether the scan early-exited).
+            cache: receives the ``bound_*`` telemetry (one scan, the
+                table's length, the rows an early exit skipped).
             cand_mask: the candidate-row bitset of Lemma 3.7.
 
         Returns:
-            Exactly what :func:`max_candidate_overlap` returns; requires
-            ``counts`` (the reference engine never takes this path).
+            Exactly what :meth:`max_overlap` returns on a ranked table
+            (the reference engine never takes this path).
         """
-        masks = self.masks
-        counts = self.counts
+        keys = self.keys
         best = 0
-        scanned = len(masks)
-        early = False
         cand_count = cand_mask.bit_count()
-        # Accounting happens only at the exits (``scanned`` falls out of
-        # the enumerate index): the loop body must stay identical to
-        # :func:`max_candidate_overlap`, or the observed run pays a
-        # per-row tax the overhead gate forbids.
-        for index, mask in enumerate(masks):
-            if counts[index] <= best:  # type: ignore[index]
-                early = True
-                scanned = index
-                break
-            overlap = (mask & cand_mask).bit_count()
+        # The loop must stay identical to :meth:`max_overlap`, or the
+        # observed run pays a per-row tax the overhead gate forbids.  A
+        # scan that runs to the end adds two counters; the rows an
+        # early exit skips are counted there (keys are distinct, so
+        # ``keys.index`` finds where the scan stopped).
+        for key in keys:
+            overlap = (key & cand_mask).bit_count()
             if overlap > best:
                 best = overlap
                 if best >= cand_count:
-                    early = True
-                    scanned = index + 1
+                    cache.bound_rows_skipped += len(keys) - keys.index(key) - 1
+                    cache.bound_early_exits += 1
                     break
         cache.bound_scans += 1
-        cache.bound_rows_scanned += scanned
-        cache.bound_rows_total += len(masks)
-        if early:
-            cache.bound_early_exits += 1
+        cache.bound_rows_total += len(keys)
         return best
 
 
@@ -402,7 +383,7 @@ class KernelCache:
     parallel reduce and checkpoint records like every other counter.
 
     The cache additionally hosts the kernel's *bound-scan* statistics
-    (how far the early-exiting :func:`max_candidate_overlap` scans
+    (how far the early-exiting :meth:`CondTable.max_overlap` scans
     actually walk), filled only by the tables' ``observed_max_overlap``
     (:meth:`CondTable.observed_max_overlap` and its packed counterpart)
     — the telemetry variant the miner switches to when observability
@@ -422,7 +403,7 @@ class KernelCache:
         "chis",
         "thresholds",
         "bound_scans",
-        "bound_rows_scanned",
+        "bound_rows_skipped",
         "bound_rows_total",
         "bound_early_exits",
     )
@@ -438,7 +419,7 @@ class KernelCache:
         self.thresholds: dict[tuple[int, int], bool] = {}
         #: Bound-scan telemetry (observed runs only; see class docstring).
         self.bound_scans = 0
-        self.bound_rows_scanned = 0
+        self.bound_rows_skipped = 0
         self.bound_rows_total = 0
         self.bound_early_exits = 0
 
@@ -526,7 +507,9 @@ class KernelCache:
         """
         return {
             "kernel.bound_scans": self.bound_scans,
-            "kernel.bound_rows_scanned": self.bound_rows_scanned,
+            "kernel.bound_rows_scanned": (
+                self.bound_rows_total - self.bound_rows_skipped
+            ),
             "kernel.bound_rows_total": self.bound_rows_total,
             "kernel.bound_early_exits": self.bound_early_exits,
         }

@@ -18,16 +18,17 @@ FARMER's per-node work is the conditional table ``TT|X`` (Lemma 3.3).
 It holds every item at the root and shrinks quickly with depth, so a
 search is wide near the root and narrow in its deep tail.  Packed words
 win while a table is wide (one vectorized pass per extend and per bound
-scan); the kernel's int masks (:class:`~repro.core.kernel.CondTable`)
-win once it is narrow (a short Python loop with an early-exiting bound
-scan and no array dispatch).  The production engine therefore follows
+scan); the kernel's keyed int masks
+(:class:`~repro.core.kernel.CondTable`) win once it is narrow (one
+filter comprehension per extend, an early-exiting bound scan and no
+array dispatch).  The production engine therefore follows
 the table: :func:`root_table` builds the root on whichever side of
 :data:`HANDOFF_ITEMS` it falls, and :meth:`NumpyCondTable.extend` hands
 a child narrower than that over to the int-mask table, which stays
-int masks from there down.  The hand-off decodes nothing: every packed
-table carries the root's int masks and popcounts indexed by item id
-(shared by reference from the root down), so a narrow child gathers
-its items' masks by id.  Both tables implement
+int masks from there down.  The hand-off decodes no words: every
+packed table carries the root's int masks indexed by item id (shared by
+reference from the root down), so a narrow child builds its keys
+(``mask | item_id << shift``) from its item ids.  Both tables implement
 :class:`~repro.core.kernel.CondTableProtocol` with the same item order
 and the same int scan results, so the hand-off changes work, never
 output.
@@ -205,21 +206,17 @@ class NumpyCondTable:
     scan (:meth:`max_overlap`) is one vectorized AND + popcount + max
     over the whole table, so no per-column popcounts are kept.
 
-    ``item_masks`` and ``item_counts`` are the root's int masks and
-    popcounts indexed by item id, shared by reference with every packed
-    descendant: the hand-off to :class:`~repro.core.kernel.CondTable`
-    gathers a narrow child's masks and early-exit keys from them by id
-    instead of decoding its words.
+    ``item_masks`` are the root's int masks indexed by item id, shared
+    by reference with every packed descendant: the hand-off to
+    :class:`~repro.core.kernel.CondTable` builds a narrow child's keys
+    from them by id instead of decoding its words.
 
     A run's root table is handed to every worker process once, through
     the pool initializer; ``data`` is a plain ndarray and the rest are
     ints and sequences of ints, so default pickling round-trips.
     """
 
-    __slots__ = (
-        "data", "width", "inter", "union", "full", "item_masks",
-        "item_counts",
-    )
+    __slots__ = ("data", "width", "inter", "union", "full", "item_masks")
 
     def __init__(
         self,
@@ -229,7 +226,6 @@ class NumpyCondTable:
         union: int,
         full: int,
         item_masks: Sequence[int],
-        item_counts: Sequence[int],
     ) -> None:
         self.data = data
         self.width = width
@@ -237,7 +233,6 @@ class NumpyCondTable:
         self.union = union
         self.full = full
         self.item_masks = item_masks
-        self.item_counts = item_counts
 
     def __len__(self) -> int:
         return self.data.shape[1]
@@ -282,7 +277,7 @@ class NumpyCondTable:
             words = pack_masks(item_masks, width)
         if not len(item_masks):
             data = np.zeros((width + 1, 0), dtype=np.uint64)
-            return cls(data, width, full_mask, 0, full_mask, item_masks, [])
+            return cls(data, width, full_mask, 0, full_mask, item_masks)
         counts = popcount_words(words)
         ids = np.arange(len(item_masks), dtype=np.uint64)
         # Stable sort on descending count == (-count, id) lexicographic.
@@ -292,9 +287,7 @@ class NumpyCondTable:
         data[width] = ids[order]
         inter = unpack_words(np.bitwise_and.reduce(words, axis=0)) & full_mask
         union = unpack_words(np.bitwise_or.reduce(words, axis=0))
-        return cls(
-            data, width, inter, union, full_mask, item_masks, counts.tolist()
-        )
+        return cls(data, width, inter, union, full_mask, item_masks)
 
     def extend(self, row_bit: int) -> "NumpyCondTable | CondTable":
         """The child table ``TT|X∪{r}`` — one selection, one fused scan.
@@ -306,8 +299,8 @@ class NumpyCondTable:
         word rows for the child's intersection and union.  Order is
         preserved by the selection.  A child with fewer than
         :data:`HANDOFF_ITEMS` items is returned as the equivalent int-mask
-        :class:`~repro.core.kernel.CondTable`, its masks and popcounts
-        gathered by item id from :attr:`item_masks`/:attr:`item_counts`.
+        :class:`~repro.core.kernel.CondTable`, gathered by item id from
+        :attr:`item_masks`.
         """
         row = row_bit.bit_length() - 1
         word_index, bit_index = divmod(row, _WORD_BITS)
@@ -321,10 +314,9 @@ class NumpyCondTable:
         size = selected.shape[1]
         if not size:
             if HANDOFF_ITEMS > 0:
-                return CondTable([], [], [], self.full, 0, self.full)
+                return CondTable([], self.full, 0, self.full)
             return NumpyCondTable(
-                selected, width, self.full, 0, self.full, self.item_masks,
-                self.item_counts,
+                selected, width, self.full, 0, self.full, self.item_masks
             )
         words = selected[:width]
         # Reduce outputs are fresh contiguous arrays; convert straight
@@ -336,22 +328,12 @@ class NumpyCondTable:
             np.bitwise_or.reduce(words, axis=1).tobytes(), "little"
         )
         if size < HANDOFF_ITEMS:
-            # The items' own int masks and popcounts (the key of
-            # CondTable's early-exiting bound scan), gathered by id.
-            ids = selected[width].tolist()
-            item_masks = self.item_masks
-            item_counts = self.item_counts
-            return CondTable(
-                ids,
-                [item_masks[item] for item in ids],
-                [item_counts[item] for item in ids],
-                inter,
-                union,
+            return CondTable.gather(
+                self.item_masks, selected[width].tolist(), inter, union,
                 self.full,
             )
         return NumpyCondTable(
-            selected, width, inter, union, self.full, self.item_masks,
-            self.item_counts,
+            selected, width, inter, union, self.full, self.item_masks
         )
 
     def max_overlap(self, cand_mask: int) -> int:
@@ -389,7 +371,6 @@ class NumpyCondTable:
         """
         size = self.data.shape[1]
         cache.bound_scans += 1
-        cache.bound_rows_scanned += size
         cache.bound_rows_total += size
         return self.max_overlap(cand_mask)
 
@@ -427,8 +408,8 @@ def mask_words(table: NumpyCondTable) -> list[int]:
         table: a packed conditional table.
 
     Returns:
-        One int bitset per item, matching what the kernel table's
-        ``masks`` list would hold at the same node.
+        One int bitset per item, matching the kernel table's ``masks``
+        at the same node.
     """
     width = table.width
     return [

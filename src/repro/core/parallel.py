@@ -397,7 +397,7 @@ def _walk_part(
     left = None if quantum is None else max(1, quantum)
     step = 0
 
-    def progress(unread: int = 0) -> int:
+    def progress(children_left: int = 0) -> int:
         nonlocal left, step
         if left is not None:
             left -= step

@@ -162,7 +162,7 @@ class Cobbler:
         new_cand = union & cand & ~y_mask
         child_p1_removed = p1_removed | y_mask
 
-        if new_cand and self._should_switch(table.masks, new_cand, support):
+        if new_cand and self._should_switch(len(table), new_cand, support):
             self.column_switches += 1
             self._column_solve(table)
         else:
@@ -179,9 +179,7 @@ class Cobbler:
         if support >= self.minsup:
             self._emit(tuple(table.item_ids), intersection)
 
-    def _should_switch(
-        self, masks: list[int], cand: int, support: int
-    ) -> bool:
+    def _should_switch(self, n_cols: int, cand: int, support: int) -> bool:
         """Switch when the projection has become *column-narrow*.
 
         Both enumeration directions shrink the conditional table as the
@@ -197,7 +195,6 @@ class Cobbler:
         in our measurements.)
         """
         n_rows = bitset.bit_count(cand)
-        n_cols = len(masks)
         if n_rows <= 2 or n_cols <= 2:
             return False
         del support  # the shape rule does not need it

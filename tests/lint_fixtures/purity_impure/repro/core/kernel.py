@@ -2,35 +2,26 @@
 
 from .helpers import fold
 
-__all__ = ["CondTable", "extend_and_scan", "max_candidate_overlap"]
-
-
-def extend_and_scan(state, rows):
-    """Hot root: two hops below, ``trace`` prints and mutates a cache."""
-    best = state
-    for row in rows:
-        best = fold(best, row)
-    return best
-
-
-def max_candidate_overlap(masks, cand_mask):
-    """Pinned root kept resolvable so the stale-root check stays quiet."""
-    return max((mask & cand_mask for mask in masks), default=0)
+__all__ = ["CondTable"]
 
 
 class CondTable:
-    """Pinned root methods kept resolvable (see ``max_candidate_overlap``)."""
+    """Pinned root methods; ``extend`` is the one that goes impure."""
 
-    def __init__(self, masks):
-        self.masks = masks
+    def __init__(self, keys):
+        self.keys = keys
 
     def extend(self, row_bit):
-        """Keep the masks containing ``row_bit``."""
-        return CondTable([mask for mask in self.masks if mask & row_bit])
+        """Hot root: two hops below, ``trace`` prints and mutates a cache."""
+        kept = []
+        for key in self.keys:
+            if key & row_bit:
+                kept.append(fold(key, row_bit))
+        return CondTable(kept)
 
     def max_overlap(self, cand_mask):
-        """Delegate to the module-level scan."""
-        return max_candidate_overlap(self.masks, cand_mask)
+        """Pinned root kept resolvable so the stale-root check stays quiet."""
+        return max(((key & cand_mask).bit_count() for key in self.keys), default=0)
 
     def observed_max_overlap(self, cache, cand_mask):
         """Count the scan on the caller's ``cache``, then scan."""

@@ -2,37 +2,28 @@
 
 from .helpers import fold
 
-__all__ = ["CondTable", "extend_and_scan", "max_candidate_overlap"]
-
-
-def extend_and_scan(state, rows, on_step=None):
-    """Hot root: helpers only touch parameters and locals."""
-    best = state
-    for row in rows:
-        best = fold(best, row)
-        if on_step is not None:
-            on_step(best)
-    return best
-
-
-def max_candidate_overlap(masks, cand_mask):
-    """Pinned root kept resolvable so the stale-root check stays quiet."""
-    return max((mask & cand_mask for mask in masks), default=0)
+__all__ = ["CondTable"]
 
 
 class CondTable:
-    """Pinned root methods kept resolvable (see ``max_candidate_overlap``)."""
+    """Pinned root methods whose helpers only touch parameters and locals."""
 
-    def __init__(self, masks):
-        self.masks = masks
+    def __init__(self, keys):
+        self.keys = keys
 
-    def extend(self, row_bit):
-        """Keep the masks containing ``row_bit``."""
-        return CondTable([mask for mask in self.masks if mask & row_bit])
+    def extend(self, row_bit, on_step=None):
+        """Hot root: helpers only touch parameters and locals."""
+        kept = []
+        for key in self.keys:
+            if key & row_bit:
+                kept.append(fold(key, row_bit))
+                if on_step is not None:
+                    on_step(key)
+        return CondTable(kept)
 
     def max_overlap(self, cand_mask):
-        """Delegate to the module-level scan."""
-        return max_candidate_overlap(self.masks, cand_mask)
+        """Pinned root kept resolvable so the stale-root check stays quiet."""
+        return max(((key & cand_mask).bit_count() for key in self.keys), default=0)
 
     def observed_max_overlap(self, cache, cand_mask):
         """Count the scan on the caller's ``cache``, then scan."""

@@ -2,17 +2,19 @@
 
 Three layers of assurance:
 
-* unit tests for the kernel primitives (``extend_and_scan``,
-  ``max_candidate_overlap``, ``CondTable``, the memo caches), including
-  the strict-zip corruption regression;
-* a hypothesis property pinning ``extend_and_scan`` extensionally equal
-  to the pre-kernel ``extend_items`` + ``scan_items`` composition;
+* unit tests for the kernel primitives (``CondTable`` extends, scans and
+  bound scans, the memo caches), including the strict-zip corruption
+  regression;
+* a hypothesis property pinning a reference table's ``extend``
+  extensionally equal to the pre-kernel ``extend_items`` +
+  ``scan_items`` composition;
 * cache telemetry plumbing (merge/projection/checkpoint round-trips).
 
 The engine differential — every registered engine serializing
 byte-identically to the kernel across constraints, prunings, shapes,
 sharded and killed+resumed runs — lives in
-``test_engine_conformance.py``.
+``test_engine_conformance.py``; ``test_narrow_tables.py`` holds the
+narrow table against the packed one and the shims across hand-offs.
 """
 
 import pickle
@@ -32,25 +34,25 @@ from repro.core.enumeration import (
     scan_items,
     semantic_counters,
 )
-from repro.core.kernel import (
-    ClosureCache,
-    CondTable,
-    KernelCache,
-    extend_and_scan,
-    max_candidate_overlap,
-)
+from repro.core.kernel import ClosureCache, CondTable, KernelCache
 from repro.errors import DataError
 
 
+def _extend(item_ids, masks, row_bit, full):
+    """``(ids, masks, inter, union)`` of a reference table's child."""
+    child = CondTable.reference(item_ids, masks, full).extend(row_bit)
+    return child.item_ids, child.masks, child.inter, child.union
+
+
 # ---------------------------------------------------------------------------
-# extend_and_scan
+# CondTable.extend on caller-ordered tables
 # ---------------------------------------------------------------------------
 
 
 class TestExtendAndScan:
     def test_filters_and_scans_in_one_pass(self):
-        ids, masks, inter, union = extend_and_scan(
-            [3, 7, 9], [0b011, 0b110, 0b101], row_bit=0b001, full_mask=0b111
+        ids, masks, inter, union = _extend(
+            [3, 7, 9], [0b011, 0b110, 0b101], row_bit=0b001, full=0b111
         )
         assert ids == [3, 9]
         assert masks == [0b011, 0b101]
@@ -58,21 +60,28 @@ class TestExtendAndScan:
         assert union == 0b111
 
     def test_empty_table(self):
-        ids, masks, inter, union = extend_and_scan([], [], 0b1, 0b111)
+        ids, masks, inter, union = _extend([], [], 0b1, 0b111)
         assert (ids, masks) == ([], [])
         assert inter == 0b111  # empty-intersection convention
         assert union == 0
 
     def test_zero_row_bit_selects_nothing(self):
-        ids, masks, inter, union = extend_and_scan(
-            [1, 2], [0b01, 0b10], 0, 0b11
-        )
+        ids, masks, inter, union = _extend([1, 2], [0b01, 0b10], 0, 0b11)
         assert (ids, masks, union) == ([], [], 0)
         assert inter == 0b11
 
     def test_length_mismatch_is_data_error(self):
         with pytest.raises(DataError, match="differ in length"):
-            extend_and_scan([1, 2, 3], [0b1, 0b1], 0b1, 0b1)
+            CondTable.reference([1, 2, 3], [0b1, 0b1], 0b1)
+
+    def test_mask_outside_the_rows_is_data_error(self):
+        # Row 2 would land in the key's id bits (shift 2 for rows 0b11).
+        for build in (
+            lambda: CondTable.reference([0, 1], [0b01, 0b101], 0b11),
+            lambda: CondTable.build([0b01, 0b101], 0b11),
+        ):
+            with pytest.raises(DataError, match="outside the table's row set"):
+                build()
 
 
 class TestStrictZipRegression:
@@ -99,41 +108,48 @@ class TestStrictZipRegression:
 # ---------------------------------------------------------------------------
 
 _masks = st.lists(st.integers(min_value=0, max_value=2**12 - 1), max_size=16)
+_full = st.integers(min_value=0, max_value=12).map(bitset.universe)
 
 
 class TestFusedEqualsComposition:
-    @given(
-        masks=_masks,
-        row=st.integers(min_value=0, max_value=11),
-        full=st.integers(min_value=0, max_value=2**12 - 1),
-    )
+    """Row masks are subsets of the table's ``full`` mask and the row
+    extending it is one of its rows (the item id sits in the bits above
+    them), so each drawn mask is clipped to ``full`` and the row drawn
+    below its width."""
+
+    @given(masks=_masks, full=_full.filter(bool), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_extensionally_equal(self, masks, row, full):
+    def test_extensionally_equal(self, masks, full, data):
+        masks = [mask & full for mask in masks]
         item_ids = list(range(100, 100 + len(masks)))
-        row_bit = 1 << row
+        row_bit = 1 << data.draw(
+            st.integers(min_value=0, max_value=full.bit_length() - 1),
+            label="row",
+        )
         ref_ids, ref_masks = extend_items(item_ids, masks, row_bit)
         ref_inter, ref_union = scan_items(ref_masks, full)
-        assert extend_and_scan(item_ids, masks, row_bit, full) == (
+        assert _extend(item_ids, masks, row_bit, full) == (
             ref_ids,
             ref_masks,
             ref_inter,
             ref_union,
         )
 
-    @given(full=st.integers(min_value=0, max_value=2**12 - 1))
+    @given(full=_full)
     @settings(max_examples=20, deadline=None)
     def test_empty_table_edge(self, full):
         ref_inter, ref_union = scan_items([], full)
-        assert extend_and_scan([], [], 0b1, full) == ([], [], ref_inter, ref_union)
+        assert _extend([], [], 0b1, full) == ([], [], ref_inter, ref_union)
 
-    @given(masks=_masks, full=st.integers(min_value=0, max_value=2**12 - 1))
+    @given(masks=_masks, full=_full)
     @settings(max_examples=50, deadline=None)
     def test_empty_mask_edge(self, masks, full):
         # row_bit = 0 selects nothing; the composition agrees.
+        masks = [mask & full for mask in masks]
         item_ids = list(range(len(masks)))
         ref_ids, ref_masks = extend_items(item_ids, masks, 0)
         ref_inter, ref_union = scan_items(ref_masks, full)
-        assert extend_and_scan(item_ids, masks, 0, full) == (
+        assert _extend(item_ids, masks, 0, full) == (
             ref_ids,
             ref_masks,
             ref_inter,
@@ -142,7 +158,7 @@ class TestFusedEqualsComposition:
 
 
 # ---------------------------------------------------------------------------
-# max_candidate_overlap
+# CondTable.max_overlap
 # ---------------------------------------------------------------------------
 
 
@@ -153,21 +169,21 @@ class TestMaxCandidateOverlap:
     )
     @settings(max_examples=200, deadline=None)
     def test_early_exit_equals_naive_max(self, masks, cand):
-        ordered = sorted(masks, key=lambda m: -m.bit_count())
-        counts = [m.bit_count() for m in ordered]
+        full = bitset.universe(12)
+        ranked = CondTable.build(masks, full)
+        caller_order = CondTable.reference(range(len(masks)), masks, full)
         naive = max((m & cand).bit_count() for m in masks) if masks else 0
-        assert max_candidate_overlap(ordered, counts, cand) == naive
-        assert max_candidate_overlap(masks, None, cand) == naive
+        assert ranked.max_overlap(cand) == naive
+        assert caller_order.max_overlap(cand) == naive
 
     def test_empty_table(self):
-        assert max_candidate_overlap([], [], 0b111) == 0
-        assert max_candidate_overlap([], None, 0b111) == 0
+        assert CondTable.build([], 0b111).max_overlap(0b111) == 0
+        assert CondTable.reference([], [], 0b111).max_overlap(0b111) == 0
 
     def test_saturation_stops_early(self):
         # First tuple covers every candidate; later garbage is never read.
-        masks = [0b1111, "not a mask"]
-        counts = [4, 4]
-        assert max_candidate_overlap(masks, counts, 0b0011) == 2
+        table = CondTable([0b1111, "not a key"], 0b1111, 0b1111, 0b1111)
+        assert table.max_overlap(0b0011) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +198,10 @@ class TestCondTable:
         table = CondTable.build(self.MASKS, 0b1111)
         assert table.item_ids == [1, 3, 0, 2]
         assert table.masks == [0b1111, 0b1011, 0b0101, 0b0001]
-        assert table.counts == [4, 3, 2, 1]
+        assert table.ranked
+        assert table.keys == [
+            mask | item << 4 for item, mask in zip(table.item_ids, table.masks)
+        ]
 
     def test_build_ties_break_by_item_id(self):
         table = CondTable.build([0b10, 0b01, 0b11], 0b11)
@@ -200,7 +219,8 @@ class TestCondTable:
         child = table.extend(0b0100)  # row 2: masks with bit 2 set
         assert child.item_ids == [1, 0]
         assert child.masks == [0b1111, 0b0101]
-        assert child.counts == [4, 2]
+        assert child.ranked
+        assert child.keys == [table.keys[0], table.keys[2]]
         assert child.inter == 0b0101
         assert child.union == 0b1111
         assert child.full == 0b1111
@@ -223,13 +243,14 @@ class TestCondTable:
     def test_reference_table_keeps_caller_order(self):
         table = CondTable.reference([5, 1, 9], [0b1, 0b11, 0b1], 0b11)
         assert table.item_ids == [5, 1, 9]
-        assert table.counts is None
-        assert table.inter is None and table.union is None
+        assert table.masks == [0b1, 0b11, 0b1]
+        assert not table.ranked
+        assert (table.inter, table.union) == scan_items([0b1, 0b11, 0b1], 0b11)
 
     def test_reference_extend_stays_reference(self):
         table = CondTable.reference([5, 1], [0b01, 0b11], 0b11)
         child = table.extend(0b01)
-        assert child.counts is None
+        assert not child.ranked
         assert child.item_ids == [5, 1]
         assert child.inter == 0b01 and child.union == 0b11
 

@@ -227,11 +227,13 @@ class TestNumpyCondTableEquivalence:
 
 def _assert_same_table(table, kernel):
     """``table`` is an int-mask CondTable equal to ``kernel`` field by
-    field, the early-exit counts included."""
+    field: ids, masks and order (its keys), and the ranking the
+    early-exiting bound scan relies on."""
     assert type(table) is CondTable
     assert table.item_ids == kernel.item_ids
     assert table.masks == kernel.masks
-    assert table.counts == kernel.counts
+    assert table.keys == kernel.keys
+    assert table.ranked and kernel.ranked
     assert (table.inter, table.union, table.full) == (
         kernel.inter,
         kernel.union,

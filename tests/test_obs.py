@@ -18,9 +18,15 @@ from conftest import random_dataset
 
 from repro import Constraints, Farmer, mine_irgs
 from repro.cli import main
-from repro.core.enumeration import SearchBudget
-from repro.core.farmer import _PROGRESS_QUANTUM
+from repro.core.enumeration import NodeCounters, SearchBudget
+from repro.core.farmer import (
+    _PROGRESS_QUANTUM,
+    FRONTIER_STATE,
+    SearchContext,
+    enumerate_frontier,
+)
 from repro.core.serialize import canonical_json, save_rule_groups
+from repro.data.transpose import TransposedTable
 from repro.errors import DataError, UsageError
 from repro.experiments.workloads import build_workload
 from repro.obs import (
@@ -381,6 +387,53 @@ class TestProgress:
             assert ticked - snapshot["nodes"] < _PROGRESS_QUANTUM
             assert snapshot["pruned"] <= snapshot["nodes"]
         assert samples[-1][1]["nodes"] <= result.counters.nodes
+
+    def test_serial_coverage_weighs_finished_root_children(self):
+        """Mid-mine coverage is the candidate-row weight of the root's
+        finished children against all of them: the total is the sum of
+        the root children's ``estimate()``, and every reading is a
+        prefix of those weights in ORD order, growing as the walk
+        moves."""
+        workload = build_workload("LC", scale=0.02)
+        constraints = Constraints(minsup=5)
+        miner = Farmer(constraints=constraints)
+        table = TransposedTable.build(workload.data, workload.consequent)
+        ctx = SearchContext.for_table(table, constraints, miner.prunings)
+        children = enumerate_frontier(
+            ctx, [(FRONTIER_STATE, ctx.root_state(table))], NodeCounters(),
+            [], 1,
+        )
+        prefixes = [0.0]
+        for tag, payload in children:
+            if tag == FRONTIER_STATE:
+                prefixes.append(prefixes[-1] + payload.estimate())
+        telemetry = Telemetry()
+        readings = []
+
+        class PollingBudget(SearchBudget):
+            def until_check(self):
+                return min(super().until_check(), 499 - self.nodes % 500)
+
+            def check(self, counters):
+                span = super().check(counters)
+                sample = telemetry.sample()
+                readings.append(
+                    (sample["done_weight"], sample["total_weight"])
+                )
+                return span
+
+        Farmer(
+            constraints=constraints,
+            budget=PollingBudget(max_nodes=10**9),
+            telemetry=telemetry,
+        ).mine(workload.data, workload.consequent)
+        # The first check charges the root, before any coverage.
+        assert readings[0] == (0.0, 0.0)
+        done = [reading[0] for reading in readings[1:]]
+        assert {reading[1] for reading in readings[1:]} == {prefixes[-1]}
+        assert set(done) <= set(prefixes)
+        assert done == sorted(done)
+        assert any(0.0 < value < prefixes[-1] for value in done)
 
 
 # ----------------------------------------------------------------------
