@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import itertools
 import json
 import statistics
 import sys
@@ -75,6 +76,9 @@ TOLERANCE = 3.0
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_core.json"
 
+#: Numbers the instrumented mines' run-log files.
+_RUNLOG_NUMBERS = itertools.count()
+
 
 def _irgs_sha256(result, tmp_dir: Path, tag: str) -> str:
     path = tmp_dir / f"{tag}.irgs"
@@ -95,7 +99,11 @@ def _mine_point(
     """One timed mine at one sweep point; returns (seconds, .irgs sha)."""
     telemetry = None
     if instrumented:
-        telemetry = Telemetry(runlog=RunLog(tmp_dir / f"obs-{minsup}.jsonl"))
+        # A new run-log file per mine, as a ``--metrics-out`` run has:
+        # reopening the last round's file would charge the instrumented
+        # arm for truncating it (~0.1 ms on ext4 mounted with discard).
+        log = tmp_dir / f"obs-{minsup}-{next(_RUNLOG_NUMBERS)}.jsonl"
+        telemetry = Telemetry(runlog=RunLog(log))
     start = time.perf_counter()
     result = _mine(workload, minsup, telemetry)
     seconds = time.perf_counter() - start
@@ -114,7 +122,9 @@ def measure(rounds: int, tmp_dir: Path) -> dict:
     the rounds (outlier pairs carry a descheduling hiccup, not signal),
     and the sweep-level number is the bare-time-weighted mean of the
     per-point medians: exactly "how much longer would the sweep take",
-    robust to any single pair going wrong.
+    robust to any single pair going wrong.  ``per_mine_cost_ms`` is the
+    median instrumented-minus-bare time over every pair: the fixed cost
+    a mine pays for telemetry, which the ratio hides at small points.
     """
     workload = build_workload(DATASET, scale=SCALE)
     # Warm caches (imports, allocator, dataset) and pin byte identity
@@ -128,6 +138,7 @@ def measure(rounds: int, tmp_dir: Path) -> dict:
                 f"{obs_sha[:12]} != bare {bare_sha[:12]}"
             )
     ratios: dict[int, list[float]] = {minsup: [] for minsup in MINSUP_SWEEP}
+    costs: list[float] = []
     bare_times: dict[int, float] = {
         minsup: float("inf") for minsup in MINSUP_SWEEP
     }
@@ -150,6 +161,7 @@ def measure(rounds: int, tmp_dir: Path) -> dict:
             finally:
                 gc.enable()
             ratios[minsup].append(obs_s / bare_s)
+            costs.append(obs_s - bare_s)
             bare_times[minsup] = min(bare_times[minsup], bare_s)
             obs_times[minsup] = min(obs_times[minsup], obs_s)
     total_bare = sum(bare_times.values())
@@ -170,6 +182,7 @@ def measure(rounds: int, tmp_dir: Path) -> dict:
         "bare_seconds": round(total_bare, 4),
         "instrumented_seconds": round(sum(obs_times.values()), 4),
         "overhead_fraction": round(overhead, 4),
+        "per_mine_cost_ms": round(statistics.median(costs) * 1e3, 3),
         "per_point_overhead": {
             str(minsup): round(statistics.median(ratios[minsup]) - 1.0, 4)
             for minsup in MINSUP_SWEEP
@@ -206,6 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         f"bare={payload['bare_seconds']:.3f}s  "
         f"instrumented={payload['instrumented_seconds']:.3f}s  "
         f"overhead={payload['overhead_fraction']:+.2%}  "
+        f"per mine {payload['per_mine_cost_ms']:+.2f} ms  "
         f"(bar {MAX_OVERHEAD:.0%}, .irgs byte-identical)"
     )
 

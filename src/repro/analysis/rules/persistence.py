@@ -14,7 +14,9 @@ Two rules keep the envelope the single write path:
 * **FRM007** flags raw stdlib *serialization* calls (pickle/json/
   marshal/shelve dump-load surface) in ``core/`` modules.
 * **FRM012** flags raw *write* surfaces — write-mode ``open``/``.open``,
-  ``.write_text``/``.write_bytes``, ``os.replace``/``os.rename`` — which
+  ``.write_text``/``.write_bytes``, ``os.replace``/``os.rename``, and the
+  descriptor layer: ``os.open`` with write flags, ``os.write`` and
+  ``os.ftruncate`` — which
   would let hand-rolled bytes reach disk without ever touching a
   serializer.  Together they close both halves of the bypass: FRM007
   catches "formatted but not enveloped", FRM012 catches "not even
@@ -106,8 +108,12 @@ class PersistenceDisciplineRule(Rule):
 #: Attribute calls that write bytes to disk directly.
 _WRITE_ATTRS = frozenset({"write_text", "write_bytes"})
 
-#: ``os`` functions that publish a file at its final path.
-_OS_MOVE_ATTRS = frozenset({"replace", "rename"})
+#: ``os`` functions that publish a file at its final path or write
+#: through a file descriptor.
+_OS_WRITE_ATTRS = frozenset({"replace", "rename", "write", "ftruncate"})
+
+#: ``os.open`` flags that open a file for writing.
+_WRITE_FLAGS = frozenset({"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND"})
 
 #: Mode-string characters that make an ``open()`` call a write.
 _WRITE_MODE_CHARS = frozenset("wax+")
@@ -135,6 +141,26 @@ def _write_mode_literal(node: ast.Call, mode_position: int) -> str | None:
     return None
 
 
+def _write_flags(node: ast.Call) -> bool:
+    """Whether an ``os.open`` call's flags name a write flag.
+
+    Reads the second positional argument or the ``flags=`` keyword; a
+    computed flags value that names no ``O_*`` write constant (a
+    variable, ``os.O_RDONLY``) is not judged a write.
+    """
+    flags: ast.expr | None = node.args[1] if len(node.args) > 1 else None
+    for keyword in node.keywords:
+        if keyword.arg == "flags":
+            flags = keyword.value
+    if flags is None:
+        return False
+    return any(
+        (isinstance(part, ast.Attribute) and part.attr in _WRITE_FLAGS)
+        or (isinstance(part, ast.Name) and part.id in _WRITE_FLAGS)
+        for part in ast.walk(flags)
+    )
+
+
 class RawWriteSurfaceRule(Rule):
     """FRM012: no raw on-disk write surfaces in core/ outside serialize.py."""
 
@@ -143,7 +169,8 @@ class RawWriteSurfaceRule(Rule):
     description: ClassVar[str] = (
         "core/ modules must write files through the core/serialize.py "
         "envelope, not write-mode open/.write_text/.write_bytes/"
-        "os.replace/os.rename"
+        "os.replace/os.rename/os.write/os.ftruncate or os.open with "
+        "write flags"
     )
     node_types: ClassVar[tuple[type[ast.AST], ...]] = (ast.Call,)
     module_prefixes: ClassVar[tuple[str, ...] | None] = ("core/",)
@@ -161,18 +188,17 @@ class RawWriteSurfaceRule(Rule):
             if mode is not None:
                 surface = f"open(..., {mode!r})"
         elif isinstance(func, ast.Attribute):
-            if func.attr in _WRITE_ATTRS:
+            if isinstance(func.value, ast.Name) and func.value.id == "os":
+                if func.attr in _OS_WRITE_ATTRS:
+                    surface = f"os.{func.attr}()"
+                elif func.attr == "open" and _write_flags(node):  # type: ignore[arg-type]
+                    surface = "os.open(..., <write flags>)"
+            elif func.attr in _WRITE_ATTRS:
                 surface = f".{func.attr}()"
             elif func.attr == "open":
                 mode = _write_mode_literal(node, 0)  # type: ignore[arg-type]
                 if mode is not None:
                     surface = f".open(..., {mode!r})"
-            elif (
-                func.attr in _OS_MOVE_ATTRS
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "os"
-            ):
-                surface = f"os.{func.attr}()"
         if surface is None:
             return
         yield self.finding(

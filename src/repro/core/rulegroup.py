@@ -27,7 +27,7 @@ from .rule import Rule
 __all__ = ["RuleGroup", "count_covered_subsets"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RuleGroup:
     """A rule group with consequent ``consequent`` (Definition 2.1).
 
@@ -54,23 +54,45 @@ class RuleGroup:
     m: int
     lower_bounds: tuple[frozenset[int], ...] | None = field(default=None)
 
-    def __post_init__(self) -> None:
-        if self.antecedent_support != len(self.rows):
+    def __init__(
+        self,
+        upper: frozenset[int],
+        consequent: Hashable,
+        rows: frozenset[int],
+        support: int,
+        antecedent_support: int,
+        n: int,
+        m: int,
+        lower_bounds: tuple[frozenset[int], ...] | None = None,
+    ) -> None:
+        # Hand-written, not generated: every answer builds one of these
+        # per group, and the generated frozen ``__init__`` plus a
+        # ``__post_init__`` re-reading each field cost more per group.
+        if antecedent_support != len(rows):
             raise DataError(
-                f"antecedent_support={self.antecedent_support} but "
-                f"|rows|={len(self.rows)}"
+                f"antecedent_support={antecedent_support} but "
+                f"|rows|={len(rows)}"
             )
-        if not 0 <= self.support <= self.antecedent_support:
+        if not 0 <= support <= antecedent_support:
             raise DataError(
-                f"support={self.support} outside [0, {self.antecedent_support}]"
+                f"support={support} outside [0, {antecedent_support}]"
             )
-        if self.lower_bounds is not None:
-            for bound in self.lower_bounds:
-                if not bound <= self.upper:
+        if lower_bounds is not None:
+            for bound in lower_bounds:
+                if not bound <= upper:
                     raise DataError(
                         f"lower bound {sorted(bound)} is not a subset of the "
-                        f"upper bound {sorted(self.upper)}"
+                        f"upper bound {sorted(upper)}"
                     )
+        set_slot = object.__setattr__  # the class is frozen
+        set_slot(self, "upper", upper)
+        set_slot(self, "consequent", consequent)
+        set_slot(self, "rows", rows)
+        set_slot(self, "support", support)
+        set_slot(self, "antecedent_support", antecedent_support)
+        set_slot(self, "n", n)
+        set_slot(self, "m", m)
+        set_slot(self, "lower_bounds", lower_bounds)
 
     # ------------------------------------------------------------------
     # Statistics (shared by every member, Section 2.2)

@@ -22,6 +22,7 @@ the production engine's packed root table starts from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Hashable
 
 import numpy as np
@@ -33,6 +34,9 @@ from .dataset import ItemizedDataset
 __all__ = ["TransposedTable", "ord_permutation"]
 
 _WORD_BITS = 64
+
+#: ``bytes.translate`` table from ASCII binary digits to 0/1 bytes.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def ord_permutation(labels: tuple[Hashable, ...], consequent: Hashable) -> list[int]:
@@ -183,16 +187,11 @@ class TransposedTable:
 
     def original_rows(self, row_mask: int) -> frozenset[int]:
         """Map a bitset of ORD positions back to original row indices."""
-        # One inline lowest-set-bit walk (bitset.iter_bits, without the
-        # generator): this runs once per output group.
-        ord_to_original = self.ord_to_original
-        rows = []
-        append = rows.append
-        while row_mask:
-            low = row_mask & -row_mask
-            append(ord_to_original[low.bit_length() - 1])
-            row_mask ^= low
-        return frozenset(rows)
+        # One C-level pass, as this runs once per output group: the
+        # mask's binary digits, lowest bit first, become 0/1 bytes that
+        # select from ORD order.
+        digits = bin(row_mask)[:1:-1].encode().translate(_BITS)
+        return frozenset(compress(self.ord_to_original, digits))
 
     def support_counts(self, row_mask: int) -> tuple[int, int]:
         """Split a row bitset into (positive, negative) cardinalities."""

@@ -551,6 +551,9 @@ class TestFRM012RawWriteSurface:
         "path.write_bytes(blob)\n",
         "import os\nos.replace(tmp, path)\n",
         "import os\nos.rename(tmp, path)\n",
+        "import os\nfd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)\n",
+        "import os\nos.write(fd, data)\n",
+        "import os\nos.ftruncate(fd, size)\n",
     ]
 
     CLEAN = [
@@ -562,6 +565,8 @@ class TestFRM012RawWriteSurface:
         "text = path.read_text()\n",
         "fh = open(path, flags)\n",
         "import os\nos.remove(path)\n",
+        "import os\nfd = os.open(path, os.O_RDONLY)\n",
+        "import os\nfd = os.open(path, flags)\n",
         "from .serialize import save_checkpoint\nsave_checkpoint(path, payload)\n",
     ]
 
@@ -579,7 +584,9 @@ class TestFRM012RawWriteSurface:
         findings, _ = lint_snippet(
             tmp_path,
             "repro/core/serialize.py",
-            "import os\nfh = open(path, 'w')\nos.replace(tmp, path)\n",
+            "import os\nfh = open(path, 'w')\nos.replace(tmp, path)\n"
+            "fd = os.open(path, os.O_WRONLY | os.O_CREAT)\n"
+            "os.write(fd, data)\nos.ftruncate(fd, size)\n",
         )
         assert "FRM012" not in rule_ids(findings)
 

@@ -1,9 +1,13 @@
 """Unit tests for Rule and RuleGroup (Definitions 2.1-2.2, Lemma 2.2)."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.rule import Rule
 from repro.core.rulegroup import RuleGroup, count_covered_subsets
+from repro.errors import DataError
 
 
 def make_group(lower_bounds=None):
@@ -93,6 +97,69 @@ class TestRuleGroupStats:
     def test_lower_bound_subset_validation(self):
         with pytest.raises(ValueError):
             make_group(lower_bounds=(frozenset({9}),))
+
+
+class TestRuleGroupContract:
+    """The hand-written ``__init__`` keeps the dataclass contract."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"antecedent_support": 4}, r"antecedent_support=4 but \|rows\|=3"),
+            ({"support": 4}, r"support=4 outside \[0, 3\]"),
+            ({"support": -1}, r"support=-1 outside \[0, 3\]"),
+            (
+                {"lower_bounds": (frozenset({4}), frozenset({9}))},
+                r"lower bound \[9\] is not a subset of the upper bound "
+                r"\[0, 4, 7\]",
+            ),
+        ],
+    )
+    def test_checks_raise_data_error_from_init(self, changes, message):
+        fields = {
+            "upper": frozenset({0, 4, 7}),
+            "consequent": "C",
+            "rows": frozenset({1, 2, 3}),
+            "support": 2,
+            "antecedent_support": 3,
+            "n": 5,
+            "m": 3,
+        }
+        with pytest.raises(DataError, match=message) as excinfo:
+            RuleGroup(**{**fields, **changes})
+        assert excinfo.traceback[-1].name == "__init__"
+
+    def test_positional_equals_keyword(self):
+        group = make_group(lower_bounds=(frozenset({4}),))
+        positional = RuleGroup(
+            frozenset({0, 4, 7}), "C", frozenset({1, 2, 3}), 2, 3, 5, 3,
+            (frozenset({4}),),
+        )
+        assert positional == group
+        assert RuleGroup(*dataclasses.astuple(make_group())[:7]) == make_group()
+        assert make_group().lower_bounds is None
+
+    def test_replace(self):
+        group = make_group()
+        bounded = dataclasses.replace(group, lower_bounds=(frozenset({4}),))
+        assert bounded.lower_bounds == (frozenset({4}),)
+        assert dataclasses.replace(bounded, lower_bounds=None) == group
+        with pytest.raises(DataError):
+            dataclasses.replace(group, support=9)
+
+    def test_frozen(self):
+        group = make_group()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            group.support = 1  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del group.rows  # type: ignore[misc]
+
+    def test_pickle_round_trip_keeps_hash(self):
+        group = make_group(lower_bounds=(frozenset({4}), frozenset({7})))
+        twin = pickle.loads(pickle.dumps(group))
+        assert twin == group
+        assert hash(twin) == hash(group)
+        assert repr(twin) == repr(group)
 
 
 class TestMembership:

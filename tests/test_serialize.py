@@ -1,6 +1,10 @@
 """Unit tests for rule-group persistence."""
 
+import hashlib
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -59,6 +63,74 @@ class TestRoundTrip:
         save_rule_groups(path, [])
         loaded, header = load_rule_groups(path)
         assert loaded == [] and header["count"] == 0
+
+
+def _fresh_bytes(tmp_path, groups, name="fresh.irgs"):
+    """What ``save_rule_groups`` writes for ``groups`` to a new file."""
+    path = tmp_path / name
+    save_rule_groups(path, groups, dataset_name="figure1")
+    return path.read_bytes()
+
+
+class TestDestinations:
+    """``save_rule_groups`` rewrites an existing file in place, then
+    trims it; every destination the truncating write served still
+    works."""
+
+    def test_dev_null(self, mined):
+        save_rule_groups(os.devnull, mined.groups)
+
+    def test_fifo_read_by_a_thread(self, tmp_path, mined):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def read() -> None:
+            with open(fifo, "rb") as handle:
+                received.append(handle.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        save_rule_groups(fifo, mined.groups, dataset_name="figure1")
+        reader.join(timeout=10)
+        assert received == [_fresh_bytes(tmp_path, mined.groups)]
+
+    @pytest.mark.parametrize("keep", [0, 1, 2])
+    def test_smaller_answer_over_larger_file(self, tmp_path, mined, keep):
+        path = tmp_path / "answer.irgs"
+        save_rule_groups(path, mined.groups, dataset_name="figure1")
+        larger = path.stat().st_size
+        save_rule_groups(path, mined.groups[:keep], dataset_name="figure1")
+        written = path.read_bytes()
+        assert len(written) < larger
+        fresh = _fresh_bytes(tmp_path, mined.groups[:keep])
+        assert hashlib.sha256(written).digest() == hashlib.sha256(fresh).digest()
+
+    def test_new_file_mode_follows_umask(self, tmp_path, mined):
+        previous = os.umask(0o027)
+        try:
+            save_rule_groups(tmp_path / "new.irgs", mined.groups)
+            with open(tmp_path / "reference.irgs", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        mode = stat.S_IMODE((tmp_path / "new.irgs").stat().st_mode)
+        assert mode == 0o640
+        assert mode == stat.S_IMODE((tmp_path / "reference.irgs").stat().st_mode)
+
+    @pytest.mark.parametrize("keep", [0, 1, 2, 3])
+    def test_torn_rewrite_is_rejected(self, tmp_path, mined, monkeypatch, keep):
+        path = tmp_path / "answer.irgs"
+        save_rule_groups(path, mined.groups, dataset_name="figure1")
+        old = path.read_bytes()
+        new = _fresh_bytes(tmp_path, mined.groups[:keep])
+        # A crash between the write and the trim: new bytes, old tail.
+        monkeypatch.setattr(os, "ftruncate", lambda fd, length: None)
+        save_rule_groups(path, mined.groups[:keep], dataset_name="figure1")
+        monkeypatch.undo()
+        assert path.read_bytes() == new + old[len(new) :]
+        with pytest.raises(DataError):
+            load_rule_groups(path)
 
 
 class TestValidation:
