@@ -68,7 +68,7 @@ __all__ = [
 def candidate_row(candidate: Candidate) -> list:
     """One candidate as the persisted ``[item_ids, supp, supn, row_mask]`` row.
 
-    Item ids travel as a list, never as the item bitmask: a mask over a
+    Item ids travel as a list, never as an item bitmask: a mask over a
     paper-sized item universe (tens of thousands of items) passes
     Python's int-to-text digit limit, while an id list only grows with
     the antecedent.  Checkpoints and frontier entries
@@ -90,7 +90,7 @@ def candidate_from_row(row: object, where: str) -> Candidate:
         where: what holds the row, for the error message.
 
     Returns:
-        The candidate, its item bitmask rebuilt from the id list.
+        The candidate.
 
     Raises:
         DataError: the row is not four fields, a count is not an int
@@ -99,15 +99,13 @@ def candidate_from_row(row: object, where: str) -> Candidate:
     if not isinstance(row, list) or len(row) != 4 or not isinstance(row[0], list):
         raise DataError(f"{where}: malformed candidate")
     item_ids, supp, supn, row_mask = row
-    item_mask = 0
     for value in item_ids:
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise DataError(f"{where}: malformed candidate item id")
-        item_mask |= 1 << value
     for value in (supp, supn, row_mask):
         if isinstance(value, bool) or not isinstance(value, int):
             raise DataError(f"{where}: malformed candidate count")
-    return Candidate(tuple(item_ids), item_mask, supp, supn, row_mask)
+    return Candidate(tuple(item_ids), supp, supn, row_mask)
 
 
 def run_fingerprint(
@@ -271,7 +269,7 @@ class CheckpointState:
     target: int
     expansion_cap: int
     completed: dict[int, TaskRecord] = field(default_factory=dict)
-    advisory: list[tuple[float, int, int]] | None = None
+    advisory: list[tuple[float, int]] | None = None
 
     def to_payload(self) -> dict:
         """The JSON-able payload handed to ``core.serialize``."""
@@ -284,11 +282,7 @@ class CheckpointState:
                 self.completed[index].to_payload()
                 for index in sorted(self.completed)
             ],
-            "advisory": (
-                [[c, mask, size] for c, mask, size in self.advisory]
-                if self.advisory is not None
-                else None
-            ),
+            "advisory": self.advisory,
         }
 
     @classmethod
@@ -327,7 +321,7 @@ class CheckpointState:
                     f"checkpoint repeats task index {record.index}"
                 )
             completed[record.index] = record
-        advisory: list[tuple[float, int, int]] | None = None
+        advisory: list[tuple[float, int]] | None = None
         if raw_advisory is not None:
             if not isinstance(raw_advisory, list):
                 raise DataError("checkpoint advisory table is malformed")
@@ -335,15 +329,14 @@ class CheckpointState:
             for entry in raw_advisory:
                 if (
                     not isinstance(entry, list)
-                    or len(entry) != 3
+                    or len(entry) != 2
                     or not isinstance(entry[0], (int, float))
                     or not isinstance(entry[1], int)
-                    or not isinstance(entry[2], int)
                 ):
                     raise DataError(
                         f"checkpoint advisory entry {entry!r} is malformed"
                     )
-                advisory.append((float(entry[0]), entry[1], entry[2]))
+                advisory.append((float(entry[0]), entry[1]))
         return cls(
             fingerprint=fingerprint,
             n_tasks=n_tasks,
@@ -427,7 +420,7 @@ class Checkpointer:
         self._delta: list[TaskRecord] = []
         self._initial_records = dict(state.completed)
         self._queue: queue.Queue[
-            tuple[int, list[TaskRecord], list[tuple[float, int, int]] | None]
+            tuple[int, list[TaskRecord], list[tuple[float, int]] | None]
             | None
         ] = queue.Queue(maxsize=32)
         self._thread: threading.Thread | None = None
@@ -436,7 +429,7 @@ class Checkpointer:
     def record(
         self,
         record: TaskRecord,
-        advisory: list[tuple[float, int, int]] | None,
+        advisory: list[tuple[float, int]] | None,
     ) -> None:
         """Fold one finished shard into the state; issue a write when due."""
         self._raise_pending()
@@ -488,7 +481,7 @@ class Checkpointer:
             index: canonical_json(record.to_payload())
             for index, record in self._initial_records.items()
         }
-        advisory_cache: dict[tuple[float, int, int], str] = {}
+        advisory_cache: dict[tuple[float, int], str] = {}
         while True:
             job = self._queue.get()
             try:
@@ -533,8 +526,8 @@ class Checkpointer:
 
 def _assemble_body(
     fragments: dict[int, str],
-    advisory: list[tuple[float, int, int]] | None,
-    advisory_cache: dict[tuple[float, int, int], str],
+    advisory: list[tuple[float, int]] | None,
+    advisory_cache: dict[tuple[float, int], str],
     *,
     fingerprint: str,
     n_tasks: int,

@@ -185,16 +185,16 @@ class Candidate(NamedTuple):
     :meth:`_IRGStore.offer`, because admission depends on every group with
     a smaller antecedent (Lemma 3.4).
 
-    Precondition: ``supp`` and ``supn`` are a function of ``item_mask``
-    (the bitset of ``item_ids``).  ``I(X)`` fixes ``R(I(X))`` and with it
-    both supports, so two candidates with equal masks have equal
-    confidence.  The walker produces candidates this way; the decoded
-    ones (warm entries, checkpoints) come from checksummed envelopes.
-    The store relies on it to find a re-offered group on its chain walk.
+    Precondition: a closed pair of one table, ``item_ids = I(row_mask)``
+    and ``row_mask = R(item_ids)`` (all rows for ``I = ∅``), supports
+    read off ``row_mask``.  As ``A1 ⊊ A2 ⟺ R(A1) ⊋ R(A2)`` for closed
+    antecedents, Step 7 compares row masks, and equal row masks mean
+    equal items and confidence.  Walker node tables hold ``I(X)`` and
+    intersect to ``R(I(X))``; decoded candidates (warm entries,
+    checkpoints) come from checksummed envelopes of the same table.
     """
 
     item_ids: tuple[int, ...]
-    item_mask: int
     supp: int
     supn: int
     row_mask: int
@@ -425,13 +425,12 @@ def _advisory_filter(
     """
 
     def filtered(candidate: Candidate) -> None:
-        size = len(candidate.item_ids)
         confidence = candidate.confidence
-        if advisory.covers(candidate.item_mask, size, confidence):
+        if advisory.covers(candidate.row_mask, confidence):
             counters.candidates_rejected += 1
             advisory.drops += 1
             return
-        advisory.extend(candidate.item_mask, size, confidence)
+        advisory.extend(candidate.row_mask, confidence)
         emit(candidate)
 
     return filtered
@@ -785,13 +784,7 @@ def enumerate_frontier(
                 constraints, total_supp, total_supn, n, m, counters
             ):
                 ids = tuple(node_table.item_ids)
-                node_candidate = Candidate(
-                    ids,
-                    bitset.from_indices(ids),
-                    total_supp,
-                    total_supn,
-                    node_inter,
-                )
+                node_candidate = Candidate(ids, total_supp, total_supn, node_inter)
             else:
                 node_candidate = None
 
@@ -895,14 +888,17 @@ class _IRGStore:
     """Discovered IRGs with the index used by Step 7's check.
 
     Step 7 asks: does some stored group with antecedent ``⊂`` the
-    candidate's have confidence ``>=`` the candidate's?  A stored
-    antecedent inside the candidate's contains its own lowest item, so
-    the store chains its groups by lowest item id (``-1`` for the empty
-    antecedent, which is inside every candidate) and walks only the
-    chains of the candidate's items plus ``-1``.  Each chain runs by
+    candidate's have confidence ``>=`` the candidate's?  By the
+    :class:`Candidate` precondition (closed pairs of one table) that
+    antecedent test is a row-mask test on at most ``n`` bits: the stored
+    rows contain the candidate's.  A stored antecedent inside the
+    candidate's contains its own lowest item, so the store chains its
+    groups by lowest item id (``-1`` for the empty antecedent, which is
+    inside every candidate) and walks only the chains of the
+    candidate's items plus ``-1``.  Each chain runs by
     confidence descending, so a walk stops at the first group below the
     candidate's confidence and only the qualifying prefix pays for the
-    bitmask subset test.  The paper observes this comparison dominates
+    row-mask test.  The paper observes this comparison dominates
     at low supports ("more time will be spent when the number of IRGs
     ... increase"); a linear scan of the whole qualifying prefix cost
     about 20 µs per candidate at BC minsup 6.  The chains are links in
@@ -916,18 +912,19 @@ class _IRGStore:
     :meth:`_ranked` when the groups are built.
 
     An upper bound offered again (reachable when Pruning 2 is off: the
-    same ``I(X)`` rediscovered at a later node) is skipped without
-    counting a rejection.  By the :class:`Candidate` precondition it
-    has the stored copy's confidence and, with the same items, its
-    chain, so the walk meets that copy inside the prefix it visits
-    anyway.  No strictly smaller blocking group can come first: by
+    same ``I(X)`` rediscovered at a later node) has a stored group's
+    row mask, and is skipped without counting a rejection.  By the
+    :class:`Candidate` precondition it has the stored copy's confidence
+    and, with the same items, its chain, so the walk meets that copy
+    inside the prefix it visits anyway.  No strictly smaller blocking
+    group can come first: by
     Lemma 3.4 it would have been stored before the first copy, and
     blocked that one too.
     """
 
     # Per group, in admission order: (item ids, supp, supn, row mask).
     entries: list[tuple[tuple[int, ...], int, int, int]] = field(default_factory=list)
-    # The chains: lowest item id -> first group; per group, its item
+    # The chains: lowest item id -> first group; per group, its row
     # mask, its negated confidence and the next group of its chain (-1
     # at the end).
     heads: dict[int, int] = field(default_factory=dict)
@@ -945,7 +942,7 @@ class _IRGStore:
         its own chain.
         """
         item_ids = candidate.item_ids
-        item_mask = candidate.item_mask
+        rows = candidate.row_mask
         neg_confidence = -candidate.confidence
         heads = self.heads
         masks = self.chain_masks
@@ -956,8 +953,8 @@ class _IRGStore:
             previous, group = -1, heads.get(chain, -1)
             while group >= 0 and negs[group] <= neg_confidence:
                 mask = masks[group]
-                if mask & item_mask == mask:
-                    if mask != item_mask:
+                if mask & rows == rows:
+                    if mask != rows:
                         counters.candidates_rejected += 1
                     return False
                 previous, group = group, next_group[group]
@@ -965,10 +962,8 @@ class _IRGStore:
                 # After every group of its chain with confidence >= its own.
                 link, following = previous, group
         added = len(negs)
-        self.entries.append(
-            (tuple(item_ids), candidate.supp, candidate.supn, candidate.row_mask)
-        )
-        masks.append(item_mask)
+        self.entries.append((tuple(item_ids), candidate.supp, candidate.supn, rows))
+        masks.append(rows)
         negs.append(neg_confidence)
         next_group.append(following)
         if link < 0:

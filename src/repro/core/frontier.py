@@ -85,6 +85,7 @@ if TYPE_CHECKING:
     from .farmer import Farmer
 
 __all__ = [
+    "FRONTIER_ENVELOPE",
     "FRONTIER_KIND",
     "FRONTIER_SUFFIX",
     "cache_entries",
@@ -99,6 +100,10 @@ __all__ = [
 #: The tag is hashed into every entry's file name, so entries of another
 #: layout sit beside the current ones and are skipped, never misread.
 FRONTIER_KIND = "repro-frontier/2"
+
+#: Envelope tag of every entry, kept at the first checkpoint version so
+#: existing caches stay readable; entry layouts bump FRONTIER_KIND.
+FRONTIER_ENVELOPE = "repro-checkpoint/1"
 
 #: Filename suffix of persisted frontier entries.
 FRONTIER_SUFFIX = ".frontier"
@@ -212,7 +217,7 @@ def _save_entry(
         "evals": rows,
         "stats": {"evals": len(rows), "nodes": nodes},
     }
-    save_checkpoint(path, payload)
+    save_checkpoint(path, payload, FRONTIER_ENVELOPE)
 
 
 def _expect_int(value, what: str, path) -> int:
@@ -230,7 +235,7 @@ def _load_header(path: str | Path, fingerprint: "str | None") -> dict:
     accepts any dataset.  Raises :class:`~repro.errors.DataError` (or
     :class:`~repro.errors.UsageError` for a newer envelope) on damage.
     """
-    payload = load_checkpoint(path)
+    payload = load_checkpoint(path, FRONTIER_ENVELOPE)
     if payload.get("kind") != FRONTIER_KIND:
         raise DataError(
             f"{path}: not a frontier entry "

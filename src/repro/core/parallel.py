@@ -29,15 +29,16 @@ therefore splits the *search* and keeps the *admission* serial:
 
 **Advisory bound broadcast.**  With every task dispatch the coordinator
 ships a snapshot of the dominance bounds accumulated so far — the
-``(confidence, antecedent mask, antecedent size)`` table of candidates
-already recorded by finished tasks, confidence descending.  A
-worker drops (and counts as rejected) any candidate covered by a strictly
-smaller recorded antecedent with confidence at least as high: such a
-candidate is provably rejected by the final replay, because its dominator
-— or, chasing rejections, some admitted dominator of that dominator — is
-a constraint-satisfying group with a strictly smaller antecedent, and
-Lemma 3.4 places every such group before the candidate in the replay
-sequence.  The bounds are purely advisory: a stale snapshot only means a
+``(confidence, row mask)`` table of candidates already recorded by
+finished tasks, confidence descending.  A worker drops (and counts as
+rejected) any candidate covered by a strictly smaller recorded
+antecedent with confidence at least as high; candidates are closed
+pairs of the root table, so that antecedent's row mask strictly
+contains the candidate's.  Such a candidate is provably rejected by
+the final replay, because its dominator — or, chasing rejections, some
+admitted dominator of that dominator — is a constraint-satisfying
+group with a strictly smaller antecedent, and Lemma 3.4 places every
+such group before the candidate in the replay sequence.  The bounds are purely advisory: a stale snapshot only means a
 doomed candidate is buffered and shipped before the replay rejects it.
 Work done (nodes, prunings) is identical either way; the test suite pins
 merged counters to the serial miner's with the broadcast on and off.
@@ -197,66 +198,61 @@ class AdvisoryBounds:
     admitted groups of :class:`~repro.core.farmer._IRGStore` — that is
     sufficient: see the module docstring for why a covered candidate is
     provably rejected by the admission replay.
+
+    Precondition: every mask recorded or tested is the row mask of a
+    closed pair of one table (:class:`~repro.core.farmer.Candidate`).
     """
 
-    __slots__ = ("neg_confidences", "item_masks", "sizes", "cap", "drops", "_members")
+    __slots__ = ("neg_confidences", "row_masks", "cap", "drops", "_members")
 
     def __init__(
         self,
-        entries: Iterable[tuple[float, int, int]] = (),
+        entries: Iterable[tuple[float, int]] = (),
         cap: int = DEFAULT_ADVISORY_CAP,
     ) -> None:
-        """``entries`` are ``(neg_confidence, item_mask, size)`` triples
-        already sorted by ``neg_confidence`` (a snapshot)."""
+        """``entries`` are ``(neg_confidence, row_mask)`` pairs already
+        sorted by ``neg_confidence`` (a snapshot)."""
         self.neg_confidences: list[float] = []
-        self.item_masks: list[int] = []
-        self.sizes: list[int] = []
+        self.row_masks: list[int] = []
         self.cap = cap
         #: Candidates dropped against these bounds (diagnostics).
         self.drops = 0
         self._members: set[int] = set()
-        for neg_confidence, item_mask, size in entries:
+        for neg_confidence, row_mask in entries:
             self.neg_confidences.append(neg_confidence)
-            self.item_masks.append(item_mask)
-            self.sizes.append(size)
-            self._members.add(item_mask)
+            self.row_masks.append(row_mask)
+            self._members.add(row_mask)
 
     def __len__(self) -> int:
         return len(self.neg_confidences)
 
-    def covers(self, item_mask: int, size: int, confidence: float) -> bool:
+    def covers(self, row_mask: int, confidence: float) -> bool:
         """Whether some recorded strictly-smaller antecedent dominates."""
         boundary = bisect.bisect_right(self.neg_confidences, -confidence)
-        masks = self.item_masks
-        stored_sizes = self.sizes
-        for index in range(boundary):
-            if (
-                stored_sizes[index] < size
-                and masks[index] & item_mask == masks[index]
-            ):
+        for stored in self.row_masks[:boundary]:
+            if stored & row_mask == row_mask and stored != row_mask:
                 return True
         return False
 
-    def extend(self, item_mask: int, size: int, confidence: float) -> None:
+    def extend(self, row_mask: int, confidence: float) -> None:
         """Record one candidate as a future dominator (capped)."""
-        if item_mask in self._members:
+        if row_mask in self._members:
             return
         neg_confidence = -confidence
         if len(self.neg_confidences) >= self.cap:
             # Full: only displace the weakest bound for a stronger one.
             if neg_confidence >= self.neg_confidences[-1]:
                 return
-            self._members.discard(self.item_masks[-1])
-            del self.neg_confidences[-1], self.item_masks[-1], self.sizes[-1]
+            self._members.discard(self.row_masks[-1])
+            del self.neg_confidences[-1], self.row_masks[-1]
         position = bisect.bisect_right(self.neg_confidences, neg_confidence)
         self.neg_confidences.insert(position, neg_confidence)
-        self.item_masks.insert(position, item_mask)
-        self.sizes.insert(position, size)
-        self._members.add(item_mask)
+        self.row_masks.insert(position, row_mask)
+        self._members.add(row_mask)
 
-    def snapshot(self) -> list[tuple[float, int, int]]:
+    def snapshot(self) -> list[tuple[float, int]]:
         """A picklable copy for shipping with a task dispatch."""
-        return list(zip(self.neg_confidences, self.item_masks, self.sizes))
+        return list(zip(self.neg_confidences, self.row_masks))
 
 
 @dataclass(frozen=True)
@@ -477,7 +473,7 @@ def _init_worker(root: CondTableProtocol) -> None:
 def _run_frontier_task(
     ctx: SearchContext,
     units: list,
-    snapshot: list[tuple[float, int, int]] | None,
+    snapshot: list[tuple[float, int]] | None,
     advisory_cap: int,
     deadline: float | None,
     strict: bool,
@@ -743,7 +739,7 @@ def _execute_parts(
     report: ParallelReport,
     checkpointer: Checkpointer | None = None,
     completed: frozenset[int] = frozenset(),
-    advisory_snapshot: list[tuple[float, int, int]] | None = None,
+    advisory_snapshot: list[tuple[float, int]] | None = None,
     telemetry: "Telemetry | None" = None,
     coverage: dict[str, float] | None = None,
 ) -> bool:
@@ -883,11 +879,7 @@ def _execute_parts(
         truncated = truncated or task_truncated
         if advisory is not None:
             for candidate in sink:
-                advisory.extend(
-                    candidate.item_mask,
-                    len(candidate.item_ids),
-                    candidate.confidence,
-                )
+                advisory.extend(candidate.row_mask, candidate.confidence)
         if frontier is not None and not truncated and error is None:
             shard_donations[part.shard] += 1
             report.donations += 1
@@ -1307,7 +1299,7 @@ def mine_table_parallel(
 
     checkpointer: Checkpointer | None = None
     completed: frozenset[int] = frozenset()
-    advisory_snapshot: list[tuple[float, int, int]] | None = None
+    advisory_snapshot: list[tuple[float, int]] | None = None
     if checkpoint_path is not None:
         fingerprint = run_fingerprint(
             table.n,

@@ -19,15 +19,15 @@ checkpoints (:mod:`repro.core.checkpoint`) go through
 :func:`save_checkpoint` / :func:`load_checkpoint`, a two-line envelope
 hardened for crash consistency —
 
-* line 1 — ``{"format": "repro-checkpoint/1", "sha256": ...}``;
+* line 1 — ``{"format": "repro-checkpoint/2", "sha256": ...}``;
 * line 2 — the canonical-JSON payload the checksum covers.
 
 Writes are atomic and durable (temp file in the target directory,
 ``fsync``, ``os.replace``, directory ``fsync``), so a reader never sees
 a half-written checkpoint: it sees the previous complete one until the
 rename lands.  A truncated or bit-flipped file fails the checksum and is
-rejected with :class:`~repro.errors.DataError`; a checkpoint written by
-a newer format version is refused with
+rejected with :class:`~repro.errors.DataError`; a checkpoint written in
+another format version, older or newer, is refused with
 :class:`~repro.errors.UsageError` instead of being misread.
 """
 
@@ -56,8 +56,9 @@ __all__ = [
 
 _FORMAT = "repro-irgs/1"
 
-#: Version tag of the checkpoint envelope; bump on layout changes.
-CHECKPOINT_FORMAT = "repro-checkpoint/1"
+#: Version tag of a sharded run's checkpoint; bump on layout changes.
+#: Frontier entries keep their own (``frontier.FRONTIER_ENVELOPE``).
+CHECKPOINT_FORMAT = "repro-checkpoint/2"
 
 _CHECKPOINT_PREFIX = "repro-checkpoint/"
 
@@ -326,20 +327,25 @@ def _write_durable(path: Path, text: str) -> None:
         os.close(directory_fd)
 
 
-def save_checkpoint(path: str | Path, payload: dict) -> None:
+def save_checkpoint(
+    path: str | Path, payload: dict, fmt: str = CHECKPOINT_FORMAT
+) -> None:
     """Write ``payload`` as a versioned, checksummed checkpoint file.
 
     Args:
         path: destination checkpoint file.
         payload: JSON-able state; callers (``core.checkpoint``) build it
             from their state objects.
+        fmt: the header's version tag.
 
     The write is atomic and fsync'd — see :func:`_write_durable`.
     """
-    save_checkpoint_body(path, canonical_json(payload))
+    save_checkpoint_body(path, canonical_json(payload), fmt)
 
 
-def save_checkpoint_body(path: str | Path, body: str) -> None:
+def save_checkpoint_body(
+    path: str | Path, body: str, fmt: str = CHECKPOINT_FORMAT
+) -> None:
     """Write an already-canonical payload text as a checkpoint file.
 
     Args:
@@ -348,18 +354,26 @@ def save_checkpoint_body(path: str | Path, body: str) -> None:
             incremental writer in :mod:`repro.core.checkpoint` assembles
             it from cached per-record fragments so a write does not
             re-encode the whole state.
+        fmt: the header's version tag.
 
     The envelope (checksum header, atomic fsync'd replace) is identical
     to :func:`save_checkpoint`.
     """
     path = Path(path)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    header = canonical_json({"format": CHECKPOINT_FORMAT, "sha256": digest})
+    header = canonical_json({"format": fmt, "sha256": digest})
     _write_durable(path, header + "\n" + body + "\n")
 
 
-def load_checkpoint(path: str | Path) -> dict:
+def load_checkpoint(path: str | Path, fmt: str = CHECKPOINT_FORMAT) -> dict:
     """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Args:
+        path: the checkpoint file.
+        fmt: the version tag its header must carry.
+
+    Returns:
+        The decoded payload.
 
     Raises:
         DataError: missing/unreadable file, unrecognised contents, or a
@@ -382,17 +396,17 @@ def load_checkpoint(path: str | Path) -> dict:
         raise DataError(f"{path}:1: bad checkpoint header ({exc})") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}: checkpoint header is not an object")
-    fmt = header.get("format")
-    if fmt != CHECKPOINT_FORMAT:
-        if isinstance(fmt, str) and fmt.startswith(_CHECKPOINT_PREFIX):
+    found = header.get("format")
+    if found != fmt:
+        if isinstance(found, str) and found.startswith(_CHECKPOINT_PREFIX):
             raise UsageError(
-                f"{path}: checkpoint format {fmt!r} is not supported by "
-                f"this build (expects {CHECKPOINT_FORMAT!r}); re-run "
+                f"{path}: checkpoint format {found!r} is not supported by "
+                f"this build (expects {fmt!r}); re-run "
                 "without --resume to start fresh"
             )
         raise DataError(
-            f"{path}: not a checkpoint file (format {fmt!r}, expected "
-            f"{CHECKPOINT_FORMAT!r})"
+            f"{path}: not a checkpoint file (format {found!r}, expected "
+            f"{fmt!r})"
         )
     if len(lines) < 2:
         raise DataError(f"{path}: truncated checkpoint (payload missing)")

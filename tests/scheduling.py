@@ -293,11 +293,7 @@ def run_schedule(
         part.counters = counters
         part.drops = advisory.drops if advisory is not None else 0
         for candidate in sink:
-            shared.extend(
-                candidate.item_mask,
-                len(candidate.item_ids),
-                candidate.confidence,
-            )
+            shared.extend(candidate.row_mask, candidate.confidence)
         if frontier is not None:
             run.donations += 1
             selector = splits.next()

@@ -39,6 +39,7 @@ from repro.core.checkpoint import (
     Checkpointer,
     CheckpointState,
     TaskRecord,
+    candidate_from_row,
     run_fingerprint,
 )
 from repro.core.constraints import Constraints
@@ -52,6 +53,7 @@ from repro.core.serialize import (
     save_checkpoint,
     save_rule_groups,
 )
+from repro.data.transpose import TransposedTable
 from repro.errors import DataError, UsageError
 from repro.testing.chaos import ChaosSpec, InjectedFault, active_spec, _parse
 
@@ -442,6 +444,18 @@ class TestCheckpointRobustness:
         with pytest.raises(UsageError, match="not supported"):
             load_checkpoint(path)
 
+    def test_previous_format_version_is_usage_error(self, tmp_path):
+        """A ``/1`` file stored item-mask advisory triples; reading them
+        as row masks could drop a candidate that belongs in the output,
+        so it is refused like any other version."""
+        path = tmp_path / "old.ckpt"
+        body = canonical_json({"advisory": [[-0.5, 6, 2]]})
+        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        header = canonical_json({"format": "repro-checkpoint/1", "sha256": digest})
+        path.write_text(header + "\n" + body + "\n")
+        with pytest.raises(UsageError, match="re-run without --resume"):
+            load_checkpoint(path)
+
     def test_resume_rejects_other_dataset(self, paper_dataset, tmp_path):
         ckpt = self._written(paper_dataset, tmp_path)
         other = random_dataset(7)
@@ -497,6 +511,11 @@ class TestCheckpointRobustness:
                 "expansion_cap": 4, "advisory": [[0.5]],
                 "completed": [],
             },
+            {  # a version-1 (neg_confidence, item mask, size) triple
+                "fingerprint": "f", "n_tasks": 1, "target": 2,
+                "expansion_cap": 4, "advisory": [[-0.5, 6, 2]],
+                "completed": [],
+            },
         ],
     )
     def test_malformed_payloads_rejected(self, tmp_path, payload):
@@ -511,24 +530,41 @@ class TestCheckpointRobustness:
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("bad", [True, -1, "3", 1.0])
+@pytest.mark.parametrize("position", [0, 2])
+def test_candidate_from_row_checks_every_item_id(bad, position):
+    item_ids = [4, 7, 9]
+    item_ids[position] = bad
+    with pytest.raises(DataError, match="malformed candidate item id"):
+        candidate_from_row([item_ids, 3, 1, 0b1011], "entry")
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.5])
+@pytest.mark.parametrize("field", [1, 2, 3])
+def test_candidate_from_row_checks_every_count(bad, field):
+    row = [[4, 7], 3, 1, 0b1011]
+    row[field] = bad
+    with pytest.raises(DataError, match="malformed candidate count"):
+        candidate_from_row(row, "entry")
+
+
 def _random_state(seed: int) -> CheckpointState:
     rng = random.Random(seed)
+    # Candidates and advisory bounds are closed pairs of one small table:
+    # the row set X drawn, then I(X) and R(I(X)).
+    table = TransposedTable.build(random_dataset(seed, max_rows=10, max_items=16), "C")
     n_tasks = rng.randint(1, 12)
     completed = {}
     for index in rng.sample(range(n_tasks), rng.randint(0, n_tasks)):
         candidates = []
         for _ in range(rng.randint(0, 5)):
-            ids = tuple(sorted(rng.sample(range(16), rng.randint(1, 5))))
-            mask = 0
-            for item in ids:
-                mask |= 1 << item
+            ids = table.items_of_rows(rng.randint(1, table.all_rows_mask))
             candidates.append(
                 Candidate(
-                    item_ids=ids,
-                    item_mask=mask,
+                    item_ids=tuple(sorted(ids)),
                     supp=rng.randint(0, 9),
                     supn=rng.randint(0, 9),
-                    row_mask=rng.getrandbits(10),
+                    row_mask=table.rows_of_itemset(ids),
                 )
             )
         counters = NodeCounters()
@@ -543,7 +579,12 @@ def _random_state(seed: int) -> CheckpointState:
     advisory = None
     if rng.random() < 0.7:
         advisory = sorted(
-            (-rng.randint(0, 100) / 100, rng.getrandbits(12), rng.randint(1, 6))
+            (
+                -rng.randint(0, 100) / 100,
+                table.rows_of_itemset(
+                    table.items_of_rows(rng.randint(1, table.all_rows_mask))
+                ),
+            )
             for _ in range(rng.randint(0, 8))
         )
     return CheckpointState(

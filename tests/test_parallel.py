@@ -23,6 +23,7 @@ from repro.core.enumeration import (
 )
 from repro.core.parallel import AdvisoryBounds, mine_table_parallel
 from repro.core.serialize import save_rule_groups
+from repro.data.dataset import ItemizedDataset
 from repro.data.transpose import TransposedTable
 
 # Shared with the oracle suite (imported via the module so pytest does
@@ -220,33 +221,41 @@ class TestAdvisoryBounds:
     """Unit coverage for the broadcast dominance table."""
 
     def test_covers_requires_strict_subset_and_confidence(self):
+        # Closed pairs of one table, one row per antecedent: {0, 1}
+        # holds rows 0b011, {0, 1, 2} row 0b001 and {0, 2} rows 0b101.
+        data = ItemizedDataset.from_lists(
+            [[0, 1, 2], [0, 1], [0, 2]], ["C"] * 3, n_items=3
+        )
+        table = TransposedTable.build(data, "C")
+        rows = table.rows_of_itemset
         bounds = AdvisoryBounds()
-        bounds.extend(0b011, 2, 0.8)
+        bounds.extend(rows((0, 1)), 0.8)
         # Strict superset with lower confidence: dominated.
-        assert bounds.covers(0b111, 3, 0.7)
-        assert bounds.covers(0b111, 3, 0.8)
+        assert bounds.covers(rows((0, 1, 2)), 0.7)
+        assert bounds.covers(rows((0, 1, 2)), 0.8)
         # Higher confidence than any stored bound: not dominated.
-        assert not bounds.covers(0b111, 3, 0.9)
-        # Same mask (not a strict subset): never dominated by itself.
-        assert not bounds.covers(0b011, 2, 0.5)
+        assert not bounds.covers(rows((0, 1, 2)), 0.9)
+        # Same antecedent, so the same row mask: never dominated by itself.
+        assert not bounds.covers(rows((0, 1)), 0.5)
         # Not a superset of the stored antecedent.
-        assert not bounds.covers(0b101, 3, 0.5)
+        assert not bounds.covers(rows((0, 2)), 0.5)
 
     def test_snapshot_round_trip(self):
         bounds = AdvisoryBounds()
-        bounds.extend(0b01, 1, 0.9)
-        bounds.extend(0b10, 1, 0.6)
+        bounds.extend(0b01, 0.9)
+        bounds.extend(0b10, 0.6)
+        assert bounds.snapshot() == [(-0.9, 0b01), (-0.6, 0b10)]
         restored = AdvisoryBounds(bounds.snapshot())
         assert restored.snapshot() == bounds.snapshot()
 
     def test_cap_evicts_weakest(self):
         bounds = AdvisoryBounds(cap=2)
-        bounds.extend(0b001, 1, 0.5)
-        bounds.extend(0b010, 1, 0.9)
-        bounds.extend(0b100, 1, 0.7)  # evicts the 0.5 bound
+        bounds.extend(0b001, 0.5)
+        bounds.extend(0b010, 0.9)
+        bounds.extend(0b100, 0.7)  # evicts the 0.5 bound
         assert len(bounds) == 2
         # The weakest (0.5) entry is gone; its mask no longer dominates.
-        assert sorted(mask for _, mask, _ in bounds.snapshot()) == [0b010, 0b100]
+        assert sorted(mask for _, mask in bounds.snapshot()) == [0b010, 0b100]
 
     def test_drops_never_change_output_counters(self):
         # Counter equality with broadcast on is the strongest form of

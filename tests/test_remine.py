@@ -259,7 +259,11 @@ def test_cache_entries_skips_malformed(tmp_path):
 
     from repro.core.constraints import Constraints
     from repro.core.farmer import Farmer
-    from repro.core.frontier import cache_entries, frontier_fingerprint
+    from repro.core.frontier import (
+        FRONTIER_ENVELOPE,
+        cache_entries,
+        frontier_fingerprint,
+    )
     from repro.core.serialize import load_checkpoint, save_checkpoint
     from repro.data.transpose import TransposedTable
     from repro.experiments.workloads import build_workload
@@ -272,12 +276,16 @@ def test_cache_entries_skips_malformed(tmp_path):
         constraints=Constraints(minsup=12), warm_cache=str(cache)
     ).mine_table(table)
     (valid,) = cache.glob("*.frontier")
-    payload = load_checkpoint(valid)
+    payload = load_checkpoint(valid, FRONTIER_ENVELOPE)
 
     def variant(name, edit):
         mutated = copy.deepcopy(payload)
         edit(mutated)
-        save_checkpoint(cache / f"{fingerprint[:20]}-{name}.frontier", mutated)
+        save_checkpoint(
+            cache / f"{fingerprint[:20]}-{name}.frontier",
+            mutated,
+            FRONTIER_ENVELOPE,
+        )
 
     variant("kind", lambda p: p.update(kind="checkpoint"))
     variant("foreign", lambda p: p.update(fingerprint="0" * 64))
@@ -330,7 +338,11 @@ def test_v1_entry_is_a_miss_and_stays(tmp_path):
     import json
 
     from conftest import random_dataset
-    from repro.core.frontier import FRONTIER_KIND, frontier_fingerprint
+    from repro.core.frontier import (
+        FRONTIER_ENVELOPE,
+        FRONTIER_KIND,
+        frontier_fingerprint,
+    )
     from repro.core.serialize import canonical_json, save_checkpoint
     from repro.data.transpose import TransposedTable
     from repro.obs import EventTap, Telemetry
@@ -355,6 +367,7 @@ def test_v1_entry_is_a_miss_and_stays(tmp_path):
             "units": [["e", 1, 1, 0, 1]],
             "stats": {"evals": 1, "pruned": 0, "nodes": 1, "frontier_weight": 0},
         },
+        FRONTIER_ENVELOPE,
     )
     old_bytes = old.read_bytes()
 

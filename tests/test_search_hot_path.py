@@ -53,6 +53,8 @@ from repro.core.npbitset import (
     word_count,
 )
 from repro.data.dataset import ItemizedDataset
+from repro.data.discretize import EqualDepthDiscretizer
+from repro.data.registry import load
 from repro.data.transpose import TransposedTable
 
 QUANTA = (None, 1, 2, 3, 5, 17, 64, 257)
@@ -214,8 +216,11 @@ def test_progress_reports_where_preemption_would_yield(quantum):
 
 
 class LinearStore:
-    """The admission store before its index: one scan of the whole
-    prefix of groups with qualifying confidence, prefiltered by size."""
+    """The admission store before its index, in item space: one scan of
+    the whole prefix of groups with qualifying confidence, prefiltered
+    by size, testing item masks built from the candidates' ids.  It
+    needs no closure argument, so it is the independent oracle for the
+    row-space store."""
 
     def __init__(self) -> None:
         self.neg_confidences: list[float] = []
@@ -233,17 +238,16 @@ class LinearStore:
         return True
 
     def offer(self, candidate: Candidate, counters: NodeCounters) -> bool:
-        if candidate.item_mask in self.seen:
+        item_mask = bitset.from_indices(candidate.item_ids)
+        if item_mask in self.seen:
             return False
         confidence = candidate.confidence
-        if not self.is_interesting(
-            candidate.item_mask, len(candidate.item_ids), confidence
-        ):
+        if not self.is_interesting(item_mask, len(candidate.item_ids), confidence):
             counters.candidates_rejected += 1
             return False
         position = bisect.bisect_right(self.neg_confidences, -confidence)
         self.neg_confidences.insert(position, -confidence)
-        self.item_masks.insert(position, candidate.item_mask)
+        self.item_masks.insert(position, item_mask)
         self.sizes.insert(position, len(candidate.item_ids))
         self.entries.insert(
             position,
@@ -254,37 +258,63 @@ class LinearStore:
                 candidate.row_mask,
             ),
         )
-        self.seen.add(candidate.item_mask)
+        self.seen.add(item_mask)
         return True
 
 
+def _table_of(rows, n_items=6):
+    """The transposed table of ``rows`` (item lists), every row 'C'."""
+    data = ItemizedDataset.from_lists(rows, ["C"] * len(rows), n_items=n_items)
+    return TransposedTable.build(data, "C")
+
+
+def _closed(table, item_ids, supp, supn):
+    """The candidate ``item_ids -> C`` with its row set ``R(item_ids)``,
+    checked to be a closed pair of ``table``."""
+    rows = table.rows_of_itemset(item_ids)
+    assert table.items_of_rows(rows) == frozenset(item_ids)
+    return Candidate(tuple(item_ids), supp, supn, rows)
+
+
 @st.composite
-def offer_sequences(draw, max_size=40, repeats=False):
-    """Candidates over items 0..5 in any table order; small supports
-    so confidences and antecedent sizes tie often.  Each mask's
-    ``(supp, supn, row_mask)`` is drawn once and reused, the
-    :class:`Candidate` precondition every producer meets."""
-    masks = draw(
+def offer_sequences(draw, max_size=40, repeats=False, empty_row=False):
+    """Closed candidates ``(I(X), R(I(X)))`` of a small random table over
+    items 0..5, in any table order; small supports so confidences and
+    antecedent sizes tie often.  Each row set's ``(supp, supn)`` is
+    drawn once and reused, the :class:`Candidate` precondition every
+    producer meets.  ``empty_row`` adds a row holding no item, so that
+    ``I(all rows) = ∅`` and the empty antecedent is closed.
+
+    Returns the table and the sequence."""
+    rows = draw(
         st.lists(
-            st.frozensets(st.integers(min_value=0, max_value=5), max_size=4),
-            max_size=max_size,
-            unique=not repeats,
+            st.frozensets(st.integers(min_value=0, max_value=5), max_size=5),
+            min_size=1,
+            max_size=7,
         )
     )
-    stats: dict[frozenset, tuple[int, int, int]] = {}
+    table = _table_of([sorted(row) for row in rows] + [[]] * empty_row)
+    xs = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=table.all_rows_mask),
+            max_size=max_size,
+        )
+    )
+    stats: dict[int, tuple[int, int]] = {}
     sequence = []
-    for items in masks:
-        if items not in stats:
-            stats[items] = (
+    for x in xs:
+        items = table.items_of_rows(x)
+        row_mask = table.rows_of_itemset(items)
+        if row_mask not in stats:
+            stats[row_mask] = (
                 draw(st.integers(min_value=1, max_value=4)),
                 draw(st.integers(min_value=0, max_value=4)),
-                draw(st.integers(0, 255)),
             )
+        elif not repeats:
+            continue
         item_ids = tuple(draw(st.permutations(sorted(items))))
-        sequence.append(
-            Candidate(item_ids, bitset.from_indices(items), *stats[items])
-        )
-    return sequence
+        sequence.append(Candidate(item_ids, *stats[row_mask], row_mask))
+    return table, sequence
 
 
 def _assert_same_admission(sequence):
@@ -299,25 +329,28 @@ def _assert_same_admission(sequence):
 
 
 @given(offer_sequences())
-def test_admission_index_matches_linear_scan(sequence):
-    """Distinct masks in any order, supersets before subsets too."""
-    _assert_same_admission(sequence)
+def test_admission_index_matches_linear_scan(drawn):
+    """Distinct closed pairs in any order, supersets before subsets too."""
+    _assert_same_admission(drawn[1])
 
 
 @given(offer_sequences(repeats=True))
-def test_reoffers_match_the_seen_set(sequence):
-    """Repeated masks, in an order Lemma 3.4 allows a miner to emit:
-    every strict subset of a mask is offered before it (here: by
-    size).  The walk's duplicate skip counts what the seen-set did."""
-    _assert_same_admission(sorted(sequence, key=lambda c: len(c.item_ids)))
+def test_reoffers_match_the_seen_set(drawn):
+    """Repeated closed pairs, in an order Lemma 3.4 allows a miner to
+    emit: every strict subset of an antecedent is offered before it
+    (here: by size).  The walk's duplicate skip, on equal row masks,
+    counts what the seen-set of item masks did."""
+    _assert_same_admission(sorted(drawn[1], key=lambda c: len(c.item_ids)))
 
 
-@given(offer_sequences(max_size=25))
-def test_admission_index_with_empty_antecedent_first(sequence):
-    """Mask 0, the empty antecedent ``I(∅)``, is inside every candidate."""
-    empty = Candidate((), 0, 2, 1, 0)
+@given(offer_sequences(max_size=25, empty_row=True))
+def test_admission_index_with_empty_antecedent_first(drawn):
+    """The empty antecedent ``I(∅)``, whose row set is every row, is
+    inside every candidate."""
+    table, sequence = drawn
+    empty = Candidate((), 2, 1, table.all_rows_mask)
     _assert_same_admission(
-        [empty, *(candidate for candidate in sequence if candidate.item_mask)]
+        [empty, *(candidate for candidate in sequence if candidate.item_ids)]
     )
 
 
@@ -325,32 +358,38 @@ def test_admission_ties():
     """Tied confidences and tied sizes: an equal-confidence subset
     blocks, an equal-size non-subset does not, and ties keep admission
     order in the output."""
+    # One row per antecedent below makes each of them closed; the empty
+    # row makes I(all rows) = ∅.
+    table = _table_of([[3], [1], [3, 1], [4, 3], [0], [2, 0], [5], []])
     sequence = [
-        Candidate((3,), 0b1000, 2, 2, 1),  # 0.5
-        Candidate((1,), 0b0010, 2, 2, 2),  # 0.5, same size
-        Candidate((3, 1), 0b1010, 1, 1, 3),  # 0.5, blocked by both
-        Candidate((4, 3), 0b11000, 3, 1, 4),  # 0.75 beats {3}
-        Candidate((0,), 0b0001, 3, 1, 5),  # 0.75
-        Candidate((), 0, 1, 1, 6),  # 0.5, smallest of all
-        Candidate((2, 0), 0b0101, 3, 1, 7),  # 0.75, blocked by {0}
-        Candidate((5,), 0b100000, 1, 1, 8),  # 0.5, blocked by I(∅)
+        _closed(table, (3,), 2, 2),  # 0.5
+        _closed(table, (1,), 2, 2),  # 0.5, same size
+        _closed(table, (3, 1), 1, 1),  # 0.5, blocked by both
+        _closed(table, (4, 3), 3, 1),  # 0.75 beats {3}
+        _closed(table, (0,), 3, 1),  # 0.75
+        _closed(table, (), 1, 1),  # 0.5, smallest of all
+        _closed(table, (2, 0), 3, 1),  # 0.75, blocked by {0}
+        _closed(table, (5,), 1, 1),  # 0.5, blocked by I(∅)
     ]
     _assert_same_admission(sequence)
     store = _IRGStore()
     verdicts = [store.offer(candidate, NodeCounters()) for candidate in sequence]
     assert verdicts == [True, True, False, True, True, True, False, False]
-    assert [entry[3] for entry in store._ranked()] == [4, 5, 1, 2, 6]
+    assert [entry[0] for entry in store._ranked()] == [
+        (4, 3), (0,), (3,), (1,), (),
+    ]
 
 
 def test_reoffered_group_is_skipped_not_rejected():
     """With Pruning 2 off the same upper bound reaches the store again
     from a later node, in another table order: it is not stored twice
     and not counted as a rejection.  A rejected one is rejected again."""
+    table = _table_of([[1], [3, 1], [4, 1], [3, 1, 4]])
     sequence = [
-        Candidate((1,), 0b10, 1, 1, 1),  # 0.5
-        Candidate((3, 1), 0b1010, 3, 1, 2),  # 0.75, {1} is below it
-        Candidate((4, 1), 0b10010, 3, 1, 3),  # 0.75, tied, same chain
-        Candidate((3, 1, 4), 0b11010, 1, 1, 4),  # 0.5, blocked by {1}
+        _closed(table, (1,), 1, 1),  # 0.5
+        _closed(table, (3, 1), 3, 1),  # 0.75, {1} is below it
+        _closed(table, (4, 1), 3, 1),  # 0.75, tied, same chain
+        _closed(table, (3, 1, 4), 1, 1),  # 0.5, blocked by {1}
     ]
     again = [
         candidate._replace(item_ids=candidate.item_ids[::-1])
@@ -479,9 +518,10 @@ def test_packed_words_stay_out_of_equality_and_pickle():
 
 def test_stored_antecedent_does_not_block_itself():
     """Only a strictly smaller antecedent blocks, as the size prefilter
-    of the linear scan had it."""
-    group = Candidate((3, 1), 0b1010, 9, 1, 1)
-    superset = Candidate((1, 3, 0), 0b1011, 1, 1, 2)
+    of the linear scan had it: in row space, a strictly larger row set."""
+    table = _table_of([[3, 1], [1, 3, 0]])
+    group = _closed(table, (3, 1), 9, 1)
+    superset = _closed(table, (1, 3, 0), 1, 1)
     for store in (_IRGStore(), LinearStore()):
         counters = NodeCounters()
         assert store.offer(group, counters)
@@ -489,3 +529,50 @@ def test_stored_antecedent_does_not_block_itself():
         assert counters.candidates_rejected == 0
         assert not store.offer(superset, counters)
         assert counters.candidates_rejected == 1
+
+
+# ----------------------------------------------------------------------
+# Step 7 on a real walk
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def registry_tables():
+    """LC, ALL and CT at scale 0.02, as the cold-mine goldens build them."""
+    tables = {}
+    for name in ("LC", "ALL", "CT"):
+        data = EqualDepthDiscretizer(n_buckets=10).fit_transform(
+            load(name, scale=0.02)
+        )
+        tables[name] = TransposedTable.build(data, data.class_labels[0])
+    return tables
+
+
+@pytest.mark.parametrize(
+    "prunings", [PRUNING_SUBSETS[0], PRUNING_SUBSETS[1]], ids=["all", "p2-off"]
+)
+@pytest.mark.parametrize(("name", "minsup"), [("LC", 11), ("ALL", 5), ("CT", 4)])
+def test_walk_candidates_admit_alike_in_row_and_item_space(
+    registry_tables, name, minsup, prunings
+):
+    """The walk's own candidate sequence, replayed through the row-space
+    store and the item-space oracle, gets the same verdicts, groups and
+    rejection count.  With Pruning 2 off the sequence re-offers groups,
+    which is where the equal-row-mask skip does its work."""
+    table = registry_tables[name]
+    ctx = SearchContext.for_table(table, Constraints(minsup=minsup), prunings)
+    sequence: list[Candidate] = []
+    units = [(FRONTIER_STATE, ctx.root_state(table))]
+    assert enumerate_frontier(ctx, units, NodeCounters(), sequence, None) is None
+    assert sequence
+    for candidate in sequence:
+        # The Candidate precondition: a closed pair of the table (an
+        # empty antecedent would need every row; test_npbitset pins that
+        # an itemless table intersects to all rows).
+        assert table.rows_of_itemset(candidate.item_ids) == candidate.row_mask
+        assert table.items_of_rows(candidate.row_mask) == frozenset(
+            candidate.item_ids
+        )
+    reoffered = len(sequence) - len({c.row_mask for c in sequence})
+    assert (reoffered > 0) == ("p2" not in prunings)
+    _assert_same_admission(sequence)
