@@ -369,16 +369,11 @@ def run_engine_sweep(
                 )
         for name in variants:
             totals[name] += best[name]
-        hits = production.counters.cache_hits
-        misses = production.counters.cache_misses
         point = {
             "minsup": minsup,
             "nodes": production.counters.nodes,
             "groups": len(production.groups),
             "irgs_sha256": sha,
-            "cache_hit_rate": round(
-                hits / (hits + misses) if hits + misses else 0.0, 4
-            ),
             "production_nodes_per_second": round(
                 production.counters.nodes / best["production"]
             ),

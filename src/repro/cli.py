@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="run the mine under cProfile and print the top-25 functions "
-        "by cumulative time plus the kernel cache-hit summary",
+        "by cumulative time",
     )
     mine.add_argument(
         "--progress",
@@ -510,14 +510,6 @@ def _command_mine(args: argparse.Namespace) -> int:
             pstats.Stats(profiler, stream=sys.stdout).sort_stats(
                 pstats.SortKey.CUMULATIVE
             ).print_stats(25)
-            hits = result.counters.cache_hits
-            misses = result.counters.cache_misses
-            lookups = hits + misses
-            rate = hits / lookups if lookups else 0.0
-            print(
-                f"kernel caches: {hits} hits / {misses} misses "
-                f"({rate:.1%} hit rate over {lookups} lookups)"
-            )
         else:
             result = miner.mine_table(table)
         if args.save:

@@ -14,16 +14,14 @@ All bounds rely on the ORD ordering (consequent rows before the rest): if
 negative, so the positive support can never grow again.
 
 The functions here are pure and independently unit-tested; ``farmer.py``
-wires them into the search.  They are also the *reference semantics* for
-the fused kernel (:mod:`repro.core.kernel`): the production engine inlines
-the trivial support bounds on its hot path, evaluates the confidence and
-chi-square bounds through a per-run memo cache
-(:class:`~repro.core.kernel.KernelCache` — sound because each bound is a
-pure function of its count arguments), and computes the tight bound's
-``MAX(|TT|X.EP ∩ t|)`` term with an early-exiting scan over the
-support-sorted table (:meth:`~repro.core.kernel.CondTable.max_overlap`).
-The ``engine="reference"`` miners call these functions directly, and the
-differential suite pins that both paths prune identically.
+wires them into the search.  The walk inlines the trivial support
+bounds, calls :func:`confidence_bound` and :func:`chi_bound` at each
+node that needs them (constant-time arithmetic on the node's counts),
+and computes the tight bound's ``MAX(|TT|X.EP ∩ t|)`` term with an
+early-exiting scan over the support-sorted table
+(:meth:`~repro.core.kernel.CondTable.max_overlap`); the
+``engine="reference"`` oracle scans every tuple instead, and the
+differential suite pins that both prune identically.
 """
 
 from __future__ import annotations

@@ -48,6 +48,7 @@ from ..testing.chaos import maybe_fault_checkpoint
 from .constraints import Constraints
 from .enumeration import NodeCounters
 from .farmer import Candidate
+from .frontier import candidate_from_row, candidate_row
 from .serialize import (
     canonical_json,
     load_checkpoint,
@@ -59,53 +60,8 @@ __all__ = [
     "TaskRecord",
     "CheckpointState",
     "Checkpointer",
-    "candidate_from_row",
-    "candidate_row",
     "run_fingerprint",
 ]
-
-
-def candidate_row(candidate: Candidate) -> list:
-    """One candidate as the persisted ``[item_ids, supp, supn, row_mask]`` row.
-
-    Item ids travel as a list, never as an item bitmask: a mask over a
-    paper-sized item universe (tens of thousands of items) passes
-    Python's int-to-text digit limit, while an id list only grows with
-    the antecedent.  Checkpoints and frontier entries
-    (:mod:`repro.core.frontier`) share this codec.
-    """
-    return [
-        list(candidate.item_ids),
-        candidate.supp,
-        candidate.supn,
-        candidate.row_mask,
-    ]
-
-
-def candidate_from_row(row: object, where: str) -> Candidate:
-    """The :class:`Candidate` of one :func:`candidate_row` row.
-
-    Args:
-        row: the decoded JSON value.
-        where: what holds the row, for the error message.
-
-    Returns:
-        The candidate.
-
-    Raises:
-        DataError: the row is not four fields, a count is not an int
-            (bools included), or an item id is not a non-negative int.
-    """
-    if not isinstance(row, list) or len(row) != 4 or not isinstance(row[0], list):
-        raise DataError(f"{where}: malformed candidate")
-    item_ids, supp, supn, row_mask = row
-    for value in item_ids:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise DataError(f"{where}: malformed candidate item id")
-    for value in (supp, supn, row_mask):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise DataError(f"{where}: malformed candidate count")
-    return Candidate(tuple(item_ids), supp, supn, row_mask)
 
 
 def run_fingerprint(

@@ -35,8 +35,6 @@ __all__ = [
     "scan_items",
     "SearchBudget",
     "NodeCounters",
-    "CACHE_TELEMETRY_FIELDS",
-    "semantic_counters",
     "merge_counters",
 ]
 
@@ -180,6 +178,17 @@ class SearchBudget:
                 span = clock
         return span
 
+    def poll(self) -> None:
+        """Raise if the run must stop now, charging no node.
+
+        The hook of a coordinator that walks no nodes itself: the
+        sharded miner (:mod:`repro.core.parallel`) polls it while it
+        decomposes and whenever it wakes to collect shard parts.  This
+        budget's limits are node counts and a clock the coordinator
+        enforces as its own deadline, so here it does nothing;
+        subclasses with an external stop signal raise.
+        """
+
     def check(self, counters: NodeCounters) -> int:
         """Charge a walk that counts its own nodes, as it enters one.
 
@@ -215,11 +224,6 @@ class NodeCounters:
         groups_emitted: upper bounds admitted into the result.
         candidates_rejected: upper bounds meeting the thresholds but
             rejected by the interestingness comparison of Step 7.
-        cache_hits: kernel memo-cache hits (:class:`repro.core.kernel.KernelCache`)
-            — telemetry, not search semantics; see
-            :data:`CACHE_TELEMETRY_FIELDS`.
-        cache_misses: kernel memo-cache misses (entries computed and
-            stored).  Zero for ``engine="reference"`` runs.
     """
 
     nodes: int = 0
@@ -229,32 +233,6 @@ class NodeCounters:
     rows_compressed: int = 0
     groups_emitted: int = 0
     candidates_rejected: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-
-#: Counter fields that describe kernel cache *telemetry* rather than the
-#: search itself.  Cache scope is one per serial run but one per shard
-#: task (so retries and checkpoint/resume stay deterministic), hence these
-#: fields legitimately differ between a serial and a sharded run of the
-#: same problem while every semantic counter is identical.  Tests that
-#: compare serial vs sharded counters compare :func:`semantic_counters`;
-#: sharded vs resumed-sharded runs compare full equality.
-CACHE_TELEMETRY_FIELDS: tuple[str, ...] = ("cache_hits", "cache_misses")
-
-
-def semantic_counters(counters: NodeCounters) -> dict[str, int]:
-    """The counter fields that must match across equivalent runs.
-
-    Projects away :data:`CACHE_TELEMETRY_FIELDS`, whose values depend on
-    cache scoping (serial run vs per-shard-task) rather than on what the
-    search did.
-    """
-    return {
-        spec.name: getattr(counters, spec.name)
-        for spec in fields(NodeCounters)
-        if spec.name not in CACHE_TELEMETRY_FIELDS
-    }
 
 
 def merge_counters(parts: Iterable[NodeCounters]) -> NodeCounters:

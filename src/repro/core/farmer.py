@@ -52,15 +52,15 @@ lists into an in-memory transposed table; we use the bitset equivalent):
   the parent, and on the paper's workloads the large majority of nodes
   are loose-pruned and never get a table, a state object or a frame.
   The production engine builds a surviving node's table and scan in one
-  fused pass and memoizes pure per-node evaluations per run
-  (:class:`~repro.core.kernel.KernelCache`).  Its tables are packed
-  uint64 columns while ``TT|X`` is wide and the kernel's keyed int masks,
-  with early-exiting bound scans on the support-sorted order, once it
-  is narrow (:data:`~repro.core.npbitset.HANDOFF_ITEMS`).
+  fused pass and evaluates each node's bounds inline on its counts.  Its
+  tables are packed uint64 columns while ``TT|X`` is wide and the
+  kernel's keyed int masks, with early-exiting bound scans on the
+  support-sorted order, once it is narrow
+  (:data:`~repro.core.npbitset.HANDOFF_ITEMS`).
   ``engine="reference"`` keeps the pre-kernel cost model for
   differential tests and the perf gate: the dataset's item order, every
-  visited node's table built before its Step-2 bound, full bound scans
-  and no caches.  Both produce byte-identical serialized output.
+  visited node's table built before its Step-2 bound and full bound
+  scans.  Both produce byte-identical serialized output.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from . import bitset
 from .bounds import chi_bound, confidence_bound
 from .constraints import Constraints
 from .enumeration import NodeCounters, SearchBudget
-from .kernel import CondTable, CondTableProtocol, KernelCache
+from .kernel import CondTable, CondTableProtocol, ScanStats
 from .minelb import attach_lower_bounds
 from .npbitset import root_table
 from .rulegroup import RuleGroup
@@ -215,8 +215,8 @@ class SearchContext:
 
     ``observe`` switches the production engine's Pruning-3 bound scan
     to its telemetry-counting variant (each table's
-    ``observed_max_overlap``, which counts into the run's
-    :class:`~repro.core.kernel.KernelCache`) so an observed run can
+    ``observed_max_overlap``, which counts into the walk's
+    :class:`~repro.core.kernel.ScanStats`) so an observed run can
     report how far the early-exiting scans walk.  It never changes the
     mined output, and the disabled cost is one boolean check on the
     minority of nodes that survive the loose bounds.
@@ -323,39 +323,6 @@ _UNBOUNDED = 1 << 62
 _PROGRESS_QUANTUM = 16384
 
 
-class _Uncached:
-    """The reference engine's evaluator: :class:`KernelCache`'s surface
-    with no memo.
-
-    Every class split, bound and threshold test is recomputed through
-    :mod:`repro.core.bounds` and nothing is counted, so a reference run
-    reports zero cache telemetry.  Reference tables carry no popcounts,
-    so their bound scans walk every tuple; and the walk builds every
-    visited node's table before its Step-2 bound (see
-    :func:`enumerate_frontier`), the eager pre-kernel cost model.
-    """
-
-    def class_split(
-        self, row_mask: int, positive_mask: int, counters
-    ) -> tuple[int, int]:
-        supp = bitset.bit_count(row_mask & positive_mask)
-        return supp, bitset.bit_count(row_mask) - supp
-
-    def confidence(self, support_bound: int, negative_lower: int, counters) -> float:
-        return confidence_bound(support_bound, negative_lower)
-
-    def chi(self, supp: int, supn: int, n: int, m: int, counters) -> float:
-        return chi_bound(supp, supn, n, m)
-
-    def satisfies(
-        self, constraints, supp: int, supn: int, n: int, m: int, counters
-    ) -> bool:
-        return constraints.satisfied_by(supp, supn, n, m)
-
-
-_UNCACHED = _Uncached()
-
-
 def _child_state(
     table: CondTableProtocol,
     x_mask: int,
@@ -443,7 +410,7 @@ def enumerate_frontier(
     sink: "list[Candidate] | Callable[[Candidate], None]",
     quantum: int | None,
     advisory=None,
-    cache: KernelCache | None = None,
+    stats: ScanStats | None = None,
     *,
     observer=None,
     progress: Callable[[int], int | None] | None = None,
@@ -468,8 +435,8 @@ def enumerate_frontier(
     survives builds its table (Step 3) and becomes the innermost frame;
     a frame whose children are exhausted is popped and its candidate
     emitted (Step 7 after Step 6, so every group with a smaller
-    antecedent is already known — Lemma 3.4).  Node counts, cache
-    lookups and emissions therefore happen in serial depth-first order,
+    antecedent is already known — Lemma 3.4).  Node counts and
+    emissions therefore happen in serial depth-first order,
     whatever the engine.  The walk makes no per-node call unless it has
     an ``observer`` or is the reference engine: limits are enforced
     between chunks of nodes, through ``progress``.
@@ -500,8 +467,9 @@ def enumerate_frontier(
         advisory: optional dominance bounds
             (:class:`repro.core.parallel.AdvisoryBounds`) filtering the
             sink; see :func:`_advisory_filter`.
-        cache: kernel memo cache for this walk; ``None`` creates one
-            scoped to the call.  The reference engine ignores it.
+        stats: receives the bound-scan telemetry of an observed walk
+            (``ctx.observe``); ``None`` there creates one scoped to the
+            call.  Unobserved and reference walks ignore it.
         observer: optional node observer with ``enter(state)`` (every
             visited node) and ``leave(outcome)`` (one
             of ``"explored"``, ``"pruned:loose"``, ``"pruned:tight"``,
@@ -527,15 +495,12 @@ def enumerate_frontier(
         ``None`` when the frontier was fully enumerated, else the
         ordered remaining frontier to continue from.
     """
-    if ctx.reference:
-        cache = _UNCACHED
-    elif cache is None:
-        cache = KernelCache()
     emit = sink if callable(sink) else sink.append
     if advisory is not None:
         emit = _advisory_filter(emit, advisory, counters)
-    confidence = cache.confidence
+    confidence = confidence_bound
     constraints = ctx.constraints
+    satisfied_by = constraints.satisfied_by
     minsup = constraints.minsup
     minconf = constraints.minconf
     minchi = constraints.minchi
@@ -548,6 +513,8 @@ def enumerate_frontier(
     eager = ctx.reference
     # Reference tables have no popcounts to account a scan by.
     observe = ctx.observe and not eager
+    if observe and stats is None:
+        stats = ScanStats()
     # Per-node work only some walks do: an observer, or the reference
     # engine's eager tables.
     slow = observer is not None or eager
@@ -696,7 +663,7 @@ def enumerate_frontier(
                 bound < minsup
                 or (
                     minconf > 0.0
-                    and confidence(bound, node_supn, counters) < minconf
+                    and confidence(bound, node_supn) < minconf
                 )
             ):
                 loose += 1
@@ -732,16 +699,15 @@ def enumerate_frontier(
                     observer.leave("pruned:identified")
                 continue
 
-            total_supp, total_supn = cache.class_split(
-                node_inter, positive_mask, counters
-            )
+            total_supp = (node_inter & positive_mask).bit_count()
+            total_supn = node_inter.bit_count() - total_supp
 
             # Step 4 — Pruning 3, tight bounds (after the scan).
             if use_p3:
                 if positive and node_pos:
                     if observe:
                         tight = node_supp + node_table.observed_max_overlap(
-                            cache, node_pos
+                            stats, node_pos
                         )
                     else:
                         tight = node_supp + node_table.max_overlap(node_pos)
@@ -751,12 +717,11 @@ def enumerate_frontier(
                     tight < minsup
                     or (
                         minconf > 0.0
-                        and confidence(tight, total_supn, counters) < minconf
+                        and confidence(tight, total_supn) < minconf
                     )
                     or (
                         minchi > 0.0
-                        and cache.chi(total_supp, total_supn, n, m, counters)
-                        < minchi
+                        and chi_bound(total_supp, total_supn, n, m) < minchi
                     )
                 ):
                     tight_pruned += 1
@@ -780,9 +745,7 @@ def enumerate_frontier(
 
             # Step 7, threshold half — the candidate upper bound
             # I(X) -> C, emitted once the subtree is done.
-            if cache.satisfies(
-                constraints, total_supp, total_supn, n, m, counters
-            ):
+            if satisfied_by(total_supp, total_supn, n, m):
                 ids = tuple(node_table.item_ids)
                 node_candidate = Candidate(ids, total_supp, total_supn, node_inter)
             else:
@@ -1211,7 +1174,7 @@ class Farmer:
         if telemetry is not None:
             telemetry.fold_node_counters(counters)
             if not sharded and not warm and not self.reference:
-                telemetry.add_counters(self._cache.stats())
+                telemetry.add_counters(self._scan_stats.stats())
             telemetry.run_end(
                 groups=len(groups),
                 nodes=counters.nodes,
@@ -1255,7 +1218,11 @@ class Farmer:
         self._table = table
         self._counters = counters = NodeCounters()
         self._store = store = _IRGStore()
-        self._cache = KernelCache()
+        self._scan_stats = (
+            ScanStats()
+            if self.telemetry is not None and not self.reference
+            else None
+        )
         self._truncated = False
         budget = self.budget
         budget.start()
@@ -1288,7 +1255,7 @@ class Farmer:
         try:
             if self.telemetry is None:
                 enumerate_frontier(
-                    ctx, units, counters, offer, check(), cache=self._cache,
+                    ctx, units, counters, offer, check(),
                     observer=observer, progress=check,
                 )
             else:
@@ -1360,7 +1327,7 @@ class Farmer:
         span = check()
         if observer is not None:
             enumerate_frontier(
-                ctx, units, counters, offer, span, cache=self._cache,
+                ctx, units, counters, offer, span, stats=self._scan_stats,
                 observer=observer, progress=check,
             )
             return
@@ -1378,7 +1345,7 @@ class Farmer:
             return min(check(), _PROGRESS_QUANTUM)
 
         enumerate_frontier(
-            ctx, units, counters, offer, 1, cache=self._cache,
+            ctx, units, counters, offer, 1, stats=self._scan_stats,
             progress=progress,
         )
         coverage["done"] = coverage["total"]

@@ -14,8 +14,8 @@ to a cold mine**:
   table, no pruned node.
 * The entry is persisted through the checksummed, fsync'd
   :mod:`repro.core.serialize` envelope, keyed by a dataset fingerprint
-  plus a constraint key.  Item ids are stored as ascending lists (the
-  candidate codec :mod:`repro.core.checkpoint` uses), never as item
+  plus a constraint key.  Item ids are stored as ascending lists
+  (:func:`candidate_row`, a codec checkpoints share), never as item
   bitmasks, so entries stay encodable at any item count and their bytes
   are identical whichever engine captured them.
 * A later mine consults the planner, which has two answers:
@@ -68,7 +68,6 @@ from ..errors import (
     ReproError,
     UsageError,
 )
-from .checkpoint import candidate_from_row, candidate_row
 from .constraints import Constraints
 from .enumeration import NodeCounters
 from .farmer import (
@@ -78,7 +77,6 @@ from .farmer import (
     _IRGStore,
     enumerate_frontier,
 )
-from .kernel import KernelCache
 from .serialize import canonical_json, load_checkpoint, save_checkpoint
 
 if TYPE_CHECKING:
@@ -89,6 +87,8 @@ __all__ = [
     "FRONTIER_KIND",
     "FRONTIER_SUFFIX",
     "cache_entries",
+    "candidate_from_row",
+    "candidate_row",
     "entry_path",
     "frontier_fingerprint",
     "load_entry",
@@ -110,6 +110,54 @@ FRONTIER_SUFFIX = ".frontier"
 
 #: The integer counts every entry's ``stats`` block carries.
 _STATS_FIELDS = ("evals", "nodes")
+
+
+# ----------------------------------------------------------------------
+# Candidate codec
+# ----------------------------------------------------------------------
+
+
+def candidate_row(candidate: Candidate) -> list:
+    """One candidate as the persisted ``[item_ids, supp, supn, row_mask]`` row.
+
+    Item ids travel as a list, never as an item bitmask: a mask over a
+    paper-sized item universe (tens of thousands of items) passes
+    Python's int-to-text digit limit, while an id list only grows with
+    the antecedent.  Frontier entries and checkpoints
+    (:mod:`repro.core.checkpoint`) share this codec.
+    """
+    return [
+        list(candidate.item_ids),
+        candidate.supp,
+        candidate.supn,
+        candidate.row_mask,
+    ]
+
+
+def candidate_from_row(row: object, where: str) -> Candidate:
+    """The :class:`Candidate` of one :func:`candidate_row` row.
+
+    Args:
+        row: the decoded JSON value.
+        where: what holds the row, for the error message.
+
+    Returns:
+        The candidate.
+
+    Raises:
+        DataError: the row is not four fields, a count is not an int
+            (bools included), or an item id is not a non-negative int.
+    """
+    if not isinstance(row, list) or len(row) != 4 or not isinstance(row[0], list):
+        raise DataError(f"{where}: malformed candidate")
+    item_ids, supp, supn, row_mask = row
+    for value in item_ids:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise DataError(f"{where}: malformed candidate item id")
+    for value in (supp, supn, row_mask):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DataError(f"{where}: malformed candidate count")
+    return Candidate(tuple(item_ids), supp, supn, row_mask)
 
 
 # ----------------------------------------------------------------------
@@ -551,7 +599,6 @@ def _answer_by_capture(
                 counters,
                 evals,
                 check(),
-                cache=KernelCache(),
                 progress=check,
             )
         except BudgetExceeded:

@@ -23,12 +23,9 @@ and, where possible, *skips* that work:
   (``inter``/``union``) as it is built.  Its support-descending item
   order lets Pruning-3 bound scans (:meth:`CondTable.max_overlap`) stop
   early instead of walking every tuple;
-* :class:`KernelCache` memoizes, per mining run, the pure per-node
-  evaluations keyed by row-set ints and count pairs: the class split of a
-  closure ``R(I(X))``, the confidence and chi-square upper bounds of
-  Lemmas 3.8/3.9, and the Step-7 threshold test — with hit/miss counters
-  folded into :class:`~repro.core.enumeration.NodeCounters` so cache
-  behaviour shows up in shard telemetry;
+* :class:`ScanStats` counts, on an observed walk, how far those bound
+  scans walk (the per-node bounds themselves are constant-time
+  arithmetic on the node's counts, evaluated inline by the walk);
 * :class:`ClosureCache` memoizes closure *itemsets* keyed by their
   row-set int (used by COBBLER's column mode, where the global closure
   ``I(T)`` of a projected tid-set is provably projection-independent).
@@ -45,8 +42,8 @@ against the reference shims and the brute-force oracle.
 children over to this class (:data:`~repro.core.npbitset.HANDOFF_ITEMS`).
 Miners accept ``engine="reference"`` to run the pre-kernel cost model
 (every visited node's table built eagerly in the dataset's item order,
-unranked so bound scans are full, no memo caches) for differential
-testing and the committed perf gate (``benchmarks/perf_gate.py``).
+unranked so bound scans are full) for differential testing and the
+committed perf gate (``benchmarks/perf_gate.py``).
 """
 
 from __future__ import annotations
@@ -54,13 +51,12 @@ from __future__ import annotations
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 from ..errors import DataError
-from .bounds import chi_bound, confidence_bound
 from .enumeration import scan_items
 
 __all__ = [
     "CondTable",
     "CondTableProtocol",
-    "KernelCache",
+    "ScanStats",
     "ClosureCache",
 ]
 
@@ -106,8 +102,8 @@ class CondTableProtocol(Protocol):
         """``MAX(|cand ∩ t|)`` over this table's tuples (Lemma 3.7)."""
         ...
 
-    def observed_max_overlap(self, cache: "KernelCache", cand_mask: int) -> int:
-        """:meth:`max_overlap` plus bound-scan telemetry on ``cache``."""
+    def observed_max_overlap(self, stats: "ScanStats", cand_mask: int) -> int:
+        """:meth:`max_overlap` plus bound-scan telemetry on ``stats``."""
         ...
 
 
@@ -332,11 +328,11 @@ class CondTable:
                     break
         return best
 
-    def observed_max_overlap(self, cache: "KernelCache", cand_mask: int) -> int:
-        """:meth:`max_overlap` plus bound-scan accounting on ``cache``.
+    def observed_max_overlap(self, stats: "ScanStats", cand_mask: int) -> int:
+        """:meth:`max_overlap` plus bound-scan accounting on ``stats``.
 
         Args:
-            cache: receives the ``bound_*`` telemetry (one scan, the
+            stats: receives the ``bound_*`` telemetry (one scan, the
                 table's length, the rows an early exit skipped).
             cand_mask: the candidate-row bitset of Lemma 3.7.
 
@@ -357,51 +353,32 @@ class CondTable:
             if overlap > best:
                 best = overlap
                 if best >= cand_count:
-                    cache.bound_rows_skipped += len(keys) - keys.index(key) - 1
-                    cache.bound_early_exits += 1
+                    stats.bound_rows_skipped += len(keys) - keys.index(key) - 1
+                    stats.bound_early_exits += 1
                     break
-        cache.bound_scans += 1
-        cache.bound_rows_total += len(keys)
+        stats.bound_scans += 1
+        stats.bound_rows_total += len(keys)
         return best
 
 
-class KernelCache:
-    """Per-run memo caches for the pure per-node evaluations.
+class ScanStats:
+    """Bound-scan telemetry of one observed walk.
 
-    Everything memoized here is a deterministic function of its key for a
-    fixed dataset and constraints, so caching can never change mined
-    output — only the work done.  Scope is one cache per serial run and
-    one per shard task in the sharded pipeline (which keeps the counters
-    deterministic under retries, checkpoint/resume and any scheduling);
-    consequently the *cache telemetry* of a serial run and a sharded run
-    differ even though every other counter is identical — see
-    :data:`repro.core.enumeration.CACHE_TELEMETRY_FIELDS`.
-
-    Hit/miss counts are accumulated into the ``cache_hits`` /
-    ``cache_misses`` fields of the :class:`~repro.core.enumeration.NodeCounters`
-    passed to each method, travelling through ``merge_counters``, the
-    parallel reduce and checkpoint records like every other counter.
-
-    The cache additionally hosts the kernel's *bound-scan* statistics
-    (how far the early-exiting :meth:`CondTable.max_overlap` scans
-    actually walk), filled only by the tables' ``observed_max_overlap``
+    How far the early-exiting :meth:`CondTable.max_overlap` scans
+    actually walk, filled only by the tables' ``observed_max_overlap``
     (:meth:`CondTable.observed_max_overlap` and its packed counterpart)
     — the telemetry variant the miner switches to when observability
     is on (:class:`~repro.core.farmer.SearchContext` ``observe``).  Each
     representation accounts for its own cost model: the int-mask table
     records how far its early exit walked, the packed table records
-    full-length vectorized scans.  They live
-    here rather than on :class:`~repro.core.enumeration.NodeCounters`
-    deliberately: checkpoint records serialize every counter field, so a
+    full-length vectorized scans.  They live here rather than on
+    :class:`~repro.core.enumeration.NodeCounters` deliberately:
+    checkpoint records serialize every counter field, so a
     telemetry-only counter there would break the byte-identity of
     checkpoints written with and without telemetry.
     """
 
     __slots__ = (
-        "splits",
-        "confidences",
-        "chis",
-        "thresholds",
         "bound_scans",
         "bound_rows_skipped",
         "bound_rows_total",
@@ -409,101 +386,17 @@ class KernelCache:
     )
 
     def __init__(self) -> None:
-        #: row-set int -> (supp, supn): the class split of a closure.
-        self.splits: dict[int, tuple[int, int]] = {}
-        #: (support bound, negative support) -> confidence bound.
-        self.confidences: dict[tuple[int, int], float] = {}
-        #: (supp, supn) -> chi-square upper bound (Lemma 3.9).
-        self.chis: dict[tuple[int, int], float] = {}
-        #: (supp, supn) -> Step-7 threshold verdict.
-        self.thresholds: dict[tuple[int, int], bool] = {}
-        #: Bound-scan telemetry (observed runs only; see class docstring).
         self.bound_scans = 0
         self.bound_rows_skipped = 0
         self.bound_rows_total = 0
         self.bound_early_exits = 0
-
-    def class_split(self, row_mask: int, positive_mask: int, counters) -> tuple[int, int]:
-        """``(supp, supn)`` of the closure ``R(I(X))`` given as ``row_mask``.
-
-        Keyed by the row-set int itself: the same closure reached at
-        different nodes (or re-reached with Pruning 2 off) pays its two
-        popcounts once per run.
-
-        Args:
-            row_mask: the closure's supporting-row bitset.
-            positive_mask: row bitset of the consequent class.
-            counters: hit/miss statistics, mutated in place.
-
-        Returns:
-            The ``(supp, supn)`` class split of the closure.
-        """
-        split = self.splits.get(row_mask)
-        if split is not None:
-            counters.cache_hits += 1
-            return split
-        counters.cache_misses += 1
-        supp = (row_mask & positive_mask).bit_count()
-        split = (supp, row_mask.bit_count() - supp)
-        self.splits[row_mask] = split
-        return split
-
-    def confidence(self, support_bound: int, negative_lower: int, counters) -> float:
-        """Memoized :func:`~repro.core.bounds.confidence_bound`."""
-        key = (support_bound, negative_lower)
-        value = self.confidences.get(key)
-        if value is not None:
-            counters.cache_hits += 1
-            return value
-        counters.cache_misses += 1
-        value = confidence_bound(support_bound, negative_lower)
-        self.confidences[key] = value
-        return value
-
-    def chi(self, supp: int, supn: int, n: int, m: int, counters) -> float:
-        """Memoized :func:`~repro.core.bounds.chi_bound` (Lemma 3.9)."""
-        key = (supp, supn)
-        value = self.chis.get(key)
-        if value is not None:
-            counters.cache_hits += 1
-            return value
-        counters.cache_misses += 1
-        value = chi_bound(supp, supn, n, m)
-        self.chis[key] = value
-        return value
-
-    def satisfies(self, constraints, supp: int, supn: int, n: int, m: int, counters) -> bool:
-        """Memoized Step-7 threshold test.
-
-        Args:
-            constraints: the run's admission thresholds.
-            supp: positive support of the candidate.
-            supn: negative support of the candidate.
-            n: total row count of the dataset.
-            m: rows carrying the consequent class.
-            counters: hit/miss statistics, mutated in place.
-
-        Returns:
-            :meth:`~repro.core.constraints.Constraints.satisfied_by` for
-            ``(supp, supn, n, m)``, cached per ``(supp, supn)``.
-        """
-        key = (supp, supn)
-        verdict = self.thresholds.get(key)
-        if verdict is not None:
-            counters.cache_hits += 1
-            return verdict
-        counters.cache_misses += 1
-        verdict = constraints.satisfied_by(supp, supn, n, m)
-        self.thresholds[key] = verdict
-        return verdict
 
     def stats(self) -> dict[str, int]:
         """The bound-scan telemetry as catalogue-named counters.
 
         Returns:
             A mapping of ``kernel.*`` counter names to values, ready for
-            :meth:`repro.obs.telemetry.Telemetry.add_counters`.  All
-            zeros unless the run took the observed path.
+            :meth:`repro.obs.telemetry.Telemetry.add_counters`.
         """
         return {
             "kernel.bound_scans": self.bound_scans,

@@ -196,7 +196,7 @@ class NumpyCondTable:
     child's intersection/union run along contiguous word rows.
     ``inter``/``union``/``full`` are plain Python ints (converted at the
     table boundary), which keeps every consumer of the protocol —
-    witness math, memo-cache keys, candidate row masks — byte-identical
+    witness math, class splits, candidate row masks — byte-identical
     to the int-mask table.
 
     Item order is support-descending with item-id ties ascending, the
@@ -353,8 +353,8 @@ class NumpyCondTable:
         overlaps = popcount_cols(data[:width] & cand[:, None])
         return int(overlaps.max())
 
-    def observed_max_overlap(self, cache, cand_mask: int) -> int:
-        """:meth:`max_overlap` plus the cache's bound-scan accounting.
+    def observed_max_overlap(self, stats, cand_mask: int) -> int:
+        """:meth:`max_overlap` plus bound-scan accounting on ``stats``.
 
         The vectorized scan always touches every tuple, so the scan
         length equals the table length and no early exit is recorded —
@@ -362,7 +362,7 @@ class NumpyCondTable:
         ``kernel.bound_*`` telemetry.
 
         Args:
-            cache: the node's :class:`~repro.core.kernel.KernelCache`,
+            stats: the walk's :class:`~repro.core.kernel.ScanStats`,
                 whose ``bound_*`` counters are advanced.
             cand_mask: candidate row bitset, as in :meth:`max_overlap`.
 
@@ -370,8 +370,8 @@ class NumpyCondTable:
             ``MAX(|cand ∩ t|)`` over the tuples.
         """
         size = self.data.shape[1]
-        cache.bound_scans += 1
-        cache.bound_rows_total += size
+        stats.bound_scans += 1
+        stats.bound_rows_total += size
         return self.max_overlap(cand_mask)
 
 

@@ -107,11 +107,8 @@ unchanged:
   failed shard (the chaos layer injects ``donor-*``/``steal-*`` faults
   at exactly those points).
 
-Semantic counters still sum to the serial miner's; per-shard cache
-telemetry and advisory-drop counts become schedule-dependent (each part
-scopes its own memo cache), which
-:data:`~repro.core.enumeration.CACHE_TELEMETRY_FIELDS` already keeps
-out of the pinned comparisons.
+Merged counters still equal the serial miner's; only the per-shard
+advisory-drop counts become schedule-dependent.
 """
 
 from __future__ import annotations
@@ -155,7 +152,7 @@ from .farmer import (
     _is_reference,
     enumerate_frontier,
 )
-from .kernel import CondTableProtocol, KernelCache
+from .kernel import CondTableProtocol, ScanStats
 
 if TYPE_CHECKING:
     from ..obs.telemetry import Telemetry
@@ -188,6 +185,10 @@ DEFAULT_STEAL_QUANTUM = 4096
 #: Start method of each run's pool: ``fork`` (the cheapest) where the
 #: platform has it.  Nothing relies on what a fork inherits.
 _START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+
+#: Longest the coordinator waits on shard parts before it polls the
+#: run's budget (:meth:`~repro.core.enumeration.SearchBudget.poll`).
+_BUDGET_POLL_SECONDS = 0.1
 
 
 class AdvisoryBounds:
@@ -590,7 +591,8 @@ def _decompose(
     expansion_cap: int,
     deadline: float | None,
     strict: bool,
-    cache: KernelCache | None = None,
+    stats: ScanStats | None = None,
+    budget: SearchBudget | None = None,
 ) -> tuple[object, list[_Leaf], bool]:
     """Expand the tree until ``target`` frontier subtrees exist.
 
@@ -600,16 +602,13 @@ def _decompose(
     The decomposition does not affect the mined output: any frontier
     reassembles to the serial candidate sequence in the reduce.
 
-    ``cache`` lets the caller keep the coordinator's kernel memo cache in
-    hand (to read its telemetry afterwards); ``None`` creates one.
+    ``stats`` receives the bound-scan telemetry of an observed ``ctx``
+    (the caller reads it afterwards); ``budget``, if given, is polled
+    before every expansion.
 
     Returns ``(plan_root, tasks, truncated)`` with tasks in dispatch
     (largest-first) order.
     """
-    # One memo cache for the whole decomposition: the coordinator's cache
-    # telemetry is deterministic because the expansion order is.
-    if cache is None:
-        cache = KernelCache()
     root: object = _Leaf(root_state)
     heap: list[tuple[int, int, _Leaf, list[object] | None, int]] = [
         (-root_state.estimate(), 0, root, None, 0)
@@ -619,6 +618,8 @@ def _decompose(
     expanded = 0
     truncated = False
     while heap and n_leaves < target and expanded < expansion_cap:
+        if budget is not None:
+            budget.poll()
         if deadline is not None and time.monotonic() > deadline:
             if strict:
                 raise BudgetExceeded(
@@ -635,7 +636,7 @@ def _decompose(
         emitted: list[Candidate] = []
         children = enumerate_frontier(
             ctx, [(FRONTIER_STATE, leaf.state)], coordinator, emitted, 1,
-            cache=cache,
+            stats=stats,
         ) or []
         if children and children[-1][0] == FRONTIER_CAND:
             emitted.append(children.pop()[1])
@@ -671,14 +672,15 @@ def _sleep_backoff(retry: RetryPolicy, failures: int) -> None:
     time.sleep(min(retry.backoff_cap, retry.backoff_base * 2 ** (failures - 1)))
 
 
-def _poll_timeout(retry: RetryPolicy, deadline: float | None) -> float | None:
-    """How long one ``wait()`` may block before heartbeats are checked."""
-    waits = []
+def _poll_timeout(retry: RetryPolicy, deadline: float | None) -> float:
+    """How long one ``wait()`` may block before the budget and the
+    heartbeats are checked."""
+    waits = [_BUDGET_POLL_SECONDS]
     if retry.shard_timeout is not None:
         waits.append(max(0.01, retry.shard_timeout / 4))
     if deadline is not None:
         waits.append(max(0.01, deadline - time.monotonic()))
-    return min(waits) if waits else None
+    return min(waits)
 
 
 class _Part:
@@ -735,6 +737,7 @@ def _execute_parts(
     strict: bool,
     quantum: int | None,
     *,
+    budget: SearchBudget,
     retry: RetryPolicy,
     report: ParallelReport,
     checkpointer: Checkpointer | None = None,
@@ -769,6 +772,8 @@ def _execute_parts(
         strict: whether a tripped budget raises instead of truncating.
         quantum: nodes per part between yield points; ``None`` never
             yields.
+        budget: polled before every inline part and whenever ``wait()``
+            returns; what it raises tears the pool down and propagates.
         retry: the fault-tolerance ladder.
         report: mutated in place with scheduling diagnostics.
         checkpointer: records stitched whole-shard results.
@@ -1032,6 +1037,7 @@ def _execute_parts(
                     break
             if inline_only:
                 while pending and error is None and not truncated:
+                    budget.poll()
                     run_inline(pending.popleft())
                 continue
             while (
@@ -1058,6 +1064,7 @@ def _execute_parts(
                 timeout=_poll_timeout(retry, deadline),
                 return_when=FIRST_COMPLETED,
             )
+            budget.poll()
             if not done:
                 if retry.shard_timeout is not None:
                     now = time.monotonic()
@@ -1156,12 +1163,9 @@ def mine_table_parallel(
 ) -> tuple[_IRGStore, NodeCounters, bool, ParallelReport]:
     """Mine ``table`` with the sharded decompose/execute/reduce pipeline.
 
-    Kernel memo caches are scoped one per shard task (plus one for the
-    coordinator's decomposition), so a task's cache telemetry is
-    independent of scheduling and retries — resumed runs report counters
-    identical to uninterrupted ones — while the *semantic* counters
-    match the serial miner's (see
-    :data:`repro.core.enumeration.CACHE_TELEMETRY_FIELDS`).
+    Every merged counter matches the serial miner's, and resumed runs
+    report counters identical to uninterrupted ones, whatever the
+    scheduling and retries.
 
     Args:
         table: the transposed table to mine.
@@ -1234,24 +1238,25 @@ def mine_table_parallel(
     if retry is None:
         retry = RetryPolicy()
     deadline = None
-    strict = True
-    if budget is not None:
+    if budget is None:
+        budget = SearchBudget()
+    else:
         if budget.max_nodes is not None:
             raise ConstraintError(
                 "node budgets require the serial miner "
                 "(deterministic node accounting)"
             )
         budget.start()
-        strict = budget.strict
         if budget.max_seconds is not None:
             deadline = time.monotonic() + budget.max_seconds
+    strict = budget.strict
 
     ctx = SearchContext.for_table(
         table, constraints, prunings, reference=_is_reference(engine)
     )
-    # The coordinator's own expansions run observed (its kernel cache is
-    # in hand to read the bound-scan stats from); the context shipped to
-    # workers stays unobserved — worker-side stats would be discarded.
+    # The coordinator's own expansions run observed (its scan stats are
+    # in hand to read from); the context shipped to workers stays
+    # unobserved — worker-side stats would be discarded.
     coordinator_ctx = (
         replace(ctx, observe=True)
         if telemetry is not None and not ctx.reference
@@ -1283,7 +1288,7 @@ def mine_table_parallel(
         target = max(2, chunk_factor * n_workers)
         cap = expansion_cap if expansion_cap is not None else max(4 * target, 64)
 
-    coordinator_cache = KernelCache()
+    coordinator_stats = ScanStats()
     root_state = coordinator_ctx.root_state(table)
     with phase("decompose"):
         plan, tasks, truncated = _decompose(
@@ -1294,7 +1299,8 @@ def mine_table_parallel(
             cap,
             deadline,
             strict,
-            cache=coordinator_cache,
+            stats=coordinator_stats,
+            budget=budget,
         )
 
     checkpointer: Checkpointer | None = None
@@ -1392,6 +1398,7 @@ def mine_table_parallel(
                     tasks, ctx, root_state.table, n_workers, broadcast,
                     advisory_cap, deadline, strict,
                     steal_quantum if steal and n_workers > 1 else None,
+                    budget=budget,
                     retry=retry,
                     report=report,
                     checkpointer=checkpointer,
@@ -1421,7 +1428,7 @@ def mine_table_parallel(
     report.advisory_drops = sum(leaf.drops for leaf in tasks)
     merged = merge_counters([coordinator, replay, *report.workers])
     if telemetry is not None:
-        telemetry.add_counters(coordinator_cache.stats())
+        telemetry.add_counters(coordinator_stats.stats())
         telemetry.add_counters(
             {
                 "parallel.inline_tasks": report.inline_tasks,

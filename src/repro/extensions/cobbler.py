@@ -90,8 +90,8 @@ class Cobbler:
         self.column_switches = 0
         self._closures = ClosureCache()
         #: Closure-cache telemetry of the last run (diagnostics).
-        self.closure_cache_hits = 0
-        self.closure_cache_misses = 0
+        self.closure_hits = 0
+        self.closure_misses = 0
 
         item_masks = [0] * dataset.n_items
         for row_index, row in enumerate(dataset.rows):
@@ -115,8 +115,8 @@ class Cobbler:
             finally:
                 sys.setrecursionlimit(old_limit)
 
-        self.closure_cache_hits = self._closures.hits
-        self.closure_cache_misses = self._closures.misses
+        self.closure_hits = self._closures.hits
+        self.closure_misses = self._closures.misses
         results = [
             ClosedItemset(
                 items=frozenset(items),

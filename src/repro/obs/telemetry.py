@@ -25,7 +25,7 @@ Instrumentation discipline: phase boundaries are timed (a handful per
 run), shard-task completions are counted (tens per run), checkpoint
 writes are timed on the writer thread, and per-node statistics are
 folded in *once* from :class:`~repro.core.enumeration.NodeCounters` and
-:class:`~repro.core.kernel.KernelCache` at run end.  The full catalogue
+:class:`~repro.core.kernel.ScanStats` at run end.  The full catalogue
 of metric and event names lives in ``docs/observability.md``.
 """
 

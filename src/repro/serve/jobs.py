@@ -27,8 +27,10 @@ Resource-limit semantics (``docs/serve.md`` documents each):
   a strict node budget; exceeding it is also a ``timeout`` (the
   resource-limit family shares one terminal state).
 * **cancellation** — ``DELETE /v1/jobs/{id}`` dequeues a queued job
-  immediately; a running job is cancelled cooperatively within 128
-  nodes via :class:`CancellableBudget` and ends in state
+  immediately; a running job is cancelled cooperatively via
+  :class:`CancellableBudget` (a serial mine within 128 nodes, a
+  sharded one within about a tenth of a second, or between shards when
+  one worker runs them in the coordinator) and ends in state
   ``cancelled``.
 
 Byte identity is load-bearing: a job's ``.irgs`` artifact is written by
@@ -86,9 +88,10 @@ class CancellableBudget(SearchBudget):
     it (the 129th, the 257th, ...) poll the job's cancel event and raise
     :class:`JobCancelled` when it is set, and :meth:`until_check` ends
     the walk's chunks of nodes there.
-    Sharded mines poll on the coordinator between shard completions
-    (worker processes run their shard to the end — cancellation latency
-    is one shard, not one node).
+    Sharded mines poll through :meth:`poll` on the coordinator, while it
+    decomposes and about every tenth of a second while shard parts run
+    in worker processes (which a cancel kills), or between shards when
+    one worker runs them in the coordinator.
 
     Attributes:
         cancel: the job's cancel event (``None`` disables the switch —
@@ -105,6 +108,11 @@ class CancellableBudget(SearchBudget):
             if poll < span:
                 span = poll
         return span
+
+    def poll(self) -> None:
+        """Raise :class:`JobCancelled` if the job's cancel event is set."""
+        if self.cancel is not None and self.cancel.is_set():
+            raise JobCancelled("job cancelled")
 
     def tick(self) -> None:
         """Account one node; raise on budget or cancellation."""

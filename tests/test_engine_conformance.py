@@ -37,7 +37,6 @@ from engine_conformance import (
 )
 
 from repro import mine_irgs
-from repro.core.enumeration import semantic_counters
 from repro.errors import DataError, UsageError
 from repro.testing.chaos import InjectedFault
 
@@ -112,9 +111,7 @@ class TestEngineConformance:
             assert irgs_bytes(sharded, tmp_path, f"s-{seed}") == irgs_bytes(
                 serial, tmp_path, f"k-{seed}"
             ), (engine, seed)
-            assert semantic_counters(sharded.counters) == semantic_counters(
-                serial.counters
-            ), (engine, seed)
+            assert sharded.counters == serial.counters, (engine, seed)
             assert_fault_free(sharded)
 
     def test_killed_and_resumed_matches_serial_kernel(
@@ -136,9 +133,7 @@ class TestEngineConformance:
                 engine, paper_dataset, minsup=1, n_workers=2, resume=ckpt
             )
         assert irgs_bytes(resumed, tmp_path, "resumed") == reference, engine
-        assert semantic_counters(resumed.counters) == semantic_counters(
-            serial.counters
-        ), engine
+        assert resumed.counters == serial.counters, engine
         assert resumed.parallel.resumed_tasks >= 1
         assert_fault_free(resumed)
 

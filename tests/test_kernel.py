@@ -1,14 +1,13 @@
 """Tests for the fused enumeration kernel (:mod:`repro.core.kernel`).
 
-Three layers of assurance:
+Two layers of assurance:
 
 * unit tests for the kernel primitives (``CondTable`` extends, scans and
-  bound scans, the memo caches), including the strict-zip corruption
-  regression;
+  bound scans, COBBLER's closure cache), including the strict-zip
+  corruption regression;
 * a hypothesis property pinning a reference table's ``extend``
   extensionally equal to the pre-kernel ``extend_items`` +
-  ``scan_items`` composition;
-* cache telemetry plumbing (merge/projection/checkpoint round-trips).
+  ``scan_items`` composition.
 
 The engine differential — every registered engine serializing
 byte-identically to the kernel across constraints, prunings, shapes,
@@ -22,19 +21,9 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Constraints
 from repro.core import bitset
-from repro.core.bounds import chi_bound, confidence_bound
-from repro.core.checkpoint import TaskRecord
-from repro.core.enumeration import (
-    CACHE_TELEMETRY_FIELDS,
-    NodeCounters,
-    extend_items,
-    merge_counters,
-    scan_items,
-    semantic_counters,
-)
-from repro.core.kernel import ClosureCache, CondTable, KernelCache
+from repro.core.enumeration import extend_items, scan_items
+from repro.core.kernel import ClosureCache, CondTable
 from repro.errors import DataError
 
 
@@ -267,43 +256,8 @@ class TestCondTable:
 
 
 # ---------------------------------------------------------------------------
-# Memo caches
+# Closure cache
 # ---------------------------------------------------------------------------
-
-
-class TestKernelCache:
-    def test_class_split_memo_and_counters(self):
-        cache = KernelCache()
-        counters = NodeCounters()
-        split = cache.class_split(0b0111, 0b0011, counters)
-        assert split == (2, 1)
-        assert (counters.cache_hits, counters.cache_misses) == (0, 1)
-        assert cache.class_split(0b0111, 0b0011, counters) == (2, 1)
-        assert (counters.cache_hits, counters.cache_misses) == (1, 1)
-
-    def test_confidence_matches_bound(self):
-        cache = KernelCache()
-        counters = NodeCounters()
-        for _ in range(2):
-            assert cache.confidence(5, 2, counters) == confidence_bound(5, 2)
-        assert (counters.cache_hits, counters.cache_misses) == (1, 1)
-
-    def test_chi_matches_bound(self):
-        cache = KernelCache()
-        counters = NodeCounters()
-        for _ in range(2):
-            assert cache.chi(3, 1, 8, 4, counters) == chi_bound(3, 1, 8, 4)
-        assert (counters.cache_hits, counters.cache_misses) == (1, 1)
-
-    def test_satisfies_matches_constraints(self):
-        constraints = Constraints(minsup=2, minconf=0.5)
-        cache = KernelCache()
-        counters = NodeCounters()
-        for supp, supn in [(3, 1), (1, 3), (3, 1)]:
-            assert cache.satisfies(
-                constraints, supp, supn, 8, 4, counters
-            ) == constraints.satisfied_by(supp, supn, 8, 4)
-        assert (counters.cache_hits, counters.cache_misses) == (1, 2)
 
 
 class TestClosureCache:
@@ -313,46 +267,6 @@ class TestClosureCache:
         assert cache.put(0b101, (item for item in (2, 5))) == (2, 5)
         assert cache.get(0b101) == (2, 5)
         assert (cache.hits, cache.misses) == (1, 1)
-
-
-# ---------------------------------------------------------------------------
-# Cache telemetry plumbing
-# ---------------------------------------------------------------------------
-
-
-class TestCacheTelemetry:
-    def test_merge_counters_sums_cache_fields(self):
-        merged = merge_counters(
-            [NodeCounters(cache_hits=2, cache_misses=5),
-             NodeCounters(cache_hits=1, cache_misses=1)]
-        )
-        assert (merged.cache_hits, merged.cache_misses) == (3, 6)
-
-    def test_semantic_counters_projects_cache_fields_away(self):
-        projected = semantic_counters(NodeCounters(nodes=7, cache_hits=3))
-        assert projected["nodes"] == 7
-        for field in CACHE_TELEMETRY_FIELDS:
-            assert field not in projected
-
-    def test_task_record_round_trips_cache_counters(self):
-        record = TaskRecord(
-            index=0,
-            candidates=[],
-            counters=NodeCounters(nodes=4, cache_hits=9, cache_misses=2),
-        )
-        clone = TaskRecord.from_payload(record.to_payload())
-        assert clone.counters == record.counters
-
-    def test_old_payload_defaults_cache_counters_to_zero(self):
-        payload = TaskRecord(
-            index=0, candidates=[], counters=NodeCounters(nodes=4)
-        ).to_payload()
-        for field in CACHE_TELEMETRY_FIELDS:
-            del payload["counters"][field]
-        clone = TaskRecord.from_payload(payload)
-        assert clone.counters.cache_hits == 0
-        assert clone.counters.cache_misses == 0
-        assert clone.counters.nodes == 4
 
 
 # The engine differential (kernel vs reference vs numpy, byte for byte)

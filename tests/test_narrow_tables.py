@@ -26,7 +26,7 @@ from hypothesis import given, strategies as st
 from conftest import handoff
 from repro.core import bitset
 from repro.core.enumeration import extend_items, scan_items
-from repro.core.kernel import CondTable, KernelCache
+from repro.core.kernel import CondTable, ScanStats
 from repro.core.npbitset import NumpyCondTable, mask_words, root_table
 from repro.data.transpose import TransposedTable
 from repro.experiments.workloads import build_workload
@@ -120,11 +120,11 @@ def test_narrow_child_matches_every_view(table, data):
         ]
         assert (child.inter, child.union) == (shim_inter, shim_union)
         assert child.max_overlap(cand) == naive
-        cache = KernelCache()
-        assert child.observed_max_overlap(cache, cand) == naive
-        assert cache.bound_scans == 1
-        assert cache.bound_rows_total == len(shim_ids)
-        assert 0 <= cache.bound_rows_skipped < max(len(shim_ids), 1)
+        stats = ScanStats()
+        assert child.observed_max_overlap(stats, cand) == naive
+        assert stats.bound_scans == 1
+        assert stats.bound_rows_total == len(shim_ids)
+        assert 0 <= stats.bound_rows_skipped < max(len(shim_ids), 1)
 
 
 @pytest.mark.parametrize(
@@ -165,7 +165,7 @@ def test_bound_scan_runs_past_a_partial_overlap():
     table = CondTable.build([0b0111, 0b1001], 0b1111)
     assert table.masks == [0b0111, 0b1001]
     assert table.max_overlap(0b1001) == 2
-    cache = KernelCache()
-    assert table.observed_max_overlap(cache, 0b1001) == 2
-    assert cache.stats()["kernel.bound_rows_scanned"] == 2
-    assert cache.bound_early_exits == 1
+    stats = ScanStats()
+    assert table.observed_max_overlap(stats, 0b1001) == 2
+    assert stats.stats()["kernel.bound_rows_scanned"] == 2
+    assert stats.bound_early_exits == 1

@@ -19,7 +19,6 @@ from repro.baselines import interesting_rule_groups
 from repro.core.enumeration import (
     NodeCounters,
     merge_counters,
-    semantic_counters,
 )
 from repro.core.parallel import AdvisoryBounds, mine_table_parallel
 from repro.core.serialize import save_rule_groups
@@ -95,9 +94,7 @@ class TestDifferential:
             ), (seed, prunings)
             assert_fault_free(parallel)
             # The sharded run does the same work, not just the same output.
-            assert semantic_counters(parallel.counters) == semantic_counters(
-                serial.counters
-            ), (seed, prunings)
+            assert parallel.counters == serial.counters, (seed, prunings)
 
     def test_lower_bounds_identical(self):
         for seed in range(4):
@@ -208,9 +205,7 @@ class TestApi:
         assert result.parallel is not None
         assert result.parallel.n_tasks == 0
         assert len(result.groups) == len(serial.groups) == 0
-        assert semantic_counters(result.counters) == semantic_counters(
-            serial.counters
-        )
+        assert result.counters == serial.counters
 
     def test_serial_result_has_no_report(self):
         result = mine_irgs(random_dataset(3), "C", minsup=1)
@@ -268,9 +263,7 @@ class TestAdvisoryBounds:
                 result = Farmer(
                     Constraints(minsup=1), n_workers=2, broadcast_bounds=broadcast
                 ).mine(data, "C")
-                assert semantic_counters(result.counters) == semantic_counters(
-                    serial.counters
-                ), (seed, broadcast)
+                assert result.counters == serial.counters, (seed, broadcast)
 
     def test_merge_counters_sums_fields(self):
         a = NodeCounters(nodes=3, pruned_loose=1, candidates_rejected=2)

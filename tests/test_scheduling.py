@@ -18,6 +18,8 @@ Run the nightly profile for the deep sweep:
 ``pytest tests/test_scheduling.py --hypothesis-profile=nightly``.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,7 +35,6 @@ from scheduling import (
 from strategies import skewed_datasets
 
 from repro import Constraints, Farmer, mine_irgs
-from repro.core.enumeration import semantic_counters
 from repro.core.serialize import save_rule_groups
 from repro.errors import DataError
 from repro.testing.chaos import InjectedFault
@@ -86,13 +87,11 @@ class TestVirtualScheduler:
         )
         assert virtual == reference
         # Every node expanded exactly once somewhere, advisory drops and
-        # replay rejects partition the serial rejects — so the semantic
-        # counters (minus the emission count the harness skips) match.
-        virtual_sem = semantic_counters(run.counters)
-        serial_sem = semantic_counters(serial.counters)
-        virtual_sem.pop("groups_emitted")
-        serial_sem.pop("groups_emitted")
-        assert virtual_sem == serial_sem
+        # replay rejects partition the serial rejects — so the counters
+        # (minus the emission count the harness skips) match.
+        assert replace(run.counters, groups_emitted=0) == replace(
+            serial.counters, groups_emitted=0
+        )
 
     @given(data=skewed_datasets(), schedule=schedules)
     def test_skewed_workloads_match_serial(
@@ -213,9 +212,7 @@ class TestEndToEndStealing:
             data, "C", minsup=3, minconf=0.5, n_workers=n_workers, steal=True
         )
         assert _result_bytes(stealing, tmp_path / "steal.irgs") == reference
-        assert semantic_counters(stealing.counters) == semantic_counters(
-            serial.counters
-        )
+        assert stealing.counters == serial.counters
         assert_fault_free(stealing)
         static = mine_irgs(
             data, "C", minsup=3, minconf=0.5, n_workers=n_workers
@@ -263,9 +260,7 @@ class TestEndToEndStealing:
                     _result_bytes(result, tmp_path / f"{tag}.irgs")
                     == reference
                 ), tag
-                assert semantic_counters(result.counters) == (
-                    semantic_counters(serial.counters)
-                ), tag
+                assert result.counters == serial.counters, tag
 
     @pytest.mark.parametrize("resume_steal", [True, False])
     def test_killed_and_resumed_mid_steal(
@@ -302,8 +297,6 @@ class TestEndToEndStealing:
             resume=ckpt,
         )
         assert _result_bytes(resumed, tmp_path / "resumed.irgs") == reference
-        assert semantic_counters(resumed.counters) == semantic_counters(
-            serial.counters
-        )
+        assert resumed.counters == serial.counters
         assert resumed.parallel.resumed_tasks >= 1
         assert_fault_free(resumed)

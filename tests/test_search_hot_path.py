@@ -44,7 +44,7 @@ from repro.core.farmer import (
     _IRGStore,
     enumerate_frontier,
 )
-from repro.core.kernel import CondTable, KernelCache
+from repro.core.kernel import CondTable
 from repro.core.npbitset import (
     NumpyCondTable,
     mask_words,
@@ -99,15 +99,13 @@ def _walk(ctx, table, quantum, per_node):
     the per-node path.
     """
     counters = NodeCounters()
-    cache = KernelCache()
     candidates: list[Candidate] = []
     frontiers = []
     observer = _NoOpObserver() if per_node else None
     units = [(FRONTIER_STATE, ctx.root_state(table))]
     while True:
         units = enumerate_frontier(
-            ctx, units, counters, candidates, quantum, cache=cache,
-            observer=observer,
+            ctx, units, counters, candidates, quantum, observer=observer,
         )
         if units is None:
             return candidates, counters, frontiers
@@ -159,10 +157,10 @@ def _progress_matches_preemption(table, quantum):
     root = [(FRONTIER_STATE, ctx.root_state(table))]
 
     expected = []
-    counters, candidates, cache = NodeCounters(), [], KernelCache()
+    counters, candidates = NodeCounters(), []
     rest = root
     while True:
-        rest = enumerate_frontier(ctx, rest, counters, candidates, quantum, cache=cache)
+        rest = enumerate_frontier(ctx, rest, counters, candidates, quantum)
         if rest is None:
             break
         # The root's unstarted children are the depth-1 states left; a
@@ -184,7 +182,7 @@ def _progress_matches_preemption(table, quantum):
     assert (
         enumerate_frontier(
             ctx, root, walked, walked_candidates, quantum,
-            cache=KernelCache(), progress=progress,
+            progress=progress,
         )
         is None
     )

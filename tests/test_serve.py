@@ -453,6 +453,41 @@ class TestResourceLimits:
         assert payload["spec"]["warm"] is True
         assert len(expanded) == 1 and expanded[0] <= 128
 
+    def test_cancel_stops_a_running_sharded_job(self, app):
+        """``DELETE`` on a running sharded, stealing job ends it
+        ``cancelled`` well before the mine would finish, and leaves no
+        worker process behind."""
+        import multiprocessing
+
+        before = {child.pid for child in multiprocessing.active_children()}
+
+        def workers():
+            return [
+                child
+                for child in multiprocessing.active_children()
+                if child.pid not in before
+            ]
+
+        spec = {
+            "dataset": DATASET,
+            "scale": SCALE,
+            "minsup": 2,
+            "workers": 2,
+            "steal": True,
+            "warm": False,
+        }
+        _, job, _ = _call(app, "POST", "/v1/jobs", spec)
+        _wait_state(app, job["id"], "running")
+        deadline = time.monotonic() + 30.0
+        while not workers():
+            assert time.monotonic() < deadline, "the job started no pool"
+            time.sleep(0.01)
+        status, _, _ = _call(app, "DELETE", f"/v1/jobs/{job['id']}")
+        assert status == 202
+        payload = _wait_terminal(app, job["id"])
+        assert payload["state"] == "cancelled"
+        assert workers() == []
+
     def test_node_budget_is_timeout_state(self, app):
         spec = {
             "dataset": DATASET,

@@ -8,7 +8,7 @@ import pytest
 from conftest import HANDOFF_CUTOFFS, handoff, itemset_to_letters, random_dataset
 
 from repro import Constraints, Farmer, mine_irgs
-from repro.core.enumeration import NodeCounters, merge_counters, semantic_counters
+from repro.core.enumeration import NodeCounters, merge_counters
 from repro.core.trace import TracingFarmer, render_tree
 
 #: Every run the tracer must normalize identically: the production
@@ -121,9 +121,9 @@ class TestCounterMerge:
 
     def test_merge_counters_is_fieldwise_sum(self):
         parts = [
-            NodeCounters(nodes=2, pruned_loose=1, cache_hits=10),
+            NodeCounters(nodes=2, pruned_loose=1),
             NodeCounters(nodes=3, pruned_tight=4, candidates_rejected=1),
-            NodeCounters(rows_compressed=7, cache_misses=3),
+            NodeCounters(rows_compressed=7),
         ]
         merged = merge_counters(parts)
         assert dataclasses.asdict(merged) == {
@@ -134,8 +134,6 @@ class TestCounterMerge:
             "rows_compressed": 7,
             "groups_emitted": 0,
             "candidates_rejected": 1,
-            "cache_hits": 10,
-            "cache_misses": 3,
         }
 
     def test_merged_equal_serial_without_broadcast(self):
@@ -145,11 +143,7 @@ class TestCounterMerge:
             parallel = Farmer(
                 Constraints(minsup=1), n_workers=2, broadcast_bounds=False
             ).mine(data, "C")
-            # Cache telemetry is scoped per run vs per shard task, so only
-            # the semantic counters are comparable across execution modes.
-            assert semantic_counters(parallel.counters) == semantic_counters(
-                serial.counters
-            ), seed
+            assert parallel.counters == serial.counters, seed
 
     def test_merged_never_exceed_serial_with_broadcast(self):
         # With bounds broadcast on, dropped candidates are counted
@@ -158,8 +152,10 @@ class TestCounterMerge:
         # strongest form of "never exceed".
         for seed in range(8):
             data = random_dataset(seed, max_rows=11)
-            serial = semantic_counters(mine_irgs(data, "C", minsup=1).counters)
-            parallel = semantic_counters(
+            serial = dataclasses.asdict(
+                mine_irgs(data, "C", minsup=1).counters
+            )
+            parallel = dataclasses.asdict(
                 Farmer(
                     Constraints(minsup=1), n_workers=2, broadcast_bounds=True
                 )
