@@ -63,10 +63,10 @@ at that minsup; its times have no floor (they record whether sharding
 beats serial at all).
 
 A sixth section, ``"prep"``, is measure-only too: best-of-N registry
-load, equal-depth discretize (``fit`` + ``transform``), transpose and
-the production engine's root-table build for LC at ``PREP_SCALES`` —
-the two sweep scales and the paper's full width (12,533 genes, 125,330
-items).  Each point pins :func:`repro.testing.prep.prep_sha256` of its
+load, the equal-depth discretizer's ``fit`` and ``transform`` (timed
+apart), transpose and the production engine's root-table build for LC
+at ``PREP_SCALES`` — the two sweep scales and the paper's full width
+(12,533 genes, 125,330 items).  Each point pins :func:`repro.testing.prep.prep_sha256` of its
 discretized, transposed table, which ``--check`` compares exactly; its
 times have no floor.
 
@@ -214,7 +214,10 @@ REMINE_MAX_CAPTURE_RATIO = 1.5
 #: The prep row's scales: both sweeps' tables and the paper's width.
 PREP_SCALES = (SCALE, NUMPY_SCALE, 1.0)
 #: Timed prep layers, in pipeline order.
-PREP_LAYERS = ("load", "discretize", "transpose", "root_table")
+PREP_LAYERS = ("load", "fit", "transform", "transpose", "root_table")
+#: Prep layers a committed row may still name, as the layers that
+#: replaced them: ``--diff`` compares such a layer with their sum.
+PREP_RENAMED = {"discretize": ("fit", "transform")}
 
 #: The output row's points: dataset and minsup, all at one scale.
 OUTPUT_POINTS = (("BC", 6), ("ALL", 4), ("CT", 3))
@@ -478,6 +481,7 @@ def run_prep_row(rounds: int) -> dict:
             matrix = load(DATASET, scale=scale)
             stamps.append(time.perf_counter())
             discretizer = EqualDepthDiscretizer().fit(matrix)
+            stamps.append(time.perf_counter())
             data = discretizer.transform(matrix)
             stamps.append(time.perf_counter())
             table = TransposedTable.build(data, consequent)
@@ -983,7 +987,34 @@ def _diff_points(
             lines.append(
                 _diff_line(section, label, metric, pinned[metric], point[metric])
             )
+        for metric in sorted(point.keys() - pinned.keys()):
+            lines.append(
+                f"  {f'{section}.{label}':<28} {metric:<24} "
+                f"{'-':>12} -> {point[metric]!r:<12} new"
+            )
     return lines
+
+
+def _with_renamed_layers(fresh: dict, committed: dict) -> dict:
+    """A fresh prep row that also carries each layer the committed row
+    names under an old name (:data:`PREP_RENAMED`), as the sum of the
+    layers that replaced it, so ``--diff`` compares like with like."""
+    renamed = {
+        f"{old}_seconds": [f"{layer}_seconds" for layer in layers]
+        for old, layers in PREP_RENAMED.items()
+        if any(f"{old}_seconds" in point for point in committed["points"])
+    }
+    points = [
+        {
+            **point,
+            **{
+                old: round(sum(point[layer] for layer in layers), 4)
+                for old, layers in renamed.items()
+            },
+        }
+        for point in fresh["points"]
+    ]
+    return {**fresh, "points": points}
 
 
 def diff_report(sections: dict, baseline: dict) -> str:
@@ -1013,6 +1044,8 @@ def diff_report(sections: dict, baseline: dict) -> str:
                     )
             continue
         key = _ROW_PINS[name][0] if name in _ROW_PINS else "minsup"
+        if name == "prep":
+            fresh = _with_renamed_layers(fresh, committed)
         lines.extend(_diff_points(name, fresh, committed, key))
         extra = fresh.get("loosen")
         pinned_extra = committed.get("loosen")

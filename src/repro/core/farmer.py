@@ -215,9 +215,10 @@ class SearchContext:
 
     ``observe`` switches the production engine's Pruning-3 bound scan
     to its telemetry-counting variant (each table's
-    ``observed_max_overlap``, which counts into the walk's
-    :class:`~repro.core.kernel.ScanStats`) so an observed run can
-    report how far the early-exiting scans walk.  It never changes the
+    ``observed_max_overlap``, which counts early exits into the walk's
+    :class:`~repro.core.kernel.ScanStats`; the walk counts the scans
+    and their tables' rows itself) so an observed run can report how
+    far the early-exiting scans walk.  It never changes the
     mined output, and the disabled cost is one boolean check on the
     minority of nodes that survive the loose bounds.
     """
@@ -368,15 +369,26 @@ def _frame_units(frame: tuple, m: int) -> list[tuple[str, NodeState | Candidate]
 
 
 def _add_counts(
-    counters: NodeCounters, nodes: int, loose: int, tight: int, identified: int
+    counters: NodeCounters,
+    nodes: int,
+    loose: int,
+    tight: int,
+    identified: int,
+    stats: ScanStats | None,
+    scans: int,
+    scan_rows: int,
 ) -> None:
     """Add a walk's node and pruning counts to ``counters``, nodes
     first, so a concurrent reader (the telemetry sampler) never sees
-    more pruned nodes than nodes."""
+    more pruned nodes than nodes, and an observed walk's bound scans
+    and the rows of their tables to ``stats``."""
     counters.nodes += nodes
     counters.pruned_loose += loose
     counters.pruned_tight += tight
     counters.pruned_identified += identified
+    if scans:
+        stats.bound_scans += scans
+        stats.bound_rows_total += scan_rows
 
 
 def _advisory_filter(
@@ -469,7 +481,9 @@ def enumerate_frontier(
             sink; see :func:`_advisory_filter`.
         stats: receives the bound-scan telemetry of an observed walk
             (``ctx.observe``); ``None`` there creates one scoped to the
-            call.  Unobserved and reference walks ignore it.
+            call.  Scans and rows are added whenever ``counters`` is,
+            early exits as they happen.  Unobserved and reference walks
+            ignore it.
         observer: optional node observer with ``enter(state)`` (every
             visited node) and ``leave(outcome)`` (one
             of ``"explored"``, ``"pruned:loose"``, ``"pruned:tight"``,
@@ -532,13 +546,16 @@ def enumerate_frontier(
     candidate = None
     stack: list[tuple] = []
     state = None
-    # Node and pruning counts live in locals and reach ``counters``
-    # together (_add_counts) when the walk returns, yields or reports
-    # progress.  ``expanded`` never passes ``limit``.
+    # Node and pruning counts, and an observed walk's bound scans and
+    # their tables' rows, live in locals and reach ``counters`` and
+    # ``stats`` together (_add_counts) when the walk returns, yields or
+    # reports progress.  ``expanded`` never passes ``limit``.
     expanded = 0
     loose = 0
     tight_pruned = 0
     identified = 0
+    scans = 0
+    scan_rows = 0
     try:
         while True:
             if active:
@@ -558,9 +575,11 @@ def enumerate_frontier(
                 if expanded >= limit:
                     if progress is not None:
                         _add_counts(
-                            counters, expanded, loose, tight_pruned, identified
+                            counters, expanded, loose, tight_pruned,
+                            identified, stats, scans, scan_rows,
                         )
                         expanded = loose = tight_pruned = identified = 0
+                        scans = scan_rows = 0
                         # ``skipped`` children are counted, so finished;
                         # a frame below the outermost one is its open
                         # child.
@@ -632,9 +651,11 @@ def enumerate_frontier(
                 if expanded >= limit:
                     if progress is not None:
                         _add_counts(
-                            counters, expanded, loose, tight_pruned, identified
+                            counters, expanded, loose, tight_pruned,
+                            identified, stats, scans, scan_rows,
                         )
                         expanded = loose = tight_pruned = identified = 0
+                        scans = scan_rows = 0
                         step = progress(0)
                         if step is not None:
                             limit = step
@@ -706,6 +727,8 @@ def enumerate_frontier(
             if use_p3:
                 if positive and node_pos:
                     if observe:
+                        scans += 1
+                        scan_rows += len(node_table)
                         tight = node_supp + node_table.observed_max_overlap(
                             stats, node_pos
                         )
@@ -773,7 +796,10 @@ def enumerate_frontier(
             remaining = child_pos | child_neg
             candidate = node_candidate
     finally:
-        _add_counts(counters, expanded, loose, tight_pruned, identified)
+        _add_counts(
+            counters, expanded, loose, tight_pruned, identified, stats,
+            scans, scan_rows,
+        )
     if not active and not pending:
         return None
     frontier: list[tuple[str, NodeState | Candidate]] = []
@@ -856,12 +882,15 @@ class _IRGStore:
     antecedent test is a row-mask test on at most ``n`` bits: the stored
     rows contain the candidate's.  A stored antecedent inside the
     candidate's contains its own lowest item, so the store chains its
-    groups by lowest item id (``-1`` for the empty antecedent, which is
-    inside every candidate) and walks only the chains of the
-    candidate's items plus ``-1``.  Each chain runs by
-    confidence descending, so a walk stops at the first group below the
-    candidate's confidence and only the qualifying prefix pays for the
-    row-mask test.  The paper observes this comparison dominates
+    groups by lowest item id and walks only the chains of the
+    candidate's items.  No antecedent is empty: the walk's root holds
+    every item of a non-empty vocabulary, a child keeps its parent's
+    items that hold the child's row and Step 5 only visits rows some
+    item holds, and decoded candidates without items are refused
+    (:func:`~repro.core.frontier.candidate_from_row`).  Each chain runs
+    by confidence descending, so a walk stops at the first group below
+    the candidate's confidence and only the qualifying prefix pays for
+    the row-mask test.  The paper observes this comparison dominates
     at low supports ("more time will be spent when the number of IRGs
     ... increase"); a linear scan of the whole qualifying prefix cost
     about 20 µs per candidate at BC minsup 6.  The chains are links in
@@ -911,8 +940,8 @@ class _IRGStore:
         masks = self.chain_masks
         negs = self.chain_negs
         next_group = self.chain_next
-        key = min(item_ids, default=-1)
-        for chain in (-1, *item_ids):
+        key = min(item_ids)
+        for chain in item_ids:
             previous, group = -1, heads.get(chain, -1)
             while group >= 0 and negs[group] <= neg_confidence:
                 mask = masks[group]

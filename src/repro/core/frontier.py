@@ -145,12 +145,16 @@ def candidate_from_row(row: object, where: str) -> Candidate:
         The candidate.
 
     Raises:
-        DataError: the row is not four fields, a count is not an int
-            (bools included), or an item id is not a non-negative int.
+        DataError: the row is not four fields, it has no item ids (no
+            walk emits an empty antecedent, and Step 7's store has no
+            chain for one), a count is not an int (bools included), or
+            an item id is not a non-negative int.
     """
     if not isinstance(row, list) or len(row) != 4 or not isinstance(row[0], list):
         raise DataError(f"{where}: malformed candidate")
     item_ids, supp, supn, row_mask = row
+    if not item_ids:
+        raise DataError(f"{where}: candidate has no item ids")
     for value in item_ids:
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise DataError(f"{where}: malformed candidate item id")

@@ -103,7 +103,7 @@ class CondTableProtocol(Protocol):
         ...
 
     def observed_max_overlap(self, stats: "ScanStats", cand_mask: int) -> int:
-        """:meth:`max_overlap` plus bound-scan telemetry on ``stats``."""
+        """:meth:`max_overlap` plus early-exit telemetry on ``stats``."""
         ...
 
 
@@ -329,11 +329,16 @@ class CondTable:
         return best
 
     def observed_max_overlap(self, stats: "ScanStats", cand_mask: int) -> int:
-        """:meth:`max_overlap` plus bound-scan accounting on ``stats``.
+        """:meth:`max_overlap` plus early-exit accounting on ``stats``.
+
+        The walk counts the scan and the table's length itself
+        (:func:`~repro.core.farmer.enumerate_frontier`); this records
+        only what the scan alone knows, an early exit and the rows it
+        skipped.
 
         Args:
-            stats: receives the ``bound_*`` telemetry (one scan, the
-                table's length, the rows an early exit skipped).
+            stats: receives ``bound_early_exits`` and
+                ``bound_rows_skipped``.
             cand_mask: the candidate-row bitset of Lemma 3.7.
 
         Returns:
@@ -345,8 +350,8 @@ class CondTable:
         cand_count = cand_mask.bit_count()
         # The loop must stay identical to :meth:`max_overlap`, or the
         # observed run pays a per-row tax the overhead gate forbids.  A
-        # scan that runs to the end adds two counters; the rows an
-        # early exit skips are counted there (keys are distinct, so
+        # scan that runs to the end counts nothing; the rows an early
+        # exit skips are counted there (keys are distinct, so
         # ``keys.index`` finds where the scan stopped).
         for key in keys:
             overlap = (key & cand_mask).bit_count()
@@ -356,8 +361,6 @@ class CondTable:
                     stats.bound_rows_skipped += len(keys) - keys.index(key) - 1
                     stats.bound_early_exits += 1
                     break
-        stats.bound_scans += 1
-        stats.bound_rows_total += len(keys)
         return best
 
 
@@ -365,13 +368,15 @@ class ScanStats:
     """Bound-scan telemetry of one observed walk.
 
     How far the early-exiting :meth:`CondTable.max_overlap` scans
-    actually walk, filled only by the tables' ``observed_max_overlap``
-    (:meth:`CondTable.observed_max_overlap` and its packed counterpart)
-    — the telemetry variant the miner switches to when observability
-    is on (:class:`~repro.core.farmer.SearchContext` ``observe``).  Each
+    actually walk, filled only by an observed walk
+    (:class:`~repro.core.farmer.SearchContext` ``observe``): the walk
+    adds its scans and their tables' rows (``bound_scans``,
+    ``bound_rows_total``) when it adds its node counts, and the tables'
+    ``observed_max_overlap`` count early exits as they happen.  Each
     representation accounts for its own cost model: the int-mask table
-    records how far its early exit walked, the packed table records
-    full-length vectorized scans.  They live here rather than on
+    records how far its early exit walked, the packed table's
+    vectorized scans never exit early, so they walk every row.  They
+    live here rather than on
     :class:`~repro.core.enumeration.NodeCounters` deliberately:
     checkpoint records serialize every counter field, so a
     telemetry-only counter there would break the byte-identity of

@@ -354,24 +354,22 @@ class NumpyCondTable:
         return int(overlaps.max())
 
     def observed_max_overlap(self, stats, cand_mask: int) -> int:
-        """:meth:`max_overlap` plus bound-scan accounting on ``stats``.
+        """:meth:`max_overlap`, which has no early exit to account.
 
-        The vectorized scan always touches every tuple, so the scan
-        length equals the table length and no early exit is recorded —
-        the honest shape of the packed table's cost model in the
+        The vectorized scan always touches every tuple, so it adds
+        nothing to ``stats``: the walk counts the scan and the table's
+        length (:func:`~repro.core.farmer.enumerate_frontier`), which
+        is the whole of the packed table's cost model in the
         ``kernel.bound_*`` telemetry.
 
         Args:
             stats: the walk's :class:`~repro.core.kernel.ScanStats`,
-                whose ``bound_*`` counters are advanced.
+                left as it is.
             cand_mask: candidate row bitset, as in :meth:`max_overlap`.
 
         Returns:
             ``MAX(|cand ∩ t|)`` over the tuples.
         """
-        size = self.data.shape[1]
-        stats.bound_scans += 1
-        stats.bound_rows_total += size
         return self.max_overlap(cand_mask)
 
 

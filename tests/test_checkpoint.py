@@ -545,6 +545,14 @@ class TestCheckpointRobustness:
                 "expansion_cap": 4, "advisory": [[-0.5, 6, 2]],
                 "completed": [],
             },
+            {  # a candidate with no item ids
+                "fingerprint": "f", "n_tasks": 1, "target": 2,
+                "expansion_cap": 4, "advisory": None,
+                "completed": [{
+                    "task": 0, "candidates": [[[], 2, 1, 7]], "drops": 0,
+                    "counters": {},
+                }],
+            },
         ],
     )
     def test_malformed_payloads_rejected(self, tmp_path, payload):
@@ -577,10 +585,19 @@ def test_candidate_from_row_checks_every_count(bad, field):
         candidate_from_row(row, "entry")
 
 
+def test_candidate_from_row_refuses_an_empty_antecedent():
+    """No walk emits a candidate without items, and Step 7's store has
+    no chain for one: a crafted entry or checkpoint row is refused."""
+    with pytest.raises(DataError, match="candidate has no item ids"):
+        candidate_from_row([[], 3, 1, 0b1011], "entry")
+
+
 def _random_state(seed: int) -> CheckpointState:
     rng = random.Random(seed)
     # Candidates and advisory bounds are closed pairs of one small table:
-    # the row set X drawn, then I(X) and R(I(X)).
+    # the row set X drawn, then I(X) and R(I(X)).  A walk never emits an
+    # empty I(X), and a checkpoint holding one is refused, so candidates
+    # skip it.
     table = TransposedTable.build(random_dataset(seed, max_rows=10, max_items=16), "C")
     n_tasks = rng.randint(1, 12)
     completed = {}
@@ -588,6 +605,8 @@ def _random_state(seed: int) -> CheckpointState:
         candidates = []
         for _ in range(rng.randint(0, 5)):
             ids = table.items_of_rows(rng.randint(1, table.all_rows_mask))
+            if not ids:
+                continue
             candidates.append(
                 Candidate(
                     item_ids=tuple(sorted(ids)),

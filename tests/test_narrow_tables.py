@@ -122,9 +122,10 @@ def test_narrow_child_matches_every_view(table, data):
         assert child.max_overlap(cand) == naive
         stats = ScanStats()
         assert child.observed_max_overlap(stats, cand) == naive
-        assert stats.bound_scans == 1
-        assert stats.bound_rows_total == len(shim_ids)
+        # The walk counts scans and table rows; the table, early exits.
+        assert (stats.bound_scans, stats.bound_rows_total) == (0, 0)
         assert 0 <= stats.bound_rows_skipped < max(len(shim_ids), 1)
+        assert stats.bound_early_exits in (0, 1)
 
 
 @pytest.mark.parametrize(
@@ -167,5 +168,5 @@ def test_bound_scan_runs_past_a_partial_overlap():
     assert table.max_overlap(0b1001) == 2
     stats = ScanStats()
     assert table.observed_max_overlap(stats, 0b1001) == 2
-    assert stats.stats()["kernel.bound_rows_scanned"] == 2
+    assert stats.bound_rows_skipped == 0
     assert stats.bound_early_exits == 1

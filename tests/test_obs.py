@@ -553,6 +553,46 @@ class TestByteIdentity:
 
 
 # ----------------------------------------------------------------------
+# Kernel bound-scan counters
+# ----------------------------------------------------------------------
+
+#: The ``kernel.*`` counters of an observed mine per sweep point
+#: ``(dataset, minsup, minconf, prunings, n_workers)``, all at scale
+#: 0.02, recorded when the tables still counted their own scans: the
+#: walk's local counts must add up to the same numbers.  LC's root is a
+#: packed table, and ``n_workers=1`` counts the sharded coordinator's
+#: expansions.
+KERNEL_COUNTERS = {
+    ("LC", 14, 0.0, ("p1", "p2", "p3"), None): (69, 7634, 7634, 1),
+    ("BC", 6, 0.0, ("p1", "p2", "p3"), None): (14352, 108379, 108449, 298),
+    ("ALL", 5, 0.9, ("p1", "p2", "p3"), None): (4746, 27411, 27463, 156),
+    ("PC", 9, 0.0, ("p1", "p3"), None): (15254, 63910, 63951, 536),
+    ("CT", 3, 0.0, ("p1", "p2", "p3"), 1): (1, 640, 640, 0),
+}
+
+
+@pytest.mark.parametrize("point", sorted(KERNEL_COUNTERS))
+def test_kernel_counters_are_pinned(point):
+    dataset, minsup, minconf, prunings, n_workers = point
+    workload = build_workload(dataset, scale=0.02)
+    telemetry = Telemetry()
+    Farmer(
+        Constraints(minsup=minsup, minconf=minconf),
+        prunings=prunings,
+        telemetry=telemetry,
+        n_workers=n_workers,
+    ).mine(workload.data, workload.consequent)
+    counters = telemetry.registry.snapshot().counters
+    assert tuple(
+        counters[f"kernel.{name}"]
+        for name in (
+            "bound_scans", "bound_rows_scanned", "bound_rows_total",
+            "bound_early_exits",
+        )
+    ) == KERNEL_COUNTERS[point]
+
+
+# ----------------------------------------------------------------------
 # CLI end to end
 # ----------------------------------------------------------------------
 

@@ -11,9 +11,17 @@ its rows or names.  The vocabulary check of ``ItemizedDataset``, on
 rows and on the item matrix, is held to the message its per-item scan
 gave.
 
+``fit`` reads its cuts off one sort per gene rather than calling
+``np.quantile``; the quantile tests hold every fitted cut to
+``np.quantile``'s by its bytes, not only its value, and show what a
+matrix holding both signs of zero may change (a name's ``-0``, nothing
+else).
+
 The last tests pin a content hash of the discretized, transposed table
-(:func:`repro.testing.prep.prep_sha256`) at LC scales 0.02, 0.2 and 1.0;
-the pins were taken from the per-gene, per-bit implementation.
+(:func:`repro.testing.prep.prep_sha256`) at LC scales 0.02, 0.2 and 1.0,
+and for all five paper datasets at the scales the benchmark mines
+(0.008 and 0.02); the LC pins were taken from the per-gene, per-bit
+implementation, the five-dataset pins from the ``np.quantile`` fit.
 """
 
 from __future__ import annotations
@@ -233,6 +241,102 @@ def test_values_on_a_cut_go_to_the_higher_bucket():
     assert data.rows == oracle_transform(cuts, base, on_cut)
 
 
+# ----------------------------------------------------------------------
+# Quantiles: one sort per gene against np.quantile
+# ----------------------------------------------------------------------
+
+#: Bucket counts of the quantile tests: no cut, one, two, the paper's
+#: ten and twice that.
+QUANTILE_BUCKETS = (1, 2, 3, 10, 20)
+
+
+def assert_cuts_are_numpy_quantiles(values, n_buckets):
+    """Every fitted cut rank is ``np.quantile``'s, byte for byte."""
+    matrix = GeneExpressionMatrix.from_arrays(values, ["a"] * len(values))
+    discretizer = EqualDepthDiscretizer(n_buckets=n_buckets).fit(matrix)
+    quantiles = np.arange(1, n_buckets) / n_buckets
+    expected = np.sort(np.quantile(matrix.values, quantiles, axis=0), axis=0)
+    # The full rank-by-gene array, before duplicate cuts are dropped.
+    fitted = discretizer._cuts
+    assert fitted.shape == expected.shape
+    assert fitted.dtype == expected.dtype
+    assert fitted.tobytes() == expected.tobytes()
+    counts, flat = discretizer.cut_points
+    cuts = oracle_fit(matrix, n_buckets)[0]
+    assert counts.tolist() == [len(c) for c in cuts]
+    assert flat.tobytes() == np.concatenate([np.empty(0), *cuts]).tobytes()
+
+
+@given(tied_matrices(max_samples=40), st.sampled_from(QUANTILE_BUCKETS))
+def test_fit_cuts_are_numpy_quantiles_with_ties(matrix, n_buckets):
+    """Few distinct levels (never both signs of zero: the levels are
+    unique by value), constant genes and single samples."""
+    assert_cuts_are_numpy_quantiles(matrix.values, n_buckets)
+
+
+@given(
+    st.integers(1, 120),
+    st.integers(1, 6),
+    st.sampled_from(QUANTILE_BUCKETS),
+    st.integers(0, 2**32 - 1),
+)
+def test_fit_cuts_are_numpy_quantiles_on_continuous_values(
+    n_samples, n_genes, n_buckets, seed
+):
+    """Distinct values over several magnitudes: interpolated cuts."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n_samples, n_genes)) * 10.0 ** rng.integers(
+        -3, 4, size=n_genes
+    )
+    assert_cuts_are_numpy_quantiles(values, n_buckets)
+
+
+@pytest.mark.parametrize("n_buckets", QUANTILE_BUCKETS)
+@pytest.mark.parametrize(
+    "values",
+    [
+        [[1.5, -2.0, 0.0]],
+        [[3.25], [3.25], [3.25], [3.25]],
+        [[7.0, 1.0], [7.0, 2.0], [7.0, 2.0], [7.0, 2.0], [7.0, 9.0]],
+    ],
+    ids=["one-sample", "constant", "constant-and-tied"],
+)
+def test_fit_cuts_are_numpy_quantiles_at_the_edges(values, n_buckets):
+    assert_cuts_are_numpy_quantiles(np.asarray(values), n_buckets)
+
+
+def _unsigned_zeros(names):
+    """Item names with a ``-0`` bound read as ``0``."""
+    return tuple(
+        name.replace("[-0,", "[0,").replace(",-0)", ",0)") for name in names
+    )
+
+
+def test_mixed_zero_signs_move_no_bucket():
+    """A gene holding both ``-0.0`` and ``0.0``: the sort may put a zero
+    of the other sign on a cut's rank than ``np.quantile``'s partition
+    does.  The two compare equal, so every bucket and item id is the
+    oracle's; only a name's zero may differ in sign."""
+    column = [-0.0, 0.0, 0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0, 2.0]
+    matrix = GeneExpressionMatrix.from_arrays(
+        np.asarray([column, column[::-1]], dtype=float).T, ["a"] * len(column)
+    )
+    held_out = GeneExpressionMatrix.from_arrays(
+        [[-0.0, 0.0], [0.0, -0.0], [-0.5, 0.5], [1.0, 3.0]], ["a"] * 4
+    )
+    for n_buckets in QUANTILE_BUCKETS:
+        discretizer = EqualDepthDiscretizer(n_buckets=n_buckets).fit(matrix)
+        cuts, base, names, n_items = oracle_fit(matrix, n_buckets)
+        counts, flat = discretizer.cut_points
+        assert counts.tolist() == [len(c) for c in cuts]
+        np.testing.assert_array_equal(flat, np.concatenate([np.empty(0), *cuts]))
+        for source in (matrix, held_out):
+            data = discretizer.transform(source)
+            assert data.n_items == n_items
+            assert data.rows == oracle_transform(cuts, base, source)
+            assert _unsigned_zeros(data.item_names) == _unsigned_zeros(names)
+
+
 def test_cut_points_before_fit():
     with pytest.raises(DataError):
         EqualDepthDiscretizer().cut_points
@@ -449,11 +553,37 @@ PREP_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("scale", sorted(PREP_SHA256))
-def test_discretized_table_is_pinned(scale):
-    matrix = load("LC", scale=scale)
+#: ``prep_sha256`` of every paper dataset at the scales the benchmark
+#: mines, taken from the ``np.quantile`` fit.  CT's 0.02 table is its
+#: 0.008 one: the registry's smallest CT is that size.
+PAPER_PREP_SHA256 = {
+    ("ALL", 0.008): "bc4350df3054324bf4c692ef458683844b8eed4e0d2bfdc23d2f930884d43528",
+    ("ALL", 0.02): "7fcd4dcd94cc3326ddfd3356ba6d8ec49c2d1541314dc60806a9ae33f19b3fce",
+    ("BC", 0.008): "4afbafda2fd57077a5b4cc48d3114e81f56b07c803e947ae29c53913fb81a074",
+    ("BC", 0.02): "802a0c5474c27347998b7e8e66d143a4d16f39758071084c4b7405417396742c",
+    ("CT", 0.008): "917de2759824bafdd547cc543fc628af7cade8ee2b684a338ea6becfe47723c4",
+    ("CT", 0.02): "917de2759824bafdd547cc543fc628af7cade8ee2b684a338ea6becfe47723c4",
+    ("LC", 0.008): "af165b9b2297485f440bbf9c34e450ebc0a584524b2be37e7a8438121da166e8",
+    ("LC", 0.02): "7483ad6d9abaa22e494c6ca313d0985297baa3a3c1d82ac29236d1dbde545c2c",
+    ("PC", 0.008): "2bd92b4126d95d2fd623d15e9d59025f33d035dacf664f922ff52ac221a64230",
+    ("PC", 0.02): "d946915693463fb62b79b252f1916d7ee8aa4dd90da237b21e1d3a6089e4e24a",
+}
+
+
+def _prep_sha256(dataset, scale):
+    matrix = load(dataset, scale=scale)
     discretizer = EqualDepthDiscretizer(n_buckets=10).fit(matrix)
     table = TransposedTable.build(
-        discretizer.transform(matrix), PAPER_DATASETS["LC"].class1
+        discretizer.transform(matrix), PAPER_DATASETS[dataset].class1
     )
-    assert prep_sha256(discretizer, table) == PREP_SHA256[scale]
+    return prep_sha256(discretizer, table)
+
+
+@pytest.mark.parametrize("scale", sorted(PREP_SHA256))
+def test_discretized_table_is_pinned(scale):
+    assert _prep_sha256("LC", scale) == PREP_SHA256[scale]
+
+
+@pytest.mark.parametrize("dataset, scale", sorted(PAPER_PREP_SHA256))
+def test_paper_datasets_are_pinned(dataset, scale):
+    assert _prep_sha256(dataset, scale) == PAPER_PREP_SHA256[dataset, scale]

@@ -32,7 +32,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import handoff, random_dataset
-from strategies import datasets, skewed_datasets
+from strategies import datasets, degenerate_datasets, skewed_datasets
 
 from repro.core import bitset
 from repro.core.constraints import Constraints
@@ -148,6 +148,36 @@ def test_fast_walk_matches_on_larger_tables(seed):
             assert fast[0] == slow[0]
             assert dataclasses.astuple(fast[1]) == dataclasses.astuple(slow[1])
             assert fast[2] == slow[2]
+
+
+@pytest.mark.parametrize("reference", [False, True])
+@given(
+    data=st.one_of(
+        datasets(max_rows=10, max_items=8),
+        skewed_datasets(max_dense=6, max_sparse=4),
+        degenerate_datasets(
+            shapes=("single_row", "all_identical", "shared_item", "one_item")
+        ),
+    ),
+    minsup=st.integers(min_value=0, max_value=4),
+    minconf=st.sampled_from([0.0, 0.5]),
+)
+def test_walk_never_emits_an_empty_antecedent(reference, data, minsup, minconf):
+    """Step 7's store chains groups by lowest item and has no chain for
+    an empty antecedent: no walk emits one, under any pruning set (with
+    Pruning 2 off an upper bound is reached again) or engine, on tables
+    with empty rows and items no row holds.  At most ten rows: with
+    every pruning off the walk visits up to ``2**n`` nodes."""
+    table = TransposedTable.build(data, "C")
+    if not table.n or not table.item_masks:
+        return
+    for prunings in PRUNING_SUBSETS:
+        ctx = SearchContext.for_table(
+            table, Constraints(minsup=minsup, minconf=minconf), prunings,
+            reference=reference,
+        )
+        candidates = _walk(ctx, table, None, per_node=False)[0]
+        assert all(candidate.item_ids for candidate in candidates)
 
 
 def _progress_matches_preemption(table, quantum):
@@ -275,13 +305,14 @@ def _closed(table, item_ids, supp, supn):
 
 
 @st.composite
-def offer_sequences(draw, max_size=40, repeats=False, empty_row=False):
+def offer_sequences(draw, max_size=40, repeats=False):
     """Closed candidates ``(I(X), R(I(X)))`` of a small random table over
     items 0..5, in any table order; small supports so confidences and
     antecedent sizes tie often.  Each row set's ``(supp, supn)`` is
     drawn once and reused, the :class:`Candidate` precondition every
-    producer meets.  ``empty_row`` adds a row holding no item, so that
-    ``I(all rows) = ∅`` and the empty antecedent is closed.
+    producer meets.  A row set sharing no item is skipped: no producer
+    offers the empty antecedent
+    (:func:`test_walk_never_emits_an_empty_antecedent`).
 
     Returns the table and the sequence."""
     rows = draw(
@@ -291,7 +322,7 @@ def offer_sequences(draw, max_size=40, repeats=False, empty_row=False):
             max_size=7,
         )
     )
-    table = _table_of([sorted(row) for row in rows] + [[]] * empty_row)
+    table = _table_of([sorted(row) for row in rows])
     xs = draw(
         st.lists(
             st.integers(min_value=1, max_value=table.all_rows_mask),
@@ -302,6 +333,8 @@ def offer_sequences(draw, max_size=40, repeats=False, empty_row=False):
     sequence = []
     for x in xs:
         items = table.items_of_rows(x)
+        if not items:
+            continue
         row_mask = table.rows_of_itemset(items)
         if row_mask not in stats:
             stats[row_mask] = (
@@ -341,40 +374,27 @@ def test_reoffers_match_the_seen_set(drawn):
     _assert_same_admission(sorted(drawn[1], key=lambda c: len(c.item_ids)))
 
 
-@given(offer_sequences(max_size=25, empty_row=True))
-def test_admission_index_with_empty_antecedent_first(drawn):
-    """The empty antecedent ``I(∅)``, whose row set is every row, is
-    inside every candidate."""
-    table, sequence = drawn
-    empty = Candidate((), 2, 1, table.all_rows_mask)
-    _assert_same_admission(
-        [empty, *(candidate for candidate in sequence if candidate.item_ids)]
-    )
-
-
 def test_admission_ties():
     """Tied confidences and tied sizes: an equal-confidence subset
     blocks, an equal-size non-subset does not, and ties keep admission
     order in the output."""
-    # One row per antecedent below makes each of them closed; the empty
-    # row makes I(all rows) = ∅.
-    table = _table_of([[3], [1], [3, 1], [4, 3], [0], [2, 0], [5], []])
+    # One row per antecedent below makes each of them closed.
+    table = _table_of([[3], [1], [3, 1], [4, 3], [0], [2, 0], [5]])
     sequence = [
         _closed(table, (3,), 2, 2),  # 0.5
         _closed(table, (1,), 2, 2),  # 0.5, same size
         _closed(table, (3, 1), 1, 1),  # 0.5, blocked by both
         _closed(table, (4, 3), 3, 1),  # 0.75 beats {3}
         _closed(table, (0,), 3, 1),  # 0.75
-        _closed(table, (), 1, 1),  # 0.5, smallest of all
         _closed(table, (2, 0), 3, 1),  # 0.75, blocked by {0}
-        _closed(table, (5,), 1, 1),  # 0.5, blocked by I(∅)
+        _closed(table, (5,), 1, 1),  # 0.5, no subset stored: admitted
     ]
     _assert_same_admission(sequence)
     store = _IRGStore()
     verdicts = [store.offer(candidate, NodeCounters()) for candidate in sequence]
-    assert verdicts == [True, True, False, True, True, True, False, False]
+    assert verdicts == [True, True, False, True, True, False, True]
     assert [entry[0] for entry in store._ranked()] == [
-        (4, 3), (0,), (3,), (1,), (),
+        (4, 3), (0,), (3,), (1,), (5,),
     ]
 
 
