@@ -91,6 +91,15 @@ and ``--check`` fails if either budget's sweep ratio exceeds
 ``BUDGET_MAX_RATIO``: the walk charges a budget once per chunk of nodes,
 so limits must cost next to nothing.
 
+A ninth section, ``"cli"``, is measure-only: whole ``farmer``
+processes, as a user runs one query.  Best-of-N ``python -c "import
+repro.cli"``, ``farmer mine ... --save`` at each :data:`CLI_MINES` point
+(process start to ``.irgs`` on disk; the paper-width point is CI's
+"End-to-end mine at paper size" command) and one ``farmer serve --port
+0`` boot up to the first ``200`` from ``GET /v1/health``.  Each mine
+pins the sha256 of the file it wrote, which ``--check`` compares
+exactly; its times have no floor.
+
 ``--check`` recomputes the pins, re-measures the speeds and fails if
 the reference speedup falls below ``min_speedup * tolerance`` — the
 tolerance is deliberately generous (CI machines are noisy; the gate
@@ -123,9 +132,11 @@ import hashlib
 import json
 import os
 import statistics
+import subprocess
 import sys
 import threading
 import time
+import urllib.request
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -244,7 +255,13 @@ BUDGET_MAX_RATIO = 1.10
 #: more than the checks cost.
 BUDGET_RETRIES = 2
 
+#: The cli row's ``farmer mine`` points on LC: (scale, minsup).  The
+#: second is CI's paper-width pin (``cdfa44e6...`` in ci.yml).
+CLI_MINES = ((SCALE, 12), (1.0, 14))
+
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_core.json"
+#: The source tree the cli row's subprocesses import.
+SRC_PATH = BASELINE_PATH.parent.parent / "src"
 
 
 def _irgs_sha256(result, tmp_dir: Path, tag: str) -> str:
@@ -540,6 +557,103 @@ def run_output_row(tmp_dir: Path) -> dict:
     return {"scale": OUTPUT_SCALE, "rounds": OUTPUT_ROUNDS, "points": points}
 
 
+def _process_seconds(command: list[str], env: dict) -> float:
+    """Wall seconds of one subprocess, start to exit (must exit 0)."""
+    start = time.perf_counter()
+    subprocess.run(command, env=env, check=True, stdout=subprocess.DEVNULL)
+    return time.perf_counter() - start
+
+
+def _serve_boot_seconds(env: dict, registry_dir: Path) -> float:
+    """Seconds from spawning ``farmer serve --port 0`` to its first
+    ``200`` from ``GET /v1/health``; the daemon is stopped after."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--registry-dir", str(registry_dir), "--workers", "1"],
+        stdout=subprocess.PIPE, env=env, text=True,
+    )
+    try:
+        banner = proc.stdout.readline()
+        if "http://" not in banner:
+            raise SystemExit(f"FATAL: farmer serve did not come up: {banner!r}")
+        base = "http://" + banner.split("http://")[1].split()[0]
+        opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+        with opener.open(f"{base}/v1/health", timeout=30) as response:
+            status = response.status
+        seconds = time.perf_counter() - start
+    finally:
+        proc.terminate()
+        proc.wait(timeout=30)
+    if status != 200:
+        raise SystemExit(f"FATAL: GET /v1/health returned {status}")
+    return seconds
+
+
+def run_cli_row(rounds: int, tmp_dir: Path) -> dict:
+    """Best-of-N whole ``farmer`` processes, each mine with its pin.
+
+    Every round runs the import, each :data:`CLI_MINES` point and one
+    serve boot in turn, each as a fresh interpreter.  Measure-only: the
+    times have no floor.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(SRC_PATH), env.get("PYTHONPATH")))
+    )
+    import_best = serve_best = float("inf")
+    mine_best = dict.fromkeys(CLI_MINES, float("inf"))
+    for _ in range(rounds):
+        import_best = min(
+            import_best,
+            _process_seconds([sys.executable, "-c", "import repro.cli"], env),
+        )
+        for scale, minsup in CLI_MINES:
+            command = [
+                sys.executable, "-m", "repro", "mine", "--dataset", DATASET,
+                "--scale", str(scale), "--minsup", str(minsup),
+                "--save", str(tmp_dir / f"cli-{scale}.irgs"),
+            ]
+            mine_best[scale, minsup] = min(
+                mine_best[scale, minsup], _process_seconds(command, env)
+            )
+        serve_best = min(
+            serve_best, _serve_boot_seconds(env, tmp_dir / "cli-serve")
+        )
+    points = [
+        {
+            "dataset": DATASET,
+            "scale": scale,
+            "minsup": minsup,
+            "seconds": round(mine_best[scale, minsup], 4),
+            "irgs_sha256": hashlib.sha256(
+                (tmp_dir / f"cli-{scale}.irgs").read_bytes()
+            ).hexdigest(),
+        }
+        for scale, minsup in CLI_MINES
+    ]
+    return {
+        "rounds": rounds,
+        "cpus": len(os.sched_getaffinity(0)),
+        "import_seconds": round(import_best, 4),
+        "serve_boot_seconds": round(serve_best, 4),
+        "points": points,
+    }
+
+
+def _print_cli_row(payload: dict) -> None:
+    print(
+        f"cli import repro.cli={payload['import_seconds']:.3f}s  "
+        f"serve boot={payload['serve_boot_seconds']:.3f}s  (no floor)"
+    )
+    for point in payload["points"]:
+        print(
+            f"cli mine {point['dataset']} scale={point['scale']:<5} "
+            f"minsup={point['minsup']:>2}  process={point['seconds']:.3f}s  "
+            "(no floor)"
+        )
+
+
 def _time_budgets(table, minsup: int, rounds: int, times: dict) -> dict:
     """Time every :data:`BUDGETS` variant at one point, appending each
     round's seconds to ``times``; returns the last result of each.
@@ -670,6 +784,7 @@ def check_budget(payload: dict, baseline: dict) -> list[str]:
 _ROW_PINS = {
     "prep": ("scale", "table_sha256"),
     "output": ("dataset", "irgs_sha256"),
+    "cli": ("scale", "irgs_sha256"),
 }
 
 
@@ -1023,7 +1138,7 @@ def diff_report(sections: dict, baseline: dict) -> str:
     Args:
         sections: fresh payloads keyed by section name (``core``,
             ``numpy``, ``steal``, ``remine``, ``sharding``, ``prep``,
-            ``output``, ``budget``).
+            ``output``, ``budget``, ``cli``).
         baseline: the committed ``BENCH_core.json`` payload.
 
     Returns:
@@ -1193,6 +1308,7 @@ def main(argv: list[str] | None = None) -> int:
         sharding_payload = run_sharding_row(args.rounds, Path(tmp))
         output_payload = run_output_row(Path(tmp))
         budget_payload = run_budget_row(args.rounds, Path(tmp))
+        cli_payload = run_cli_row(args.rounds, Path(tmp))
 
     for label, sweep in (("", payload), ("numpy ", numpy_payload)):
         for point in sweep["points"]:
@@ -1282,6 +1398,7 @@ def main(argv: list[str] | None = None) -> int:
         + f"  time/unbudgeted={budget_payload['time_ratio']:.3f}"
         + f"  cancellable/unbudgeted={budget_payload['cancellable_ratio']:.3f}"
     )
+    _print_cli_row(cli_payload)
 
     if args.diff and args.baseline.exists():
         committed = json.loads(args.baseline.read_text(encoding="utf-8"))
@@ -1297,6 +1414,7 @@ def main(argv: list[str] | None = None) -> int:
                     "prep": prep_payload,
                     "output": output_payload,
                     "budget": budget_payload,
+                    "cli": cli_payload,
                 },
                 committed,
             )
@@ -1370,6 +1488,7 @@ def main(argv: list[str] | None = None) -> int:
         payload["prep"] = prep_payload
         payload["output"] = output_payload
         payload["budget"] = budget_payload
+        payload["cli"] = cli_payload
         args.baseline.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
@@ -1395,6 +1514,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     if "budget" in baseline:
         failures.extend(check_budget(budget_payload, baseline["budget"]))
+    if "cli" in baseline:
+        failures.extend(check_pins("cli", cli_payload, baseline["cli"]))
     if failures:
         print(f"PERF GATE FAILED ({len(failures)} problems):", file=sys.stderr)
         for failure in failures:

@@ -22,19 +22,20 @@ See README.md for the architecture overview and DESIGN.md for the
 paper-to-module map.
 """
 
+from typing import TYPE_CHECKING
+
+from . import core
 from .core import (
     ALL_PRUNINGS,
     Constraints,
     Farmer,
     FarmerResult,
-    ParallelReport,
     Rule,
     RuleGroup,
     SearchBudget,
     attach_lower_bounds,
     mine_irgs,
     mine_lower_bounds,
-    shutdown_workers,
 )
 from .data import (
     EntropyMDLDiscretizer,
@@ -73,3 +74,14 @@ __all__ = [
     "mine_lower_bounds",
     "shutdown_workers",
 ]
+
+
+if TYPE_CHECKING:
+    from .core import ParallelReport, shutdown_workers
+
+
+def __getattr__(name: str):
+    # repro.core alone decides which of its names load lazily (PEP 562).
+    if name in core._LAZY:
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,7 +32,13 @@ Layout:
 * :mod:`~repro.analysis.baseline` — the committed grandfather file;
 * :mod:`~repro.analysis.reporters` — text, JSON and SARIF output;
 * :mod:`~repro.analysis.rules` — the FRM001..FRM012 rule set;
+* :mod:`~repro.analysis.options` — the ``farmer lint`` flags, a leaf
+  the ``farmer`` parser imports;
 * :mod:`~repro.analysis.cli` — the ``farmer lint`` entry point.
+
+The names below are exported lazily through the module ``__getattr__``
+(PEP 562), so importing a leaf such as :mod:`~repro.analysis.options`
+does not load the engine, the rules or the reporters.
 
 See ``docs/static-analysis.md`` for the rule catalogue, the per-line
 suppression syntax (``# farmer-lint: disable=FRM00x``) and the baseline
@@ -41,13 +47,27 @@ workflow.
 
 from __future__ import annotations
 
-from .base import Finding, ModuleContext, Rule
-from .baseline import load_baseline, save_baseline
-from .cache import LintCache
-from .engine import Engine, LintResult
-from .project import PackageIndex, ProjectIndex
-from .reporters import render_json, render_sarif, render_text
-from .rules import ALL_RULES, RULES_BY_ID, default_rules
+import importlib
+
+#: Public name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    "Finding": ".base",
+    "ModuleContext": ".base",
+    "Rule": ".base",
+    "Engine": ".engine",
+    "LintResult": ".engine",
+    "LintCache": ".cache",
+    "PackageIndex": ".project",
+    "ProjectIndex": ".project",
+    "ALL_RULES": ".rules",
+    "RULES_BY_ID": ".rules",
+    "default_rules": ".rules",
+    "load_baseline": ".baseline",
+    "save_baseline": ".baseline",
+    "render_text": ".reporters",
+    "render_json": ".reporters",
+    "render_sarif": ".reporters",
+}
 
 __all__ = [
     "Finding",
@@ -67,3 +87,12 @@ __all__ = [
     "render_json",
     "render_sarif",
 ]
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value

@@ -21,7 +21,6 @@ from .base import Finding
 
 __all__ = [
     "BASELINE_VERSION",
-    "DEFAULT_BASELINE_NAME",
     "load_baseline",
     "save_baseline",
     "partition",
@@ -29,10 +28,6 @@ __all__ = [
 
 #: Schema version written to and required from baseline files.
 BASELINE_VERSION = 1
-
-#: File name probed in the working directory when ``--baseline`` is not
-#: given.
-DEFAULT_BASELINE_NAME = ".farmer-lint-baseline.json"
 
 
 def _fingerprint(path: str, rule: str, message: str) -> str:

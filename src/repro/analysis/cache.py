@@ -27,13 +27,10 @@ from pathlib import Path
 
 from .base import Finding
 
-__all__ = ["CACHE_VERSION", "DEFAULT_CACHE_NAME", "CachedModule", "LintCache"]
+__all__ = ["CACHE_VERSION", "CachedModule", "LintCache"]
 
 #: Bump when the on-disk layout changes.
 CACHE_VERSION = 1
-
-#: Default cache filename, resolved against the working directory.
-DEFAULT_CACHE_NAME = ".farmer-lint-cache"
 
 
 @dataclass(slots=True)

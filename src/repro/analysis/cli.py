@@ -1,7 +1,8 @@
 """The ``farmer lint`` subcommand.
 
-Mirrors the ``mine`` UX: argparse-validated flags, a one-line error on
-bad arguments, and plain-text output by default::
+Mirrors the ``mine`` UX: argparse-validated flags (declared in
+:mod:`~repro.analysis.options`), a one-line error on bad arguments, and
+plain-text output by default::
 
     farmer lint src/repro
     farmer lint src/repro --format json
@@ -25,63 +26,17 @@ import argparse
 from pathlib import Path
 
 from ..errors import ReproError
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    load_baseline,
-    partition,
-    save_baseline,
-)
-from .cache import DEFAULT_CACHE_NAME, LintCache
+from .baseline import load_baseline, partition, save_baseline
+from .cache import LintCache
 from .engine import Engine
+from .options import DEFAULT_BASELINE_NAME
 from .reporters import render_json, render_sarif, render_text
 from .rules import ALL_RULES
 
-__all__ = ["add_lint_arguments", "run_lint"]
+__all__ = ["run_lint"]
 
 #: Linted when no paths are given: the installed package tree.
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint flags to the ``lint`` subparser."""
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: the repro package)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help=f"ignore and do not write the {DEFAULT_CACHE_NAME} cache",
-    )
-    parser.add_argument(
-        "--cache-file",
-        metavar="FILE",
-        default=DEFAULT_CACHE_NAME,
-        help=f"cache file location (default: {DEFAULT_CACHE_NAME})",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="baseline file of grandfathered findings "
-        f"(default: {DEFAULT_BASELINE_NAME} when it exists)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline with the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
 
 
 def run_lint(args: argparse.Namespace) -> int:

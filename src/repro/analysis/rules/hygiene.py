@@ -4,7 +4,11 @@ The library promises a stable import surface (``tests/test_public_api``
 asserts parts of it); this rule keeps every module honest about what it
 exports: ``__all__`` must exist once a module defines public names, must
 only name things that exist, must cover every public definition, and
-public definitions carry docstrings.
+public definitions carry docstrings.  A name exported lazily (PEP 562)
+exists when the module's ``__getattr__`` reads a module-level dict
+literal keyed by it, as the package roots' ``_LAZY`` tables are, or
+when an ``if TYPE_CHECKING:`` block imports it, as ``repro`` declares
+the names it re-exports from ``repro.core``'s table.
 """
 
 from __future__ import annotations
@@ -51,8 +55,11 @@ class PublicApiRule(Rule):
                 if isinstance(statement.target, ast.Name):
                     defined[statement.target.id] = statement
             elif isinstance(statement, (ast.Import, ast.ImportFrom)):
-                for alias in statement.names:
-                    importable.add((alias.asname or alias.name).split(".")[0])
+                importable.update(self._import_names(statement))
+            elif self._is_type_checking(statement):
+                for inner in statement.body:
+                    if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                        importable.update(self._import_names(inner))
 
         if dunder_all is not None:
             exported = self._literal_names(dunder_all.value)
@@ -78,7 +85,7 @@ class PublicApiRule(Rule):
                     "the export list",
                 )
         else:
-            known = set(defined) | importable
+            known = set(defined) | importable | self._lazy_names(defined)
             for name in exported:
                 if name not in known:
                     yield self.finding(
@@ -104,6 +111,41 @@ class PublicApiRule(Rule):
                     node,
                     f"public {kind} {name!r} has no docstring",
                 )
+
+    @staticmethod
+    def _import_names(statement: ast.Import | ast.ImportFrom) -> set[str]:
+        return {
+            (alias.asname or alias.name).split(".")[0]
+            for alias in statement.names
+        }
+
+    @staticmethod
+    def _is_type_checking(statement: ast.stmt) -> bool:
+        """``if TYPE_CHECKING:`` — how a lazy re-export is declared."""
+        return (
+            isinstance(statement, ast.If)
+            and isinstance(statement.test, ast.Name)
+            and statement.test.id == "TYPE_CHECKING"
+        )
+
+    @staticmethod
+    def _lazy_names(defined: dict[str, ast.stmt]) -> set[str]:
+        """String keys of the module-level dicts ``__getattr__`` reads."""
+        getter = defined.get("__getattr__")
+        if not isinstance(getter, ast.FunctionDef):
+            return set()
+        names: set[str] = set()
+        for node in ast.walk(getter):
+            table = defined.get(node.id) if isinstance(node, ast.Name) else None
+            if isinstance(table, (ast.Assign, ast.AnnAssign)) and isinstance(
+                table.value, ast.Dict
+            ):
+                names.update(
+                    key.value
+                    for key in table.value.keys
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                )
+        return names
 
     @staticmethod
     def _literal_names(value: ast.expr | None) -> list[str]:

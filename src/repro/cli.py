@@ -37,6 +37,7 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
+from .analysis.options import add_lint_arguments
 from .core.constraints import Constraints
 from .core.enumeration import SearchBudget
 from .core.farmer import ENGINES, Farmer
@@ -276,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint", help="run the farmer-lint static-analysis rules"
     )
-    from .analysis.cli import add_lint_arguments
-
     add_lint_arguments(lint)
 
     generate = sub.add_parser("generate", help="write a synthetic dataset to disk")

@@ -13,14 +13,20 @@ Public surface:
   processes (``Farmer(n_workers=...)``), bit-identical to serial, with
   fault-tolerant retries (:class:`~repro.core.parallel.RetryPolicy`) and
   crash-consistent checkpoint/resume (:mod:`~repro.core.checkpoint`).
+
+The sharded and checkpoint names (``CheckpointState``,
+``ParallelReport``, ``RetryPolicy``, ``shutdown_workers``) are exported
+lazily through the module ``__getattr__`` (PEP 562): a serial, warm or
+served mine never imports :mod:`multiprocessing`,
+:mod:`concurrent.futures` or the fault injector.
 """
+
+import importlib
 
 from .constraints import Constraints
 from .enumeration import NodeCounters, SearchBudget, merge_counters
 from .farmer import ALL_PRUNINGS, Farmer, FarmerResult, mine_irgs
 from .minelb import attach_lower_bounds, lower_bounds_for_group, mine_lower_bounds
-from .checkpoint import CheckpointState
-from .parallel import ParallelReport, RetryPolicy, shutdown_workers
 from .rule import Rule
 from .rulegroup import RuleGroup
 from .serialize import load_rule_groups, save_rule_groups
@@ -49,3 +55,20 @@ __all__ = [
     "validate_group",
     "validate_result",
 ]
+
+#: Public names whose modules load on first access (PEP 562).
+_LAZY = {
+    "CheckpointState": ".checkpoint",
+    "ParallelReport": ".parallel",
+    "RetryPolicy": ".parallel",
+    "shutdown_workers": ".parallel",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value

@@ -409,6 +409,51 @@ class TestFRM005PublicApiHygiene:
         )
         assert "FRM005" not in rule_ids(findings)
 
+    LAZY_INIT = (
+        '"""Doc."""\n'
+        "import importlib\n"
+        '__all__ = ["helper", "ghost"]\n'
+        '_LAZY = {"helper": ".mod"}\n'
+        "def __getattr__(name):\n"
+        "    module = _LAZY.get(name)\n"
+        "    if module is None:\n"
+        "        raise AttributeError(name)\n"
+        "    return getattr(importlib.import_module(module, __name__), name)\n"
+    )
+
+    def test_lazy_table_exports_its_keys(self, tmp_path):
+        findings, _ = lint_snippet(
+            tmp_path, "repro/sub/__init__.py", self.LAZY_INIT
+        )
+        messages = [f.message for f in findings if f.rule_id == "FRM005"]
+        assert not any("'helper'" in m for m in messages)
+        assert any("'ghost'" in m for m in messages)
+
+    def test_table_unread_by_getattr_exports_nothing(self, tmp_path):
+        source = self.LAZY_INIT.replace(
+            "    module = _LAZY.get(name)\n", "    module = None\n"
+        )
+        findings, _ = lint_snippet(tmp_path, "repro/sub/__init__.py", source)
+        assert any(
+            f.rule_id == "FRM005" and "'helper'" in f.message for f in findings
+        )
+
+    def test_type_checking_import_declares_a_re_export(self, tmp_path):
+        source = (
+            '"""Doc."""\n'
+            "from typing import TYPE_CHECKING\n"
+            "from . import mod\n"
+            '__all__ = ["helper", "ghost"]\n'
+            "if TYPE_CHECKING:\n"
+            "    from .mod import helper\n"
+            "def __getattr__(name):\n"
+            "    return getattr(mod, name)\n"
+        )
+        findings, _ = lint_snippet(tmp_path, "repro/sub/__init__.py", source)
+        messages = [f.message for f in findings if f.rule_id == "FRM005"]
+        assert not any("'helper'" in m for m in messages)
+        assert any("'ghost'" in m for m in messages)
+
 
 class TestFRM006ExceptionDiscipline:
     def test_builtin_raise_in_core(self, tmp_path):
