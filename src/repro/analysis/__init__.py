@@ -6,7 +6,7 @@ ordinary tests cannot see until they break at runtime: iteration order
 must never leak from unordered containers into mined output, worker
 state must stay picklable, popcounts must go through
 :mod:`repro.core.bitset`, failures must surface as
-:mod:`repro.errors` types, and checkpointed state must persist through
+:mod:`repro.errors` types, and persisted state must go through
 :mod:`repro.core.serialize`.  This package enforces those contracts
 statically, as a CI gate and a ``farmer lint`` subcommand.
 

@@ -1,8 +1,8 @@
 """Interprocedural nondeterminism-taint analysis over the project index.
 
 The determinism guarantee is interprocedural: a ``time.time()`` read is
-harmless until its value — three helpers later — lands in a checkpoint
-record, the serialize envelope, the ``.irgs`` writer, the reduce, or an
+harmless until its value — three helpers later — lands in the
+serialize envelope, the ``.irgs`` writer, the reduce, or an
 advisory-bound broadcast.  This pass tracks exactly that journey:
 
 * **Sources** are calls that yield run-to-run entropy (wall clocks,
@@ -76,15 +76,6 @@ SEEDED_PREFIXES: tuple[str, ...] = (
 SINKS: dict[tuple[str, str], str] = {
     ("core/serialize.py", "save_rule_groups"): ".irgs writer save_rule_groups()",
     ("core/serialize.py", "save_checkpoint"): "checkpoint envelope save_checkpoint()",
-    ("core/serialize.py", "save_checkpoint_body"): (
-        "checkpoint envelope save_checkpoint_body()"
-    ),
-    ("core/checkpoint.py", "TaskRecord"): "checkpoint record TaskRecord",
-    ("core/checkpoint.py", "CheckpointState"): "checkpoint record CheckpointState",
-    ("core/checkpoint.py", "run_fingerprint"): "checkpoint run_fingerprint()",
-    ("core/checkpoint.py", "Checkpointer.record"): (
-        "checkpoint writer Checkpointer.record()"
-    ),
     ("core/enumeration.py", "merge_counters"): (
         "deterministic reduce merge_counters()"
     ),

@@ -2,7 +2,7 @@
 
 The per-module rules (FRM001-FRM008) see one file at a time, which is
 exactly the blind spot a real nondeterminism bug exploits: a wall-clock
-read three helpers away from the checkpoint record it eventually
+read three helpers away from the serialized record it eventually
 reaches.  This module parses every linted file **once** into:
 
 * a *symbol table* per package instance — modules keyed by their

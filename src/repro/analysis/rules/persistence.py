@@ -1,13 +1,13 @@
 """FRM007/FRM012: core/ persistence must go through :mod:`repro.core.serialize`.
 
-Checkpoint/resume (:mod:`repro.core.checkpoint`) and the frontier cache
-(:mod:`repro.core.frontier`) are only crash-consistent because every byte
-that reaches disk goes through the serialize module's envelope: canonical
-JSON, a checksum header, and the temp-file + fsync + rename dance.  A raw
-``pickle.dump`` or ``json.dump`` anywhere else in ``core/`` silently
-bypasses all three — the file has no checksum to detect truncation, no
-format version to gate incompatible readers, and a crash mid-write leaves
-a corrupt partial file that a later resume happily reads.
+The frontier cache (:mod:`repro.core.frontier`) is only crash-consistent
+because every byte that reaches disk goes through the serialize module's
+envelope: canonical JSON, a checksum header, and the temp-file + fsync
++ rename dance.  A raw ``pickle.dump`` or ``json.dump`` anywhere else in
+``core/`` silently bypasses all three — the file has no checksum to
+detect truncation, no format version to gate incompatible readers, and
+a crash mid-write leaves a corrupt partial file that a later warm mine
+happily reads.
 
 Two rules keep the envelope the single write path:
 

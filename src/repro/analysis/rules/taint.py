@@ -1,14 +1,13 @@
 """FRM009: interprocedural nondeterminism taint.
 
-The determinism guarantee — serial, sharded, checkpoint-resumed and
-every engine produce byte-identical ``.irgs`` output — fails through
-*paths*, not single statements: a wall-clock read is harmless in a log
-line but fatal once its value travels, possibly through several
-helpers, into a checkpoint record, the serialize envelope, the reduce,
-or an advisory-bound broadcast.  FRM002 catches the read when it sits
-in a scoped module; this rule catches the *journey*, across module
-boundaries, and names every hop in the finding message so the witness
-path can be audited by eye.
+The determinism guarantee — serial, sharded, warm and every engine
+produce byte-identical ``.irgs`` output — fails through *paths*, not
+single statements: a wall-clock read is harmless in a log line but
+fatal once its value travels, possibly through several helpers, into
+the serialize envelope, the reduce, or an advisory-bound broadcast.
+FRM002 catches the read when it sits in a scoped module; this rule
+catches the *journey*, across module boundaries, and names every hop in
+the finding message so the witness path can be audited by eye.
 
 The heavy lifting lives in :mod:`repro.analysis.dataflow`; this rule
 adapts its :class:`~repro.analysis.dataflow.TaintFlow` records into
@@ -34,8 +33,8 @@ class NondeterminismTaintRule(Rule):
     name: ClassVar[str] = "nondeterminism-taint"
     description: ClassVar[str] = (
         "no wall-clock/random/listing-order value may flow, across any "
-        "number of calls, into serialized output, checkpoint records, "
-        "the reduce, or advisory-bound broadcasts"
+        "number of calls, into serialized output, the reduce, or "
+        "advisory-bound broadcasts"
     )
     needs_project: ClassVar[bool] = True
 

@@ -42,7 +42,6 @@ from .core.constraints import Constraints
 from .core.enumeration import SearchBudget
 from .core.farmer import ENGINES, Farmer
 from .data.discretize import EntropyMDLDiscretizer, EqualDepthDiscretizer
-from .data.io import load_expression, save_expression
 from .data.registry import PAPER_DATASETS, load, train_test_rows
 from .data.transpose import TransposedTable
 from .errors import ReproError, UsageError
@@ -79,26 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(identical output to serial; default: serial)",
     )
     mine.add_argument("--save", help="persist the groups to this .irgs file")
-    mine.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        help="snapshot sharded-run progress to this file (crash-consistent; "
-        "implies sharded execution)",
-    )
-    mine.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard completions per checkpoint write (default: 1)",
-    )
-    mine.add_argument(
-        "--resume",
-        metavar="PATH",
-        help="restore progress from this checkpoint before mining "
-        "(missing file = fresh start; output is byte-identical to an "
-        "uninterrupted run)",
-    )
     mine.add_argument(
         "--steal",
         action=argparse.BooleanOptionalAction,
@@ -225,12 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="the frontier cache directory (created on first use)",
     )
-    # remine is 'mine' minus the knobs a warm answer replaces: it plans
-    # its own work from the cache, so shard checkpointing and cProfile
-    # wiring stay mine-only.
-    remine.set_defaults(
-        checkpoint=None, checkpoint_every=1, resume=None, profile=False
-    )
+    # remine is 'mine' minus cProfile wiring, which stays mine-only.
+    remine.set_defaults(profile=False)
 
     validate = sub.add_parser(
         "validate",
@@ -347,6 +322,8 @@ def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _load_matrix(args: argparse.Namespace):
     if getattr(args, "tsv", None):
+        from .data.io import load_expression
+
         return load_expression(args.tsv)
     return load(args.dataset, scale=args.scale)
 
@@ -379,9 +356,9 @@ def _validate_mine_knobs(args: argparse.Namespace) -> None:
         args: a parsed ``farmer mine``/``farmer remine`` namespace.
 
     Raises:
-        UsageError: a worker count, steal quantum or checkpoint cadence
-            of zero or less — caught up front with the flag's own name
-            instead of failing deep inside the coordinator.
+        UsageError: a worker count or steal quantum of zero or less —
+            caught up front with the flag's own name instead of failing
+            deep inside the coordinator.
     """
     workers = getattr(args, "workers", None)
     if workers is not None and workers <= 0:
@@ -392,12 +369,6 @@ def _validate_mine_knobs(args: argparse.Namespace) -> None:
     if quantum is not None and quantum <= 0:
         raise UsageError(
             f"--steal-quantum must be a positive node count, got {quantum}"
-        )
-    every = getattr(args, "checkpoint_every", None)
-    if every is not None and every <= 0:
-        raise UsageError(
-            "--checkpoint-every must be a positive shard count, "
-            f"got {every}"
         )
 
 
@@ -476,9 +447,6 @@ def _command_mine(args: argparse.Namespace) -> int:
             compute_lower_bounds=args.lower_bounds,
             budget=SearchBudget(max_seconds=args.timeout),
             n_workers=args.workers,
-            checkpoint=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
             engine=args.engine,
             steal=args.steal,
             steal_quantum=args.steal_quantum,
@@ -566,16 +534,6 @@ def _command_mine(args: argparse.Namespace) -> int:
                 f"work stealing: {result.parallel.parts} parts, "
                 f"{result.parallel.donations} donations, "
                 f"{result.parallel.steals} steals"
-            )
-        if result.parallel.resumed_tasks:
-            print(
-                f"resumed {result.parallel.resumed_tasks} finished shards "
-                f"from checkpoint {args.resume}"
-            )
-        if result.parallel.checkpoints_written:
-            print(
-                f"wrote {result.parallel.checkpoints_written} checkpoints "
-                f"to {args.checkpoint or args.resume}"
             )
     for group in result.sorted_groups()[: args.top]:
         print()
@@ -720,6 +678,8 @@ def _command_profile(args: argparse.Namespace) -> int:
 
 
 def _command_generate(args: argparse.Namespace) -> int:
+    from .data.io import save_expression
+
     matrix = load(args.dataset, scale=args.scale, seed=args.seed)
     save_expression(matrix, args.out)
     print(

@@ -11,14 +11,13 @@ Public surface:
 * :mod:`~repro.core.measures` — chi-square and the extended measures.
 * :mod:`~repro.core.parallel` — sharded execution across worker
   processes (``Farmer(n_workers=...)``), bit-identical to serial, with
-  fault-tolerant retries (:class:`~repro.core.parallel.RetryPolicy`) and
-  crash-consistent checkpoint/resume (:mod:`~repro.core.checkpoint`).
+  fault-tolerant retries (:class:`~repro.core.parallel.RetryPolicy`).
 
-The sharded and checkpoint names (``CheckpointState``,
-``ParallelReport``, ``RetryPolicy``, ``shutdown_workers``) are exported
-lazily through the module ``__getattr__`` (PEP 562): a serial, warm or
-served mine never imports :mod:`multiprocessing`,
-:mod:`concurrent.futures` or the fault injector.
+The sharded names (``ParallelReport``, ``RetryPolicy``,
+``shutdown_workers``) are exported lazily through the module
+``__getattr__`` (PEP 562): a serial, warm or served mine never imports
+:mod:`multiprocessing`, :mod:`concurrent.futures` or the fault
+injector.
 """
 
 import importlib
@@ -34,7 +33,6 @@ from .validate import validate_group, validate_result
 
 __all__ = [
     "ALL_PRUNINGS",
-    "CheckpointState",
     "Constraints",
     "Farmer",
     "FarmerResult",
@@ -58,7 +56,6 @@ __all__ = [
 
 #: Public names whose modules load on first access (PEP 562).
 _LAZY = {
-    "CheckpointState": ".checkpoint",
     "ParallelReport": ".parallel",
     "RetryPolicy": ".parallel",
     "shutdown_workers": ".parallel",

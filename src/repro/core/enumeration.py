@@ -181,9 +181,10 @@ class SearchBudget:
     def poll(self) -> None:
         """Raise if the run must stop now, charging no node.
 
-        The hook of a coordinator that walks no nodes itself: the
-        sharded miner (:mod:`repro.core.parallel`) polls it while it
-        decomposes and whenever it wakes to collect shard parts.  This
+        The hook of a coordinator that does not charge the nodes it
+        walks: the sharded miner (:mod:`repro.core.parallel`) polls it
+        while it decomposes, whenever it wakes to collect shard parts,
+        and every few hundred nodes of a part it runs inline.  This
         budget's limits are node counts and a clock the coordinator
         enforces as its own deadline, so here it does nothing;
         subclasses with an external stop signal raise.

@@ -190,8 +190,8 @@ class Candidate(NamedTuple):
     read off ``row_mask``.  As ``A1 ⊊ A2 ⟺ R(A1) ⊋ R(A2)`` for closed
     antecedents, Step 7 compares row masks, and equal row masks mean
     equal items and confidence.  Walker node tables hold ``I(X)`` and
-    intersect to ``R(I(X))``; decoded candidates (warm entries,
-    checkpoints) come from checksummed envelopes of the same table.
+    intersect to ``R(I(X))``; decoded candidates (warm entries) come
+    from checksummed envelopes of the same table.
     """
 
     item_ids: tuple[int, ...]
@@ -391,37 +391,12 @@ def _add_counts(
         stats.bound_rows_total += scan_rows
 
 
-def _advisory_filter(
-    emit: Callable[[Candidate], None], advisory, counters: NodeCounters
-) -> Callable[[Candidate], None]:
-    """``emit`` behind the broadcast dominance prefilter.
-
-    A candidate covered by ``advisory``
-    (:class:`repro.core.parallel.AdvisoryBounds`) is provably rejected
-    by the final admission replay, so it is counted as rejected and
-    dropped instead of being emitted; emitted candidates extend the
-    bounds.
-    """
-
-    def filtered(candidate: Candidate) -> None:
-        confidence = candidate.confidence
-        if advisory.covers(candidate.row_mask, confidence):
-            counters.candidates_rejected += 1
-            advisory.drops += 1
-            return
-        advisory.extend(candidate.row_mask, confidence)
-        emit(candidate)
-
-    return filtered
-
-
 def enumerate_frontier(
     ctx: SearchContext,
     units: Sequence[tuple[str, NodeState | Candidate]],
     counters: NodeCounters,
     sink: "list[Candidate] | Callable[[Candidate], None]",
     quantum: int | None,
-    advisory=None,
     stats: ScanStats | None = None,
     *,
     observer=None,
@@ -468,17 +443,14 @@ def enumerate_frontier(
             preempted call.
         counters: mutated in place with node and pruning statistics.
         sink: receives each candidate as its subtree completes, in
-            discovery order — a list to append to (shard parts, the
-            warm-cache capture), or a callable (the serial miner's
-            Step-7 admission).
+            discovery order — a list to append to (the decomposition,
+            the warm-cache capture), or a callable (the serial miner's
+            Step-7 admission, a shard part's advisory prefilter).
         quantum: nodes visited before preemption or, with
             ``progress``, before its first call (values below one still
             visit one node, so every call makes progress); ``None``
             never preempts.  Pending candidates are always flushed — a
             returned frontier never leads with work-free units.
-        advisory: optional dominance bounds
-            (:class:`repro.core.parallel.AdvisoryBounds`) filtering the
-            sink; see :func:`_advisory_filter`.
         stats: receives the bound-scan telemetry of an observed walk
             (``ctx.observe``); ``None`` there creates one scoped to the
             call.  Scans and rows are added whenever ``counters`` is,
@@ -510,8 +482,6 @@ def enumerate_frontier(
         ordered remaining frontier to continue from.
     """
     emit = sink if callable(sink) else sink.append
-    if advisory is not None:
-        emit = _advisory_filter(emit, advisory, counters)
     confidence = confidence_bound
     constraints = ctx.constraints
     satisfied_by = constraints.satisfied_by
@@ -993,11 +963,6 @@ class Farmer:
             mined result is bit-identical to the serial miner for every
             worker count.  Node budgets (``max_nodes``) force the serial
             path — deterministic node accounting needs one traversal.
-        broadcast_bounds: in sharded runs, ship dominance bounds built
-            from already-recorded candidates to newly dispatched workers
-            so provably-uninteresting candidates are dropped early.
-            Advisory only: stale bounds cost buffer memory, never
-            correctness, and the mined result is unchanged either way.
         retry: fault-tolerance policy for sharded runs
             (:class:`~repro.core.parallel.RetryPolicy`); ``None`` uses
             the defaults.
@@ -1010,13 +975,6 @@ class Farmer:
         steal_quantum: nodes a shard part visits between yield points
             under ``steal``; ``None`` uses
             :data:`~repro.core.parallel.DEFAULT_STEAL_QUANTUM`.
-        checkpoint: file to snapshot sharded-run progress into (see
-            :mod:`repro.core.checkpoint`); implies the sharded pipeline
-            even when ``n_workers`` is ``None``.
-        checkpoint_every: shard completions per checkpoint write.
-        resume: checkpoint file to restore progress from before mining;
-            a missing file starts fresh.  The resumed run's output is
-            byte-identical to an uninterrupted one.
         engine: ``None`` (default) for the production engine, or
             ``"reference"`` for the pre-kernel cost model (the
             differential oracle of the tests and the perf gate).
@@ -1032,7 +990,7 @@ class Farmer:
             byte-identical to a cold mine either way.  Warm answers
             never shard, so ``n_workers``, ``steal`` and
             ``steal_quantum`` are ignored.  Incompatible with
-            ``checkpoint``/``resume`` and with ``max_nodes`` budgets.
+            ``max_nodes`` budgets.
         telemetry: optional :class:`~repro.obs.telemetry.Telemetry` to
             observe the run — phase timers, run-log events, live
             progress.  ``None`` (default) disables telemetry entirely.
@@ -1051,13 +1009,9 @@ class Farmer:
         compute_lower_bounds: bool = False,
         budget: SearchBudget | None = None,
         n_workers: int | None = None,
-        broadcast_bounds: bool = True,
         retry: "RetryPolicy | None" = None,
         steal: bool = False,
         steal_quantum: int | None = None,
-        checkpoint: str | None = None,
-        checkpoint_every: int = 1,
-        resume: str | None = None,
         engine: str | None = None,
         telemetry: "Telemetry | None" = None,
         warm_cache: str | None = None,
@@ -1075,21 +1029,11 @@ class Farmer:
         if n_workers is not None and n_workers < 1:
             raise ConstraintError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
-        self.broadcast_bounds = broadcast_bounds
         self.retry = retry
         self.steal = steal
         self.steal_quantum = steal_quantum
-        self.checkpoint = checkpoint
-        self.checkpoint_every = checkpoint_every
-        self.resume = resume
         self.warm_cache = warm_cache
         if warm_cache is not None:
-            if checkpoint is not None or resume is not None:
-                raise UsageError(
-                    "warm_cache cannot be combined with checkpoint/resume: "
-                    "a warm re-mine replans its own work from the frontier "
-                    "cache, so a shard checkpoint has nothing to describe"
-                )
             if self.budget.max_nodes is not None:
                 raise UsageError(
                     "warm_cache cannot be combined with max_nodes budgets: "
@@ -1100,20 +1044,6 @@ class Farmer:
                 raise UsageError(
                     f"{type(self).__name__} hooks the serial traversal, "
                     "so it cannot answer from a frontier cache"
-                )
-        if checkpoint is not None or resume is not None:
-            # Checkpoints snapshot the sharded coordinator's state; the
-            # serial traversal has no shard boundaries to snapshot at.
-            if self.budget.max_nodes is not None:
-                raise UsageError(
-                    "checkpoint/resume requires the sharded miner, but "
-                    "max_nodes budgets force the serial path; use a "
-                    "max_seconds budget instead"
-                )
-            if not self._supports_sharding:
-                raise UsageError(
-                    f"{type(self).__name__} cannot shard its traversal, "
-                    "so it cannot checkpoint or resume"
                 )
 
     # ------------------------------------------------------------------
@@ -1178,13 +1108,9 @@ class Farmer:
                     prunings=self.prunings,
                     n_workers=self.n_workers if self.n_workers is not None else 1,
                     budget=self.budget,
-                    broadcast=self.broadcast_bounds,
                     retry=self.retry,
                     steal=self.steal,
                     steal_quantum=self.steal_quantum,
-                    checkpoint=self.checkpoint,
-                    checkpoint_every=self.checkpoint_every,
-                    resume=self.resume,
                     engine="reference" if self.reference else None,
                     telemetry=telemetry,
                 )
@@ -1232,9 +1158,8 @@ class Farmer:
         return groups
 
     def _wants_sharding(self) -> bool:
-        wants = self.n_workers is not None or self.checkpoint is not None or self.resume is not None
         return (
-            wants
+            self.n_workers is not None
             and self._supports_sharding
             and self.budget.max_nodes is None
         )
@@ -1414,9 +1339,6 @@ def mine_irgs(
     n_workers: int | None = None,
     steal: bool = False,
     steal_quantum: int | None = None,
-    checkpoint: str | None = None,
-    checkpoint_every: int = 1,
-    resume: str | None = None,
     engine: str | None = None,
     telemetry: "Telemetry | None" = None,
     warm_cache: str | None = None,
@@ -1439,11 +1361,6 @@ def mine_irgs(
             (see :class:`Farmer`); never changes the mined result.
         steal_quantum: nodes a stealing worker expands before donating
             its frontier (``None`` = the default quantum).
-        checkpoint: crash-consistent progress snapshot path
-            (:mod:`repro.core.checkpoint`).
-        checkpoint_every: shard completions per checkpoint write.
-        resume: checkpoint path to restore before mining; a resumed
-            run's output is byte-identical to an uninterrupted one.
         engine: ``None`` (production) or ``"reference"`` (see
             :class:`Farmer`).
         telemetry: optional :class:`~repro.obs.telemetry.Telemetry`
@@ -1471,9 +1388,6 @@ def mine_irgs(
         n_workers=n_workers,
         steal=steal,
         steal_quantum=steal_quantum,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
-        resume=resume,
         engine=engine,
         telemetry=telemetry,
         warm_cache=warm_cache,

@@ -13,11 +13,13 @@ to a cold mine**:
   the interestingness check.  Nothing else is kept — no conditional
   table, no pruned node.
 * The entry is persisted through the checksummed, fsync'd
-  :mod:`repro.core.serialize` envelope, keyed by a dataset fingerprint
-  plus a constraint key.  Item ids are stored as ascending lists
-  (:func:`candidate_row`, a codec checkpoints share), never as item
-  bitmasks, so entries stay encodable at any item count and their bytes
-  are identical whichever engine captured them.
+  :mod:`repro.core.serialize` envelope
+  (:func:`~repro.core.serialize.save_checkpoint` with
+  :data:`FRONTIER_ENVELOPE`, ``repro-checkpoint/1``), keyed by a dataset
+  fingerprint plus a constraint key.  Item ids are stored as ascending
+  lists (:func:`candidate_row`), never as item bitmasks, so entries
+  stay encodable at any item count and their bytes are identical
+  whichever engine captured them.
 * A later mine consults the planner, which has two answers:
 
   - *a covering entry* (no knob looser than the entry's) — the
@@ -101,7 +103,7 @@ __all__ = [
 #: layout sit beside the current ones and are skipped, never misread.
 FRONTIER_KIND = "repro-frontier/2"
 
-#: Envelope tag of every entry, kept at the first checkpoint version so
+#: Envelope tag of every entry, kept at the envelope's first version so
 #: existing caches stay readable; entry layouts bump FRONTIER_KIND.
 FRONTIER_ENVELOPE = "repro-checkpoint/1"
 
@@ -123,8 +125,7 @@ def candidate_row(candidate: Candidate) -> list:
     Item ids travel as a list, never as an item bitmask: a mask over a
     paper-sized item universe (tens of thousands of items) passes
     Python's int-to-text digit limit, while an id list only grows with
-    the antecedent.  Frontier entries and checkpoints
-    (:mod:`repro.core.checkpoint`) share this codec.
+    the antecedent.
     """
     return [
         list(candidate.item_ids),
@@ -251,8 +252,9 @@ def _save_entry(
     evals: Sequence[Candidate],
     nodes: int,
 ) -> None:
-    """Persist one captured evaluation sequence through the checkpoint
-    envelope, item ids ascending whatever the capturing engine."""
+    """Persist one captured evaluation sequence through the
+    :mod:`~repro.core.serialize` envelope, item ids ascending whatever
+    the capturing engine."""
     rows = []
     for candidate in evals:
         row = candidate_row(candidate)

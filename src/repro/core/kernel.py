@@ -378,9 +378,9 @@ class ScanStats:
     vectorized scans never exit early, so they walk every row.  They
     live here rather than on
     :class:`~repro.core.enumeration.NodeCounters` deliberately:
-    checkpoint records serialize every counter field, so a
-    telemetry-only counter there would break the byte-identity of
-    checkpoints written with and without telemetry.
+    every counter field is compared between runs with and without
+    telemetry, so a telemetry-only counter there would break that
+    equality.
     """
 
     __slots__ = (

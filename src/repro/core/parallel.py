@@ -38,10 +38,12 @@ contains the candidate's.  Such a candidate is provably rejected by
 the final replay, because its dominator — or, chasing rejections, some
 admitted dominator of that dominator — is a constraint-satisfying
 group with a strictly smaller antecedent, and Lemma 3.4 places every
-such group before the candidate in the replay sequence.  The bounds are purely advisory: a stale snapshot only means a
-doomed candidate is buffered and shipped before the replay rejects it.
-Work done (nodes, prunings) is identical either way; the test suite pins
-merged counters to the serial miner's with the broadcast on and off.
+such group before the candidate in the replay sequence.  The bounds
+are purely advisory: a stale snapshot only means a doomed candidate is
+buffered and shipped before the replay rejects it.  The prefilter sits
+on the part's sink (:func:`_walk_part`), outside the walk, so work done
+(nodes, prunings) is the serial walk's; the test suite pins merged
+counters to the serial miner's.
 
 **A shard is a row set.**  By Lemma 3.3 ``TT|X`` depends only on ``X``,
 so no table crosses the process boundary: each run starts its own pool,
@@ -68,12 +70,6 @@ about a retry can change the output.  The execute loop leans on that:
   one, then to inline execution) instead of aborting the run — inline
   execution cannot lose a worker, so every run terminates.
 
-Progress can be checkpointed between shard completions and resumed after
-a crash (:mod:`repro.core.checkpoint`): a run killed at any point and
-resumed from its latest checkpoint produces byte-identical output to an
-uninterrupted run, which ``tests/test_checkpoint.py`` pins at every
-checkpoint boundary.
-
 **Work stealing** (``steal=True``).  One executor schedules every
 sharded mine as *parts*: a shard starts as one part holding its root,
 and a part runs :func:`~repro.core.farmer.enumerate_frontier` for at
@@ -97,11 +93,6 @@ unchanged:
 * the reduce still replays the per-shard candidate sequences in serial
   discovery order, so ``.irgs`` output is byte-identical to the serial
   miner for any worker count, steal schedule, and quantum;
-* checkpoints still hold whole-shard :class:`TaskRecord` entries (plus
-  a ``steals`` diagnostic), so a mid-steal crash resumes exactly like
-  any other — incomplete shards re-run from their roots — and
-  checkpoints are interchangeable between runs with and without
-  stealing;
 * the fault ladder applies per *part*: parts are deterministic replays
   of their unit lists, so a dead donor or thief is requeued like any
   failed shard (the chaos layer injects ``donor-*``/``steal-*`` faults
@@ -128,17 +119,15 @@ from concurrent.futures import (
 )
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..data.transpose import TransposedTable
-from ..errors import BudgetExceeded, ConstraintError, DataError
+from ..errors import BudgetExceeded, ConstraintError
 from ..testing.chaos import (
     maybe_fault_donor,
     maybe_fault_thief,
     maybe_fault_worker,
 )
-from .checkpoint import Checkpointer, CheckpointState, TaskRecord, run_fingerprint
 from .constraints import Constraints
 from .enumeration import NodeCounters, SearchBudget, merge_counters
 from .farmer import (
@@ -294,7 +283,6 @@ class ParallelReport:
 
     Attributes:
         n_workers: worker processes requested (1 = inline execution).
-        broadcast: whether advisory bounds were shared with workers.
         coordinator: counters for the nodes the coordinator expanded
             while decomposing the tree into tasks.
         n_tasks: frontier subtrees placed on the work queue.
@@ -310,9 +298,6 @@ class ParallelReport:
         inline_tasks: parts executed inline in the coordinator as a
             fallback (retry exhaustion or degradation); a one-worker run
             executes inline by design and does not count here.
-        resumed_tasks: shards restored from a checkpoint instead of
-            being executed.
-        checkpoints_written: durable checkpoint files written.
         stealing: whether parts ran under a node quantum (``steal=``
             requested and more than one worker); otherwise every part
             was a whole shard.
@@ -331,7 +316,6 @@ class ParallelReport:
     """
 
     n_workers: int
-    broadcast: bool
     coordinator: NodeCounters
     n_tasks: int = 0
     workers: list[NodeCounters] = field(default_factory=list)
@@ -340,8 +324,6 @@ class ParallelReport:
     pool_failures: int = 0
     worker_exit_codes: list[int] = field(default_factory=list)
     inline_tasks: int = 0
-    resumed_tasks: int = 0
-    checkpoints_written: int = 0
     stealing: bool = False
     donations: int = 0
     steals: int = 0
@@ -382,15 +364,35 @@ def _walk_part(
     counters: NodeCounters,
     sink: list[Candidate],
     quantum: int | None,
-    advisory: AdvisoryBounds | None,
+    advisory: AdvisoryBounds,
     deadline: float | None,
+    poll: Callable[[], None] | None = None,
 ) -> list | None:
-    """:func:`enumerate_frontier` under the shared monotonic
-    ``deadline`` (``None``: no deadline), read before the first node and
-    every :data:`_DEADLINE_STRIDE` nodes after it.  The walk still hands
-    back its frontier after ``quantum`` nodes (``None``: never)."""
-    if deadline is None:
-        return enumerate_frontier(ctx, units, counters, sink, quantum, advisory)
+    """:func:`enumerate_frontier` into ``sink`` behind the broadcast
+    dominance prefilter, under the shared monotonic ``deadline``
+    (``None``: no deadline) and ``poll`` (an inline part's
+    :meth:`~repro.core.enumeration.SearchBudget.poll`; ``None`` in a
+    worker), both checked before the first node and every
+    :data:`_DEADLINE_STRIDE` nodes after it.  The walk still hands back
+    its frontier after ``quantum`` nodes (``None``: never).
+
+    A candidate covered by ``advisory`` is provably rejected by the
+    final admission replay (see the module docstring), so it is counted
+    as rejected and dropped instead of being buffered; every other
+    candidate extends the bounds.
+    """
+
+    def emit(candidate: Candidate) -> None:
+        confidence = candidate.confidence
+        if advisory.covers(candidate.row_mask, confidence):
+            counters.candidates_rejected += 1
+            advisory.drops += 1
+            return
+        advisory.extend(candidate.row_mask, confidence)
+        sink.append(candidate)
+
+    if deadline is None and poll is None:
+        return enumerate_frontier(ctx, units, counters, emit, quantum)
     left = None if quantum is None else max(1, quantum)
     step = 0
 
@@ -400,16 +402,18 @@ def _walk_part(
             left -= step
             if left <= 0:
                 return 0
-        if time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(
                 "time budget exceeded while mining a shard",
                 nodes_expanded=counters.nodes,
             )
+        if poll is not None:
+            poll()
         step = _DEADLINE_STRIDE if left is None else min(_DEADLINE_STRIDE, left)
         return step
 
     return enumerate_frontier(
-        ctx, units, counters, sink, progress(), advisory, progress=progress
+        ctx, units, counters, emit, progress(), progress=progress
     )
 
 
@@ -474,7 +478,7 @@ def _init_worker(root: CondTableProtocol) -> None:
 def _run_frontier_task(
     ctx: SearchContext,
     units: list,
-    snapshot: list[tuple[float, int]] | None,
+    snapshot: list[tuple[float, int]],
     advisory_cap: int,
     deadline: float | None,
     strict: bool,
@@ -490,7 +494,7 @@ def _run_frontier_task(
         units: the ordered, detached frontier to enumerate — a shard
             root, or (part of) a previously donated continuation.
         snapshot: advisory-bounds snapshot to filter candidates
-            against, or ``None`` without broadcast.
+            against.
         advisory_cap: maximum advisory bounds kept.
         deadline: shared monotonic deadline, or ``None``.
         strict: whether a tripped budget raises instead of truncating.
@@ -514,9 +518,7 @@ def _run_frontier_task(
         maybe_fault_worker(shard, attempt)
     counters = NodeCounters()
     sink: list[Candidate] = []
-    advisory = (
-        AdvisoryBounds(snapshot, cap=advisory_cap) if snapshot is not None else None
-    )
+    advisory = AdvisoryBounds(snapshot, cap=advisory_cap)
     truncated = False
     frontier: list | None = None
     try:
@@ -534,8 +536,10 @@ def _run_frontier_task(
         # donor loses the donated half.
         maybe_fault_donor(shard, attempt)
         frontier = _detach(frontier)
-    drops = advisory.drops if advisory is not None else 0
-    return sink, counters, drops, truncated, frontier, time.monotonic() - started
+    return (
+        sink, counters, advisory.drops, truncated, frontier,
+        time.monotonic() - started,
+    )
 
 
 def shutdown_workers() -> None:
@@ -731,7 +735,6 @@ def _execute_parts(
     ctx: SearchContext,
     root: CondTableProtocol,
     n_workers: int,
-    broadcast: bool,
     advisory_cap: int,
     deadline: float | None,
     strict: bool,
@@ -740,9 +743,6 @@ def _execute_parts(
     budget: SearchBudget,
     retry: RetryPolicy,
     report: ParallelReport,
-    checkpointer: Checkpointer | None = None,
-    completed: frozenset[int] = frozenset(),
-    advisory_snapshot: list[tuple[float, int]] | None = None,
     telemetry: "Telemetry | None" = None,
     coverage: dict[str, float] | None = None,
 ) -> bool:
@@ -766,29 +766,23 @@ def _execute_parts(
         ctx: the immutable search parameters.
         root: the run's root table, which every part attaches to.
         n_workers: worker-process count (1 = inline execution).
-        broadcast: share advisory confidence bounds across parts.
         advisory_cap: maximum advisory bounds kept per broadcast.
         deadline: shared monotonic deadline, or ``None``.
         strict: whether a tripped budget raises instead of truncating.
         quantum: nodes per part between yield points; ``None`` never
             yields.
-        budget: polled before every inline part and whenever ``wait()``
-            returns; what it raises tears the pool down and propagates.
+        budget: polled before every inline part, every
+            :data:`_DEADLINE_STRIDE` nodes inside one, and whenever
+            ``wait()`` returns; what it raises tears the pool down and
+            propagates.
         retry: the fault-tolerance ladder.
         report: mutated in place with scheduling diagnostics.
-        checkpointer: records stitched whole-shard results.
-        completed: shards restored from a checkpoint, skipped here.
-        advisory_snapshot: restored advisory bounds, if resuming.
         telemetry: observes scheduling at part/shard granularity.
         coverage: the progress sampler's shared accumulator dict.
     """
-    advisory = (
-        AdvisoryBounds(advisory_snapshot or (), cap=advisory_cap)
-        if broadcast
-        else None
-    )
+    advisory = AdvisoryBounds(cap=advisory_cap)
     truncated = False
-    remaining = len(tasks) - len(completed)
+    remaining = len(tasks)
     report.stealing = quantum is not None
 
     pending: deque[_Part] = deque()
@@ -797,8 +791,6 @@ def _execute_parts(
     shard_open: dict[int, int] = {}
     shard_donations: dict[int, int] = {}
     for index in range(len(tasks)):
-        if index in completed:
-            continue
         part = _Part(
             index, sequence, _detach([(FRONTIER_STATE, tasks[index].state)]), False
         )
@@ -827,24 +819,10 @@ def _execute_parts(
         return leaf
 
     def finish_shard(shard: int) -> None:
-        """All parts done: stitch, attach to the leaf, checkpoint."""
+        """All parts done: stitch the shard onto its leaf."""
         nonlocal remaining
         leaf = stitch(shard)
-        sink, counters, drops, steals = (
-            leaf.candidates, leaf.counters, leaf.drops, leaf.steals
-        )
-        shard_truncated = any(part.truncated for part in shard_parts[shard])
-        if checkpointer is not None and not shard_truncated:
-            checkpointer.record(
-                TaskRecord(
-                    index=shard,
-                    candidates=sink,
-                    counters=counters,
-                    drops=drops,
-                    steals=steals,
-                ),
-                advisory.snapshot() if advisory is not None else None,
-            )
+        sink, counters = leaf.candidates, leaf.counters
         remaining -= 1
         if coverage is not None:
             coverage["done"] += float(leaf.state.estimate())
@@ -863,9 +841,9 @@ def _execute_parts(
                 shard=shard,
                 nodes=counters.nodes,
                 candidates=len(sink),
-                drops=drops,
-                truncated=shard_truncated,
-                steals=steals,
+                drops=leaf.drops,
+                truncated=any(part.truncated for part in shard_parts[shard]),
+                steals=leaf.steals,
             )
 
     def finish_part(
@@ -882,9 +860,8 @@ def _execute_parts(
         part.drops = task_drops
         part.truncated = task_truncated
         truncated = truncated or task_truncated
-        if advisory is not None:
-            for candidate in sink:
-                advisory.extend(candidate.row_mask, candidate.confidence)
+        for candidate in sink:
+            advisory.extend(candidate.row_mask, candidate.confidence)
         if frontier is not None and not truncated and error is None:
             shard_donations[part.shard] += 1
             report.donations += 1
@@ -944,14 +921,14 @@ def _execute_parts(
         """Run the part's units to the end in the coordinator (the
         one-worker schedule, or the fallback that cannot lose a worker)."""
         nonlocal error, truncated
-        before = advisory.drops if advisory is not None else 0
+        before = advisory.drops
         sink: list[Candidate] = []
         counters = NodeCounters()
         started = time.monotonic()
         try:
             _walk_part(
                 ctx, _attach(root, part.units), counters, sink, None, advisory,
-                deadline,
+                deadline, budget.poll,
             )
         except BudgetExceeded as exc:
             if strict:
@@ -960,16 +937,14 @@ def _execute_parts(
                 truncated = True
             return
         report.task_seconds.append(time.monotonic() - started)
-        delta = (advisory.drops - before) if advisory is not None else 0
         if n_workers > 1:
             report.inline_tasks += 1
-        finish_part(part, sink, counters, delta, False, None)
+        finish_part(part, sink, counters, advisory.drops - before, False, None)
 
     def submit(part: _Part) -> bool:
         """Dispatch one part (starting the pool if there is none);
         ``False`` if the pool is dead."""
         nonlocal executor
-        snapshot = advisory.snapshot() if advisory is not None else None
         try:
             if executor is None:
                 executor = ProcessPoolExecutor(
@@ -982,7 +957,7 @@ def _execute_parts(
                 _run_frontier_task,
                 ctx,
                 part.units,
-                snapshot,
+                advisory.snapshot(),
                 advisory_cap,
                 deadline,
                 strict,
@@ -1116,8 +1091,7 @@ def _execute_parts(
             else:
                 executor.shutdown(wait=True)
     # A truncated or aborting run still attaches the best-effort prefix
-    # of every shard that produced one (never checkpointed: only whole
-    # shards are durable).
+    # of every shard that produced one.
     for shard, count in shard_open.items():
         if count > 0:
             stitch(shard)
@@ -1148,23 +1122,18 @@ def mine_table_parallel(
     prunings: Iterable[str] = ALL_PRUNINGS,
     n_workers: int = 2,
     budget: SearchBudget | None = None,
-    broadcast: bool = True,
     chunk_factor: int = DEFAULT_CHUNK_FACTOR,
     advisory_cap: int = DEFAULT_ADVISORY_CAP,
     expansion_cap: int | None = None,
     retry: RetryPolicy | None = None,
     steal: bool = False,
     steal_quantum: int | None = None,
-    checkpoint: str | Path | None = None,
-    checkpoint_every: int = 1,
-    resume: str | Path | None = None,
     engine: str | None = None,
     telemetry: "Telemetry | None" = None,
 ) -> tuple[_IRGStore, NodeCounters, bool, ParallelReport]:
     """Mine ``table`` with the sharded decompose/execute/reduce pipeline.
 
-    Every merged counter matches the serial miner's, and resumed runs
-    report counters identical to uninterrupted ones, whatever the
+    Every merged counter matches the serial miner's, whatever the
     scheduling and retries.
 
     Args:
@@ -1180,7 +1149,6 @@ def mine_table_parallel(
             node accounting needs the serial traversal, and
             :class:`~repro.core.farmer.Farmer` routes such budgets there
             automatically.
-        broadcast: share advisory confidence bounds across shards.
         chunk_factor: target tasks per worker for the decomposition.
         advisory_cap: maximum advisory bounds kept per broadcast.
         expansion_cap: decomposition expansion cap (``None`` = derived).
@@ -1197,22 +1165,12 @@ def mine_table_parallel(
         steal_quantum: nodes a part visits between yield points under
             ``steal`` (``None`` uses :data:`DEFAULT_STEAL_QUANTUM`; must
             be >= 1).
-        checkpoint: file to snapshot progress into after every
-            ``checkpoint_every`` shard completions (and once more on the
-            way out, even when aborting).
-        checkpoint_every: shard completions per checkpoint write.
-        resume: checkpoint to restore before executing — a missing file
-            means a fresh start, so a crash loop around ``resume=``
-            converges; a checkpoint from a different dataset or settings
-            is rejected with :class:`~repro.errors.DataError` via the
-            run fingerprint.  When only ``resume`` is given, the same
-            file keeps receiving checkpoints.
         engine: ``None`` (production) or ``"reference"`` (see
             :class:`~repro.core.farmer.Farmer`).
         telemetry: observes the run (phase events and timers, task/fault
-            events, checkpoint write latency, the progress sampler)
-            without touching any result: mined output, checkpoint bytes
-            and ``.irgs`` files are byte-identical with and without it.
+            events, the progress sampler) without touching any result:
+            mined output and ``.irgs`` files are byte-identical with and
+            without it.
             Workers are never instrumented — all taps are at
             coordinator/task granularity.
 
@@ -1225,10 +1183,6 @@ def mine_table_parallel(
     """
     if n_workers < 1:
         raise ConstraintError(f"n_workers must be >= 1, got {n_workers}")
-    if checkpoint_every < 1:
-        raise ConstraintError(
-            f"checkpoint_every must be >= 1, got {checkpoint_every}"
-        )
     if steal_quantum is None:
         steal_quantum = DEFAULT_STEAL_QUANTUM
     elif steal_quantum < 1:
@@ -1264,29 +1218,15 @@ def mine_table_parallel(
     )
     coordinator = NodeCounters()
     store = _IRGStore()
-    report = ParallelReport(
-        n_workers=n_workers, broadcast=broadcast, coordinator=coordinator
-    )
+    report = ParallelReport(n_workers=n_workers, coordinator=coordinator)
     if table.n == 0 or not table.item_masks:
         return store, merge_counters([coordinator]), False, report
 
     def phase(name: str):
         return telemetry.phase(name) if telemetry is not None else nullcontext()
 
-    checkpoint_path = checkpoint if checkpoint is not None else resume
-    resumed: CheckpointState | None = None
-    if resume is not None and Path(resume).exists():
-        resumed = CheckpointState.load(resume)
-
-    # The decomposition shape is pinned by the checkpoint, not by the
-    # current worker count, so a resume with different n_workers still
-    # reproduces the same shards (and the same fingerprint).
-    if resumed is not None:
-        target = resumed.target
-        cap = resumed.expansion_cap
-    else:
-        target = max(2, chunk_factor * n_workers)
-        cap = expansion_cap if expansion_cap is not None else max(4 * target, 64)
+    target = max(2, chunk_factor * n_workers)
+    cap = expansion_cap if expansion_cap is not None else max(4 * target, 64)
 
     coordinator_stats = ScanStats()
     root_state = coordinator_ctx.root_state(table)
@@ -1303,72 +1243,12 @@ def mine_table_parallel(
             budget=budget,
         )
 
-    checkpointer: Checkpointer | None = None
-    completed: frozenset[int] = frozenset()
-    advisory_snapshot: list[tuple[float, int]] | None = None
-    if checkpoint_path is not None:
-        fingerprint = run_fingerprint(
-            table.n,
-            table.m,
-            table.consequent,
-            table.item_masks,
-            table.positive_mask,
-            constraints,
-            prunings,
-            target,
-            cap,
-            [leaf.state.x_mask for leaf in tasks],
-        )
-        if resumed is not None:
-            if resumed.fingerprint != fingerprint:
-                raise DataError(
-                    f"checkpoint {checkpoint_path} belongs to a "
-                    "different run (dataset, constraints, prunings or "
-                    "decomposition differ); delete it or drop resume="
-                )
-            for index, record in resumed.completed.items():
-                leaf = tasks[index]
-                leaf.candidates = record.candidates
-                leaf.counters = record.counters
-                leaf.drops = record.drops
-                leaf.steals = record.steals
-            completed = frozenset(resumed.completed)
-            advisory_snapshot = resumed.advisory
-            report.resumed_tasks = len(completed)
-            if telemetry is not None:
-                telemetry.registry.inc(
-                    "parallel.resumed_tasks", len(completed)
-                )
-                telemetry.event(
-                    "resume",
-                    checkpoint=str(checkpoint_path),
-                    restored=sorted(completed),
-                    n_tasks=len(tasks),
-                )
-        state = resumed if resumed is not None else CheckpointState(
-            fingerprint=fingerprint,
-            n_tasks=len(tasks),
-            target=target,
-            expansion_cap=cap,
-        )
-        checkpointer = Checkpointer(
-            checkpoint_path,
-            state,
-            every=checkpoint_every,
-            on_write=(
-                telemetry.checkpoint_hook() if telemetry is not None else None
-            ),
-        )
-
     coverage: dict[str, float] | None = None
     if telemetry is not None:
         coverage = {
-            "done": sum(
-                float(tasks[index].state.estimate()) for index in completed
-            ),
+            "done": 0.0,
             "total": sum(float(leaf.state.estimate()) for leaf in tasks),
-            "nodes": float(coordinator.nodes)
-            + sum(float(tasks[index].counters.nodes) for index in completed),
+            "nodes": float(coordinator.nodes),
             "pruned": float(
                 coordinator.pruned_loose
                 + coordinator.pruned_tight
@@ -1395,24 +1275,16 @@ def mine_table_parallel(
         try:
             with phase("execute"):
                 task_truncated = _execute_parts(
-                    tasks, ctx, root_state.table, n_workers, broadcast,
+                    tasks, ctx, root_state.table, n_workers,
                     advisory_cap, deadline, strict,
                     steal_quantum if steal and n_workers > 1 else None,
                     budget=budget,
                     retry=retry,
                     report=report,
-                    checkpointer=checkpointer,
-                    completed=completed,
-                    advisory_snapshot=advisory_snapshot,
                     telemetry=telemetry,
                     coverage=coverage,
                 )
         finally:
-            # Even an aborting run (strict budget, injected fault)
-            # leaves its latest progress on disk for a resume.
-            if checkpointer is not None:
-                checkpointer.close()
-                report.checkpoints_written = checkpointer.writes
             if telemetry is not None:
                 telemetry.stop_sampling()
         truncated = truncated or task_truncated
@@ -1433,7 +1305,6 @@ def mine_table_parallel(
             {
                 "parallel.inline_tasks": report.inline_tasks,
                 "parallel.advisory_drops": report.advisory_drops,
-                "parallel.checkpoints_written": report.checkpoints_written,
             }
         )
     return store, merged, truncated, report

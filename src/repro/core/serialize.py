@@ -1,4 +1,4 @@
-"""Persistence for mined rule groups and coordinator checkpoints.
+"""Persistence for mined rule groups and frontier-cache entries.
 
 Mining a low-support sweep can take minutes and produce thousands of
 groups; downstream analysis (classification, networks, reports) should
@@ -14,19 +14,20 @@ Item ids are written as ints; the dataset's ``item_names`` are *not*
 embedded (persist the dataset itself with :mod:`repro.data.io`).
 
 This module is also the *only* place core code touches bytes on disk
-(farmer-lint rule FRM007 enforces this): the sharded miner's crash
-checkpoints (:mod:`repro.core.checkpoint`) go through
-:func:`save_checkpoint` / :func:`load_checkpoint`, a two-line envelope
-hardened for crash consistency —
+(farmer-lint rule FRM007 enforces this): the warm cache's frontier
+entries (:mod:`repro.core.frontier`) go through :func:`save_checkpoint`
+/ :func:`load_checkpoint`, a two-line envelope hardened for crash
+consistency —
 
-* line 1 — ``{"format": "repro-checkpoint/2", "sha256": ...}``;
+* line 1 — ``{"format": "repro-checkpoint/1", "sha256": ...}`` (the
+  caller's version tag, ``frontier.FRONTIER_ENVELOPE``);
 * line 2 — the canonical-JSON payload the checksum covers.
 
 Writes are atomic and durable (temp file in the target directory,
 ``fsync``, ``os.replace``, directory ``fsync``), so a reader never sees
-a half-written checkpoint: it sees the previous complete one until the
-rename lands.  A truncated or bit-flipped file fails the checksum and is
-rejected with :class:`~repro.errors.DataError`; a checkpoint written in
+a half-written file: it sees the previous complete one until the rename
+lands.  A truncated or bit-flipped file fails the checksum and is
+rejected with :class:`~repro.errors.DataError`; an envelope written in
 another format version, older or newer, is refused with
 :class:`~repro.errors.UsageError` instead of being misread.
 """
@@ -49,17 +50,13 @@ __all__ = [
     "load_rule_groups",
     "canonical_json",
     "save_checkpoint",
-    "save_checkpoint_body",
     "load_checkpoint",
-    "CHECKPOINT_FORMAT",
 ]
 
 _FORMAT = "repro-irgs/1"
 
-#: Version tag of a sharded run's checkpoint; bump on layout changes.
-#: Frontier entries keep their own (``frontier.FRONTIER_ENVELOPE``).
-CHECKPOINT_FORMAT = "repro-checkpoint/2"
-
+#: What every envelope version tag starts with: a file carrying another
+#: version is refused as such, not as a foreign file.
 _CHECKPOINT_PREFIX = "repro-checkpoint/"
 
 
@@ -289,9 +286,9 @@ def load_rule_groups(
 def canonical_json(payload: object) -> str:
     """One canonical text for a JSON-able value (sorted keys, no spaces).
 
-    Used for checkpoint payloads and run fingerprints: equal values
+    Used for envelope payloads and cache fingerprints: equal values
     produce equal bytes, so serialize -> deserialize -> serialize is the
-    identity on bytes (the property the resume tests pin).
+    identity on bytes.
     """
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -306,7 +303,7 @@ def _write_durable(path: Path, text: str) -> None:
     did not exist before: replacing an already-durable entry satisfies
     old-or-new without it (an un-synced rename resolves to the old
     inode, whose contents were fsync'd by the write that created it),
-    and skipping it halves the fsync cost of repeated checkpoint writes.
+    and skipping it halves the fsync cost of repeated writes.
     """
     existed = path.exists()
     temporary = path.with_name(path.name + ".tmp")
@@ -327,45 +324,24 @@ def _write_durable(path: Path, text: str) -> None:
         os.close(directory_fd)
 
 
-def save_checkpoint(
-    path: str | Path, payload: dict, fmt: str = CHECKPOINT_FORMAT
-) -> None:
-    """Write ``payload`` as a versioned, checksummed checkpoint file.
+def save_checkpoint(path: str | Path, payload: dict, fmt: str) -> None:
+    """Write ``payload`` as a versioned, checksummed envelope file.
 
     Args:
-        path: destination checkpoint file.
-        payload: JSON-able state; callers (``core.checkpoint``) build it
+        path: destination file.
+        payload: JSON-able state; callers (``core.frontier``) build it
             from their state objects.
         fmt: the header's version tag.
 
     The write is atomic and fsync'd — see :func:`_write_durable`.
     """
-    save_checkpoint_body(path, canonical_json(payload), fmt)
-
-
-def save_checkpoint_body(
-    path: str | Path, body: str, fmt: str = CHECKPOINT_FORMAT
-) -> None:
-    """Write an already-canonical payload text as a checkpoint file.
-
-    Args:
-        path: destination checkpoint file.
-        body: the :func:`canonical_json` rendering of the payload — the
-            incremental writer in :mod:`repro.core.checkpoint` assembles
-            it from cached per-record fragments so a write does not
-            re-encode the whole state.
-        fmt: the header's version tag.
-
-    The envelope (checksum header, atomic fsync'd replace) is identical
-    to :func:`save_checkpoint`.
-    """
-    path = Path(path)
+    body = canonical_json(payload)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     header = canonical_json({"format": fmt, "sha256": digest})
-    _write_durable(path, header + "\n" + body + "\n")
+    _write_durable(Path(path), header + "\n" + body + "\n")
 
 
-def load_checkpoint(path: str | Path, fmt: str = CHECKPOINT_FORMAT) -> dict:
+def load_checkpoint(path: str | Path, fmt: str) -> dict:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Args:
@@ -379,8 +355,8 @@ def load_checkpoint(path: str | Path, fmt: str = CHECKPOINT_FORMAT) -> dict:
         DataError: missing/unreadable file, unrecognised contents, or a
             checksum mismatch (truncation, corruption) — never a silent
             wrong answer.
-        UsageError: the file is a checkpoint from a *different* format
-            version; resuming it would misinterpret the state.
+        UsageError: the file is an envelope of a *different* format
+            version; reading it would misinterpret the state.
     """
     path = Path(path)
     try:
@@ -401,8 +377,7 @@ def load_checkpoint(path: str | Path, fmt: str = CHECKPOINT_FORMAT) -> dict:
         if isinstance(found, str) and found.startswith(_CHECKPOINT_PREFIX):
             raise UsageError(
                 f"{path}: checkpoint format {found!r} is not supported by "
-                f"this build (expects {fmt!r}); re-run "
-                "without --resume to start fresh"
+                f"this build (expects {fmt!r})"
             )
         raise DataError(
             f"{path}: not a checkpoint file (format {found!r}, expected "
@@ -415,7 +390,7 @@ def load_checkpoint(path: str | Path, fmt: str = CHECKPOINT_FORMAT) -> dict:
     if digest != header.get("sha256"):
         raise DataError(
             f"{path}: checkpoint checksum mismatch (truncated or corrupt "
-            "file); delete it and restart without --resume"
+            "file); delete it"
         )
     try:
         payload = json.loads(body)

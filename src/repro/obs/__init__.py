@@ -1,7 +1,7 @@
 """Observability for the FARMER mining stack.
 
-PRs 1-4 built a sharded, checkpointed, kernel-accelerated miner whose
-only introspection was the teaching tracer (:mod:`repro.core.trace`,
+Without this package the miner's only introspection is the teaching
+tracer (:mod:`repro.core.trace`,
 which buffers every node) and the final :class:`~repro.core.enumeration.NodeCounters`.
 This package is the production telemetry layer:
 
@@ -27,10 +27,9 @@ This package is the production telemetry layer:
   per-node.
 
 Telemetry is **off by default** and observational only: a run with
-telemetry enabled produces byte-identical ``.irgs`` and checkpoint
-artifacts (pinned by ``tests/test_obs.py``) at a measured overhead of
-at most 2% on the Fig-10 LC sweep
-(``benchmarks/bench_obs_overhead.py``).  ``docs/observability.md`` is
+telemetry enabled produces byte-identical ``.irgs`` artifacts (pinned
+by ``tests/test_obs.py``) at a measured overhead of at most 2% on the
+Fig-10 LC sweep (``benchmarks/bench_obs_overhead.py``).  ``docs/observability.md`` is
 the catalogue of every metric and event emitted.
 """
 

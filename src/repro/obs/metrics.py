@@ -21,8 +21,8 @@ JSON-able.  :func:`merge_snapshots` folds snapshots together and is
 grouping without changing the run-level view.
 
 All registry mutations take an internal lock: instruments are updated
-from the coordinator, the checkpoint writer thread and the telemetry
-sampler thread.  None of this is on the enumeration hot path — the
+from the coordinator, HTTP handler threads and the telemetry sampler
+thread.  None of this is on the enumeration hot path — the
 miner integration samples shared state instead of instrumenting
 per-node work (see :mod:`repro.obs.telemetry`).
 """
@@ -218,7 +218,7 @@ class MetricsRegistry:
     """A thread-safe bag of named counters, gauges and timers.
 
     Instrument names are dotted strings (``search.nodes``,
-    ``checkpoint.write_seconds``); the authoritative catalogue lives in
+    ``phase.search.seconds``); the authoritative catalogue lives in
     ``docs/observability.md``.  Creation is implicit: the first
     :meth:`inc` / :meth:`set_gauge` / :meth:`observe` of a name creates
     the instrument.  A name is bound to the first kind that used it;

@@ -24,8 +24,8 @@ was opened on the monotonic clock.  Only ``run_start`` records one
 wall-clock timestamp (``unix_time``) to anchor the relative times for
 humans; everything else is monotonic-only, per FRM002 discipline.
 
-Writes take an internal lock (the checkpoint writer thread and the
-sampler thread emit events concurrently with the coordinator) and are
+Writes take an internal lock (the sampler thread emits events
+concurrently with the coordinator) and are
 flushed per line, so a crashed run leaves a log that is readable up to
 its last complete event; :func:`read_runlog` tolerates exactly one torn
 trailing line and rejects any other corruption.

@@ -29,7 +29,7 @@ dropped and counted in :attr:`dropped`, so a pathological run cannot
 grow a daemon's memory without bound.
 
 All methods take an internal lock — the miner's coordinator, the
-checkpoint writer thread and HTTP handler threads read and write taps
+sampler thread and HTTP handler threads read and write taps
 concurrently.  Like every ``obs`` sink the tap is observational only:
 it never changes mined output (the serve end-to-end suite pins
 byte-identity of daemon-mined ``.irgs`` artifacts).

@@ -2,7 +2,7 @@
 
 One :class:`Telemetry` object represents "telemetry is on" for one run.
 Every miner integration point (:mod:`repro.core.farmer`,
-:mod:`repro.core.parallel`, :mod:`repro.core.checkpoint`, the baselines
+:mod:`repro.core.parallel`, the baselines
 and the CLI) takes ``telemetry: Telemetry | None`` and does strictly
 nothing when it is ``None`` — absence of the object *is* the
 off-by-default switch, so the disabled hot path pays at most a ``None``
@@ -22,8 +22,8 @@ The facade owns:
   its own thread.
 
 Instrumentation discipline: phase boundaries are timed (a handful per
-run), shard-task completions are counted (tens per run), checkpoint
-writes are timed on the writer thread, and per-node statistics are
+run), shard-task completions are counted (tens per run), and per-node
+statistics are
 folded in *once* from :class:`~repro.core.enumeration.NodeCounters` and
 :class:`~repro.core.kernel.ScanStats` at run end.  The full catalogue
 of metric and event names lives in ``docs/observability.md``.
@@ -170,25 +170,6 @@ class Telemetry:
             self.registry.inc(
                 f"search.{spec.name}", getattr(counters, spec.name)
             )
-
-    def checkpoint_hook(self) -> Callable[[int, float], None]:
-        """The ``on_write`` callback for a checkpoint writer.
-
-        Returns:
-            A callable ``(write_index, seconds)`` that times the write
-            into ``checkpoint.write_seconds``, counts it, and emits a
-            ``checkpoint`` event.  Runs on the checkpoint writer thread
-            (both sinks are thread-safe).
-        """
-
-        def on_write(write_index: int, seconds: float) -> None:
-            self.registry.inc("checkpoint.writes")
-            self.registry.observe("checkpoint.write_seconds", seconds)
-            self.event(
-                "checkpoint", write=write_index, seconds=round(seconds, 6)
-            )
-
-        return on_write
 
     # ------------------------------------------------------------------
     # Background sampling (drives the progress display)

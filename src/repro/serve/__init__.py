@@ -6,7 +6,7 @@ stored results.  This package is that integration layer — a stdlib-only
 HTTP daemon that composes the pieces the library already has:
 
 * jobs run through the exact :class:`~repro.core.farmer.Farmer` path
-  the CLI uses (engine / workers / steal / checkpoint knobs per job),
+  the CLI uses (engine / workers / steal knobs per job),
   so a job's ``.irgs`` artifact is **byte-identical** to the same mine
   run in-process;
 * live job status is the run's own :mod:`repro.obs` telemetry stream,

@@ -90,8 +90,8 @@ class CancellableBudget(SearchBudget):
     the walk's chunks of nodes there.
     Sharded mines poll through :meth:`poll` on the coordinator, while it
     decomposes and about every tenth of a second while shard parts run
-    in worker processes (which a cancel kills), or between shards when
-    one worker runs them in the coordinator.
+    in worker processes (which a cancel kills), or every 256 nodes of a
+    shard part when one worker runs them in the coordinator.
 
     Attributes:
         cancel: the job's cancel event (``None`` disables the switch —
@@ -219,8 +219,7 @@ class JobQueue:
     Args:
         registry: the daemon's dataset registry (tables and the shared
             warm-frontier directory come from it).
-        results_dir: where job artifacts (``<job>.irgs``, optional
-            ``<job>.ckpt``) are written.
+        results_dir: where job artifacts (``<job>.irgs``) are written.
         workers: concurrent mining threads (positive).
         queue_depth: maximum backlog of queued jobs before
             :meth:`submit` answers ``429 queue_full``.
@@ -424,11 +423,6 @@ class JobQueue:
             strict=True,
             cancel=job.cancel_event,
         )
-        checkpoint = (
-            str(self.results_dir / f"{job.id}.ckpt")
-            if spec.checkpoint
-            else None
-        )
         miner = Farmer(
             constraints=Constraints(
                 minsup=spec.minsup, minconf=spec.minconf, minchi=spec.minchi
@@ -438,8 +432,6 @@ class JobQueue:
             n_workers=spec.workers,
             steal=spec.steal,
             steal_quantum=spec.steal_quantum,
-            checkpoint=checkpoint,
-            checkpoint_every=spec.checkpoint_every,
             engine=spec.engine,
             telemetry=telemetry,
             warm_cache=(

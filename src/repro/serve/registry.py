@@ -40,7 +40,6 @@ from pathlib import Path
 from ..core.farmer import Farmer
 from ..core.frontier import cache_entries, frontier_fingerprint
 from ..data.discretize import EqualDepthDiscretizer
-from ..data.io import load_expression
 from ..data.registry import PAPER_DATASETS, load
 from ..data.transpose import TransposedTable
 from ..errors import DataError
@@ -167,6 +166,8 @@ class DatasetRegistry:
             created = dataset_id not in self._uploads
         if created:
             path.write_text(text, encoding="utf-8")
+        from ..data.io import load_expression
+
         try:
             matrix = load_expression(path, name=dataset_id)
         except DataError as exc:
@@ -227,6 +228,8 @@ class DatasetRegistry:
             raise ApiError(
                 404, "not_found", f"unknown dataset {dataset_id!r}"
             )
+        from ..data.io import load_expression
+
         return load_expression(path, name=dataset_id)
 
     def data(

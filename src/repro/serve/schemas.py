@@ -105,13 +105,9 @@ class JobSpec:
         max_nodes: node budget; the run truncates gracefully when hit.
         timeout_seconds: wall-clock limit override (``None`` = the
             server's ``--job-timeout``).
-        checkpoint: snapshot sharded progress server-side so a daemon
-            restart can resume the job's mine.
-        checkpoint_every: shard completions per checkpoint write.
         warm: answer through the server's shared warm-frontier cache
-            (``None`` = auto: on unless ``max_nodes`` or ``checkpoint``
-            demands a mode the cache cannot serve); warm answers never
-            shard.
+            (``None`` = auto: on unless ``max_nodes`` demands a mode the
+            cache cannot serve); warm answers never shard.
     """
 
     dataset: str
@@ -129,8 +125,6 @@ class JobSpec:
     lower_bounds: bool = False
     max_nodes: "int | None" = None
     timeout_seconds: "float | None" = None
-    checkpoint: bool = False
-    checkpoint_every: int = 1
     warm: "bool | None" = None
 
     def use_warm_cache(self) -> bool:
@@ -138,12 +132,12 @@ class JobSpec:
 
         Returns:
             The resolved ``warm`` knob: explicit ``True``/``False`` win;
-            ``None`` (auto) enables the cache exactly when no
-            incompatible knob (``max_nodes``, ``checkpoint``) is set.
+            ``None`` (auto) enables the cache exactly when no node
+            budget (``max_nodes``) is set.
         """
         if self.warm is not None:
             return self.warm
-        return self.max_nodes is None and not self.checkpoint
+        return self.max_nodes is None
 
     def to_payload(self) -> dict:
         """The spec as it echoes back in job payloads (resolved knobs).
@@ -168,8 +162,6 @@ class JobSpec:
             "lower_bounds": self.lower_bounds,
             "max_nodes": self.max_nodes,
             "timeout_seconds": self.timeout_seconds,
-            "checkpoint": self.checkpoint,
-            "checkpoint_every": self.checkpoint_every,
             "warm": self.use_warm_cache(),
         }
 
@@ -239,8 +231,6 @@ _JOB_FIELDS = (
     "lower_bounds",
     "max_nodes",
     "timeout_seconds",
-    "checkpoint",
-    "checkpoint_every",
     "warm",
 )
 
@@ -258,8 +248,8 @@ def parse_job_spec(payload: object) -> JobSpec:
     Raises:
         ApiError: ``400 bad_request`` naming the first offending field —
         unknown key, wrong type, out-of-range value, or an inconsistent
-        knob combination (``warm`` with ``max_nodes``/``checkpoint``,
-        ``checkpoint`` without ``workers``).
+        knob combination (``warm`` with ``max_nodes``, ``steal``
+        without ``workers``, ``max_nodes`` with ``workers``).
     """
     if not isinstance(payload, dict):
         raise ApiError(400, "bad_request", "job body must be a JSON object")
@@ -304,20 +294,11 @@ def parse_job_spec(payload: object) -> JobSpec:
         lower_bounds=_expect_bool(payload, "lower_bounds") or False,
         max_nodes=_expect_pos_int(payload, "max_nodes"),
         timeout_seconds=timeout,
-        checkpoint=_expect_bool(payload, "checkpoint") or False,
-        checkpoint_every=_expect_pos_int(payload, "checkpoint_every") or 1,
         warm=_expect_bool(payload, "warm"),
     )
-    if spec.warm:
-        if spec.max_nodes is not None:
-            raise _bad("warm", "cannot be combined with 'max_nodes' "
-                       "(node budgets need the serial cold path)")
-        if spec.checkpoint:
-            raise _bad("warm", "cannot be combined with 'checkpoint' "
-                       "(the warm cache plans its own work)")
-    if spec.checkpoint and spec.workers is None:
-        raise _bad("checkpoint", "requires 'workers' (checkpoints snapshot "
-                   "sharded progress)")
+    if spec.warm and spec.max_nodes is not None:
+        raise _bad("warm", "cannot be combined with 'max_nodes' "
+                   "(node budgets need the serial cold path)")
     if spec.steal and spec.workers is None:
         raise _bad("steal", "requires 'workers' (stealing schedules shards)")
     if spec.max_nodes is not None and spec.workers is not None:

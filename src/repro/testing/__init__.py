@@ -1,10 +1,9 @@
 """Deterministic test instrumentation shipped with the library.
 
 :mod:`repro.testing.chaos` is the fault-injection seam the
-fault-tolerance test suite drives: environment-controlled hooks in the
-sharded miner's worker entrypoint and checkpoint writer that kill, stall
-or exception-crash a specific shard attempt (or the coordinator after a
-specific checkpoint write).  Everything here is a no-op unless the
+worker-fault test suite drives: environment-controlled hooks in the
+sharded miner's worker entrypoint that kill, stall or exception-crash a
+specific shard attempt.  Everything here is a no-op unless the
 ``FARMER_CHAOS`` environment variable is set, so production runs pay one
 ``os.environ`` read per shard and nothing else.
 
@@ -21,7 +20,6 @@ from .chaos import (
     ChaosSpec,
     InjectedFault,
     active_spec,
-    maybe_fault_checkpoint,
     maybe_fault_worker,
 )
 
@@ -30,6 +28,5 @@ __all__ = [
     "ChaosSpec",
     "InjectedFault",
     "active_spec",
-    "maybe_fault_checkpoint",
     "maybe_fault_worker",
 ]

@@ -1,11 +1,11 @@
 """Deterministic fault injection for the fault-tolerant sharded miner.
 
 The chaos harness answers one question for the test suite: *does a run
-that loses a worker — or the whole coordinator — at an exactly chosen
-point still produce byte-identical output?*  Faults therefore trigger on
-logical coordinates (shard index, attempt number, checkpoint write
-count), never on wall-clock time or randomness, so a given spec produces
-the same fault on every run regardless of OS scheduling.
+that loses a worker at an exactly chosen point still produce
+byte-identical output?*  Faults therefore trigger on logical coordinates
+(shard index, attempt number), never on wall-clock time or randomness,
+so a given spec produces the same fault on every run regardless of OS
+scheduling.
 
 A spec lives in the ``FARMER_CHAOS`` environment variable (each run's
 pool workers copy it as they start) and reads ``mode`` plus
@@ -27,17 +27,12 @@ pool workers copy it as they start) and reads ``mode`` plus
                 continuation of a donated frontier) — the race between
                 a donation landing and the thief dying
 ``steal-raise`` like ``steal-kill`` but raises :class:`InjectedFault`
-``ckpt-kill``   coordinator SIGKILLs itself right after a checkpoint
-                write (used by subprocess tests for true crash/resume)
-``ckpt-raise``  coordinator raises :class:`InjectedFault` after a
-                checkpoint write (the in-process kill-anywhere sweep)
 ==============  =====================================================
 
 Fields: ``shard=J`` scopes worker modes to task index ``J`` (omitted =
 every shard); ``times=N`` fires only on the first ``N`` attempts of a
 shard (``attempt < N``), so ``kill:shard=2:times=1`` kills shard 2 once
-and lets the requeued attempt succeed; ``after=N`` scopes coordinator
-modes to the ``N``-th checkpoint write (1-based, omitted = every write).
+and lets the requeued attempt succeed.
 
 Worker modes only fire inside pool worker processes — the coordinator's
 inline fallback path never calls the worker entrypoint, which is what
@@ -60,7 +55,6 @@ __all__ = [
     "ChaosSpec",
     "InjectedFault",
     "active_spec",
-    "maybe_fault_checkpoint",
     "maybe_fault_donor",
     "maybe_fault_thief",
     "maybe_fault_worker",
@@ -72,12 +66,11 @@ CHAOS_ENV = "FARMER_CHAOS"
 _WORKER_MODES = frozenset({"kill", "stall", "raise"})
 _DONOR_MODES = frozenset({"donor-kill", "donor-raise"})
 _THIEF_MODES = frozenset({"steal-kill", "steal-raise"})
-_COORDINATOR_MODES = frozenset({"ckpt-kill", "ckpt-raise"})
-_ALL_MODES = _WORKER_MODES | _DONOR_MODES | _THIEF_MODES | _COORDINATOR_MODES
+_ALL_MODES = _WORKER_MODES | _DONOR_MODES | _THIEF_MODES
 
 
 class InjectedFault(ReproError, RuntimeError):
-    """The failure raised by ``raise`` / ``ckpt-raise`` chaos modes.
+    """The failure raised by the ``*raise`` chaos modes.
 
     Deliberately *not* one of the semantic ``repro.errors`` types the
     miner raises itself, so tests can assert that exactly the injected
@@ -92,7 +85,6 @@ class ChaosSpec:
     mode: str
     shard: int | None = None
     times: int | None = None
-    after: int | None = None
 
     def matches_worker(self, shard: int, attempt: int) -> bool:
         """Whether a worker-mode fault fires for this shard attempt."""
@@ -103,12 +95,6 @@ class ChaosSpec:
         if self.times is not None and attempt >= self.times:
             return False
         return True
-
-    def matches_checkpoint(self, n_writes: int) -> bool:
-        """Whether a coordinator-mode fault fires after write ``n_writes``."""
-        if self.mode not in _COORDINATOR_MODES:
-            return False
-        return self.after is None or n_writes == self.after
 
     def _matches_shard(self, shard: int, attempt: int) -> bool:
         if self.shard is not None and shard != self.shard:
@@ -138,7 +124,7 @@ def _parse(text: str) -> ChaosSpec:
         for part in rest.split(":"):
             key, separator, value = part.partition("=")
             key = key.strip()
-            if not separator or key not in {"shard", "times", "after"}:
+            if not separator or key not in {"shard", "times"}:
                 raise UsageError(
                     f"{CHAOS_ENV}: bad chaos field {part!r} in {text!r}"
                 )
@@ -157,7 +143,6 @@ def _parse(text: str) -> ChaosSpec:
         mode=mode,
         shard=fields.get("shard"),
         times=fields.get("times"),
-        after=fields.get("after"),
     )
 
 
@@ -165,7 +150,7 @@ def active_spec() -> ChaosSpec | None:
     """The spec currently armed via ``FARMER_CHAOS``, or ``None``.
 
     Parsed on every call — the read is one dict lookup and fault hooks
-    run once per shard / checkpoint write, not per node.
+    run once per shard attempt, not per node.
     """
     text = os.environ.get(CHAOS_ENV)
     if not text:
@@ -239,20 +224,3 @@ def maybe_fault_thief(shard: int, attempt: int) -> None:
         f"injected thief fault (shard={shard}, attempt={attempt})"
     )
 
-
-def maybe_fault_checkpoint(n_writes: int) -> None:
-    """Coordinator hook: fault right after the ``n_writes``-th write.
-
-    Called by the checkpoint writer after each successful (fsync'd,
-    atomically renamed) save, so a fault here models a coordinator that
-    died *between* checkpoints — the state the resume path must recover
-    from.
-    """
-    spec = active_spec()
-    if spec is None or not spec.matches_checkpoint(n_writes):
-        return
-    if spec.mode == "ckpt-kill":
-        _die()
-    raise InjectedFault(
-        f"injected coordinator fault after checkpoint write {n_writes}"
-    )

@@ -55,8 +55,8 @@ def chaos(monkeypatch):
 
     ``chaos.arm("kill:shard=1:times=1")`` injects the given fault into
     subsequent mining calls; faults are keyed on logical coordinates
-    (shard index, attempt number, checkpoint write count), never on
-    wall-clock time or randomness.
+    (shard index, attempt number), never on wall-clock time or
+    randomness.
     """
     control = ChaosControl(monkeypatch)
     yield control

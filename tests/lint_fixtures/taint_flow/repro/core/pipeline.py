@@ -1,6 +1,6 @@
 """Fixture pipeline: two tainted paths into sinks, two clean paths."""
 
-from .checkpoint import TaskRecord
+from .enumeration import merge_counters
 from .helpers import stamp, wrap
 from .serialize import save_rule_groups
 
@@ -14,8 +14,8 @@ def emit(path, groups):
 
 
 def record_task(shard):
-    """BAD: a clock value lands in a checkpoint record."""
-    return TaskRecord(shard, stamp())
+    """BAD: a clock value lands in the deterministic reduce."""
+    return merge_counters([shard, stamp()])
 
 
 def clean(path, groups):

@@ -23,7 +23,8 @@ draws also exercises the table rebuild.
 
 Schedules are plain decision streams, so a failing example can be
 persisted with :func:`save_trace` (the same checksummed envelope
-checkpoints use) and replayed bit-for-bit later.
+frontier-cache entries use, under its own version tag) and replayed
+bit-for-bit later.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from repro.core.parallel import (
     _attach,
     _decompose,
     _detach,
+    _walk_part,
 )
 from repro.core.serialize import load_checkpoint, save_checkpoint
 from repro.data.transpose import TransposedTable
@@ -263,10 +265,13 @@ def run_schedule(
         )
         sink: list = []
         counters = NodeCounters()
-        frontier = enumerate_frontier(
-            ctx, _attach(root_state.table, part.units), counters, sink,
-            quantum, advisory, None,
-        )
+        units = _attach(root_state.table, part.units)
+        if advisory is None:
+            frontier = enumerate_frontier(ctx, units, counters, sink, quantum)
+        else:
+            frontier = _walk_part(
+                ctx, units, counters, sink, quantum, advisory, None
+            )
         if frontier is not None:
             frontier = _detach(frontier)
         run.dispatches += 1
@@ -349,11 +354,15 @@ def serialized_store(data, consequent, constraints, store, path) -> bytes:
     return path.read_bytes()
 
 
+#: Envelope version tag of a persisted schedule.
+TRACE_ENVELOPE = "repro-schedule-trace/1"
+
+
 def save_trace(path, schedule: Schedule) -> None:
-    """Persist a schedule in the checksummed checkpoint envelope."""
-    save_checkpoint(path, schedule.to_payload())
+    """Persist a schedule in the checksummed envelope."""
+    save_checkpoint(path, schedule.to_payload(), TRACE_ENVELOPE)
 
 
 def load_trace(path) -> Schedule:
     """Load a schedule persisted by :func:`save_trace` (verified)."""
-    return Schedule.from_payload(load_checkpoint(path))
+    return Schedule.from_payload(load_checkpoint(path, TRACE_ENVELOPE))

@@ -294,7 +294,7 @@ def test_shard_part_deadline_keeps_its_preemption_points(quantum):
     ``quantum`` nodes, as a part without a deadline does."""
     from repro.core.enumeration import NodeCounters
     from repro.core.farmer import ALL_PRUNINGS, FRONTIER_STATE, SearchContext
-    from repro.core.parallel import _walk_part
+    from repro.core.parallel import AdvisoryBounds, _walk_part
 
     table = _deep_table()
     ctx = SearchContext.for_table(table, Constraints(minsup=3), ALL_PRUNINGS)
@@ -304,8 +304,11 @@ def test_shard_part_deadline_keeps_its_preemption_points(quantum):
         sink = []
         frontiers = []
         units = [(FRONTIER_STATE, ctx.root_state(table))]
+        advisory = AdvisoryBounds()
         while units is not None:
-            units = _walk_part(ctx, units, counters, sink, quantum, None, deadline)
+            units = _walk_part(
+                ctx, units, counters, sink, quantum, advisory, deadline
+            )
             if units is not None:
                 frontiers.append(
                     [

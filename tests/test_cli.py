@@ -11,7 +11,8 @@ from repro.cli import build_parser, main
 #: The ``--engine`` spellings the three-way interaction matrix passes.
 #: ``kernel`` and ``numpy`` name the production engine; the matrix also
 #: forces its hand-off cutoff to the same-named ``conftest`` value (all
-#: int masks, all packed) so both representations cross the checkpoint.
+#: int masks, all packed) so both representations cross the process
+#: boundary.
 CLI_ENGINES = ("kernel", "reference", "numpy")
 
 
@@ -137,17 +138,14 @@ class TestExperiment:
         assert "FARMER" in out and "CHARM" in out
 
 
-class TestWorkersResumeEngine:
-    """The ``--workers`` x ``--resume`` x ``--engine`` interaction.
+class TestWorkersEngine:
+    """The ``--workers`` x ``--steal`` x ``--engine`` interaction.
 
-    Each scenario crashes a sharded mine after its first checkpoint
-    write (deterministic chaos), then resumes under a *different*
-    worker count — optionally under ``--steal`` — and asserts the saved
-    ``.irgs`` bytes equal a serial kernel run's.  That pins three
-    orthogonal claims through the CLI at once: checkpoints are valid
-    across worker counts and schedulers, both table representations and
-    the reference engine honour them, and the resumed output is
-    byte-identical regardless of all three flags.
+    Each scenario mines sharded under a worker count — optionally under
+    ``--steal`` — and asserts the saved ``.irgs`` bytes equal a serial
+    kernel run's, so both table representations and the reference
+    engine cross the process boundary byte-identically whatever the
+    schedule.
     """
 
     MINE = [
@@ -171,114 +169,31 @@ class TestWorkersResumeEngine:
 
     @pytest.mark.parametrize("engine", CLI_ENGINES)
     @pytest.mark.parametrize(
-        ("resume_workers", "steal"),
+        ("workers", "steal"),
         [(1, False), (4, False), (4, True)],
         ids=["w1-static", "w4-static", "w4-steal"],
     )
-    def test_crash_then_resume_matrix(
-        self,
-        engine,
-        resume_workers,
-        steal,
-        serial_irgs,
-        tmp_path,
-        capsys,
-        chaos,
+    def test_sharded_matrix(
+        self, engine, workers, steal, serial_irgs, tmp_path, capsys
     ):
-        with handoff("default" if engine == "reference" else engine):
-            self._crash_then_resume(
-                engine, resume_workers, steal, serial_irgs, tmp_path,
-                capsys, chaos,
-            )
-
-    def _crash_then_resume(
-        self, engine, resume_workers, steal, serial_irgs, tmp_path, capsys,
-        chaos,
-    ):
-        ckpt = tmp_path / "mine.ckpt"
-        chaos.arm("ckpt-raise:after=1")
-        # InjectedFault is a ReproError, so the CLI reports it as a
-        # normal mining failure (exit 1) rather than crashing.
-        assert (
-            main(
-                [
-                    *self.MINE,
-                    "--workers",
-                    "2",
-                    "--engine",
-                    engine,
-                    "--checkpoint",
-                    str(ckpt),
-                ]
-            )
-            == 1
-        )
-        chaos.disarm()
-        assert "injected" in capsys.readouterr().err
-        assert ckpt.exists()
-
-        saved = tmp_path / "resumed.irgs"
+        saved = tmp_path / "sharded.irgs"
         argv = [
             *self.MINE,
             "--workers",
-            str(resume_workers),
+            str(workers),
             "--engine",
             engine,
-            "--resume",
-            str(ckpt),
             "--save",
             str(saved),
         ]
         if steal:
             argv.append("--steal")
-        assert main(argv) == 0
+        with handoff("default" if engine == "reference" else engine):
+            assert main(argv) == 0
         out = capsys.readouterr().out
-        assert f"sharded across {resume_workers} workers" in out
-        assert "resumed" in out and "finished shards" in out
-        if steal and resume_workers > 1:
-            assert "work stealing:" in out
+        assert f"sharded across {workers} workers" in out
+        assert ("work stealing:" in out) == (steal and workers > 1)
         assert saved.read_bytes() == serial_irgs
-
-    def test_resume_requires_matching_flags_not(self, tmp_path, capsys, chaos):
-        """A checkpoint written under ``--steal`` restores under the
-        static scheduler too — only whole shards are durable, so the
-        file carries no scheduler state to disagree about."""
-        ckpt = tmp_path / "steal.ckpt"
-        chaos.arm("ckpt-raise:after=1")
-        assert (
-            main(
-                [
-                    *self.MINE,
-                    "--workers",
-                    "4",
-                    "--steal",
-                    "--checkpoint",
-                    str(ckpt),
-                ]
-            )
-            == 1
-        )
-        chaos.disarm()
-        capsys.readouterr()
-        saved = tmp_path / "static-resume.irgs"
-        assert (
-            main(
-                [
-                    *self.MINE,
-                    "--workers",
-                    "2",
-                    "--no-steal",
-                    "--resume",
-                    str(ckpt),
-                    "--save",
-                    str(saved),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "resumed" in out
-        assert "work stealing:" not in out
 
 
 class TestErrors:
@@ -308,8 +223,6 @@ class TestKnobValidation:
             ("--workers", "-2"),
             ("--steal-quantum", "0"),
             ("--steal-quantum", "-1"),
-            ("--checkpoint-every", "0"),
-            ("--checkpoint-every", "-5"),
         ],
     )
     def test_non_positive_knob_is_usage_error(self, capsys, flag, value):

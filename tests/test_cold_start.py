@@ -3,10 +3,12 @@
 Every check runs in a fresh interpreter and reads ``sys.modules`` at the
 end.  The parser build, a serial mine (cold or through the warm cache)
 and a served job must load none of :data:`FORBIDDEN`: the sharded path,
-the checkpoint module, the fault injector, the lint engine and the
-process-pool libraries.  The commands that do use them (``--workers``,
-``--checkpoint``, ``--resume``, ``farmer lint``) must still load them and
-behave as before, and every lazily exported public name must resolve.
+the fault injector, the lint engine, the process-pool libraries, the
+TSV reader/writer and the dataset profiler.  The commands that do use
+them (``--workers``, ``farmer lint``, ``farmer profile``, ``--tsv``)
+must still load them and behave as before, and every lazily exported
+public name must resolve.  The retired ``--checkpoint``/``--resume``
+flags are usage errors.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
 FORBIDDEN = (
     "repro.core.parallel",
-    "repro.core.checkpoint",
     "repro.testing.chaos",
     "repro.analysis.engine",
     "multiprocessing",
     "concurrent.futures",
+    "repro.data.io",
+    "repro.data.profile",
 )
 
 #: Appended to every probe: the last stdout line lists the forbidden
@@ -53,15 +56,20 @@ _FARMER = (
 CT = ("--dataset", "CT", "--scale", "0.02", "--top", "0")
 
 
-def _probe(code: str, *argv: str, cwd: Path) -> tuple[list[str], str]:
-    """Run ``code`` in a fresh interpreter; return (loaded, stdout)."""
+def _env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` on ``PYTHONPATH``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(SRC), env.get("PYTHONPATH")))
     )
+    return env
+
+
+def _probe(code: str, *argv: str, cwd: Path) -> tuple[list[str], str]:
+    """Run ``code`` in a fresh interpreter; return (loaded, stdout)."""
     completed = subprocess.run(
         [sys.executable, "-c", code + _REPORT, *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        cwd=cwd, env=_env(), capture_output=True, text=True, timeout=300,
     )
     assert completed.returncode == 0, completed.stderr
     *lines, report = completed.stdout.splitlines()
@@ -123,43 +131,58 @@ class TestNothingExtraLoaded:
 
 
 class TestCommandsThatNeedThem:
-    @pytest.mark.parametrize(
-        "flags, module",
-        [
-            (("--workers", "2"), "repro.core.parallel"),
-            (("--workers", "2", "--checkpoint", "run.ckpt"), "repro.core.checkpoint"),
-        ],
-    )
-    def test_sharded_mine_loads_parallel_and_writes_serial_bytes(
-        self, tmp_path, flags, module
-    ):
+    def test_sharded_mine_loads_parallel_and_writes_serial_bytes(self, tmp_path):
         _farmer("mine", *CT, "--save", "serial.irgs", cwd=tmp_path)
         loaded, stdout = _farmer(
-            "mine", *CT, *flags, "--save", "sharded.irgs", cwd=tmp_path
+            "mine", *CT, "--workers", "2", "--save", "sharded.irgs",
+            cwd=tmp_path,
         )
         assert "sharded across 2 workers" in stdout
-        assert module in loaded
+        assert "repro.core.parallel" in loaded
         assert (tmp_path / "sharded.irgs").read_bytes() == (
             tmp_path / "serial.irgs"
         ).read_bytes()
 
-    def test_resumed_mine_loads_checkpoint_and_writes_serial_bytes(
-        self, tmp_path
-    ):
-        _farmer("mine", *CT, "--save", "serial.irgs", cwd=tmp_path)
-        _farmer(
-            "mine", *CT, "--workers", "2", "--checkpoint", "run.ckpt",
+    def test_profile_loads_the_profiler(self, tmp_path):
+        loaded, stdout = _farmer("profile", *CT[:4], cwd=tmp_path)
+        assert stdout.endswith("exit 0")
+        assert "repro.data.profile" in loaded
+        assert "repro.core.parallel" not in loaded
+
+    def test_tsv_commands_load_the_tsv_module(self, tmp_path):
+        loaded, stdout = _farmer(
+            "generate", "--dataset", "CT", "--scale", "0.02", "--out",
+            "ct.tsv", cwd=tmp_path,
+        )
+        assert stdout.endswith("exit 0")
+        assert "repro.data.io" in loaded
+        loaded, stdout = _farmer(
+            "mine", "--tsv", "ct.tsv", "--top", "0", "--save", "tsv.irgs",
             cwd=tmp_path,
         )
-        loaded, stdout = _farmer(
-            "mine", *CT, "--workers", "2", "--resume", "run.ckpt",
-            "--save", "resumed.irgs", cwd=tmp_path,
+        assert stdout.endswith("exit 0")
+        assert "repro.data.io" in loaded
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--checkpoint", "run.ckpt"),
+            ("--checkpoint-every", "2"),
+            ("--resume", "run.ckpt"),
+        ],
+        ids=lambda flags: flags[0].lstrip("-"),
+    )
+    def test_removed_flag_is_usage_error(self, tmp_path, flags):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "mine", *CT, "--workers", "2",
+             *flags],
+            cwd=tmp_path, env=_env(), capture_output=True, text=True,
+            timeout=300,
         )
-        assert "from checkpoint run.ckpt" in stdout
-        assert "repro.core.checkpoint" in loaded
-        assert (tmp_path / "resumed.irgs").read_bytes() == (
-            tmp_path / "serial.irgs"
-        ).read_bytes()
+        assert completed.returncode == 2
+        assert "usage: farmer" in completed.stderr
+        assert f"unrecognized arguments: {' '.join(flags)}" in completed.stderr
+        assert not (tmp_path / "run.ckpt").exists()
 
     def test_lint_list_rules(self, tmp_path):
         loaded, stdout = _farmer("lint", "--list-rules", cwd=tmp_path)
@@ -181,23 +204,27 @@ class TestCommandsThatNeedThem:
 class TestLazyExports:
     def test_every_public_name_resolves(self, tmp_path):
         code = (
-            "import pickle, repro, repro.core, repro.analysis\n"
-            "for module in (repro, repro.core, repro.analysis):\n"
+            "import pickle, repro, repro.analysis, repro.core, repro.data\n"
+            "for module in (repro, repro.core, repro.analysis, repro.data):\n"
             "    for name in module.__all__:\n"
             "        assert getattr(module, name) is not None, name\n"
-            "from repro.core import CheckpointState, RetryPolicy\n"
+            "from repro.core import RetryPolicy\n"
             "assert repro.ParallelReport is repro.core.parallel.ParallelReport\n"
             "assert repro.shutdown_workers() is None\n"
             "policy = pickle.loads(pickle.dumps(RetryPolicy()))\n"
             "assert type(policy).__module__ == 'repro.core.parallel'\n"
-            "assert CheckpointState.__module__ == 'repro.core.checkpoint'\n"
+            "assert repro.data.DatasetProfile.__module__ == 'repro.data.profile'\n"
+            "assert repro.data.save_expression.__module__ == 'repro.data.io'\n"
+            "assert not hasattr(repro.core, 'CheckpointState')\n"
             "print('ok')\n"
         )
         loaded, stdout = _probe(code, cwd=tmp_path)
         assert stdout == "ok"
         assert "repro.core.parallel" in loaded
 
-    @pytest.mark.parametrize("module", ["repro", "repro.core", "repro.analysis"])
+    @pytest.mark.parametrize(
+        "module", ["repro", "repro.core", "repro.analysis", "repro.data"]
+    )
     def test_unknown_name_is_attribute_error(self, module):
         package = __import__(module, fromlist=["_"])
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -5,8 +5,8 @@ oracle with its hand-off cutoff forced to every variant of
 :data:`engine_conformance.VARIANTS` — all packed words, a hand-off on
 the first extend, the shipped cutoff, all int masks — over the shared
 constraint grid, every pruning combination, every degenerate dataset
-shape, a sharded run, a stealing run over a mix of both
-representations, and a killed-then-resumed run.  In all cases the
+shape, a sharded run and a stealing run over a mix of both
+representations.  In all cases the
 serialized ``.irgs`` bytes must match exactly.  A set of literal sha256
 pins on the paper's Figure 1(a) dataset anchors the whole family to
 fixed bytes, so a drift that somehow hit every variant at once still
@@ -38,7 +38,6 @@ from engine_conformance import (
 
 from repro import mine_irgs
 from repro.errors import DataError, UsageError
-from repro.testing.chaos import InjectedFault
 
 
 def test_unknown_engine_rejected():
@@ -113,29 +112,6 @@ class TestEngineConformance:
             ), (engine, seed)
             assert sharded.counters == serial.counters, (engine, seed)
             assert_fault_free(sharded)
-
-    def test_killed_and_resumed_matches_serial_kernel(
-        self, engine, paper_dataset, tmp_path, chaos
-    ):
-        with handoff("kernel"):
-            serial = mine_irgs(paper_dataset, "C", minsup=1)
-        reference = irgs_bytes(serial, tmp_path, "serial-kernel")
-        ckpt = str(tmp_path / f"crash-{engine}.ckpt")
-        with handoff(variant_setup(engine)[0]):
-            chaos.arm("ckpt-raise:after=1")
-            with pytest.raises(InjectedFault):
-                _mine_variant(
-                    engine, paper_dataset, minsup=1, n_workers=2,
-                    checkpoint=ckpt,
-                )
-            chaos.disarm()
-            resumed = _mine_variant(
-                engine, paper_dataset, minsup=1, n_workers=2, resume=ckpt
-            )
-        assert irgs_bytes(resumed, tmp_path, "resumed") == reference, engine
-        assert resumed.counters == serial.counters, engine
-        assert resumed.parallel.resumed_tasks >= 1
-        assert_fault_free(resumed)
 
 
 @pytest.mark.parametrize("engine", VARIANTS)

@@ -11,7 +11,7 @@ Two layers of assurance:
 
 The engine differential — every registered engine serializing
 byte-identically to the kernel across constraints, prunings, shapes,
-sharded and killed+resumed runs — lives in
+sharded and stealing runs — lives in
 ``test_engine_conformance.py``; ``test_narrow_tables.py`` holds the
 narrow table against the packed one and the shims across hand-offs.
 """

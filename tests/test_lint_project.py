@@ -47,7 +47,7 @@ class TestTaintRule:
         assert len(result.findings) == 2
         by_sink = {f.message.split(";")[0] for f in result.findings}
         assert any("save_rule_groups" in m for m in by_sink)
-        assert any("TaskRecord" in m for m in by_sink)
+        assert any("merge_counters" in m for m in by_sink)
         for finding in result.findings:
             assert finding.rule_id == "FRM009"
             # Findings anchor at the *source* expression, not the sink.

@@ -2,8 +2,8 @@
 byte-identity guarantee (telemetry on == telemetry off, bit for bit).
 
 The load-bearing invariant is the last one: a `Telemetry` must be a pure
-observer.  Serial `.irgs` output, sharded output, checkpoint bytes and
-killed/resumed runs are all compared against un-instrumented references.
+observer.  Serial and sharded `.irgs` output are compared against
+un-instrumented references.
 """
 
 import hashlib
@@ -39,7 +39,6 @@ from repro.obs import (
     read_runlog,
 )
 from repro.obs.progress import format_count, format_eta
-from repro.testing.chaos import InjectedFault
 
 MINSUP = 1
 
@@ -49,18 +48,6 @@ def _serialized(result, tmp_path, tag):
     path = tmp_path / f"{tag}.irgs"
     save_rule_groups(path, result.groups, constraints=result.constraints)
     return path.read_bytes()
-
-
-def _checkpoint_payload(path):
-    """Checkpoint content normalized for cross-run comparison.
-
-    Advisory bounds accumulate in task-*completion* order, which depends
-    on scheduling even without telemetry; everything else (fingerprint,
-    task records, counters) must match exactly.
-    """
-    payload = json.loads(Path(path).read_text().splitlines()[1])
-    payload["advisory"] = sorted(map(tuple, payload.get("advisory", [])))
-    return payload
 
 
 def _random_snapshot(seed: int) -> MetricsSnapshot:
@@ -479,66 +466,20 @@ class TestByteIdentity:
             telemetry.close()
             assert _serialized(observed, tmp_path, f"o{seed}") == reference, seed
 
-    def test_sharded_output_and_checkpoint_identical(
-        self, paper_dataset, tmp_path
-    ):
-        bare_ckpt = tmp_path / "bare.ckpt"
+    def test_sharded_output_identical(self, paper_dataset, tmp_path):
         reference = _serialized(
-            mine_irgs(
-                paper_dataset,
-                "C",
-                minsup=MINSUP,
-                n_workers=2,
-                checkpoint=str(bare_ckpt),
-            ),
+            mine_irgs(paper_dataset, "C", minsup=MINSUP, n_workers=2),
             tmp_path,
             "bare",
         )
         telemetry = _telemetry(tmp_path, "sharded")
-        observed_ckpt = tmp_path / "observed.ckpt"
         observed = Farmer(
-            Constraints(minsup=MINSUP),
-            n_workers=2,
-            checkpoint=str(observed_ckpt),
-            telemetry=telemetry,
+            Constraints(minsup=MINSUP), n_workers=2, telemetry=telemetry
         ).mine(paper_dataset, "C")
         telemetry.close()
         assert _serialized(observed, tmp_path, "shobs") == reference
-        assert _checkpoint_payload(observed_ckpt) == _checkpoint_payload(
-            bare_ckpt
-        )
         kinds = {event["kind"] for event in read_runlog(tmp_path / "sharded.jsonl")}
-        assert {"run_start", "task_done", "checkpoint", "run_end"} <= kinds
-
-    def test_killed_and_resumed_run_identical(
-        self, paper_dataset, tmp_path, chaos
-    ):
-        reference = _serialized(
-            mine_irgs(paper_dataset, "C", minsup=MINSUP), tmp_path, "kref"
-        )
-        ckpt = tmp_path / "crash.ckpt"
-        chaos.arm("ckpt-raise:after=1")
-        telemetry = _telemetry(tmp_path, "crashed")
-        with pytest.raises(InjectedFault):
-            Farmer(
-                Constraints(minsup=MINSUP),
-                n_workers=2,
-                checkpoint=str(ckpt),
-                telemetry=telemetry,
-            ).mine(paper_dataset, "C")
-        telemetry.close()
-        chaos.disarm()
-        resumed_telemetry = _telemetry(tmp_path, "resumed")
-        resumed = Farmer(
-            Constraints(minsup=MINSUP),
-            n_workers=2,
-            resume=str(ckpt),
-            telemetry=resumed_telemetry,
-        ).mine(paper_dataset, "C")
-        resumed_telemetry.close()
-        assert _serialized(resumed, tmp_path, "kres") == reference
-        kinds = {event["kind"] for event in read_runlog(tmp_path / "resumed.jsonl")}
-        assert "resume" in kinds
+        assert {"run_start", "task_done", "run_end"} <= kinds
 
     def test_run_end_snapshot_has_search_counters(self, paper_dataset, tmp_path):
         telemetry = _telemetry(tmp_path, "counters")
@@ -732,9 +673,7 @@ class TestDocsCatalogue:
             return read_runlog(tmp_path / f"{tag}.jsonl")
 
         serial = run("serial")
-        sharded = run(
-            "sharded", n_workers=2, checkpoint=str(tmp_path / "cat.ckpt")
-        )
+        sharded = run("sharded", n_workers=2)
         kinds, names = set(), set()
         for event in serial + sharded:
             kinds.add(event["kind"])

@@ -6,8 +6,19 @@ constraint setting, every pruning combination and every dataset shape,
 the serial miner — same groups, same statistics, same row sets, same
 order, same serialized bytes — and both must match the brute-force
 oracle.  Scheduling may vary; the output may not.
+
+The worker-fault suite lives here too: a worker that is SIGKILLed,
+stalls forever, or raises is retried/requeued/degraded per
+:class:`~repro.core.parallel.RetryPolicy` and the run still completes
+with byte-identical output; a worker death is surfaced immediately
+(child exit code ``-9`` recorded), not treated as a hang.  Faults are
+injected at logical coordinates (shard index, attempt number) via
+:mod:`repro.testing.chaos` — no sleeps, no wall-clock coupling, no
+randomness in what fires when.
 """
 
+import signal
+import sys
 
 import pytest
 
@@ -20,10 +31,17 @@ from repro.core.enumeration import (
     NodeCounters,
     merge_counters,
 )
-from repro.core.parallel import AdvisoryBounds, mine_table_parallel
+from repro.core.parallel import (
+    _DEADLINE_STRIDE,
+    AdvisoryBounds,
+    RetryPolicy,
+    mine_table_parallel,
+)
 from repro.core.serialize import save_rule_groups
 from repro.data.dataset import ItemizedDataset
 from repro.data.transpose import TransposedTable
+from repro.errors import ReproError, UsageError
+from repro.testing.chaos import ChaosSpec, _parse, active_spec
 
 # Shared with the oracle suite (imported via the module so pytest does
 # not re-collect that module's test classes here).
@@ -123,19 +141,13 @@ class TestDeterminism:
             outputs.add(_serialized(result, tmp_path, f"run-{attempt}"))
         assert len(outputs) == 1
 
-    def test_broadcast_on_off_identical(self, tmp_path):
+    def test_broadcast_identical_to_serial(self, tmp_path):
         for seed in range(4):
             data = random_dataset(seed + 30)
-            results = [
-                Farmer(
-                    Constraints(minsup=1),
-                    n_workers=2,
-                    broadcast_bounds=broadcast,
-                ).mine(data, "C")
-                for broadcast in (True, False)
-            ]
-            assert _serialized(results[0], tmp_path, f"on-{seed}") == _serialized(
-                results[1], tmp_path, f"off-{seed}"
+            serial = mine_irgs(data, "C", minsup=1)
+            sharded = Farmer(Constraints(minsup=1), n_workers=2).mine(data, "C")
+            assert _serialized(sharded, tmp_path, f"on-{seed}") == _serialized(
+                serial, tmp_path, f"serial-{seed}"
             ), seed
 
 
@@ -211,6 +223,28 @@ class TestApi:
         result = mine_irgs(random_dataset(3), "C", minsup=1)
         assert result.parallel is None
 
+    @pytest.mark.parametrize(
+        "option",
+        ["checkpoint", "checkpoint_every", "resume", "broadcast_bounds"],
+    )
+    def test_removed_options_are_type_errors(self, option, tmp_path):
+        # Checkpoint/resume and the broadcast switch are gone: passing
+        # one fails loudly instead of being silently ignored.
+        value = str(tmp_path / "run.ckpt") if "every" not in option else 2
+        data = random_dataset(3)
+        with pytest.raises(TypeError, match=option):
+            Farmer(n_workers=2, **{option: value})
+        with pytest.raises(TypeError, match=option):
+            mine_irgs(data, "C", n_workers=2, **{option: value})
+        parallel_option = "broadcast" if option == "broadcast_bounds" else option
+        with pytest.raises(TypeError, match=parallel_option):
+            mine_table_parallel(
+                TransposedTable.build(data, "C"),
+                constraints=Constraints(minsup=1),
+                **{parallel_option: value},
+            )
+        assert not (tmp_path / "run.ckpt").exists()
+
 
 class TestAdvisoryBounds:
     """Unit coverage for the broadcast dominance table."""
@@ -253,17 +287,14 @@ class TestAdvisoryBounds:
         assert sorted(mask for _, mask in bounds.snapshot()) == [0b010, 0b100]
 
     def test_drops_never_change_output_counters(self):
-        # Counter equality with broadcast on is the strongest form of
-        # "advisory only": a drop is counted exactly where the replay
+        # Counter equality with the broadcast on is the strongest form
+        # of "advisory only": a drop is counted exactly where the replay
         # would have counted the rejection.
         for seed in range(4):
             data = random_dataset(seed + 10, max_rows=11)
             serial = mine_irgs(data, "C", minsup=1)
-            for broadcast in (True, False):
-                result = Farmer(
-                    Constraints(minsup=1), n_workers=2, broadcast_bounds=broadcast
-                ).mine(data, "C")
-                assert result.counters == serial.counters, (seed, broadcast)
+            result = Farmer(Constraints(minsup=1), n_workers=2).mine(data, "C")
+            assert result.counters == serial.counters, seed
 
     def test_merge_counters_sums_fields(self):
         a = NodeCounters(nodes=3, pruned_loose=1, candidates_rejected=2)
@@ -273,3 +304,206 @@ class TestAdvisoryBounds:
         assert merged.pruned_loose == 1
         assert merged.rows_compressed == 5
         assert merged.candidates_rejected == 2
+
+
+# ----------------------------------------------------------------------
+# One-worker runs poll their budget inside a part
+# ----------------------------------------------------------------------
+
+
+class _PollProbe(SearchBudget):
+    """Records who called :meth:`poll`; raises :class:`_Stop` at the
+    ``stop_at``-th poll made from inside a shard part."""
+
+    def __init__(self, stop_at: int | None = None) -> None:
+        super().__init__()
+        self.stop_at = stop_at
+        self.callers: list[str] = []
+
+    def poll(self) -> None:
+        self.callers.append(sys._getframe(1).f_code.co_name)
+        if self.stop_at is not None and self.in_part() >= self.stop_at:
+            raise _Stop("stopped mid-shard")
+
+    def in_part(self) -> int:
+        # The part walk's progress hook, not the decomposition or the
+        # executor's loop between parts.
+        return self.callers.count("progress")
+
+
+class _Stop(ReproError):
+    pass
+
+
+class TestInlinePolling:
+    """A one-worker run walks every part in the coordinator, so the
+    budget's :meth:`~repro.core.enumeration.SearchBudget.poll` (how a
+    served job's cancel reaches the mine) must run inside a part, not
+    only between parts."""
+
+    def _table(self):
+        data = random_dataset(5, max_rows=24, max_items=40)  # 5,647 nodes
+        return data, TransposedTable.build(data, "C")
+
+    def test_polls_inside_parts(self):
+        data, table = self._table()
+        budget = _PollProbe()
+        store, counters, truncated, report = mine_table_parallel(
+            table, constraints=Constraints(minsup=1), n_workers=1,
+            budget=budget,
+        )
+        walked = sum(worker.nodes for worker in report.workers)
+        # The tree must be big enough that a part outlasts one stride.
+        assert walked > 4 * _DEADLINE_STRIDE
+        assert budget.in_part() > report.parts
+        assert not truncated
+        serial = mine_irgs(data, "C", minsup=1)
+        assert counters.nodes == serial.counters.nodes
+        assert len(store.entries) == len(serial.groups)
+
+    def test_raising_poll_stops_the_mine_mid_shard(self):
+        _, table = self._table()
+        budget = _PollProbe(stop_at=2)
+        with pytest.raises(_Stop):
+            mine_table_parallel(
+                table, constraints=Constraints(minsup=1), n_workers=1,
+                budget=budget,
+            )
+        assert budget.callers[-1] == "progress"
+        assert budget.in_part() == 2
+
+
+# ----------------------------------------------------------------------
+# Worker faults: the chaos harness and the retry ladder
+# ----------------------------------------------------------------------
+
+MINSUP = 1
+NO_BACKOFF = RetryPolicy(backoff_base=0.0)
+
+
+def _baseline(data, tmp_path, tag="baseline"):
+    """Serial reference run (no pools, no chaos)."""
+    result = mine_irgs(data, "C", minsup=MINSUP)
+    return result, _serialized(result, tmp_path, tag)
+
+
+class TestChaosSpec:
+    """Spec parsing and matching are exact and fail loudly."""
+
+    def test_unset_means_no_faults(self, monkeypatch):
+        monkeypatch.delenv("FARMER_CHAOS", raising=False)
+        assert active_spec() is None
+
+    def test_parses_fields(self):
+        spec = _parse("kill:shard=2:times=1")
+        assert spec == ChaosSpec(mode="kill", shard=2, times=1)
+        assert spec.matches_worker(2, 0)
+        assert not spec.matches_worker(2, 1)  # second attempt survives
+        assert not spec.matches_worker(1, 0)  # other shards untouched
+
+    def test_unscoped_worker_spec_matches_everything(self):
+        spec = _parse("raise")
+        assert spec.matches_worker(0, 0) and spec.matches_worker(7, 5)
+        assert not spec.matches_donor(0, 0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "explode",
+            "kill:shards=1",
+            "kill:shard=x",
+            "raise:times=2",
+            "",
+            "ckpt-kill:after=1",
+            "kill:after=1",
+        ],
+    )
+    def test_bad_specs_rejected(self, bad, monkeypatch):
+        if bad == "":
+            monkeypatch.setenv("FARMER_CHAOS", bad)
+            assert active_spec() is None  # empty = unset, not an error
+            return
+        with pytest.raises(UsageError):
+            _parse(bad)
+
+
+class TestWorkerFaults:
+    """Crashed / stalled / raising workers never change the output."""
+
+    def _mine(self, data, n_workers=2, retry=NO_BACKOFF):
+        miner = Farmer(
+            constraints=Constraints(minsup=MINSUP),
+            n_workers=n_workers,
+            retry=retry,
+        )
+        return miner.mine(data, "C")
+
+    def test_sigkilled_worker_is_requeued(self, paper_dataset, tmp_path, chaos):
+        _, reference = _baseline(paper_dataset, tmp_path)
+        chaos.arm("kill:shard=1:times=1")
+        result = self._mine(paper_dataset)
+        assert result.parallel.n_tasks > 1
+        assert _serialized(result, tmp_path, "kill") == reference
+        # The death was surfaced immediately as a broken pool, with the
+        # child's SIGKILL exit code recorded — not sat out as a hang.
+        assert result.parallel.pool_failures >= 1
+        assert result.parallel.retries >= 1
+        assert -signal.SIGKILL in result.parallel.worker_exit_codes
+
+    def test_raising_task_is_retried_without_pool_loss(
+        self, paper_dataset, tmp_path, chaos
+    ):
+        _, reference = _baseline(paper_dataset, tmp_path)
+        chaos.arm("raise:shard=0:times=1")
+        result = self._mine(paper_dataset)
+        assert _serialized(result, tmp_path, "raise") == reference
+        assert result.parallel.retries >= 1
+        assert result.parallel.pool_failures == 0  # the worker survived
+
+    def test_stalled_worker_is_reaped_by_heartbeat(
+        self, paper_dataset, tmp_path, chaos
+    ):
+        _, reference = _baseline(paper_dataset, tmp_path)
+        chaos.arm("stall:shard=1:times=1")
+        result = self._mine(
+            paper_dataset,
+            retry=RetryPolicy(backoff_base=0.0, shard_timeout=0.25),
+        )
+        assert _serialized(result, tmp_path, "stall") == reference
+        assert result.parallel.pool_failures >= 1
+
+    def test_permanently_crashing_worker_degrades_to_inline(
+        self, paper_dataset, tmp_path, chaos
+    ):
+        """Every pool attempt dies; the run must still complete (exit 0
+        semantics) via the degradation ladder's inline fallback."""
+        _, reference = _baseline(paper_dataset, tmp_path)
+        chaos.arm("kill")
+        result = self._mine(
+            paper_dataset,
+            retry=RetryPolicy(backoff_base=0.0, max_attempts=2, degrade_after=1),
+        )
+        assert _serialized(result, tmp_path, "perm") == reference
+        assert result.parallel.inline_tasks > 0
+        assert result.parallel.pool_failures >= 1
+
+    def test_permanently_raising_task_falls_back_inline(
+        self, paper_dataset, tmp_path, chaos
+    ):
+        _, reference = _baseline(paper_dataset, tmp_path)
+        chaos.arm("raise")
+        result = self._mine(
+            paper_dataset, retry=RetryPolicy(backoff_base=0.0, max_attempts=2)
+        )
+        assert _serialized(result, tmp_path, "raise-perm") == reference
+        assert result.parallel.inline_tasks > 0
+
+    def test_counters_identical_under_faults(self, paper_dataset, chaos):
+        serial = mine_irgs(paper_dataset, "C", minsup=MINSUP)
+        clean = self._mine(paper_dataset)
+        chaos.arm("kill:shard=0:times=1")
+        result = self._mine(paper_dataset)
+        # A retried shard reruns from its root, so the counters match
+        # the serial run and the fault-free sharded run exactly.
+        assert result.counters == serial.counters
+        assert result.counters == clean.counters

@@ -28,7 +28,8 @@ from conftest import handoff
 from strategies import datasets
 
 from repro import mine_irgs
-from repro.errors import UsageError
+from repro.core.frontier import candidate_from_row
+from repro.errors import DataError, UsageError
 
 #: Hand-off cutoffs (``conftest.HANDOFF_CUTOFFS`` ids) the suite mines
 #: under: all int masks, all packed, and a hand-off on the first extend.
@@ -172,12 +173,13 @@ def test_irgs_bytes_identical(tmp_path):
 
 
 def test_warm_cache_rejects_checkpoint_knobs(tmp_path):
-    """The warm path plans its own work — shard checkpointing and node
-    budgets are incompatible and rejected at construction."""
+    """The warm path plans its own work — node budgets are incompatible
+    and rejected at construction; shard checkpointing no longer exists,
+    so its keyword is a ``TypeError``, never silently ignored."""
     from repro.core.enumeration import SearchBudget
     from repro.core.farmer import Farmer
 
-    with pytest.raises(UsageError, match="warm"):
+    with pytest.raises(TypeError, match="checkpoint"):
         Farmer(
             warm_cache=str(tmp_path),
             checkpoint=str(tmp_path / "ck"),
@@ -187,6 +189,31 @@ def test_warm_cache_rejects_checkpoint_knobs(tmp_path):
             warm_cache=str(tmp_path),
             budget=SearchBudget(max_nodes=100),
         )
+
+
+@pytest.mark.parametrize("bad", [True, -1, "3", 1.0])
+@pytest.mark.parametrize("position", [0, 2])
+def test_candidate_from_row_checks_every_item_id(bad, position):
+    item_ids = [4, 7, 9]
+    item_ids[position] = bad
+    with pytest.raises(DataError, match="malformed candidate item id"):
+        candidate_from_row([item_ids, 3, 1, 0b1011], "entry")
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.5])
+@pytest.mark.parametrize("field", [1, 2, 3])
+def test_candidate_from_row_checks_every_count(bad, field):
+    row = [[4, 7], 3, 1, 0b1011]
+    row[field] = bad
+    with pytest.raises(DataError, match="malformed candidate count"):
+        candidate_from_row(row, "entry")
+
+
+def test_candidate_from_row_refuses_an_empty_antecedent():
+    """No walk emits a candidate without items, and Step 7's store has
+    no chain for one: a crafted entry row is refused."""
+    with pytest.raises(DataError, match="candidate has no item ids"):
+        candidate_from_row([[], 3, 1, 0b1011], "entry")
 
 
 #: sha256 of the ``.frontier`` entries of the perf gate's remine section

@@ -11,8 +11,8 @@ Two layers:
 * **End-to-end sweep** — the real process-pool scheduler under
   ``--steal`` for worker counts {1,2,4}, a seeded kill-anywhere ×
   steal-anywhere chaos sweep (donor deaths, thief deaths, plain worker
-  deaths at every shard coordinate), and a killed-and-resumed mid-steal
-  run; all must serialize the serial miner's exact bytes.
+  deaths at every shard coordinate); all must serialize the serial
+  miner's exact bytes.
 
 Run the nightly profile for the deep sweep:
 ``pytest tests/test_scheduling.py --hypothesis-profile=nightly``.
@@ -37,7 +37,6 @@ from strategies import skewed_datasets
 from repro import Constraints, Farmer, mine_irgs
 from repro.core.serialize import save_rule_groups
 from repro.errors import DataError
-from repro.testing.chaos import InjectedFault
 
 CONSTRAINTS = Constraints(minsup=1, minconf=0.0)
 
@@ -126,7 +125,8 @@ class TestVirtualScheduler:
 
     def test_trace_round_trip_replays_identically(self, tmp_path):
         """A persisted schedule replays to the same bytes and the same
-        decision trace — the trace envelope is the checkpoint one."""
+        decision trace — the trace envelope is the frontier entries'
+        one."""
         data = random_dataset(3, max_rows=9)
         schedule = Schedule(
             picks=(3, 0, 5), quanta=(2, 7), splits=(1, 0, 4), kills=(0, 1)
@@ -145,7 +145,7 @@ class TestVirtualScheduler:
         assert first.counters == replayed.counters
 
     def test_corrupt_trace_rejected(self, tmp_path):
-        """The envelope checksum guards replays like checkpoints."""
+        """The envelope checksum guards replays like cache entries."""
         path = tmp_path / "trace.ckpt"
         save_trace(path, Schedule(picks=(1,)))
         text = path.read_text()
@@ -261,42 +261,3 @@ class TestEndToEndStealing:
                     == reference
                 ), tag
                 assert result.counters == serial.counters, tag
-
-    @pytest.mark.parametrize("resume_steal", [True, False])
-    def test_killed_and_resumed_mid_steal(
-        self, tmp_path, chaos, resume_steal
-    ):
-        """Crash after the first checkpoint of a stealing run; resuming
-        with either scheduler reproduces the serial bytes — checkpoints
-        are interchangeable because only whole shards are durable."""
-        data = _skew_dataset()
-        constraints = Constraints(minsup=3, minconf=0.5)
-        reference, serial = _serial_bytes(
-            data, tmp_path / "serial.irgs", constraints
-        )
-        ckpt = str(tmp_path / f"midsteal-{int(resume_steal)}.ckpt")
-        chaos.arm("ckpt-raise:after=1")
-        with pytest.raises(InjectedFault):
-            mine_irgs(
-                data,
-                "C",
-                minsup=3,
-                minconf=0.5,
-                n_workers=4,
-                steal=True,
-                checkpoint=ckpt,
-            )
-        chaos.disarm()
-        resumed = mine_irgs(
-            data,
-            "C",
-            minsup=3,
-            minconf=0.5,
-            n_workers=4,
-            steal=resume_steal,
-            resume=ckpt,
-        )
-        assert _result_bytes(resumed, tmp_path / "resumed.irgs") == reference
-        assert resumed.counters == serial.counters
-        assert resumed.parallel.resumed_tasks >= 1
-        assert_fault_free(resumed)

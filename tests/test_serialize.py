@@ -1,4 +1,4 @@
-"""Unit tests for rule-group persistence."""
+"""Unit tests for rule-group persistence and the checksummed envelope."""
 
 import hashlib
 import json
@@ -9,8 +9,15 @@ import threading
 import pytest
 
 from repro import Constraints, mine_irgs
-from repro.core.serialize import load_rule_groups, save_rule_groups
-from repro.errors import DataError
+from repro.core.frontier import FRONTIER_ENVELOPE
+from repro.core.serialize import (
+    canonical_json,
+    load_checkpoint,
+    load_rule_groups,
+    save_checkpoint,
+    save_rule_groups,
+)
+from repro.errors import DataError, UsageError
 
 
 @pytest.fixture
@@ -256,3 +263,83 @@ class TestValidation:
         path.write_text("")
         with pytest.raises(DataError):
             load_rule_groups(path)
+
+
+class TestEnvelopeRobustness:
+    """Corrupt, truncated or other-version envelope files (what every
+    frontier-cache entry is written in) fail loudly, never silently."""
+
+    PAYLOAD = {"kind": "test", "evals": [[[1, 4], 3, 1, 11]], "n": 7}
+
+    def _written(self, tmp_path):
+        path = tmp_path / "good.frontier"
+        save_checkpoint(path, self.PAYLOAD, FRONTIER_ENVELOPE)
+        assert load_checkpoint(path, FRONTIER_ENVELOPE) == self.PAYLOAD
+        return path
+
+    def _versioned(self, tmp_path, fmt):
+        path = tmp_path / "other.frontier"
+        body = canonical_json(self.PAYLOAD)
+        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        header = canonical_json({"format": fmt, "sha256": digest})
+        path.write_text(header + "\n" + body + "\n")
+        return path
+
+    def test_header_carries_the_version_tag(self, tmp_path):
+        header = json.loads(self._written(tmp_path).read_text().splitlines()[0])
+        assert header["format"] == FRONTIER_ENVELOPE == "repro-checkpoint/1"
+
+    def test_missing_file_is_data_error_on_load(self, tmp_path):
+        with pytest.raises(DataError):
+            load_checkpoint(tmp_path / "nope.frontier", FRONTIER_ENVELOPE)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.frontier"
+        path.write_text("")
+        with pytest.raises(DataError):
+            load_checkpoint(path, FRONTIER_ENVELOPE)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = self._written(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2] + "\n")
+        with pytest.raises(DataError, match="checksum"):
+            load_checkpoint(path, FRONTIER_ENVELOPE)
+
+    def test_missing_payload_line_rejected(self, tmp_path):
+        path = self._written(tmp_path)
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        with pytest.raises(DataError, match="truncated"):
+            load_checkpoint(path, FRONTIER_ENVELOPE)
+
+    def test_flipped_byte_rejected(self, tmp_path):
+        path = self._written(tmp_path)
+        raw = bytearray(path.read_bytes())
+        # Flip a byte well inside the payload line.
+        position = len(raw) - 10
+        raw[position] = raw[position] ^ 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="checksum"):
+            load_checkpoint(path, FRONTIER_ENVELOPE)
+
+    def test_non_envelope_file_rejected(self, tmp_path, mined):
+        irgs = tmp_path / "groups.irgs"
+        save_rule_groups(irgs, mined.groups, constraints=mined.constraints)
+        with pytest.raises(DataError, match="not a checkpoint"):
+            load_checkpoint(irgs, FRONTIER_ENVELOPE)
+
+    @pytest.mark.parametrize(
+        "fmt", ["repro-checkpoint/2", "repro-checkpoint/99"], ids=["v2", "v99"]
+    )
+    def test_other_format_version_is_usage_error(self, tmp_path, fmt):
+        """Another envelope version (the retired sharded-run checkpoint
+        wrote ``/2``) is refused as such, not misread."""
+        path = self._versioned(tmp_path, fmt)
+        with pytest.raises(UsageError, match="not supported"):
+            load_checkpoint(path, FRONTIER_ENVELOPE)
+
+    def test_version_tag_is_required(self, tmp_path):
+        with pytest.raises(TypeError):
+            save_checkpoint(tmp_path / "x.frontier", self.PAYLOAD)
+        with pytest.raises(TypeError):
+            load_checkpoint(self._written(tmp_path))

@@ -199,19 +199,16 @@ class TestJobSpecValidation:
             ({"dataset": "LC", "steal": True}, "steal"),
             ({"dataset": "LC", "steal_quantum": -4}, "steal_quantum"),
             ({"dataset": "LC", "timeout_seconds": 0}, "timeout_seconds"),
+            # Retired job fields are unknown fields, never ignored.
             ({"dataset": "LC", "checkpoint": True}, "checkpoint"),
             ({"dataset": "LC", "warm": True, "max_nodes": 10}, "warm"),
-            (
-                {
-                    "dataset": "LC",
-                    "warm": True,
-                    "checkpoint": True,
-                    "workers": 2,
-                },
-                "warm",
-            ),
+            ({"dataset": "LC", "warm": "yes"}, "warm"),
             ({"dataset": "LC", "max_nodes": 10, "workers": 2}, "max_nodes"),
             (["LC"], "object"),
+            (
+                {"dataset": "LC", "workers": 2, "checkpoint_every": 2},
+                "checkpoint_every",
+            ),
         ],
     )
     def test_bad_spec_is_400_naming_the_field(self, payload, named):

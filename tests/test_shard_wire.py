@@ -258,10 +258,14 @@ class TestWire:
         monkeypatch.setattr(parallel, "_ROOT", root_state.table)
         units = next(_frontiers(ctx, root_state, 1))
         sink, _, _, truncated, frontier, _ = parallel._run_frontier_task(
-            ctx, _detach(units), None, 256, None, True, 64
+            ctx, _detach(units), [], 256, None, True, 64
         )
+        # The same part walked in-process, behind the same empty bounds.
         walked_sink: list = []
-        walked = enumerate_frontier(ctx, units, NodeCounters(), walked_sink, 64)
+        walked = parallel._walk_part(
+            ctx, units, NodeCounters(), walked_sink, 64,
+            parallel.AdvisoryBounds(cap=256), None,
+        )
         assert not truncated and walked is not None
         assert sink == walked_sink
         assert frontier == _detach(walked)

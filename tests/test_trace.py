@@ -136,13 +136,13 @@ class TestCounterMerge:
             "candidates_rejected": 1,
         }
 
-    def test_merged_equal_serial_without_broadcast(self):
+    def test_merged_equal_serial_inline(self):
+        # One worker walks every part in the coordinator, behind the same
+        # broadcast prefilter as a pool worker's part.
         for seed in range(8):
             data = random_dataset(seed, max_rows=11)
             serial = mine_irgs(data, "C", minsup=1)
-            parallel = Farmer(
-                Constraints(minsup=1), n_workers=2, broadcast_bounds=False
-            ).mine(data, "C")
+            parallel = Farmer(Constraints(minsup=1), n_workers=1).mine(data, "C")
             assert parallel.counters == serial.counters, seed
 
     def test_merged_never_exceed_serial_with_broadcast(self):
@@ -156,9 +156,7 @@ class TestCounterMerge:
                 mine_irgs(data, "C", minsup=1).counters
             )
             parallel = dataclasses.asdict(
-                Farmer(
-                    Constraints(minsup=1), n_workers=2, broadcast_bounds=True
-                )
+                Farmer(Constraints(minsup=1), n_workers=2)
                 .mine(data, "C")
                 .counters
             )
