@@ -598,15 +598,17 @@ def _answer_by_capture(
         return budget.check(counters)
 
     with _phase(telemetry, "capture"):
+        root = ctx.root_state(table)
         try:
-            enumerate_frontier(
-                ctx,
-                [(FRONTIER_STATE, ctx.root_state(table))],
-                counters,
-                evals,
-                check(),
-                progress=check,
-            )
+            if root is not None:
+                enumerate_frontier(
+                    ctx,
+                    [(FRONTIER_STATE, root)],
+                    counters,
+                    evals,
+                    check(),
+                    progress=check,
+                )
         except BudgetExceeded:
             if budget.strict:
                 raise

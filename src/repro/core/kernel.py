@@ -188,8 +188,13 @@ class CondTable:
         return [key & full for key in self.keys]
 
     @classmethod
-    def build(cls, item_masks: Sequence[int], full_mask: int) -> "CondTable":
-        """The root table over every item, support-sorted and scanned.
+    def build(
+        cls,
+        item_masks: Sequence[int],
+        full_mask: int,
+        ids: Iterable[int] | None = None,
+    ) -> "CondTable":
+        """The root table, support-sorted and scanned.
 
         The sort (support descending, item id ascending) establishes the
         order every descendant table inherits by filtering.
@@ -198,19 +203,21 @@ class CondTable:
             item_masks: per-item row bitsets in item-id order, each a
                 subset of ``full_mask``.
             full_mask: bitset of all rows.
+            ids: the item ids the table holds; ``None`` holds every
+                item.
 
         Returns:
             The fully scanned, ranked root :class:`CondTable`.
 
         Raises:
-            DataError: if a mask has a row outside ``full_mask`` (see
-                :func:`_check_rows`).
+            DataError: if a held item's mask has a row outside
+                ``full_mask`` (see :func:`_check_rows`).
         """
+        held = range(len(item_masks)) if ids is None else [int(i) for i in ids]
         order = sorted(
-            range(len(item_masks)),
-            key=lambda item: (-item_masks[item].bit_count(), item),
+            held, key=lambda item: (-item_masks[item].bit_count(), item)
         )
-        inter, union = scan_items(item_masks, full_mask)
+        inter, union = scan_items([item_masks[item] for item in held], full_mask)
         _check_rows(union, full_mask)
         return cls.gather(item_masks, order, inter, union, full_mask)
 

@@ -253,8 +253,9 @@ class NumpyCondTable:
         item_masks: Sequence[int],
         full_mask: int,
         words: np.ndarray | None = None,
+        ids: np.ndarray | None = None,
     ) -> "NumpyCondTable":
-        """The packed root table over every item, support-sorted + scanned.
+        """The packed root table, support-sorted and scanned.
 
         Mirrors :meth:`repro.core.kernel.CondTable.build` exactly —
         same order (support descending, item id ascending), same
@@ -268,21 +269,26 @@ class NumpyCondTable:
                 :func:`pack_masks` would (the transposer's
                 :attr:`~repro.data.transpose.TransposedTable.packed_words`);
                 ``None`` packs them here.
+            ids: the ascending item ids the table holds (one column
+                ``compress`` of ``words``); ``None`` holds every item.
 
         Returns:
             The fully scanned root table.
         """
         width = word_count(full_mask.bit_count())
         if words is None:
-            words = pack_masks(item_masks, width)
-        if not len(item_masks):
+            kept = item_masks if ids is None else [item_masks[i] for i in ids]
+            words = pack_masks(kept, width)
+        elif ids is not None:
+            words = words[ids]
+        ids = np.arange(len(item_masks)) if ids is None else np.asarray(ids)
+        if not len(ids):
             data = np.zeros((width + 1, 0), dtype=np.uint64)
             return cls(data, width, full_mask, 0, full_mask, item_masks)
         counts = popcount_words(words)
-        ids = np.arange(len(item_masks), dtype=np.uint64)
         # Stable sort on descending count == (-count, id) lexicographic.
         order = np.argsort(-counts, kind="stable")
-        data = np.empty((width + 1, len(item_masks)), dtype=np.uint64)
+        data = np.empty((width + 1, len(ids)), dtype=np.uint64)
         data[:width] = words[order].T
         data[width] = ids[order]
         inter = unpack_words(np.bitwise_and.reduce(words, axis=0)) & full_mask
@@ -374,15 +380,19 @@ class NumpyCondTable:
 
 
 def root_table(
-    item_masks: Sequence[int], full_mask: int, words: np.ndarray | None = None
+    item_masks: Sequence[int],
+    full_mask: int,
+    words: np.ndarray | None = None,
+    ids: np.ndarray | None = None,
 ) -> "NumpyCondTable | CondTable":
-    """The production engine's root table over every item.
+    """The production engine's root table.
 
     Packed words when the root has at least :data:`HANDOFF_ITEMS` items,
     the int-mask :class:`~repro.core.kernel.CondTable` otherwise; the
     two carry the same order and scan results.  FARMER's
-    :meth:`~repro.core.farmer.SearchContext.root_state` and CARPENTER
-    both build their roots here, so the representation decision lives in
+    :meth:`~repro.core.farmer.SearchContext.root_state` (over the items
+    that can reach ``minsup``) and CARPENTER (over every item) both
+    build their roots here, so the representation decision lives in
     this module alone.
 
     Args:
@@ -390,13 +400,17 @@ def root_table(
         full_mask: bitset of all rows (``(1 << n_rows) - 1``).
         words: ``item_masks`` already packed, for a packed root (see
             :meth:`NumpyCondTable.build`); ``None`` packs them if needed.
+        ids: the ascending item ids the root holds; ``None`` holds
+            every item.  Ids are kept as they are, so candidates name
+            the table's own items.
 
     Returns:
         The fully scanned root table.
     """
-    if len(item_masks) < HANDOFF_ITEMS:
-        return CondTable.build(item_masks, full_mask)
-    return NumpyCondTable.build(item_masks, full_mask, words)
+    size = len(item_masks) if ids is None else len(ids)
+    if size < HANDOFF_ITEMS:
+        return CondTable.build(item_masks, full_mask, ids)
+    return NumpyCondTable.build(item_masks, full_mask, words, ids)
 
 
 def mask_words(table: NumpyCondTable) -> list[int]:

@@ -1219,7 +1219,8 @@ def mine_table_parallel(
     coordinator = NodeCounters()
     store = _IRGStore()
     report = ParallelReport(n_workers=n_workers, coordinator=coordinator)
-    if table.n == 0 or not table.item_masks:
+    root_state = coordinator_ctx.root_state(table)
+    if root_state is None:
         return store, merge_counters([coordinator]), False, report
 
     def phase(name: str):
@@ -1229,7 +1230,6 @@ def mine_table_parallel(
     cap = expansion_cap if expansion_cap is not None else max(4 * target, 64)
 
     coordinator_stats = ScanStats()
-    root_state = coordinator_ctx.root_state(table)
     with phase("decompose"):
         plan, tasks, truncated = _decompose(
             coordinator_ctx,

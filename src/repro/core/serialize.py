@@ -283,6 +283,12 @@ def load_rule_groups(
 # ----------------------------------------------------------------------
 
 
+#: ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` as one
+#: shared encoder: ``dumps`` builds a new encoder on every call with
+#: non-default arguments.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: object) -> str:
     """One canonical text for a JSON-able value (sorted keys, no spaces).
 
@@ -290,7 +296,7 @@ def canonical_json(payload: object) -> str:
     produce equal bytes, so serialize -> deserialize -> serialize is the
     identity on bytes.
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(payload)
 
 
 def _write_durable(path: Path, text: str) -> None:

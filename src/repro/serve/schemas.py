@@ -249,7 +249,8 @@ def parse_job_spec(payload: object) -> JobSpec:
         ApiError: ``400 bad_request`` naming the first offending field —
         unknown key, wrong type, out-of-range value, or an inconsistent
         knob combination (``warm`` with ``max_nodes``, ``steal``
-        without ``workers``, ``max_nodes`` with ``workers``).
+        without ``workers``, ``steal_quantum`` without ``steal``,
+        ``max_nodes`` with ``workers``).
     """
     if not isinstance(payload, dict):
         raise ApiError(400, "bad_request", "job body must be a JSON object")
@@ -301,6 +302,8 @@ def parse_job_spec(payload: object) -> JobSpec:
                    "(node budgets need the serial cold path)")
     if spec.steal and spec.workers is None:
         raise _bad("steal", "requires 'workers' (stealing schedules shards)")
+    if spec.steal_quantum is not None and not spec.steal:
+        raise _bad("steal_quantum", "requires 'steal' (it paces stealing)")
     if spec.max_nodes is not None and spec.workers is not None:
         raise _bad("max_nodes", "cannot be combined with 'workers' "
                    "(deterministic node accounting needs the serial miner)")

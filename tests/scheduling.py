@@ -225,10 +225,10 @@ def run_schedule(
     coordinator = NodeCounters()
     run = VirtualRun(store=_IRGStore(), counters=NodeCounters())
     store = run.store
-    if table.n == 0 or not table.item_masks:
+    root_state = ctx.root_state(table)
+    if root_state is None:
         run.counters = merge_counters([coordinator])
         return run
-    root_state = ctx.root_state(table)
     plan, tasks, _ = _decompose(
         ctx, root_state, coordinator, target, 4 * target, None, True
     )

@@ -39,7 +39,7 @@ from repro.serve.jobs import CancellableBudget, JobCancelled
 #: threshold.
 SWEEP_CASES = (
     (0, 16, 14, 3, 0.0),
-    (6, 20, 16, 2, 0.0),
+    (6, 20, 20, 2, 0.0),
     (5, 20, 16, 2, 0.6),
 )
 

@@ -226,7 +226,7 @@ def test_truncation_matches_kernel(engine, lc_small, tmp_path):
 
     def mine(name, k):
         return Farmer(
-            constraints=Constraints(minsup=11),
+            constraints=Constraints(minsup=9),
             engine=name,
             budget=SearchBudget(max_nodes=k, strict=False),
         ).mine(lc_small.data, lc_small.consequent)
@@ -245,10 +245,12 @@ def test_truncation_matches_kernel(engine, lc_small, tmp_path):
         ), (engine, k)
 
 
-#: Every LC row holds one item per gene, 125 at scale 0.01, so with
-#: this cutoff the 1,250-item root is packed and every deeper table is
-#: int masks: a frontier below the root's children mixes the two.
-MIXED_CUTOFF = 128
+#: At LC scale 0.01 and minsup 9 the root keeps 42 of the 1,250 items
+#: (those in at least nine positive rows) and no child of it holds more
+#: than 21, so with this cutoff the root is packed and every deeper
+#: table is int masks: a frontier below the root's children mixes the
+#: two.
+MIXED_CUTOFF = 32
 
 
 def test_mixed_representations_shard_and_steal(lc_small, tmp_path):
@@ -269,7 +271,7 @@ def test_mixed_representations_shard_and_steal(lc_small, tmp_path):
     expected = irgs_bytes(oracle, tmp_path, "oracle")
     with handoff(MIXED_CUTOFF):
         ctx = SearchContext.for_table(table, constraints, ALL_PRUNINGS)
-        # A target above the root's 181 children makes the frontier
+        # A target above the root's 132 children makes the frontier
         # reach below them, as a stolen frontier does.
         _, tasks, _ = _decompose(
             ctx, ctx.root_state(table), NodeCounters(), 256, 1024, None, True

@@ -499,16 +499,17 @@ class TestByteIdentity:
 
 #: The ``kernel.*`` counters of an observed mine per sweep point
 #: ``(dataset, minsup, minconf, prunings, n_workers)``, all at scale
-#: 0.02, recorded when the tables still counted their own scans: the
-#: walk's local counts must add up to the same numbers.  LC's root is a
-#: packed table, and ``n_workers=1`` counts the sharded coordinator's
-#: expansions.
+#: 0.02.  The walk counts the scans and their tables' rows, the int-mask
+#: tables their early exits.  The roots hold only the items that can
+#: reach minsup: LC's two make an int-mask root, the other four roots
+#: are packed tables, and ``n_workers=1`` counts the sharded
+#: coordinator's expansions.
 KERNEL_COUNTERS = {
-    ("LC", 14, 0.0, ("p1", "p2", "p3"), None): (69, 7634, 7634, 1),
-    ("BC", 6, 0.0, ("p1", "p2", "p3"), None): (14352, 108379, 108449, 298),
-    ("ALL", 5, 0.9, ("p1", "p2", "p3"), None): (4746, 27411, 27463, 156),
-    ("PC", 9, 0.0, ("p1", "p3"), None): (15254, 63910, 63951, 536),
-    ("CT", 3, 0.0, ("p1", "p2", "p3"), 1): (1, 640, 640, 0),
+    ("LC", 14, 0.0, ("p1", "p2", "p3"), None): (3, 4, 4, 0),
+    ("BC", 6, 0.0, ("p1", "p2", "p3"), None): (11118, 60451, 60520, 257),
+    ("ALL", 5, 0.9, ("p1", "p2", "p3"), None): (4107, 21396, 21440, 141),
+    ("PC", 9, 0.0, ("p1", "p3"), None): (9453, 19471, 19492, 380),
+    ("CT", 3, 0.0, ("p1", "p2", "p3"), 1): (1, 554, 554, 0),
 }
 
 

@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import Constraints, mine_irgs
 from repro.baselines import (
@@ -122,6 +122,10 @@ class TestFarmerProperties:
 
     @given(datasets())
     @settings(max_examples=40, deadline=None)
+    # One empty positive row: the only item has class support 0, so the
+    # root keeps no item and there is nothing to walk (an itemless root
+    # would offer I(∅) = ∅ to Step 7).
+    @example(ItemizedDataset.from_lists([[]], ["C"], n_items=1))
     def test_prunings_are_pure_optimizations(self, data):
         reference = mine_irgs(data, "C", minsup=1, minconf=0.5)
         stripped = mine_irgs(data, "C", minsup=1, minconf=0.5, prunings=())

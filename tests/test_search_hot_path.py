@@ -28,10 +28,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import handoff, random_dataset
+from conftest import handoff, random_dataset, unfiltered_root
 from strategies import datasets, degenerate_datasets, skewed_datasets
 
 from repro.core import bitset
@@ -102,7 +102,10 @@ def _walk(ctx, table, quantum, per_node):
     candidates: list[Candidate] = []
     frontiers = []
     observer = _NoOpObserver() if per_node else None
-    units = [(FRONTIER_STATE, ctx.root_state(table))]
+    root = ctx.root_state(table)
+    if root is None:
+        return candidates, counters, frontiers
+    units = [(FRONTIER_STATE, root)]
     while True:
         units = enumerate_frontier(
             ctx, units, counters, candidates, quantum, observer=observer,
@@ -150,6 +153,24 @@ def test_fast_walk_matches_on_larger_tables(seed):
             assert fast[2] == slow[2]
 
 
+#: Seven rows, four of them positive, and six items.  No item is in
+#: four positive rows, so at minsup 4 the root keeps no item.
+_NO_ITEM_KEPT = ItemizedDataset.from_lists(
+    [[0, 1], [2, 3], [4, 5], [1, 3], [0, 1, 2, 3, 4, 5], [0, 2, 4], [5]],
+    ["C", "C", "C", "C", "D", "D", "D"],
+    n_items=6,
+)
+
+#: The same rows with item 0 in every positive row: at minsup 4 the
+#: root keeps item 0 alone, and its rows are the root's intersection.
+_ONE_ITEM_KEPT = ItemizedDataset.from_lists(
+    [[0, 1], [0, 2, 3], [0, 4, 5], [0, 1, 3], [0, 1, 2, 3, 4, 5], [2, 4],
+     [5]],
+    ["C", "C", "C", "C", "D", "D", "D"],
+    n_items=6,
+)
+
+
 @pytest.mark.parametrize("reference", [False, True])
 @given(
     data=st.one_of(
@@ -162,12 +183,17 @@ def test_fast_walk_matches_on_larger_tables(seed):
     minsup=st.integers(min_value=0, max_value=4),
     minconf=st.sampled_from([0.0, 0.5]),
 )
+@example(data=_NO_ITEM_KEPT, minsup=4, minconf=0.0)
+@example(data=_ONE_ITEM_KEPT, minsup=4, minconf=0.0)
 def test_walk_never_emits_an_empty_antecedent(reference, data, minsup, minconf):
     """Step 7's store chains groups by lowest item and has no chain for
     an empty antecedent: no walk emits one, under any pruning set (with
     Pruning 2 off an upper bound is reached again) or engine, on tables
-    with empty rows and items no row holds.  At most ten rows: with
-    every pruning off the walk visits up to ``2**n`` nodes."""
+    with empty rows and items no row holds, from the filtered root and
+    from the unfiltered one.  A root that keeps no item is no root at
+    all (``root_state`` is ``None``; an itemless root would emit
+    ``I(∅) = ∅``).  At most ten rows: with every pruning off the walk
+    visits up to ``2**n`` nodes."""
     table = TransposedTable.build(data, "C")
     if not table.n or not table.item_masks:
         return
@@ -178,13 +204,19 @@ def test_walk_never_emits_an_empty_antecedent(reference, data, minsup, minconf):
         )
         candidates = _walk(ctx, table, None, per_node=False)[0]
         assert all(candidate.item_ids for candidate in candidates)
+        with unfiltered_root():
+            candidates = _walk(ctx, table, None, per_node=False)[0]
+        assert all(candidate.item_ids for candidate in candidates)
 
 
 def _progress_matches_preemption(table, quantum):
     ctx = SearchContext.for_table(
         table, Constraints(minsup=2), PRUNING_SUBSETS[0]
     )
-    root = [(FRONTIER_STATE, ctx.root_state(table))]
+    root_state = ctx.root_state(table)
+    if root_state is None:
+        return False
+    root = [(FRONTIER_STATE, root_state)]
 
     expected = []
     counters, candidates = NodeCounters(), []

@@ -209,6 +209,13 @@ class TestJobSpecValidation:
                 {"dataset": "LC", "workers": 2, "checkpoint_every": 2},
                 "checkpoint_every",
             ),
+            # A quantum without stealing would be silently ignored.
+            ({"dataset": "LC", "workers": 2, "steal_quantum": 5}, "steal_quantum"),
+            (
+                {"dataset": "LC", "workers": 2, "steal": False,
+                 "steal_quantum": 5},
+                "steal_quantum",
+            ),
         ],
     )
     def test_bad_spec_is_400_naming_the_field(self, payload, named):
@@ -217,6 +224,12 @@ class TestJobSpecValidation:
         assert excinfo.value.status == 400
         assert excinfo.value.code == "bad_request"
         assert named in str(excinfo.value)
+
+    def test_steal_quantum_with_steal_is_accepted(self):
+        spec = parse_job_spec(
+            {"dataset": "LC", "workers": 2, "steal": True, "steal_quantum": 5}
+        )
+        assert (spec.workers, spec.steal, spec.steal_quantum) == (2, True, 5)
 
     def test_defaults_mirror_farmer_mine(self):
         spec = parse_job_spec({"dataset": "LC"})

@@ -172,7 +172,9 @@ class TestAttach:
 
     def test_depth_one_units_rebuild_nothing(self, root, lc_small):
         _, table = lc_small
-        with _search(root, table, 11) as ctx:
+        # minsup 9: the root keeps the 42 items that can reach it, whose
+        # rows give the root 132 children (72 at minsup 11).
+        with _search(root, table, 9) as ctx:
             root_state = ctx.root_state(table)
             children = next(_frontiers(ctx, root_state, 1))
             attached = _assert_round_trip(root_state.table, children)

@@ -5,7 +5,13 @@ import dataclasses
 
 import pytest
 
-from conftest import HANDOFF_CUTOFFS, handoff, itemset_to_letters, random_dataset
+from conftest import (
+    HANDOFF_CUTOFFS,
+    handoff,
+    itemset_to_letters,
+    random_dataset,
+    unfiltered_root,
+)
 
 from repro import Constraints, Farmer, mine_irgs
 from repro.core.enumeration import NodeCounters, merge_counters
@@ -32,10 +38,12 @@ def _traced(run, paper_dataset, **kwargs):
 
 @pytest.fixture
 def full_trace(paper_dataset):
-    """Trace with all prunings disabled: the complete Figure 3 tree,
-    minus nodes cut by the implicit empty-I(X) rule."""
+    """Trace with all prunings and the root's class-support filter
+    disabled: the complete Figure 3 tree, minus nodes cut by the
+    implicit empty-I(X) rule."""
     miner = TracingFarmer(constraints=Constraints(minsup=1), prunings=())
-    miner.mine(paper_dataset, "C")
+    with unfiltered_root():
+        miner.mine(paper_dataset, "C")
     return miner.trace_root
 
 
