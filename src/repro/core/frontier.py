@@ -406,8 +406,10 @@ def cache_entries(
 #: memo is what makes steady-state re-mines sub-millisecond: the first
 #: query against an entry pays the disk read, JSON parse and decode,
 #: every later one starts from here.  A capture seeds the memo with
-#: the entry it just wrote.
-_entry_memo: "dict[tuple[str, int, int], tuple[Constraints, list[Candidate]]]" = {}
+#: the entry it just wrote.  Each value is ``(constraints, evals,
+#: built)``: ``built`` keeps the rule groups answers from the entry
+#: have built (:func:`_built_groups`).
+_entry_memo: "dict[tuple[str, int, int], tuple[Constraints, list[Candidate], dict]]" = {}
 
 #: Entries retained in :data:`_entry_memo` (FIFO beyond this).
 _MEMO_CAP = 4
@@ -420,17 +422,32 @@ def _memo_key(path: Path) -> tuple[str, int, int]:
 
 
 def _remember(
-    key: tuple[str, int, int], entry: tuple[Constraints, list[Candidate]]
-) -> None:
-    """Put one decoded entry in the memo, evicting the oldest."""
+    key: tuple[str, int, int], constraints: Constraints, evals: list[Candidate]
+) -> tuple[Constraints, list[Candidate], dict]:
+    """Put one decoded entry in the memo, evicting the oldest; returns
+    the memo's value for it."""
     while len(_entry_memo) >= _MEMO_CAP:
         del _entry_memo[next(iter(_entry_memo))]
-    _entry_memo[key] = entry
+    entry = _entry_memo[key] = (constraints, evals, {})
+    return entry
+
+
+def _built_groups(built: dict, table: TransposedTable) -> dict:
+    """The rule groups already built from one memo entry for ``table``,
+    by row mask, to hand to the answer's store (``_IRGStore.built``).
+
+    A group is a function of its candidate and of the table's
+    consequent and ORD-to-original row map; the fingerprint pins the
+    candidates but not the row map (two row orders can share ORD
+    masks), so the groups are kept per ``(consequent,
+    ord_to_original)``.
+    """
+    return built.setdefault((table.consequent, table.ord_to_original), {})
 
 
 def _load_entry_cached(
     path: Path, fingerprint: str
-) -> tuple[Constraints, list[Candidate]]:
+) -> tuple[Constraints, list[Candidate], dict]:
     """:func:`load_entry` with the in-process memo in front.
 
     Args:
@@ -438,9 +455,10 @@ def _load_entry_cached(
         fingerprint: the expected dataset fingerprint.
 
     Returns:
-        ``(constraints, evals)`` — the entry's capture thresholds and
-        its decoded evaluation sequence, shared across queries (treat
-        as read-only).
+        ``(constraints, evals, built)`` — the entry's capture thresholds,
+        its decoded evaluation sequence and the groups built from it
+        (:func:`_built_groups`), shared across queries (treat the
+        sequence as read-only).
 
     Raises:
         DataError: as :func:`load_entry`.
@@ -451,9 +469,7 @@ def _load_entry_cached(
     if hit is not None:
         return hit
     payload = load_entry(path, fingerprint)
-    entry = (payload["constraints"], payload["evals"])
-    _remember(key, entry)
-    return entry
+    return _remember(key, payload["constraints"], payload["evals"])
 
 
 # ----------------------------------------------------------------------
@@ -522,18 +538,18 @@ def warm_mine_table(
         return store, counters, False
 
     fingerprint = frontier_fingerprint(table, miner.prunings)
-    entries: list[tuple[Path, Constraints, list[Candidate]]] = []
+    entries: list[tuple[Path, Constraints, list[Candidate], dict]] = []
     corrupt = 0
     with _phase(telemetry, "plan"):
         for path in sorted(
             directory.glob(f"{fingerprint[:20]}-*{FRONTIER_SUFFIX}")
         ):
             try:
-                cached, evals = _load_entry_cached(path, fingerprint)
+                cached, evals, built = _load_entry_cached(path, fingerprint)
             except (DataError, UsageError):
                 corrupt += 1
                 continue
-            entries.append((path, cached, evals))
+            entries.append((path, cached, evals, built))
 
     covering = [entry for entry in entries if _covers(entry[1], constraints)]
     if not covering:
@@ -543,9 +559,10 @@ def warm_mine_table(
         )
         return store, counters, truncated
 
-    path, _cached, evals = min(
+    path, _cached, evals, built = min(
         covering, key=lambda entry: (len(entry[2]), entry[0].name)
     )
+    store.built = _built_groups(built, table)
     with _phase(telemetry, "filter"):
         satisfying = [
             candidate
@@ -617,7 +634,8 @@ def _answer_by_capture(
         path = entry_path(directory, fingerprint, constraints)
         with _phase(telemetry, "persist"):
             _save_entry(path, fingerprint, constraints, evals, counters.nodes)
-        _remember(_memo_key(path), (constraints, evals))
+        _, _, built = _remember(_memo_key(path), constraints, evals)
+        store.built = _built_groups(built, table)
     _replay(evals, store, counters)
     if telemetry is not None:
         telemetry.event(

@@ -94,8 +94,20 @@ class CondTableProtocol(Protocol):
     def __len__(self) -> int:
         ...
 
-    def extend(self, row_bit: int) -> "CondTableProtocol":
-        """The child table ``TT|X∪{r}``, scanned (Lemma 3.3 + scan)."""
+    def extend(
+        self, row_bit: int, region: int = 0, minsup: int = 0
+    ) -> "CondTableProtocol":
+        """The child table ``TT|X∪{r}``, scanned (Lemma 3.3 + scan).
+
+        Args:
+            row_bit: the one-bit mask of the row ``r``.
+            region: the rows the class-support filter counts.
+            minsup: keep only the items holding at least this many rows
+                of ``region``; ``0`` keeps every item holding ``r``.
+
+        Returns:
+            The scanned child table, in this table's item order.
+        """
         ...
 
     def max_overlap(self, cand_mask: int) -> int:
@@ -290,17 +302,39 @@ class CondTable:
         _check_rows(union, full_mask)
         return cls(keys, inter, union, full_mask, False)
 
-    def extend(self, row_bit: int) -> "CondTable":
+    def extend(
+        self, row_bit: int, region: int = 0, minsup: int = 0
+    ) -> "CondTable":
         """The child table ``TT|X∪{r}`` (Lemma 3.3), scanned.
 
-        One filter keeps the keys whose mask contains ``row_bit``, and
-        one AND/OR pass over the survivors gives the child's
-        intersection and union.  Order (and with it the ranking) is
-        preserved by filtering.  ``row_bit`` is one of the table's rows,
-        below ``full.bit_length()``, so it never meets an item id's bits.
+        One filter keeps the keys whose mask contains ``row_bit`` and,
+        when ``minsup`` is set, at least ``minsup`` rows of ``region``
+        (FARMER's per-node class-support filter,
+        :attr:`~repro.core.farmer.SearchContext.item_floor`), and one
+        AND/OR pass over the survivors gives the child's intersection
+        and union.  Order (and with it the ranking) is preserved by
+        filtering.  ``row_bit`` and ``region`` hold the table's rows
+        only, below ``full.bit_length()``, so they never meet an item
+        id's bits.
+
+        Args:
+            row_bit: the one-bit mask of the row ``r``.
+            region: the rows the class-support filter counts.
+            minsup: keep only the keys holding at least this many rows
+                of ``region``; ``0`` keeps every key holding ``r``.
+
+        Returns:
+            The ranked-as-its-parent child :class:`CondTable`.
         """
         full = self.full
-        keys = [key for key in self.keys if key & row_bit]
+        if minsup:
+            keys = [
+                key
+                for key in self.keys
+                if key & row_bit and (key & region).bit_count() >= minsup
+            ]
+        else:
+            keys = [key for key in self.keys if key & row_bit]
         inter = full
         union = 0
         for key in keys:

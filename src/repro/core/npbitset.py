@@ -295,27 +295,46 @@ class NumpyCondTable:
         union = unpack_words(np.bitwise_or.reduce(words, axis=0))
         return cls(data, width, inter, union, full_mask, item_masks)
 
-    def extend(self, row_bit: int) -> "NumpyCondTable | CondTable":
+    def extend(
+        self, row_bit: int, region: int = 0, minsup: int = 0
+    ) -> "NumpyCondTable | CondTable":
         """The child table ``TT|X∪{r}`` — one selection, one fused scan.
 
         The packed mirror of :meth:`repro.core.kernel.CondTable.extend`:
         select the items whose mask contains the row (one
         :func:`np.compress` over columns; a nonzero AND result is the
-        membership test), then AND/OR-reduce the survivors' contiguous
-        word rows for the child's intersection and union.  Order is
-        preserved by the selection.  A child with fewer than
-        :data:`HANDOFF_ITEMS` items is returned as the equivalent int-mask
-        :class:`~repro.core.kernel.CondTable`, gathered by item id from
-        :attr:`item_masks`.
+        membership test) and, when ``minsup`` is set, that hold at least
+        ``minsup`` rows of ``region`` (one batched popcount over the
+        words below ``region``'s highest row, which for FARMER's
+        positive-row regions are the first ``ceil(m / 64)``), then
+        AND/OR-reduce the survivors' contiguous word rows for the
+        child's intersection and union.  Order is preserved by the
+        selection.  A child with fewer than :data:`HANDOFF_ITEMS` items
+        (counted after the filter) is returned as the equivalent
+        int-mask :class:`~repro.core.kernel.CondTable`, gathered by item
+        id from :attr:`item_masks`.
+
+        Args:
+            row_bit: the one-bit mask of the row ``r``.
+            region: the rows the class-support filter counts.
+            minsup: keep only the items holding at least this many rows
+                of ``region``; ``0`` keeps every item holding ``r``.
+
+        Returns:
+            The child table, packed or handed off by its item count.
         """
         row = row_bit.bit_length() - 1
         word_index, bit_index = divmod(row, _WORD_BITS)
         data = self.data
+        keep = data[word_index] & np.uint64(1 << bit_index)
+        if minsup:
+            words = word_count(region.bit_length())
+            positive = pack_mask(region, words)[:, None]
+            counts = popcount_cols(data[:words] & positive)
+            keep = (counts >= minsup) & (keep != 0)
         # ndarray.compress, not np.compress: same op, no dispatch shim —
         # this is the hottest allocation on the packed side.
-        selected = data.compress(
-            data[word_index] & np.uint64(1 << bit_index), axis=1
-        )
+        selected = data.compress(keep, axis=1)
         width = self.width
         size = selected.shape[1]
         if not size:

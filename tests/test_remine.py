@@ -172,6 +172,38 @@ def test_irgs_bytes_identical(tmp_path):
         ), tag
 
 
+def test_repeated_answers_reuse_built_groups_per_row_order(tmp_path):
+    """A repeated warm answer returns the groups the first one built,
+    and a table whose ORD masks match but whose rows sit in another
+    original order (the same entry fingerprint) gets groups over its
+    own row ids: the cold mine's bytes, not the first table's."""
+    from repro.data.dataset import ItemizedDataset
+
+    rows = [[0], [1], [0, 1], [1]]
+    first = ItemizedDataset.from_lists(rows, ["C", "C", "D", "D"], n_items=2)
+    # The same rows in ORD, with a negative row moved between the two
+    # positive ones.
+    moved = ItemizedDataset.from_lists(
+        [rows[0], rows[2], rows[1], rows[3]], ["C", "D", "C", "D"], n_items=2
+    )
+    cache = str(tmp_path / "cache")
+    _mine(first, (1, 0.0, 0.0), warm_cache=cache)
+    once = _mine(first, (1, 0.0, 0.0), warm_cache=cache)
+    again = _mine(first, (1, 0.0, 0.0), warm_cache=cache)
+    assert once.groups and all(
+        a is b for a, b in zip(once.groups, again.groups)
+    )
+    warm = _mine(moved, (1, 0.0, 0.0), warm_cache=cache)
+    assert warm.counters.nodes == 0  # answered from the first entry
+    cold = _mine(moved, (1, 0.0, 0.0))
+    assert [group.rows for group in warm.groups] != [
+        group.rows for group in once.groups
+    ]
+    assert _irgs_bytes(warm, tmp_path, "warm") == _irgs_bytes(
+        cold, tmp_path, "cold"
+    )
+
+
 def test_warm_cache_rejects_checkpoint_knobs(tmp_path):
     """The warm path plans its own work — node budgets are incompatible
     and rejected at construction; shard checkpointing no longer exists,
@@ -224,12 +256,13 @@ def test_candidate_from_row_refuses_an_empty_antecedent():
 #: part of the on-disk format: a drift here strands every existing
 #: cache even if warm answers still match cold ones.  The root's
 #: class-support filter moved only ``stats.nodes`` (31,191 -> 7,119 and
-#: 50,016 -> 17,953); ``evals`` kept every byte, and
-#: ``tests/test_root_filter.py`` checks that entries written before it
-#: still answer tightened queries.
+#: 50,016 -> 17,953), and so did the per-node filter below it (7,119 ->
+#: 2,447 and 17,953 -> 5,765); ``evals`` kept every byte, and
+#: ``tests/test_root_filter.py`` and ``tests/test_node_filter.py`` check
+#: that entries written before them still answer tightened queries.
 FRONTIER_ENTRY_SHA256 = {
-    9: "1657e0b97a935bcff360f1546961edd7f425ba27a8e44d97d61a12cd46794372",
-    8: "28c1ab9af494f6b055a8d7c711c2c1e6cda08ddd1c9f47fc8c2419851e85bd64",
+    9: "2ec3d4d20f435b626efefdae48a234c4cb553f3edf35d20e797989135811ded8",
+    8: "a5264933b7acfc1393fb21e854e0109732f2083ced9c5a95179cdb1a5347ebb6",
 }
 
 

@@ -197,14 +197,18 @@ def test_walk_never_emits_an_empty_antecedent(reference, data, minsup, minconf):
     table = TransposedTable.build(data, "C")
     if not table.n or not table.item_masks:
         return
+    constraints = Constraints(minsup=minsup, minconf=minconf)
     for prunings in PRUNING_SUBSETS:
         ctx = SearchContext.for_table(
-            table, Constraints(minsup=minsup, minconf=minconf), prunings,
-            reference=reference,
+            table, constraints, prunings, reference=reference
         )
         candidates = _walk(ctx, table, None, per_node=False)[0]
         assert all(candidate.item_ids for candidate in candidates)
+        # The seam reaches contexts built inside the block.
         with unfiltered_root():
+            ctx = SearchContext.for_table(
+                table, constraints, prunings, reference=reference
+            )
             candidates = _walk(ctx, table, None, per_node=False)[0]
         assert all(candidate.item_ids for candidate in candidates)
 
