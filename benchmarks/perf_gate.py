@@ -17,21 +17,9 @@ reference/production speedup at ``min_speedup * tolerance``.  The
 second (``"numpy"``, LC at ``NUMPY_SCALE``) pins the wide LC table the
 ``sharding`` row mines.
 
-The third, ``"handoff"``, is BC's Figure 10 grid at ``NUMPY_SCALE``,
-where the roots the class-support filter keeps are wide (209 to 13,494
-items) and the hand-off chooses packed words at the root and int masks
-below.  Beside production it times the same engine with its hand-off
-cutoff (:data:`repro.core.npbitset.HANDOFF_ITEMS`) forced to either
-end: every table as int masks (``int``) and every table packed
-(``packed``).  The three run in alternating order every round, so drift
-in the host's speed hits them alike.  The production engine must stay
-within ``HANDOFF_MAX_RATIO`` of the faster forced side at every point,
-and the sweep's production total must not exceed the smaller forced
-total — the hand-off must beat both representations it chooses
-between.  Both are checked on refresh and in ``--check``.  The LC
-sweeps time no forced side: every filtered LC root keeps fewer than
-``HANDOFF_ITEMS`` items, so production and the forced-int side would
-run the same code.
+The third, ``"bc"``, is BC's Figure 10 grid at ``NUMPY_SCALE``, where
+the roots the class-support filter keeps are wide (209 to 13,494
+items): production only, pinned like the other two.
 
 A fourth section, ``"steal"``, pins the work-stealing scheduler's
 tail-latency claim on a skewed point below the sweep: the same LC
@@ -72,11 +60,12 @@ beats serial at all).
 
 A seventh section, ``"prep"``, is measure-only too: best-of-N registry
 load, the equal-depth discretizer's ``fit`` and ``transform`` (timed
-apart), transpose and the production engine's root-table build for LC
-at ``PREP_SCALES`` — the two sweep scales and the paper's full width
-(12,533 genes, 125,330 items).  Each point pins :func:`repro.testing.prep.prep_sha256` of its
-discretized, transposed table, which ``--check`` compares exactly; its
-times have no floor.
+apart), transpose and the miner's root-table build
+(:meth:`~repro.core.kernel.CondTable.build` over every item; layer
+``root_table``) for LC at ``PREP_SCALES`` — the two sweep scales and
+the paper's full width (12,533 genes, 125,330 items).  Each point pins
+:func:`repro.testing.prep.prep_sha256` of its discretized, transposed
+table, which ``--check`` compares exactly; its times have no floor.
 
 An eighth section, ``"output"``, is measure-only as well: the
 per-group path after Step 7 at ``OUTPUT_POINTS`` (scale
@@ -92,12 +81,12 @@ pinned sweep at ``SCALE`` mined with ``SearchBudget(max_seconds=300)``
 ``CancellableBudget`` and with no budget, interleaved per point.  Each
 round's ratio comes from adjacent mines (a budgeted mine's time over the
 unbudgeted one's in the same round); a point's ratio is the median over
-its rounds (a point that reads above the bar is timed again, as a slow
-hand-off point is), and the sweep's is the median over its points.  The
-three must agree on every point's node count and ``.irgs`` sha (fatal),
-and ``--check`` fails if either budget's sweep ratio exceeds
-``BUDGET_MAX_RATIO``: the walk charges a budget once per chunk of nodes,
-so limits must cost next to nothing.
+its rounds (a point that reads above the bar is timed again), and the
+sweep's is the median over its points.  The three must agree on every
+point's node count and ``.irgs`` sha (fatal), and ``--check`` fails if
+either budget's sweep ratio exceeds ``BUDGET_MAX_RATIO``: the walk
+charges a budget once per chunk of nodes, so limits must cost next to
+nothing.
 
 A tenth section, ``"cli"``, is measure-only: whole ``farmer``
 processes, as a user runs one query.  Best-of-N ``python -c "import
@@ -145,13 +134,12 @@ import sys
 import threading
 import time
 import urllib.request
-from contextlib import contextmanager
 from pathlib import Path
 
-from repro.core import npbitset
 from repro.core.constraints import Constraints
 from repro.core.enumeration import SearchBudget
 from repro.core.farmer import Farmer
+from repro.core.kernel import CondTable
 from repro.core.serialize import save_rule_groups
 from repro.data.discretize import EqualDepthDiscretizer
 from repro.data.registry import PAPER_DATASETS, load
@@ -178,28 +166,17 @@ TOLERANCE = 0.6
 #: dilutes the ratios being gated.
 NUMPY_SCALE = 0.2
 
-#: The hand-off sweep: BC's Figure 10 grid at ``NUMPY_SCALE`` (48,960
-#: items).  Its filtered roots keep 209, 1,326, 5,016 and 13,494 items,
-#: so production builds every root packed and hands off below it; the
-#: filtered LC roots keep 2-43 items, all int masks.
-HANDOFF_DATASET = "BC"
-HANDOFF_SWEEP = (9, 8, 7, 6)
-#: The hand-off sweep's point re-run sharded.
-HANDOFF_SHARDED_MINSUP = 8
+#: The BC sweep: BC's Figure 10 grid at ``NUMPY_SCALE`` (48,960 items).
+#: Its filtered roots keep 209, 1,326, 5,016 and 13,494 items, where the
+#: filtered LC roots keep 2-43.
+BC_DATASET = "BC"
+BC_SWEEP = (9, 8, 7, 6)
+#: The BC sweep's point re-run sharded.
+BC_SHARDED_MINSUP = 8
 
-#: The forced hand-off cutoffs the hand-off sweep times beside
-#: production.
-FORCED_CUTOFFS = {"int": 1 << 62, "packed": 0}
-#: The production engine's largest allowed ratio to the faster forced
-#: side at any one point (checked on refresh and in ``--check``).
-HANDOFF_MAX_RATIO = 1.15
 #: Production time a sweep point accumulates before its best-of-N
 #: settles (see :func:`_time_point`).
 MIN_POINT_SECONDS = 1.0
-#: Extra timings of a point that reads above ``HANDOFF_MAX_RATIO``: on a
-#: shared machine a burst of load can outlast a point's rounds, while a
-#: real regression reads high every time.
-HANDOFF_RETRIES = 2
 
 #: The serial-vs-sharded row: the wide sweep's hardest point, the
 #: ledger's largest, at two workers.
@@ -291,18 +268,6 @@ def _irgs_sha256(result, tmp_dir: Path, tag: str) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@contextmanager
-def _cutoff(items: int | None):
-    """Force the hand-off cutoff inside the block (``None``: as shipped)."""
-    saved = npbitset.HANDOFF_ITEMS
-    if items is not None:
-        npbitset.HANDOFF_ITEMS = items
-    try:
-        yield
-    finally:
-        npbitset.HANDOFF_ITEMS = saved
-
-
 def _mine(workload, minsup: int, n_workers: int | None = None, **knobs):
     miner = Farmer(
         constraints=Constraints(minsup=minsup), n_workers=n_workers, **knobs
@@ -333,13 +298,9 @@ def _sweep_table(scale: float, dataset: str = DATASET) -> TransposedTable:
     return TransposedTable.build(workload.data, workload.consequent)
 
 
-def _handoff_ratio(best: dict) -> float:
-    """Production's best time over the faster forced side's."""
-    return best["production"] / min(best[side] for side in FORCED_CUTOFFS)
-
-
 def _time_point(table, minsup: int, variants: dict, rounds: int, best: dict):
-    """Time every variant at one sweep point, lowering ``best`` in place.
+    """Time every variant (name -> ``engine=``) at one sweep point,
+    lowering ``best`` in place.
 
     Every round mines each variant once, in a fixed alternating order.
     Rounds repeat past ``rounds`` until production has spent
@@ -351,15 +312,14 @@ def _time_point(table, minsup: int, variants: dict, rounds: int, best: dict):
     spent = 0.0
     done = 0
     while done < rounds or spent < MIN_POINT_SECONDS:
-        for name, (cutoff, engine) in variants.items():
+        for name, engine in variants.items():
             if engine == "reference" and done >= rounds:
                 continue
             # Collect first, so no variant pays for another's garbage.
             gc.collect()
-            with _cutoff(cutoff):
-                start = time.perf_counter()
-                results[name] = _mine_prebuilt(table, minsup, engine=engine)
-                seconds = time.perf_counter() - start
+            start = time.perf_counter()
+            results[name] = _mine_prebuilt(table, minsup, engine=engine)
+            seconds = time.perf_counter() - start
             best[name] = min(best[name], seconds)
             if name == "production":
                 spent += seconds
@@ -376,34 +336,19 @@ def run_engine_sweep(
     sweep: tuple = MINSUP_SWEEP,
     sharded_minsup: int = SHARDED_MINSUP,
     reference: bool = False,
-    forced: bool = False,
 ) -> dict:
     """One minsup sweep of production (with the reference oracle when
-    ``reference``, both forced hand-off sides when ``forced``),
-    byte-identity fatal.
-
-    Each point is timed by :func:`_time_point`; with ``forced``, a
-    point whose production time reads above ``HANDOFF_MAX_RATIO`` is
-    timed again, up to ``HANDOFF_RETRIES`` times, every variant keeping
-    its best round over all of them.
-    """
+    ``reference``), byte-identity fatal; each point is timed by
+    :func:`_time_point`."""
     table = _sweep_table(scale, dataset)
-    variants = {"production": (None, None)}
-    if forced:
-        variants.update(
-            (side, (cutoff, None)) for side, cutoff in FORCED_CUTOFFS.items()
-        )
+    variants = {"production": None}
     if reference:
-        variants["reference"] = (None, "reference")
+        variants["reference"] = "reference"
     points = []
     totals = dict.fromkeys(variants, 0.0)
     for minsup in sweep:
         best = dict.fromkeys(variants, float("inf"))
         results = _time_point(table, minsup, variants, rounds, best)
-        for _ in range(HANDOFF_RETRIES if forced else 0):
-            if _handoff_ratio(best) <= HANDOFF_MAX_RATIO:
-                break
-            _time_point(table, minsup, variants, rounds, best)
         production = results["production"]
         sha = _irgs_sha256(production, tmp_dir, f"{scale}-{minsup}")
         for name, result in results.items():
@@ -429,8 +374,6 @@ def run_engine_sweep(
                 production.counters.nodes / best["production"]
             ),
         }
-        if forced:
-            point["handoff_ratio"] = round(_handoff_ratio(best), 3)
         for name in variants:
             point[f"{name}_seconds"] = round(best[name], 4)
         if reference:
@@ -456,9 +399,6 @@ def run_engine_sweep(
         "sharded_minsup": sharded_minsup,
         "points": points,
     }
-    if forced:
-        payload["handoff_items"] = npbitset.HANDOFF_ITEMS
-        payload["max_handoff_ratio"] = HANDOFF_MAX_RATIO
     for name, total in totals.items():
         payload[f"{name}_seconds"] = round(total, 4)
     if reference:
@@ -536,9 +476,7 @@ def run_prep_row(rounds: int) -> dict:
             stamps.append(time.perf_counter())
             table = TransposedTable.build(data, consequent)
             stamps.append(time.perf_counter())
-            npbitset.root_table(
-                table.item_masks, table.all_rows_mask, table.packed_words
-            )
+            CondTable.build(table.item_masks, table.all_rows_mask)
             stamps.append(time.perf_counter())
             for layer, start, end in zip(PREP_LAYERS, stamps, stamps[1:]):
                 best[layer] = min(best[layer], end - start)
@@ -1170,7 +1108,7 @@ def diff_report(sections: dict, baseline: dict) -> str:
 
     Args:
         sections: fresh payloads keyed by section name (``core``,
-            ``numpy``, ``handoff``, ``steal``, ``remine``, ``sharding``,
+            ``numpy``, ``bc``, ``steal``, ``remine``, ``sharding``,
             ``prep``, ``output``, ``budget``, ``cli``).
         baseline: the committed ``BENCH_core.json`` payload.
 
@@ -1224,29 +1162,6 @@ def check_steal(payload: dict, baseline: dict) -> list[str]:
             f"below the {floor}x floor (static tail "
             f"{payload['static_tail_seconds']}s vs steal tail "
             f"{payload['steal_tail_seconds']}s)"
-        )
-    return failures
-
-
-def handoff_failures(payload: dict, label: str = "") -> list[str]:
-    """The hand-off speed failures of one fresh sweep: a point where
-    production is slower than ``max_handoff_ratio`` times the faster
-    forced side, or a production total above either forced total."""
-    prefix = f"{label}: " if label else ""
-    ratio = payload["max_handoff_ratio"]
-    failures = [
-        f"{prefix}minsup={point['minsup']}: production "
-        f"{point['production_seconds']}s is {point['handoff_ratio']}x the "
-        f"faster forced side (int {point['int_seconds']}s, packed "
-        f"{point['packed_seconds']}s), above {ratio}x"
-        for point in payload["points"]
-        if point["handoff_ratio"] > ratio
-    ]
-    forced = min(payload[f"{side}_seconds"] for side in FORCED_CUTOFFS)
-    if payload["production_seconds"] > forced:
-        failures.append(
-            f"{prefix}production total {payload['production_seconds']}s "
-            f"exceeds the smaller forced total {forced}s"
         )
     return failures
 
@@ -1335,14 +1250,13 @@ def main(argv: list[str] | None = None) -> int:
             SCALE, args.rounds, Path(tmp), reference=True
         )
         numpy_payload = run_engine_sweep(NUMPY_SCALE, args.rounds, Path(tmp))
-        handoff_payload = run_engine_sweep(
+        bc_payload = run_engine_sweep(
             NUMPY_SCALE,
             args.rounds,
             Path(tmp),
-            dataset=HANDOFF_DATASET,
-            sweep=HANDOFF_SWEEP,
-            sharded_minsup=HANDOFF_SHARDED_MINSUP,
-            forced=True,
+            dataset=BC_DATASET,
+            sweep=BC_SWEEP,
+            sharded_minsup=BC_SHARDED_MINSUP,
         )
         steal_payload = run_steal_sweep(args.rounds, Path(tmp))
         remine_payload = run_remine_sweep(args.rounds, Path(tmp))
@@ -1354,27 +1268,22 @@ def main(argv: list[str] | None = None) -> int:
     sweeps = (
         ("", payload),
         ("numpy ", numpy_payload),
-        ("handoff ", handoff_payload),
+        ("bc ", bc_payload),
     )
     for label, sweep in sweeps:
         variants = [
             name
-            for name in ("production", *FORCED_CUTOFFS, "reference")
+            for name in ("production", "reference")
             if f"{name}_seconds" in sweep
         ]
         for point in sweep["points"]:
             times = "  ".join(
                 f"{name}={point[f'{name}_seconds']:.3f}s" for name in variants
             )
-            ratio = (
-                f"  ratio={point['handoff_ratio']:.2f}"
-                if "handoff_ratio" in point
-                else ""
-            )
             print(
                 f"{label}minsup={point['minsup']:>3}  "
                 f"nodes={point['nodes']:>7}  groups={point['groups']:>5}  "
-                f"{times}{ratio}"
+                f"{times}"
             )
         print(
             f"{label}totals: "
@@ -1460,7 +1369,7 @@ def main(argv: list[str] | None = None) -> int:
                 {
                     "core": payload,
                     "numpy": numpy_payload,
-                    "handoff": handoff_payload,
+                    "bc": bc_payload,
                     "steal": steal_payload,
                     "remine": remine_payload,
                     "sharding": sharding_payload,
@@ -1481,13 +1390,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"REFUSING to commit a baseline below {MIN_SPEEDUP}x "
                 "aggregate speedup — run on a quieter machine or fix the "
                 "engine first",
-                file=sys.stderr,
-            )
-            return 1
-        slow_handoff = handoff_failures(handoff_payload, "handoff")
-        if slow_handoff:
-            print(
-                "REFUSING to commit a baseline: " + "; ".join(slow_handoff),
                 file=sys.stderr,
             )
             return 1
@@ -1533,7 +1435,7 @@ def main(argv: list[str] | None = None) -> int:
             if "obs_overhead" in previous:
                 payload["obs_overhead"] = previous["obs_overhead"]
         payload["numpy"] = numpy_payload
-        payload["handoff"] = handoff_payload
+        payload["bc"] = bc_payload
         payload["steal"] = steal_payload
         payload["remine"] = remine_payload
         payload["sharding"] = sharding_payload
@@ -1551,8 +1453,7 @@ def main(argv: list[str] | None = None) -> int:
     baseline = json.loads(args.baseline.read_text(encoding="utf-8"))
     failures = check(payload, baseline)
     failures.extend(check(numpy_payload, baseline["numpy"], "numpy"))
-    failures.extend(check(handoff_payload, baseline["handoff"], "handoff"))
-    failures.extend(handoff_failures(handoff_payload, "handoff"))
+    failures.extend(check(bc_payload, baseline["bc"], "bc"))
     failures.extend(
         check_sharding(sharding_payload, baseline["sharding"], numpy_payload)
     )

@@ -16,9 +16,8 @@ Per-module walks catch local violations; the whole-program phase
 (:mod:`~repro.analysis.project` + :mod:`~repro.analysis.dataflow`)
 builds a symbol table and over-approximate call graph over every linted
 module, then tracks nondeterminism taint across call boundaries
-(FRM009), checks registered engines structurally against the
-``CondTableProtocol`` seam (FRM010), and inherits hot-path purity
-bottom-up over the call graph (FRM011).
+(FRM009) and inherits hot-path purity bottom-up over the call graph
+(FRM011).
 
 Layout:
 
@@ -31,7 +30,8 @@ Layout:
 * :mod:`~repro.analysis.cache` — the mtime-keyed AST/findings cache;
 * :mod:`~repro.analysis.baseline` — the committed grandfather file;
 * :mod:`~repro.analysis.reporters` — text, JSON and SARIF output;
-* :mod:`~repro.analysis.rules` — the FRM001..FRM012 rule set;
+* :mod:`~repro.analysis.rules` — the FRM001..FRM012 rule set (FRM010
+  retired);
 * :mod:`~repro.analysis.options` — the ``farmer lint`` flags, a leaf
   the ``farmer`` parser imports;
 * :mod:`~repro.analysis.cli` — the ``farmer lint`` entry point.

@@ -152,11 +152,6 @@ class ClassInfo:
         node: the ``ast.ClassDef``.
         bases: dotted base-class names as written.
         methods: bare method name -> :class:`FunctionInfo`.
-        properties: names defined with ``@property`` (or setters).
-        slots: names declared in ``__slots__`` (when a literal).
-        class_attrs: names assigned or annotated in the class body.
-        instance_attrs: names assigned as ``self.X`` in any method.
-        is_protocol: whether a base is (typing.)``Protocol``.
     """
 
     name: str
@@ -164,11 +159,6 @@ class ClassInfo:
     node: ast.ClassDef = field(repr=False)
     bases: tuple[tuple[str, ...], ...] = ()
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
-    properties: frozenset[str] = frozenset()
-    slots: frozenset[str] = frozenset()
-    class_attrs: frozenset[str] = frozenset()
-    instance_attrs: frozenset[str] = frozenset()
-    is_protocol: bool = False
 
     @property
     def display(self) -> str:
@@ -352,28 +342,6 @@ class PackageIndex:
                 if isinstance(base, ClassInfo):
                     stack.append(base)
         return None
-
-    def class_members(self, cls: ClassInfo) -> tuple[dict[str, FunctionInfo], frozenset[str], frozenset[str]]:
-        """``(methods, properties, attributes)`` of a class incl. bases."""
-        methods: dict[str, FunctionInfo] = {}
-        properties: set[str] = set()
-        attrs: set[str] = set()
-        seen: set[str] = set()
-        stack = [cls]
-        while stack:
-            current = stack.pop(0)
-            if current.display in seen:
-                continue
-            seen.add(current.display)
-            for name, fn in current.methods.items():
-                methods.setdefault(name, fn)
-            properties |= current.properties
-            attrs |= current.slots | current.class_attrs | current.instance_attrs
-            for base_parts in current.bases:
-                base = self.resolve_in_module(current.module, base_parts)
-                if isinstance(base, ClassInfo):
-                    stack.append(base)
-        return methods, frozenset(properties), frozenset(attrs)
 
     def resolve_class_name(self, name: str) -> ClassInfo | None:
         """A class by bare name, when exactly one module defines it."""
@@ -569,68 +537,16 @@ def _annotation_parts(node: ast.expr) -> tuple[str, ...]:
 def _class_info(node: ast.ClassDef, module: ModuleInfo) -> ClassInfo:
     """Build the member inventory of one class."""
     methods: dict[str, FunctionInfo] = {}
-    properties: set[str] = set()
-    slots: set[str] = set()
-    class_attrs: set[str] = set()
-    instance_attrs: set[str] = set()
     for item in node.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            fn = _function_info(item, module, class_name=node.name)
-            methods[item.name] = fn
-            names = {d.rsplit(".", 1)[-1] for d in fn.decorators}
-            if "property" in names or "cached_property" in names or "setter" in names:
-                properties.add(item.name)
-            for inner in ast.walk(item):
-                if (
-                    isinstance(inner, (ast.Assign, ast.AnnAssign, ast.AugAssign))
-                ):
-                    targets = (
-                        inner.targets
-                        if isinstance(inner, ast.Assign)
-                        else [inner.target]
-                    )
-                    for target in targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            instance_attrs.add(target.attr)
-        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-            class_attrs.add(item.target.id)
-        elif isinstance(item, ast.Assign):
-            for target in item.targets:
-                if isinstance(target, ast.Name):
-                    class_attrs.add(target.id)
-                    if target.id == "__slots__":
-                        slots |= _literal_strings(item.value)
-    bases = tuple(p for b in node.bases if (p := dotted_parts(b)))
-    is_protocol = any(p[-1] == "Protocol" for p in bases)
+            methods[item.name] = _function_info(item, module, class_name=node.name)
     return ClassInfo(
         name=node.name,
         module=module,
         node=node,
-        bases=bases,
+        bases=tuple(p for b in node.bases if (p := dotted_parts(b))),
         methods=methods,
-        properties=frozenset(properties),
-        slots=frozenset(slots),
-        class_attrs=frozenset(class_attrs),
-        instance_attrs=frozenset(instance_attrs),
-        is_protocol=is_protocol,
     )
-
-
-def _literal_strings(node: ast.expr) -> set[str]:
-    """String elements of a literal tuple/list/set, else empty."""
-    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        return {
-            e.value
-            for e in node.elts
-            if isinstance(e, ast.Constant) and isinstance(e.value, str)
-        }
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return {node.value}
-    return set()
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The farmer-lint rule catalogue (FRM001..FRM012).
+"""The farmer-lint rule catalogue (FRM001..FRM012; FRM010 is retired).
 
 Adding a rule: subclass :class:`repro.analysis.base.Rule` in a module
 here, give it a fresh ``FRM0xx`` id, and append the class to
@@ -10,7 +10,6 @@ rule with bad/good examples.
 from __future__ import annotations
 
 from ..base import Rule
-from .conformance import EngineConformanceRule
 from .determinism import NondeterministicIterationRule, NondeterminismSourceRule
 from .discipline import BitsetDisciplineRule
 from .docstrings import DocstringSectionsRule
@@ -34,7 +33,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     PersistenceDisciplineRule,
     DocstringSectionsRule,
     NondeterminismTaintRule,
-    EngineConformanceRule,
     HotPathPurityRule,
     RawWriteSurfaceRule,
 )

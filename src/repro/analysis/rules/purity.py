@@ -106,9 +106,6 @@ class HotPathPurityRule(Rule):
         ("core/kernel.py", "CondTable.observed_max_overlap"),
         ("core/farmer.py", "enumerate_frontier"),
         ("core/farmer.py", "_child_state"),
-        ("core/npbitset.py", "NumpyCondTable.extend"),
-        ("core/npbitset.py", "NumpyCondTable.max_overlap"),
-        ("core/npbitset.py", "NumpyCondTable.observed_max_overlap"),
     )
 
     def finish_project(self, project: ProjectIndex) -> Iterator[Finding]:

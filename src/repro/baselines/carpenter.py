@@ -16,9 +16,8 @@ Support here is a plain row count; results match CHARM / CLOSET+ /
 the brute-force oracle exactly (tests pin this three-way agreement).
 
 The traversal runs on FARMER's production tables
-(:func:`repro.core.npbitset.root_table`: packed words while the table is
-wide, the kernel's int masks once it is narrow): a node's conditional
-table is carried lazily as (parent table, row bit) and materialized with
+(:class:`repro.core.kernel.CondTable`): a node's conditional table is
+carried lazily as (parent table, row bit) and materialized with
 ``extend``, which builds the child table *and* its intersection/union in
 one pass — halving the per-node table walks of the original
 extend-then-scan loop.  Item order inside a table is support-sorted (a
@@ -28,13 +27,13 @@ order-identical to before.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..core import bitset
 from ..core.enumeration import SearchBudget
-from ..core.kernel import CondTableProtocol
-from ..core.npbitset import root_table
+from ..core.kernel import CondTable
 from ..data.dataset import ItemizedDataset
 from ..errors import ConstraintError
 from .charm import ClosedItemset
@@ -92,19 +91,15 @@ class Carpenter:
         if self._n and dataset.n_items:
             old_limit = sys.getrecursionlimit()
             sys.setrecursionlimit(max(old_limit, self._n * 4 + 1000))
+            phase = (
+                nullcontext()
+                if self.telemetry is None
+                else self.telemetry.phase("search")
+            )
             try:
-                if self.telemetry is not None:
-                    with self.telemetry.phase("search"):
-                        self._visit(
-                            table=root_table(item_masks, self._all_rows),
-                            row_bit=0,
-                            x_mask=0,
-                            cand=self._all_rows,
-                            p1_removed=0,
-                        )
-                else:
+                with phase:
                     self._visit(
-                        table=root_table(item_masks, self._all_rows),
+                        table=CondTable.build(item_masks, self._all_rows),
                         row_bit=0,
                         x_mask=0,
                         cand=self._all_rows,
@@ -136,7 +131,7 @@ class Carpenter:
 
     def _visit(
         self,
-        table: CondTableProtocol,
+        table: CondTable,
         row_bit: int,
         x_mask: int,
         cand: int,

@@ -58,11 +58,10 @@ lists into an in-memory transposed table; we use the bitset equivalent):
   the parent, and on the paper's workloads the large majority of nodes
   are loose-pruned and never get a table, a state object or a frame.
   The production engine builds a surviving node's table and scan in one
-  fused pass and evaluates each node's bounds inline on its counts.  Its
-  tables are packed uint64 columns while ``TT|X`` is wide and the
-  kernel's keyed int masks, with early-exiting bound scans on the
-  support-sorted order, once it is narrow
-  (:data:`~repro.core.npbitset.HANDOFF_ITEMS`).
+  fused pass and evaluates each node's bounds inline on its counts.
+  Every table is the kernel's keyed int masks
+  (:class:`~repro.core.kernel.CondTable`) in support-sorted order,
+  whose bound scans exit early.
   ``engine="reference"`` keeps the pre-kernel cost model for
   differential tests and the perf gate: the dataset's item order, every
   visited node's table built before its Step-2 bound and full bound
@@ -85,9 +84,8 @@ from . import bitset
 from .bounds import chi_bound, confidence_bound
 from .constraints import Constraints
 from .enumeration import NodeCounters, SearchBudget
-from .kernel import CondTable, CondTableProtocol, ScanStats
+from .kernel import CondTable, ScanStats
 from .minelb import attach_lower_bounds
-from .npbitset import pack_mask, popcount_words, root_table, word_count
 from .rulegroup import RuleGroup
 
 if TYPE_CHECKING:
@@ -147,10 +145,8 @@ class NodeState(NamedTuple):
     node never pays for it.  :meth:`resolve` materializes it on demand.
 
     Attributes:
-        table: the node's conditional table (any
-            :class:`~repro.core.kernel.CondTableProtocol`
-            representation) when ``row_bit == 0``, else the parent's;
-            ``None`` in the detached wire form.
+        table: the node's conditional table when ``row_bit == 0``,
+            else the parent's; ``None`` in the detached wire form.
         row_bit: the bit of the row that extended the parent into this
             node (``0`` at the root of a traversal).
         x_mask: the row combination ``X`` as an ORD-position bitset.
@@ -162,7 +158,7 @@ class NodeState(NamedTuple):
         rm_is_positive: whether the most recently added row is positive.
     """
 
-    table: CondTableProtocol
+    table: CondTable
     row_bit: int
     x_mask: int
     cand_pos: int
@@ -172,7 +168,7 @@ class NodeState(NamedTuple):
     supn_in: int
     rm_is_positive: bool
 
-    def resolve(self, ctx: "SearchContext") -> CondTableProtocol:
+    def resolve(self, ctx: "SearchContext") -> CondTable:
         """This node's own conditional table, materialized if still lazy,
         as the walk builds it under ``ctx``."""
         return _node_table(
@@ -187,14 +183,14 @@ class NodeState(NamedTuple):
 
 
 def _node_table(
-    table: CondTableProtocol,
+    table: CondTable,
     row_bit: int,
     x_mask: int,
     p1_removed: int,
     cand_pos: int,
     positive_mask: int,
     floor: int,
-) -> CondTableProtocol:
+) -> CondTable:
     """A node's own ``TT|X`` from :class:`NodeState`'s fields: ``table``
     itself at a traversal's root (``row_bit == 0``), else the parent
     ``table`` extended by ``row_bit`` and kept to the items holding
@@ -341,8 +337,7 @@ class SearchContext:
         ``I(∅) = ∅``, so every caller skips the walk instead.
 
         The production engine builds the support-sorted, pre-scanned
-        root through :func:`~repro.core.npbitset.root_table` (packed
-        words or int masks by kept width, identical item order); the
+        root with :meth:`~repro.core.kernel.CondTable.build`; the
         reference engine keeps the dataset's item order, unranked, so
         its bound scans walk every tuple.
         """
@@ -352,16 +347,13 @@ class SearchContext:
         if not len(ids):
             return None
         masks = table.item_masks
-        cond: CondTableProtocol
+        held = ids.tolist()
         if self.reference:
-            held = ids.tolist()
             cond = CondTable.reference(
                 held, [masks[item] for item in held], table.all_rows_mask
             )
         else:
-            cond = root_table(
-                masks, table.all_rows_mask, table.packed_words, ids
-            )
+            cond = CondTable.build(masks, table.all_rows_mask, held)
         return NodeState(
             table=cond,
             row_bit=0,
@@ -394,10 +386,11 @@ def _root_items(table: TransposedTable, minsup: int) -> np.ndarray:
             count=len(table.item_masks),
         )
     else:
-        width = word_count(table.m)
-        counts = popcount_words(
-            words[:, :width] & pack_mask(table.positive_mask, width)
-        )
+        width = -(-table.m // 64)
+        positive = table.positive_mask.to_bytes(width * 8, "little")
+        counts = np.bitwise_count(
+            words[:, :width] & np.frombuffer(positive, dtype=np.uint64)
+        ).sum(axis=1, dtype=np.int64)
     return np.flatnonzero(counts >= minsup)
 
 
@@ -427,7 +420,7 @@ _PROGRESS_QUANTUM = 16384
 
 
 def _child_state(
-    table: CondTableProtocol,
+    table: CondTable,
     x_mask: int,
     new_pos: int,
     new_neg: int,
@@ -962,10 +955,13 @@ class _IRGStore:
     rows contain the candidate's.  A stored antecedent inside the
     candidate's contains its own lowest item, so the store chains its
     groups by lowest item id and walks only the chains of the
-    candidate's items.  No antecedent is empty: the walk's root holds
-    every item of a non-empty vocabulary, a child keeps its parent's
-    items that hold the child's row and Step 5 only visits rows some
-    item holds, and decoded candidates without items are refused
+    candidate's items.  No antecedent is empty: a root that keeps no
+    item skips the walk (:meth:`SearchContext.root_state`); a child
+    whose filtered table is empty is cut by Pruning 2, since its
+    intersection is every row, among them the skipped sibling rows
+    whose loss emptied it (with Pruning 2 off nothing below the root
+    is filtered, and Step 5 only visits rows some item holds); and
+    decoded candidates without items are refused
     (:func:`~repro.core.frontier.candidate_from_row`).  Each chain runs
     by confidence descending, so a walk stops at the first group below
     the candidate's confidence and only the qualifying prefix pays for

@@ -36,87 +36,27 @@ they become output, so the support-descending order changes *work*, never
 results — the differential suite pins byte-identical ``.irgs`` output
 against the reference shims and the brute-force oracle.
 
-:class:`CondTable` is the production engine's representation of a
-*narrow* table: wide ones are packed words
-(:class:`~repro.core.npbitset.NumpyCondTable`), which hand their narrow
-children over to this class (:data:`~repro.core.npbitset.HANDOFF_ITEMS`).
-Miners accept ``engine="reference"`` to run the pre-kernel cost model
-(every visited node's table built eagerly in the dataset's item order,
-unranked so bound scans are full) for differential testing and the
-committed perf gate (``benchmarks/perf_gate.py``).
+:class:`CondTable` is the one conditional-table representation: the
+production engine, CARPENTER and COBBLER hold ``TT|X`` in it at every
+depth, as Section 3.3 of the paper keeps one structure.  Miners accept
+``engine="reference"`` to run the pre-kernel cost model (every visited
+node's table built eagerly in the dataset's item order, unranked so
+bound scans are full) for differential testing and the committed perf
+gate (``benchmarks/perf_gate.py``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Sequence
 
 from ..errors import DataError
 from .enumeration import scan_items
 
 __all__ = [
     "CondTable",
-    "CondTableProtocol",
     "ScanStats",
     "ClosureCache",
 ]
-
-
-@runtime_checkable
-class CondTableProtocol(Protocol):
-    """The conditional-table seam both table representations implement.
-
-    :func:`repro.core.farmer.enumerate_frontier` (the one walk every
-    FARMER mine runs) and the baselines never touch a table's
-    representation — they consume exactly this surface, so a table is
-    free to store its tuples as keyed int masks (:class:`CondTable`) or packed
-    uint64 arrays (:class:`~repro.core.npbitset.NumpyCondTable`), and to
-    change from one to the other in :meth:`extend`, as long as the scan
-    results are plain ints and the item order matches the kernel's
-    support-descending build order (candidates must serialize
-    byte-identically whatever the representation).
-
-    Attributes:
-        inter: tuple intersection as an int row mask (``full`` when the
-            table is empty).
-        union: tuple union as an int row mask.
-        full: the all-rows mask, the empty-intersection convention.
-    """
-
-    inter: int
-    union: int
-    full: int
-
-    @property
-    def item_ids(self) -> Sequence[int]:
-        """Item ids in table order (plain Python ints)."""
-        ...
-
-    def __len__(self) -> int:
-        ...
-
-    def extend(
-        self, row_bit: int, region: int = 0, minsup: int = 0
-    ) -> "CondTableProtocol":
-        """The child table ``TT|X∪{r}``, scanned (Lemma 3.3 + scan).
-
-        Args:
-            row_bit: the one-bit mask of the row ``r``.
-            region: the rows the class-support filter counts.
-            minsup: keep only the items holding at least this many rows
-                of ``region``; ``0`` keeps every item holding ``r``.
-
-        Returns:
-            The scanned child table, in this table's item order.
-        """
-        ...
-
-    def max_overlap(self, cand_mask: int) -> int:
-        """``MAX(|cand ∩ t|)`` over this table's tuples (Lemma 3.7)."""
-        ...
-
-    def observed_max_overlap(self, stats: "ScanStats", cand_mask: int) -> int:
-        """:meth:`max_overlap` plus early-exit telemetry on ``stats``."""
-        ...
 
 
 def _check_rows(union: int, full_mask: int) -> None:
@@ -231,35 +171,8 @@ class CondTable:
         )
         inter, union = scan_items([item_masks[item] for item in held], full_mask)
         _check_rows(union, full_mask)
-        return cls.gather(item_masks, order, inter, union, full_mask)
-
-    @classmethod
-    def gather(
-        cls,
-        item_masks: Sequence[int],
-        item_ids: Sequence[int],
-        inter: int,
-        union: int,
-        full_mask: int,
-    ) -> "CondTable":
-        """The ranked table of ``item_ids``, already scanned.
-
-        The root build's last step, and how a wide table hands a narrow
-        child over: the ids come in table order and the masks from the
-        root's, by id.
-
-        Args:
-            item_masks: per-item row bitsets in item-id order.
-            item_ids: the table's item ids, in support-descending order.
-            inter: the table's tuple intersection.
-            union: the table's tuple union.
-            full_mask: bitset of all rows.
-
-        Returns:
-            The ranked :class:`CondTable` over ``item_ids``.
-        """
         shift = full_mask.bit_length()
-        keys = [item_masks[item] | item << shift for item in item_ids]
+        keys = [item_masks[item] | item << shift for item in order]
         return cls(keys, inter, union, full_mask)
 
     @classmethod
@@ -413,11 +326,8 @@ class ScanStats:
     (:class:`~repro.core.farmer.SearchContext` ``observe``): the walk
     adds its scans and their tables' rows (``bound_scans``,
     ``bound_rows_total``) when it adds its node counts, and the tables'
-    ``observed_max_overlap`` count early exits as they happen.  Each
-    representation accounts for its own cost model: the int-mask table
-    records how far its early exit walked, the packed table's
-    vectorized scans never exit early, so they walk every row.  They
-    live here rather than on
+    ``observed_max_overlap`` count early exits as they happen, with the
+    rows each exit skipped.  They live here rather than on
     :class:`~repro.core.enumeration.NodeCounters` deliberately:
     every counter field is compared between runs with and without
     telemetry, so a telemetry-only counter there would break that

@@ -141,7 +141,7 @@ from .farmer import (
     _is_reference,
     enumerate_frontier,
 )
-from .kernel import CondTableProtocol, ScanStats
+from .kernel import CondTable, ScanStats
 
 if TYPE_CHECKING:
     from ..obs.telemetry import Telemetry
@@ -429,7 +429,7 @@ def _detach(units: Sequence[tuple]) -> list:
     return detached
 
 
-def _attach(root: CondTableProtocol, units: Sequence[tuple]) -> list:
+def _attach(root: CondTable, units: Sequence[tuple]) -> list:
     """Detached ``units`` with their lazy tables, each the parent's
     ``TT|(x_mask ^ row_bit)``, rebuilt by chaining ``extend`` from
     ``root`` over those rows in ascending order, as the walker added
@@ -439,7 +439,7 @@ def _attach(root: CondTableProtocol, units: Sequence[tuple]) -> list:
     walk filters each unit's own table by the unit's own region
     (``farmer._node_table``, never skipped), which lies inside every
     ancestor's, so the unit resolves to the walker's table exactly
-    (items, order, scan and representation).  Every
+    (items, order and scan).  Every
     prefix of a chain is kept, so each distinct table is built once and
     the root's own children rebuild nothing."""
     tables = {0: root}
@@ -466,10 +466,10 @@ def _attach(root: CondTableProtocol, units: Sequence[tuple]) -> list:
 # ----------------------------------------------------------------------
 
 #: The run's root table inside a pool worker (set by :func:`_init_worker`).
-_ROOT: CondTableProtocol | None = None
+_ROOT: CondTable | None = None
 
 
-def _init_worker(root: CondTableProtocol) -> None:
+def _init_worker(root: CondTable) -> None:
     """Pool initializer: receive the run's root table, once per worker.
 
     Also moves everything the worker inherited into the collector's
@@ -739,7 +739,7 @@ class _Part:
 def _execute_parts(
     tasks: Sequence[_Leaf],
     ctx: SearchContext,
-    root: CondTableProtocol,
+    root: CondTable,
     n_workers: int,
     advisory_cap: int,
     deadline: float | None,

@@ -15,8 +15,9 @@ as one items x rows boolean matrix, scattered from the dataset's
 read straight off an equal-depth dataset's item matrix), each row padded
 to whole 64-bit words, packed little-endian with ``np.packbits`` and read
 back with one ``int.from_bytes`` per item.  The packed words are kept
-too (:attr:`TransposedTable.packed_words`): they are exactly the layout
-the production engine's packed root table starts from.
+too (:attr:`TransposedTable.packed_words`): the root's class-support
+filter counts every item's positive rows in them with one vectorized
+popcount (:func:`repro.core.farmer._root_items`).
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ class TransposedTable:
         """The item masks as one read-only ``(items, words)`` uint64 array.
 
         Row ``i`` is ``item_masks[i]`` packed little-endian into
-        ``ceil(n / 64)`` words, the layout of
-        :func:`repro.core.npbitset.pack_masks`.  ``None`` on a table
+        ``ceil(n / 64)`` words, so word ``k // 64`` bit ``k % 64`` is
+        int bit ``k``.  ``None`` on a table
         that was not made by :meth:`build` (constructed directly, or
         unpickled), whose consumers pack the int masks themselves.
         """

@@ -11,8 +11,7 @@ mine at a time through the exact :class:`~repro.core.farmer.Farmer`
 path the CLI uses.  Threads (not processes) are the right pool here:
 a serial mine holds the GIL, but jobs that ask for ``workers`` shard
 across *processes* via :mod:`repro.core.parallel` exactly as the CLI
-does, and the packed-word tables release the GIL in their vectorized
-kernels — the pool bounds concurrent *mines*, not concurrent CPUs.
+does — the pool bounds concurrent *mines*, not concurrent CPUs.
 
 Resource-limit semantics (``docs/serve.md`` documents each):
 
@@ -37,7 +36,7 @@ Byte identity is load-bearing: a job's ``.irgs`` artifact is written by
 the same :func:`~repro.core.serialize.save_rule_groups` call the CLI
 uses, from the same miner, so fetching a job result is byte-identical
 to mining locally — warm-cache answers included
-(``tests/test_serve.py`` pins this across hand-off cutoffs).
+(``tests/test_serve.py`` pins this against the reference engine).
 """
 
 from __future__ import annotations

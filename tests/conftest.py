@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings as _hypothesis_settings
 
-from repro.core import farmer, npbitset
+from repro.core import farmer
 from repro.data.dataset import ItemizedDataset
 
 # Hypothesis sweep depth is profile-driven: "ci" (loaded by default)
@@ -64,36 +64,19 @@ def chaos(monkeypatch):
     control.disarm()
 
 
-#: Hand-off cutoffs (:data:`repro.core.npbitset.HANDOFF_ITEMS`) the
-#: representation-sensitive suites force, by test id: every table packed
-#: (``numpy``), a hand-off on the first extend (``handoff-1``,
-#: ``handoff-2``), the shipped cutoff (``default``) and every table as
-#: int masks (``kernel``).
-HANDOFF_CUTOFFS = {
-    "numpy": 0,
-    "handoff-1": 1,
-    "handoff-2": 2,
-    "default": npbitset.HANDOFF_ITEMS,
-    "kernel": 1 << 62,
-}
+#: Variant ids of the suites that once forced a conditional-table
+#: representation per id.  There is one representation now, so every id
+#: mines the production engine, except ``reference``, which mines the
+#: oracle: ``kernel`` and ``numpy`` pass those ``engine=`` spellings, the
+#: rest pass none.  The ids are kept so the suites' test names stay as
+#: they were.
+VARIANTS = ("numpy", "handoff-1", "handoff-2", "default", "kernel")
 
 
-@contextmanager
-def handoff(cutoff):
-    """Force the production engine's hand-off cutoff inside the block.
-
-    ``cutoff`` is an item count or a :data:`HANDOFF_CUTOFFS` id.  A
-    sharded run inside the block forks its own worker pool, so its
-    workers extend tables under the same cutoff.
-    """
-    if isinstance(cutoff, str):
-        cutoff = HANDOFF_CUTOFFS[cutoff]
-    saved = npbitset.HANDOFF_ITEMS
-    npbitset.HANDOFF_ITEMS = cutoff
-    try:
-        yield
-    finally:
-        npbitset.HANDOFF_ITEMS = saved
+def variant_engine(variant: str) -> str | None:
+    """The ``engine=`` a :data:`VARIANTS` id (or ``reference``) mines
+    with: the spelling it names, else ``None``."""
+    return variant if variant in ("kernel", "numpy", "reference") else None
 
 
 @contextmanager

@@ -1,13 +1,12 @@
 """Shared hypothesis strategies for the property suites.
 
-One home for the dataset and bitset generators that used to be copied
-between ``test_npbitset.py`` and ``test_properties.py``, plus the
-degenerate/skewed dataset families the scheduler and engine conformance
-suites sweep.  Strategy highlights:
+One home for the dataset and bitset generators the property suites
+share, plus the degenerate/skewed dataset families the scheduler and
+engine conformance suites sweep.  Strategy highlights:
 
 * :data:`n_rows_word_boundary` draws row counts across the 64-bit word
   boundary (including exactly 63/64/65) so one-word, exactly-full-word
-  and straddling packed layouts are all exercised.
+  and straddling row sets are all exercised.
 * :func:`datasets` draws small labelled datasets with at least one
   consequent row; :func:`degenerate_datasets` draws randomized
   instances of the shapes in ``conftest.MINEABLE_SHAPES`` (single row,
@@ -30,8 +29,6 @@ __all__ = [
     "datasets",
     "degenerate_datasets",
     "index_sets",
-    "mask_and_rows",
-    "masks_and_rows",
     "n_rows_word_boundary",
     "skewed_datasets",
 ]
@@ -42,27 +39,6 @@ n_rows_word_boundary = st.integers(min_value=1, max_value=130)
 
 #: Small frozensets of row indices (closure/measure algebra inputs).
 index_sets = st.frozensets(st.integers(min_value=0, max_value=40), max_size=12)
-
-
-@st.composite
-def mask_and_rows(draw):
-    """(mask, n_rows): a random bitset within a random universe."""
-    n_rows = draw(n_rows_word_boundary)
-    mask = draw(st.integers(min_value=0, max_value=(1 << n_rows) - 1))
-    return mask, n_rows
-
-
-@st.composite
-def masks_and_rows(draw, max_masks=12):
-    """(masks, n_rows): a random mask list within one universe."""
-    n_rows = draw(n_rows_word_boundary)
-    masks = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=(1 << n_rows) - 1),
-            max_size=max_masks,
-        )
-    )
-    return masks, n_rows
 
 
 @st.composite

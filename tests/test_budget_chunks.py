@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from conftest import handoff, random_dataset
+from conftest import random_dataset
 
 from repro.core.constraints import Constraints
 from repro.core.enumeration import SearchBudget
@@ -93,11 +93,11 @@ def _outcome(miner: Farmer, table: TransposedTable, tmp_path, tag: str):
     )
 
 
-@pytest.mark.parametrize("cutoff", ["kernel", "numpy"])
+@pytest.mark.parametrize("engine", ["kernel", "numpy"])
 @pytest.mark.parametrize("telemetry", [False, True], ids=["plain", "telemetry"])
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
 @pytest.mark.parametrize("case", SWEEP_CASES, ids=lambda case: f"seed{case[0]}")
-def test_node_budget_matches_per_node_oracle(case, strict, telemetry, cutoff, tmp_path):
+def test_node_budget_matches_per_node_oracle(case, strict, telemetry, engine, tmp_path):
     seed, max_rows, max_items, minsup, minconf = case
     table = TransposedTable.build(
         random_dataset(seed, max_rows=max_rows, max_items=max_items), "C"
@@ -107,28 +107,26 @@ def test_node_budget_matches_per_node_oracle(case, strict, telemetry, cutoff, tm
     def knobs():
         return {
             "constraints": constraints,
+            "engine": engine,
             "telemetry": Telemetry() if telemetry else None,
         }
 
-    with handoff(cutoff):
-        total = Farmer(constraints=constraints).mine_table(table).counters.nodes
-        assert total > 60
-        for k in range(total + 1):
-            oracle = _outcome(
-                _OracleFarmer(k, budget=SearchBudget(strict=strict), **knobs()),
-                table, tmp_path, "oracle",
-            )
-            budgeted = _outcome(
-                Farmer(
-                    budget=SearchBudget(max_nodes=k, strict=strict), **knobs()
-                ),
-                table, tmp_path, "budgeted",
-            )
-            assert budgeted == oracle, k
-            refused = k < total
-            assert (oracle[0] == k + 1) == (refused and strict), k
-            assert oracle[2] is (None if refused and strict else refused), k
-            assert oracle[1][0] == min(k + 1, total), k
+    total = Farmer(**knobs()).mine_table(table).counters.nodes
+    assert total > 60
+    for k in range(total + 1):
+        oracle = _outcome(
+            _OracleFarmer(k, budget=SearchBudget(strict=strict), **knobs()),
+            table, tmp_path, "oracle",
+        )
+        budgeted = _outcome(
+            Farmer(budget=SearchBudget(max_nodes=k, strict=strict), **knobs()),
+            table, tmp_path, "budgeted",
+        )
+        assert budgeted == oracle, k
+        refused = k < total
+        assert (oracle[0] == k + 1) == (refused and strict), k
+        assert oracle[2] is (None if refused and strict else refused), k
+        assert oracle[1][0] == min(k + 1, total), k
 
 
 def _deep_table():

@@ -4,15 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import handoff
-
 from repro.cli import build_parser, main
 
 #: The ``--engine`` spellings the three-way interaction matrix passes.
-#: ``kernel`` and ``numpy`` name the production engine; the matrix also
-#: forces its hand-off cutoff to the same-named ``conftest`` value (all
-#: int masks, all packed) so both representations cross the process
-#: boundary.
+#: ``kernel`` and ``numpy`` name the production engine.
 CLI_ENGINES = ("kernel", "reference", "numpy")
 
 
@@ -188,8 +183,7 @@ class TestWorkersEngine:
         ]
         if steal:
             argv.append("--steal")
-        with handoff("default" if engine == "reference" else engine):
-            assert main(argv) == 0
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert f"sharded across {workers} workers" in out
         assert ("work stealing:" in out) == (steal and workers > 1)

@@ -188,7 +188,7 @@ class TestCommandsThatNeedThem:
         loaded, stdout = _farmer("lint", "--list-rules", cwd=tmp_path)
         assert stdout.endswith("exit 0")
         assert [line[:6] for line in stdout.splitlines()[:-1]] == [
-            f"FRM{i:03d}" for i in range(1, 13)
+            f"FRM{i:03d}" for i in range(1, 13) if i != 10
         ]
         assert "repro.analysis.engine" in loaded
 

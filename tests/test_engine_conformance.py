@@ -1,13 +1,11 @@
-"""Hand-off conformance suite (machinery in ``engine_conformance``).
+"""Engine conformance suite (machinery in ``engine_conformance``).
 
 The production engine is differentially mined against the ``reference``
-oracle with its hand-off cutoff forced to every variant of
-:data:`engine_conformance.VARIANTS` — all packed words, a hand-off on
-the first extend, the shipped cutoff, all int masks — over the shared
+oracle under every variant of :data:`engine_conformance.VARIANTS` (the
+accepted ``engine=`` spellings and the default) over the shared
 constraint grid, every pruning combination, every degenerate dataset
-shape, a sharded run and a stealing run over a mix of both
-representations.  In all cases the
-serialized ``.irgs`` bytes must match exactly.  A set of literal sha256
+shape, a sharded run and a node-budget truncation sweep.  In all cases
+the serialized ``.irgs`` bytes must match exactly.  A set of literal sha256
 pins on the paper's Figure 1(a) dataset anchors the whole family to
 fixed bytes, so a drift that somehow hit every variant at once still
 fails loudly.
@@ -21,10 +19,10 @@ from hypothesis import given
 
 from conftest import (
     DEGENERATE_SHAPES,
-    HANDOFF_CUTOFFS,
+    VARIANTS as PRODUCTION_VARIANTS,
     assert_fault_free,
-    handoff,
     random_dataset,
+    variant_engine,
 )
 from strategies import degenerate_datasets, skewed_datasets
 from engine_conformance import (
@@ -33,7 +31,7 @@ from engine_conformance import (
     VARIANTS,
     assert_serial_conformant,
     irgs_bytes,
-    variant_setup,
+    production_engine,
 )
 
 from repro import mine_irgs
@@ -46,18 +44,20 @@ def test_unknown_engine_rejected():
 
 
 def test_engines_available():
-    """The sweep is not vacuously green: it forces every cutoff that
-    matters — all packed, a hand-off on the first extend, the shipped
-    value, all int masks — and runs the reference oracle."""
-    forced = {HANDOFF_CUTOFFS[variant_setup(v)[0]] for v in VARIANTS}
-    assert {0, 1, 2, HANDOFF_CUTOFFS["default"], HANDOFF_CUTOFFS["kernel"]} <= forced
-    assert any(variant_setup(v)[1] == "reference" for v in VARIANTS)
+    """The sweep is not vacuously green: it mines the production engine
+    under every accepted spelling and the default, against the
+    reference oracle."""
+    from repro.core.farmer import ENGINES
+
+    spelled = {production_engine(v) for v in VARIANTS}
+    assert spelled == (ENGINES - {"reference"}) | {None}
+    assert "reference" in VARIANTS
 
 
 def _mine_variant(variant, data, **kwargs):
-    """Mine ``data`` as ``variant`` (cutoff forced by the caller)."""
-    _, engine = variant_setup(variant)
-    return mine_irgs(data, "C", engine=engine, **kwargs)
+    """Mine ``data`` with the engine ``variant`` names (the oracle for
+    ``reference``)."""
+    return mine_irgs(data, "C", engine=variant_engine(variant), **kwargs)
 
 
 @pytest.mark.parametrize("engine", VARIANTS)
@@ -90,23 +90,19 @@ class TestEngineConformance:
             if not any(label == "C" for label in data.labels):
                 # No-consequent shapes pin the error path instead: every
                 # variant must reject them the same way.
-                with handoff(variant_setup(engine)[0]):
-                    with pytest.raises(DataError):
-                        _mine_variant(engine, data)
+                with pytest.raises(DataError):
+                    _mine_variant(engine, data)
                 continue
             assert_serial_conformant(
                 data, engine, tmp_path, f"{shape}-{seed}"
             )
 
     def test_sharded_matches_serial_kernel(self, engine, tmp_path):
-        """A sharded run of the variant against the serial run with every
-        table as int masks."""
+        """A sharded run of the variant against the default serial run."""
         for seed in range(4):
             data = random_dataset(seed, max_rows=8)
-            with handoff("kernel"):
-                serial = mine_irgs(data, "C", minsup=1)
-            with handoff(variant_setup(engine)[0]):
-                sharded = _mine_variant(engine, data, minsup=1, n_workers=2)
+            serial = mine_irgs(data, "C", minsup=1)
+            sharded = _mine_variant(engine, data, minsup=1, n_workers=2)
             assert irgs_bytes(sharded, tmp_path, f"s-{seed}") == irgs_bytes(
                 serial, tmp_path, f"k-{seed}"
             ), (engine, seed)
@@ -173,20 +169,18 @@ def test_every_engine_documented():
 
 
 class TestPinnedHashes:
-    @pytest.mark.parametrize("engine", [*HANDOFF_CUTOFFS, "reference"])
+    @pytest.mark.parametrize("engine", [*PRODUCTION_VARIANTS, "reference"])
     @pytest.mark.parametrize(
         "minsup,minconf", sorted(PINNED_HASHES), ids=str
     )
     def test_paper_dataset_bytes_are_pinned(
         self, engine, minsup, minconf, paper_dataset, tmp_path
     ):
-        """Every forced cutoff and the oracle serialize the pinned bytes."""
-        reference = engine == "reference"
-        with handoff("default" if reference else engine):
-            result = mine_irgs(
-                paper_dataset, "C", minsup=minsup, minconf=minconf,
-                engine="reference" if reference else None,
-            )
+        """Every spelling and the oracle serialize the pinned bytes."""
+        result = mine_irgs(
+            paper_dataset, "C", minsup=minsup, minconf=minconf,
+            engine=variant_engine(engine),
+        )
         digest = hashlib.sha256(
             irgs_bytes(result, tmp_path, "pin")
         ).hexdigest()
@@ -214,13 +208,13 @@ def lc_small():
 @pytest.mark.parametrize("engine", VARIANTS)
 def test_truncation_matches_kernel(engine, lc_small, tmp_path):
     """A non-strict node budget stops every variant at the same node as
-    the all-int-masks run.
+    the default production run.
 
     The walker ticks the budget once per visited node in serial
     depth-first order, so a mine cut after ``k`` nodes has admitted
     exactly the groups whose subtrees completed by then — the same
     groups, the same ``truncated`` flag and the same node count whatever
-    the representation.  No full mine pins the tick order; this does.
+    the engine.  No full mine pins the tick order; this does.
     """
     from repro.core.constraints import Constraints
     from repro.core.enumeration import SearchBudget
@@ -233,62 +227,13 @@ def test_truncation_matches_kernel(engine, lc_small, tmp_path):
             budget=SearchBudget(max_nodes=k, strict=False),
         ).mine(lc_small.data, lc_small.consequent)
 
-    cutoff, name = variant_setup(engine)
+    name = variant_engine(engine)
     for k in TRUNCATION_BUDGETS:
-        with handoff("kernel"):
-            kernel = mine(None, k)
-        with handoff(cutoff):
-            other = mine(name, k)
+        kernel = mine(None, k)
+        other = mine(name, k)
         assert kernel.truncated and kernel.counters.nodes == k + 1, k
         assert other.truncated == kernel.truncated, (engine, k)
         assert other.counters.nodes == kernel.counters.nodes, (engine, k)
         assert irgs_bytes(other, tmp_path, f"t-{engine}-{k}") == irgs_bytes(
             kernel, tmp_path, f"t-kernel-{k}"
         ), (engine, k)
-
-
-#: At LC scale 0.01 and minsup 9 the root keeps 42 of the 1,250 items
-#: (those in at least nine positive rows) and no child of it holds more
-#: than 21, so with this cutoff the root is packed and every deeper
-#: table is int masks: a frontier below the root's children mixes the
-#: two.
-MIXED_CUTOFF = 32
-
-
-def test_mixed_representations_shard_and_steal(lc_small, tmp_path):
-    """Shards and donated frontiers that mix both representations mine
-    the oracle's bytes, statically and under work stealing."""
-    from repro.core.constraints import Constraints
-    from repro.core.enumeration import NodeCounters
-    from repro.core.farmer import ALL_PRUNINGS, SearchContext
-    from repro.core.kernel import CondTable
-    from repro.core.npbitset import NumpyCondTable
-    from repro.core.parallel import _decompose
-    from repro.data.transpose import TransposedTable
-
-    data, consequent = lc_small.data, lc_small.consequent
-    constraints = Constraints(minsup=9)
-    table = TransposedTable.build(data, consequent)
-    oracle = mine_irgs(data, consequent, minsup=9, engine="reference")
-    expected = irgs_bytes(oracle, tmp_path, "oracle")
-    with handoff(MIXED_CUTOFF):
-        ctx = SearchContext.for_table(table, constraints, ALL_PRUNINGS)
-        # A target above the root's 132 children makes the frontier
-        # reach below them, as a stolen frontier does.
-        _, tasks, _ = _decompose(
-            ctx, ctx.root_state(table), NodeCounters(), 256, 1024, None, True
-        )
-        kinds = {type(task.state.table) for task in tasks}
-        assert kinds == {NumpyCondTable, CondTable}, kinds
-        for steal in (False, True):
-            sharded = mine_irgs(
-                data, consequent, minsup=9, n_workers=2, steal=steal,
-                steal_quantum=64,
-            )
-            assert irgs_bytes(sharded, tmp_path, f"mixed-{steal}") == (
-                expected
-            ), steal
-            assert sharded.counters.nodes == oracle.counters.nodes, steal
-            assert_fault_free(sharded)
-            if steal:
-                assert sharded.parallel.donations, "nothing was donated"

@@ -1,13 +1,11 @@
-"""The narrow table's key list against every other view of ``TT|X``.
+"""The conditional table's key list against other views of ``TT|X``.
 
-A narrow :class:`~repro.core.kernel.CondTable` holds one key per item,
+A :class:`~repro.core.kernel.CondTable` holds one key per item,
 ``mask | item_id << shift``.  For random tables (duplicate row masks
-included), every hand-off cutoff and one- and two-level extends, the
-narrow child's ids, masks, order, ``inter``, ``union`` and bound scans
-must equal three independent views of the same table:
+included) and one- and two-level extends, the child's ids, masks,
+order, ``inter``, ``union`` and bound scans must equal two independent
+views of the same table:
 
-* the packed table's decode (:func:`~repro.core.npbitset.mask_words`
-  of the all-packed child);
 * the ``extend_items`` + ``scan_items`` reference shims over the
   root's support-descending order;
 * a plain ``max`` over the shim masks, for ``max_overlap`` and
@@ -23,11 +21,9 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import handoff
 from repro.core import bitset
 from repro.core.enumeration import extend_items, scan_items
 from repro.core.kernel import CondTable, ScanStats
-from repro.core.npbitset import NumpyCondTable, mask_words, root_table
 from repro.data.transpose import TransposedTable
 from repro.experiments.workloads import build_workload
 from strategies import n_rows_word_boundary
@@ -99,40 +95,30 @@ def test_narrow_child_matches_every_view(table, data):
     )
     shim_ids, shim_masks, shim_inter, shim_union = _shim_child(masks, full, rows)
     naive = max(((mask & cand).bit_count() for mask in shim_masks), default=0)
-    with handoff(0):
-        packed = _extend(root_table(masks, full), rows)
-    assert isinstance(packed, NumpyCondTable)
-    assert packed.item_ids == shim_ids
-    assert mask_words(packed) == shim_masks
-    assert (packed.inter, packed.union) == (shim_inter, shim_union)
-    assert packed.max_overlap(cand) == naive
     _assert_duplicates_survive(masks, shim_ids)
-    for cutoff in range(1, len(masks) + 2):
-        with handoff(cutoff):
-            child = _extend(root_table(masks, full), rows)
-        if not isinstance(child, CondTable):
-            assert len(child) >= cutoff
-            continue
-        assert child.item_ids == shim_ids
-        assert child.masks == shim_masks
-        assert child.keys == [
-            mask | item << n_rows for item, mask in zip(shim_ids, shim_masks)
-        ]
-        assert (child.inter, child.union) == (shim_inter, shim_union)
-        assert child.max_overlap(cand) == naive
-        stats = ScanStats()
-        assert child.observed_max_overlap(stats, cand) == naive
-        # The walk counts scans and table rows; the table, early exits.
-        assert (stats.bound_scans, stats.bound_rows_total) == (0, 0)
-        assert 0 <= stats.bound_rows_skipped < max(len(shim_ids), 1)
-        assert stats.bound_early_exits in (0, 1)
+    child = _extend(CondTable.build(masks, full), rows)
+    assert child.item_ids == shim_ids
+    assert child.masks == shim_masks
+    assert child.keys == [
+        mask | item << n_rows for item, mask in zip(shim_ids, shim_masks)
+    ]
+    assert (child.inter, child.union) == (shim_inter, shim_union)
+    assert child.max_overlap(cand) == naive
+    stats = ScanStats()
+    assert child.observed_max_overlap(stats, cand) == naive
+    # The walk counts scans and table rows; the table, early exits.
+    assert (stats.bound_scans, stats.bound_rows_total) == (0, 0)
+    assert 0 <= stats.bound_rows_skipped < max(len(shim_ids), 1)
+    assert stats.bound_early_exits in (0, 1)
 
 
 @pytest.mark.parametrize(
     "dataset, duplicates", [("PC", 1), ("ALL", 4), ("CT", 8)]
 )
-@pytest.mark.parametrize("cutoff", [1, 128, 1 << 30])
-def test_duplicate_masks_keep_both_ids(dataset, duplicates, cutoff):
+# The three variant ids are the hand-off cutoffs this test once forced;
+# each now builds the one representation.
+@pytest.mark.parametrize("variant", [1, 128, 1 << 30])
+def test_duplicate_masks_keep_both_ids(dataset, duplicates, variant):
     workload = build_workload(dataset, scale=0.02)
     table = TransposedTable.build(workload.data, workload.consequent)
     masks = table.item_masks
@@ -142,22 +128,18 @@ def test_duplicate_masks_keep_both_ids(dataset, duplicates, cutoff):
         by_mask[mask].append(item)
     groups = [group for group in by_mask.values() if len(group) > 1]
     assert sum(len(group) - 1 for group in groups) == duplicates
-    with handoff(cutoff):
-        root = root_table(masks, full, table.packed_words)
-        for group in groups:
-            rows = bitset.to_indices(masks[group[0]])
-            for path in (rows[:1], rows[:2], rows[-2:]):
-                child = _extend(root, path)
-                ids = child.item_ids
-                kept = [ids.index(item) for item in group]
-                assert kept == sorted(kept)
-                shim_ids, shim_masks, inter, union = _shim_child(masks, full, path)
-                assert ids == shim_ids
-                assert (child.inter, child.union) == (inter, union)
-                if isinstance(child, CondTable):
-                    assert child.masks == shim_masks
-                else:
-                    assert mask_words(child) == shim_masks
+    root = CondTable.build(masks, full)
+    for group in groups:
+        rows = bitset.to_indices(masks[group[0]])
+        for path in (rows[:1], rows[:2], rows[-2:]):
+            child = _extend(root, path)
+            ids = child.item_ids
+            kept = [ids.index(item) for item in group]
+            assert kept == sorted(kept)
+            shim_ids, shim_masks, inter, union = _shim_child(masks, full, path)
+            assert ids == shim_ids
+            assert (child.inter, child.union) == (inter, union)
+            assert child.masks == shim_masks
 
 
 def test_bound_scan_runs_past_a_partial_overlap():

@@ -8,10 +8,9 @@ with the filter and without it (``conftest.unfiltered_nodes``, which
 keeps the root's own filter) and compares what matters:
 
 * the Step-7 candidate sequence and the serialized bytes, over the
-  hypothesis dataset families, every pruning set, minconf, minchi, all
-  three table runs (all packed, all int masks, the ``reference``
-  oracle), and the production engine against the oracle node for node
-  at every hand-off cutoff;
+  hypothesis dataset families, every pruning set, minconf, minchi, both
+  engines, and the production engine against the oracle node for
+  node;
 * the 20 Figure 10 points at scale 0.02, the Pruning-2-off, minconf,
   minchi and lower-bound pins, and the filtered walk never visiting
   more nodes;
@@ -24,8 +23,7 @@ keeps the root's own filter) and compares what matters:
   quantum, must still serialize the serial miner's bytes.
 
 The filter itself (``extend``'s ``region``/``minsup`` arguments) is
-checked against an int-mask oracle in both representations, across the
-64-row word boundary.
+checked against an int-mask oracle, across the 64-row word boundary.
 """
 
 from __future__ import annotations
@@ -37,10 +35,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
-    HANDOFF_CUTOFFS,
     REBUILT_PARENT,
     assert_fault_free,
-    handoff,
     unfiltered_nodes,
 )
 from engine_conformance import irgs_bytes
@@ -59,7 +55,6 @@ from repro.core.farmer import (
 )
 from repro.core.frontier import FRONTIER_ENVELOPE, entry_path, frontier_fingerprint
 from repro.core.kernel import CondTable
-from repro.core.npbitset import NumpyCondTable
 from repro.core.serialize import load_checkpoint
 from repro.data.transpose import TransposedTable
 from repro.experiments.workloads import DATASET_ORDER, MINSUP_GRIDS, build_workload
@@ -75,9 +70,10 @@ PRUNING_SUBSETS = (
     frozenset(),
 )
 
-#: ``(cutoff id, engine=)``: every table packed, every table int
-#: masks, and the reference oracle.
-RUNS = (("numpy", None), ("kernel", None), ("kernel", "reference"))
+#: The ``engine=`` of each run: the production engine under both of its
+#: spellings, and the reference oracle.  The ids name the table
+#: representations the first two runs once forced; there is one now.
+RUNS = ("numpy", "kernel", "reference")
 RUN_IDS = ("packed", "int-masks", "reference")
 
 FAMILIES = st.one_of(
@@ -125,7 +121,7 @@ def _assert_same_answer(filtered, unfiltered):
     assert kept.nodes <= walked.nodes
 
 
-@pytest.mark.parametrize(("cutoff", "engine"), RUNS, ids=RUN_IDS)
+@pytest.mark.parametrize("engine", RUNS, ids=RUN_IDS)
 @given(
     data=FAMILIES,
     minsup=st.integers(min_value=0, max_value=5),
@@ -134,7 +130,7 @@ def _assert_same_answer(filtered, unfiltered):
     prunings=st.sampled_from(PRUNING_SUBSETS),
 )
 def test_filter_keeps_every_candidate(
-    cutoff, engine, data, minsup, minconf, minchi, prunings
+    engine, data, minsup, minconf, minchi, prunings
 ):
     """The same Step-7 candidates in the same order, so the same
     admissions.  At most ten rows: with every pruning off the walk
@@ -142,18 +138,17 @@ def test_filter_keeps_every_candidate(
     table = TransposedTable.build(data, "C")
     constraints = Constraints(minsup=minsup, minconf=minconf, minchi=minchi)
     reference = engine == "reference"
-    with handoff(cutoff):
-        filtered, kept = _candidates(table, constraints, prunings, reference)
-        with unfiltered_nodes():
-            unfiltered, walked = _candidates(
-                table, constraints, prunings, reference
-            )
+    filtered, kept = _candidates(table, constraints, prunings, reference)
+    with unfiltered_nodes():
+        unfiltered, walked = _candidates(
+            table, constraints, prunings, reference
+        )
     assert filtered == unfiltered
     assert all(candidate.item_ids for candidate in filtered)
     assert kept.nodes <= walked.nodes
 
 
-@pytest.mark.parametrize(("cutoff", "engine"), RUNS, ids=RUN_IDS)
+@pytest.mark.parametrize("engine", RUNS, ids=RUN_IDS)
 @given(
     data=FAMILIES,
     minsup=st.integers(min_value=1, max_value=4),
@@ -161,20 +156,19 @@ def test_filter_keeps_every_candidate(
     lower=st.booleans(),
 )
 def test_filter_keeps_every_byte(
-    cutoff, engine, data, minsup, minconf, lower, tmp_path_factory
+    engine, data, minsup, minconf, lower, tmp_path_factory
 ):
     """Whole mines, lower bounds included: byte-identical ``.irgs``."""
     table = TransposedTable.build(data, "C")
     tmp_path = tmp_path_factory.mktemp("nodes")
-    with handoff(cutoff):
-        filtered, unfiltered, kept, walked = _both(
-            table,
-            tmp_path,
-            "mine",
-            constraints=Constraints(minsup=minsup, minconf=minconf),
-            compute_lower_bounds=lower,
-            engine=engine,
-        )
+    filtered, unfiltered, kept, walked = _both(
+        table,
+        tmp_path,
+        "mine",
+        constraints=Constraints(minsup=minsup, minconf=minconf),
+        compute_lower_bounds=lower,
+        engine=engine,
+    )
     assert kept == walked
     _assert_same_answer(filtered, unfiltered)
 
@@ -185,9 +179,8 @@ def test_filter_keeps_every_byte(
     minconf=st.sampled_from([0.0, 0.8]),
 )
 def test_production_matches_reference_node_for_node(data, minsup, minconf):
-    """Every representation filters by the same test, so the production
-    engine at every hand-off cutoff walks the oracle's tree: equal
-    counters, equal candidates."""
+    """Both engines filter by the same test, so the production engine
+    walks the oracle's tree: equal counters, equal candidates."""
     table = TransposedTable.build(data, "C")
     constraints = Constraints(minsup=minsup, minconf=minconf)
 
@@ -202,10 +195,7 @@ def test_production_matches_reference_node_for_node(data, minsup, minconf):
             for ids, supp, supn, rows in candidates
         ], dataclasses.astuple(counters)
 
-    expected = walk(reference=True)
-    for cutoff in HANDOFF_CUTOFFS:
-        with handoff(cutoff):
-            assert walk() == expected, cutoff
+    assert walk() == walk(reference=True)
 
 
 @pytest.fixture(scope="module")
@@ -337,9 +327,9 @@ def filtered_extends(draw):
 
 @given(case=filtered_extends())
 def test_extend_filter_matches_int_oracle(case):
-    """Both representations keep, in table order, exactly the items
-    holding the row and (with ``minsup``) ``minsup`` rows of the
-    region, and scan them alike."""
+    """``extend`` keeps, in table order, exactly the items holding the
+    row and (with ``minsup``) ``minsup`` rows of the region, and scans
+    them."""
     masks, full, row_bit, region, minsup = case
     root = CondTable.build(masks, full)
     expected = [
@@ -352,13 +342,9 @@ def test_extend_filter_matches_int_oracle(case):
     for item in expected:
         inter &= masks[item]
         union |= masks[item]
-    for cutoff in (0, 1 << 62):
-        with handoff(cutoff):
-            packed = NumpyCondTable.build(masks, full)
-            for parent in (root, packed):
-                child = parent.extend(row_bit, region, minsup)
-                assert list(child.item_ids) == expected
-                assert (child.inter, child.union) == (inter, union)
+    child = root.extend(row_bit, region, minsup)
+    assert child.item_ids == expected
+    assert (child.inter, child.union) == (inter, union)
 
 
 #: Short cyclic decision streams (``scheduling.Schedule``) with small
@@ -371,7 +357,7 @@ SCHEDULES = st.builds(
 )
 
 
-@pytest.mark.parametrize("cutoff", ("numpy", "kernel"))
+@pytest.mark.parametrize("engine", ("numpy", "kernel"))
 @given(
     data=FAMILIES,
     minsup=st.integers(min_value=2, max_value=4),
@@ -379,16 +365,15 @@ SCHEDULES = st.builds(
 )
 @example(data=REBUILT_PARENT, minsup=3, schedule=Schedule(quanta=(1,)))
 def test_stolen_parts_keep_every_byte(
-    cutoff, data, minsup, schedule, tmp_path_factory
+    engine, data, minsup, schedule, tmp_path_factory
 ):
     """The virtual work-stealing scheduler (every part's units attached
-    to the root before it walks) serializes the serial miner's bytes
-    with its counters, all tables packed and all int masks."""
+    to the root before it walks) serializes the bytes of the serial
+    miner, under either engine spelling, with its counters."""
     constraints = Constraints(minsup=minsup)
     workdir = tmp_path_factory.mktemp("stolen")
-    with handoff(cutoff):
-        serial = Farmer(constraints=constraints).mine(data, "C")
-        run = run_schedule(data, "C", constraints, schedule)
+    serial = Farmer(constraints=constraints, engine=engine).mine(data, "C")
+    run = run_schedule(data, "C", constraints, schedule)
     virtual = serialized_store(
         data, "C", constraints, run.store, workdir / "virtual.irgs"
     )

@@ -501,10 +501,9 @@ class TestByteIdentity:
 
 #: The ``kernel.*`` counters of an observed mine per sweep point
 #: ``(dataset, minsup, minconf, prunings, n_workers)``, all at scale
-#: 0.02.  The walk counts the scans and their tables' rows, the int-mask
-#: tables their early exits.  The roots hold only the items that can
-#: reach minsup: LC's two make an int-mask root, the other four roots
-#: are packed tables, and ``n_workers=1`` counts the sharded
+#: 0.02.  The walk counts the scans and their tables' rows, the tables
+#: their early exits.  The roots hold only the items that can reach
+#: minsup (2 at LC, 554 at CT), and ``n_workers=1`` counts the sharded
 #: coordinator's expansions.  With Pruning 2 on, every table below the
 #: root holds only the items that can still reach minsup at its node,
 #: so its bound scans are shorter and fewer.

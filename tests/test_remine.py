@@ -3,7 +3,7 @@
 For random datasets and random constraint pairs — tighten, loosen, and
 mixed deltas — a warm re-mine through the frontier cache
 (``core/frontier.py``) must serialize exactly the bytes a cold mine
-produces, whichever hand-off cutoff (or the reference engine) captured
+produces, whichever engine spelling (or the reference engine) captured
 the entry and whichever answers.  A tightened re-mine must additionally expand **zero** nodes
 (pure filter), and corrupt or other-layout cache files must degrade to
 a miss, never an error.
@@ -24,16 +24,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import handoff
+from conftest import variant_engine
 from strategies import datasets
 
 from repro import mine_irgs
 from repro.core.frontier import candidate_from_row
 from repro.errors import DataError, UsageError
 
-#: Hand-off cutoffs (``conftest.HANDOFF_CUTOFFS`` ids) the suite mines
-#: under: all int masks, all packed, and a hand-off on the first extend.
-CUTOFFS = ("kernel", "numpy", "handoff-1")
+#: Variant ids (``conftest.VARIANTS``) the suite mines under: the
+#: ``kernel`` and ``numpy`` spellings and the default engine.
+VARIANTS = ("kernel", "numpy", "handoff-1")
 
 #: Constraint triples dense enough that both sides of a pair regularly
 #: produce groups on the small strategy datasets.
@@ -69,7 +69,7 @@ def _warm_kwargs(mode, cache):
     return kwargs
 
 
-@pytest.mark.parametrize("engine", CUTOFFS)
+@pytest.mark.parametrize("engine", VARIANTS)
 @given(data=datasets(), pair=st.tuples(CONSTRAINTS, CONSTRAINTS), mode=MODES)
 @settings(deadline=None)
 def test_warm_equals_cold(engine, data, pair, mode):
@@ -77,18 +77,18 @@ def test_warm_equals_cold(engine, data, pair, mode):
     first, second = pair
     cache = tempfile.mkdtemp(prefix="remine-")
     try:
-        with handoff(engine):
-            seeded = _mine(data, first, warm_cache=cache)
-            cold_first = _mine(data, first)
-            assert seeded.groups == cold_first.groups
-            warm = _mine(data, second, **_warm_kwargs(mode, cache))
-            cold = _mine(data, second)
+        engine = variant_engine(engine)
+        seeded = _mine(data, first, engine=engine, warm_cache=cache)
+        cold_first = _mine(data, first)
+        assert seeded.groups == cold_first.groups
+        warm = _mine(data, second, engine=engine, **_warm_kwargs(mode, cache))
+        cold = _mine(data, second)
         assert warm.groups == cold.groups
     finally:
         shutil.rmtree(cache)
 
 
-@pytest.mark.parametrize("engine", CUTOFFS)
+@pytest.mark.parametrize("engine", VARIANTS)
 @given(data=datasets(), base=CONSTRAINTS)
 @settings(deadline=None)
 def test_tighten_is_pure_filter(engine, data, base):
@@ -97,10 +97,10 @@ def test_tighten_is_pure_filter(engine, data, base):
     tightened = (minsup + 2, min(1.0, minconf + 0.1), minchi + 0.5)
     cache = tempfile.mkdtemp(prefix="remine-")
     try:
-        with handoff(engine):
-            _mine(data, base, warm_cache=cache)
-            warm = _mine(data, tightened, warm_cache=cache)
-            cold = _mine(data, tightened)
+        engine = variant_engine(engine)
+        _mine(data, base, engine=engine, warm_cache=cache)
+        warm = _mine(data, tightened, engine=engine, warm_cache=cache)
+        cold = _mine(data, tightened)
         assert warm.counters.nodes == 0
         assert warm.groups == cold.groups
     finally:
@@ -110,18 +110,19 @@ def test_tighten_is_pure_filter(engine, data, base):
 @given(data=datasets(), base=CONSTRAINTS)
 @settings(deadline=None)
 def test_cross_engine_cache_reuse(data, base):
-    """An entry captured under one cutoff (or by the reference engine)
-    answers under every other."""
+    """An entry captured by the reference engine answers under every
+    production spelling."""
     minsup, minconf, minchi = base
     tightened = (minsup + 1, minconf, minchi)
     cache = tempfile.mkdtemp(prefix="remine-")
     try:
-        with handoff(CUTOFFS[0]):
-            _mine(data, base, engine="reference", warm_cache=cache)
-        for cutoff in CUTOFFS:
-            with handoff(cutoff):
-                warm = _mine(data, tightened, warm_cache=cache)
-                cold = _mine(data, tightened)
+        _mine(data, base, engine="reference", warm_cache=cache)
+        for variant in VARIANTS:
+            warm = _mine(
+                data, tightened, engine=variant_engine(variant),
+                warm_cache=cache,
+            )
+            cold = _mine(data, tightened)
             assert warm.counters.nodes == 0
             assert warm.groups == cold.groups
     finally:
@@ -266,7 +267,7 @@ FRONTIER_ENTRY_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("engine", CUTOFFS)
+@pytest.mark.parametrize("engine", VARIANTS)
 def test_frontier_entry_bytes_are_pinned(engine, tmp_path):
     import hashlib
 
@@ -282,10 +283,10 @@ def test_frontier_entry_bytes_are_pinned(engine, tmp_path):
     cache = tmp_path / "cache"
     for minsup in (9, 8):
         constraints = Constraints(minsup=minsup)
-        with handoff(engine):
-            Farmer(constraints=constraints, warm_cache=str(cache)).mine_table(
-                table
-            )
+        Farmer(
+            constraints=constraints, engine=variant_engine(engine),
+            warm_cache=str(cache),
+        ).mine_table(table)
         entry = entry_path(cache, fingerprint, constraints)
         digest = hashlib.sha256(entry.read_bytes()).hexdigest()
         assert digest == FRONTIER_ENTRY_SHA256[minsup], (engine, minsup)
@@ -489,7 +490,7 @@ def _wide_dataset(n_items=15_000, n_rows=6, seed=7):
     return ItemizedDataset.from_lists(rows, labels, n_items=n_items)
 
 
-@pytest.mark.parametrize("engine", CUTOFFS)
+@pytest.mark.parametrize("engine", VARIANTS)
 def test_paper_scale_item_count(engine, tmp_path):
     """Capture, tighten and loosen on a >14,280-item table all serialize
     the cold mine's bytes."""
@@ -501,9 +502,10 @@ def test_paper_scale_item_count(engine, tmp_path):
         ("tighten", (3, 0.6, 0.0)),
         ("loosen", (1, 0.0, 0.0)),
     ):
-        with handoff(engine):
-            warm = _mine(data, constraints, warm_cache=cache)
-            cold = _mine(data, constraints)
+        warm = _mine(
+            data, constraints, engine=variant_engine(engine), warm_cache=cache
+        )
+        cold = _mine(data, constraints)
         assert _irgs_bytes(warm, tmp_path, f"warm-{tag}") == _irgs_bytes(
             cold, tmp_path, f"cold-{tag}"
         ), tag

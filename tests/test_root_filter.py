@@ -9,8 +9,8 @@ are those of the unfiltered walk.  Every check here mines both roots
 (the unfiltered one through ``conftest.unfiltered_root``) and compares
 the serialized bytes:
 
-* the hypothesis dataset families, under both engines, both table
-  representations and every pruning set;
+* the hypothesis dataset families, under both engines and every
+  pruning set;
 * the 20 Figure 10 points at scale 0.02, and lower bounds at CT 0.02
   minsup 3;
 * warm-cache entries an unfiltered capture wrote: the same ``evals``
@@ -18,8 +18,8 @@ the serialized bytes:
   queries.
 
 The filter itself (:func:`~repro.core.farmer._root_items`) is checked
-against an int-mask oracle, across the 64-row word boundary, on packed
-and on unpacked tables.
+against an int-mask oracle, across the 64-row word boundary, on tables
+with and without packed words.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import handoff, unfiltered_root
+from conftest import unfiltered_root
 from engine_conformance import irgs_bytes
 from strategies import datasets, degenerate_datasets, skewed_datasets
 
@@ -52,9 +52,10 @@ PRUNING_SUBSETS = (
     frozenset(),
 )
 
-#: ``(cutoff id, engine=)``: every table packed, every table int
-#: masks, and the reference oracle.
-RUNS = (("numpy", None), ("kernel", None), ("kernel", "reference"))
+#: The ``engine=`` of each run: the production engine under both of its
+#: spellings, and the reference oracle.  The ids name the table
+#: representations the first two runs once forced; there is one now.
+RUNS = ("numpy", "kernel", "reference")
 RUN_IDS = ("packed", "int-masks", "reference")
 
 
@@ -72,7 +73,7 @@ def _both_roots(table, tmp_path, tag, **options):
     )
 
 
-@pytest.mark.parametrize(("cutoff", "engine"), RUNS, ids=RUN_IDS)
+@pytest.mark.parametrize("engine", RUNS, ids=RUN_IDS)
 @given(
     data=st.one_of(
         datasets(max_rows=10, max_items=8),
@@ -87,23 +88,20 @@ def _both_roots(table, tmp_path, tag, **options):
     prunings=st.sampled_from(PRUNING_SUBSETS),
 )
 def test_filter_keeps_every_byte(
-    cutoff, engine, data, minsup, minconf, minchi, prunings, tmp_path_factory
+    engine, data, minsup, minconf, minchi, prunings, tmp_path_factory
 ):
     """At most ten rows: with every pruning off the walk visits up to
     ``2**n`` nodes."""
     table = TransposedTable.build(data, "C")
     tmp_path = tmp_path_factory.mktemp("filter")
-    with handoff(cutoff):
-        filtered, unfiltered, result, _ = _both_roots(
-            table,
-            tmp_path,
-            "mine",
-            constraints=Constraints(
-                minsup=minsup, minconf=minconf, minchi=minchi
-            ),
-            prunings=prunings,
-            engine=engine,
-        )
+    filtered, unfiltered, result, _ = _both_roots(
+        table,
+        tmp_path,
+        "mine",
+        constraints=Constraints(minsup=minsup, minconf=minconf, minchi=minchi),
+        prunings=prunings,
+        engine=engine,
+    )
     assert filtered == unfiltered
     assert all(group.upper for group in result.groups)
 
@@ -226,20 +224,19 @@ def test_root_items_match_int_popcounts(table, minsup):
         assert _root_items(source, minsup).tolist() == expected
 
 
-@pytest.mark.parametrize(("cutoff", "engine"), RUNS, ids=RUN_IDS)
+@pytest.mark.parametrize("engine", RUNS, ids=RUN_IDS)
 @given(table=class_tables(), minsup=st.integers(min_value=0, max_value=70))
 def test_root_holds_the_kept_items_under_their_own_ids(
-    cutoff, engine, table, minsup
+    engine, table, minsup
 ):
-    """The root table holds exactly the kept items, by their table ids,
-    in either representation; a root that keeps none is ``None``."""
+    """The root table holds exactly the kept items, by their table ids;
+    a root that keeps none is ``None``."""
     ctx = SearchContext.for_table(
         table, Constraints(minsup=minsup), ALL_PRUNINGS,
         reference=engine == "reference",
     )
     kept = _oracle(table, minsup)
-    with handoff(cutoff):
-        root = ctx.root_state(table)
+    root = ctx.root_state(table)
     if not kept:
         assert root is None
         return

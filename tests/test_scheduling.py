@@ -23,7 +23,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import MINEABLE_SHAPES, assert_fault_free, handoff, random_dataset
+from conftest import MINEABLE_SHAPES, assert_fault_free, random_dataset
 from scheduling import (
     MAX_ATTEMPTS,
     Schedule,
@@ -108,20 +108,16 @@ class TestVirtualScheduler:
     def test_numpy_engine_steals_identically(
         self, schedule, tmp_path_factory
     ):
-        """The frontier walker is representation-generic: all packed
-        tables, and frontiers that mix packed and int-mask tables (a
-        hand-off cutoff inside the tree's widths), survive the same
-        adversarial schedules byte-for-byte."""
+        """A serial mine under the ``numpy`` engine spelling and the
+        adversarial schedules serialize the same bytes."""
         data = random_dataset(5, max_rows=8)
         workdir = tmp_path_factory.mktemp("vnumpy")
-        reference, _ = _serial_bytes(data, workdir / "serial.irgs")
-        for cutoff in (0, data.n_items // 2):
-            with handoff(cutoff):
-                run = run_schedule(data, "C", CONSTRAINTS, schedule)
-            virtual = serialized_store(
-                data, "C", CONSTRAINTS, run.store, workdir / "virtual.irgs"
-            )
-            assert virtual == reference, cutoff
+        serial = Farmer(constraints=CONSTRAINTS, engine="numpy").mine(data, "C")
+        run = run_schedule(data, "C", CONSTRAINTS, schedule)
+        virtual = serialized_store(
+            data, "C", CONSTRAINTS, run.store, workdir / "virtual.irgs"
+        )
+        assert virtual == _result_bytes(serial, workdir / "serial.irgs")
 
     def test_trace_round_trip_replays_identically(self, tmp_path):
         """A persisted schedule replays to the same bytes and the same

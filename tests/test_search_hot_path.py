@@ -14,9 +14,9 @@ is checked here against the slower code it replaced:
   group on that walk and sorts its groups once when they are built.
   The store it replaced is kept here as the oracle: a seen-set, a
   linear scan of the whole confidence prefix and sorted inserts.
-* **Hand-off by reference.**  A narrow child of a packed table holds
-  the transposer's own int masks (the same objects), equal to what
-  decoding its packed words gives, at every hand-off cutoff.
+* **Masks by reference.**  A child table holds the transposer's own
+  int masks in support-descending order, and the transposer's packed
+  words (read by the root's class-support filter) match those masks.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import handoff, random_dataset, unfiltered_root
+from conftest import random_dataset, unfiltered_root
 from strategies import datasets, degenerate_datasets, skewed_datasets
 
 from repro.core import bitset
@@ -44,14 +44,8 @@ from repro.core.farmer import (
     _IRGStore,
     enumerate_frontier,
 )
+from repro.core.enumeration import extend_items, scan_items
 from repro.core.kernel import CondTable
-from repro.core.npbitset import (
-    NumpyCondTable,
-    mask_words,
-    pack_masks,
-    root_table,
-    word_count,
-)
 from repro.data.dataset import ItemizedDataset
 from repro.data.discretize import EqualDepthDiscretizer
 from repro.data.registry import load
@@ -115,25 +109,26 @@ def _walk(ctx, table, quantum, per_node):
         frontiers.append(_detached(units))
 
 
-@pytest.mark.parametrize("cutoff", ["numpy", "default"])
+# Both ids run the one production engine, each on its own hypothesis
+# draws; they once forced a table representation each.
+@pytest.mark.parametrize("variant", ["numpy", "default"])
 @given(
     data=st.one_of(datasets(max_rows=10, max_items=8), skewed_datasets()),
     minsup=st.integers(min_value=1, max_value=5),
     minconf=st.sampled_from([0.0, 0.5, 0.8]),
     prunings=st.sampled_from(PRUNING_SUBSETS),
 )
-def test_fast_walk_matches_per_node_walk(cutoff, data, minsup, minconf, prunings):
+def test_fast_walk_matches_per_node_walk(variant, data, minsup, minconf, prunings):
     table = TransposedTable.build(data, "C")
     ctx = SearchContext.for_table(
         table, Constraints(minsup=minsup, minconf=minconf), prunings
     )
-    with handoff(cutoff):
-        for quantum in QUANTA:
-            fast = _walk(ctx, table, quantum, per_node=False)
-            slow = _walk(ctx, table, quantum, per_node=True)
-            assert fast[0] == slow[0]
-            assert dataclasses.astuple(fast[1]) == dataclasses.astuple(slow[1])
-            assert fast[2] == slow[2]
+    for quantum in QUANTA:
+        fast = _walk(ctx, table, quantum, per_node=False)
+        slow = _walk(ctx, table, quantum, per_node=True)
+        assert fast[0] == slow[0]
+        assert dataclasses.astuple(fast[1]) == dataclasses.astuple(slow[1])
+        assert fast[2] == slow[2]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -462,7 +457,7 @@ def test_reoffered_group_is_skipped_not_rejected():
 
 
 # ----------------------------------------------------------------------
-# Hand-off by reference
+# Masks by reference
 # ----------------------------------------------------------------------
 
 
@@ -484,63 +479,48 @@ def _rows(table):
     return [1 << row for row in range(table.n)]
 
 
+def _packed(masks, n_rows):
+    """``masks`` as one ``(len(masks), ceil(n_rows / 64))`` array of
+    little-endian uint64 words, one row per mask."""
+    width = -(-n_rows // 64)
+    payload = b"".join(mask.to_bytes(width * 8, "little") for mask in masks)
+    return np.frombuffer(payload, dtype=np.uint64).reshape(len(masks), width)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_narrow_children_hold_the_transposer_masks(seed):
+    """Every child one or two rows down holds the transposer's own mask
+    objects, in the root's support-descending order, with the items,
+    intersection and union of the reference shims."""
     table = _table(seed)
     items = table.item_masks
     full = table.all_rows_mask
-    with handoff(0):
-        packed_root = root_table(items, full, table.packed_words)
-    assert isinstance(packed_root, NumpyCondTable)
-    assert packed_root.item_masks is items
-    checked = 0
-    for cutoff in range(len(items) + 2):
-        with handoff(cutoff):
-            for first in _rows(table):
-                for second in [0, *_rows(table)[::11]]:
-                    with handoff(0):
-                        expected = packed_root.extend(first)
-                        if second:
-                            expected = expected.extend(second)
-                    parent = packed_root.extend(first)
-                    child = parent.extend(second) if second else parent
-                    if isinstance(child, NumpyCondTable):
-                        assert child.item_masks is items
-                        continue
-                    assert isinstance(child, CondTable)
-                    old_decode = mask_words(expected)
-                    assert child.item_ids == expected.item_ids
-                    assert child.masks == old_decode
-                    counts = [mask.bit_count() for mask in old_decode]
-                    assert counts == sorted(counts, reverse=True)
-                    for item, mask in zip(child.item_ids, child.masks):
-                        assert mask == items[item]
-                    assert (child.inter, child.union) == (
-                        expected.inter,
-                        expected.union,
-                    )
-                    checked += 1
-    assert checked
+    root = CondTable.build(items, full)
+    order = root.item_ids
+    for first in _rows(table):
+        for second in [0, *_rows(table)[::11]]:
+            child = root.extend(first)
+            ids, masks = extend_items(order, [items[i] for i in order], first)
+            if second:
+                child = child.extend(second)
+                ids, masks = extend_items(ids, masks, second)
+            assert child.item_ids == ids
+            assert child.masks == masks
+            counts = [mask.bit_count() for mask in child.masks]
+            assert counts == sorted(counts, reverse=True)
+            for item, mask in zip(child.item_ids, child.masks):
+                assert mask == items[item]
+            assert (child.inter, child.union) == scan_items(masks, full)
 
 
 def test_packed_words_match_the_int_masks():
     for seed in range(4):
         table = _table(seed)
-        width = word_count(table.n)
-        expected = pack_masks(table.item_masks, width)
         assert table.packed_words.dtype == np.uint64
-        assert np.array_equal(table.packed_words, expected)
-        assert not table.packed_words.flags.writeable
-        with handoff(0):
-            from_words = root_table(
-                table.item_masks, table.all_rows_mask, table.packed_words
-            )
-            from_ints = root_table(table.item_masks, table.all_rows_mask)
-        assert np.array_equal(from_words.data, from_ints.data)
-        assert (from_words.inter, from_words.union) == (
-            from_ints.inter,
-            from_ints.union,
+        assert np.array_equal(
+            table.packed_words, _packed(table.item_masks, table.n)
         )
+        assert not table.packed_words.flags.writeable
 
 
 @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 130])
@@ -548,10 +528,8 @@ def test_packed_words_at_word_edges(n_rows):
     rows = [[item for item in range(3) if (row + item) % 2] for row in range(n_rows)]
     data = ItemizedDataset.from_lists(rows, ["C"] * n_rows, n_items=3)
     table = TransposedTable.build(data, "C")
-    assert table.packed_words.shape == (3, word_count(n_rows))
-    assert np.array_equal(
-        table.packed_words, pack_masks(table.item_masks, word_count(n_rows))
-    )
+    assert table.packed_words.shape == (3, -(-n_rows // 64))
+    assert np.array_equal(table.packed_words, _packed(table.item_masks, n_rows))
 
 
 def test_packed_words_stay_out_of_equality_and_pickle():
@@ -621,8 +599,8 @@ def test_walk_candidates_admit_alike_in_row_and_item_space(
     assert sequence
     for candidate in sequence:
         # The Candidate precondition: a closed pair of the table (an
-        # empty antecedent would need every row; test_npbitset pins that
-        # an itemless table intersects to all rows).
+        # empty antecedent would need every row, since an itemless table
+        # intersects to all rows).
         assert table.rows_of_itemset(candidate.item_ids) == candidate.row_mask
         assert table.items_of_rows(candidate.row_mask) == frozenset(
             candidate.item_ids

@@ -2,8 +2,8 @@
 
 The load-bearing suite is :class:`TestEndToEnd`: a job submitted through
 the HTTP API must return ``.irgs`` bytes **byte-identical** to the same
-mine run directly through :func:`repro.core.farmer.mine_irgs`, across
-hand-off cutoffs, and a second identical submission must be answered by the
+mine run directly through :func:`repro.core.farmer.mine_irgs`, under
+each engine spelling, and a second identical submission must be answered by the
 dataset registry and the shared warm-frontier cache (asserted via the
 job's own ``cache_hit`` / ``dataset_cache`` telemetry events) with
 identical bytes.
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import handoff
+from conftest import variant_engine
 
 from repro.core.farmer import mine_irgs
 from repro.core.serialize import save_rule_groups
@@ -56,9 +56,9 @@ DATASET = "LC"
 SCALE = 0.02
 MINSUP = 8
 
-#: The acceptance matrix: hand-off cutoffs (``conftest.HANDOFF_CUTOFFS``
-#: ids) — all int masks, all packed, a hand-off on the first extend.
-E2E_CUTOFFS = ("kernel", "numpy", "handoff-1")
+#: The acceptance matrix: variant ids (``conftest.VARIANTS``) — the
+#: ``kernel`` and ``numpy`` engine spellings and the default engine.
+E2E_VARIANTS = ("kernel", "numpy", "handoff-1")
 
 
 def _call(app, method, target, body=None):
@@ -591,18 +591,16 @@ class TestUploads:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", E2E_CUTOFFS)
+@pytest.mark.parametrize("engine", E2E_VARIANTS)
 class TestEndToEnd:
     def test_job_bytes_match_direct_mine_and_warm_repeat(
         self, tmp_path, engine
     ):
-        with handoff(engine):
-            self._job_bytes_match_direct_mine_and_warm_repeat(tmp_path)
-
-    def _job_bytes_match_direct_mine_and_warm_repeat(self, tmp_path):
         app = ServeApp(tmp_path / "serve", workers=1, queue_depth=4)
         try:
             spec = {"dataset": DATASET, "scale": SCALE, "minsup": MINSUP}
+            if variant_engine(engine) is not None:
+                spec["engine"] = engine
             status, job, _ = _call(app, "POST", "/v1/jobs", spec)
             assert status == 202
             payload = _wait_terminal(app, job["id"])

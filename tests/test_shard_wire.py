@@ -7,9 +7,9 @@ worker rebuilds the tables from the run's root, which its pool received
 once through the initializer.  These tests pin that contract:
 
 * an attached unit resolves to exactly the walker's own table — every
-  field, the representation included — and the walk from an attached
-  frontier finds the walker's candidates, in order, with its counters,
-  at every hand-off cutoff and on the ``reference`` root, for depth-1
+  field — and the walk from an attached frontier finds the walker's
+  candidates, in order, with its counters, on the production and the
+  ``reference`` roots, for depth-1
   tasks, deep donated frontiers, row bits at the 64-bit word tails and
   an empty child.  Its lazy parent table is rebuilt by Lemma 3.3
   alone, without the walk's per-node class-support filter, so it may
@@ -24,21 +24,18 @@ once through the initializer.  These tests pin that contract:
 
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
 from conftest import (
-    HANDOFF_CUTOFFS,
     REBUILT_PARENT,
+    VARIANTS,
     assert_fault_free,
-    handoff,
     random_dataset,
 )
 
 from repro import mine_irgs
-from repro.core import npbitset, parallel
+from repro.core import parallel
 from repro.core.constraints import Constraints
 from repro.core.enumeration import NodeCounters
 from repro.core.farmer import (
@@ -49,38 +46,35 @@ from repro.core.farmer import (
     enumerate_frontier,
 )
 from repro.core.kernel import CondTable
-from repro.core.npbitset import NumpyCondTable
 from repro.core.parallel import _attach, _detach
 from repro.core.serialize import save_rule_groups
 from repro.data.dataset import ItemizedDataset
 from repro.data.transpose import TransposedTable
 from repro.experiments.workloads import build_workload
 
-#: Every root a run can attach to: each forced hand-off cutoff of the
-#: production engine, and the ``reference`` oracle's count-less root.
-ROOTS = (*HANDOFF_CUTOFFS, "reference")
+#: Every root a run can attach to: the production engine's, once per
+#: :data:`conftest.VARIANTS` id, and the ``reference`` oracle's
+#: unranked root.
+ROOTS = (*VARIANTS, "reference")
 
 WORD_TAILS = ("word_tail_63", "word_tail_64", "word_tail_65")
 
 
 @pytest.fixture(scope="module")
 def lc_small():
-    """LC at scale 0.01: a 1,250-item root whose children hand off."""
+    """LC at scale 0.01: 1,250 items, 42 kept at the root at minsup 9."""
     workload = build_workload("LC", scale=0.01)
     return workload, TransposedTable.build(workload.data, workload.consequent)
 
 
-@contextmanager
 def _search(root, table, minsup):
-    """The search context of ``root`` over ``table``, its cutoff forced
-    for the whole block (attaching extends tables too)."""
-    with handoff("default" if root == "reference" else root):
-        yield SearchContext.for_table(
-            table,
-            Constraints(minsup=minsup),
-            ALL_PRUNINGS,
-            reference=root == "reference",
-        )
+    """The search context of ``root`` over ``table``."""
+    return SearchContext.for_table(
+        table,
+        Constraints(minsup=minsup),
+        ALL_PRUNINGS,
+        reference=root == "reference",
+    )
 
 
 def _frontiers(ctx, root_state, quantum):
@@ -95,15 +89,8 @@ def _frontiers(ctx, root_state, quantum):
 
 
 def _fields(table) -> dict:
-    """Every slot of a conditional table, arrays compared by dtype,
-    shape and bytes."""
-    fields: dict = {"type": type(table)}
-    for slot in type(table).__slots__:
-        value = getattr(table, slot)
-        if isinstance(value, np.ndarray):
-            value = (value.dtype.str, value.shape, value.tobytes())
-        fields[slot] = value
-    return fields
+    """Every slot of a conditional table."""
+    return {slot: getattr(table, slot) for slot in type(table).__slots__}
 
 
 def _walk(ctx, units) -> tuple:
@@ -114,13 +101,13 @@ def _walk(ctx, units) -> tuple:
     return candidates, counters
 
 
-def _assert_round_trip(ctx, root_table, units) -> list:
+def _assert_round_trip(ctx, root, units) -> list:
     """Detach the walker's ``units`` and attach them again: every state
     resolves to the walker's own table, field for field, from a parent
     table that holds every item of the walker's parent, in its order,
     and the walk from the attached frontier finds the walker's
     candidates, in its order, with its counters."""
-    attached = _attach(root_table, _detach(units))
+    attached = _attach(root, _detach(units))
     assert len(attached) == len(units)
     for (tag, walked), (rebuilt_tag, rebuilt) in zip(units, attached):
         assert rebuilt_tag == tag
@@ -147,30 +134,19 @@ def _parent_rows(units) -> list[int]:
     ]
 
 
-def _lemma_3_3(root_table, rows: int) -> tuple:
+def _lemma_3_3(root, rows: int) -> tuple:
     """``TT|rows`` from the definition: the root's items whose row set
-    contains ``rows``, in root order, with the representation the
-    hand-off gives that size (int masks once below the cutoff, and for
-    good once the root is int masks)."""
-    if isinstance(root_table, NumpyCondTable):
-        masks = npbitset.mask_words(root_table)
-    else:
-        masks = root_table.masks
+    contains ``rows``, in root order."""
     kept = [
         (item, mask)
-        for item, mask in zip(root_table.item_ids, masks)
+        for item, mask in zip(root.item_ids, root.masks)
         if mask & rows == rows
     ]
-    inter, union = root_table.full, 0
+    inter, union = root.full, 0
     for _, mask in kept:
         inter &= mask
         union |= mask
-    packed = (
-        isinstance(root_table, NumpyCondTable)
-        and len(kept) >= npbitset.HANDOFF_ITEMS
-    )
-    kind = NumpyCondTable if packed else CondTable
-    return kind, [item for item, _ in kept], inter, union, root_table.full
+    return [item for item, _ in kept], inter, union, root.full
 
 
 def _detached_unit(rows: int) -> tuple:
@@ -181,12 +157,13 @@ def _detached_unit(rows: int) -> tuple:
     )
 
 
-def _assert_matches_lemma(root_table, rows: int) -> None:
-    [(_, unit)] = _attach(root_table, [_detached_unit(rows)])
+def _assert_matches_lemma(root, rows: int) -> None:
+    [(_, unit)] = _attach(root, [_detached_unit(rows)])
     table = unit.table
+    assert isinstance(table, CondTable)
     assert (
-        type(table), list(table.item_ids), table.inter, table.union, table.full
-    ) == _lemma_3_3(root_table, rows), rows
+        table.item_ids, table.inter, table.union, table.full
+    ) == _lemma_3_3(root, rows), rows
 
 
 def _serialized(result, tmp_path, tag) -> bytes:
@@ -204,10 +181,10 @@ class TestAttach:
         _, table = lc_small
         # minsup 9: the root keeps the 42 items that can reach it, whose
         # rows give the root 132 children (72 at minsup 11).
-        with _search(root, table, 9) as ctx:
-            root_state = ctx.root_state(table)
-            children = next(_frontiers(ctx, root_state, 1))
-            attached = _assert_round_trip(ctx, root_state.table, children)
+        ctx = _search(root, table, 9)
+        root_state = ctx.root_state(table)
+        children = next(_frontiers(ctx, root_state, 1))
+        attached = _assert_round_trip(ctx, root_state.table, children)
         states = [unit for tag, unit in attached if tag == FRONTIER_STATE]
         assert len(states) > 100
         assert all(unit.table is root_state.table for unit in states)
@@ -216,20 +193,20 @@ class TestAttach:
         _, table = lc_small
         deepest = 0
         wider = 0
-        with _search(root, table, 11) as ctx:
-            root_state = ctx.root_state(table)
-            # Quantum 64: the filtered tree at minsup 11 is shallower, and
-            # at 256 no frontier reaches below the root's grandchildren.
-            for units in _frontiers(ctx, root_state, 64):
-                attached = _assert_round_trip(ctx, root_state.table, units)
-                deepest = max(
-                    [deepest, *(rows.bit_count() for rows in _parent_rows(units))]
-                )
-                wider += sum(
-                    len(rebuilt.table) > len(walked.table)
-                    for (tag, walked), (_, rebuilt) in zip(units, attached)
-                    if tag == FRONTIER_STATE
-                )
+        ctx = _search(root, table, 11)
+        root_state = ctx.root_state(table)
+        # Quantum 64: the filtered tree at minsup 11 is shallower, and
+        # at 256 no frontier reaches below the root's grandchildren.
+        for units in _frontiers(ctx, root_state, 64):
+            attached = _assert_round_trip(ctx, root_state.table, units)
+            deepest = max(
+                [deepest, *(rows.bit_count() for rows in _parent_rows(units))]
+            )
+            wider += sum(
+                len(rebuilt.table) > len(walked.table)
+                for (tag, walked), (_, rebuilt) in zip(units, attached)
+                if tag == FRONTIER_STATE
+            )
         assert deepest >= 3, "no frontier reached below the root's grandchildren"
         assert wider, "no rebuilt parent held an item the walker's filter dropped"
 
@@ -239,15 +216,15 @@ class TestAttach:
         keeps the item the walker's {1} dropped."""
         table = TransposedTable.build(REBUILT_PARENT, "C")
         wider = 0
-        with _search(root, table, 3) as ctx:
-            root_state = ctx.root_state(table)
-            for units in _frontiers(ctx, root_state, 1):
-                attached = _assert_round_trip(ctx, root_state.table, units)
-                wider += sum(
-                    len(rebuilt.table) > len(walked.table)
-                    for (tag, walked), (_, rebuilt) in zip(units, attached)
-                    if tag == FRONTIER_STATE
-                )
+        ctx = _search(root, table, 3)
+        root_state = ctx.root_state(table)
+        for units in _frontiers(ctx, root_state, 1):
+            attached = _assert_round_trip(ctx, root_state.table, units)
+            wider += sum(
+                len(rebuilt.table) > len(walked.table)
+                for (tag, walked), (_, rebuilt) in zip(units, attached)
+                if tag == FRONTIER_STATE
+            )
         assert wider
 
     @pytest.mark.parametrize("shape", WORD_TAILS)
@@ -256,30 +233,28 @@ class TestAttach:
             data = random_dataset(seed, shape=shape)
             table = TransposedTable.build(data, "C")
             top = 1 << (table.n - 1)
-            with _search(root, table, 1) as ctx:
-                root_state = ctx.root_state(table)
-                for units in _frontiers(ctx, root_state, 1):
-                    _assert_round_trip(ctx, root_state.table, units)
-                # Parents whose rows sit on the last word's boundary.
-                for rows in (top, top | top >> 1, top | 1, top | top >> 2 | 1):
-                    _assert_matches_lemma(root_state.table, rows)
+            ctx = _search(root, table, 1)
+            root_state = ctx.root_state(table)
+            for units in _frontiers(ctx, root_state, 1):
+                _assert_round_trip(ctx, root_state.table, units)
+            # Parents whose rows sit on the last word's boundary.
+            for rows in (top, top | top >> 1, top | 1, top | top >> 2 | 1):
+                _assert_matches_lemma(root_state.table, rows)
 
     def test_empty_child(self, root, lc_small):
-        """A parent whose rows share no item attaches an empty table of
-        the representation its cutoff gives (the packed side's empty
-        hand-off included)."""
+        """A parent whose rows share no item attaches an empty table."""
         _, table = lc_small
-        with _search(root, table, 11) as ctx:
-            root_state = ctx.root_state(table)
-            assert not _lemma_3_3(root_state.table, table.all_rows_mask)[1]
-            _assert_matches_lemma(root_state.table, table.all_rows_mask)
+        ctx = _search(root, table, 11)
+        root_state = ctx.root_state(table)
+        assert not _lemma_3_3(root_state.table, table.all_rows_mask)[0]
+        _assert_matches_lemma(root_state.table, table.all_rows_mask)
         disjoint = ItemizedDataset.from_lists(
             [[0, 1], [2, 3], [0, 2], [1, 3]], ["C", "C", "D", "D"], n_items=4
         )
         table = TransposedTable.build(disjoint, "C")
-        with _search(root, table, 1) as ctx:
-            root_state = ctx.root_state(table)
-            _assert_matches_lemma(root_state.table, 0b11)
+        ctx = _search(root, table, 1)
+        root_state = ctx.root_state(table)
+        _assert_matches_lemma(root_state.table, 0b11)
 
 
 class TestWire:

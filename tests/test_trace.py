@@ -6,11 +6,11 @@ import dataclasses
 import pytest
 
 from conftest import (
-    HANDOFF_CUTOFFS,
-    handoff,
+    VARIANTS,
     itemset_to_letters,
     random_dataset,
     unfiltered_root,
+    variant_engine,
 )
 
 from repro import Constraints, Farmer, mine_irgs
@@ -18,21 +18,18 @@ from repro.core.enumeration import NodeCounters, merge_counters
 from repro.core.trace import TracingFarmer, render_tree
 
 #: Every run the tracer must normalize identically: the production
-#: engine at each forced hand-off cutoff, and the reference oracle.
-TRACE_RUNS = (*HANDOFF_CUTOFFS, "reference")
+#: engine once per :data:`conftest.VARIANTS` id, and the reference
+#: oracle.
+TRACE_RUNS = (*VARIANTS, "reference")
 
 
 def _traced(run, paper_dataset, **kwargs):
     """The trace root of one :data:`TRACE_RUNS` run over the paper's
     dataset at minsup 1."""
-    reference = run == "reference"
-    with handoff("default" if reference else run):
-        miner = TracingFarmer(
-            constraints=Constraints(minsup=1),
-            engine="reference" if reference else None,
-            **kwargs,
-        )
-        miner.mine(paper_dataset, "C")
+    miner = TracingFarmer(
+        constraints=Constraints(minsup=1), engine=variant_engine(run), **kwargs
+    )
+    miner.mine(paper_dataset, "C")
     return miner.trace_root
 
 
@@ -185,9 +182,8 @@ class TestCounterMerge:
 class TestEngineAgreement:
     """The trace is an engine-independent view of the search.
 
-    The production engine keeps conditional tables support-sorted, on
-    either side of the hand-off, while the reference engine keeps
-    insertion order; the tracer must normalize that away so Figure 3
+    The production engine keeps conditional tables support-sorted,
+    while the reference engine keeps insertion order; the tracer must normalize that away so Figure 3
     labels (and the ``reported`` detection, which compares against store
     entries in table order) agree byte for byte across every run.
     """
