@@ -17,7 +17,7 @@ This module also hosts the node-budget bookkeeping shared by the miners.
 
 :func:`extend_items` and :func:`scan_items` are the *reference shims* of
 the fused kernel (:mod:`repro.core.kernel`): every engine walks each
-table once via ``CondTable.extend`` (or its packed counterpart), while
+table once via ``CondTable.extend``, while
 these two-pass helpers remain the independently-tested ground truth the
 differential and property-based suites compare against.
 """

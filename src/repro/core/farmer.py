@@ -39,7 +39,9 @@ lists into an in-memory transposed table; we use the bitset equivalent):
   with Pruning 2 on every table below it the items with ``minsup`` rows
   in its node's region ``(X ∪ P1(X) ∪ cand(X)) ∩ pos``
   (:attr:`SearchContext.item_floor`); the walk emits the same
-  candidates in the same order;
+  candidates in the same order.  Under that filter Step 4's tight
+  support bound cannot fire, so the walk does not test it and
+  scans for the tight bound only at ``minconf > 0``;
 * every pruning strategy can be disabled independently (the ablation
   benchmark relies on this); disabling any of them never changes the
   mined result, only the work done.  Pruning 2 requires Pruning 1's
@@ -60,12 +62,13 @@ lists into an in-memory transposed table; we use the bitset equivalent):
   The production engine builds a surviving node's table and scan in one
   fused pass and evaluates each node's bounds inline on its counts.
   Every table is the kernel's keyed int masks
-  (:class:`~repro.core.kernel.CondTable`) in support-sorted order,
-  whose bound scans exit early.
+  (:class:`~repro.core.kernel.CondTable`), every root one
+  :meth:`~repro.core.kernel.CondTable.build`; the production engine's
+  support-sorted order lets its bound scans saturate early.
   ``engine="reference"`` keeps the pre-kernel cost model for
-  differential tests and the perf gate: the dataset's item order, every
-  visited node's table built before its Step-2 bound and full bound
-  scans.  Both produce byte-identical serialized output.
+  differential tests and the perf gate: the dataset's item order and
+  every visited node's table built before its Step-2 bound.  Both
+  produce byte-identical serialized output.
 """
 
 from __future__ import annotations
@@ -336,26 +339,21 @@ class SearchContext:
         that keeps no item has no group to find; it would only emit
         ``I(∅) = ∅``, so every caller skips the walk instead.
 
-        The production engine builds the support-sorted, pre-scanned
-        root with :meth:`~repro.core.kernel.CondTable.build`; the
-        reference engine keeps the dataset's item order, unranked, so
-        its bound scans walk every tuple.
+        Both engines build the pre-scanned root with
+        :meth:`~repro.core.kernel.CondTable.build`: support-sorted for
+        the production engine, in the dataset's item order for the
+        reference engine.
         """
         if not table.n or not table.item_masks:
             return None
         ids = _root_items(table, self.constraints.minsup)
         if not len(ids):
             return None
-        masks = table.item_masks
-        held = ids.tolist()
-        if self.reference:
-            cond = CondTable.reference(
-                held, [masks[item] for item in held], table.all_rows_mask
-            )
-        else:
-            cond = CondTable.build(masks, table.all_rows_mask, held)
         return NodeState(
-            table=cond,
+            table=CondTable.build(
+                table.item_masks, table.all_rows_mask, ids.tolist(),
+                by_support=not self.reference,
+            ),
             row_bit=0,
             x_mask=0,
             cand_pos=table.positive_mask,
@@ -369,29 +367,10 @@ class SearchContext:
 
 def _root_items(table: TransposedTable, minsup: int) -> np.ndarray:
     """The ascending ids of the items whose class support
-    ``|R(i) ∩ pos|`` reaches ``minsup``.
-
-    Positive rows are ORD positions ``0 .. m-1``, so only the first
-    ``ceil(m / 64)`` words of :attr:`TransposedTable.packed_words` are
-    counted, the last one tail-masked; a table without packed words
-    (unpickled or built directly) counts its int masks.  Tests replace
-    this function to mine an unfiltered root.
-    """
-    words = table.packed_words
-    if words is None:
-        positive = table.positive_mask
-        counts = np.fromiter(
-            ((mask & positive).bit_count() for mask in table.item_masks),
-            dtype=np.int64,
-            count=len(table.item_masks),
-        )
-    else:
-        width = -(-table.m // 64)
-        positive = table.positive_mask.to_bytes(width * 8, "little")
-        counts = np.bitwise_count(
-            words[:, :width] & np.frombuffer(positive, dtype=np.uint64)
-        ).sum(axis=1, dtype=np.int64)
-    return np.flatnonzero(counts >= minsup)
+    ``|R(i) ∩ pos|`` (:attr:`TransposedTable.class_support`) reaches
+    ``minsup``.  Tests replace this function to mine an unfiltered
+    root."""
+    return np.flatnonzero(table.class_support >= minsup)
 
 
 def _item_floor(minsup: int, use_p2: bool) -> int:
@@ -590,8 +569,18 @@ def enumerate_frontier(
     m = ctx.m
     positive_mask = ctx.positive_mask
     floor = ctx.item_floor
+    # Under the per-node filter Step 4's tight support bound cannot
+    # fire: every item of a non-empty table holds ``floor`` rows of its
+    # node's region, each in X ∪ P1(X) (counted in ``supp``) or in
+    # ``cand_pos``, so ``supp + max_overlap(cand_pos) >= minsup``; an
+    # empty table is cut by Pruning 2 first.  There the walk does not
+    # test the bound against minsup and scans for it only when the
+    # confidence bound needs it (docs/architecture.md).
+    tight_minsup = 0 if floor else minsup
+    scan_tight = not floor or minconf > 0.0
     eager = ctx.reference
-    # Reference tables have no popcounts to account a scan by.
+    # Bound-scan telemetry describes the production kernel; the
+    # reference oracle reports none.
     observe = ctx.observe and not eager
     if observe and stats is None:
         stats = ScanStats()
@@ -797,7 +786,7 @@ def enumerate_frontier(
 
             # Step 4 — Pruning 3, tight bounds (after the scan).
             if use_p3:
-                if positive and node_pos:
+                if scan_tight and positive and node_pos:
                     if observe:
                         scans += 1
                         scan_rows += len(node_table)
@@ -809,7 +798,7 @@ def enumerate_frontier(
                 else:
                     tight = node_supp
                 if (
-                    tight < minsup
+                    tight < tight_minsup
                     or (
                         minconf > 0.0
                         and confidence(tight, total_supn) < minconf

@@ -20,9 +20,10 @@ and, where possible, *skips* that work:
   each an item's row mask with its item id in the bits above the rows.
   Extending it is one filter comprehension plus one AND/OR pass over
   the survivors, which computes the child's scan results
-  (``inter``/``union``) as it is built.  Its support-descending item
-  order lets Pruning-3 bound scans (:meth:`CondTable.max_overlap`) stop
-  early instead of walking every tuple;
+  (``inter``/``union``) as it is built.  Pruning-3 bound scans
+  (:meth:`CondTable.max_overlap`) stop once the maximum saturates, which
+  the production engine's support-descending item order makes likely
+  early;
 * :class:`ScanStats` counts, on an observed walk, how far those bound
   scans walk (the per-node bounds themselves are constant-time
   arithmetic on the node's counts, evaluated inline by the walk);
@@ -38,11 +39,12 @@ against the reference shims and the brute-force oracle.
 
 :class:`CondTable` is the one conditional-table representation: the
 production engine, CARPENTER and COBBLER hold ``TT|X`` in it at every
-depth, as Section 3.3 of the paper keeps one structure.  Miners accept
+depth, as Section 3.3 of the paper keeps one structure, and every root
+is one :meth:`CondTable.build` call.  Miners accept
 ``engine="reference"`` to run the pre-kernel cost model (every visited
-node's table built eagerly in the dataset's item order, unranked so
-bound scans are full) for differential testing and the committed perf
-gate (``benchmarks/perf_gate.py``).
+node's table built eagerly, in the dataset's item order) for
+differential testing and the committed perf gate
+(``benchmarks/perf_gate.py``).
 """
 
 from __future__ import annotations
@@ -92,15 +94,12 @@ class CondTable:
       when the table is built (the intersection over an empty table is
       ``full`` by convention);
     * ``full`` — the all-rows mask, which also splits a key into its
-      mask (``key & full``) and its id (``key >> full.bit_length()``);
-    * ``ranked`` — whether ``keys`` are in support-descending order (ties
-      by item id), whose bound scans stop early (:meth:`max_overlap`).
+      mask (``key & full``) and its id (``key >> full.bit_length()``).
 
     ``item_ids`` and ``masks`` are derived from the keys on read (at
     candidate emission, by the tracer and by COBBLER's column mode).
-    Reference-engine tables (:meth:`reference`) keep the caller's item
-    order with ``ranked=False``, so their bound scans walk every tuple;
-    extending a table keeps its ``ranked`` flag.
+    The item order is chosen once, by :meth:`build`, and every table
+    extended from a root keeps it.
 
     Instances are shared between sibling :class:`~repro.core.farmer.NodeState`
     values, and a run's root table is handed to every worker process
@@ -108,21 +107,13 @@ class CondTable:
     with the default protocol.
     """
 
-    __slots__ = ("keys", "inter", "union", "full", "ranked")
+    __slots__ = ("keys", "inter", "union", "full")
 
-    def __init__(
-        self,
-        keys: list[int],
-        inter: int,
-        union: int,
-        full: int,
-        ranked: bool = True,
-    ) -> None:
+    def __init__(self, keys: list[int], inter: int, union: int, full: int) -> None:
         self.keys = keys
         self.inter = inter
         self.union = union
         self.full = full
-        self.ranked = ranked
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -145,11 +136,16 @@ class CondTable:
         item_masks: Sequence[int],
         full_mask: int,
         ids: Iterable[int] | None = None,
+        *,
+        by_support: bool = True,
     ) -> "CondTable":
-        """The root table, support-sorted and scanned.
+        """A root table, in its item order and scanned.
 
-        The sort (support descending, item id ascending) establishes the
-        order every descendant table inherits by filtering.
+        The order chosen here is the one every descendant table inherits
+        by filtering: support descending, item id ascending, for the
+        production engine, whose bound scans it lets stop early; the
+        order of ``ids`` for the reference engine's pre-kernel cost
+        model.
 
         Args:
             item_masks: per-item row bitsets in item-id order, each a
@@ -157,63 +153,26 @@ class CondTable:
             full_mask: bitset of all rows.
             ids: the item ids the table holds; ``None`` holds every
                 item.
+            by_support: sort the held items by support; ``False`` keeps
+                them in the order of ``ids``.
 
         Returns:
-            The fully scanned, ranked root :class:`CondTable`.
+            The fully scanned root :class:`CondTable`.
 
         Raises:
             DataError: if a held item's mask has a row outside
                 ``full_mask`` (see :func:`_check_rows`).
         """
         held = range(len(item_masks)) if ids is None else [int(i) for i in ids]
-        order = sorted(
-            held, key=lambda item: (-item_masks[item].bit_count(), item)
-        )
+        if by_support:
+            held = sorted(
+                held, key=lambda item: (-item_masks[item].bit_count(), item)
+            )
         inter, union = scan_items([item_masks[item] for item in held], full_mask)
         _check_rows(union, full_mask)
         shift = full_mask.bit_length()
-        keys = [item_masks[item] | item << shift for item in order]
+        keys = [item_masks[item] | item << shift for item in held]
         return cls(keys, inter, union, full_mask)
-
-    @classmethod
-    def reference(
-        cls, item_ids: Sequence[int], masks: Sequence[int], full_mask: int
-    ) -> "CondTable":
-        """A pre-kernel-style table: caller's order, full bound scans.
-
-        The reference engine's root.  Its scan comes from the
-        :func:`~repro.core.enumeration.scan_items` shim, and its
-        ``ranked=False`` flag passes to every table extended from it.
-
-        Args:
-            item_ids: item ids in the caller's order.
-            masks: per-item row bitsets, parallel to ``item_ids``, each
-                a subset of ``full_mask``.
-            full_mask: bitset of all rows.
-
-        Returns:
-            The scanned, unranked :class:`CondTable`.
-
-        Raises:
-            DataError: if ``item_ids`` and ``masks`` differ in length (a
-                corrupted conditional table must fail loudly, not
-                silently truncate — mirrors ``extend_items``), or if a
-                mask has a row outside ``full_mask`` (see
-                :func:`_check_rows`).
-        """
-        shift = full_mask.bit_length()
-        try:
-            keys = [
-                mask | item << shift
-                for item, mask in zip(item_ids, masks, strict=True)
-            ]
-        except ValueError as exc:
-            raise DataError(
-                "conditional table corrupt: item_ids and masks differ in length"
-            ) from exc
-        inter, union = scan_items(masks, full_mask)
-        _check_rows(union, full_mask)
-        return cls(keys, inter, union, full_mask, False)
 
     def extend(
         self, row_bit: int, region: int = 0, minsup: int = 0
@@ -225,10 +184,9 @@ class CondTable:
         (FARMER's per-node class-support filter,
         :attr:`~repro.core.farmer.SearchContext.item_floor`), and one
         AND/OR pass over the survivors gives the child's intersection
-        and union.  Order (and with it the ranking) is preserved by
-        filtering.  ``row_bit`` and ``region`` hold the table's rows
-        only, below ``full.bit_length()``, so they never meet an item
-        id's bits.
+        and union.  Order is preserved by filtering.  ``row_bit`` and
+        ``region`` hold the table's rows only, below
+        ``full.bit_length()``, so they never meet an item id's bits.
 
         Args:
             row_bit: the one-bit mask of the row ``r``.
@@ -237,7 +195,7 @@ class CondTable:
                 of ``region``; ``0`` keeps every key holding ``r``.
 
         Returns:
-            The ranked-as-its-parent child :class:`CondTable`.
+            The child :class:`CondTable`, in its parent's item order.
         """
         full = self.full
         if minsup:
@@ -253,26 +211,21 @@ class CondTable:
         for key in keys:
             inter &= key
             union |= key
-        return CondTable(keys, inter, union & full, full, self.ranked)
+        return CondTable(keys, inter, union & full, full)
 
     def max_overlap(self, cand_mask: int) -> int:
         """``MAX(|cand ∩ t|)`` over this table's tuples (Lemma 3.7).
 
         ``cand_mask`` holds rows only, so ``key & cand_mask`` drops the
-        item id.  A ranked table stops once the maximum saturates at
-        ``|cand|``, which its support-descending order makes likely
-        early; an unranked one scans every tuple.  (Stopping as well
-        once no later tuple is larger than the maximum, which the order
-        also allows, cut no scan shorter on the measured sweeps and cost
-        a popcount per tuple; see ``docs/performance.md``.)
+        item id.  The scan stops once the maximum saturates at
+        ``|cand|``, which is exact in any item order; the production
+        engine's support-descending order makes it likely early.
+        (Stopping as well once no later tuple is larger than the
+        maximum, which that order also allows, cut no scan shorter on
+        the measured sweeps and cost a popcount per tuple; see
+        ``docs/performance.md``.)
         """
         best = 0
-        if not self.ranked:
-            for key in self.keys:
-                overlap = (key & cand_mask).bit_count()
-                if overlap > best:
-                    best = overlap
-            return best
         cand_count = cand_mask.bit_count()
         for key in self.keys:
             overlap = (key & cand_mask).bit_count()
@@ -296,8 +249,8 @@ class CondTable:
             cand_mask: the candidate-row bitset of Lemma 3.7.
 
         Returns:
-            Exactly what :meth:`max_overlap` returns on a ranked table
-            (the reference engine never takes this path).
+            Exactly what :meth:`max_overlap` returns (the reference
+            engine never takes this path).
         """
         keys = self.keys
         best = 0

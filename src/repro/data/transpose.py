@@ -14,10 +14,12 @@ as one items x rows boolean matrix, scattered from the dataset's
 ``(item, ORD position)`` pairs (:meth:`ItemizedDataset.item_positions`,
 read straight off an equal-depth dataset's item matrix), each row padded
 to whole 64-bit words, packed little-endian with ``np.packbits`` and read
-back with one ``int.from_bytes`` per item.  The packed words are kept
-too (:attr:`TransposedTable.packed_words`): the root's class-support
-filter counts every item's positive rows in them with one vectorized
-popcount (:func:`repro.core.farmer._root_items`).
+back with one ``int.from_bytes`` per item.  While it holds the packed
+words it also counts every item's positive rows, ``|R(i) ∩ pos|``, with
+one vectorized popcount over the first ``ceil(m / 64)`` words
+(:attr:`TransposedTable.class_support`, what the root's class-support
+filter reads, :func:`repro.core.farmer._root_items`); the words
+themselves are dropped.
 """
 
 from __future__ import annotations
@@ -65,14 +67,14 @@ class TransposedTable:
             index in the source :class:`ItemizedDataset`.
         consequent: the class label the table was built for.
         source: the dataset this table was derived from.
+        class_support: per item id, ``|R(i_j) ∩ pos|``, the number of
+            consequent rows holding the item, as one read-only int64
+            array; not part of equality (an array cannot be compared
+            with ``==``) or ``repr``.
         memo: values derived from the table, computed once per table
             because it never changes (e.g. the warm cache's
             :func:`~repro.core.frontier.frontier_fingerprint`); not part
             of equality.
-
-    A table made by :meth:`build` also carries its items' packed words
-    (:attr:`packed_words`); they are not a field, so equality, ``repr``
-    and pickling see only the fields above.
     """
 
     item_masks: tuple[int, ...]
@@ -81,12 +83,14 @@ class TransposedTable:
     ord_to_original: tuple[int, ...]
     consequent: Hashable
     source: ItemizedDataset
+    class_support: np.ndarray = field(repr=False, compare=False)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, dataset: ItemizedDataset, consequent: Hashable) -> "TransposedTable":
         """Transpose ``dataset`` with rows ORD-ordered for ``consequent``."""
-        if dataset.class_count(consequent) == 0:
+        m = dataset.class_count(consequent)
+        if m == 0:
             raise DataError(
                 f"consequent {consequent!r} does not occur in dataset "
                 f"{dataset.name!r} (labels: {dataset.class_labels})"
@@ -110,37 +114,24 @@ class TransposedTable:
             from_bytes(buffer[start : start + width], "little")
             for start in range(0, len(buffer), width)
         ]
-        table = cls(
+        # Positive rows are ORD positions 0 .. m-1: count them in the
+        # first ceil(m / 64) words, the last one tail-masked.
+        pos_words = -(-m // _WORD_BITS)
+        positive = bitset.universe(m).to_bytes(pos_words * 8, "little")
+        class_support = np.bitwise_count(
+            packed.view(np.uint64)[:, :pos_words]
+            & np.frombuffer(positive, dtype=np.uint64)
+        ).sum(axis=1, dtype=np.int64)
+        class_support.flags.writeable = False
+        return cls(
             item_masks=tuple(masks),
             n=dataset.n_rows,
-            m=dataset.class_count(consequent),
+            m=m,
             ord_to_original=tuple(order),
             consequent=consequent,
             source=dataset,
+            class_support=class_support,
         )
-        words = packed.view(np.uint64)
-        words.flags.writeable = False
-        object.__setattr__(table, "_words", words)
-        return table
-
-    @property
-    def packed_words(self) -> "np.ndarray | None":
-        """The item masks as one read-only ``(items, words)`` uint64 array.
-
-        Row ``i`` is ``item_masks[i]`` packed little-endian into
-        ``ceil(n / 64)`` words, so word ``k // 64`` bit ``k % 64`` is
-        int bit ``k``.  ``None`` on a table
-        that was not made by :meth:`build` (constructed directly, or
-        unpickled), whose consumers pack the int masks themselves.
-        """
-        return self.__dict__.get("_words")
-
-    def __getstate__(self) -> dict:
-        # The packed words are a build-time by-product, not table state:
-        # a pickle holds exactly the fields.
-        state = dict(self.__dict__)
-        state.pop("_words", None)
-        return state
 
     # ------------------------------------------------------------------
     # Masks and conversions

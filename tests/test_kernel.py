@@ -5,7 +5,7 @@ Two layers of assurance:
 * unit tests for the kernel primitives (``CondTable`` extends, scans and
   bound scans, COBBLER's closure cache), including the strict-zip
   corruption regression;
-* a hypothesis property pinning a reference table's ``extend``
+* a hypothesis property pinning a caller-order table's ``extend``
   extensionally equal to the pre-kernel ``extend_items`` +
   ``scan_items`` composition.
 
@@ -27,9 +27,17 @@ from repro.core.kernel import ClosureCache, CondTable
 from repro.errors import DataError
 
 
+def _caller_order(item_ids, masks, full):
+    """The table holding ``masks`` under ``item_ids``, in that order."""
+    item_masks = [0] * (max(item_ids, default=-1) + 1)
+    for item, mask in zip(item_ids, masks, strict=True):
+        item_masks[item] = mask
+    return CondTable.build(item_masks, full, item_ids, by_support=False)
+
+
 def _extend(item_ids, masks, row_bit, full):
-    """``(ids, masks, inter, union)`` of a reference table's child."""
-    child = CondTable.reference(item_ids, masks, full).extend(row_bit)
+    """``(ids, masks, inter, union)`` of a caller-order table's child."""
+    child = _caller_order(item_ids, masks, full).extend(row_bit)
     return child.item_ids, child.masks, child.inter, child.union
 
 
@@ -59,14 +67,10 @@ class TestExtendAndScan:
         assert (ids, masks, union) == ([], [], 0)
         assert inter == 0b11
 
-    def test_length_mismatch_is_data_error(self):
-        with pytest.raises(DataError, match="differ in length"):
-            CondTable.reference([1, 2, 3], [0b1, 0b1], 0b1)
-
     def test_mask_outside_the_rows_is_data_error(self):
         # Row 2 would land in the key's id bits (shift 2 for rows 0b11).
         for build in (
-            lambda: CondTable.reference([0, 1], [0b01, 0b101], 0b11),
+            lambda: CondTable.build([0b01, 0b101], 0b11, by_support=False),
             lambda: CondTable.build([0b01, 0b101], 0b11),
         ):
             with pytest.raises(DataError, match="outside the table's row set"):
@@ -159,15 +163,15 @@ class TestMaxCandidateOverlap:
     @settings(max_examples=200, deadline=None)
     def test_early_exit_equals_naive_max(self, masks, cand):
         full = bitset.universe(12)
-        ranked = CondTable.build(masks, full)
-        caller_order = CondTable.reference(range(len(masks)), masks, full)
+        by_support = CondTable.build(masks, full)
+        caller_order = CondTable.build(masks, full, by_support=False)
         naive = max((m & cand).bit_count() for m in masks) if masks else 0
-        assert ranked.max_overlap(cand) == naive
+        assert by_support.max_overlap(cand) == naive
         assert caller_order.max_overlap(cand) == naive
 
     def test_empty_table(self):
         assert CondTable.build([], 0b111).max_overlap(0b111) == 0
-        assert CondTable.reference([], [], 0b111).max_overlap(0b111) == 0
+        assert CondTable.build([], 0b111, by_support=False).max_overlap(0b111) == 0
 
     def test_saturation_stops_early(self):
         # First tuple covers every candidate; later garbage is never read.
@@ -187,7 +191,6 @@ class TestCondTable:
         table = CondTable.build(self.MASKS, 0b1111)
         assert table.item_ids == [1, 3, 0, 2]
         assert table.masks == [0b1111, 0b1011, 0b0101, 0b0001]
-        assert table.ranked
         assert table.keys == [
             mask | item << 4 for item, mask in zip(table.item_ids, table.masks)
         ]
@@ -208,7 +211,6 @@ class TestCondTable:
         child = table.extend(0b0100)  # row 2: masks with bit 2 set
         assert child.item_ids == [1, 0]
         assert child.masks == [0b1111, 0b0101]
-        assert child.ranked
         assert child.keys == [table.keys[0], table.keys[2]]
         assert child.inter == 0b0101
         assert child.union == 0b1111
@@ -230,16 +232,14 @@ class TestCondTable:
             assert bitset.from_indices(tuple(ids)) == mask
 
     def test_reference_table_keeps_caller_order(self):
-        table = CondTable.reference([5, 1, 9], [0b1, 0b11, 0b1], 0b11)
+        table = _caller_order([5, 1, 9], [0b1, 0b11, 0b1], 0b11)
         assert table.item_ids == [5, 1, 9]
         assert table.masks == [0b1, 0b11, 0b1]
-        assert not table.ranked
         assert (table.inter, table.union) == scan_items([0b1, 0b11, 0b1], 0b11)
 
     def test_reference_extend_stays_reference(self):
-        table = CondTable.reference([5, 1], [0b01, 0b11], 0b11)
+        table = _caller_order([5, 1], [0b01, 0b11], 0b11)
         child = table.extend(0b01)
-        assert not child.ranked
         assert child.item_ids == [5, 1]
         assert child.inter == 0b01 and child.union == 0b11
 

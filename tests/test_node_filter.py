@@ -24,6 +24,9 @@ keeps the root's own filter) and compares what matters:
 
 The filter itself (``extend``'s ``region``/``minsup`` arguments) is
 checked against an int-mask oracle, across the 64-row word boundary.
+The inequality that lets Step 4 skip its tight support bound under the
+filter, ``supp + max_overlap(cand_pos) >= minsup``, is checked at every
+built node of the hypothesis families.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from repro.core.farmer import (
 from repro.core.frontier import FRONTIER_ENVELOPE, entry_path, frontier_fingerprint
 from repro.core.kernel import CondTable
 from repro.core.serialize import load_checkpoint
+from repro.core.trace import TracingFarmer
 from repro.data.transpose import TransposedTable
 from repro.experiments.workloads import DATASET_ORDER, MINSUP_GRIDS, build_workload
 
@@ -70,11 +74,10 @@ PRUNING_SUBSETS = (
     frozenset(),
 )
 
-#: The ``engine=`` of each run: the production engine under both of its
-#: spellings, and the reference oracle.  The ids name the table
-#: representations the first two runs once forced; there is one now.
-RUNS = ("numpy", "kernel", "reference")
-RUN_IDS = ("packed", "int-masks", "reference")
+#: The ``engine=`` of each run: the production engine and the reference
+#: oracle.
+RUNS = (None, "reference")
+RUN_IDS = ("production", "reference")
 
 FAMILIES = st.one_of(
     datasets(max_rows=10, max_items=8),
@@ -196,6 +199,51 @@ def test_production_matches_reference_node_for_node(data, minsup, minconf):
         ], dataclasses.astuple(counters)
 
     assert walk() == walk(reference=True)
+
+
+class _BuiltTables(TracingFarmer):
+    """Records every node whose table the walk builds (every node not
+    loose-pruned): its state, its table and the walk's verdict."""
+
+    def mine(self, dataset, consequent):
+        self.built = []
+        self._open = []
+        return super().mine(dataset, consequent)
+
+    def enter(self, state):
+        super().enter(state)
+        self._open.append(state)
+
+    def leave(self, outcome):
+        state, table = self._open.pop(), self._trace_stack[-1][1]
+        if outcome != "pruned:loose":
+            self.built.append((state, table, outcome))
+        super().leave(outcome)
+
+
+@given(
+    data=FAMILIES,
+    minsup=st.integers(min_value=1, max_value=5),
+    minconf=st.sampled_from([0.0, 0.5, 0.8]),
+    minchi=st.sampled_from([0.0, 1.0]),
+    prunings=st.sampled_from([ALL_PRUNINGS, frozenset({"p1", "p2"})]),
+)
+def test_tight_support_bound_cannot_fire_under_the_filter(
+    data, minsup, minconf, minchi, prunings
+):
+    """What lets Step 4 skip its support bound under the filter: at
+    every built node with a non-empty table, ``supp + max_overlap(cand_pos)
+    >= minsup``, and every empty table is cut by Pruning 2."""
+    farmer = _BuiltTables(
+        constraints=Constraints(minsup=minsup, minconf=minconf, minchi=minchi),
+        prunings=prunings,
+    )
+    farmer.mine(data, "C")
+    for state, table, outcome in farmer.built:
+        if len(table):
+            assert state.supp_in + table.max_overlap(state.cand_pos) >= minsup
+        else:
+            assert outcome == "pruned:identified"
 
 
 @pytest.fixture(scope="module")

@@ -502,17 +502,18 @@ class TestByteIdentity:
 #: The ``kernel.*`` counters of an observed mine per sweep point
 #: ``(dataset, minsup, minconf, prunings, n_workers)``, all at scale
 #: 0.02.  The walk counts the scans and their tables' rows, the tables
-#: their early exits.  The roots hold only the items that can reach
-#: minsup (2 at LC, 554 at CT), and ``n_workers=1`` counts the sharded
-#: coordinator's expansions.  With Pruning 2 on, every table below the
-#: root holds only the items that can still reach minsup at its node,
-#: so its bound scans are shorter and fewer.
+#: their early exits, and ``n_workers=1`` counts the sharded
+#: coordinator's expansions too.  With Pruning 2 on, every table holds
+#: only the items that can still reach minsup at its node, so the tight
+#: support bound cannot fire and the walk scans only for the confidence
+#: bound: none at minconf 0 (LC, BC, CT), some at ALL's 0.9.  PC runs
+#: without Pruning 2, so every positive node with candidates scans.
 KERNEL_COUNTERS = {
-    ("LC", 14, 0.0, ("p1", "p2", "p3"), None): (3, 4, 4, 0),
-    ("BC", 6, 0.0, ("p1", "p2", "p3"), None): (3056, 11325, 11328, 53),
+    ("LC", 14, 0.0, ("p1", "p2", "p3"), None): (0, 0, 0, 0),
+    ("BC", 6, 0.0, ("p1", "p2", "p3"), None): (0, 0, 0, 0),
     ("ALL", 5, 0.9, ("p1", "p2", "p3"), None): (1640, 6012, 6022, 36),
     ("PC", 9, 0.0, ("p1", "p3"), None): (9453, 19471, 19492, 380),
-    ("CT", 3, 0.0, ("p1", "p2", "p3"), 1): (1, 554, 554, 0),
+    ("CT", 3, 0.0, ("p1", "p2", "p3"), 1): (0, 0, 0, 0),
 }
 
 

@@ -18,13 +18,10 @@ the serialized bytes:
   queries.
 
 The filter itself (:func:`~repro.core.farmer._root_items`) is checked
-against an int-mask oracle, across the 64-row word boundary, on tables
-with and without packed words.
+against an int-mask oracle, across the 64-row word boundary.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 from hypothesis import given
@@ -52,11 +49,10 @@ PRUNING_SUBSETS = (
     frozenset(),
 )
 
-#: The ``engine=`` of each run: the production engine under both of its
-#: spellings, and the reference oracle.  The ids name the table
-#: representations the first two runs once forced; there is one now.
-RUNS = ("numpy", "kernel", "reference")
-RUN_IDS = ("packed", "int-masks", "reference")
+#: The ``engine=`` of each run: the production engine and the reference
+#: oracle.
+RUNS = (None, "reference")
+RUN_IDS = ("production", "reference")
 
 
 def _both_roots(table, tmp_path, tag, **options):
@@ -213,15 +209,10 @@ def _oracle(table, minsup):
 
 @given(table=class_tables(), minsup=st.integers(min_value=0, max_value=131))
 def test_root_items_match_int_popcounts(table, minsup):
-    """Packed words (first ``ceil(m/64)`` words, the last one
-    tail-masked) and the int-mask fallback of an unpickled table keep
-    the same ascending ids as counting each mask's positive rows."""
-    expected = _oracle(table, minsup)
-    unpacked = pickle.loads(pickle.dumps(table))
-    assert table.packed_words is not None
-    assert unpacked.packed_words is None
-    for source in (table, unpacked):
-        assert _root_items(source, minsup).tolist() == expected
+    """The class-support counts (first ``ceil(m/64)`` words, the last
+    one tail-masked) keep the same ascending ids as counting each
+    mask's positive rows."""
+    assert _root_items(table, minsup).tolist() == _oracle(table, minsup)
 
 
 @pytest.mark.parametrize("engine", RUNS, ids=RUN_IDS)

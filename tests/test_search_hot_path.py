@@ -15,8 +15,9 @@ is checked here against the slower code it replaced:
   The store it replaced is kept here as the oracle: a seen-set, a
   linear scan of the whole confidence prefix and sorted inserts.
 * **Masks by reference.**  A child table holds the transposer's own
-  int masks in support-descending order, and the transposer's packed
-  words (read by the root's class-support filter) match those masks.
+  int masks in support-descending order, and the transposer's class
+  support counts (read by the root's class-support filter) match those
+  masks.
 """
 
 from __future__ import annotations
@@ -479,12 +480,10 @@ def _rows(table):
     return [1 << row for row in range(table.n)]
 
 
-def _packed(masks, n_rows):
-    """``masks`` as one ``(len(masks), ceil(n_rows / 64))`` array of
-    little-endian uint64 words, one row per mask."""
-    width = -(-n_rows // 64)
-    payload = b"".join(mask.to_bytes(width * 8, "little") for mask in masks)
-    return np.frombuffer(payload, dtype=np.uint64).reshape(len(masks), width)
+def _class_support(table):
+    """Each item's positive rows, counted on its int mask."""
+    positive = table.positive_mask
+    return [(mask & positive).bit_count() for mask in table.item_masks]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -513,39 +512,36 @@ def test_narrow_children_hold_the_transposer_masks(seed):
             assert (child.inter, child.union) == scan_items(masks, full)
 
 
-def test_packed_words_match_the_int_masks():
+def test_class_support_matches_the_int_masks():
     for seed in range(4):
         table = _table(seed)
-        assert table.packed_words.dtype == np.uint64
-        assert np.array_equal(
-            table.packed_words, _packed(table.item_masks, table.n)
-        )
-        assert not table.packed_words.flags.writeable
+        assert table.class_support.dtype == np.int64
+        assert table.class_support.tolist() == _class_support(table)
+        assert not table.class_support.flags.writeable
 
 
-@pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 130])
-def test_packed_words_at_word_edges(n_rows):
+@pytest.mark.parametrize("n_positive", [1, 63, 64, 65, 130])
+def test_class_support_at_word_edges(n_positive):
+    """The last positive word is full, partial, or shared with the 65
+    negative rows after it, whose bits must not be counted."""
+    n_rows = n_positive + 65
     rows = [[item for item in range(3) if (row + item) % 2] for row in range(n_rows)]
-    data = ItemizedDataset.from_lists(rows, ["C"] * n_rows, n_items=3)
+    labels = ["C"] * n_positive + ["D"] * 65
+    data = ItemizedDataset.from_lists(rows, labels, n_items=3)
     table = TransposedTable.build(data, "C")
-    assert table.packed_words.shape == (3, -(-n_rows // 64))
-    assert np.array_equal(table.packed_words, _packed(table.item_masks, n_rows))
+    assert table.class_support.tolist() == _class_support(table)
 
 
-def test_packed_words_stay_out_of_equality_and_pickle():
+def test_class_support_stays_out_of_equality_and_survives_pickle():
     table = _table()
-    fields = {
-        field.name: getattr(table, field.name)
-        for field in dataclasses.fields(table)
-        if field.init
-    }
-    plain = TransposedTable(**fields)
-    assert plain.packed_words is None
-    assert plain == table and hash(plain) == hash(table)
-    assert repr(plain) == repr(table)
-    assert pickle.dumps(table) == pickle.dumps(plain)
+    other = dataclasses.replace(
+        table, class_support=np.zeros_like(table.class_support)
+    )
+    assert other == table and hash(other) == hash(table)
+    assert repr(other) == repr(table)
     clone = pickle.loads(pickle.dumps(table))
-    assert clone == table and clone.packed_words is None
+    assert clone == table
+    assert clone.class_support.tolist() == table.class_support.tolist()
 
 
 def test_stored_antecedent_does_not_block_itself():

@@ -54,7 +54,7 @@ from repro.experiments.workloads import build_workload
 
 #: Every root a run can attach to: the production engine's, once per
 #: :data:`conftest.VARIANTS` id, and the ``reference`` oracle's
-#: unranked root.
+#: item-order root.
 ROOTS = (*VARIANTS, "reference")
 
 WORD_TAILS = ("word_tail_63", "word_tail_64", "word_tail_65")
