@@ -110,6 +110,10 @@ the committed baseline) so a regression is readable in CI logs — which
 metric moved, by how much — instead of a bare pass/fail.  It composes
 with ``--check``: the table prints first, then the gate verdict.
 
+Every run prints each section's wall-clock seconds, untimed set-up and
+all rounds included, and names the slowest section; these readings are
+not written to the baseline.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/perf_gate.py            # refresh baseline
@@ -138,7 +142,7 @@ from pathlib import Path
 
 from repro.core.constraints import Constraints
 from repro.core.enumeration import SearchBudget
-from repro.core.farmer import Farmer
+from repro.core.farmer import Farmer, _IRGStore
 from repro.core.kernel import CondTable
 from repro.core.serialize import save_rule_groups
 from repro.data.discretize import EqualDepthDiscretizer
@@ -501,7 +505,8 @@ def run_output_row(tmp_dir: Path) -> dict:
         data = EqualDepthDiscretizer().fit_transform(matrix)
         table = TransposedTable.build(data, PAPER_DATASETS[dataset].class1)
         miner = Farmer(constraints=Constraints(minsup=minsup))
-        store = miner._mine_table(table)
+        store = _IRGStore()
+        miner._search(table, store)
         path = tmp_dir / f"output-{dataset}.irgs"
         build = save = float("inf")
         for _ in range(OUTPUT_ROUNDS):
@@ -1243,14 +1248,29 @@ def main(argv: list[str] | None = None) -> int:
 
     import tempfile
 
+    # Each section's wall-clock seconds, set-up and every round
+    # included; printed, never stored in the baseline.
+    wall: dict[str, float] = {}
+
+    def section(name: str, run, *run_args, **run_kwargs):
+        started = time.perf_counter()
+        result = run(*run_args, **run_kwargs)
+        wall[name] = time.perf_counter() - started
+        return result
+
     # Prep runs first, on a small heap, as a cold ``farmer mine`` does.
-    prep_payload = run_prep_row(args.rounds)
+    prep_payload = section("prep", run_prep_row, args.rounds)
     with tempfile.TemporaryDirectory() as tmp:
-        payload = run_engine_sweep(
-            SCALE, args.rounds, Path(tmp), reference=True
+        payload = section(
+            "core", run_engine_sweep, SCALE, args.rounds, Path(tmp),
+            reference=True,
         )
-        numpy_payload = run_engine_sweep(NUMPY_SCALE, args.rounds, Path(tmp))
-        bc_payload = run_engine_sweep(
+        numpy_payload = section(
+            "numpy", run_engine_sweep, NUMPY_SCALE, args.rounds, Path(tmp)
+        )
+        bc_payload = section(
+            "bc",
+            run_engine_sweep,
             NUMPY_SCALE,
             args.rounds,
             Path(tmp),
@@ -1258,12 +1278,18 @@ def main(argv: list[str] | None = None) -> int:
             sweep=BC_SWEEP,
             sharded_minsup=BC_SHARDED_MINSUP,
         )
-        steal_payload = run_steal_sweep(args.rounds, Path(tmp))
-        remine_payload = run_remine_sweep(args.rounds, Path(tmp))
-        sharding_payload = run_sharding_row(args.rounds, Path(tmp))
-        output_payload = run_output_row(Path(tmp))
-        budget_payload = run_budget_row(args.rounds, Path(tmp))
-        cli_payload = run_cli_row(args.rounds, Path(tmp))
+        steal_payload = section("steal", run_steal_sweep, args.rounds, Path(tmp))
+        remine_payload = section(
+            "remine", run_remine_sweep, args.rounds, Path(tmp)
+        )
+        sharding_payload = section(
+            "sharding", run_sharding_row, args.rounds, Path(tmp)
+        )
+        output_payload = section("output", run_output_row, Path(tmp))
+        budget_payload = section(
+            "budget", run_budget_row, args.rounds, Path(tmp)
+        )
+        cli_payload = section("cli", run_cli_row, args.rounds, Path(tmp))
 
     sweeps = (
         ("", payload),
@@ -1360,6 +1386,13 @@ def main(argv: list[str] | None = None) -> int:
         + f"  cancellable/unbudgeted={budget_payload['cancellable_ratio']:.3f}"
     )
     _print_cli_row(cli_payload)
+    print(
+        "section wall times: "
+        + "  ".join(f"{name}={seconds:.1f}s" for name, seconds in wall.items())
+        + f"  (total {sum(wall.values()):.1f}s, slowest "
+        + max(wall, key=wall.get)
+        + ")"
+    )
 
     if args.diff and args.baseline.exists():
         committed = json.loads(args.baseline.read_text(encoding="utf-8"))

@@ -50,10 +50,11 @@ lists into an in-memory transposed table; we use the bitset equivalent):
 * the traversal is one explicit-stack walk, :func:`enumerate_frontier`,
   over an ordered frontier of picklable :class:`NodeState` units.  It
   can stop after a node quantum and hand back the exact remaining
-  frontier, so the same walk runs serially, per shard in worker
-  processes (:mod:`repro.core.parallel`) and under frontier capture
-  (:mod:`repro.core.frontier`), with output bit-identical to the
-  serial traversal.  It needs no recursion, so no interpreter
+  frontier, so the same walk runs serially and per shard in worker
+  processes (:mod:`repro.core.parallel`), with output bit-identical to
+  the serial traversal.  Every serial mine (cold, warm-cache capture
+  from :mod:`repro.core.frontier`, traced, with or without telemetry)
+  goes through one driver, :meth:`Farmer._search`.  It needs no recursion, so no interpreter
   recursion limit is touched.
 * a node's conditional table is materialized *lazily*: the Step-2 loose
   bounds need only the parent's counts, so the walk evaluates them at
@@ -391,8 +392,8 @@ FRONTIER_CAND = "cand"
 #: The quantum of a walk that never yields (``quantum=None``).
 _UNBOUNDED = 1 << 62
 
-#: Nodes the telemetry-enabled serial walk visits between counter
-#: updates (see :meth:`Farmer._walk_observed`): a few tens of
+#: Nodes the serial search visits between counter and coverage updates
+#: under telemetry (see :meth:`Farmer._search`): a few tens of
 #: milliseconds of walking, so live progress moves inside one large
 #: subtree between 0.2 s samples.
 _PROGRESS_QUANTUM = 16384
@@ -478,8 +479,9 @@ def enumerate_frontier(
 ) -> list[tuple[str, NodeState | Candidate]] | None:
     """``MineIRGs`` (Figure 5): the one depth-first row-enumeration walk.
 
-    Every mine runs through here — serial, sharded (each shard part),
-    decomposition and warm-cache capture.  The walk enumerates an
+    Every mine runs through here — each serial mine through
+    :meth:`Farmer._search` (cold, warm-cache capture, traced), each
+    shard part and the decomposition.  The walk enumerates an
     ordered frontier: a list of ``(tag, payload)`` units where
     :data:`FRONTIER_STATE` carries an unexplored subtree root and
     :data:`FRONTIER_CAND` a pending candidate whose children were
@@ -517,9 +519,10 @@ def enumerate_frontier(
             preempted call.
         counters: mutated in place with node and pruning statistics.
         sink: receives each candidate as its subtree completes, in
-            discovery order — a list to append to (the decomposition,
-            the warm-cache capture), or a callable (the serial miner's
-            Step-7 admission, a shard part's advisory prefilter).
+            discovery order — a list to append to (the decomposition),
+            or a callable (the serial search's Step-7 admission, which
+            a warm-cache capture also records, a shard part's advisory
+            prefilter).
         quantum: nodes visited before preemption or, with
             ``progress``, before its first call (values below one still
             visit one node, so every call makes progress); ``None``
@@ -881,9 +884,10 @@ def enumerate_frontier(
     return frontier
 
 
-def _no_phase(name: str) -> nullcontext:
-    """The phase timer of an unobserved run: does nothing."""
-    return nullcontext()
+def _phase(telemetry: "Telemetry | None", name: str):
+    """``telemetry.phase(name)``, or a no-op context for an unobserved
+    run."""
+    return nullcontext() if telemetry is None else telemetry.phase(name)
 
 
 @dataclass
@@ -1174,11 +1178,11 @@ class Farmer:
             miner was built with ``compute_lower_bounds=True``.
         """
         started = time.perf_counter()
-        report = None
+        report = stats = None
         telemetry = self.telemetry
         warm = self.warm_cache is not None
         sharded = not warm and self._wants_sharding()
-        phase = telemetry.phase if telemetry is not None else _no_phase
+        self.budget.start()
         if telemetry is not None:
             telemetry.run_start(
                 consequent=str(table.consequent),
@@ -1196,7 +1200,7 @@ class Farmer:
             if warm:
                 from .frontier import warm_mine_table
 
-                store, counters, truncated = warm_mine_table(self, table)
+                store, counters, truncated, stats = warm_mine_table(self, table)
             elif sharded:
                 from .parallel import mine_table_parallel
 
@@ -1213,11 +1217,10 @@ class Farmer:
                     telemetry=telemetry,
                 )
             else:
-                with phase("search"):
-                    store = self._mine_table(table)
-                counters = self._counters
-                truncated = self._truncated
-            with phase("build"):
+                store = _IRGStore()
+                with _phase(telemetry, "search"):
+                    counters, truncated, stats = self._search(table, store)
+            with _phase(telemetry, "build"):
                 groups = self._finish_groups(table, store)
         finally:
             if telemetry is not None:
@@ -1226,8 +1229,8 @@ class Farmer:
         elapsed = time.perf_counter() - started
         if telemetry is not None:
             telemetry.fold_node_counters(counters)
-            if not sharded and not warm and not self.reference:
-                telemetry.add_counters(self._scan_stats.stats())
+            if stats is not None:
+                telemetry.add_counters(stats.stats())
             telemetry.run_end(
                 groups=len(groups),
                 nodes=counters.nodes,
@@ -1266,142 +1269,135 @@ class Farmer:
     # Search
     # ------------------------------------------------------------------
 
-    def _mine_table(self, table: TransposedTable) -> _IRGStore:
-        self._table = table
-        self._counters = counters = NodeCounters()
-        self._store = store = _IRGStore()
-        self._scan_stats = (
-            ScanStats()
-            if self.telemetry is not None and not self.reference
-            else None
-        )
-        self._truncated = False
-        budget = self.budget
-        budget.start()
+    def _search(
+        self,
+        table: TransposedTable,
+        store: _IRGStore,
+        sink: "Callable[[Candidate, NodeCounters], object] | None" = None,
+    ) -> "tuple[NodeCounters, bool, ScanStats | None]":
+        """``MineIRGs`` (Figure 5) on ``table``'s root: the one serial
+        search.
 
+        Cold mines, warm-cache captures (:mod:`repro.core.frontier`) and
+        traced mines walk through here, with or without telemetry.
+        ``sink(candidate, counters)`` receives each Step-7 candidate in
+        discovery order, as its subtree completes; the default,
+        ``store.offer``, is Step 7's admission, and every group with a
+        smaller antecedent is in the store by then (Lemma 3.4) —
+        including for the root, whose I(∅) is a real group exactly when
+        some rows contain every item.  A capture's sink records the
+        candidate and then offers it.  The caller starts the budget.
+
+        One ``progress`` hook charges the budget where a limit could
+        trip (:meth:`SearchBudget.check`) and, under telemetry, also
+        every :data:`_PROGRESS_QUANTUM` nodes, where it updates the
+        coverage estimate the telemetry sampler reads from its own
+        thread: the root's children finished so far, weighted by their
+        candidate rows (the proxy the sharded decomposition also
+        balances on: in ORD the ``k``-th of ``C`` children has the
+        ``C - 1 - k`` rows after it).  The first report under telemetry
+        comes right after the root, while all ``C`` of its children are
+        left, so counters and coverage move every few thousand nodes
+        even inside one large subtree.  Nothing is split off or rebuilt,
+        so the output is unchanged.
+
+        Returns:
+            ``(counters, truncated, stats)``: the run's node counters,
+            whether a non-strict budget stopped the walk, and the
+            bound-scan telemetry (``None`` without telemetry and for the
+            reference oracle).
+        """
+        telemetry = self.telemetry
+        budget = self.budget
+        counters = NodeCounters()
+        stats = (
+            ScanStats() if telemetry is not None and not self.reference else None
+        )
         ctx = SearchContext.for_table(
             table,
             self.constraints,
             self.prunings,
             reference=self.reference,
-            observe=self.telemetry is not None,
+            observe=telemetry is not None,
         )
         root = ctx.root_state(table)
         if root is None:
-            return store
+            return counters, False, stats
+        offer = store.offer if sink is None else sink
 
-        # Step 7's admission, in discovery order as subtrees complete.
-        # Every group with a smaller antecedent is in the store by then
-        # (Lemma 3.4) — including for the root, whose I(∅) is a real
-        # group exactly when some rows contain every item.
-        def offer(candidate: Candidate) -> None:
-            store.offer(candidate, counters)
+        def emit(candidate: Candidate) -> None:
+            offer(candidate, counters)
 
-        # The walk counts its own nodes and charges the budget only where
-        # a limit could trip (SearchBudget.check).
-        def check(children_left: int = 0) -> int:
-            return budget.check(counters)
+        quantum = _UNBOUNDED
+        coverage = None
+        if telemetry is not None:
+            quantum = _PROGRESS_QUANTUM
+            coverage = {"done": 0.0, "total": 0.0}
+            entries = store.entries
 
-        units = [(FRONTIER_STATE, root)]
-        observer = self._node_observer(ctx)
-        try:
-            if self.telemetry is None:
-                enumerate_frontier(
-                    ctx, units, counters, offer, check(),
-                    observer=observer, progress=check,
-                )
-            else:
-                self._walk_observed(ctx, units, offer, check, observer)
-        except BudgetExceeded:
-            if budget.strict:
-                raise
-            self._truncated = True
-        finally:
-            if self.telemetry is not None:
-                self.telemetry.stop_sampling()
-        # The nodes walked since the last check.
-        budget.advance(counters.nodes - budget.nodes)
-        return store
+            def sample() -> dict:
+                return {
+                    "phase": "search",
+                    "nodes": counters.nodes,
+                    "pruned": (
+                        counters.pruned_loose
+                        + counters.pruned_tight
+                        + counters.pruned_identified
+                    ),
+                    "groups": len(entries),
+                    "done_weight": coverage["done"],
+                    "total_weight": coverage["total"],
+                }
 
-    def _node_observer(self, ctx: SearchContext):
-        """The walker's node observer for a walk under ``ctx`` (see
-        :func:`enumerate_frontier`); ``None`` here, the tracer's
-        recorder in :mod:`repro.core.trace`."""
-        return None
-
-    def _walk_observed(
-        self,
-        ctx: SearchContext,
-        units: list,
-        offer: Callable[[Candidate], None],
-        check: Callable[[int], int],
-        observer,
-    ) -> None:
-        """The telemetry-enabled serial walk.
-
-        The same walk as a bare mine's, reporting progress every
-        :data:`_PROGRESS_QUANTUM` nodes instead of only where a limit
-        could trip: the shared counters move, and the root's children
-        finished so far give the coverage estimate, weighted by their
-        candidate rows (the proxy the sharded decomposition also
-        balances on: in ORD the ``k``-th of ``C`` children has the
-        ``C - 1 - k`` rows after it).  The first report comes right
-        after the root, while all ``C`` of its children are left.  The
-        telemetry sampler reads both from its own thread, so they move
-        every few thousand nodes even inside one large subtree.  The
-        same hook charges the budget (``check``, see
-        :meth:`SearchBudget.check`), so the quantum is also cut short
-        where a limit could trip.  Nothing below the root is
-        instrumented and nothing is split off or rebuilt, so the output
-        is unchanged.  A node observer (the tracer) gets the walk with
-        the budget hook alone; its counters and coverage stay unknown
-        until it returns.
-        """
-        counters = self._counters
-        store_entries = self._store.entries
-        coverage = {"done": 0.0, "total": 0.0}
-
-        def sample() -> dict:
-            return {
-                "phase": "search",
-                "nodes": counters.nodes,
-                "pruned": (
-                    counters.pruned_loose
-                    + counters.pruned_tight
-                    + counters.pruned_identified
-                ),
-                "groups": len(store_entries),
-                "done_weight": coverage["done"],
-                "total_weight": coverage["total"],
-            }
-
-        self.telemetry.start_sampling(sample)
-        # ``check`` charges the root's node.
-        span = check()
-        if observer is not None:
-            enumerate_frontier(
-                ctx, units, counters, offer, span, stats=self._scan_stats,
-                observer=observer, progress=check,
-            )
-            return
+            telemetry.start_sampling(sample)
         children = 0
 
         def progress(children_left: int) -> int:
             nonlocal children
-            if not children:
-                children = children_left
-                coverage["total"] = float(children * (children - 1) // 2)
-            done = children - children_left
-            coverage["done"] = float(
-                done * (children - 1) - done * (done - 1) // 2
-            )
-            return min(check(), _PROGRESS_QUANTUM)
+            if coverage is not None:
+                if not children:
+                    children = children_left
+                    coverage["total"] = float(children * (children - 1) // 2)
+                done = children - children_left
+                coverage["done"] = float(
+                    done * (children - 1) - done * (done - 1) // 2
+                )
+            return min(budget.check(counters), quantum)
 
-        enumerate_frontier(
-            ctx, units, counters, offer, 1, stats=self._scan_stats,
-            progress=progress,
-        )
-        coverage["done"] = coverage["total"]
+        truncated = False
+        try:
+            # ``progress`` charges the root's node; under telemetry the
+            # next call comes right after it.
+            first = progress(0)
+            enumerate_frontier(
+                ctx,
+                [(FRONTIER_STATE, root)],
+                counters,
+                emit,
+                first if coverage is None else 1,
+                stats,
+                observer=self._node_observer(ctx, store),
+                progress=progress,
+            )
+            if coverage is not None:
+                coverage["done"] = coverage["total"]
+        except BudgetExceeded:
+            if budget.strict:
+                raise
+            truncated = True
+        finally:
+            if telemetry is not None:
+                telemetry.stop_sampling()
+        # The nodes walked since the last check.
+        budget.advance(counters.nodes - budget.nodes)
+        return counters, truncated, stats
+
+    def _node_observer(self, ctx: SearchContext, store: _IRGStore):
+        """The walker's node observer for a walk under ``ctx`` that
+        offers its candidates to ``store`` (see
+        :func:`enumerate_frontier`); ``None`` here, the tracer's
+        recorder in :mod:`repro.core.trace`."""
+        return None
 
     # ------------------------------------------------------------------
     # Result materialization

@@ -6,8 +6,9 @@ row enumeration from the root every time.  This module makes a tighter
 re-mine reuse an earlier one while keeping the answer **byte-identical
 to a cold mine**:
 
-* A cache-miss mine runs the ordinary serial walk and keeps its
-  *evaluation sequence*: the Step-7 candidate
+* A cache-miss mine is the cold mine's serial search
+  (:meth:`~repro.core.farmer.Farmer._search`), whose sink also keeps
+  its *evaluation sequence*: the Step-7 candidate
   ``[item_ids, supp, supn, row_mask]`` of every explored node that
   meets the capture's thresholds, in Lemma-3.4 discovery order, before
   the interestingness check.  Nothing else is kept — no conditional
@@ -26,7 +27,7 @@ to a cold mine**:
     requested thresholds explore a subtree of the captured tree, so the
     answer is the captured evaluations re-filtered through
     :meth:`~repro.core.constraints.Constraints.satisfied_by` and
-    replayed through Step-7 admission, with **zero enumeration**;
+    offered to Step-7 admission in order, with **zero enumeration**;
   - *anything else* (no entry, or every entry has a looser-than-cached
     knob) — a serial capture at the requested constraints, which
     answers the query and adds one more entry.
@@ -58,13 +59,11 @@ are ignored.
 from __future__ import annotations
 
 import hashlib
-from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from ..data.transpose import TransposedTable
 from ..errors import (
-    BudgetExceeded,
     ConstraintError,
     DataError,
     ReproError,
@@ -72,17 +71,12 @@ from ..errors import (
 )
 from .constraints import Constraints
 from .enumeration import NodeCounters
-from .farmer import (
-    FRONTIER_STATE,
-    Candidate,
-    SearchContext,
-    _IRGStore,
-    enumerate_frontier,
-)
+from .farmer import Candidate, _IRGStore, _phase
 from .serialize import canonical_json, load_checkpoint, save_checkpoint
 
 if TYPE_CHECKING:
     from .farmer import Farmer
+    from .kernel import ScanStats
 
 __all__ = [
     "FRONTIER_ENVELOPE",
@@ -487,11 +481,6 @@ def _covers(cached: Constraints, requested: Constraints) -> bool:
     )
 
 
-def _phase(telemetry, name: str):
-    """``telemetry.phase(name)`` or a no-op context."""
-    return nullcontext() if telemetry is None else telemetry.phase(name)
-
-
 def _set_reuse(telemetry, fraction: float) -> None:
     """Publish the ``frontier.reuse_fraction`` gauge: the share of the
     answer's evaluations read from the cache instead of enumerated."""
@@ -499,15 +488,9 @@ def _set_reuse(telemetry, fraction: float) -> None:
         telemetry.registry.set_gauge("frontier.reuse_fraction", fraction)
 
 
-def _replay(candidates, store: _IRGStore, counters: NodeCounters) -> None:
-    """Step-7 admission over a satisfying candidate sequence, in order."""
-    for candidate in candidates:
-        store.offer(candidate, counters)
-
-
 def warm_mine_table(
     miner: "Farmer", table: TransposedTable
-) -> "tuple[_IRGStore, NodeCounters, bool]":
+) -> "tuple[_IRGStore, NodeCounters, bool, ScanStats | None]":
     """Answer one mine through the frontier cache.
 
     The entry point :meth:`~repro.core.farmer.Farmer.mine_table`
@@ -517,25 +500,36 @@ def warm_mine_table(
     ignored.  Corrupt, foreign or other-layout cache files are skipped,
     never fatal.
 
+    A capture is the miner's own serial search
+    (:meth:`~repro.core.farmer.Farmer._search`, charged to the miner's
+    budget from the start of the plan) with a sink that records each
+    candidate and offers it to the store, so the store is a cold mine's,
+    truncated captures included.  The capture is then persisted and
+    seeded into the memo.  Truncated captures are answered but never
+    persisted.  The ``cache_miss`` event carries the miss's ``reason``
+    (``"empty"``: no usable entry; ``"loosened"``: no entry covers the
+    request) and ``corrupt`` (skipped files).
+
     Args:
-        miner: the configured :class:`~repro.core.farmer.Farmer`.
+        miner: the configured :class:`~repro.core.farmer.Farmer`, its
+            budget started.
         table: the transposed table to mine.
 
     Returns:
-        ``(store, counters, truncated)``.  The store's entries are
+        ``(store, counters, truncated, stats)``.  The store's entries are
         byte-identical to a cold mine's; the counters reflect only the
-        work a warm answer actually did.
+        work a warm answer actually did; ``stats`` is the capture's
+        bound-scan telemetry (``None`` for a filter answer).
     """
     constraints = miner.constraints
     telemetry = miner.telemetry
-    miner.budget.start()
     directory = Path(miner.warm_cache)
     directory.mkdir(parents=True, exist_ok=True)
 
     store = _IRGStore()
     counters = NodeCounters()
     if table.n == 0 or not table.item_masks:
-        return store, counters, False
+        return store, counters, False, None
 
     fingerprint = frontier_fingerprint(table, miner.prunings)
     entries: list[tuple[Path, Constraints, list[Candidate], dict]] = []
@@ -553,11 +547,31 @@ def warm_mine_table(
 
     covering = [entry for entry in entries if _covers(entry[1], constraints)]
     if not covering:
-        reason = "loosened" if entries else "empty"
-        truncated = _answer_by_capture(
-            miner, table, directory, fingerprint, store, counters, reason, corrupt
-        )
-        return store, counters, truncated
+        evals = []
+
+        def capture(candidate: Candidate, counters: NodeCounters) -> None:
+            evals.append(candidate)
+            store.offer(candidate, counters)
+
+        with _phase(telemetry, "capture"):
+            counters, truncated, stats = miner._search(table, store, capture)
+        if not truncated:
+            path = entry_path(directory, fingerprint, constraints)
+            with _phase(telemetry, "persist"):
+                _save_entry(path, fingerprint, constraints, evals, counters.nodes)
+            _, _, built = _remember(_memo_key(path), constraints, evals)
+            store.built = _built_groups(built, table)
+        if telemetry is not None:
+            telemetry.event(
+                "cache_miss",
+                reason="loosened" if entries else "empty",
+                fingerprint=fingerprint[:20],
+                corrupt=corrupt,
+                evals=len(evals),
+                saved=not truncated,
+            )
+        _set_reuse(telemetry, 0.0)
+        return store, counters, truncated, stats
 
     path, _cached, evals, built = min(
         covering, key=lambda entry: (len(entry[2]), entry[0].name)
@@ -571,7 +585,8 @@ def warm_mine_table(
                 candidate.supp, candidate.supn, table.n, table.m
             )
         ]
-        _replay(satisfying, store, counters)
+        for candidate in satisfying:
+            store.offer(candidate, counters)
     if telemetry is not None:
         telemetry.event(
             "cache_hit",
@@ -582,69 +597,4 @@ def warm_mine_table(
             corrupt=corrupt,
         )
     _set_reuse(telemetry, 1.0 if evals else 0.0)
-    return store, counters, False
-
-
-def _answer_by_capture(
-    miner, table, directory, fingerprint, store, counters, reason, corrupt
-) -> bool:
-    """No covering entry: a serial capture mine populates the cache.
-
-    The walk is the ordinary serial one with a list for its candidate
-    sink; the capture is then persisted, seeded into the memo and
-    replayed into ``store``.
-    Truncated captures are answered (the salvaged prefix filters and
-    replays like a cold truncated mine) but never persisted.  ``reason``
-    (``"empty"``: no usable entry; ``"loosened"``: no entry covers the
-    request) and ``corrupt`` (skipped files) go to the ``cache_miss``
-    event.
-
-    Returns:
-        Whether a non-strict budget truncated the capture.
-    """
-    telemetry = miner.telemetry
-    budget = miner.budget
-    constraints = miner.constraints
-    ctx = SearchContext.for_table(
-        table, constraints, miner.prunings, reference=miner.reference
-    )
-    evals: list[Candidate] = []
-    truncated = False
-
-    def check(children_left: int = 0) -> int:
-        return budget.check(counters)
-
-    with _phase(telemetry, "capture"):
-        root = ctx.root_state(table)
-        try:
-            if root is not None:
-                enumerate_frontier(
-                    ctx,
-                    [(FRONTIER_STATE, root)],
-                    counters,
-                    evals,
-                    check(),
-                    progress=check,
-                )
-        except BudgetExceeded:
-            if budget.strict:
-                raise
-            truncated = True
-    if not truncated:
-        path = entry_path(directory, fingerprint, constraints)
-        with _phase(telemetry, "persist"):
-            _save_entry(path, fingerprint, constraints, evals, counters.nodes)
-        _, _, built = _remember(_memo_key(path), constraints, evals)
-        store.built = _built_groups(built, table)
-    _replay(evals, store, counters)
-    if telemetry is not None:
-        telemetry.event(
-            "cache_miss",
-            reason=reason,
-            fingerprint=fingerprint[:20],
-            corrupt=corrupt,
-            evals=len(evals),
-            saved=not truncated,
-        )
-    _set_reuse(telemetry, 0.0)
-    return truncated
+    return store, counters, False, None

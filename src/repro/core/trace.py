@@ -95,9 +95,11 @@ class TracingFarmer(Farmer):
         self.trace_root = None
         return super().mine(dataset, consequent)
 
-    def _node_observer(self, ctx):
-        # Tables are resolved as the walk under ``ctx`` builds them.
+    def _node_observer(self, ctx, store):
+        # Tables are resolved as the walk under ``ctx`` builds them, and
+        # an explored node is "reported" when ``store`` admitted it.
         self._trace_ctx = ctx
+        self._trace_store = store
         return self
 
     # The walker's observer hooks (see repro.core.farmer.enumerate_frontier).
@@ -124,7 +126,7 @@ class TracingFarmer(Farmer):
             node.outcome = outcome
         elif any(
             frozenset(entry[0]) == frozenset(node.items)
-            for entry in self._store.entries
+            for entry in self._trace_store.entries
         ):
             # Store entries keep the engine's table order; compare as
             # sets so "reported" detection works under every engine.
@@ -134,7 +136,7 @@ class TracingFarmer(Farmer):
         if outcome != "pruned:loose":
             intersection = table.inter
             node.supp = bitset.bit_count(
-                intersection & self._table.positive_mask
+                intersection & self._trace_ctx.positive_mask
             )
             node.supn = bitset.bit_count(intersection) - node.supp
 

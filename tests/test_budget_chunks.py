@@ -71,18 +71,32 @@ class _OracleFarmer(Farmer):
         super().__init__(**kwargs)
         self.limit = limit
 
-    def _node_observer(self, ctx):
+    def _node_observer(self, ctx, store):
         return _RefuseAt(self.limit)
+
+
+class _ChargedBudget(SearchBudget):
+    """A budget that keeps the counters the walk charges it with
+    (:meth:`SearchBudget.check`), so a test can read the run's counters
+    after a strict refusal."""
+
+    counters = None
+
+    def check(self, counters):
+        self.counters = counters
+        return super().check(counters)
 
 
 def _outcome(miner: Farmer, table: TransposedTable, tmp_path, tag: str):
     """What a mine left behind: the refused node (``None`` when the
     mine returned), every counter, the ``truncated`` flag and the
-    ``.irgs`` bytes (``None`` when the budget raised)."""
+    ``.irgs`` bytes (``None`` when the budget raised).  The counters of
+    a refused mine are read off its :class:`_ChargedBudget`."""
     try:
         result = miner.mine_table(table)
     except BudgetExceeded as exc:
-        return exc.nodes_expanded, dataclasses.astuple(miner._counters), None, None
+        counters = dataclasses.astuple(miner.budget.counters)
+        return exc.nodes_expanded, counters, None, None
     path = tmp_path / f"{tag}.irgs"
     save_rule_groups(path, result.groups, constraints=result.constraints)
     return (
@@ -115,11 +129,13 @@ def test_node_budget_matches_per_node_oracle(case, strict, telemetry, engine, tm
     assert total > 60
     for k in range(total + 1):
         oracle = _outcome(
-            _OracleFarmer(k, budget=SearchBudget(strict=strict), **knobs()),
+            _OracleFarmer(k, budget=_ChargedBudget(strict=strict), **knobs()),
             table, tmp_path, "oracle",
         )
         budgeted = _outcome(
-            Farmer(budget=SearchBudget(max_nodes=k, strict=strict), **knobs()),
+            Farmer(
+                budget=_ChargedBudget(max_nodes=k, strict=strict), **knobs()
+            ),
             table, tmp_path, "budgeted",
         )
         assert budgeted == oracle, k
@@ -144,7 +160,7 @@ def test_clock_is_read_on_the_256th_node(telemetry, tmp_path):
     def expired(strict):
         return Farmer(
             constraints=constraints,
-            budget=SearchBudget(max_seconds=0.0, strict=strict),
+            budget=_ChargedBudget(max_seconds=0.0, strict=strict),
             telemetry=Telemetry() if telemetry else None,
         )
 
@@ -152,12 +168,12 @@ def test_clock_is_read_on_the_256th_node(telemetry, tmp_path):
     with pytest.raises(BudgetExceeded) as info:
         miner.mine_table(table)
     assert info.value.nodes_expanded == 256
-    assert miner._counters.nodes == 256
+    assert miner.budget.counters.nodes == 256
     lenient = _outcome(expired(False), table, tmp_path, "clock")
     node_budget = _outcome(
         Farmer(
             constraints=constraints,
-            budget=SearchBudget(max_nodes=255, strict=False),
+            budget=_ChargedBudget(max_nodes=255, strict=False),
         ),
         table, tmp_path, "nodes",
     )

@@ -538,6 +538,60 @@ def test_kernel_counters_are_pinned(point):
     ) == KERNEL_COUNTERS[point]
 
 
+def _walk_readings(miner_class=Farmer, **knobs):
+    """An observed mine of ALL at scale 0.02, minsup 5, minconf 0.8 (the
+    confidence bound makes the walk scan): its ``search.*`` and
+    ``kernel.*`` counters, its gauges and the miner."""
+    workload = build_workload("ALL", scale=0.02)
+    telemetry = Telemetry()
+    miner = miner_class(
+        Constraints(minsup=5, minconf=0.8), telemetry=telemetry, **knobs
+    )
+    miner.mine(workload.data, workload.consequent)
+    snapshot = telemetry.registry.snapshot()
+    counters = {
+        name: value
+        for name, value in snapshot.counters.items()
+        if name.startswith(("search.", "kernel."))
+    }
+    return counters, snapshot.gauges, miner
+
+
+def test_warm_capture_reports_the_cold_walk(tmp_path):
+    """A warm-cache capture is the cold mine's serial search: under
+    telemetry it reports the same node and bound-scan counters and the
+    enumeration rate."""
+    cold, _, _ = _walk_readings()
+    capture, gauges, _ = _walk_readings(warm_cache=str(tmp_path / "cache"))
+    assert cold["search.nodes"] == 11052
+    assert cold["kernel.bound_scans"] > 0
+    assert capture == cold
+    assert gauges["progress.nodes_per_sec"] > 0
+    assert gauges["frontier.reuse_fraction"] == 0.0
+
+
+def test_trace_unchanged_by_telemetry(paper_dataset, monkeypatch):
+    """The tracer's walk under telemetry reports progress, every few
+    nodes here, and records the same tree and counters as without."""
+    from repro.core import farmer
+    from repro.core.trace import TracingFarmer
+
+    monkeypatch.setattr(farmer, "_PROGRESS_QUANTUM", 3)
+
+    def traced(telemetry):
+        miner = TracingFarmer(
+            constraints=Constraints(minsup=1), telemetry=telemetry
+        )
+        result = miner.mine(paper_dataset, "C")
+        return miner.trace_root, result.counters
+
+    telemetry = Telemetry()
+    root, counters = traced(telemetry)
+    assert root.size() > 3 * 3
+    assert (root, counters) == traced(None)
+    assert telemetry.registry.snapshot().counters["search.nodes"] == counters.nodes
+
+
 # ----------------------------------------------------------------------
 # CLI end to end
 # ----------------------------------------------------------------------

@@ -32,8 +32,8 @@ from repro.core.frontier import candidate_from_row
 from repro.errors import DataError, UsageError
 
 #: Variant ids (``conftest.VARIANTS``) the suite mines under: the
-#: ``kernel`` and ``numpy`` spellings and the default engine.
-VARIANTS = ("kernel", "numpy", "handoff-1")
+#: ``kernel`` and ``numpy`` spellings of the production engine.
+VARIANTS = ("kernel", "numpy")
 
 #: Constraint triples dense enough that both sides of a pair regularly
 #: produce groups on the small strategy datasets.

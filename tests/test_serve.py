@@ -26,8 +26,6 @@ from pathlib import Path
 
 import pytest
 
-from conftest import variant_engine
-
 from repro.core.farmer import mine_irgs
 from repro.core.serialize import save_rule_groups
 from repro.data.discretize import EqualDepthDiscretizer
@@ -57,8 +55,8 @@ SCALE = 0.02
 MINSUP = 8
 
 #: The acceptance matrix: variant ids (``conftest.VARIANTS``) — the
-#: ``kernel`` and ``numpy`` engine spellings and the default engine.
-E2E_VARIANTS = ("kernel", "numpy", "handoff-1")
+#: ``kernel`` and ``numpy`` spellings of the production engine.
+E2E_VARIANTS = ("kernel", "numpy")
 
 
 def _call(app, method, target, body=None):
@@ -598,9 +596,10 @@ class TestEndToEnd:
     ):
         app = ServeApp(tmp_path / "serve", workers=1, queue_depth=4)
         try:
-            spec = {"dataset": DATASET, "scale": SCALE, "minsup": MINSUP}
-            if variant_engine(engine) is not None:
-                spec["engine"] = engine
+            spec = {
+                "dataset": DATASET, "scale": SCALE, "minsup": MINSUP,
+                "engine": engine,
+            }
             status, job, _ = _call(app, "POST", "/v1/jobs", spec)
             assert status == 202
             payload = _wait_terminal(app, job["id"])
